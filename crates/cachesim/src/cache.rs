@@ -309,21 +309,25 @@ impl Cache {
 
     /// Same-line short-circuit: if `line` is the line this cache touched
     /// on its immediately preceding access *and that access left it
-    /// resident*, records the guaranteed hit (stats, LRU tick, dirty
-    /// bit) without any set lookup and returns `true`. Returns `false`
-    /// — having recorded nothing — when the caller must take
-    /// [`access_line`].
+    /// resident*, records the guaranteed hit (stats, dirty bit) without
+    /// any set lookup and returns `true`. Returns `false` — having
+    /// recorded nothing — when the caller must take [`access_line`].
     ///
     /// Correctness: between the access that set `last_line` and this
     /// call, no other reference entered this cache, so the line cannot
     /// have been evicted. Write-through writes are excluded even on a
     /// rehit because the caller must still propagate them downstream.
+    ///
+    /// The LRU clock is left alone: the way was stamped by the
+    /// `access_line` that set `last_line`, only rehits have happened
+    /// since, and rehits do not advance `tick` — so the way already
+    /// holds the cache-wide maximum stamp. Restamping it would change no
+    /// comparison a later victim choice makes.
     #[inline]
     pub(crate) fn try_rehit(&mut self, line: u64, is_write: bool) -> bool {
         if line != self.last_line || !self.fast_path || (is_write && self.write_through) {
             return false;
         }
-        self.tick += 1;
         if is_write {
             self.stats.writes += 1;
         } else {
@@ -331,7 +335,7 @@ impl Cache {
         }
         let way = self.last_way as usize;
         debug_assert_eq!(self.lines[way], line);
-        self.stamps[way] = self.tick;
+        debug_assert_eq!(self.stamps[way], self.tick);
         self.dirty[way] |= is_write;
         self.obs.rehits.incr();
         true
@@ -343,33 +347,32 @@ impl Cache {
     /// sharded replay loop, whose compact queues carry run-length
     /// collapsed same-line records.
     ///
-    /// Equivalence: `n` consecutive rehits bump the tick `n` times and
-    /// leave the way's stamp at the final tick; intermediate stamps are
-    /// unobservable because no other reference enters the cache in
-    /// between. Declined (returning `false`, having recorded nothing)
-    /// under exactly the conditions `try_rehit` declines for any
-    /// reference in the run — the caller then replays per-reference.
+    /// Equivalence: a rehit touches only the counters and the dirty
+    /// bit, so `n` of them sum. Declined (returning `false`, having
+    /// recorded nothing) under exactly the conditions `try_rehit`
+    /// declines for any reference in the run — the caller then replays
+    /// per-reference.
     #[inline]
     pub(crate) fn rehit_many(&mut self, line: u64, reads: u64, writes: u64) -> bool {
         if line != self.last_line || !self.fast_path || (writes > 0 && self.write_through) {
             return false;
         }
-        let n = reads + writes;
-        self.tick += n;
         self.stats.reads += reads;
         self.stats.writes += writes;
         let way = self.last_way as usize;
         debug_assert_eq!(self.lines[way], line);
-        self.stamps[way] = self.tick;
+        debug_assert_eq!(self.stamps[way], self.tick);
         self.dirty[way] |= writes > 0;
-        self.obs.rehits.add(n);
+        self.obs.rehits.add(reads + writes);
         true
     }
 
     /// Flushes this level's probe observations into a profile section:
     /// always-on hit/miss totals plus which fast path served the hits.
-    /// Cumulative since construction; all-zero when the probe layer is
-    /// compiled out.
+    /// Cumulative since construction or the last
+    /// [`reset_stats`](Cache::reset_stats) / [`reset`](Cache::reset);
+    /// the fast-path counts are zero when the probe layer is compiled
+    /// out.
     pub fn probe_section(&self, name: &str) -> probe::Section {
         let mut section = probe::Section::new(name);
         section
@@ -380,12 +383,15 @@ impl Cache {
         section
     }
 
-    /// Zeroes the statistics while keeping cache contents warm.
+    /// Zeroes the statistics — and the probe observations that count
+    /// the same references, so `rehits + mru_hits <= hits` holds in
+    /// every profile — while keeping cache contents warm.
     ///
     /// Use this to exclude warm-up phases (the paper's simulations
     /// exclude program initialization).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+        self.obs = CacheObs::default();
     }
 
     /// Invalidates all lines and zeroes the statistics.
@@ -394,7 +400,7 @@ impl Cache {
         self.stamps.fill(0);
         self.dirty.fill(false);
         self.tick = 0;
-        self.stats = CacheStats::default();
+        self.reset_stats();
         self.mru.fill(0);
         self.last_line = INVALID;
         self.last_way = 0;
@@ -568,6 +574,82 @@ mod tests {
         // A WT write miss leaves nothing resident to rehit.
         c.access_line(5, true);
         assert!(!c.try_rehit(5, false));
+    }
+
+    #[test]
+    fn long_rehit_runs_in_a_full_set_leave_the_lru_victim_unchanged() {
+        // Rehits do not restamp their way. In a full 4-way set, run long
+        // rehit bursts (single and bulk) against every way in turn and
+        // interleave evictions: every line written is dirty, so each
+        // eviction names its victim through the write-back, and the
+        // slow path — which restamps on every reference — must name
+        // the same one every time.
+        let config = CacheConfig::new(128, 32, 4).unwrap(); // one set
+        let mut fast = Cache::new(config);
+        let mut slow = Cache::new(config);
+        slow.set_fast_path(false);
+        let mut next_line = 4u64;
+        let mut evictions = 0u64;
+        let mut reference = |fast: &mut Cache, slow: &mut Cache, line: u64| {
+            let f = fast.access_line(line, true);
+            assert_eq!(f, slow.access_line(line, true), "line {line}");
+            evictions += u64::from(f.writeback.is_some());
+        };
+        for line in 0..4 {
+            reference(&mut fast, &mut slow, line);
+        }
+        for round in 0..64u64 {
+            // Touch one of the last four lines brought in (usually still
+            // resident), then rehit it for a long run: the burst is
+            // longer than the number of ticks separating any two stamps
+            // in the set.
+            let resident = next_line - 1 - (round % 4);
+            reference(&mut fast, &mut slow, resident);
+            let burst = 100 + 37 * round;
+            if round % 2 == 0 {
+                for _ in 0..burst {
+                    assert!(fast.try_rehit(resident, round % 3 == 0));
+                    assert!(slow.access_line(resident, round % 3 == 0).hit);
+                }
+            } else {
+                assert!(fast.rehit_many(resident, burst - 7, 7));
+                for i in 0..burst {
+                    assert!(slow.access_line(resident, i < 7).hit);
+                }
+            }
+            // Two fresh lines: two evictions, LRU-first.
+            for _ in 0..2 {
+                reference(&mut fast, &mut slow, next_line);
+                next_line += 1;
+            }
+        }
+        assert!(evictions >= 128, "every fresh line evicted a dirty victim");
+        assert_eq!(fast.stats(), slow.stats());
+        // Same residents at the end, too.
+        for line in 0..next_line {
+            assert_eq!(
+                fast.clone().access_line(line, false).hit,
+                slow.clone().access_line(line, false).hit,
+                "line {line}"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_stats_zeroes_the_fast_path_observations_too() {
+        let mut c = cache(1024, 32, 2);
+        c.access_line(0, false);
+        for _ in 0..10 {
+            assert!(c.try_rehit(0, false));
+        }
+        c.access_line(1, false);
+        c.access_line(0, false); // MRU probe misses, scan hits
+        c.access_line(0, false); // MRU hit
+        c.reset_stats();
+        assert!(c.try_rehit(0, false), "contents and last line stay warm");
+        assert_eq!(c.stats().hits(), 1);
+        assert_eq!(c.obs.rehits.get(), u64::from(probe::enabled()));
+        assert_eq!(c.obs.mru_hits.get(), 0);
     }
 
     #[test]

@@ -148,10 +148,6 @@ pub struct Hierarchy {
     llc_log: Option<Vec<LlcEvent>>,
     memory_reads: u64,
     memory_writebacks: u64,
-    /// Modelled service latency (ns) of each reference that left the
-    /// L1 — a probe histogram, recorded only when penalties are set
-    /// (see [`set_probe_penalties`](Hierarchy::set_probe_penalties)).
-    miss_latency_ns: probe::Histogram,
     /// Modelled ns to service an L1 miss that hits below (0 = unset).
     probe_l1_miss_ns: u64,
     /// Additional modelled ns when the DRAM-facing level also misses.
@@ -178,7 +174,6 @@ impl Hierarchy {
             llc_log: None,
             memory_reads: 0,
             memory_writebacks: 0,
-            miss_latency_ns: probe::Histogram::new(),
             probe_l1_miss_ns: 0,
             probe_llc_miss_ns: 0,
         }
@@ -189,7 +184,13 @@ impl Hierarchy {
     /// reference serviced below the L1, plus `llc_miss_ns` more when
     /// the DRAM-facing level misses too. [`MachineModel::hierarchy`]
     /// (see `machine.rs`) derives both from the paper's Table 1
-    /// penalties. With both zero (the default) nothing is recorded.
+    /// penalties.
+    ///
+    /// The penalties are read when [`run_profile`](Self::run_profile)
+    /// flushes, not per reference: the histogram covers every reference
+    /// since construction (or the last [`reset_stats`](Self::reset_stats))
+    /// at the penalties in force at the flush, whenever they were set.
+    /// With both zero (the default) no histogram is emitted.
     ///
     /// [`MachineModel::hierarchy`]: crate::MachineModel::hierarchy
     pub fn set_probe_penalties(&mut self, l1_miss_ns: u64, llc_miss_ns: u64) {
@@ -197,17 +198,25 @@ impl Hierarchy {
         self.probe_llc_miss_ns = llc_miss_ns;
     }
 
-    /// Records the modelled latency of one reference that left the L1.
-    #[inline]
-    fn record_latency(&self, llc_hit: bool) {
-        if probe::enabled() && (self.probe_l1_miss_ns | self.probe_llc_miss_ns) != 0 {
-            let ns = if llc_hit {
-                self.probe_l1_miss_ns
-            } else {
-                self.probe_l1_miss_ns + self.probe_llc_miss_ns
-            };
-            self.miss_latency_ns.record(ns);
+    /// Modelled service latency (ns) of each reference below the L1,
+    /// as a histogram. A reference costs one of two values, both
+    /// constants of the machine model — `l1_miss_ns` if some level
+    /// below the L1 hit, `l1_miss_ns + llc_miss_ns` if the DRAM-facing
+    /// level missed — and the always-on [`CacheStats`] already count
+    /// how many took each, so nothing is recorded on the access path:
+    /// the two counts are folded in here, at flush time.
+    fn miss_latency_ns(&self) -> probe::LocalHistogram {
+        let histogram = probe::LocalHistogram::new();
+        if (self.probe_l1_miss_ns | self.probe_llc_miss_ns) != 0 {
+            let hits_below_l1 =
+                self.l2.stats().hits() + self.l3.as_ref().map_or(0, |l3| l3.stats().hits());
+            histogram.record_n(self.probe_l1_miss_ns, hits_below_l1);
+            histogram.record_n(
+                self.probe_l1_miss_ns + self.probe_llc_miss_ns,
+                self.llc_misses(),
+            );
         }
+        histogram
     }
 
     /// Creates a hierarchy with virtual memory simulated: the TLB is
@@ -402,7 +411,6 @@ impl Hierarchy {
         // skipped (an L3 below makes the L2 stream unclassified and the
         // rehit always safe).
         if (self.l3.is_some() || self.llc_log.is_none()) && self.l2.try_rehit(l2_line, is_write) {
-            self.record_latency(true);
             return;
         }
         let outcome = self.l2.access_line(l2_line, is_write);
@@ -424,16 +432,13 @@ impl Hierarchy {
                     self.classifier.classify_miss(l2_line);
                     self.memory_reads += 1;
                 }
-                self.record_latency(outcome.hit);
                 if outcome.writeback.is_some() {
                     self.memory_writebacks += 1;
                 }
             }
             Some(_) => {
                 let ratio = self.l3_line_shift - self.l2_line_shift;
-                if outcome.hit {
-                    self.record_latency(true);
-                } else {
+                if !outcome.hit {
                     self.reference_l3(l2_line >> ratio, false);
                 }
                 if let Some(victim) = outcome.writeback {
@@ -451,7 +456,6 @@ impl Hierarchy {
         // Skipped under deferred classification for the same reason as
         // there (the L3 is always the DRAM-facing level).
         if self.llc_log.is_none() && l3.try_rehit(l3_line, is_write) {
-            self.record_latency(true);
             return;
         }
         let outcome = l3.access_line(l3_line, is_write);
@@ -469,7 +473,6 @@ impl Hierarchy {
             self.classifier.classify_miss(l3_line);
             self.memory_reads += 1;
         }
-        self.record_latency(outcome.hit);
         if outcome.writeback.is_some() {
             self.memory_writebacks += 1;
         }
@@ -521,8 +524,9 @@ impl Hierarchy {
     /// Flushes the hierarchy's probe observations into a profile:
     /// per-level hit/rehit/miss sections, the modelled miss-latency
     /// histogram, and the 3C classifier's verdict counts. Cumulative
-    /// since construction; empty-ish when probes are compiled out
-    /// (callers gate embedding on [`probe::enabled`]).
+    /// since construction or the last [`reset_stats`](Self::reset_stats),
+    /// like the statistics they sit beside; empty-ish when probes are
+    /// compiled out (callers gate embedding on [`probe::enabled`]).
     pub fn run_profile(&self) -> probe::RunProfile {
         let mut profile = probe::RunProfile::new();
         profile.push(self.l1d.probe_section("l1"));
@@ -531,7 +535,7 @@ impl Hierarchy {
             profile.push(l3.probe_section("l3"));
         }
         let mut latency = probe::Section::new("latency");
-        latency.histogram("miss_service_ns", &self.miss_latency_ns);
+        latency.histogram("miss_service_ns", &self.miss_latency_ns());
         profile.push(latency);
         let classes = self.classifier.counts();
         let mut verdicts = probe::Section::new("classifier");
@@ -543,9 +547,10 @@ impl Hierarchy {
         profile
     }
 
-    /// Zeroes all statistics while keeping cache contents warm
-    /// (excludes warm-up, as the paper's simulations exclude program
-    /// initialization).
+    /// Zeroes all statistics — and with them every probe observation
+    /// [`run_profile`](Self::run_profile) reports — while keeping cache
+    /// contents warm (excludes warm-up, as the paper's simulations
+    /// exclude program initialization).
     pub fn reset_stats(&mut self) {
         self.l1d.reset_stats();
         self.l2.reset_stats();
@@ -568,6 +573,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use memtrace::Addr;
+    use probe::{Histogram, HistogramSnapshot, Metric};
 
     fn small_hierarchy() -> Hierarchy {
         // L1: 256 B direct-mapped, 32 B lines. L2: 2 KiB 2-way, 64 B lines.
@@ -910,6 +916,152 @@ mod tests {
         assert_eq!(fast.classes(), slow.classes());
         assert_eq!(fast.memory_reads(), slow.memory_reads());
         assert_eq!(fast.memory_writebacks(), slow.memory_writebacks());
+    }
+
+    fn two_level() -> HierarchyConfig {
+        HierarchyConfig::new(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(2048, 64, 2).unwrap(),
+        )
+    }
+
+    fn three_level() -> HierarchyConfig {
+        HierarchyConfig::new3(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(1024, 64, 2).unwrap(),
+            CacheConfig::new(4096, 64, 4).unwrap(),
+        )
+    }
+
+    /// Strided sweeps (rehit-heavy) mixed with random references over
+    /// 4x the largest cache above, a third of them writes.
+    fn mixed_trace(n: u64, seed: u64) -> impl Iterator<Item = Access> {
+        let mut state = seed;
+        (0..n).map(move |i| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let addr = if i % 2 == 0 {
+                (i * 4) % 16384
+            } else {
+                (state >> 30) % 16384
+            };
+            if state.is_multiple_of(3) {
+                Access::write(Addr::new(addr), 8)
+            } else {
+                Access::read(Addr::new(addr), 8)
+            }
+        })
+    }
+
+    /// The `latency.miss_service_ns` histogram of `run_profile()`
+    /// (the empty snapshot when the section is absent).
+    fn miss_service_ns(h: &Hierarchy) -> HistogramSnapshot {
+        h.run_profile()
+            .sections()
+            .iter()
+            .filter(|section| section.name() == "latency")
+            .flat_map(probe::Section::metrics)
+            .find_map(|(name, metric)| match metric {
+                Metric::Histogram(snapshot) if name == "miss_service_ns" => Some(snapshot.clone()),
+                _ => None,
+            })
+            .unwrap_or_default()
+    }
+
+    /// Feeds `trace` one access at a time and records, into a shared
+    /// atomic histogram, one value per reference the access sent below
+    /// the L1: every L2 reference that hit, every reference that went
+    /// on to the L3 (if any), `llc_ns` more for each that reached
+    /// memory (counted by `memory_reads`, not by the cache statistics).
+    fn replay_with_oracle(
+        h: &mut Hierarchy,
+        trace: impl Iterator<Item = Access>,
+        (l1_ns, llc_ns): (u64, u64),
+        oracle: &Histogram,
+    ) {
+        let below = |h: &Hierarchy| match h.l3_stats() {
+            Some(l3) => h.l2_stats().hits() + l3.references(),
+            None => h.l2_stats().references(),
+        };
+        for access in trace {
+            let (before, before_memory) = (below(h), h.memory_reads());
+            h.access(access);
+            let to_memory = h.memory_reads() - before_memory;
+            for i in 0..below(h) - before {
+                oracle.record(if i < to_memory { l1_ns + llc_ns } else { l1_ns });
+            }
+        }
+    }
+
+    #[test]
+    fn latency_histogram_equals_one_record_per_reference_below_l1() {
+        let penalties = (70, 1020);
+        for config in [two_level(), three_level()] {
+            for deferred in [false, true] {
+                let mut h = Hierarchy::new(config);
+                h.set_probe_penalties(penalties.0, penalties.1);
+                h.set_deferred_classification(deferred);
+                let oracle = Histogram::new();
+                replay_with_oracle(&mut h, mixed_trace(30_000, 42), penalties, &oracle);
+                let folded = miss_service_ns(&h);
+                assert_eq!(folded, oracle.snapshot(), "{config:?} deferred={deferred}");
+                if probe::enabled() {
+                    assert!(folded.count > 10_000, "the trace leaves the L1");
+                    assert_eq!((folded.min, folded.max), (70, 1090));
+                    assert_eq!(folded.buckets.len(), 2);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn latency_histogram_is_empty_while_penalties_are_unset() {
+        for config in [two_level(), three_level()] {
+            let mut h = Hierarchy::new(config);
+            for access in mixed_trace(5_000, 7) {
+                h.access(access);
+            }
+            assert!(h.l2_stats().references() > 0);
+            assert_eq!(miss_service_ns(&h), HistogramSnapshot::default());
+            // Penalties are read at flush: setting them late covers the
+            // references already made, at the values now in force.
+            h.set_probe_penalties(5, 50);
+            let oracle = Histogram::new();
+            let mut replayed = Hierarchy::new(config);
+            replay_with_oracle(&mut replayed, mixed_trace(5_000, 7), (5, 50), &oracle);
+            assert_eq!(miss_service_ns(&h), oracle.snapshot());
+        }
+    }
+
+    #[test]
+    fn reset_stats_resets_the_probe_observations_with_the_statistics() {
+        let penalties = (70, 1020);
+        for config in [two_level(), three_level()] {
+            let mut h = Hierarchy::new(config);
+            h.set_probe_penalties(penalties.0, penalties.1);
+            for access in mixed_trace(20_000, 3) {
+                h.access(access);
+            }
+            h.reset_stats();
+            assert_eq!(miss_service_ns(&h), HistogramSnapshot::default());
+            // A short measured phase after a long warm-up: every number
+            // in the profile describes the measured phase only.
+            let oracle = Histogram::new();
+            replay_with_oracle(&mut h, mixed_trace(500, 11), penalties, &oracle);
+            assert_eq!(miss_service_ns(&h), oracle.snapshot());
+            for section in h.run_profile().sections() {
+                let get = |name: &str| {
+                    section.metrics().iter().find_map(|(n, m)| match m {
+                        Metric::Counter(v) if n == name => Some(*v),
+                        _ => None,
+                    })
+                };
+                if let (Some(hits), Some(rehits), Some(mru_hits)) =
+                    (get("hits"), get("rehits"), get("mru_hits"))
+                {
+                    assert!(rehits + mru_hits <= hits, "{}", section.name());
+                }
+            }
+        }
     }
 
     #[test]

@@ -130,14 +130,14 @@ struct SchedObs {
     /// hint-to-bin reuse the locality win depends on.
     rebin_hits: probe::LocalCounter,
     /// Thread count of each bin drained by `run_with`.
-    bin_occupancy: probe::Histogram,
+    bin_occupancy: probe::LocalHistogram,
     /// Wall time to drain one bin.
-    bin_drain_ns: probe::Histogram,
+    bin_drain_ns: probe::LocalHistogram,
     /// Wall time of one whole `run_with` call (turnaround).
-    run_ns: probe::Histogram,
+    run_ns: probe::LocalHistogram,
     /// Thread count of each *parent* group drained (hierarchical
     /// policies only; empty for flat policies).
-    parent_occupancy: probe::Histogram,
+    parent_occupancy: probe::LocalHistogram,
     /// Sub-bins drained under parent grouping (hierarchical policies
     /// only; zero for flat policies).
     subbins_run: probe::LocalCounter,

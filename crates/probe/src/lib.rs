@@ -11,8 +11,16 @@
 //! * [`Histogram`] — a log₂-bucketed value distribution with count /
 //!   sum / min / max and approximate percentiles, mergeable across
 //!   threads.
-//! * [`Histogram::span`] — a scoped timer guard that records elapsed
-//!   nanoseconds into a histogram on drop.
+//! * [`LocalHistogram`] — the same distribution in plain `Cell`s, for
+//!   hot paths that hold `&mut self` anyway.
+//! * [`Histogram::span`] / [`LocalHistogram::span`] — a scoped timer
+//!   guard that records elapsed nanoseconds into a histogram on drop.
+//!
+//! The rule for picking a kind: shared across threads → `Counter` /
+//! `Histogram`; owned behind `&mut` → `LocalCounter` /
+//! `LocalHistogram`. An observation whose value is a constant of the
+//! run is counted and folded in at flush time with `record_n`, not
+//! recorded per event (see DESIGN.md §8).
 //!
 //! All of the above are **compile-time gated** by the `enabled` cargo
 //! feature (on by default). With the feature off every primitive is a
@@ -53,7 +61,10 @@
 mod metrics;
 mod profile;
 
-pub use metrics::{Counter, Histogram, HistogramSnapshot, LocalCounter, Span};
+pub use metrics::{
+    Counter, Distribution, Histogram, HistogramSnapshot, LocalCounter, LocalHistogram, LocalSpan,
+    Span,
+};
 pub use profile::{Metric, RunProfile, Section};
 
 /// Whether the probe layer is compiled in.

@@ -1,10 +1,14 @@
 //! Collection primitives: counters, histograms, span timers.
 //!
 //! Two parallel implementations live here, selected by the `enabled`
-//! cargo feature. The enabled one uses relaxed atomics (counters,
-//! histogram buckets) so probes can be shared across worker threads
-//! without locks; the disabled one is all zero-sized types with empty
-//! inline methods, so instrumentation sites cost nothing.
+//! cargo feature. The enabled one comes in two kinds: [`Counter`] and
+//! [`Histogram`] use relaxed atomics so probes can be shared across
+//! worker threads without locks; [`LocalCounter`] and
+//! [`LocalHistogram`] are plain `Cell`s for observations owned by one
+//! thread (held behind `&mut`), where a `lock`-prefixed RMW per event
+//! would be pure cost. The disabled implementation is all zero-sized
+//! types with empty inline methods, so instrumentation sites cost
+//! nothing.
 
 /// Number of log₂ buckets: values up to 2⁶³ land in a bucket.
 const BUCKETS: usize = 64;
@@ -27,8 +31,8 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// Point-in-time copy of a [`Histogram`], safe to serialize and
-/// compare after collection has moved on.
+/// Point-in-time copy of a [`Histogram`] or [`LocalHistogram`], safe
+/// to serialize and compare after collection has moved on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Values recorded.
@@ -74,9 +78,32 @@ impl HistogramSnapshot {
     }
 }
 
+/// A value distribution that can be copied out as a
+/// [`HistogramSnapshot`] — what [`Section::histogram`] and the
+/// histograms' `merge_from` accept, so the shared and the
+/// single-threaded kind flush and merge the same way.
+///
+/// [`Section::histogram`]: crate::Section::histogram
+pub trait Distribution {
+    /// Point-in-time copy of the distribution.
+    fn snapshot(&self) -> HistogramSnapshot;
+}
+
+impl Distribution for Histogram {
+    fn snapshot(&self) -> HistogramSnapshot {
+        Histogram::snapshot(self)
+    }
+}
+
+impl Distribution for LocalHistogram {
+    fn snapshot(&self) -> HistogramSnapshot {
+        LocalHistogram::snapshot(self)
+    }
+}
+
 #[cfg(feature = "enabled")]
 mod imp {
-    use super::{bucket_of, bucket_upper, HistogramSnapshot, BUCKETS};
+    use super::{bucket_of, bucket_upper, Distribution, HistogramSnapshot, BUCKETS};
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
@@ -148,9 +175,11 @@ mod imp {
     }
 
     /// A log₂-bucketed histogram of `u64` values, shareable across
-    /// threads (every field is a relaxed atomic; `merge_from` and
-    /// concurrent `record` calls never lose counts, though `snapshot`
-    /// taken mid-record may be momentarily torn between fields).
+    /// threads (every field is a relaxed atomic; concurrent `record`
+    /// calls never lose counts, though a `snapshot` — and so a
+    /// `merge_from` — taken mid-record may be momentarily torn between
+    /// fields). Five atomic RMWs per `record`: for observations owned
+    /// by one thread use [`LocalHistogram`].
     #[derive(Debug)]
     pub struct Histogram {
         buckets: [AtomicU64; BUCKETS],
@@ -176,9 +205,20 @@ mod imp {
         /// Records one value.
         #[inline]
         pub fn record(&self, value: u64) {
-            self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
+            self.record_n(value, 1);
+        }
+
+        /// Records `value` `n` times — exactly `n` calls of
+        /// [`record`](Self::record) — at the cost of one. `n = 0`
+        /// records nothing (min and max stay as they were).
+        #[inline]
+        pub fn record_n(&self, value: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            self.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
+            self.count.fetch_add(n, Ordering::Relaxed);
+            self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
             self.min.fetch_min(value, Ordering::Relaxed);
             self.max.fetch_max(value, Ordering::Relaxed);
         }
@@ -195,22 +235,20 @@ mod imp {
             self.sum.load(Ordering::Relaxed)
         }
 
-        /// Folds another histogram's contents into this one.
-        pub fn merge_from(&self, other: &Histogram) {
-            for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-                let n = theirs.load(Ordering::Relaxed);
-                if n > 0 {
-                    mine.fetch_add(n, Ordering::Relaxed);
-                }
+        /// Folds another histogram's contents (of either kind) into
+        /// this one.
+        pub fn merge_from(&self, other: &impl Distribution) {
+            let other = other.snapshot();
+            for &(upper, n) in &other.buckets {
+                self.buckets[bucket_of(upper)].fetch_add(n, Ordering::Relaxed);
             }
-            self.count
-                .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.sum
-                .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.min
-                .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.max
-                .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.count.fetch_add(other.count, Ordering::Relaxed);
+            self.sum.fetch_add(other.sum, Ordering::Relaxed);
+            // An empty snapshot reports min 0, which is not a value.
+            if other.count > 0 {
+                self.min.fetch_min(other.min, Ordering::Relaxed);
+                self.max.fetch_max(other.max, Ordering::Relaxed);
+            }
         }
 
         /// Point-in-time copy of the distribution.
@@ -274,11 +312,140 @@ mod imp {
                 .record(self.start.elapsed().as_nanos() as u64);
         }
     }
+
+    /// The single-threaded [`Histogram`]: the same buckets and the same
+    /// snapshots, kept in plain `Cell`s, so `record` is five ordinary
+    /// loads and stores instead of five atomic RMWs. For observations
+    /// owned by one thread — a simulator or scheduler held behind
+    /// `&mut` (the type is `!Sync`, so the compiler enforces it).
+    #[derive(Clone, Debug)]
+    pub struct LocalHistogram {
+        buckets: [Cell<u64>; BUCKETS],
+        count: Cell<u64>,
+        sum: Cell<u64>,
+        /// Min encoded as `u64::MAX` when empty.
+        min: Cell<u64>,
+        max: Cell<u64>,
+    }
+
+    impl LocalHistogram {
+        /// Creates an empty histogram.
+        pub const fn new() -> Self {
+            LocalHistogram {
+                buckets: [const { Cell::new(0) }; BUCKETS],
+                count: Cell::new(0),
+                sum: Cell::new(0),
+                min: Cell::new(u64::MAX),
+                max: Cell::new(0),
+            }
+        }
+
+        /// Records one value.
+        #[inline]
+        pub fn record(&self, value: u64) {
+            self.record_n(value, 1);
+        }
+
+        /// Records `value` `n` times — exactly `n` calls of
+        /// [`record`](Self::record) — at the cost of one. `n = 0`
+        /// records nothing (min and max stay as they were).
+        #[inline]
+        pub fn record_n(&self, value: u64, n: u64) {
+            if n == 0 {
+                return;
+            }
+            let bucket = &self.buckets[bucket_of(value)];
+            bucket.set(bucket.get().wrapping_add(n));
+            self.count.set(self.count.get().wrapping_add(n));
+            self.sum
+                .set(self.sum.get().wrapping_add(value.wrapping_mul(n)));
+            self.min.set(self.min.get().min(value));
+            self.max.set(self.max.get().max(value));
+        }
+
+        /// Values recorded so far.
+        #[inline]
+        pub fn count(&self) -> u64 {
+            self.count.get()
+        }
+
+        /// Sum of values recorded so far.
+        #[inline]
+        pub fn sum(&self) -> u64 {
+            self.sum.get()
+        }
+
+        /// Folds another histogram's contents (of either kind) into
+        /// this one.
+        pub fn merge_from(&self, other: &impl Distribution) {
+            let other = other.snapshot();
+            for &(upper, n) in &other.buckets {
+                let bucket = &self.buckets[bucket_of(upper)];
+                bucket.set(bucket.get().wrapping_add(n));
+            }
+            self.count.set(self.count.get().wrapping_add(other.count));
+            self.sum.set(self.sum.get().wrapping_add(other.sum));
+            // An empty snapshot reports min 0, which is not a value.
+            if other.count > 0 {
+                self.min.set(self.min.get().min(other.min));
+                self.max.set(self.max.get().max(other.max));
+            }
+        }
+
+        /// Point-in-time copy of the distribution.
+        pub fn snapshot(&self) -> HistogramSnapshot {
+            let min = self.min.get();
+            HistogramSnapshot {
+                count: self.count.get(),
+                sum: self.sum.get(),
+                min: if min == u64::MAX { 0 } else { min },
+                max: self.max.get(),
+                buckets: self
+                    .buckets
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, b)| (b.get() > 0).then_some((bucket_upper(i), b.get())))
+                    .collect(),
+            }
+        }
+
+        /// Starts a scoped timer that records elapsed nanoseconds into
+        /// this histogram when dropped.
+        #[inline]
+        pub fn span(&self) -> LocalSpan<'_> {
+            LocalSpan {
+                histogram: self,
+                start: Instant::now(),
+            }
+        }
+    }
+
+    impl Default for LocalHistogram {
+        fn default() -> Self {
+            LocalHistogram::new()
+        }
+    }
+
+    /// Guard returned by [`LocalHistogram::span`]: records the elapsed
+    /// nanoseconds between creation and drop.
+    #[derive(Debug)]
+    pub struct LocalSpan<'a> {
+        histogram: &'a LocalHistogram,
+        start: Instant,
+    }
+
+    impl Drop for LocalSpan<'_> {
+        #[inline]
+        fn drop(&mut self) {
+            self.histogram
+                .record(self.start.elapsed().as_nanos() as u64);
+        }
+    }
 }
 
 #[cfg(not(feature = "enabled"))]
 mod imp {
-    use super::HistogramSnapshot;
+    use super::{Distribution, HistogramSnapshot};
 
     /// Disabled probe counter: zero-sized, all methods are no-ops.
     #[derive(Clone, Debug, Default)]
@@ -344,6 +511,10 @@ mod imp {
         #[inline(always)]
         pub fn record(&self, _value: u64) {}
 
+        /// No-op.
+        #[inline(always)]
+        pub fn record_n(&self, _value: u64, _n: u64) {}
+
         /// Always 0.
         #[inline(always)]
         pub fn count(&self) -> u64 {
@@ -358,7 +529,7 @@ mod imp {
 
         /// No-op.
         #[inline(always)]
-        pub fn merge_from(&self, _other: &Histogram) {}
+        pub fn merge_from(&self, _other: &impl Distribution) {}
 
         /// Always the empty snapshot.
         #[inline(always)]
@@ -376,9 +547,60 @@ mod imp {
     /// Disabled span guard: zero-sized, drop is a no-op.
     #[derive(Debug)]
     pub struct Span<'a>(pub(super) std::marker::PhantomData<&'a ()>);
+
+    /// Disabled single-threaded histogram: zero-sized, records nothing.
+    #[derive(Clone, Debug, Default)]
+    pub struct LocalHistogram;
+
+    impl LocalHistogram {
+        /// Creates a no-op histogram.
+        pub const fn new() -> Self {
+            LocalHistogram
+        }
+
+        /// No-op.
+        #[inline(always)]
+        pub fn record(&self, _value: u64) {}
+
+        /// No-op.
+        #[inline(always)]
+        pub fn record_n(&self, _value: u64, _n: u64) {}
+
+        /// Always 0.
+        #[inline(always)]
+        pub fn count(&self) -> u64 {
+            0
+        }
+
+        /// Always 0.
+        #[inline(always)]
+        pub fn sum(&self) -> u64 {
+            0
+        }
+
+        /// No-op.
+        #[inline(always)]
+        pub fn merge_from(&self, _other: &impl Distribution) {}
+
+        /// Always the empty snapshot.
+        #[inline(always)]
+        pub fn snapshot(&self) -> HistogramSnapshot {
+            HistogramSnapshot::default()
+        }
+
+        /// Returns a guard whose drop does nothing — no clock is read.
+        #[inline(always)]
+        pub fn span(&self) -> LocalSpan<'_> {
+            LocalSpan(std::marker::PhantomData)
+        }
+    }
+
+    /// Disabled span guard: zero-sized, drop is a no-op.
+    #[derive(Debug)]
+    pub struct LocalSpan<'a>(pub(super) std::marker::PhantomData<&'a ()>);
 }
 
-pub use imp::{Counter, Histogram, LocalCounter, Span};
+pub use imp::{Counter, Histogram, LocalCounter, LocalHistogram, LocalSpan, Span};
 
 #[cfg(test)]
 mod tests {
@@ -477,6 +699,146 @@ mod tests {
             assert_eq!(merged.snapshot().min, 0);
             assert_eq!(merged.snapshot().max, 7999);
         }
+    }
+
+    /// A seeded stream spanning every bucket width: SplitMix64 output
+    /// shifted right by a varying amount, with exact zeros mixed in.
+    fn seeded_values(seed: u64, n: usize) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                if i % 97 == 0 {
+                    0
+                } else {
+                    z >> (z % 64)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn local_histogram_matches_histogram_on_a_seeded_stream() {
+        let shared = Histogram::new();
+        let local = LocalHistogram::new();
+        for v in seeded_values(1996, 10_000) {
+            shared.record(v);
+            local.record(v);
+        }
+        assert_eq!(local.snapshot(), shared.snapshot());
+        assert_eq!(local.count(), shared.count());
+        assert_eq!(local.sum(), shared.sum());
+        assert_eq!(local.clone().snapshot(), shared.snapshot());
+        if crate::enabled() {
+            assert_eq!(local.count(), 10_000);
+            assert!(local.snapshot().buckets.len() > 32, "stream spans buckets");
+        }
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (bulk, single) = (Histogram::new(), Histogram::new());
+        let (local_bulk, local_single) = (LocalHistogram::new(), LocalHistogram::new());
+        for (i, v) in seeded_values(7, 200).into_iter().enumerate() {
+            let n = (i % 5) as u64; // includes n = 0
+            bulk.record_n(v, n);
+            local_bulk.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+                local_single.record(v);
+            }
+        }
+        assert_eq!(bulk.snapshot(), single.snapshot());
+        assert_eq!(local_bulk.snapshot(), local_single.snapshot());
+        assert_eq!(local_bulk.snapshot(), bulk.snapshot());
+    }
+
+    #[test]
+    fn record_n_of_zero_leaves_min_and_max_untouched() {
+        let shared = Histogram::new();
+        let local = LocalHistogram::new();
+        shared.record_n(5, 0);
+        local.record_n(5, 0);
+        assert_eq!(shared.snapshot(), HistogramSnapshot::default());
+        assert_eq!(local.snapshot(), HistogramSnapshot::default());
+        shared.record(100);
+        local.record(100);
+        // Neither a smaller nor a larger value moves the extremes.
+        for v in [1, u64::MAX] {
+            shared.record_n(v, 0);
+            local.record_n(v, 0);
+        }
+        for snap in [shared.snapshot(), local.snapshot()] {
+            if crate::enabled() {
+                assert_eq!((snap.count, snap.min, snap.max), (1, 100, 100));
+            } else {
+                assert_eq!(snap, HistogramSnapshot::default());
+            }
+        }
+    }
+
+    #[test]
+    fn merge_from_crosses_the_two_kinds() {
+        let values = seeded_values(42, 2_000);
+        let (first, second) = values.split_at(700);
+        // local → shared, shared → local, and an empty one of each kind
+        // (which must not drag the minimum to 0).
+        let shared = Histogram::new();
+        let local = LocalHistogram::new();
+        for &v in first {
+            shared.record(v.max(1));
+            local.record(v.max(1));
+        }
+        let (shared_rest, local_rest) = (Histogram::new(), LocalHistogram::new());
+        for &v in second {
+            shared_rest.record(v.max(1));
+            local_rest.record(v.max(1));
+        }
+        shared.merge_from(&local_rest);
+        shared.merge_from(&LocalHistogram::new());
+        local.merge_from(&shared_rest);
+        local.merge_from(&Histogram::new());
+        let expected = Histogram::new();
+        for &v in &values {
+            expected.record(v.max(1));
+        }
+        assert_eq!(shared.snapshot(), expected.snapshot());
+        assert_eq!(local.snapshot(), expected.snapshot());
+        if crate::enabled() {
+            assert!(expected.snapshot().min >= 1, "empty merges left min alone");
+            assert_eq!(shared.count(), 2_000);
+        }
+    }
+
+    #[test]
+    fn disabled_local_histogram_is_a_zero_sized_no_op() {
+        if crate::enabled() {
+            assert!(std::mem::size_of::<LocalHistogram>() > 0);
+            return;
+        }
+        assert_eq!(std::mem::size_of::<LocalHistogram>(), 0);
+        assert_eq!(std::mem::size_of::<LocalSpan<'_>>(), 0);
+        let h = LocalHistogram::new();
+        h.record(3);
+        h.record_n(9, 4);
+        h.merge_from(&Histogram::new());
+        drop(h.span());
+        assert_eq!((h.count(), h.sum()), (0, 0));
+        assert_eq!(h.snapshot(), HistogramSnapshot::default());
+    }
+
+    #[test]
+    fn local_span_records_elapsed_nanoseconds() {
+        let h = LocalHistogram::new();
+        {
+            let _span = h.span();
+            std::hint::black_box(());
+        }
+        assert_eq!(h.count(), u64::from(crate::enabled()));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! modes lets report code assemble profiles unconditionally and gate
 //! only the embedding on [`enabled`](crate::enabled).
 
-use crate::{Histogram, HistogramSnapshot};
+use crate::{Distribution, HistogramSnapshot};
 use std::fmt::Write as _;
 
 /// One named metric inside a [`Section`].
@@ -60,10 +60,14 @@ impl Section {
         self
     }
 
-    /// Adds a histogram metric (snapshotting `histogram` now). Empty
-    /// histograms are skipped — a disabled probe layer contributes no
-    /// all-zero noise to reports.
-    pub fn histogram(&mut self, name: impl Into<String>, histogram: &Histogram) -> &mut Self {
+    /// Adds a histogram metric (snapshotting `histogram`, of either
+    /// kind, now). Empty histograms are skipped — a disabled probe
+    /// layer contributes no all-zero noise to reports.
+    pub fn histogram(
+        &mut self,
+        name: impl Into<String>,
+        histogram: &impl Distribution,
+    ) -> &mut Self {
         let snapshot = histogram.snapshot();
         if snapshot.count > 0 {
             self.metrics
@@ -189,6 +193,7 @@ impl RunProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
 
     #[test]
     fn section_json_shape() {
