@@ -42,7 +42,6 @@ use crate::policies::{assign_bins, dispatch_trace, paper_policy, single_policy, 
 use locality_sched::BinPolicy;
 use memtrace::{SchedEvent, ScheduleLog, ThreadFootprint, WORD_BYTES};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use workloads::OrderSemantics;
 
 /// A per-actor vector clock: `t[a]` counts actor `a`'s events observed
@@ -218,10 +217,6 @@ pub enum ObligationKind {
     /// The pair must be ordered *some* way (`a ⇒ b` or `b ⇒ a`): the
     /// data-race lint for conflicting pairs.
     ConflictOrder,
-    /// An explicit dependency edge `a ⇒ b` from a task DAG
-    /// (forward-looking: futures/continuation scheduling plugs its
-    /// edges in here without an analyzer rewrite).
-    DagEdge,
 }
 
 /// One ordering demand between two thread bodies, checkable against
@@ -240,9 +235,7 @@ impl OrderObligation {
     /// Checks the obligation against `index`.
     pub fn satisfied(&self, index: &HbIndex) -> bool {
         match self.kind {
-            ObligationKind::ForkOrder | ObligationKind::DagEdge => {
-                index.happens_before(self.a, self.b)
-            }
+            ObligationKind::ForkOrder => index.happens_before(self.a, self.b),
             ObligationKind::ConflictOrder => index.ordered(self.a, self.b),
         }
     }
@@ -509,53 +502,38 @@ impl HbReport {
     /// the row order is the deterministic build order: the output is
     /// byte-reproducible run-to-run.
     pub fn to_json(&self) -> String {
-        let mut json = format!(
-            "{{\"experiment\":\"schedlint-hb\",\"machine\":\"{}\",\"rows\":[",
-            crate::report::escape(&self.machine)
-        );
-        let mut first = true;
-        for r in &self.rows {
-            if !first {
-                json.push(',');
-            }
-            first = false;
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"policy\":\"{}\",\"phases\":{},\"hb_units\":{},\
-                 \"hb_events\":{},\"hb_obligations\":{},\"hb_conflict_pairs\":{},\
-                 \"hb_violations\":{},\"hb_unordered\":{},\"hb_steal_safe\":{}}}",
-                crate::report::escape(&r.workload),
-                crate::report::escape(&r.policy),
-                r.phases,
-                r.hb_units,
-                r.hb_events,
-                r.hb_obligations,
-                r.hb_conflict_pairs,
-                r.hb_violations,
-                r.hb_unordered,
-                r.hb_steal_safe,
-            )
-            .expect("writing to String cannot fail");
-        }
-        for r in &self.shard_rows {
-            if !first {
-                json.push(',');
-            }
-            first = false;
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"shards\":{},\"hb_events\":{},\
-                 \"hb_cross_shard_words\":{},\"hb_steal_safe\":{}}}",
-                crate::report::escape(&r.workload),
-                r.shards,
-                r.hb_events,
-                r.hb_cross_shard_words,
-                r.hb_steal_safe,
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("],\"findings\":[]}");
-        json
+        probe::json::write(|w| {
+            w.object(|w| {
+                w.key("experiment").string("schedlint-hb");
+                w.key("machine").string(&self.machine);
+                w.key("rows").array(|w| {
+                    for r in &self.rows {
+                        w.object(|w| {
+                            w.key("workload").string(&r.workload);
+                            w.key("policy").string(&r.policy);
+                            w.key("phases").uint(r.phases);
+                            w.key("hb_units").uint(r.hb_units);
+                            w.key("hb_events").uint(r.hb_events);
+                            w.key("hb_obligations").uint(r.hb_obligations);
+                            w.key("hb_conflict_pairs").uint(r.hb_conflict_pairs);
+                            w.key("hb_violations").uint(r.hb_violations);
+                            w.key("hb_unordered").uint(r.hb_unordered);
+                            w.key("hb_steal_safe").uint(r.hb_steal_safe);
+                        });
+                    }
+                    for r in &self.shard_rows {
+                        w.object(|w| {
+                            w.key("workload").string(&r.workload);
+                            w.key("shards").uint(u64::from(r.shards));
+                            w.key("hb_events").uint(r.hb_events);
+                            w.key("hb_cross_shard_words").uint(r.hb_cross_shard_words);
+                            w.key("hb_steal_safe").uint(r.hb_steal_safe);
+                        });
+                    }
+                });
+                w.key("findings").array(|_| {});
+            });
+        })
     }
 }
 
@@ -662,12 +640,6 @@ mod tests {
             b: 1,
         };
         assert!(conflict.satisfied(&index), "still ordered, just reversed");
-        let dag = OrderObligation {
-            kind: ObligationKind::DagEdge,
-            a: 1,
-            b: 0,
-        };
-        assert!(dag.satisfied(&index));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Report assembly: JSON (benchdiff-consumable) and terminal text.
 
 use crate::analysis::KernelSummary;
+use probe::json;
 use std::fmt::Write as _;
 
 /// The full `schedlint` report: one [`KernelSummary`] per analyzed
@@ -46,83 +47,29 @@ impl AnalyzeReport {
     /// so `benchdiff` diffs it as `rows[matmul].conflict_pairs`), and a
     /// string-only `findings` array `benchdiff` skips.
     pub fn to_json(&self) -> String {
-        let mut json = format!(
-            "{{\"experiment\":\"schedlint\",\"machine\":\"{}\",\
-             \"hint_threshold_pct\":{:.1},\"rows\":[",
-            escape(&self.machine),
-            self.hint_threshold_pct
-        );
-        for (i, k) in self.kernels.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"threads\":{},\"phases\":{},\"bins\":{},\
-                 \"conflict_pairs\":{},\"violations\":{},\"reordered_convergent\":{},\
-                 \"steal_unsafe_pairs\":{},\"overflow_bins\":{},\"overflow_subbins\":{},\
-                 \"false_sharing_lines\":{},\"cross_node_pairs\":{},\
-                 \"hb_events\":{},\"hb_units\":{},\"hb_obligations\":{},\"hb_races\":{},\
-                 \"errors\":{},\"warnings\":{}",
-                escape(&k.workload),
-                k.threads,
-                k.phases,
-                k.bins,
-                k.conflict_pairs,
-                k.violations,
-                k.reordered_convergent,
-                k.steal_unsafe_pairs,
-                k.overflow_bins,
-                k.overflow_subbins,
-                k.false_sharing_lines,
-                k.cross_node_pairs,
-                k.hb_events,
-                k.hb_units,
-                k.hb_obligations,
-                k.hb_races,
-                k.errors(),
-                k.warnings(),
-            )
-            .expect("writing to String cannot fail");
-            if let (Some(min), Some(mean)) = (k.hint_coverage_min_pct, k.hint_coverage_mean_pct) {
-                write!(
-                    json,
-                    ",\"hint_coverage_min_pct\":{min:.1},\"hint_coverage_mean_pct\":{mean:.1}"
-                )
-                .expect("writing to String cannot fail");
-            }
-            for check in k.checks.iter().filter(|c| c.checked) {
-                write!(
-                    json,
-                    ",\"violations_{}\":{}",
-                    check.policy, check.violations
-                )
-                .expect("writing to String cannot fail");
-            }
-            json.push('}');
-        }
-        json.push_str("],\"findings\":[");
-        let mut first = true;
-        for k in &self.kernels {
-            for f in &k.findings {
-                if !first {
-                    json.push(',');
-                }
-                first = false;
-                write!(
-                    json,
-                    "{{\"severity\":\"{}\",\"analysis\":\"{}\",\"workload\":\"{}\",\
-                     \"detail\":\"{}\"}}",
-                    f.severity.label(),
-                    f.analysis,
-                    escape(&f.workload),
-                    escape(&f.detail),
-                )
-                .expect("writing to String cannot fail");
-            }
-        }
-        json.push_str("]}");
-        json
+        json::write(|w| {
+            w.object(|w| {
+                w.key("experiment").string("schedlint");
+                w.key("machine").string(&self.machine);
+                w.key("hint_threshold_pct")
+                    .float(self.hint_threshold_pct, 1);
+                w.key("rows").array(|w| {
+                    for k in &self.kernels {
+                        w.object(|w| kernel_row(k, w));
+                    }
+                });
+                w.key("findings").array(|w| {
+                    for f in self.kernels.iter().flat_map(|k| &k.findings) {
+                        w.object(|w| {
+                            w.key("severity").string(f.severity.label());
+                            w.key("analysis").string(f.analysis);
+                            w.key("workload").string(&f.workload);
+                            w.key("detail").string(&f.detail);
+                        });
+                    }
+                });
+            });
+        })
     }
 
     /// Renders the human-readable report.
@@ -187,23 +134,38 @@ impl AnalyzeReport {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// One workload's flat numeric row of the JSON report.
+fn kernel_row(k: &KernelSummary, w: &mut json::Writer) {
+    w.key("workload").string(&k.workload);
+    for (key, value) in [
+        ("threads", k.threads),
+        ("phases", k.phases),
+        ("bins", k.bins),
+        ("conflict_pairs", k.conflict_pairs),
+        ("violations", k.violations),
+        ("reordered_convergent", k.reordered_convergent),
+        ("steal_unsafe_pairs", k.steal_unsafe_pairs),
+        ("overflow_bins", k.overflow_bins),
+        ("overflow_subbins", k.overflow_subbins),
+        ("false_sharing_lines", k.false_sharing_lines),
+        ("cross_node_pairs", k.cross_node_pairs),
+        ("hb_events", k.hb_events),
+        ("hb_units", k.hb_units),
+        ("hb_obligations", k.hb_obligations),
+        ("hb_races", k.hb_races),
+        ("errors", k.errors()),
+        ("warnings", k.warnings()),
+    ] {
+        w.key(key).uint(value);
     }
-    out
+    if let (Some(min), Some(mean)) = (k.hint_coverage_min_pct, k.hint_coverage_mean_pct) {
+        w.key("hint_coverage_min_pct").float(min, 1);
+        w.key("hint_coverage_mean_pct").float(mean, 1);
+    }
+    for check in k.checks.iter().filter(|c| c.checked) {
+        w.key(&format!("violations_{}", check.policy))
+            .uint(check.violations);
+    }
 }
 
 #[cfg(test)]
@@ -273,11 +235,5 @@ mod tests {
         assert!(text.contains("policy paper"), "{text}");
         assert!(text.contains("[warning] false-sharing"), "{text}");
         assert!(text.contains("0 error(s), 1 warning(s)"), "{text}");
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -1,6 +1,6 @@
 //! Wall-clock work-stealing throughput: every `StealPolicy` at several
 //! worker counts, on the same windowed-sum workload as the steal
-//! ablation (`repro ablation` / `repro steal`) — triangular per-thread
+//! ablation (`repro steal`) — triangular per-thread
 //! cost, so the static thread-count-balanced partition misjudges work
 //! and stealing has a tail to absorb.
 

@@ -1,175 +1,106 @@
-//! Shared command-line driver for the `repro` binaries.
+//! The `repro` command line: argument parsing, the usage text, and the
+//! loop that runs registry entries and writes their artifacts.
 
-use crate::scale::scale_from_args;
-use crate::{paper, print};
+use crate::registry::{self, Ctx, Experiment, Run, REGISTRY};
+use crate::simbench::DEFAULT_SHARDS;
+use crate::ExpScale;
+use std::process::ExitCode;
 
-/// Runs one named experiment at the scale selected by the process's
-/// command-line flags (`--full`, `--smoke`, default scaled; `simbench`
-/// additionally honours `--shards N`).
-///
-/// Recognised names: `table1` … `table9`, `figure4`, `steal`,
-/// `simbench`, `binpolicy`, `topology`, `servebench` (those five also
-/// write their `BENCH_*.json` payloads), `servelong` (the long-run bounded-memory
-/// gate — exits nonzero if the bin table ever exceeded its cap), and
-/// `analyze` (the `schedlint` four-kernel self-check, writing
-/// `ANALYZE_smoke.json`).
-pub fn run(experiment: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(args);
-    run_at(experiment, &scale);
+/// The usage line, generated from the registry.
+pub fn usage() -> String {
+    let names: Vec<&str> = REGISTRY.iter().map(|experiment| experiment.name).collect();
+    format!(
+        "usage: repro [all|{}]... [--full|--smoke] [--shards N] [--analyze]",
+        names.join("|")
+    )
 }
 
-/// Runs one named experiment at an explicit scale.
-pub fn run_at(experiment: &str, scale: &crate::ExpScale) {
-    match experiment {
-        "table1" => {
-            print::table1(&crate::table1(paper::table1::THREADS));
-        }
-        "table2" => print::time_table(
-            &format!("Table 2: matrix multiply (n = {})", scale.matmul_n),
-            &crate::table2(scale),
-            &paper::table2::ROWS,
-            "Modeled seconds on ratio-preserved scaled machines; compare ratios, not absolutes.",
-        ),
-        "table3" => print::miss_table(
-            "Table 3: matmul memory references and cache misses (scaled R8000)",
-            &crate::table3(scale),
-            &print::paper_columns3(&paper::table3::ROWS[..7]),
-            "",
-        ),
-        "table4" => print::time_table(
-            &format!(
-                "Table 4: PDE (n = {}, {} iterations + residual)",
-                scale.pde_n, scale.pde_iters
-            ),
-            &crate::table4(scale),
-            &paper::table4::ROWS,
-            "",
-        ),
-        "table5" => print::miss_table(
-            "Table 5: PDE cache misses (scaled R8000)",
-            &crate::table5(scale),
-            &print::paper_columns3(&paper::table5::ROWS),
-            "",
-        ),
-        "table6" => print::time_table(
-            &format!(
-                "Table 6: SOR (n = {}, t = {}, tile {})",
-                scale.sor_n, scale.sor_t, scale.sor_tile
-            ),
-            &crate::table6(scale),
-            &paper::table6::ROWS,
-            "",
-        ),
-        "table7" => print::miss_table(
-            "Table 7: SOR memory references and cache misses (scaled R8000)",
-            &crate::table7(scale),
-            &print::paper_columns3(&paper::table7::ROWS),
-            "",
-        ),
-        "table8" => print::time_table(
-            &format!(
-                "Table 8: N-body ({} bodies, {} iterations)",
-                scale.nbody_n, scale.nbody_iters
-            ),
-            &crate::table8(scale),
-            &paper::table8::ROWS,
-            "",
-        ),
-        "table9" => print::miss_table(
-            "Table 9: N-body cache misses, one iteration (scaled R8000)",
-            &crate::table9(scale),
-            &print::paper_columns2(&paper::table9::ROWS),
-            "",
-        ),
-        "figure4" => print::figure4(&crate::figure4(scale)),
-        "simbench" => {
-            // `--shards N` (default 4) sizes the sharded replay cell;
-            // the planner clamps to what the machine geometry allows.
-            let shards = crate::scale::shards_from_args(
-                std::env::args().skip(1),
-                crate::simbench::DEFAULT_SHARDS,
-            );
-            let result = crate::simbench::simbench(scale, 3, shards);
-            print::simbench(&result);
-            let path = "BENCH_sim.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
+/// Parses `repro`'s arguments into the run context and the experiments
+/// to run, in the order named (`all`, or no name, selects the
+/// registry's `in_all` entries; `--analyze` appends `analyze`). Flags
+/// are processed in order, so `--smoke --full` ends at full scale.
+///
+/// # Errors
+///
+/// An unknown experiment name, an unknown flag, or `--shards` without a
+/// count.
+pub fn parse<I>(args: I) -> Result<(Ctx, Vec<&'static Experiment>), String>
+where
+    I: IntoIterator<Item = String>,
+{
+    let mut ctx = Ctx {
+        scale: ExpScale::default_scaled(),
+        shards: DEFAULT_SHARDS,
+    };
+    let mut wanted: Vec<&'static Experiment> = Vec::new();
+    let mut all = false;
+    let mut analyze = false;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => ctx.scale = ExpScale::full(),
+            "--smoke" => ctx.scale = ExpScale::smoke(),
+            "--analyze" => analyze = true,
+            "all" => all = true,
+            flag if flag == "--shards" || flag.starts_with("--shards=") => {
+                let count = match flag.strip_prefix("--shards=") {
+                    Some(count) => Some(count.to_owned()),
+                    None => args.next(),
+                };
+                ctx.shards = count
+                    .and_then(|count| count.parse().ok())
+                    .ok_or("--shards needs a count")?;
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
+            name => {
+                wanted.push(registry::find(name).ok_or(format!("unknown experiment: {name}"))?);
             }
         }
-        "binpolicy" => {
-            let result = crate::experiments::binpolicy(scale);
-            print::binpolicy(&result);
-            let path = "BENCH_binpolicy.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
-        }
-        "topology" => {
-            let result = crate::experiments::topology(scale);
-            print::topology(&result);
-            let path = "BENCH_topology.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
-        }
-        "servebench" => {
-            let result = crate::servebench::servebench(scale);
-            print::servebench(&result);
-            let path = "BENCH_serve.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
-        }
-        "servelong" => {
-            let (result, violations) = crate::servebench::servelong(scale);
-            print::servebench(&result);
-            if violations.is_empty() {
-                println!(
-                    "\nservelong: OK — {} requests per policy, live bin records never exceeded {}",
-                    result.trace.requests,
-                    crate::servebench::SERVELONG_CAP
-                );
-            } else {
-                for violation in &violations {
-                    eprintln!("servelong VIOLATION: {violation}");
-                }
-                std::process::exit(1);
-            }
-        }
-        "analyze" => {
-            // Fixed analysis scale, independent of --smoke/--full: the
-            // committed ANALYZE_smoke.json baseline must be
-            // byte-reproducible on every host.
-            let machine = analyze::default_machine();
-            let opts = analyze::AnalyzeOptions::default();
-            let mut report = analyze::AnalyzeReport::new(machine.name(), opts.hint_threshold_pct);
-            for kernel in workloads::Kernel::ALL {
-                let capture =
-                    analyze::capture_kernel(kernel, &machine, &analyze::AnalyzeScale::default());
-                report.kernels.push(analyze::analyze(&capture, &opts));
-            }
-            print!("{}", report.to_text());
-            let path = "ANALYZE_smoke.json";
-            match std::fs::write(path, report.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
-        }
-        "steal" => {
-            let result = crate::experiments::steal(scale);
-            print::steal(&result);
-            let path = "BENCH_steal.json";
-            match std::fs::write(path, result.to_json()) {
-                Ok(()) => println!("\nwrote {path}"),
-                Err(err) => eprintln!("could not write {path}: {err}"),
-            }
-        }
-        other => eprintln!("unknown experiment: {other}"),
     }
-    println!();
+    if all || wanted.is_empty() {
+        wanted = REGISTRY.iter().filter(|e| e.in_all).collect();
+    }
+    if analyze && !wanted.iter().any(|e| e.name == "analyze") {
+        wanted.extend(registry::find("analyze"));
+    }
+    Ok((ctx, wanted))
+}
+
+/// Runs `repro` with the given arguments: the scale header, then each
+/// experiment followed by a blank line. Exit codes: 0 = every
+/// experiment ran and every artifact was written, 1 = an experiment
+/// failed or an artifact could not be written, 2 = usage error.
+pub fn main<I>(args: I) -> ExitCode
+where
+    I: IntoIterator<Item = String>,
+{
+    let (ctx, wanted) = match parse(args) {
+        Ok(parsed) => parsed,
+        Err(err) => {
+            eprintln!("repro: {err}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let scale = &ctx.scale;
+    println!(
+        "thread-locality reproduction harness (scale: matmul n={}, pde n={}, sor n={}, nbody n={})\n",
+        scale.matmul_n, scale.pde_n, scale.sor_n, scale.nbody_n
+    );
+    for experiment in wanted {
+        let ran = match experiment.run {
+            Run::Print(run) => run(&ctx),
+            Run::Artifact(path, run) => run(&ctx).and_then(|json| {
+                std::fs::write(path, json)
+                    .map_err(|err| format!("could not write {path}: {err}"))?;
+                println!("\nwrote {path}");
+                Ok(())
+            }),
+        };
+        if let Err(err) = ran {
+            eprintln!("repro {}: {err}", experiment.name);
+            return ExitCode::from(1);
+        }
+        println!();
+    }
+    ExitCode::SUCCESS
 }

@@ -1,39 +1,19 @@
-//! One function per paper table/figure, returning structured results.
+//! The computations behind every experiment in the registry, returning
+//! structured results (`registry` runs them, `print` renders them).
 
 use crate::ExpScale;
 use cachesim::{MachineModel, SimReport, SimSink, TimeBreakdown};
 use locality_sched::{
-    BinPolicy, Hints, PaperBlockHash, ParRunReport, ParScheduler, RunMode, Scheduler,
-    SchedulerConfig, StealPolicy,
+    prev_power_of_two, BinPolicy, Hints, PaperBlockHash, ParRunReport, ParScheduler, RunMode,
+    Scheduler, SchedulerConfig, StealPolicy,
 };
 use memtrace::AddressSpace;
+use probe::json;
 use std::collections::hash_map::DefaultHasher;
-use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use workloads::{matmul, nbody, pde, sor, BinGeometry, Kernel};
-
-/// Largest power of two ≤ `x`.
-fn prev_power_of_two(x: u64) -> u64 {
-    assert!(x > 0);
-    1 << (63 - x.leading_zeros())
-}
-
-/// The scheduler configuration a workload's threaded version uses on a
-/// given machine, following the paper's choices:
-///
-/// * matmul: 2-D hints, block = L2/2 (§4.2);
-/// * PDE: 1-D hints over line addresses, block = L2/2;
-/// * SOR: 1-D hints over column addresses, block = L2/4 (the paper's
-///   63 bins over a 32 MB array imply ~512 KB blocks on the 2 MB L2);
-/// * N-body: 3-D hints, the package default of dimensions summing to
-///   the L2 size (§3.2).
-pub fn sched_config_for(workload: &str, machine: &MachineModel) -> SchedulerConfig {
-    let kernel =
-        Kernel::from_name(workload).unwrap_or_else(|| panic!("unknown workload {workload}"));
-    BinGeometry::for_machine(machine).flat_config(kernel)
-}
 
 // ---------------------------------------------------------------------
 // Parallel experiment driver: every (workload version × machine)
@@ -47,7 +27,9 @@ pub fn sched_config_for(workload: &str, machine: &MachineModel) -> SchedulerConf
 /// combination owning all of its state, returning its table entry.
 pub type Cell = Box<dyn FnOnce() -> (String, SimReport) + Send>;
 
-/// How a batch of independent [`Cell`]s executes.
+/// How a batch of independent [`Cell`]s executes. The registry runs
+/// everything under the default; `Sequential` is the reference the
+/// tests compare it against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Driver {
     /// One after another on the calling thread (the reference order).
@@ -97,11 +79,6 @@ pub fn drive<T>(work: impl FnOnce() -> T) -> T {
     work()
 }
 
-/// Runs one cell under the driver's probes.
-fn timed_cell(cell: Cell) -> (String, SimReport) {
-    drive(cell)
-}
-
 /// Runs `cells` under `driver`, returning results in cell order.
 ///
 /// Determinism: each cell owns its address space, workload data and
@@ -111,11 +88,11 @@ fn timed_cell(cell: Cell) -> (String, SimReport) {
 /// interleaves cell completion (see DESIGN.md).
 pub fn run_cells(cells: Vec<Cell>, driver: Driver) -> Vec<(String, SimReport)> {
     match driver {
-        Driver::Sequential => cells.into_iter().map(timed_cell).collect(),
+        Driver::Sequential => cells.into_iter().map(drive).collect(),
         Driver::Parallel => std::thread::scope(|scope| {
             let handles: Vec<_> = cells
                 .into_iter()
-                .map(|cell| scope.spawn(move || timed_cell(cell)))
+                .map(|cell| scope.spawn(move || drive(cell)))
                 .collect();
             handles
                 .into_iter()
@@ -125,24 +102,35 @@ pub fn run_cells(cells: Vec<Cell>, driver: Driver) -> Vec<(String, SimReport)> {
     }
 }
 
-/// Wraps one workload run as a [`Cell`]: fresh address space and sink
-/// over a clone of `machine`, report collected on completion.
+/// Simulates one workload run on `hierarchy`: a fresh address space and
+/// sink for `run`, its threads accounted, the report collected.
+pub fn simulate(
+    hierarchy: cachesim::Hierarchy,
+    run: impl FnOnce(&mut AddressSpace, &mut SimSink) -> workloads::WorkloadReport,
+) -> (workloads::WorkloadReport, SimReport) {
+    let mut space = AddressSpace::new();
+    let mut sim = SimSink::new(hierarchy);
+    let report = run(&mut space, &mut sim);
+    sim.add_threads(report.threads);
+    (report, sim.finish())
+}
+
+/// Wraps one workload run as a [`Cell`] over a clone of `machine`.
 fn cell<F>(machine: &MachineModel, run: F) -> Cell
 where
     F: FnOnce(&mut AddressSpace, &mut SimSink) -> workloads::WorkloadReport + Send + 'static,
 {
     let machine = machine.clone();
     Box::new(move || {
-        let mut space = AddressSpace::new();
-        let mut sim = SimSink::new(machine.hierarchy());
-        let report = run(&mut space, &mut sim);
-        sim.add_threads(report.threads);
-        (report.name.clone(), sim.finish())
+        let (report, sim) = simulate(machine.hierarchy(), run);
+        (report.name, sim)
     })
 }
 
 // ---------------------------------------------------------------------
 // Workload suites: one cell per version of one workload on one machine.
+// The threaded versions bin with the paper's flat per-kernel block
+// (`BinGeometry::flat_config`).
 // ---------------------------------------------------------------------
 
 /// The five matmul versions of Table 2 on `machine`, as cells.
@@ -150,7 +138,7 @@ pub fn matmul_cells(scale: &ExpScale, machine: &MachineModel) -> Vec<Cell> {
     let n = scale.matmul_n;
     let tiles =
         matmul::TileConfig::for_caches(machine.l1_config().size(), machine.l2_config().size());
-    let sched = sched_config_for("matmul", machine);
+    let sched = BinGeometry::for_machine(machine).flat_config(Kernel::MatMul);
     let data = move |space: &mut AddressSpace| matmul::MatMulData::new(space, n, 42);
     vec![
         cell(machine, move |sp, s| matmul::interchanged(&mut data(sp), s)),
@@ -171,7 +159,7 @@ pub fn matmul_cells(scale: &ExpScale, machine: &MachineModel) -> Vec<Cell> {
 pub fn pde_cells(scale: &ExpScale, machine: &MachineModel) -> Vec<Cell> {
     let n = scale.pde_n;
     let iters = scale.pde_iters;
-    let sched = sched_config_for("pde", machine);
+    let sched = BinGeometry::for_machine(machine).flat_config(Kernel::Pde);
     let data = move |space: &mut AddressSpace| pde::PdeData::new(space, n, 7);
     vec![
         cell(machine, move |sp, s| pde::regular(&mut data(sp), iters, s)),
@@ -189,7 +177,7 @@ pub fn sor_cells(scale: &ExpScale, machine: &MachineModel) -> Vec<Cell> {
     let n = scale.sor_n;
     let t = scale.sor_t;
     let tile = scale.sor_tile;
-    let sched = sched_config_for("sor", machine);
+    let sched = BinGeometry::for_machine(machine).flat_config(Kernel::Sor);
     let data = move |space: &mut AddressSpace| sor::SorData::new(space, n, 99);
     vec![
         cell(machine, move |sp, s| sor::untiled(&mut data(sp), t, s)),
@@ -202,16 +190,21 @@ pub fn sor_cells(scale: &ExpScale, machine: &MachineModel) -> Vec<Cell> {
     ]
 }
 
+/// N-body parameters on `machine`: the scheduling plane is fixed so
+/// the default block (L2/3) cuts each dimension into 4, as on the
+/// full-size machine.
+pub fn nbody_params(machine: &MachineModel) -> nbody::NBodyParams {
+    nbody::NBodyParams {
+        plane_extent: 4 * (machine.l2_config().size() / 3),
+        ..nbody::NBodyParams::default()
+    }
+}
+
 /// The two N-body versions of Table 8 on `machine`, as cells.
 pub fn nbody_cells(scale: &ExpScale, machine: &MachineModel, iterations: usize) -> Vec<Cell> {
     let n = scale.nbody_n;
-    let params = nbody::NBodyParams {
-        // Fix the scheduling plane so the default block (L2/3) cuts
-        // each dimension into 4, as on the full-size machine.
-        plane_extent: 4 * (machine.l2_config().size() / 3),
-        ..nbody::NBodyParams::default()
-    };
-    let sched = sched_config_for("nbody", machine);
+    let params = nbody_params(machine);
+    let sched = BinGeometry::for_machine(machine).flat_config(Kernel::NBody);
     let data = move |space: &mut AddressSpace| nbody::NBodyData::new(space, n, 2024);
     vec![
         cell(machine, move |sp, s| {
@@ -223,28 +216,67 @@ pub fn nbody_cells(scale: &ExpScale, machine: &MachineModel, iterations: usize) 
     ]
 }
 
-/// Runs the five matmul versions of Table 2 on `machine`.
-pub fn matmul_suite(scale: &ExpScale, machine: &MachineModel) -> Vec<(String, SimReport)> {
-    run_cells(matmul_cells(scale, machine), Driver::default())
-}
-
-/// Runs the three PDE versions of Table 4 on `machine`.
-pub fn pde_suite(scale: &ExpScale, machine: &MachineModel) -> Vec<(String, SimReport)> {
-    run_cells(pde_cells(scale, machine), Driver::default())
-}
-
-/// Runs the three SOR versions of Table 6 on `machine`.
-pub fn sor_suite(scale: &ExpScale, machine: &MachineModel) -> Vec<(String, SimReport)> {
-    run_cells(sor_cells(scale, machine), Driver::default())
-}
-
-/// Runs the two N-body versions of Table 8 on `machine`.
-pub fn nbody_suite(
+/// Every version of `kernel`'s paper table on `machine`, in the
+/// paper's row order (`nbody_iterations` only matters to the N-body).
+pub fn kernel_cells(
+    kernel: Kernel,
     scale: &ExpScale,
     machine: &MachineModel,
-    iterations: usize,
-) -> Vec<(String, SimReport)> {
-    run_cells(nbody_cells(scale, machine, iterations), Driver::default())
+    nbody_iterations: usize,
+) -> Vec<Cell> {
+    match kernel {
+        Kernel::MatMul => matmul_cells(scale, machine),
+        Kernel::Pde => pde_cells(scale, machine),
+        Kernel::Sor => sor_cells(scale, machine),
+        Kernel::NBody => nbody_cells(scale, machine, nbody_iterations),
+    }
+}
+
+/// The simulation cell for `kernel`'s threaded version under an
+/// arbitrary bin `policy`, with the same problem sizes, seeds and hints
+/// as its paper table (one N-body iteration, as in Table 9).
+fn threaded_cell<P: BinPolicy + Send + 'static>(
+    scale: &ExpScale,
+    kernel: Kernel,
+    machine: &MachineModel,
+    config: SchedulerConfig,
+    policy: P,
+) -> Cell {
+    let scale = *scale;
+    match kernel {
+        Kernel::MatMul => {
+            let n = scale.matmul_n;
+            cell(machine, move |sp, s| {
+                matmul::threaded_with(&mut matmul::MatMulData::new(sp, n, 42), config, policy, s)
+            })
+        }
+        Kernel::Pde => {
+            let (n, iters) = (scale.pde_n, scale.pde_iters);
+            cell(machine, move |sp, s| {
+                pde::threaded_with(&mut pde::PdeData::new(sp, n, 7), iters, config, policy, s)
+            })
+        }
+        Kernel::Sor => {
+            let (n, t) = (scale.sor_n, scale.sor_t);
+            cell(machine, move |sp, s| {
+                sor::threaded_with(&mut sor::SorData::new(sp, n, 99), t, config, policy, s)
+            })
+        }
+        Kernel::NBody => {
+            let n = scale.nbody_n;
+            let params = nbody_params(machine);
+            cell(machine, move |sp, s| {
+                nbody::threaded_with(
+                    &mut nbody::NBodyData::new(sp, n, 2024),
+                    1,
+                    params,
+                    config,
+                    policy,
+                    s,
+                )
+            })
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -327,17 +359,38 @@ pub struct MissRow {
     pub report: SimReport,
 }
 
-fn time_rows(
-    cells_on: impl Fn(&MachineModel) -> Vec<Cell>,
-    r8000: &MachineModel,
-    r10000: &MachineModel,
-    driver: Driver,
-) -> Vec<TimeRow> {
+/// `machine` at a workload's scale factor: the L2 (and every coarser
+/// level) scales by `factor` — whole-array working sets shrink with the
+/// problem *area*, so this preserves the paper's data : L2 ratios —
+/// while the L1 keeps its full size, because L1-level working sets (a
+/// few matrix columns, a register tile) shrink only with the problem
+/// *side* and already sit at the same order as the real L1. Shrinking
+/// the L1 too would fabricate conflict thrashing the paper's machines
+/// never saw.
+pub fn scaled(machine: MachineModel, factor: f64) -> MachineModel {
+    machine
+        .scaled_split(1.0, factor)
+        .expect("valid scaled machine")
+}
+
+/// The paper's two machine models at a workload's scale factor (see
+/// [`scaled`]).
+pub fn machines(factor: f64) -> (MachineModel, MachineModel) {
+    (
+        scaled(MachineModel::r8000(), factor),
+        scaled(MachineModel::r10000(), factor),
+    )
+}
+
+/// A timing table (Tables 2/4/6/8): every version of `kernel` on both
+/// scaled machines, modeled seconds.
+pub fn time_rows(kernel: Kernel, scale: &ExpScale, driver: Driver) -> Vec<TimeRow> {
+    let (r8000, r10000) = machines(scale.factor(kernel));
     // Both machines' cells go into one batch, so a parallel driver
     // overlaps all (version × machine) combinations at once.
-    let mut cells = cells_on(r8000);
+    let mut cells = kernel_cells(kernel, scale, &r8000, scale.nbody_iters);
     let split = cells.len();
-    cells.extend(cells_on(r10000));
+    cells.extend(kernel_cells(kernel, scale, &r10000, scale.nbody_iters));
     let mut on_r8000 = run_cells(cells, driver);
     let on_r10000 = on_r8000.split_off(split);
     on_r8000
@@ -347,121 +400,26 @@ fn time_rows(
             debug_assert_eq!(name, name10);
             TimeRow {
                 version: name,
-                r8000: rep8.time_on(r8000),
-                r10000: rep10.time_on(r10000),
+                r8000: rep8.time_on(&r8000),
+                r10000: rep10.time_on(&r10000),
             }
         })
         .collect()
 }
 
-/// The two machine models at a workload's scale factor: the L2 scales
-/// by `factor` — whole-array working sets shrink with the problem
-/// *area*, so this preserves the paper's data : L2 ratios — while the
-/// L1 keeps its full size, because L1-level working sets (a few matrix
-/// columns, a register tile) shrink only with the problem *side* and
-/// already sit at the same order as the real L1. Shrinking the L1 too
-/// would fabricate conflict thrashing the paper's machines never saw.
-pub fn machines(factor: f64) -> (MachineModel, MachineModel) {
-    (
-        MachineModel::r8000()
-            .scaled_split(1.0, factor)
-            .expect("valid scaled machine"),
-        MachineModel::r10000()
-            .scaled_split(1.0, factor)
-            .expect("valid scaled machine"),
-    )
-}
-
-/// Table 2: matmul modeled seconds, five versions × two machines.
-pub fn table2(scale: &ExpScale) -> Vec<TimeRow> {
-    table2_with(scale, Driver::default())
-}
-
-/// [`table2`] under an explicit [`Driver`] (the parallel and sequential
-/// drivers produce identical rows; see `tests/fastpath_equivalence.rs`).
-pub fn table2_with(scale: &ExpScale, driver: Driver) -> Vec<TimeRow> {
-    let (r8000, r10000) = machines(scale.matmul_factor);
-    time_rows(|m| matmul_cells(scale, m), &r8000, &r10000, driver)
-}
-
-/// Table 3: matmul reference/miss simulation on the scaled R8000
-/// (untiled interchanged, tiled interchanged, threaded — the paper's
-/// three columns).
-pub fn table3(scale: &ExpScale) -> Vec<MissRow> {
-    let (r8000, _) = machines(scale.matmul_factor);
-    matmul_suite(scale, &r8000)
+/// A reference/miss table (Tables 3/5/7/9): the named `versions` of
+/// `kernel` (every version when empty) simulated on the scaled R8000 —
+/// the N-body for one iteration, as in the paper.
+pub fn miss_rows(
+    kernel: Kernel,
+    scale: &ExpScale,
+    versions: &[&str],
+    driver: Driver,
+) -> Vec<MissRow> {
+    let (r8000, _) = machines(scale.factor(kernel));
+    run_cells(kernel_cells(kernel, scale, &r8000, 1), driver)
         .into_iter()
-        .filter(|(name, _)| {
-            name == "matmul/interchanged"
-                || name == "matmul/tiled-interchanged"
-                || name == "matmul/threaded"
-        })
-        .map(|(version, report)| MissRow { version, report })
-        .collect()
-}
-
-/// Table 4: PDE modeled seconds.
-pub fn table4(scale: &ExpScale) -> Vec<TimeRow> {
-    table4_with(scale, Driver::default())
-}
-
-/// [`table4`] under an explicit [`Driver`].
-pub fn table4_with(scale: &ExpScale, driver: Driver) -> Vec<TimeRow> {
-    let (r8000, r10000) = machines(scale.pde_factor);
-    time_rows(|m| pde_cells(scale, m), &r8000, &r10000, driver)
-}
-
-/// Table 5: PDE simulation on the scaled R8000.
-pub fn table5(scale: &ExpScale) -> Vec<MissRow> {
-    let (r8000, _) = machines(scale.pde_factor);
-    pde_suite(scale, &r8000)
-        .into_iter()
-        .map(|(version, report)| MissRow { version, report })
-        .collect()
-}
-
-/// Table 6: SOR modeled seconds.
-pub fn table6(scale: &ExpScale) -> Vec<TimeRow> {
-    table6_with(scale, Driver::default())
-}
-
-/// [`table6`] under an explicit [`Driver`].
-pub fn table6_with(scale: &ExpScale, driver: Driver) -> Vec<TimeRow> {
-    let (r8000, r10000) = machines(scale.sor_factor);
-    time_rows(|m| sor_cells(scale, m), &r8000, &r10000, driver)
-}
-
-/// Table 7: SOR simulation on the scaled R8000.
-pub fn table7(scale: &ExpScale) -> Vec<MissRow> {
-    let (r8000, _) = machines(scale.sor_factor);
-    sor_suite(scale, &r8000)
-        .into_iter()
-        .map(|(version, report)| MissRow { version, report })
-        .collect()
-}
-
-/// Table 8: N-body modeled seconds over the full iteration count.
-pub fn table8(scale: &ExpScale) -> Vec<TimeRow> {
-    table8_with(scale, Driver::default())
-}
-
-/// [`table8`] under an explicit [`Driver`].
-pub fn table8_with(scale: &ExpScale, driver: Driver) -> Vec<TimeRow> {
-    let (r8000, r10000) = machines(scale.nbody_factor);
-    time_rows(
-        |m| nbody_cells(scale, m, scale.nbody_iters),
-        &r8000,
-        &r10000,
-        driver,
-    )
-}
-
-/// Table 9: N-body simulation on the scaled R8000 — one iteration, as
-/// in the paper.
-pub fn table9(scale: &ExpScale) -> Vec<MissRow> {
-    let (r8000, _) = machines(scale.nbody_factor);
-    nbody_suite(scale, &r8000, 1)
-        .into_iter()
+        .filter(|(version, _)| versions.is_empty() || versions.contains(&version.as_str()))
         .map(|(version, report)| MissRow { version, report })
         .collect()
 }
@@ -635,33 +593,29 @@ impl StealAblationResult {
     /// [`ParRunReport`] with per-worker steal counters — as one JSON
     /// object (the `BENCH_steal.json` payload).
     pub fn to_json(&self) -> String {
-        let mut json = format!(
-            "{{\"experiment\":\"steal_ablation\",\"workload\":\"windowed-sum\",\
-             \"bins\":{},\"threads\":{},\"rows\":[",
-            self.bins, self.threads
-        );
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            write!(
-                json,
-                "{{\"policy\":\"{}\",\"workers\":{},\"wall_ns\":{},\"makespan_units\":{},\
-                 \"modeled_ns\":{},\"threads_per_sec\":{:.1},\"speedup_vs_none\":{:.3},\
-                 \"report\":{}}}",
-                row.policy,
-                row.workers,
-                row.wall_ns,
-                row.makespan_units,
-                row.modeled_ns,
-                row.threads_per_sec,
-                self.speedup_vs_none(row.policy, row.workers),
-                row.report.to_json(),
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("]}");
-        json
+        json::write(|w| {
+            w.object(|w| {
+                w.key("experiment").string("steal_ablation");
+                w.key("workload").string("windowed-sum");
+                w.key("bins").uint(self.bins as u64);
+                w.key("threads").uint(self.threads);
+                w.key("rows").array(|w| {
+                    for row in &self.rows {
+                        w.object(|w| {
+                            w.key("policy").string(&row.policy.to_string());
+                            w.key("workers").uint(row.workers as u64);
+                            w.key("wall_ns").uint(row.wall_ns);
+                            w.key("makespan_units").uint(row.makespan_units);
+                            w.key("modeled_ns").uint(row.modeled_ns);
+                            w.key("threads_per_sec").float(row.threads_per_sec, 1);
+                            w.key("speedup_vs_none")
+                                .float(self.speedup_vs_none(row.policy, row.workers), 3);
+                            row.report.write_json(w.key("report"));
+                        });
+                    }
+                });
+            });
+        })
     }
 }
 
@@ -760,311 +714,105 @@ pub fn steal(scale: &ExpScale) -> StealAblationResult {
 }
 
 // ---------------------------------------------------------------------
-// Bin-policy ablation: flat (paper §3.2) vs hierarchical (L1-in-L2)
+// Bin-policy ablations: the threaded kernels under flat (paper §3.2),
+// two-level (L1-in-L2) and full machine-tree binning
 // ---------------------------------------------------------------------
 
-/// One measured cell of the bin-policy ablation: one threaded workload
-/// under one hints→bin policy on one machine, fully simulated.
+/// A hints→bin policy family the ablations compare, each derived from
+/// the machine's [`BinGeometry`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Binning {
+    /// The paper's flat policy: uniform L2-sized blocks.
+    Flat,
+    /// L1-sized sub-bins nested in L2-sized bins.
+    Hierarchical,
+    /// One nesting level per level of the machine's topology tree.
+    Topology,
+}
+
+impl Binning {
+    /// The policy's name in row labels and reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Binning::Flat => "flat",
+            Binning::Hierarchical => "hierarchical",
+            Binning::Topology => "topology",
+        }
+    }
+}
+
+/// A machine an ablation runs on: its row label and unscaled model.
+pub type AblationMachine = (&'static str, fn() -> MachineModel);
+
+/// One policy ablation as data: which machines, which policies (flat
+/// first — every other policy is compared against it), and the prose
+/// its printed table carries.
+#[derive(Debug)]
+pub struct PolicyAblation {
+    /// The report's `experiment` tag.
+    pub experiment: &'static str,
+    /// The machines; each is scaled by the kernel's table factor.
+    pub machines: &'static [AblationMachine],
+    /// Policies measured per (kernel, machine), [`Binning::Flat`] first.
+    pub policies: &'static [Binning],
+    /// Paragraph printed above the table.
+    pub intro: &'static str,
+    /// Paragraph printed below the delta table.
+    pub footnote: &'static str,
+}
+
+impl PolicyAblation {
+    /// Whether the ablation measures the full-tree policy. Its rows
+    /// then carry a variable-length block ladder (`depth`/`blocks`)
+    /// instead of the two-level `l1_block`/`l2_block` pair, and since
+    /// several deeper policies compare against flat, delta rows are
+    /// keyed by policy as well as by (kernel, machine).
+    pub fn full_depth(&self) -> bool {
+        self.policies.contains(&Binning::Topology)
+    }
+}
+
+/// `binpolicy`: flat vs hierarchical binning on both paper machines.
+pub static BINPOLICY: PolicyAblation = PolicyAblation {
+    experiment: "binpolicy",
+    machines: &[
+        ("r8000", MachineModel::r8000),
+        ("r10000", MachineModel::r10000),
+    ],
+    policies: &[Binning::Flat, Binning::Hierarchical],
+    intro: "Bin-policy ablation: flat (paper §3.2, L2-sized bins) vs hierarchical\n(L1-sized sub-bins nested in L2-sized bins), threaded versions, simulated\n",
+    footnote: "\nΔ = hierarchical vs flat (negative = hierarchical better). Sub-bins\nkeep each L1-sized working set resident while the parent bin still\nbounds the L2 working set; the L2 columns should be ~unchanged while\nL1 misses move.",
+};
+
+/// `topology`: flat vs two-level vs full-tree binning on a two-level
+/// paper machine (where the tree policy must collapse to hierarchical)
+/// and the four-level NUMA bench machine (where the extra rungs group
+/// bins under L3 and socket subtrees).
+pub static TOPOLOGY: PolicyAblation = PolicyAblation {
+    experiment: "topology",
+    machines: &[
+        ("r8000", MachineModel::r8000),
+        ("numa2", MachineModel::numa2),
+    ],
+    policies: &[Binning::Flat, Binning::Hierarchical, Binning::Topology],
+    intro: "Topology ablation: flat (paper §3.2) vs two-level (L1-in-L2) vs full\nmachine-tree binning, threaded versions, simulated on a two-level paper\nmachine and a four-level NUMA machine\n",
+    footnote: "\nΔ = policy vs flat (negative = deeper binning better). On the two-level\nmachine the topology policy must match hierarchical exactly; on the NUMA\nmachine its extra rungs keep sibling bins under the same L3/socket\nsubtree adjacent in the tour.",
+};
+
+/// One measured cell of a policy ablation: one threaded workload under
+/// one binning policy on one machine, fully simulated.
 #[derive(Clone, Debug)]
-pub struct BinPolicyRow {
+pub struct PolicyRow {
     /// Unique row label `"<kernel>.<machine>.<policy>"` — the benchdiff
     /// row key, so baselines match rows by identity, not position.
     pub workload: String,
     /// Kernel name (`"matmul"`, `"pde"`, `"sor"`, `"nbody"`).
-    pub kernel: String,
-    /// Machine name (`"r8000"` / `"r10000"`).
-    pub machine: String,
-    /// Policy name (`"flat"` / `"hierarchical"`).
-    pub policy: String,
-    /// Finest bin block in bytes: the L1-derived sub-bin size for the
-    /// hierarchical policy, the L2-derived block for flat.
-    pub l1_block: u64,
-    /// L2-derived (parent) block size in bytes.
-    pub l2_block: u64,
-    /// Threads forked and run.
-    pub threads: u64,
-    /// Simulated data references (deterministic).
-    pub accesses: u64,
-    /// Full simulation report for this cell.
-    pub report: SimReport,
-    /// Modeled nanoseconds on this row's machine.
-    pub modeled_ns: u64,
-}
-
-/// The bin-policy ablation: each threaded kernel under the flat paper
-/// policy and the hierarchical (L1-in-L2) policy, on both machine
-/// models at the kernel's table scale.
-#[derive(Clone, Debug)]
-pub struct BinPolicyResult {
-    /// One row per (kernel × machine × policy).
-    pub rows: Vec<BinPolicyRow>,
-}
-
-impl BinPolicyResult {
-    /// The measured cell for one (kernel, machine, policy).
-    pub fn row(&self, kernel: &str, machine: &str, policy: &str) -> Option<&BinPolicyRow> {
-        self.rows
-            .iter()
-            .find(|r| r.kernel == kernel && r.machine == machine && r.policy == policy)
-    }
-
-    fn delta_pct(flat: u64, hier: u64) -> f64 {
-        if flat == 0 {
-            0.0
-        } else {
-            100.0 * (hier as f64 - flat as f64) / flat as f64
-        }
-    }
-
-    /// Hierarchical-vs-flat L1 miss delta in percent (negative =
-    /// hierarchical misses less).
-    pub fn l1_miss_delta_pct(&self, kernel: &str, machine: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, "hierarchical"),
-        ) {
-            (Some(f), Some(h)) => Self::delta_pct(f.report.l1.misses(), h.report.l1.misses()),
-            _ => 0.0,
-        }
-    }
-
-    /// Hierarchical-vs-flat L2 miss delta in percent.
-    pub fn l2_miss_delta_pct(&self, kernel: &str, machine: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, "hierarchical"),
-        ) {
-            (Some(f), Some(h)) => Self::delta_pct(f.report.l2.misses(), h.report.l2.misses()),
-            _ => 0.0,
-        }
-    }
-
-    /// Hierarchical-vs-flat modeled-time delta in percent.
-    pub fn modeled_delta_pct(&self, kernel: &str, machine: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, "hierarchical"),
-        ) {
-            (Some(f), Some(h)) => Self::delta_pct(f.modeled_ns, h.modeled_ns),
-            _ => 0.0,
-        }
-    }
-
-    /// The (kernel, machine) pairs present, in row order.
-    pub fn pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for row in &self.rows {
-            let pair = (row.kernel.clone(), row.machine.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
-    }
-
-    /// Serializes the ablation as the `BENCH_binpolicy.json` payload:
-    /// per-cell simulated miss counts/rates (deterministic, gated by
-    /// benchdiff) plus per-(kernel, machine) hierarchical-vs-flat
-    /// deltas.
-    pub fn to_json(&self) -> String {
-        let mut json = String::from("{\"experiment\":\"binpolicy\",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"kernel\":\"{}\",\"machine\":\"{}\",\
-                 \"policy\":\"{}\",\"l1_block\":{},\"l2_block\":{},\"threads\":{},\
-                 \"accesses\":{},\"l1_misses\":{},\"l2_misses\":{},\
-                 \"l1_miss_rate_pct\":{:.4},\"l2_miss_rate_pct\":{:.4},\"modeled_ns\":{}}}",
-                row.workload,
-                row.kernel,
-                row.machine,
-                row.policy,
-                row.l1_block,
-                row.l2_block,
-                row.threads,
-                row.accesses,
-                row.report.l1.misses(),
-                row.report.l2.misses(),
-                row.report.l1_miss_rate_percent(),
-                row.report.l2_miss_rate_percent(),
-                row.modeled_ns,
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("],\"deltas\":[");
-        for (i, (kernel, machine)) in self.pairs().iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            write!(
-                json,
-                "{{\"workload\":\"{kernel}.{machine}\",\
-                 \"l1_miss_delta_pct\":{:.4},\"l2_miss_delta_pct\":{:.4},\
-                 \"modeled_delta_pct\":{:.4}}}",
-                self.l1_miss_delta_pct(kernel, machine),
-                self.l2_miss_delta_pct(kernel, machine),
-                self.modeled_delta_pct(kernel, machine),
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("]}");
-        json
-    }
-}
-
-/// Builds the simulation cell for one (kernel, machine, policy)
-/// combination: the kernel's threaded version under `policy`, with the
-/// same problem sizes, seeds and hints as its paper table.
-fn binpolicy_cell<P: BinPolicy + Send + 'static>(
-    scale: &ExpScale,
-    kernel: Kernel,
-    machine: &MachineModel,
-    config: SchedulerConfig,
-    policy: P,
-) -> Cell {
-    let scale = *scale;
-    match kernel {
-        Kernel::MatMul => {
-            let n = scale.matmul_n;
-            cell(machine, move |sp, s| {
-                matmul::threaded_with(&mut matmul::MatMulData::new(sp, n, 42), config, policy, s)
-            })
-        }
-        Kernel::Pde => {
-            let (n, iters) = (scale.pde_n, scale.pde_iters);
-            cell(machine, move |sp, s| {
-                pde::threaded_with(&mut pde::PdeData::new(sp, n, 7), iters, config, policy, s)
-            })
-        }
-        Kernel::Sor => {
-            let (n, t) = (scale.sor_n, scale.sor_t);
-            cell(machine, move |sp, s| {
-                sor::threaded_with(&mut sor::SorData::new(sp, n, 99), t, config, policy, s)
-            })
-        }
-        Kernel::NBody => {
-            let n = scale.nbody_n;
-            let params = nbody::NBodyParams {
-                plane_extent: 4 * (machine.l2_config().size() / 3),
-                ..nbody::NBodyParams::default()
-            };
-            cell(machine, move |sp, s| {
-                nbody::threaded_with(
-                    &mut nbody::NBodyData::new(sp, n, 2024),
-                    1,
-                    params,
-                    config,
-                    policy,
-                    s,
-                )
-            })
-        }
-    }
-}
-
-/// The bin-policy ablation at `scale`: flat vs hierarchical binning for
-/// every threaded kernel on both machine models.
-pub fn binpolicy(scale: &ExpScale) -> BinPolicyResult {
-    binpolicy_with(scale, Driver::default())
-}
-
-/// [`binpolicy`] under an explicit [`Driver`].
-pub fn binpolicy_with(scale: &ExpScale, driver: Driver) -> BinPolicyResult {
-    let kernels = [
-        ("matmul", Kernel::MatMul, scale.matmul_factor),
-        ("pde", Kernel::Pde, scale.pde_factor),
-        ("sor", Kernel::Sor, scale.sor_factor),
-        ("nbody", Kernel::NBody, scale.nbody_factor),
-    ];
-    struct Meta {
-        kernel: &'static str,
-        machine_name: &'static str,
-        policy: &'static str,
-        l1_block: u64,
-        l2_block: u64,
-        machine: MachineModel,
-    }
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut meta: Vec<Meta> = Vec::new();
-    for (kname, kernel, factor) in kernels {
-        let (r8000, r10000) = machines(factor);
-        for (mname, machine) in [("r8000", &r8000), ("r10000", &r10000)] {
-            let geo = BinGeometry::for_machine(machine);
-            let config = geo.flat_config(kernel);
-            let (l1_block, l2_block) = (geo.l1_block(kernel), geo.l2_block(kernel));
-            cells.push(binpolicy_cell(
-                scale,
-                kernel,
-                machine,
-                config,
-                PaperBlockHash::from_config(&config),
-            ));
-            meta.push(Meta {
-                kernel: kname,
-                machine_name: mname,
-                policy: "flat",
-                l1_block: l2_block,
-                l2_block,
-                machine: machine.clone(),
-            });
-            let hier = geo
-                .hierarchical(kernel)
-                .expect("machine-derived geometry is valid");
-            cells.push(binpolicy_cell(scale, kernel, machine, config, hier));
-            meta.push(Meta {
-                kernel: kname,
-                machine_name: mname,
-                policy: "hierarchical",
-                l1_block,
-                l2_block,
-                machine: machine.clone(),
-            });
-        }
-    }
-    let results = run_cells(cells, driver);
-    let rows = meta
-        .into_iter()
-        .zip(results)
-        .map(|(m, (_name, report))| {
-            let modeled_ns = (report.time_on(&m.machine).total() * 1e9).round() as u64;
-            BinPolicyRow {
-                workload: format!("{}.{}.{}", m.kernel, m.machine_name, m.policy),
-                kernel: m.kernel.to_owned(),
-                machine: m.machine_name.to_owned(),
-                policy: m.policy.to_owned(),
-                l1_block: m.l1_block,
-                l2_block: m.l2_block,
-                threads: report.threads,
-                accesses: report.data_references(),
-                report,
-                modeled_ns,
-            }
-        })
-        .collect();
-    BinPolicyResult { rows }
-}
-
-// ---------------------------------------------------------------------
-// Topology ablation: flat vs 2-level vs full machine-tree binning
-// ---------------------------------------------------------------------
-
-/// One measured cell of the topology ablation: one threaded workload
-/// under one binning depth on one machine, fully simulated.
-#[derive(Clone, Debug)]
-pub struct TopologyRow {
-    /// Unique row label `"<kernel>.<machine>.<policy>"` — the benchdiff
-    /// row key.
-    pub workload: String,
-    /// Kernel name (`"matmul"`, `"pde"`, `"sor"`, `"nbody"`).
-    pub kernel: String,
-    /// Machine name (`"r8000"` / `"numa2"`).
-    pub machine: String,
-    /// Policy name (`"flat"` / `"hierarchical"` / `"topology"`).
-    pub policy: String,
-    /// Block-size ladder the policy bins with, finest first. One entry
+    pub kernel: &'static str,
+    /// Machine label from the ablation's machine list.
+    pub machine: &'static str,
+    /// Policy under test.
+    pub policy: Binning,
+    /// Block-size ladder the policy bins with, finest first: one entry
     /// for flat, two for hierarchical, one per machine-tree level for
     /// the full topology policy.
     pub blocks: Vec<u64>,
@@ -1078,235 +826,183 @@ pub struct TopologyRow {
     pub modeled_ns: u64,
 }
 
-/// The topology ablation: each threaded kernel binned flat (paper
-/// §3.2), two-level (L1-in-L2), and at the machine tree's full depth —
-/// on a two-level paper machine (where the tree policy must collapse
-/// to hierarchical) and on the four-level NUMA bench machine (where
-/// the extra rungs group bins under L3 and socket subtrees).
+/// A policy ablation's measurements: one row per (kernel × machine ×
+/// policy), in that nesting order.
 #[derive(Clone, Debug)]
-pub struct TopologyResult {
-    /// One row per (kernel × machine × policy).
-    pub rows: Vec<TopologyRow>,
+pub struct PolicyAblationResult {
+    /// The ablation that was run.
+    pub spec: &'static PolicyAblation,
+    /// The measured cells.
+    pub rows: Vec<PolicyRow>,
 }
 
-impl TopologyResult {
+/// Relative change of `other` against `flat`, in percent.
+fn delta_pct(flat: u64, other: u64) -> f64 {
+    if flat == 0 {
+        0.0
+    } else {
+        100.0 * (other as f64 - flat as f64) / flat as f64
+    }
+}
+
+impl PolicyAblationResult {
     /// The measured cell for one (kernel, machine, policy).
-    pub fn row(&self, kernel: &str, machine: &str, policy: &str) -> Option<&TopologyRow> {
+    pub fn row(&self, kernel: &str, machine: &str, policy: Binning) -> Option<&PolicyRow> {
         self.rows
             .iter()
             .find(|r| r.kernel == kernel && r.machine == machine && r.policy == policy)
     }
 
-    fn delta_pct(flat: u64, other: u64) -> f64 {
-        if flat == 0 {
-            0.0
-        } else {
-            100.0 * (other as f64 - flat as f64) / flat as f64
-        }
+    /// Every non-flat row with its `[L1 miss, L2 miss, modeled time]`
+    /// deltas against the flat row of the same (kernel, machine), in
+    /// percent (negative = the deeper policy is better), in row order.
+    pub fn deltas(&self) -> Vec<(&PolicyRow, [f64; 3])> {
+        self.rows
+            .iter()
+            .filter(|row| row.policy != Binning::Flat)
+            .filter_map(|row| {
+                let flat = self.row(row.kernel, row.machine, Binning::Flat)?;
+                let deltas = [
+                    delta_pct(flat.report.l1.misses(), row.report.l1.misses()),
+                    delta_pct(flat.report.l2.misses(), row.report.l2.misses()),
+                    delta_pct(flat.modeled_ns, row.modeled_ns),
+                ];
+                Some((row, deltas))
+            })
+            .collect()
     }
 
-    /// `policy`-vs-flat L1 miss delta in percent (negative = the
-    /// deeper policy misses less).
-    pub fn l1_miss_delta_pct(&self, kernel: &str, machine: &str, policy: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, policy),
-        ) {
-            (Some(f), Some(p)) => Self::delta_pct(f.report.l1.misses(), p.report.l1.misses()),
-            _ => 0.0,
-        }
-    }
-
-    /// `policy`-vs-flat L2 miss delta in percent.
-    pub fn l2_miss_delta_pct(&self, kernel: &str, machine: &str, policy: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, policy),
-        ) {
-            (Some(f), Some(p)) => Self::delta_pct(f.report.l2.misses(), p.report.l2.misses()),
-            _ => 0.0,
-        }
-    }
-
-    /// `policy`-vs-flat modeled-time delta in percent.
-    pub fn modeled_delta_pct(&self, kernel: &str, machine: &str, policy: &str) -> f64 {
-        match (
-            self.row(kernel, machine, "flat"),
-            self.row(kernel, machine, policy),
-        ) {
-            (Some(f), Some(p)) => Self::delta_pct(f.modeled_ns, p.modeled_ns),
-            _ => 0.0,
-        }
-    }
-
-    /// The (kernel, machine) pairs present, in row order.
-    pub fn pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for row in &self.rows {
-            let pair = (row.kernel.clone(), row.machine.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
-    }
-
-    /// Serializes the ablation as the `BENCH_topology.json` payload:
-    /// per-cell deterministic miss counts/rates (benchdiff-gated) plus
-    /// per-(kernel, machine) deltas of each deeper policy vs flat.
+    /// Serializes the ablation as its `BENCH_<experiment>.json`
+    /// payload: per-cell deterministic miss counts/rates (gated by
+    /// benchdiff) plus each deeper policy's deltas against flat.
     pub fn to_json(&self) -> String {
-        let mut json = String::from("{\"experiment\":\"topology\",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            let blocks = row
-                .blocks
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(",");
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"kernel\":\"{}\",\"machine\":\"{}\",\
-                 \"policy\":\"{}\",\"depth\":{},\"blocks\":[{}],\"threads\":{},\
-                 \"accesses\":{},\"l1_misses\":{},\"l2_misses\":{},\
-                 \"l1_miss_rate_pct\":{:.4},\"l2_miss_rate_pct\":{:.4},\"modeled_ns\":{}}}",
-                row.workload,
-                row.kernel,
-                row.machine,
-                row.policy,
-                row.blocks.len(),
-                blocks,
-                row.threads,
-                row.accesses,
-                row.report.l1.misses(),
-                row.report.l2.misses(),
-                row.report.l1_miss_rate_percent(),
-                row.report.l2_miss_rate_percent(),
-                row.modeled_ns,
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("],\"deltas\":[");
-        let mut first = true;
-        for (kernel, machine) in self.pairs() {
-            for policy in ["hierarchical", "topology"] {
-                if !first {
-                    json.push(',');
-                }
-                first = false;
-                write!(
-                    json,
-                    "{{\"workload\":\"{kernel}.{machine}.{policy}\",\
-                     \"l1_miss_delta_pct\":{:.4},\"l2_miss_delta_pct\":{:.4},\
-                     \"modeled_delta_pct\":{:.4}}}",
-                    self.l1_miss_delta_pct(&kernel, &machine, policy),
-                    self.l2_miss_delta_pct(&kernel, &machine, policy),
-                    self.modeled_delta_pct(&kernel, &machine, policy),
-                )
-                .expect("writing to String cannot fail");
-            }
-        }
-        json.push_str("]}");
-        json
+        let full_depth = self.spec.full_depth();
+        json::write(|w| {
+            w.object(|w| {
+                w.key("experiment").string(self.spec.experiment);
+                w.key("rows").array(|w| {
+                    for row in &self.rows {
+                        w.object(|w| {
+                            w.key("workload").string(&row.workload);
+                            w.key("kernel").string(row.kernel);
+                            w.key("machine").string(row.machine);
+                            w.key("policy").string(row.policy.name());
+                            if full_depth {
+                                w.key("depth").uint(row.blocks.len() as u64);
+                                w.key("blocks").array(|w| {
+                                    for &block in &row.blocks {
+                                        w.uint(block);
+                                    }
+                                });
+                            } else {
+                                w.key("l1_block").uint(row.blocks[0]);
+                                w.key("l2_block").uint(row.blocks[row.blocks.len() - 1]);
+                            }
+                            w.key("threads").uint(row.threads);
+                            w.key("accesses").uint(row.accesses);
+                            w.key("l1_misses").uint(row.report.l1.misses());
+                            w.key("l2_misses").uint(row.report.l2.misses());
+                            w.key("l1_miss_rate_pct")
+                                .float(row.report.l1_miss_rate_percent(), 4);
+                            w.key("l2_miss_rate_pct")
+                                .float(row.report.l2_miss_rate_percent(), 4);
+                            w.key("modeled_ns").uint(row.modeled_ns);
+                        });
+                    }
+                });
+                w.key("deltas").array(|w| {
+                    for (row, [l1, l2, modeled]) in self.deltas() {
+                        w.object(|w| {
+                            if full_depth {
+                                w.key("workload").string(&row.workload);
+                            } else {
+                                w.key("workload")
+                                    .string(&format!("{}.{}", row.kernel, row.machine));
+                            }
+                            w.key("l1_miss_delta_pct").float(l1, 4);
+                            w.key("l2_miss_delta_pct").float(l2, 4);
+                            w.key("modeled_delta_pct").float(modeled, 4);
+                        });
+                    }
+                });
+            });
+        })
     }
 }
 
-/// The topology ablation at `scale`: flat vs two-level vs full-tree
-/// binning for every threaded kernel, on the scaled two-level R8000
-/// and the scaled four-level NUMA machine.
-pub fn topology(scale: &ExpScale) -> TopologyResult {
-    topology_with(scale, Driver::default())
-}
-
-/// [`topology`] under an explicit [`Driver`].
-pub fn topology_with(scale: &ExpScale, driver: Driver) -> TopologyResult {
-    let kernels = [
-        ("matmul", Kernel::MatMul, scale.matmul_factor),
-        ("pde", Kernel::Pde, scale.pde_factor),
-        ("sor", Kernel::Sor, scale.sor_factor),
-        ("nbody", Kernel::NBody, scale.nbody_factor),
-    ];
-    struct Meta {
-        kernel: &'static str,
-        machine_name: &'static str,
-        policy: &'static str,
-        blocks: Vec<u64>,
-        machine: MachineModel,
-    }
+/// Runs `spec` at `scale`: every threaded kernel under each of the
+/// ablation's policies on each of its machines, scaled by the kernel's
+/// table factor.
+pub fn policy_ablation(
+    spec: &'static PolicyAblation,
+    scale: &ExpScale,
+    driver: Driver,
+) -> PolicyAblationResult {
     let mut cells: Vec<Cell> = Vec::new();
-    let mut meta: Vec<Meta> = Vec::new();
-    for (kname, kernel, factor) in kernels {
-        // Same ratio-preserving scaling as the paper tables: coarse
-        // levels shrink with the problem area, the L1 stays full-size.
-        let r8000 = MachineModel::r8000()
-            .scaled_split(1.0, factor)
-            .expect("valid scaled machine");
-        let numa2 = MachineModel::numa2()
-            .scaled_split(1.0, factor)
-            .expect("valid scaled machine");
-        for (mname, machine) in [("r8000", &r8000), ("numa2", &numa2)] {
-            let geo = BinGeometry::for_machine(machine);
+    let mut meta = Vec::new();
+    for kernel in Kernel::ALL {
+        for &(machine_name, model) in spec.machines {
+            let machine = scaled(model(), scale.factor(kernel));
+            let geo = BinGeometry::for_machine(&machine);
             let config = geo.flat_config(kernel);
-            cells.push(binpolicy_cell(
-                scale,
-                kernel,
-                machine,
-                config,
-                PaperBlockHash::from_config(&config),
-            ));
-            meta.push(Meta {
-                kernel: kname,
-                machine_name: mname,
-                policy: "flat",
-                blocks: vec![geo.l2_block(kernel)],
-                machine: machine.clone(),
-            });
-            let hier = geo
-                .hierarchical(kernel)
-                .expect("machine-derived geometry is valid");
-            cells.push(binpolicy_cell(scale, kernel, machine, config, hier));
-            meta.push(Meta {
-                kernel: kname,
-                machine_name: mname,
-                policy: "hierarchical",
-                blocks: vec![geo.l1_block(kernel), geo.l2_block(kernel)],
-                machine: machine.clone(),
-            });
-            let tree = geo
-                .topology_policy(kernel)
-                .expect("machine-derived ladder is valid");
-            cells.push(binpolicy_cell(scale, kernel, machine, config, tree));
-            meta.push(Meta {
-                kernel: kname,
-                machine_name: mname,
-                policy: "topology",
-                blocks: geo.level_blocks(kernel),
-                machine: machine.clone(),
-            });
+            for &policy in spec.policies {
+                let (cell, blocks) = match policy {
+                    Binning::Flat => (
+                        threaded_cell(
+                            scale,
+                            kernel,
+                            &machine,
+                            config,
+                            PaperBlockHash::from_config(&config),
+                        ),
+                        vec![geo.l2_block(kernel)],
+                    ),
+                    Binning::Hierarchical => (
+                        threaded_cell(
+                            scale,
+                            kernel,
+                            &machine,
+                            config,
+                            geo.hierarchical(kernel)
+                                .expect("machine-derived geometry is valid"),
+                        ),
+                        vec![geo.l1_block(kernel), geo.l2_block(kernel)],
+                    ),
+                    Binning::Topology => (
+                        threaded_cell(
+                            scale,
+                            kernel,
+                            &machine,
+                            config,
+                            geo.topology_policy(kernel)
+                                .expect("machine-derived ladder is valid"),
+                        ),
+                        geo.level_blocks(kernel),
+                    ),
+                };
+                cells.push(cell);
+                meta.push((kernel.name(), machine_name, policy, blocks, machine.clone()));
+            }
         }
     }
-    let results = run_cells(cells, driver);
     let rows = meta
         .into_iter()
-        .zip(results)
-        .map(|(m, (_name, report))| {
-            let modeled_ns = (report.time_on(&m.machine).total() * 1e9).round() as u64;
-            TopologyRow {
-                workload: format!("{}.{}.{}", m.kernel, m.machine_name, m.policy),
-                kernel: m.kernel.to_owned(),
-                machine: m.machine_name.to_owned(),
-                policy: m.policy.to_owned(),
-                blocks: m.blocks,
+        .zip(run_cells(cells, driver))
+        .map(
+            |((kernel, machine_name, policy, blocks, machine), (_name, report))| PolicyRow {
+                workload: format!("{kernel}.{machine_name}.{}", policy.name()),
+                kernel,
+                machine: machine_name,
+                policy,
+                blocks,
                 threads: report.threads,
                 accesses: report.data_references(),
+                modeled_ns: (report.time_on(&machine).total() * 1e9).round() as u64,
                 report,
-                modeled_ns,
-            }
-        })
+            },
+        )
         .collect();
-    TopologyResult { rows }
+    PolicyAblationResult { spec, rows }
 }
 
 /// Figure 4 data: modeled execution time on the scaled R8000 as a
@@ -1323,67 +1019,37 @@ pub struct Figure4Result {
 }
 
 /// Figure 4: block-size sensitivity sweep.
-pub fn figure4(scale: &ExpScale) -> Figure4Result {
+pub fn figure4(scale: &ExpScale, driver: Driver) -> Figure4Result {
     let block_sizes: Vec<u64> = crate::paper::figure4::BLOCK_SIZES.to_vec();
-    let mut series = Vec::new();
-
-    let mut sweep =
-        |name: &str,
-         factor: f64,
-         run: &mut dyn FnMut(&MachineModel, SchedulerConfig) -> SimReport| {
-            let machine = MachineModel::r8000()
-                .scaled_split(1.0, factor)
-                .expect("valid scaled machine");
-            let mut times = Vec::new();
-            for &full_block in &block_sizes {
-                let block = prev_power_of_two(((full_block as f64 * factor) as u64).max(64));
-                let config = SchedulerConfig::builder()
-                    .block_size(block)
-                    .build()
-                    .expect("power-of-two block");
-                let report = run(&machine, config);
-                times.push(report.time_on(&machine).total());
-            }
-            series.push((name.to_owned(), times));
-        };
-
-    sweep("matmul", scale.matmul_factor, &mut |machine, config| {
-        let mut space = AddressSpace::new();
-        let mut data = matmul::MatMulData::new(&mut space, scale.matmul_n, 42);
-        let mut sim = SimSink::new(machine.hierarchy());
-        let report = matmul::threaded(&mut data, config, &mut sim);
-        sim.add_threads(report.threads);
-        sim.finish()
-    });
-    sweep("pde", scale.pde_factor, &mut |machine, config| {
-        let mut space = AddressSpace::new();
-        let mut data = pde::PdeData::new(&mut space, scale.pde_n, 7);
-        let mut sim = SimSink::new(machine.hierarchy());
-        let report = pde::threaded(&mut data, scale.pde_iters, config, &mut sim);
-        sim.add_threads(report.threads);
-        sim.finish()
-    });
-    sweep("sor", scale.sor_factor, &mut |machine, config| {
-        let mut space = AddressSpace::new();
-        let mut data = sor::SorData::new(&mut space, scale.sor_n, 99);
-        let mut sim = SimSink::new(machine.hierarchy());
-        let report = sor::threaded(&mut data, scale.sor_t, config, &mut sim);
-        sim.add_threads(report.threads);
-        sim.finish()
-    });
-    sweep("nbody", scale.nbody_factor, &mut |machine, config| {
-        let mut space = AddressSpace::new();
-        let mut data = nbody::NBodyData::new(&mut space, scale.nbody_n, 2024);
-        let mut sim = SimSink::new(machine.hierarchy());
-        let params = nbody::NBodyParams {
-            plane_extent: 4 * (machine.l2_config().size() / 3),
-            ..nbody::NBodyParams::default()
-        };
-        let report = nbody::threaded(&mut data, 1, params, config, &mut sim);
-        sim.add_threads(report.threads);
-        sim.finish()
-    });
-
+    let series = Kernel::ALL
+        .into_iter()
+        .map(|kernel| {
+            let factor = scale.factor(kernel);
+            let machine = scaled(MachineModel::r8000(), factor);
+            let cells = block_sizes
+                .iter()
+                .map(|&full_block| {
+                    let block = prev_power_of_two(((full_block as f64 * factor) as u64).max(64));
+                    let config = SchedulerConfig::builder()
+                        .block_size(block)
+                        .build()
+                        .expect("power-of-two block");
+                    threaded_cell(
+                        scale,
+                        kernel,
+                        &machine,
+                        config,
+                        PaperBlockHash::from_config(&config),
+                    )
+                })
+                .collect();
+            let times = run_cells(cells, driver)
+                .into_iter()
+                .map(|(_name, report)| report.time_on(&machine).total())
+                .collect();
+            (kernel.name().to_owned(), times)
+        })
+        .collect();
     Figure4Result {
         block_sizes,
         series,
@@ -1396,24 +1062,18 @@ mod tests {
 
     #[test]
     fn sched_configs_follow_paper_rules() {
-        let machine = MachineModel::r8000();
-        assert_eq!(sched_config_for("matmul", &machine).block_size(0), 1 << 20);
-        assert_eq!(sched_config_for("sor", &machine).block_size(0), 512 << 10);
-        assert_eq!(sched_config_for("nbody", &machine).block_size(0), 512 << 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown workload")]
-    fn unknown_workload_panics() {
-        let _ = sched_config_for("quicksort", &MachineModel::r8000());
+        let geo = BinGeometry::for_machine(&MachineModel::r8000());
+        assert_eq!(geo.flat_config(Kernel::MatMul).block_size(0), 1 << 20);
+        assert_eq!(geo.flat_config(Kernel::Sor).block_size(0), 512 << 10);
+        assert_eq!(geo.flat_config(Kernel::NBody).block_size(0), 512 << 10);
     }
 
     #[test]
     fn parallel_driver_matches_sequential_rows() {
         let scale = ExpScale::smoke();
         assert_eq!(
-            table4_with(&scale, Driver::Sequential),
-            table4_with(&scale, Driver::Parallel),
+            time_rows(Kernel::Pde, &scale, Driver::Sequential),
+            time_rows(Kernel::Pde, &scale, Driver::Parallel),
         );
     }
 
@@ -1449,7 +1109,7 @@ mod tests {
         assert!(result.total_ns() < 100_000.0, "null threads cost < 100 µs");
     }
 
-    /// A sub-smoke scale so the ablation's 16 simulated cells stay
+    /// A sub-smoke scale so the ablations' simulated cells stay
     /// unit-test cheap.
     fn tiny_scale() -> ExpScale {
         ExpScale {
@@ -1471,13 +1131,15 @@ mod tests {
 
     #[test]
     fn binpolicy_reports_all_cells() {
-        let result = binpolicy(&tiny_scale());
+        let result = policy_ablation(&BINPOLICY, &tiny_scale(), Driver::default());
         assert_eq!(result.rows.len(), 16, "4 kernels × 2 machines × 2 policies");
-        for kernel in ["matmul", "pde", "sor", "nbody"] {
+        for kernel in Kernel::ALL.map(Kernel::name) {
             for machine in ["r8000", "r10000"] {
-                let flat = result.row(kernel, machine, "flat").expect("flat cell");
+                let flat = result
+                    .row(kernel, machine, Binning::Flat)
+                    .expect("flat cell");
                 let hier = result
-                    .row(kernel, machine, "hierarchical")
+                    .row(kernel, machine, Binning::Hierarchical)
                     .expect("hierarchical cell");
                 // Same program, same hints: the policy reorders
                 // execution but never changes what the application
@@ -1489,8 +1151,8 @@ mod tests {
                 assert!(hier.accesses >= flat.accesses, "{kernel}.{machine}");
                 assert!(flat.threads > 0, "{kernel}.{machine}");
                 assert!(flat.report.l1.misses() > 0, "{kernel}.{machine}");
-                assert!(hier.l1_block < hier.l2_block, "{kernel}.{machine}");
-                assert_eq!(flat.l1_block, flat.l2_block, "flat has one level");
+                assert!(hier.blocks[0] < hier.blocks[1], "{kernel}.{machine}");
+                assert_eq!(flat.blocks.len(), 1, "flat has one level");
             }
         }
         let json = result.to_json();
@@ -1504,14 +1166,12 @@ mod tests {
         // from flat somewhere (it was a silent no-op when both levels
         // floored to the same block size).
         assert!(
-            result.rows.iter().any(|row| {
-                row.policy == "hierarchical"
-                    && result
-                        .row(&row.kernel, &row.machine, "flat")
-                        .is_some_and(|flat| {
-                            flat.report.l1.misses() != row.report.l1.misses()
-                                || flat.report.l2.misses() != row.report.l2.misses()
-                        })
+            result.deltas().iter().any(|(row, _)| {
+                let flat = result
+                    .row(row.kernel, row.machine, Binning::Flat)
+                    .expect("flat cell");
+                flat.report.l1.misses() != row.report.l1.misses()
+                    || flat.report.l2.misses() != row.report.l2.misses()
             }),
             "hierarchical is a no-op on every cell"
         );
@@ -1530,14 +1190,8 @@ mod tests {
             ("default", ExpScale::default_scaled()),
             ("full", ExpScale::full()),
         ] {
-            let kernels = [
-                (Kernel::MatMul, scale.matmul_factor),
-                (Kernel::Pde, scale.pde_factor),
-                (Kernel::Sor, scale.sor_factor),
-                (Kernel::NBody, scale.nbody_factor),
-            ];
-            for (kernel, factor) in kernels {
-                let (r8000, r10000) = machines(factor);
+            for kernel in Kernel::ALL {
+                let (r8000, r10000) = machines(scale.factor(kernel));
                 for machine in [&r8000, &r10000] {
                     let geo = BinGeometry::for_machine(machine);
                     assert!(
@@ -1555,16 +1209,18 @@ mod tests {
 
     #[test]
     fn topology_reports_all_cells() {
-        let result = topology(&tiny_scale());
+        let result = policy_ablation(&TOPOLOGY, &tiny_scale(), Driver::default());
         assert_eq!(result.rows.len(), 24, "4 kernels × 2 machines × 3 policies");
-        for kernel in ["matmul", "pde", "sor", "nbody"] {
+        for kernel in Kernel::ALL.map(Kernel::name) {
             for machine in ["r8000", "numa2"] {
-                let flat = result.row(kernel, machine, "flat").expect("flat cell");
+                let flat = result
+                    .row(kernel, machine, Binning::Flat)
+                    .expect("flat cell");
                 let hier = result
-                    .row(kernel, machine, "hierarchical")
+                    .row(kernel, machine, Binning::Hierarchical)
                     .expect("hierarchical cell");
                 let tree = result
-                    .row(kernel, machine, "topology")
+                    .row(kernel, machine, Binning::Topology)
                     .expect("topology cell");
                 assert_eq!(flat.blocks.len(), 1, "{kernel}.{machine}");
                 assert_eq!(hier.blocks.len(), 2, "{kernel}.{machine}");
@@ -1575,26 +1231,25 @@ mod tests {
             // On a two-level machine the full-tree policy must be
             // bit-identical to the two-level hierarchical policy — the
             // generalization adds depth, never changes the depth-2 case.
-            let hier = result.row(kernel, "r8000", "hierarchical").unwrap();
-            let tree = result.row(kernel, "r8000", "topology").unwrap();
+            let hier = result.row(kernel, "r8000", Binning::Hierarchical).unwrap();
+            let tree = result.row(kernel, "r8000", Binning::Topology).unwrap();
             assert_eq!(tree.blocks.len(), 2, "{kernel}: r8000 tree depth");
             assert_eq!(tree.blocks, hier.blocks, "{kernel}");
             assert_eq!(tree.report, hier.report, "{kernel}: depth-2 equivalence");
             // On the NUMA machine the tree has four rungs.
-            let deep = result.row(kernel, "numa2", "topology").unwrap();
+            let deep = result.row(kernel, "numa2", Binning::Topology).unwrap();
             assert_eq!(deep.blocks.len(), 4, "{kernel}: numa2 tree depth");
         }
         // The extra rungs must actually change scheduling somewhere:
         // on the four-level machine, flat vs full-tree binning has to
         // move misses or modeled time on at least two kernels.
-        let moved = ["matmul", "pde", "sor", "nbody"]
+        let moved = result
+            .deltas()
             .iter()
-            .filter(|kernel| {
-                let flat = result.row(kernel, "numa2", "flat").unwrap();
-                let tree = result.row(kernel, "numa2", "topology").unwrap();
-                flat.report.l1.misses() != tree.report.l1.misses()
-                    || flat.report.l2.misses() != tree.report.l2.misses()
-                    || flat.modeled_ns != tree.modeled_ns
+            .filter(|(row, deltas)| {
+                row.machine == "numa2"
+                    && row.policy == Binning::Topology
+                    && deltas.iter().any(|&d| d != 0.0)
             })
             .count();
         assert!(
@@ -1616,19 +1271,40 @@ mod tests {
     }
 
     #[test]
-    fn topology_parallel_driver_matches_sequential() {
+    fn policy_ablations_match_under_the_sequential_driver() {
         let scale = tiny_scale();
-        let seq = topology_with(&scale, Driver::Sequential);
-        let par = topology_with(&scale, Driver::Parallel);
-        assert_eq!(seq.to_json(), par.to_json());
+        for spec in [&BINPOLICY, &TOPOLOGY] {
+            let seq = policy_ablation(spec, &scale, Driver::Sequential);
+            let par = policy_ablation(spec, &scale, Driver::Parallel);
+            assert_eq!(seq.to_json(), par.to_json(), "{}", spec.experiment);
+        }
     }
 
+    /// Machine labels reach the report as data: one holding a quote, a
+    /// backslash and a newline must still yield a document the parser
+    /// reads back, label intact.
     #[test]
-    fn binpolicy_parallel_driver_matches_sequential() {
-        let scale = tiny_scale();
-        let seq = binpolicy_with(&scale, Driver::Sequential);
-        let par = binpolicy_with(&scale, Driver::Parallel);
-        assert_eq!(seq.to_json(), par.to_json());
+    fn hostile_machine_names_survive_the_report() {
+        static HOSTILE: PolicyAblation = PolicyAblation {
+            experiment: "hostile",
+            machines: &[("r\"80\\00\n", MachineModel::r8000)],
+            policies: &[Binning::Flat, Binning::Hierarchical],
+            intro: "",
+            footnote: "",
+        };
+        let result = policy_ablation(&HOSTILE, &tiny_scale(), Driver::default());
+        let doc = json::Json::parse(&result.to_json()).expect("valid JSON");
+        let json::Json::Arr(rows) = doc.get("rows").expect("rows") else {
+            panic!("rows is not an array");
+        };
+        assert_eq!(
+            rows[0].get("machine"),
+            Some(&json::Json::Str("r\"80\\00\n".to_owned()))
+        );
+        assert_eq!(
+            rows[0].get("workload"),
+            Some(&json::Json::Str("matmul.r\"80\\00\n.flat".to_owned()))
+        );
     }
 
     #[test]

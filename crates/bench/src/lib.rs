@@ -1,8 +1,9 @@
 //! Reproduction harness for every table and figure in the paper's
 //! evaluation (§4).
 //!
-//! Each `tableN`/`figure4` module computes structured results that the
-//! corresponding binary prints next to the paper's published numbers.
+//! Every experiment is one row of [`registry::REGISTRY`], which the
+//! `repro` binary iterates; [`experiments`] computes structured results
+//! that [`mod@print`] renders next to the paper's published numbers.
 //! Absolute times cannot match 1996 SGI hardware; what must match — and
 //! what the integration tests assert — is the *shape*: which version
 //! wins, by roughly what factor, and where behaviour changes (e.g.
@@ -20,16 +21,10 @@ pub mod experiments;
 pub mod fmt;
 pub mod paper;
 pub mod print;
+pub mod registry;
 pub mod scale;
 pub mod servebench;
 pub mod simbench;
+pub mod studies;
 
-pub use experiments::{
-    binpolicy, binpolicy_with, figure4, run_cells, steal_ablation, table1, table2, table2_with,
-    table3, table4, table4_with, table5, table6, table6_with, table7, table8, table8_with, table9,
-    topology, topology_with, BinPolicyResult, BinPolicyRow, Cell, Driver, Figure4Result, MissRow,
-    StealAblationResult, StealRow, Table1Result, TimeRow, TopologyResult, TopologyRow,
-};
 pub use scale::ExpScale;
-pub use servebench::{servebench, ServeBenchResult, ServeBenchRow};
-pub use simbench::{SimBenchResult, SimBenchRow};

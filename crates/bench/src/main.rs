@@ -1,55 +1,15 @@
-//! `repro` — runs any or all of the paper's tables/figures.
+//! `repro` — runs any or all of the registry's experiments: the paper's
+//! tables and figure, the benchmark suites behind the `BENCH_*.json`
+//! artifacts, and the studies beyond the paper.
 //!
 //! ```text
-//! repro [all|table1|table2|...|table9|figure4|steal|simbench|binpolicy|topology|servebench|analyze]...
-//!       [--full|--smoke] [--analyze] [--shards N]
+//! repro [all|<name>]... [--full|--smoke] [--shards N] [--analyze]
 //! ```
 //!
-//! `--analyze` (or the `analyze` experiment name) appends the
-//! `schedlint` four-kernel schedule-safety self-check and writes
-//! `ANALYZE_smoke.json`.
+//! Run with an unknown name for the list of names. `--analyze` (or the
+//! `analyze` name) appends the `schedlint` four-kernel schedule-safety
+//! self-check and writes `ANALYZE_smoke.json`.
 
-use repro::scale::scale_from_args;
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = scale_from_args(args.iter().cloned());
-    let mut wanted: Vec<&str> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--shards" {
-            iter.next(); // skip the count; cli::run_at re-parses it
-        } else if !arg.starts_with("--") {
-            wanted.push(arg.as_str());
-        }
-    }
-    if wanted.is_empty() || wanted.contains(&"all") {
-        wanted = vec![
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "table6",
-            "table7",
-            "table8",
-            "table9",
-            "figure4",
-            "steal",
-            "simbench",
-            "binpolicy",
-            "topology",
-            "servebench",
-        ];
-    }
-    if args.iter().any(|a| a == "--analyze") && !wanted.contains(&"analyze") {
-        wanted.push("analyze");
-    }
-    println!(
-        "thread-locality reproduction harness (scale: matmul n={}, pde n={}, sor n={}, nbody n={})\n",
-        scale.matmul_n, scale.pde_n, scale.sor_n, scale.nbody_n
-    );
-    for experiment in wanted {
-        repro::cli::run_at(experiment, &scale);
-    }
+fn main() -> std::process::ExitCode {
+    repro::cli::main(std::env::args().skip(1))
 }

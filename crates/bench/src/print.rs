@@ -1,13 +1,13 @@
 //! Rendering of experiment results next to the paper's numbers.
 
 use crate::experiments::{
-    BinPolicyResult, Figure4Result, MissRow, StealAblationResult, Table1Result, TimeRow,
-    TopologyResult,
+    Figure4Result, MissRow, PolicyAblationResult, StealAblationResult, Table1Result, TimeRow,
 };
 use crate::fmt::{ratio, secs, thousands, TextTable};
 use crate::paper;
 use crate::servebench::ServeBenchResult;
 use crate::simbench::SimBenchResult;
+use cachesim::SimReport;
 use locality_sched::StealPolicy;
 
 /// Prints Table 1: measured host overhead vs the paper's per-machine
@@ -15,30 +15,24 @@ use locality_sched::StealPolicy;
 pub fn table1(result: &Table1Result) {
     println!("Table 1: thread overhead (this host, Rust implementation) vs paper (microseconds)\n");
     let mut t = TextTable::new(vec!["", "host (us)", "paper R8000", "paper R10000"]);
-    t.row(vec![
-        "Fork".into(),
-        format!("{:.3}", result.fork_ns / 1000.0),
-        format!("{:.2}", paper::table1::FORK_US.0),
-        format!("{:.2}", paper::table1::FORK_US.1),
-    ]);
-    t.row(vec![
-        "Run".into(),
-        format!("{:.3}", result.run_ns / 1000.0),
-        format!("{:.2}", paper::table1::RUN_US.0),
-        format!("{:.2}", paper::table1::RUN_US.1),
-    ]);
-    t.row(vec![
-        "Total".into(),
-        format!("{:.3}", result.total_ns() / 1000.0),
-        format!("{:.2}", paper::table1::TOTAL_US.0),
-        format!("{:.2}", paper::table1::TOTAL_US.1),
-    ]);
-    t.row(vec![
-        "L2 miss (modeled)".into(),
-        "-".into(),
-        format!("{:.2}", paper::table1::L2_MISS_US.0),
-        format!("{:.2}", paper::table1::L2_MISS_US.1),
-    ]);
+    let host = |ns: f64| format!("{:.3}", ns / 1000.0);
+    for (label, host_us, paper_us) in [
+        ("Fork", host(result.fork_ns), paper::table1::FORK_US),
+        ("Run", host(result.run_ns), paper::table1::RUN_US),
+        ("Total", host(result.total_ns()), paper::table1::TOTAL_US),
+        (
+            "L2 miss (modeled)",
+            "-".to_owned(),
+            paper::table1::L2_MISS_US,
+        ),
+    ] {
+        t.row(vec![
+            label.to_owned(),
+            host_us,
+            format!("{:.2}", paper_us.0),
+            format!("{:.2}", paper_us.1),
+        ]);
+    }
     print!("{}", t.render());
     println!(
         "\n({} null threads, uniformly distributed hints, best of 3)",
@@ -86,8 +80,10 @@ pub fn time_table(title: &str, rows: &[TimeRow], paper_rows: &[(&str, f64, f64)]
 }
 
 /// Prints a simulation table (Tables 3/5/7/9) in the paper's row
-/// layout, one column pair (ours, paper) per version.
-pub fn miss_table(title: &str, rows: &[MissRow], paper_cols: &[Vec<u64>], note: &str) {
+/// layout, one column pair (ours, paper) per version. `paper_rows` are
+/// the paper's counts in thousands, `(metric, [per version])`, in the
+/// order I, D, L1, L2, compulsory, capacity, conflict.
+pub fn miss_table(title: &str, rows: &[MissRow], paper_rows: &[(&str, &[u64])]) {
     println!("{title}\n");
     let mut header = vec!["metric".to_owned()];
     for row in rows {
@@ -96,95 +92,39 @@ pub fn miss_table(title: &str, rows: &[MissRow], paper_cols: &[Vec<u64>], note: 
         header.push(format!("{short} (paper)"));
     }
     let mut t = TextTable::new(header);
-    type MetricFn = Box<dyn Fn(&MissRow) -> String>;
-    let metrics: [(&str, MetricFn); 9] = [
-        ("I fetches", Box::new(|r| thousands(r.report.instructions))),
-        (
-            "D references",
-            Box::new(|r| thousands(r.report.data_references())),
-        ),
-        ("L1 misses", Box::new(|r| thousands(r.report.l1.misses()))),
-        (
-            "  rate %",
-            Box::new(|r| format!("{:.1}", r.report.l1_miss_rate_percent())),
-        ),
-        ("L2 misses", Box::new(|r| thousands(r.report.l2.misses()))),
-        (
-            "  rate %",
-            Box::new(|r| format!("{:.1}", r.report.l2_miss_rate_percent())),
-        ),
-        (
-            "L2 compulsory",
-            Box::new(|r| thousands(r.report.classes.compulsory)),
-        ),
-        (
-            "L2 capacity",
-            Box::new(|r| thousands(r.report.classes.capacity)),
-        ),
-        (
-            "L2 conflict",
-            Box::new(|r| thousands(r.report.classes.conflict)),
-        ),
+    // (label, index of the paper's row for it, our value)
+    type Metric = (&'static str, Option<usize>, fn(&SimReport) -> String);
+    let metrics: [Metric; 9] = [
+        ("I fetches", Some(0), |r| thousands(r.instructions)),
+        ("D references", Some(1), |r| thousands(r.data_references())),
+        ("L1 misses", Some(2), |r| thousands(r.l1.misses())),
+        ("  rate %", None, |r| {
+            format!("{:.1}", r.l1_miss_rate_percent())
+        }),
+        ("L2 misses", Some(3), |r| thousands(r.l2.misses())),
+        ("  rate %", None, |r| {
+            format!("{:.1}", r.l2_miss_rate_percent())
+        }),
+        ("L2 compulsory", Some(4), |r| {
+            thousands(r.classes.compulsory)
+        }),
+        ("L2 capacity", Some(5), |r| thousands(r.classes.capacity)),
+        ("L2 conflict", Some(6), |r| thousands(r.classes.conflict)),
     ];
-    // paper_cols[version][metric]: the paper's seven counts per column
-    // (I, D, L1, L2, compulsory, capacity, conflict) in thousands.
-    let paper_metric_for = |version: usize, metric: usize| -> String {
-        let map: [Option<usize>; 9] = [
-            Some(0),
-            Some(1),
-            Some(2),
-            None,
-            Some(3),
-            None,
-            Some(4),
-            Some(5),
-            Some(6),
-        ];
-        match map[metric] {
-            Some(idx) => paper_cols
-                .get(version)
-                .and_then(|col| col.get(idx))
-                .map(|v| format!("{v}k"))
-                .unwrap_or_default(),
-            None => String::new(),
-        }
-    };
-    for (mi, (name, get)) in metrics.iter().enumerate() {
-        let mut cells = vec![name.to_string()];
-        for (vi, row) in rows.iter().enumerate() {
-            cells.push(get(row));
-            cells.push(paper_metric_for(vi, mi));
+    for (name, paper_row, ours) in metrics {
+        let mut cells = vec![name.to_owned()];
+        for (version, row) in rows.iter().enumerate() {
+            cells.push(ours(&row.report));
+            cells.push(
+                paper_row
+                    .and_then(|index| paper_rows.get(index)?.1.get(version))
+                    .map(|v| format!("{v}k"))
+                    .unwrap_or_default(),
+            );
         }
         t.row(cells);
     }
     print!("{}", t.render());
-    if !note.is_empty() {
-        println!("\n{note}");
-    }
-}
-
-/// Extracts the paper's per-version metric columns from a table-shaped
-/// constant (rows of (metric, v1, v2, v3)).
-pub fn paper_columns3(rows: &[(&str, u64, u64, u64)]) -> Vec<Vec<u64>> {
-    let take = rows.len().min(7);
-    let mut cols = vec![Vec::new(), Vec::new(), Vec::new()];
-    for row in &rows[..take] {
-        cols[0].push(row.1);
-        cols[1].push(row.2);
-        cols[2].push(row.3);
-    }
-    cols
-}
-
-/// Extracts the paper's per-version metric columns from a two-version
-/// table constant.
-pub fn paper_columns2(rows: &[(&str, u64, u64)]) -> Vec<Vec<u64>> {
-    let mut cols = vec![Vec::new(), Vec::new()];
-    for row in rows {
-        cols[0].push(row.1);
-        cols[1].push(row.2);
-    }
-    cols
 }
 
 /// Prints the fast-path simulation benchmark: per workload the
@@ -216,9 +156,9 @@ pub fn simbench(result: &SimBenchResult) {
             format!("{:.2}", row.slow_ns as f64 / 1e6),
             format!("{:.2}", row.fast_ns as f64 / 1e6),
             format!("{:.2}", row.sharded_ns as f64 / 1e6),
-            format!("{:.2}", row.slow_accesses_per_sec() / 1e6),
-            format!("{:.2}", row.fast_accesses_per_sec() / 1e6),
-            format!("{:.2}", row.sharded_accesses_per_sec() / 1e6),
+            format!("{:.2}", row.accesses_per_sec(row.slow_ns) / 1e6),
+            format!("{:.2}", row.accesses_per_sec(row.fast_ns) / 1e6),
+            format!("{:.2}", row.accesses_per_sec(row.sharded_ns) / 1e6),
             ratio(row.speedup()),
             ratio(row.sharded_speedup()),
         ]);
@@ -285,17 +225,17 @@ pub fn steal(result: &StealAblationResult) {
     );
 }
 
-/// Prints the bin-policy ablation: per (kernel, machine) the simulated
-/// misses under flat vs hierarchical binning and the deltas.
-pub fn binpolicy(result: &BinPolicyResult) {
-    println!(
-        "Bin-policy ablation: flat (paper §3.2, L2-sized bins) vs hierarchical\n(L1-sized sub-bins nested in L2-sized bins), threaded versions, simulated\n"
-    );
+/// Prints a policy ablation: per (kernel, machine, policy) the
+/// simulated misses and block ladder, then each deeper policy's deltas
+/// against flat.
+pub fn policy_ablation(result: &PolicyAblationResult) {
+    let full_depth = result.spec.full_depth();
+    println!("{}", result.spec.intro);
     let mut t = TextTable::new(vec![
         "workload",
         "machine",
         "policy",
-        "block(s)",
+        if full_depth { "ladder" } else { "block(s)" },
         "threads",
         "L1 misses",
         "L2 misses",
@@ -303,73 +243,13 @@ pub fn binpolicy(result: &BinPolicyResult) {
         "L2 rate",
         "modeled (ms)",
     ]);
-    for row in &result.rows {
-        let blocks = if row.policy == "hierarchical" {
-            format!("{}K in {}K", row.l1_block >> 10, row.l2_block >> 10)
-        } else {
-            format!("{}K", row.l2_block >> 10)
-        };
-        t.row(vec![
-            row.kernel.clone(),
-            row.machine.clone(),
-            row.policy.clone(),
-            blocks,
-            thousands(row.threads),
-            thousands(row.report.l1.misses()),
-            thousands(row.report.l2.misses()),
-            format!("{:.1}%", row.report.l1_miss_rate_percent()),
-            format!("{:.1}%", row.report.l2_miss_rate_percent()),
-            format!("{:.3}", row.modeled_ns as f64 / 1e6),
-        ]);
-    }
-    print!("{}", t.render());
-    println!();
-    let mut d = TextTable::new(vec![
-        "workload",
-        "machine",
-        "L1 miss Δ",
-        "L2 miss Δ",
-        "modeled Δ",
-    ]);
-    for (kernel, machine) in result.pairs() {
-        d.row(vec![
-            kernel.clone(),
-            machine.clone(),
-            format!("{:+.1}%", result.l1_miss_delta_pct(&kernel, &machine)),
-            format!("{:+.1}%", result.l2_miss_delta_pct(&kernel, &machine)),
-            format!("{:+.1}%", result.modeled_delta_pct(&kernel, &machine)),
-        ]);
-    }
-    print!("{}", d.render());
-    println!(
-        "\nΔ = hierarchical vs flat (negative = hierarchical better). Sub-bins\nkeep each L1-sized working set resident while the parent bin still\nbounds the L2 working set; the L2 columns should be ~unchanged while\nL1 misses move."
-    );
-}
-
-/// Prints the topology ablation: per (kernel, machine) the simulated
-/// misses under flat, two-level, and full machine-tree binning, and
-/// each deeper policy's deltas against flat.
-pub fn topology(result: &TopologyResult) {
-    println!(
-        "Topology ablation: flat (paper §3.2) vs two-level (L1-in-L2) vs full\nmachine-tree binning, threaded versions, simulated on a two-level paper\nmachine and a four-level NUMA machine\n"
-    );
-    let mut t = TextTable::new(vec![
-        "workload",
-        "machine",
-        "policy",
-        "ladder",
-        "threads",
-        "L1 misses",
-        "L2 misses",
-        "L1 rate",
-        "L2 rate",
-        "modeled (ms)",
-    ]);
+    // The two-level table prints whole KiB; the deeper ladders reach
+    // sub-KiB rungs and print those in bytes.
     let block = |b: u64| {
-        if b >= 1 << 10 {
-            format!("{}K", b >> 10)
-        } else {
+        if full_depth && b < 1 << 10 {
             format!("{b}")
+        } else {
+            format!("{}K", b >> 10)
         }
     };
     for row in &result.rows {
@@ -380,9 +260,9 @@ pub fn topology(result: &TopologyResult) {
             .collect::<Vec<_>>()
             .join(" in ");
         t.row(vec![
-            row.kernel.clone(),
-            row.machine.clone(),
-            row.policy.clone(),
+            row.kernel.to_owned(),
+            row.machine.to_owned(),
+            row.policy.name().to_owned(),
             ladder,
             thousands(row.threads),
             thousands(row.report.l1.misses()),
@@ -394,39 +274,22 @@ pub fn topology(result: &TopologyResult) {
     }
     print!("{}", t.render());
     println!();
-    let mut d = TextTable::new(vec![
-        "workload",
-        "machine",
-        "policy",
-        "L1 miss Δ",
-        "L2 miss Δ",
-        "modeled Δ",
-    ]);
-    for (kernel, machine) in result.pairs() {
-        for policy in ["hierarchical", "topology"] {
-            d.row(vec![
-                kernel.clone(),
-                machine.clone(),
-                policy.to_owned(),
-                format!(
-                    "{:+.1}%",
-                    result.l1_miss_delta_pct(&kernel, &machine, policy)
-                ),
-                format!(
-                    "{:+.1}%",
-                    result.l2_miss_delta_pct(&kernel, &machine, policy)
-                ),
-                format!(
-                    "{:+.1}%",
-                    result.modeled_delta_pct(&kernel, &machine, policy)
-                ),
-            ]);
+    let mut header = vec!["workload", "machine"];
+    if full_depth {
+        header.push("policy");
+    }
+    header.extend(["L1 miss Δ", "L2 miss Δ", "modeled Δ"]);
+    let mut d = TextTable::new(header);
+    for (row, deltas) in result.deltas() {
+        let mut cells = vec![row.kernel.to_owned(), row.machine.to_owned()];
+        if full_depth {
+            cells.push(row.policy.name().to_owned());
         }
+        cells.extend(deltas.iter().map(|delta| format!("{delta:+.1}%")));
+        d.row(cells);
     }
     print!("{}", d.render());
-    println!(
-        "\nΔ = policy vs flat (negative = deeper binning better). On the two-level\nmachine the topology policy must match hierarchical exactly; on the NUMA\nmachine its extra rungs keep sibling bins under the same L3/socket\nsubtree adjacent in the tour."
-    );
+    println!("{}", result.spec.footnote);
 }
 
 /// Prints the online serving experiment: per-policy hit rates, queue

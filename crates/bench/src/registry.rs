@@ -1,0 +1,299 @@
+//! The experiment registry: every name `repro` accepts is one row of
+//! [`REGISTRY`] — name, whether `all` runs it, and how it runs (which
+//! names the artifact file, if it writes one). The paper's eight result
+//! tables are rows over two shapes (`time_table`, `miss_table`):
+//! kernel, title, the paper's published rows, and for Table 3 a version
+//! filter.
+
+use crate::experiments::{self, Driver};
+use crate::{paper, print, servebench, simbench, studies, ExpScale};
+use workloads::Kernel;
+
+/// What a run needs besides the experiment itself: the problem scale
+/// and the shard count for sharded replay cells (a *request* — the
+/// shard planner clamps it to what the simulated machine's geometry
+/// supports). Batches of simulation cells run under
+/// [`Driver::default()`]; `Driver::Sequential` is the tests' reference.
+#[derive(Clone, Copy, Debug)]
+pub struct Ctx {
+    /// Problem and machine scale.
+    pub scale: ExpScale,
+    /// Shards requested for sharded replay cells.
+    pub shards: u32,
+}
+
+/// How an experiment runs. Both kinds print their results to stdout and
+/// may fail with a reason.
+#[derive(Debug)]
+pub enum Run {
+    /// Prints only.
+    Print(fn(&Ctx) -> Result<(), String>),
+    /// Also returns the JSON payload `repro` writes to the named file
+    /// in the working directory.
+    Artifact(&'static str, fn(&Ctx) -> Result<String, String>),
+}
+
+/// One runnable experiment.
+#[derive(Debug)]
+pub struct Experiment {
+    /// The name `repro` accepts.
+    pub name: &'static str,
+    /// Whether `repro` with no names (or `all`) runs it.
+    pub in_all: bool,
+    /// How it runs.
+    pub run: Run,
+}
+
+/// Looks an experiment up by name.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|experiment| experiment.name == name)
+}
+
+/// Every experiment, in the order `all` runs them.
+pub static REGISTRY: &[Experiment] = &[
+    Experiment {
+        name: "table1",
+        in_all: true,
+        run: Run::Print(|_| {
+            print::table1(&experiments::table1(paper::table1::THREADS));
+            Ok(())
+        }),
+    },
+    Experiment {
+        name: "table2",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let title = format!("Table 2: matrix multiply (n = {})", ctx.scale.matmul_n);
+            let note = "Modeled seconds on ratio-preserved scaled machines; \
+                        compare ratios, not absolutes.";
+            time_table(ctx, Kernel::MatMul, &title, &paper::table2::ROWS, note)
+        }),
+    },
+    Experiment {
+        name: "table3",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let title = "Table 3: matmul memory references and cache misses (scaled R8000)";
+            let versions = &paper::table3::VERSIONS;
+            miss_table(ctx, Kernel::MatMul, title, &paper::table3::ROWS, versions)
+        }),
+    },
+    Experiment {
+        name: "table4",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let scale = &ctx.scale;
+            let title = format!(
+                "Table 4: PDE (n = {}, {} iterations + residual)",
+                scale.pde_n, scale.pde_iters
+            );
+            time_table(ctx, Kernel::Pde, &title, &paper::table4::ROWS, "")
+        }),
+    },
+    Experiment {
+        name: "table5",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let title = "Table 5: PDE cache misses (scaled R8000)";
+            miss_table(ctx, Kernel::Pde, title, &paper::table5::ROWS, &[])
+        }),
+    },
+    Experiment {
+        name: "table6",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let scale = &ctx.scale;
+            let title = format!(
+                "Table 6: SOR (n = {}, t = {}, tile {})",
+                scale.sor_n, scale.sor_t, scale.sor_tile
+            );
+            time_table(ctx, Kernel::Sor, &title, &paper::table6::ROWS, "")
+        }),
+    },
+    Experiment {
+        name: "table7",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let title = "Table 7: SOR memory references and cache misses (scaled R8000)";
+            miss_table(ctx, Kernel::Sor, title, &paper::table7::ROWS, &[])
+        }),
+    },
+    Experiment {
+        name: "table8",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let scale = &ctx.scale;
+            let title = format!(
+                "Table 8: N-body ({} bodies, {} iterations)",
+                scale.nbody_n, scale.nbody_iters
+            );
+            time_table(ctx, Kernel::NBody, &title, &paper::table8::ROWS, "")
+        }),
+    },
+    Experiment {
+        name: "table9",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            let title = "Table 9: N-body cache misses, one iteration (scaled R8000)";
+            miss_table(ctx, Kernel::NBody, title, &paper::table9::ROWS, &[])
+        }),
+    },
+    Experiment {
+        name: "figure4",
+        in_all: true,
+        run: Run::Print(|ctx| {
+            print::figure4(&experiments::figure4(&ctx.scale, Driver::default()));
+            Ok(())
+        }),
+    },
+    Experiment {
+        name: "steal",
+        in_all: true,
+        run: Run::Artifact("BENCH_steal.json", |ctx| {
+            let result = experiments::steal(&ctx.scale);
+            print::steal(&result);
+            Ok(result.to_json())
+        }),
+    },
+    Experiment {
+        name: "simbench",
+        in_all: true,
+        run: Run::Artifact("BENCH_sim.json", |ctx| {
+            let result = simbench::simbench(&ctx.scale, 3, ctx.shards);
+            print::simbench(&result);
+            Ok(result.to_json())
+        }),
+    },
+    Experiment {
+        name: "binpolicy",
+        in_all: true,
+        run: Run::Artifact("BENCH_binpolicy.json", |ctx| {
+            policy_ablation(&experiments::BINPOLICY, ctx)
+        }),
+    },
+    Experiment {
+        name: "topology",
+        in_all: true,
+        run: Run::Artifact("BENCH_topology.json", |ctx| {
+            policy_ablation(&experiments::TOPOLOGY, ctx)
+        }),
+    },
+    Experiment {
+        name: "servebench",
+        in_all: true,
+        run: Run::Artifact("BENCH_serve.json", |ctx| {
+            let result = servebench::servebench(&ctx.scale);
+            print::servebench(&result);
+            Ok(result.to_json())
+        }),
+    },
+    Experiment {
+        name: "servelong",
+        in_all: false,
+        run: Run::Print(servelong),
+    },
+    Experiment {
+        name: "analyze",
+        in_all: false,
+        run: Run::Artifact("ANALYZE_smoke.json", analyze),
+    },
+    Experiment {
+        name: "ablation",
+        in_all: false,
+        run: Run::Print(|ctx| {
+            studies::ablation(&ctx.scale);
+            Ok(())
+        }),
+    },
+    Experiment {
+        name: "modern",
+        in_all: false,
+        run: Run::Print(|ctx| {
+            studies::modern(&ctx.scale);
+            Ok(())
+        }),
+    },
+    Experiment {
+        name: "sensitivity",
+        in_all: false,
+        run: Run::Print(|ctx| {
+            studies::sensitivity(&ctx.scale);
+            Ok(())
+        }),
+    },
+];
+
+/// A timing table (Tables 2/4/6/8): every version of `kernel` on both
+/// scaled machines next to the paper's `(version, R8000 s, R10000 s)`
+/// rows, with `note` printed underneath.
+fn time_table(
+    ctx: &Ctx,
+    kernel: Kernel,
+    title: &str,
+    paper_rows: &[(&str, f64, f64)],
+    note: &str,
+) -> Result<(), String> {
+    let rows = experiments::time_rows(kernel, &ctx.scale, Driver::default());
+    print::time_table(title, &rows, paper_rows, note);
+    Ok(())
+}
+
+/// A reference/miss table (Tables 3/5/7/9): the named `versions` of
+/// `kernel` (every version when empty) simulated on the scaled R8000,
+/// next to the paper's `(metric, [thousands per version])` rows.
+fn miss_table(
+    ctx: &Ctx,
+    kernel: Kernel,
+    title: &str,
+    paper_rows: &[(&str, &[u64])],
+    versions: &[&str],
+) -> Result<(), String> {
+    let rows = experiments::miss_rows(kernel, &ctx.scale, versions, Driver::default());
+    print::miss_table(title, &rows, paper_rows);
+    Ok(())
+}
+
+fn policy_ablation(
+    spec: &'static experiments::PolicyAblation,
+    ctx: &Ctx,
+) -> Result<String, String> {
+    let result = experiments::policy_ablation(spec, &ctx.scale, Driver::default());
+    print::policy_ablation(&result);
+    Ok(result.to_json())
+}
+
+/// The long-run bounded-memory gate: fails if the bin table ever
+/// exceeded its cap or the request accounting does not balance.
+fn servelong(ctx: &Ctx) -> Result<(), String> {
+    let (result, violations) = servebench::servelong(&ctx.scale);
+    print::servebench(&result);
+    if !violations.is_empty() {
+        return Err(violations
+            .iter()
+            .map(|violation| format!("servelong VIOLATION: {violation}"))
+            .collect::<Vec<_>>()
+            .join("\n"));
+    }
+    println!(
+        "\nservelong: OK — {} requests per policy, live bin records never exceeded {}",
+        result.trace.requests,
+        servebench::SERVELONG_CAP
+    );
+    Ok(())
+}
+
+/// The `schedlint` four-kernel schedule-safety self-check. Fixed
+/// analysis scale, independent of `--smoke`/`--full`: the committed
+/// `ANALYZE_smoke.json` baseline must be byte-reproducible on every
+/// host.
+fn analyze(_: &Ctx) -> Result<String, String> {
+    let machine = analyze::default_machine();
+    let opts = analyze::AnalyzeOptions::default();
+    let mut report = analyze::AnalyzeReport::new(machine.name(), opts.hint_threshold_pct);
+    for kernel in Kernel::ALL {
+        let capture = analyze::capture_kernel(kernel, &machine, &analyze::AnalyzeScale::default());
+        report.kernels.push(analyze::analyze(&capture, &opts));
+    }
+    print!("{}", report.to_text());
+    Ok(report.to_json())
+}

@@ -1,5 +1,7 @@
 //! Problem/machine scaling presets.
 
+use workloads::Kernel;
+
 /// Problem sizes plus per-workload machine scale factors.
 ///
 /// Trace-driven simulation of the paper's full problem sizes costs
@@ -104,53 +106,22 @@ impl ExpScale {
             serve_requests: 100_000,
         }
     }
+
+    /// The machine scale factor `kernel`'s experiments run at.
+    pub fn factor(&self, kernel: Kernel) -> f64 {
+        match kernel {
+            Kernel::MatMul => self.matmul_factor,
+            Kernel::Pde => self.pde_factor,
+            Kernel::Sor => self.sor_factor,
+            Kernel::NBody => self.nbody_factor,
+        }
+    }
 }
 
 impl Default for ExpScale {
     fn default() -> Self {
         ExpScale::default_scaled()
     }
-}
-
-/// Picks the scale from command-line flags: `--full` for the paper's
-/// exact sizes, `--smoke` for a fast sanity run, otherwise the default
-/// ratio-preserving scale.
-pub fn scale_from_args<I: IntoIterator<Item = String>>(args: I) -> ExpScale {
-    let mut scale = ExpScale::default_scaled();
-    for arg in args {
-        match arg.as_str() {
-            "--full" => scale = ExpScale::full(),
-            "--smoke" => scale = ExpScale::smoke(),
-            _ => {}
-        }
-    }
-    scale
-}
-
-/// Picks the shard count for experiments with a sharded cell from a
-/// `--shards N` flag, defaulting when absent. The count is a *request*:
-/// the shard planner still clamps it to what the simulated machine's
-/// geometry supports (see `cachesim::ShardPlan`).
-pub fn shards_from_args<I: IntoIterator<Item = String>>(args: I, default: u32) -> u32 {
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            if let Some(n) = args.next().and_then(|n| n.parse().ok()) {
-                return n;
-            }
-            eprintln!("--shards needs a count; using {default}");
-            return default;
-        } else if let Some(n) = arg.strip_prefix("--shards=") {
-            match n.parse() {
-                Ok(n) => return n,
-                Err(_) => {
-                    eprintln!("--shards needs a count; using {default}");
-                    return default;
-                }
-            }
-        }
-    }
-    default
 }
 
 #[cfg(test)]
@@ -171,16 +142,6 @@ mod tests {
             (r_full - r_scaled).abs() / r_full < 0.05,
             "{r_full} vs {r_scaled}"
         );
-    }
-
-    #[test]
-    fn shards_flag_parses_both_spellings_and_defaults() {
-        let argv = |s: &[&str]| s.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
-        assert_eq!(shards_from_args(argv(&["--smoke"]), 4), 4);
-        assert_eq!(shards_from_args(argv(&["--shards", "8"]), 4), 8);
-        assert_eq!(shards_from_args(argv(&["--shards=2"]), 4), 2);
-        assert_eq!(shards_from_args(argv(&["--shards", "nope"]), 4), 4);
-        assert_eq!(shards_from_args(argv(&["--shards"]), 4), 4);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use crate::scale::ExpScale;
 use cachesim::MachineModel;
 use locality_sched::EvictionPolicy;
 use serve::{run_serve, ServeConfig, ServeOutcome, ServePolicy, TraceConfig, TraceGen};
-use std::fmt::Write as _;
 
 /// Trace seed committed alongside the baselines.
 const TRACE_SEED: u64 = 1996;
@@ -152,68 +151,57 @@ impl ServeBenchResult {
     /// and the CI byte-reproducibility check require every field to be
     /// a pure function of (trace, machine, policy).
     pub fn to_json(&self) -> String {
-        let mut json = String::new();
-        write!(
-            json,
-            "{{\"experiment\":\"serve\",\"machine\":\"{}\",\"seed\":{},\"requests\":{},\
-             \"objects\":{},\"zipf_s\":{:.4},\"object_bytes\":{},\"burst_factor\":{},\
-             \"lanes\":{},\"queue_bound\":{},\"admission\":\"{}\",\"eviction\":\"{}\",\"rows\":[",
-            self.machine,
-            self.trace.seed,
-            self.trace.requests,
-            self.trace.objects,
-            self.trace.zipf_s,
-            self.trace.object_bytes,
-            self.trace.burst_factor,
-            self.lanes,
-            self.queue_bound,
-            self.admission,
-            self.eviction,
-        )
-        .expect("writing to String cannot fail");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            let report = &row.outcome.report;
-            let sim = &row.outcome.sim;
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"offered\":{},\"admitted\":{},\"rejected\":{},\
-                 \"shed\":{},\"completed\":{},\"warm_hits\":{},\"cold_misses\":{},\
-                 \"warm_hit_rate_pct\":{:.4},\"drains\":{},\"max_queue_depth\":{},\
-                 \"mean_queue_depth_x1000\":{},\"p50_latency_ns\":{},\"p99_latency_ns\":{},\
-                 \"mean_latency_ns\":{},\"mean_slowdown_x1000\":{},\"makespan_ns\":{},\
-                 \"evictions\":{},\"peak_live_bin_records\":{},\"wasted_memory_time\":{},\
-                 \"accesses\":{},\"l1_misses\":{},\"l2_misses\":{}}}",
-                row.policy,
-                report.offered,
-                report.admitted,
-                report.rejected,
-                report.shed,
-                report.completed,
-                report.warm_hits,
-                report.cold_misses,
-                report.warm_hit_rate_pct(),
-                report.drains,
-                report.max_queue_depth,
-                report.mean_queue_depth_x1000,
-                report.p50_latency_ns,
-                report.p99_latency_ns,
-                report.mean_latency_ns,
-                report.mean_slowdown_x1000,
-                report.makespan_ns,
-                report.evictions,
-                report.peak_live_bin_records,
-                report.wasted_memory_time,
-                sim.data_references(),
-                sim.l1.misses(),
-                sim.l2.misses(),
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push_str("]}");
-        json
+        probe::json::write(|w| {
+            w.object(|w| {
+                w.key("experiment").string("serve");
+                w.key("machine").string(&self.machine);
+                w.key("seed").uint(self.trace.seed);
+                w.key("requests").uint(self.trace.requests);
+                w.key("objects").uint(self.trace.objects);
+                w.key("zipf_s").float(self.trace.zipf_s, 4);
+                w.key("object_bytes").uint(self.trace.object_bytes);
+                w.key("burst_factor").uint(self.trace.burst_factor);
+                w.key("lanes").uint(self.lanes);
+                w.key("queue_bound").uint(self.queue_bound);
+                w.key("admission").string(&self.admission);
+                w.key("eviction").string(&self.eviction);
+                w.key("rows").array(|w| {
+                    for row in &self.rows {
+                        let report = &row.outcome.report;
+                        let sim = &row.outcome.sim;
+                        w.object(|w| {
+                            w.key("workload").string(row.policy);
+                            w.key("offered").uint(report.offered);
+                            w.key("admitted").uint(report.admitted);
+                            w.key("rejected").uint(report.rejected);
+                            w.key("shed").uint(report.shed);
+                            w.key("completed").uint(report.completed);
+                            w.key("warm_hits").uint(report.warm_hits);
+                            w.key("cold_misses").uint(report.cold_misses);
+                            w.key("warm_hit_rate_pct")
+                                .float(report.warm_hit_rate_pct(), 4);
+                            w.key("drains").uint(report.drains);
+                            w.key("max_queue_depth").uint(report.max_queue_depth);
+                            w.key("mean_queue_depth_x1000")
+                                .uint(report.mean_queue_depth_x1000);
+                            w.key("p50_latency_ns").uint(report.p50_latency_ns);
+                            w.key("p99_latency_ns").uint(report.p99_latency_ns);
+                            w.key("mean_latency_ns").uint(report.mean_latency_ns);
+                            w.key("mean_slowdown_x1000")
+                                .uint(report.mean_slowdown_x1000);
+                            w.key("makespan_ns").uint(report.makespan_ns);
+                            w.key("evictions").uint(report.evictions);
+                            w.key("peak_live_bin_records")
+                                .uint(report.peak_live_bin_records);
+                            w.key("wasted_memory_time").uint(report.wasted_memory_time);
+                            w.key("accesses").uint(sim.data_references());
+                            w.key("l1_misses").uint(sim.l1.misses());
+                            w.key("l2_misses").uint(sim.l2.misses());
+                        });
+                    }
+                });
+            });
+        })
     }
 }
 

@@ -20,38 +20,15 @@
 //! the traced workload; `slow`/`fast` times keep the original
 //! generate-and-simulate definition for baseline continuity.
 
-use crate::experiments::{drive, machines};
+use crate::experiments::{drive, machines, nbody_params};
 use crate::ExpScale;
 use cachesim::{MachineModel, ShardedSimSink, SimReport, SimSink};
-use memtrace::{Access, AddressSpace, TraceSink};
-use std::fmt::Write as _;
+use memtrace::{AddressSpace, TraceSink, VecSink};
 use std::time::Instant;
-use workloads::{matmul, nbody, pde, sor};
+use workloads::{matmul, nbody, pde, sor, Kernel};
 
 /// Shard count the benchmark's sharded cell uses by default.
 pub const DEFAULT_SHARDS: u32 = 4;
-
-/// Captures a workload's reference stream for later replay: the
-/// accesses verbatim plus the analytic instruction count.
-#[derive(Default)]
-struct CaptureSink {
-    accesses: Vec<Access>,
-    instructions: u64,
-}
-
-impl TraceSink for CaptureSink {
-    fn access(&mut self, access: Access) {
-        self.accesses.push(access);
-    }
-
-    fn access_batch(&mut self, accesses: &[Access]) {
-        self.accesses.extend_from_slice(accesses);
-    }
-
-    fn instructions(&mut self, count: u64) {
-        self.instructions += count;
-    }
-}
 
 /// Before/after measurement of one workload's trace simulation.
 #[derive(Clone, Debug)]
@@ -72,19 +49,10 @@ pub struct SimBenchRow {
 }
 
 impl SimBenchRow {
-    /// Accesses simulated per second with the fast paths disabled.
-    pub fn slow_accesses_per_sec(&self) -> f64 {
-        self.accesses as f64 / (self.slow_ns as f64 / 1e9)
-    }
-
-    /// Accesses simulated per second with the fast paths enabled.
-    pub fn fast_accesses_per_sec(&self) -> f64 {
-        self.accesses as f64 / (self.fast_ns as f64 / 1e9)
-    }
-
-    /// Accesses simulated per second by the sharded replay.
-    pub fn sharded_accesses_per_sec(&self) -> f64 {
-        self.accesses as f64 / (self.sharded_ns as f64 / 1e9)
+    /// Accesses simulated per second by the cell that took `ns`
+    /// nanoseconds (`slow_ns`, `fast_ns` or `sharded_ns`).
+    pub fn accesses_per_sec(&self, ns: u64) -> f64 {
+        self.accesses as f64 / (ns as f64 / 1e9)
     }
 
     /// Throughput ratio, fast over slow.
@@ -124,42 +92,78 @@ pub struct SimBenchResult {
 impl SimBenchResult {
     /// Serializes the result as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut json = format!(
-            "{{\"experiment\":\"simbench\",\"reps\":{},\"rows\":[",
-            self.reps
-        );
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            write!(
-                json,
-                "{{\"workload\":\"{}\",\"accesses\":{},\"shards\":{},\
-                 \"slow_ns\":{},\"fast_ns\":{},\"sharded_ns\":{},\
-                 \"slow_accesses_per_sec\":{:.1},\"fast_accesses_per_sec\":{:.1},\
-                 \"sharded_accesses_per_sec\":{:.1},\
-                 \"speedup\":{:.3},\"sharded_speedup\":{:.3}}}",
-                row.label(),
-                row.accesses,
-                row.shards,
-                row.slow_ns,
-                row.fast_ns,
-                row.sharded_ns,
-                row.slow_accesses_per_sec(),
-                row.fast_accesses_per_sec(),
-                row.sharded_accesses_per_sec(),
-                row.speedup(),
-                row.sharded_speedup(),
-            )
-            .expect("writing to String cannot fail");
+        probe::json::write(|w| {
+            w.object(|w| {
+                w.key("experiment").string("simbench");
+                w.key("reps").uint(u64::from(self.reps));
+                w.key("rows").array(|w| {
+                    for row in &self.rows {
+                        w.object(|w| {
+                            w.key("workload").string(&row.label());
+                            w.key("accesses").uint(row.accesses);
+                            w.key("shards").uint(u64::from(row.shards));
+                            w.key("slow_ns").uint(row.slow_ns);
+                            w.key("fast_ns").uint(row.fast_ns);
+                            w.key("sharded_ns").uint(row.sharded_ns);
+                            w.key("slow_accesses_per_sec")
+                                .float(row.accesses_per_sec(row.slow_ns), 1);
+                            w.key("fast_accesses_per_sec")
+                                .float(row.accesses_per_sec(row.fast_ns), 1);
+                            w.key("sharded_accesses_per_sec")
+                                .float(row.accesses_per_sec(row.sharded_ns), 1);
+                            w.key("speedup").float(row.speedup(), 3);
+                            w.key("sharded_speedup").float(row.sharded_speedup(), 3);
+                        });
+                    }
+                });
+                if probe::enabled() && !self.profile.is_empty() {
+                    self.profile.write_json(w.key("run_profile"));
+                }
+            });
+        })
+    }
+}
+
+/// A workload run into a sink, its data already built.
+type Run = Box<dyn FnMut(&mut dyn TraceSink)>;
+
+/// Builds `kernel`'s table-scale data in `space` (setup, untimed) and
+/// returns the run of its sequential baseline version — the first row
+/// of its paper table — into a sink.
+fn baseline(
+    kernel: Kernel,
+    scale: &ExpScale,
+    machine: &MachineModel,
+    space: &mut AddressSpace,
+) -> Run {
+    match kernel {
+        Kernel::MatMul => {
+            let mut data = matmul::MatMulData::new(space, scale.matmul_n, 42);
+            Box::new(move |mut sink| {
+                matmul::interchanged(&mut data, &mut sink);
+            })
         }
-        json.push(']');
-        if probe::enabled() && !self.profile.is_empty() {
-            write!(json, ",\"run_profile\":{}", self.profile.to_json())
-                .expect("writing to String cannot fail");
+        Kernel::Pde => {
+            let mut data = pde::PdeData::new(space, scale.pde_n, 7);
+            let iters = scale.pde_iters;
+            Box::new(move |mut sink| {
+                pde::regular(&mut data, iters, &mut sink);
+            })
         }
-        json.push('}');
-        json
+        Kernel::Sor => {
+            let mut data = sor::SorData::new(space, scale.sor_n, 99);
+            let t = scale.sor_t;
+            Box::new(move |mut sink| {
+                sor::untiled(&mut data, t, &mut sink);
+            })
+        }
+        Kernel::NBody => {
+            let mut data = nbody::NBodyData::new(space, scale.nbody_n, 2024);
+            let params = nbody_params(machine);
+            Box::new(move |mut sink| {
+                nbody::unthreaded(&mut data, 1, params, &mut sink);
+            })
+        }
     }
 }
 
@@ -167,26 +171,25 @@ impl SimBenchResult {
 /// `reps`, asserting all reports identical before returning the row
 /// plus the merged probe profile (the fast run's per-level counters and
 /// the sharded run's partition/per-shard sections).
-fn bench<D>(
-    name: &str,
-    machine: &MachineModel,
+fn bench(
+    kernel: Kernel,
+    scale: &ExpScale,
     reps: u32,
     shards: u32,
-    make: impl Fn(&mut AddressSpace) -> D,
-    run: impl Fn(&mut D, &mut AddressSpace, &mut dyn TraceSink),
 ) -> (SimBenchRow, probe::RunProfile) {
+    let name = kernel.name();
+    let machine = machines(scale.factor(kernel)).0;
     let time = |fast: bool| -> (SimReport, u64, probe::RunProfile) {
         let mut best = u64::MAX;
         let mut report: Option<SimReport> = None;
         let mut profile = probe::RunProfile::new();
         for _ in 0..reps.max(1) {
-            let mut space = AddressSpace::new();
-            let mut data = make(&mut space);
+            let mut run = baseline(kernel, scale, &machine, &mut AddressSpace::new());
             let mut sim = SimSink::new(machine.hierarchy());
             sim.set_fast_path(fast);
             let elapsed = drive(|| {
                 let start = Instant::now();
-                run(&mut data, &mut space, &mut sim);
+                run(&mut sim);
                 start.elapsed()
             });
             best = best.min((elapsed.as_nanos() as u64).max(1));
@@ -211,12 +214,8 @@ fn bench<D>(
     // Sharded replay cell. Trace capture is setup, not measurement: run
     // the workload once into a buffer, then time draining that buffer
     // through the sharded pipeline.
-    let mut capture = CaptureSink::default();
-    {
-        let mut space = AddressSpace::new();
-        let mut data = make(&mut space);
-        run(&mut data, &mut space, &mut capture);
-    }
+    let mut capture = VecSink::new();
+    baseline(kernel, scale, &machine, &mut AddressSpace::new())(&mut capture);
     let mut sharded_best = u64::MAX;
     let mut sharded_profile = probe::RunProfile::new();
     let mut effective_shards = shards;
@@ -225,10 +224,10 @@ fn bench<D>(
         effective_shards = sim.plan().shards();
         let elapsed = drive(|| {
             let start = Instant::now();
-            for chunk in capture.accesses.chunks(8192) {
+            for chunk in capture.accesses().chunks(8192) {
                 sim.access_batch(chunk);
             }
-            sim.instructions(capture.instructions);
+            sim.instructions(capture.instructions_executed());
             let report = sim.report();
             (start.elapsed(), report)
         });
@@ -264,84 +263,16 @@ fn bench<D>(
 pub fn simbench(scale: &ExpScale, reps: u32, shards: u32) -> SimBenchResult {
     let mut rows = Vec::new();
     let mut profile = probe::RunProfile::new();
-    // Namespaces one workload's sections into the merged profile
-    // (`"l1"` → `"matmul.l1"`) and keeps its row.
-    fn keep(
-        rows: &mut Vec<SimBenchRow>,
-        profile: &mut probe::RunProfile,
-        (row, run_profile): (SimBenchRow, probe::RunProfile),
-    ) {
+    for kernel in Kernel::ALL {
+        let (row, run_profile) = bench(kernel, scale, reps, shards);
+        // Namespace the workload's sections into the merged profile
+        // (`"l1"` → `"matmul.l1"`).
         for section in run_profile.into_sections() {
             let name = format!("{}.{}", row.workload, section.name());
             profile.push(section.renamed(name));
         }
         rows.push(row);
     }
-    let n = scale.matmul_n;
-    keep(
-        &mut rows,
-        &mut profile,
-        bench(
-            "matmul",
-            &machines(scale.matmul_factor).0,
-            reps,
-            shards,
-            |space| matmul::MatMulData::new(space, n, 42),
-            |data, _sp, mut sim| {
-                matmul::interchanged(data, &mut sim);
-            },
-        ),
-    );
-    let (pn, iters) = (scale.pde_n, scale.pde_iters);
-    keep(
-        &mut rows,
-        &mut profile,
-        bench(
-            "pde",
-            &machines(scale.pde_factor).0,
-            reps,
-            shards,
-            |space| pde::PdeData::new(space, pn, 7),
-            |data, _sp, mut sim| {
-                pde::regular(data, iters, &mut sim);
-            },
-        ),
-    );
-    let (sn, t) = (scale.sor_n, scale.sor_t);
-    keep(
-        &mut rows,
-        &mut profile,
-        bench(
-            "sor",
-            &machines(scale.sor_factor).0,
-            reps,
-            shards,
-            |space| sor::SorData::new(space, sn, 99),
-            |data, _sp, mut sim| {
-                sor::untiled(data, t, &mut sim);
-            },
-        ),
-    );
-    let bn = scale.nbody_n;
-    let nbody_machine = machines(scale.nbody_factor).0;
-    let params = nbody::NBodyParams {
-        plane_extent: 4 * (nbody_machine.l2_config().size() / 3),
-        ..nbody::NBodyParams::default()
-    };
-    keep(
-        &mut rows,
-        &mut profile,
-        bench(
-            "nbody",
-            &nbody_machine,
-            reps,
-            shards,
-            |space| nbody::NBodyData::new(space, bn, 2024),
-            |data, _sp, mut sim| {
-                nbody::unthreaded(data, 1, params, &mut sim);
-            },
-        ),
-    );
     profile.push(crate::experiments::driver_profile());
     SimBenchResult {
         reps,
@@ -354,6 +285,34 @@ pub fn simbench(scale: &ExpScale, reps: u32, shards: u32) -> SimBenchResult {
 mod tests {
     use super::*;
 
+    /// A workload name holding a quote, a backslash and a newline, and
+    /// a zero wall time (infinite throughput), still yield a document
+    /// the parser reads back.
+    #[test]
+    fn hostile_names_and_non_finite_rates_parse_back() {
+        let result = SimBenchResult {
+            reps: 1,
+            rows: vec![SimBenchRow {
+                workload: "m\"at\\mul\n".to_owned(),
+                accesses: 10,
+                slow_ns: 5,
+                fast_ns: 0,
+                shards: 4,
+                sharded_ns: 5,
+            }],
+            profile: probe::RunProfile::new(),
+        };
+        let doc = probe::json::Json::parse(&result.to_json()).expect("valid JSON");
+        let probe::json::Json::Arr(rows) = doc.get("rows").expect("rows") else {
+            panic!("rows is not an array");
+        };
+        assert_eq!(
+            rows[0].get("workload"),
+            Some(&probe::json::Json::Str("m\"at\\mul\n@s4".to_owned()))
+        );
+        assert_eq!(rows[0].get("speedup"), Some(&probe::json::Json::Null));
+    }
+
     #[test]
     fn simbench_smoke_checks_identity_and_reports_json() {
         let result = simbench(&ExpScale::smoke(), 1, DEFAULT_SHARDS);
@@ -361,7 +320,7 @@ mod tests {
         for row in &result.rows {
             assert!(row.accesses > 0, "{}", row.workload);
             assert!(row.speedup() > 0.0);
-            assert!(row.fast_accesses_per_sec() > 0.0);
+            assert!(row.accesses_per_sec(row.fast_ns) > 0.0);
             assert!(row.sharded_speedup() > 0.0);
             assert_eq!(row.shards, DEFAULT_SHARDS, "{}", row.workload);
             assert_eq!(row.label(), format!("{}@s4", row.workload));

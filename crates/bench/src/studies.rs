@@ -1,0 +1,415 @@
+//! Studies beyond the paper's tables, each one registry name:
+//!
+//! * `ablation` — the scheduler's design choices measured in simulated
+//!   cache misses (the Criterion `ablation` bench measures the same
+//!   choices in host wall-clock): bin tour policy (paper §2.3's
+//!   "preferably the shortest path"), symmetric-hint folding (§2.3's
+//!   50% bin saving), page-mapping policy under a physically-indexed
+//!   L2 (§6), and N-body hint dimensionality (§6: "limited to 3 address
+//!   hints"). The SMP steal policy (§7's future work) is the `steal`
+//!   experiment.
+//! * `modern` — does 1996's locality scheduling still matter on a
+//!   modern memory hierarchy? The paper closes predicting "latency
+//!   tolerance techniques such as thread scheduling will become more
+//!   important as the performance gap between memory and CPU
+//!   increases"; this re-runs the headline workloads on a three-level
+//!   2020s machine model (32 KB L1 / 512 KB L2 / 32 MB L3, 80 ns DRAM)
+//!   scaled against the same data : LLC ratios.
+//! * `sensitivity` — a Hill & Smith-style sweep (reference \[21\] of
+//!   the paper) over the L2's associativity, capacity, and line size,
+//!   using untiled vs threaded matmul as the probe.
+
+use crate::experiments::{nbody_params, scaled, simulate};
+use crate::fmt::TextTable;
+use crate::ExpScale;
+use cachesim::{CacheConfig, HierarchyConfig, MachineModel, PagePolicy, SimReport, SimSink};
+use locality_sched::{ClosureScheduler, Hints, SchedulerConfig, Tour};
+use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
+use std::cell::RefCell;
+use workloads::{matmul, nbody, sor};
+
+/// The `ablation` study (sections 1–4).
+pub fn ablation(scale: &ExpScale) {
+    tour_ablation(scale);
+    symmetric_ablation();
+    paging_ablation(scale);
+    hint_dims_ablation(scale);
+}
+
+fn block_config(block: u64) -> SchedulerConfig {
+    SchedulerConfig::builder()
+        .block_size(block)
+        .build()
+        .expect("valid config")
+}
+
+fn tour_ablation(scale: &ExpScale) {
+    println!("Ablation 1: bin tour policy (threaded matmul, scaled R8000)\n");
+    let machine = scaled(MachineModel::r8000(), scale.matmul_factor);
+    let mut table = TextTable::new(vec!["tour", "L2 misses", "L2 capacity", "modeled s"]);
+    for (name, tour) in [
+        ("allocation-order (paper)", Tour::AllocationOrder),
+        ("sorted-key", Tour::SortedKey),
+        ("hilbert", Tour::Hilbert),
+        ("morton", Tour::Morton),
+        ("random", Tour::Random(42)),
+    ] {
+        let config = SchedulerConfig::builder()
+            .block_size(machine.l2_config().size() / 2)
+            .tour(tour)
+            .build()
+            .expect("valid config");
+        let (_, r) = simulate(machine.hierarchy(), |space, sim| {
+            let mut data = matmul::MatMulData::new(space, scale.matmul_n, 42);
+            matmul::threaded(&mut data, config, sim)
+        });
+        table.row(vec![
+            name.into(),
+            r.l2.misses().to_string(),
+            r.classes.capacity.to_string(),
+            format!("{:.3}", r.time_on(&machine).total()),
+        ]);
+    }
+    print!("{}", table.render());
+    println!("\nIntra-bin locality dominates; space-filling tours shave the\ninter-bin block reloads; random pays one extra block reload per bin.\n");
+}
+
+/// A pairwise-interaction kernel where both hint orders occur: task
+/// (i, j) reads columns i and j of the same matrix, forked for all
+/// ordered pairs — the situation §2.3's symmetric folding targets.
+fn symmetric_ablation() {
+    println!("Ablation 2: symmetric-hint folding (pairwise column kernel)\n");
+    let machine = scaled(MachineModel::r8000(), 1.0 / 32.0);
+    let n = 96usize;
+    let mut table = TextTable::new(vec!["folding", "bins", "L2 misses", "modeled s"]);
+    for (name, symmetric) in [("off", false), ("on (paper's 50% saving)", true)] {
+        let mut space = AddressSpace::new();
+        let m = TracedMatrix::from_fn(&mut space, n, n, MatrixLayout::ColMajor, |i, j| {
+            (i + j) as f64
+        });
+        let sim = RefCell::new(SimSink::new(machine.hierarchy()));
+        let config = SchedulerConfig::builder()
+            .block_size(machine.l2_config().size() / 2)
+            .symmetric(symmetric)
+            .build()
+            .expect("valid config");
+        let mut sched = ClosureScheduler::new(config);
+        for i in 0..n {
+            for j in 0..n {
+                if i == j {
+                    continue;
+                }
+                let m = &m;
+                let sim = &sim;
+                sched.fork(Hints::two(m.col_addr(i), m.col_addr(j)), move || {
+                    let mut sink = sim.borrow_mut();
+                    let mut acc = 0.0;
+                    for k in 0..m.rows() {
+                        acc += m.get(k, i, &mut *sink) * m.get(k, j, &mut *sink);
+                    }
+                    sink.instructions(4 * m.rows() as u64);
+                    std::hint::black_box(acc);
+                });
+            }
+        }
+        let bins = sched.bins();
+        let threads = sched.pending();
+        sched.run();
+        drop(sched);
+        let mut sim = sim.into_inner();
+        sim.add_threads(threads);
+        let r = sim.finish();
+        table.row(vec![
+            name.into(),
+            bins.to_string(),
+            r.l2.misses().to_string(),
+            format!("{:.3}", r.time_on(&machine).total()),
+        ]);
+    }
+    print!("{}", table.render());
+    println!("\nFolding halves the bin count (same data both orders) and keeps\nthe per-bin working set identical, so misses stay flat or improve.\n");
+}
+
+fn paging_ablation(scale: &ExpScale) {
+    println!("Ablation 3: page mapping under a physically-indexed L2 (threaded SOR)\n");
+    let machine = scaled(MachineModel::r8000(), scale.sor_factor);
+    let mut table = TextTable::new(vec![
+        "mapping",
+        "L2 misses",
+        "L2 conflict",
+        "TLB misses",
+        "modeled s",
+    ]);
+    for (name, policy) in [
+        ("virtual (paper's methodology)", None),
+        ("identity frames", Some(PagePolicy::Identity)),
+        ("random frames", Some(PagePolicy::RandomSeeded(7))),
+        ("bin-hopping frames", Some(PagePolicy::BinHopping)),
+    ] {
+        let hierarchy = match policy {
+            None => machine.hierarchy(),
+            Some(p) => machine.hierarchy_with_paging(p),
+        };
+        let config = block_config(machine.l2_config().size() / 4);
+        let (_, r) = simulate(hierarchy, |space, sim| {
+            let mut data = sor::SorData::new(space, scale.sor_n, 99);
+            sor::threaded(&mut data, scale.sor_t, config, sim)
+        });
+        table.row(vec![
+            name.into(),
+            r.l2.misses().to_string(),
+            r.classes.conflict.to_string(),
+            r.tlb.misses.to_string(),
+            format!("{:.3}", r.time_on(&machine).total()),
+        ]);
+    }
+    print!("{}", table.render());
+    println!("\nThe paper simulated virtual addresses and flagged physical indexing\nas a limitation; random frames perturb conflicts, and the TLB cost\nthe crude model omits becomes visible.\n");
+}
+
+fn hint_dims_ablation(scale: &ExpScale) {
+    println!("Ablation 4: N-body hint dimensionality (one timestep, scaled R8000)\n");
+    let machine = scaled(MachineModel::r8000(), scale.nbody_factor);
+    let mut table = TextTable::new(vec!["hints", "bins", "L2 misses", "L2 capacity"]);
+    for dims in [1usize, 2, 3] {
+        let params = nbody::NBodyParams {
+            hint_dims: dims,
+            ..nbody_params(&machine)
+        };
+        let config = block_config(machine.l2_config().size() / 4);
+        let (report, r) = simulate(machine.hierarchy(), |space, sim| {
+            let mut data = nbody::NBodyData::new(space, scale.nbody_n, 2024);
+            data.shuffle_storage_order(1);
+            nbody::threaded(&mut data, 1, params, config, sim)
+        });
+        table.row(vec![
+            format!("{dims}-D"),
+            report.sched.map_or(0, |s| s.bins()).to_string(),
+            r.l2.misses().to_string(),
+            r.classes.capacity.to_string(),
+        ]);
+    }
+    print!("{}", table.render());
+    println!("\nOne coordinate clusters bodies into slabs; three cluster them into\ncubes — the tighter the spatial cell, the smaller each bin's tree\nworking set.");
+}
+
+/// Capacity of `machine`'s last-level cache.
+fn llc(machine: &MachineModel) -> u64 {
+    machine
+        .hierarchy_config()
+        .l3
+        .map_or_else(|| machine.l2_config().size(), |c| c.size())
+}
+
+/// Untiled (interchanged) or threaded matmul on `machine`, the threaded
+/// version binned by the package default for the last-level cache.
+fn run_matmul(machine: &MachineModel, n: usize, threaded: bool) -> SimReport {
+    simulate(machine.hierarchy(), |space, sim| {
+        let mut data = matmul::MatMulData::new(space, n, 42);
+        if threaded {
+            let config = SchedulerConfig::for_cache(llc(machine), 2).expect("valid config");
+            matmul::threaded(&mut data, config, sim)
+        } else {
+            matmul::interchanged(&mut data, sim)
+        }
+    })
+    .1
+}
+
+fn run_sor(machine: &MachineModel, scale: &ExpScale, threaded: bool) -> SimReport {
+    simulate(machine.hierarchy(), |space, sim| {
+        let mut data = sor::SorData::new(space, scale.sor_n, 99);
+        if threaded {
+            let config = block_config((llc(machine) / 4).next_power_of_two());
+            sor::threaded(&mut data, scale.sor_t, config, sim)
+        } else {
+            sor::untiled(&mut data, scale.sor_t, sim)
+        }
+    })
+    .1
+}
+
+/// `"N.Nx"`: how many times fewer misses `threaded` takes than
+/// `untiled`.
+fn reduction(untiled: u64, threaded: u64) -> String {
+    format!("{:.1}x", untiled as f64 / threaded.max(1) as f64)
+}
+
+/// Prints one untiled-vs-threaded table of last-level misses over
+/// `machines`, with an LLC geometry column when `show_llc`.
+fn llc_table(
+    machines: [&MachineModel; 2],
+    show_llc: bool,
+    run: impl Fn(&MachineModel, bool) -> SimReport,
+) {
+    let mut header = vec!["machine"];
+    if show_llc {
+        header.push("LLC");
+    }
+    header.extend([
+        "untiled LLC misses",
+        "threaded LLC misses",
+        "miss reduction",
+        "modeled speedup",
+    ]);
+    let mut t = TextTable::new(header);
+    for machine in machines {
+        let untiled = run(machine, false);
+        let threaded = run(machine, true);
+        let mut cells = vec![machine.name().to_owned()];
+        if show_llc {
+            let config = machine.hierarchy_config();
+            cells.push(config.l3.unwrap_or(config.l2).to_string());
+        }
+        cells.extend([
+            untiled.llc_misses().to_string(),
+            threaded.llc_misses().to_string(),
+            reduction(untiled.llc_misses(), threaded.llc_misses()),
+            format!(
+                "{:.2}x",
+                untiled.time_on(machine).total() / threaded.time_on(machine).total()
+            ),
+        ]);
+        t.row(cells);
+    }
+    print!("{}", t.render());
+}
+
+/// The `modern` study.
+pub fn modern(scale: &ExpScale) {
+    // Scale the modern machine so the LLC sees the same pressure the
+    // paper's 2 MB L2 saw (ratio preserved via the matmul factor).
+    let full_llc_ratio = (3 * 1024 * 1024 * 8) as f64 / (2u64 << 20) as f64; // paper: 12
+    let data = (3 * scale.matmul_n * scale.matmul_n * 8) as u64;
+    let target_llc = (data as f64 / full_llc_ratio) as u64;
+    let modern_full = MachineModel::modern();
+    let modern = scaled(
+        modern_full.clone(),
+        target_llc as f64 / llc(&modern_full) as f64,
+    );
+    let r8000 = scaled(MachineModel::r8000(), scale.matmul_factor);
+
+    println!(
+        "Locality scheduling, 1996 vs a modern hierarchy (matmul n = {})\n",
+        scale.matmul_n
+    );
+    llc_table([&r8000, &modern], true, |machine, threaded| {
+        run_matmul(machine, scale.matmul_n, threaded)
+    });
+
+    println!("\nSOR (n = {}, t = {}):\n", scale.sor_n, scale.sor_t);
+    let modern_sor = scaled(
+        modern_full.clone(),
+        (scale.sor_n * scale.sor_n * 8) as f64 / 16.0 / llc(&modern_full) as f64,
+    );
+    let r8000_sor = scaled(MachineModel::r8000(), scale.sor_factor);
+    llc_table([&r8000_sor, &modern_sor], false, |machine, threaded| {
+        run_sor(machine, scale, threaded)
+    });
+
+    println!("\nThe miss structure carries over to three levels, and the modeled");
+    println!("gain GROWS: a DRAM miss now forfeits ~1300 instruction slots");
+    println!("(80 ns x 4 GHz x 4-wide) versus ~80 on the 1996 R8000, so saved");
+    println!("misses buy more than they ever did — the paper's closing");
+    println!("prediction (\"latency tolerance techniques ... will become more");
+    println!("important as the performance gap increases\"), quantified.");
+}
+
+/// An R8000 whose L2 is replaced by `l2`.
+fn machine_with_l2(l2: CacheConfig) -> MachineModel {
+    let base = MachineModel::r8000();
+    MachineModel::custom(
+        format!("R8000/L2={l2}"),
+        75e6,
+        1.0,
+        7.0,
+        1060.0,
+        HierarchyConfig::new(base.l1_config(), l2),
+        base.thread_overhead_ns(),
+    )
+}
+
+/// The `sensitivity` study.
+pub fn sensitivity(scale: &ExpScale) {
+    let n = scale.matmul_n;
+    let base_l2 = (3 * n * n * 8 / 12).next_power_of_two() as u64; // data : L2 = 12
+    println!(
+        "Sensitivity of threaded matmul (n = {n}) to L2 geometry; base L2 = {} KiB\n",
+        base_l2 >> 10
+    );
+    // One sweep row: `label` cells, then untiled vs threaded L2 misses
+    // (each followed by its conflict misses when `conflicts`) and the
+    // reduction, on an R8000 with the given L2.
+    let row = |label: Vec<String>, capacity: u64, line: u64, assoc: u32, conflicts: bool| {
+        let machine = machine_with_l2(CacheConfig::new(capacity, line, assoc).expect("geometry"));
+        let untiled = run_matmul(&machine, n, false);
+        let threaded = run_matmul(&machine, n, true);
+        let mut cells = label;
+        for report in [&untiled, &threaded] {
+            cells.push(report.l2.misses().to_string());
+            if conflicts {
+                cells.push(report.classes.conflict.to_string());
+            }
+        }
+        cells.push(reduction(untiled.l2.misses(), threaded.l2.misses()));
+        cells
+    };
+
+    // Associativity sweep at fixed capacity.
+    println!(
+        "L2 associativity (capacity {} KiB, 128 B lines):\n",
+        base_l2 >> 10
+    );
+    let mut t = TextTable::new(vec![
+        "assoc",
+        "untiled misses",
+        "(conflict)",
+        "threaded misses",
+        "(conflict)",
+        "reduction",
+    ]);
+    for assoc in [1u32, 2, 4, 8] {
+        t.row(row(vec![format!("{assoc}-way")], base_l2, 128, assoc, true));
+    }
+    print!("{}", t.render());
+
+    // Line-size sweep at fixed capacity/assoc.
+    println!("\nL2 line size (capacity {} KiB, 4-way):\n", base_l2 >> 10);
+    let mut t = TextTable::new(vec![
+        "line",
+        "untiled misses",
+        "threaded misses",
+        "reduction",
+    ]);
+    for line in [32u64, 64, 128, 256] {
+        t.row(row(vec![format!("{line}B")], base_l2, line, 4, false));
+    }
+    print!("{}", t.render());
+
+    // Capacity sweep at fixed line/assoc: threading's benefit shrinks
+    // as the cache approaches the data size.
+    println!("\nL2 capacity (4-way, 128 B lines):\n");
+    let mut t = TextTable::new(vec![
+        "capacity",
+        "data:L2",
+        "untiled misses",
+        "threaded misses",
+        "reduction",
+    ]);
+    for shift in [-1i32, 0, 1, 2, 3] {
+        let capacity = if shift < 0 {
+            base_l2 >> (-shift)
+        } else {
+            base_l2 << shift
+        };
+        let label = vec![
+            format!("{}K", capacity >> 10),
+            format!("{:.1}", (3 * n * n * 8) as f64 / capacity as f64),
+        ];
+        t.row(row(label, capacity, 128, 4, false));
+    }
+    print!("{}", t.render());
+    println!("\nOnce the whole data set fits the L2, everyone's misses collapse to");
+    println!("compulsory and scheduling stops mattering — locality scheduling is a");
+    println!("capacity-miss technique, exactly as the paper frames it.");
+}

@@ -1,22 +1,26 @@
-//! Golden smoke tests: run the table/figure binaries end to end at
-//! `--smoke` scale and snapshot the *shape* of their output — row and
-//! column counts and numeric sanity — without pinning host-dependent
-//! timing values.
+//! Golden smoke tests: run `repro` end to end at `--smoke` scale and
+//! snapshot the *shape* of its output — row and column counts and
+//! numeric sanity — without pinning host-dependent timing values; plus
+//! the exit codes a CI gate relies on.
 
 use std::process::Command;
 
-fn run_smoke(bin: &str) -> String {
-    let output = Command::new(bin)
-        .arg("--smoke")
+fn repro() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+}
+
+fn run_smoke(experiment: &str) -> String {
+    let output = repro()
+        .args([experiment, "--smoke"])
         .output()
-        .unwrap_or_else(|err| panic!("spawning {bin}: {err}"));
+        .unwrap_or_else(|err| panic!("spawning repro {experiment}: {err}"));
     assert!(
         output.status.success(),
-        "{bin} --smoke failed: {}\n{}",
+        "repro {experiment} --smoke failed: {}\n{}",
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
-    String::from_utf8(output.stdout).expect("binaries emit UTF-8")
+    String::from_utf8(output.stdout).expect("repro emits UTF-8")
 }
 
 /// Every whitespace-separated numeric token in `line` after the first
@@ -36,7 +40,7 @@ fn finite_numbers(line: &str, skip: usize) -> Vec<f64> {
 
 #[test]
 fn table1_smoke_output_has_the_papers_shape() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_table1"));
+    let stdout = run_smoke("table1");
     assert!(
         stdout.contains("Table 1: thread overhead"),
         "missing title:\n{stdout}"
@@ -67,7 +71,7 @@ fn table1_smoke_output_has_the_papers_shape() {
 
 #[test]
 fn figure4_smoke_output_has_the_papers_shape() {
-    let stdout = run_smoke(env!("CARGO_BIN_EXE_figure4"));
+    let stdout = run_smoke("figure4");
     assert!(
         stdout.contains("Figure 4: execution time vs block dimension size"),
         "missing title:\n{stdout}"
@@ -108,4 +112,65 @@ fn figure4_smoke_output_has_the_papers_shape() {
             .unwrap_or_else(|| panic!("missing sparkline for {series}:\n{stdout}"));
         assert!(spark.contains("(min") && spark.contains("max"), "{spark:?}");
     }
+}
+
+/// A study run through `repro` prints exactly what its former binary
+/// printed, framed like every other experiment: `repro`'s two-line
+/// scale header before it and one blank line after it.
+#[test]
+fn studies_print_between_the_harness_header_and_a_blank_line() {
+    let stdout = run_smoke("modern");
+    let body = stdout
+        .strip_prefix(
+            "thread-locality reproduction harness \
+             (scale: matmul n=96, pde n=257, sor n=251, nbody n=2000)\n\n",
+        )
+        .unwrap_or_else(|| panic!("missing scale header:\n{stdout}"));
+    assert!(
+        body.starts_with("Locality scheduling, 1996 vs a modern hierarchy (matmul n = 96)\n"),
+        "{body}"
+    );
+    assert!(
+        body.ends_with("performance gap increases\"), quantified.\n\n")
+            && !body.ends_with("\n\n\n"),
+        "{body}"
+    );
+}
+
+/// Usage errors exit 2 with a usage line naming the registry, and run
+/// nothing.
+#[test]
+fn usage_errors_exit_2() {
+    for args in [
+        &["tabel1", "--smoke"][..],
+        &["table1", "--smok"],
+        &["simbench", "--shards"],
+    ] {
+        let output = repro().args(args).output().expect("spawning repro");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("usage: repro [all|table1|"), "{stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+/// An artifact that cannot be written fails the run, so a gate can
+/// never go on to diff a stale file.
+#[test]
+fn failed_artifact_write_exits_1() {
+    let dir = std::env::temp_dir().join(format!("repro-unwritable-{}", std::process::id()));
+    // A directory squatting on the artifact's name makes the write fail.
+    std::fs::create_dir_all(dir.join("ANALYZE_smoke.json")).expect("scratch dir");
+    let output = repro()
+        .arg("analyze")
+        .current_dir(&dir)
+        .output()
+        .expect("spawning repro");
+    std::fs::remove_dir_all(&dir).expect("scratch dir cleanup");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("could not write ANALYZE_smoke.json"),
+        "{stderr}"
+    );
 }

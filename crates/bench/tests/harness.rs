@@ -1,8 +1,13 @@
 //! Tests of the reproduction harness itself: the paper constants are
 //! internally consistent, the suites produce the expected version
-//! lists, and the smoke-scale experiments have the paper's shape.
+//! lists, the smoke-scale experiments have the paper's shape, and the
+//! registry and the command line over it agree.
 
-use repro::{experiments, paper, ExpScale};
+use repro::experiments::{self, Driver};
+use repro::registry::{Ctx, Experiment, Run, REGISTRY};
+use repro::simbench::DEFAULT_SHARDS;
+use repro::{cli, paper, ExpScale};
+use workloads::Kernel;
 
 #[test]
 fn paper_constants_are_internally_consistent() {
@@ -20,18 +25,10 @@ fn paper_constants_are_internally_consistent() {
     assert!(paper::table1::TOTAL_US.0 < 2.0 * paper::table1::L2_MISS_US.0);
 
     // Miss tables: compulsory + capacity + conflict == misses.
-    let check3 = |rows: &[(&str, u64, u64, u64)]| {
-        let get = |name: &str, col: usize| {
-            rows.iter()
-                .find(|r| r.0 == name)
-                .map(|r| match col {
-                    0 => r.1,
-                    1 => r.2,
-                    _ => r.3,
-                })
-                .expect("row exists")
-        };
-        for col in 0..3 {
+    let check = |rows: &[(&str, &[u64])]| {
+        let get =
+            |name: &str, col: usize| rows.iter().find(|r| r.0 == name).expect("row exists").1[col];
+        for col in 0..rows[0].1.len() {
             let total = get("L2 misses", col);
             let parts =
                 get("L2 compulsory", col) + get("L2 capacity", col) + get("L2 conflict", col);
@@ -42,9 +39,10 @@ fn paper_constants_are_internally_consistent() {
             );
         }
     };
-    check3(&paper::table3::ROWS[..7]);
-    check3(&paper::table5::ROWS);
-    check3(&paper::table7::ROWS);
+    check(&paper::table3::ROWS);
+    check(&paper::table5::ROWS);
+    check(&paper::table7::ROWS);
+    check(&paper::table9::ROWS);
 
     // Timing tables: every version has positive times on both machines.
     for rows in [
@@ -62,7 +60,8 @@ fn paper_constants_are_internally_consistent() {
 fn suites_produce_the_papers_version_lists() {
     let scale = ExpScale::smoke();
     let (r8000, _) = experiments::machines(scale.matmul_factor);
-    let names: Vec<String> = experiments::matmul_suite(&scale, &r8000)
+    let cells = experiments::matmul_cells(&scale, &r8000);
+    let names: Vec<String> = experiments::run_cells(cells, Driver::Sequential)
         .into_iter()
         .map(|(name, _)| name)
         .collect();
@@ -82,9 +81,14 @@ fn suites_produce_the_papers_version_lists() {
 fn smoke_scale_tables_have_the_papers_shape() {
     let scale = ExpScale::smoke();
 
-    // Table 3 shape: untiled >> threaded >= tiled-ish on L2 misses.
-    let rows = repro::table3(&scale);
+    // Table 3 shape: untiled >> threaded >= tiled-ish on L2 misses,
+    // in exactly the paper's three columns.
+    let versions = &paper::table3::VERSIONS;
+    let rows = experiments::miss_rows(Kernel::MatMul, &scale, versions, Driver::default());
     assert_eq!(rows.len(), 3);
+    for (row, version) in rows.iter().zip(versions) {
+        assert_eq!(row.version, *version);
+    }
     let untiled = &rows[0].report;
     let tiled = &rows[1].report;
     let threaded = &rows[2].report;
@@ -96,7 +100,8 @@ fn smoke_scale_tables_have_the_papers_shape() {
     // (At smoke scale the tiled version's O(n·s) band no longer fits
     // the over-shrunk L2, so its reduction is weaker than at default
     // scale — see the scaling_consistency tests.)
-    let rows = repro::table7(&scale);
+    let rows = experiments::miss_rows(Kernel::Sor, &scale, &[], Driver::default());
+    assert_eq!(rows.len(), 3);
     let untiled = &rows[0].report;
     let tiled = &rows[1].report;
     let threaded = &rows[2].report;
@@ -104,7 +109,7 @@ fn smoke_scale_tables_have_the_papers_shape() {
     assert!(untiled.classes.capacity > 10 * threaded.classes.capacity.max(1));
 
     // Figure 4 shape: oversized blocks degrade matmul.
-    let fig = repro::figure4(&scale);
+    let fig = experiments::figure4(&scale, Driver::default());
     let matmul_series = &fig
         .series
         .iter()
@@ -120,24 +125,109 @@ fn smoke_scale_tables_have_the_papers_shape() {
 }
 
 #[test]
-fn scale_flags_select_presets() {
-    use repro::scale::scale_from_args;
-    let default = scale_from_args(Vec::<String>::new());
-    assert_eq!(default.matmul_n, ExpScale::default_scaled().matmul_n);
-    let full = scale_from_args(vec!["--full".to_owned()]);
-    assert_eq!(full.matmul_n, 1024);
-    let smoke = scale_from_args(vec!["x".to_owned(), "--smoke".to_owned()]);
-    assert_eq!(smoke.matmul_n, ExpScale::smoke().matmul_n);
-}
-
-#[test]
 fn table1_thread_overhead_is_far_below_a_paper_l2_miss() {
     // The package's economics on a modern host: forking+running a
     // thread costs well under the paper's 1.06 µs L2 miss.
-    let result = repro::table1(50_000);
+    let result = experiments::table1(50_000);
     assert!(
         result.total_ns() < 1060.0,
         "thread overhead {} ns",
         result.total_ns()
+    );
+}
+
+/// The registry is well-formed: names are unique, the usage line lists
+/// exactly the registry, and every entry `all` runs completes at
+/// `--smoke`, its artifact payload a document the parser reads. (The
+/// serving trace is cut from 100k to 3k requests: unoptimized, the full
+/// smoke trace alone takes two minutes.)
+#[test]
+fn registry_is_consistent_and_runs_at_smoke() {
+    for (i, experiment) in REGISTRY.iter().enumerate() {
+        assert!(
+            REGISTRY[..i].iter().all(|e| e.name != experiment.name),
+            "duplicate experiment name {}",
+            experiment.name
+        );
+    }
+
+    let usage = cli::usage();
+    let listed = usage
+        .split_once('[')
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("bracketed name list")
+        .0;
+    let mut expected = vec!["all"];
+    expected.extend(REGISTRY.iter().map(|experiment| experiment.name));
+    assert_eq!(listed.split('|').collect::<Vec<_>>(), expected);
+
+    let ctx = Ctx {
+        scale: ExpScale {
+            serve_requests: 3_000,
+            ..ExpScale::smoke()
+        },
+        shards: DEFAULT_SHARDS,
+    };
+    for experiment in REGISTRY.iter().filter(|e| e.in_all) {
+        let fail = |err: String| -> ! { panic!("{}: {err}", experiment.name) };
+        match experiment.run {
+            Run::Print(run) => run(&ctx).unwrap_or_else(|err| fail(err)),
+            Run::Artifact(_, run) => {
+                let json = run(&ctx).unwrap_or_else(|err| fail(err));
+                probe::json::Json::parse(&json).unwrap_or_else(|err| fail(err));
+            }
+        }
+    }
+}
+
+fn parse(args: &[&str]) -> Result<(Ctx, Vec<&'static Experiment>), String> {
+    cli::parse(args.iter().map(|arg| (*arg).to_owned()))
+}
+
+#[test]
+fn scale_and_shard_flags_are_processed_in_order() {
+    let scale = |args: &[&str]| parse(args).expect("valid arguments").0.scale;
+    assert_eq!(scale(&[]), ExpScale::default_scaled());
+    assert_eq!(scale(&["--full"]), ExpScale::full());
+    assert_eq!(scale(&["table2", "--smoke"]), ExpScale::smoke());
+    assert_eq!(scale(&["--smoke", "--full"]), ExpScale::full());
+
+    let shards = |args: &[&str]| parse(args).map(|(ctx, _)| ctx.shards);
+    assert_eq!(shards(&["--smoke"]), Ok(DEFAULT_SHARDS));
+    assert_eq!(shards(&["--shards", "8"]), Ok(8));
+    assert_eq!(shards(&["--shards=2"]), Ok(2));
+    for bad in [&["--shards", "nope"][..], &["--shards"], &["--shards="]] {
+        assert_eq!(shards(bad), Err("--shards needs a count".to_owned()));
+    }
+}
+
+#[test]
+fn names_select_experiments_in_the_order_given() {
+    let names = |args: &[&str]| -> Vec<&str> {
+        let (_, wanted) = parse(args).expect("valid arguments");
+        wanted.iter().map(|experiment| experiment.name).collect()
+    };
+    assert_eq!(names(&["table9", "table2"]), ["table9", "table2"]);
+    assert_eq!(names(&["ablation", "steal"]), ["ablation", "steal"]);
+    let all: Vec<&str> = REGISTRY
+        .iter()
+        .filter(|e| e.in_all)
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(names(&[]), all);
+    assert_eq!(names(&["table2", "all"]), all);
+    assert_eq!(names(&["table2", "--analyze"]), ["table2", "analyze"]);
+    assert_eq!(names(&["analyze", "--analyze"]), ["analyze"]);
+}
+
+#[test]
+fn unknown_names_and_flags_are_errors() {
+    assert_eq!(
+        parse(&["tabel1", "--smoke"]).err(),
+        Some("unknown experiment: tabel1".to_owned())
+    );
+    assert_eq!(
+        parse(&["table1", "--smok"]).err(),
+        Some("unknown flag: --smok".to_owned())
     );
 }

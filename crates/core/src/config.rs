@@ -433,8 +433,14 @@ impl fmt::Display for SchedulerConfig {
     }
 }
 
-fn prev_power_of_two(x: u64) -> u64 {
-    debug_assert!(x > 0);
+/// Largest power of two ≤ `x` — how every cache budget in the
+/// workspace rounds down to a block size.
+///
+/// # Panics
+///
+/// If `x` is zero.
+pub fn prev_power_of_two(x: u64) -> u64 {
+    assert!(x > 0, "no power of two is <= 0");
     1 << (63 - x.leading_zeros())
 }
 

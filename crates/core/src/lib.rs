@@ -83,7 +83,8 @@ mod tour;
 pub use baseline::{FifoScheduler, RandomScheduler};
 pub use closure::ClosureScheduler;
 pub use config::{
-    ConfigError, EvictionPolicy, SchedulerConfig, SchedulerConfigBuilder, StealPolicy,
+    prev_power_of_two, ConfigError, EvictionPolicy, SchedulerConfig, SchedulerConfigBuilder,
+    StealPolicy,
 };
 pub use engine::PACKAGE_TRACE_BASE;
 pub use hint::{Hints, MAX_DIMS};

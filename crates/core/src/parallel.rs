@@ -62,7 +62,6 @@ use crate::table::BinId;
 use crate::{Hints, SchedulerConfig};
 use memtrace::{SchedEvent, ScheduleLog};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -175,43 +174,38 @@ impl ParRunReport {
     /// Serializes the report as a single-line JSON object with
     /// aggregate fields and a `per_worker` array.
     pub fn to_json(&self) -> String {
-        let mut json = format!(
-            "{{\"policy\":\"{}\",\"workers\":{},\"threads_run\":{},\"bins_visited\":{},\
-             \"steals_attempted\":{},\"steals_succeeded\":{},\"makespan_ns\":{},\
-             \"per_worker\":[",
-            self.policy,
-            self.workers,
-            self.run.threads_run,
-            self.run.bins_visited,
-            self.stats.steals_attempted(),
-            self.stats.steals_succeeded(),
-            self.stats.makespan_ns(),
-        );
-        for (i, w) in self.stats.workers().iter().enumerate() {
-            if i > 0 {
-                json.push(',');
+        probe::json::write(|w| self.write_json(w))
+    }
+
+    /// Writes the report as the next value of `w`.
+    pub fn write_json(&self, w: &mut probe::json::Writer) {
+        w.object(|w| {
+            w.key("policy").string(&self.policy.to_string());
+            w.key("workers").uint(self.workers as u64);
+            w.key("threads_run").uint(self.run.threads_run);
+            w.key("bins_visited").uint(self.run.bins_visited as u64);
+            w.key("steals_attempted")
+                .uint(self.stats.steals_attempted());
+            w.key("steals_succeeded")
+                .uint(self.stats.steals_succeeded());
+            w.key("makespan_ns").uint(self.stats.makespan_ns());
+            w.key("per_worker").array(|w| {
+                for (i, worker) in self.stats.workers().iter().enumerate() {
+                    w.object(|w| {
+                        w.key("worker").uint(i as u64);
+                        w.key("bins_executed").uint(worker.bins_executed);
+                        w.key("threads_executed").uint(worker.threads_executed);
+                        w.key("steals_attempted").uint(worker.steals_attempted);
+                        w.key("steals_succeeded").uint(worker.steals_succeeded);
+                        w.key("busy_ns").uint(worker.busy_ns);
+                        w.key("parked_ns").uint(worker.parked_ns);
+                    });
+                }
+            });
+            if probe::enabled() && !self.profile.is_empty() {
+                self.profile.write_json(w.key("run_profile"));
             }
-            write!(
-                json,
-                "{{\"worker\":{i},\"bins_executed\":{},\"threads_executed\":{},\
-                 \"steals_attempted\":{},\"steals_succeeded\":{},\"busy_ns\":{},\
-                 \"parked_ns\":{}}}",
-                w.bins_executed,
-                w.threads_executed,
-                w.steals_attempted,
-                w.steals_succeeded,
-                w.busy_ns,
-                w.parked_ns,
-            )
-            .expect("writing to String cannot fail");
-        }
-        json.push(']');
-        if probe::enabled() && !self.profile.is_empty() {
-            write!(json, ",\"run_profile\":{}", self.profile.to_json())
-                .expect("writing to String cannot fail");
-        }
-        json.push('}');
-        json
+        });
     }
 }
 

@@ -32,7 +32,9 @@
 //! Collected metrics flush into a [`RunProfile`] — an ordered list of
 //! named [`Section`]s, serialized as one JSON object — which the
 //! workspace's report types embed under a `"run_profile"` key when
-//! [`enabled()`] is true. `RunProfile` and `Section` are *not* feature
+//! [`enabled()`] is true. Every report in the workspace serializes
+//! through the one writer in [`json`], which also holds the parser
+//! `benchdiff` reads reports back with. `RunProfile` and `Section` are *not* feature
 //! gated: they are cold-path containers, and keeping them functional in
 //! both modes lets report code build profiles unconditionally and gate
 //! only the embedding.
@@ -58,6 +60,7 @@
 //! }
 //! ```
 
+pub mod json;
 mod metrics;
 mod profile;
 

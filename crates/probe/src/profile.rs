@@ -7,8 +7,7 @@
 //! modes lets report code assemble profiles unconditionally and gate
 //! only the embedding on [`enabled`](crate::enabled).
 
-use crate::{Distribution, HistogramSnapshot};
-use std::fmt::Write as _;
+use crate::{json, Distribution, HistogramSnapshot};
 
 /// One named metric inside a [`Section`].
 #[derive(Clone, Debug, PartialEq)]
@@ -87,51 +86,37 @@ impl Section {
     /// Serializes the section body as one JSON object (without the
     /// surrounding `"name":` key).
     pub fn to_json(&self) -> String {
-        let mut json = String::from("{");
-        for (i, (name, metric)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
+        json::write(|w| self.write_json(w))
+    }
+
+    /// Writes the section body as the next value of `w`.
+    pub fn write_json(&self, w: &mut json::Writer) {
+        w.object(|w| {
+            for (name, metric) in &self.metrics {
+                w.key(name);
+                match metric {
+                    Metric::Counter(v) => w.uint(*v),
+                    Metric::Gauge(v) => w.float(*v, 3),
+                    Metric::Histogram(h) => w.object(|w| {
+                        w.key("count").uint(h.count);
+                        w.key("sum").uint(h.sum);
+                        w.key("min").uint(h.min);
+                        w.key("max").uint(h.max);
+                        w.key("mean").float(h.mean(), 1);
+                        w.key("p50").uint(h.quantile(0.5));
+                        w.key("p90").uint(h.quantile(0.9));
+                        w.key("p99").uint(h.quantile(0.99));
+                        w.key("buckets").array(|w| {
+                            for &(upper, count) in &h.buckets {
+                                w.array(|w| {
+                                    w.uint(upper).uint(count);
+                                });
+                            }
+                        });
+                    }),
+                };
             }
-            write!(json, "\"{name}\":").expect("writing to String cannot fail");
-            match metric {
-                Metric::Counter(v) => {
-                    write!(json, "{v}").expect("writing to String cannot fail");
-                }
-                Metric::Gauge(v) => {
-                    // JSON has no NaN/Inf; clamp to null.
-                    if v.is_finite() {
-                        write!(json, "{v:.3}").expect("writing to String cannot fail");
-                    } else {
-                        json.push_str("null");
-                    }
-                }
-                Metric::Histogram(h) => {
-                    write!(
-                        json,
-                        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.1},\
-                         \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-                        h.count,
-                        h.sum,
-                        h.min,
-                        h.max,
-                        h.mean(),
-                        h.quantile(0.5),
-                        h.quantile(0.9),
-                        h.quantile(0.99),
-                    )
-                    .expect("writing to String cannot fail");
-                    for (j, (upper, count)) in h.buckets.iter().enumerate() {
-                        if j > 0 {
-                            json.push(',');
-                        }
-                        write!(json, "[{upper},{count}]").expect("writing to String cannot fail");
-                    }
-                    json.push_str("]}");
-                }
-            }
-        }
-        json.push('}');
-        json
+        });
     }
 }
 
@@ -177,16 +162,16 @@ impl RunProfile {
 
     /// Serializes the profile as one JSON object keyed by section name.
     pub fn to_json(&self) -> String {
-        let mut json = String::from("{");
-        for (i, section) in self.sections.iter().enumerate() {
-            if i > 0 {
-                json.push(',');
+        json::write(|w| self.write_json(w))
+    }
+
+    /// Writes the profile as the next value of `w`.
+    pub fn write_json(&self, w: &mut json::Writer) {
+        w.object(|w| {
+            for section in &self.sections {
+                section.write_json(w.key(&section.name));
             }
-            write!(json, "\"{}\":{}", section.name, section.to_json())
-                .expect("writing to String cannot fail");
-        }
-        json.push('}');
-        json
+        });
     }
 }
 
@@ -252,6 +237,19 @@ mod tests {
             merged.push(section.renamed(name));
         }
         assert_eq!(merged.to_json(), "{\"matmul.l1\":{\"hits\":9}}");
+    }
+
+    #[test]
+    fn hostile_section_and_metric_names_parse_back() {
+        let hostile = "l\"1\\\nx";
+        let mut section = Section::new(hostile);
+        section.counter(hostile, 7).gauge("inf", f64::INFINITY);
+        let mut profile = RunProfile::new();
+        profile.push(section);
+        let doc = json::Json::parse(&profile.to_json()).expect("valid JSON");
+        let body = doc.get(hostile).expect("section keyed by its raw name");
+        assert_eq!(body.get(hostile), Some(&json::Json::Num(7.0)));
+        assert_eq!(body.get("inf"), Some(&json::Json::Null));
     }
 
     #[test]

@@ -30,8 +30,8 @@ use crate::metrics::{percentile, ServeReport};
 use crate::trace::Request;
 use cachesim::{MachineModel, SimReport, SimSink};
 use locality_sched::{
-    BinPolicy, EvictionPolicy, Hierarchical, PaperBlockHash, RunMode, Scheduler, SchedulerConfig,
-    SingleBin, TopologyPolicy, UniqueBin,
+    prev_power_of_two, BinPolicy, EvictionPolicy, Hierarchical, PaperBlockHash, RunMode, Scheduler,
+    SchedulerConfig, SingleBin, TopologyPolicy, UniqueBin,
 };
 use memtrace::{Access, TraceSink};
 use std::collections::VecDeque;
@@ -364,7 +364,7 @@ fn serve_ladder(machine: &MachineModel) -> Result<Vec<u64>, ServeError> {
     let caps = machine.topology().capacities();
     let depth = caps.len();
     let mut blocks = vec![0u64; depth];
-    blocks[depth - 1] = prev_power_of_two(caps[depth - 1] / 2);
+    blocks[depth - 1] = prev_power_of_two((caps[depth - 1] / 2).max(1));
     if blocks[depth - 1] < 2 {
         return Err(ServeError::new(format!(
             "machine '{}' has coarsest capacity {} — the {}-byte serving parent block cannot \
@@ -375,7 +375,7 @@ fn serve_ladder(machine: &MachineModel) -> Result<Vec<u64>, ServeError> {
         )));
     }
     for level in (0..depth - 1).rev() {
-        let budget = caps[level].min((caps[level + 1] / 8).max(1));
+        let budget = caps[level].min(caps[level + 1] / 8).max(1);
         blocks[level] = prev_power_of_two(budget).min(blocks[level + 1] / 2);
     }
     Ok(blocks)
@@ -387,13 +387,6 @@ fn serve_ladder(machine: &MachineModel) -> Result<Vec<u64>, ServeError> {
 fn serve_blocks(machine: &MachineModel) -> Result<(u64, u64), ServeError> {
     let ladder = serve_ladder(machine)?;
     Ok((ladder[0], ladder[ladder.len().min(2) - 1]))
-}
-
-fn prev_power_of_two(value: u64) -> u64 {
-    match value {
-        0 => 1,
-        v => 1 << (63 - v.leading_zeros()),
-    }
 }
 
 /// Streams `trace` through the online engine under `policy` on

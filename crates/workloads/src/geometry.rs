@@ -24,7 +24,9 @@
 //! inside their parents at every depth.
 
 use cachesim::{MachineModel, MAX_TOPOLOGY_LEVELS};
-use locality_sched::{ConfigError, Hierarchical, SchedulerConfig, TopologyPolicy};
+use locality_sched::{
+    prev_power_of_two, ConfigError, Hierarchical, SchedulerConfig, TopologyPolicy,
+};
 
 /// The four threaded kernels whose bin sizes derive from the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -123,12 +125,6 @@ impl Kernel {
         }
         .max(1)
     }
-}
-
-/// Largest power of two ≤ `x` (with `x ≥ 1`).
-fn prev_power_of_two(x: u64) -> u64 {
-    debug_assert!(x > 0);
-    1 << (63 - x.leading_zeros())
 }
 
 /// The per-level cache capacities a machine offers each bin level,
@@ -276,6 +272,18 @@ mod tests {
         let g = BinGeometry::two_level(1 << 20, 1 << 20);
         for k in [Kernel::MatMul, Kernel::Pde, Kernel::Sor, Kernel::NBody] {
             assert!(g.l1_block(k) <= g.l2_block(k), "{k:?}");
+        }
+    }
+
+    #[test]
+    fn tiny_levels_still_yield_valid_blocks() {
+        // A 1–3 byte level's 1/2–1/4 share is zero; the share clamps
+        // to one byte instead of asking for a power of two below zero.
+        for capacity in 1..=3 {
+            let g = BinGeometry::two_level(capacity, capacity);
+            for k in Kernel::ALL {
+                assert_eq!(g.level_blocks(k), vec![1, 1], "{k:?} at {capacity} B");
+            }
         }
     }
 
