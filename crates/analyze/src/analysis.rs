@@ -3,12 +3,9 @@
 use crate::capture::{Capture, DrainConcurrency, PhaseModel};
 use crate::conflict::{conflict_pairs, ConflictPair};
 use crate::hb::{stealing_log, HbIndex, ObligationKind, OrderObligation};
-use crate::policies::{
-    assign_bins, dispatch_trace, paper_policy, single_policy, unique_policy, BinAssignment,
-    PolicyKind,
-};
+use crate::policies::{assign_bins, dispatch_trace, BinAssignment, PolicyKind};
 use crate::{Finding, Severity};
-use locality_sched::BinPolicy;
+use locality_sched::{BinPolicy, PaperBlockHash};
 use memtrace::{ThreadFootprint, WORD_BYTES};
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::{HintKind, OrderSemantics};
@@ -138,7 +135,7 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
         .iter()
         .map(|k| PolicyCheck {
             policy: k.name(),
-            checked: !(*k == PolicyKind::Hierarchical && capture.hierarchical.is_none()),
+            checked: k.policy(capture).is_some(),
             violations: 0,
             reordered: 0,
             steal_unsafe: 0,
@@ -162,33 +159,15 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
         threads += phase.threads() as u64;
         let conflicts = conflict_pairs(&phase.footprints);
         total_conflicts += conflicts.len() as u64;
-        let paper_bins = assign_bins(paper_policy(&capture.config), &phase.hints);
+        let paper_bins = assign_bins(PaperBlockHash::from_config(&capture.config), &phase.hints);
         bins += paper_bins.fine_bins as u64;
 
         for (check, kind) in checks.iter_mut().zip(PolicyKind::ALL.iter()) {
-            if !check.checked {
+            let Some(policy) = kind.policy(capture) else {
                 continue;
-            }
-            let assignment = match kind {
-                PolicyKind::Paper => paper_bins.clone(),
-                PolicyKind::Hierarchical => {
-                    assign_bins(capture.hierarchical.expect("checked above"), &phase.hints)
-                }
-                PolicyKind::Single => assign_bins(single_policy(), &phase.hints),
-                PolicyKind::Unique => assign_bins(unique_policy(), &phase.hints),
             };
-            let trace = match kind {
-                PolicyKind::Paper => {
-                    dispatch_trace(capture.config, paper_policy(&capture.config), &phase.hints)
-                }
-                PolicyKind::Hierarchical => dispatch_trace(
-                    capture.config,
-                    capture.hierarchical.expect("checked above"),
-                    &phase.hints,
-                ),
-                PolicyKind::Single => dispatch_trace(capture.config, single_policy(), &phase.hints),
-                PolicyKind::Unique => dispatch_trace(capture.config, unique_policy(), &phase.hints),
-            };
+            let assignment = assign_bins(policy, &phase.hints);
+            let trace = dispatch_trace(capture.config, policy, &phase.hints);
             // Two happens-before indices per policy: the serial drain's
             // real event stream (totally ordered — decides fork-order
             // obligations), and the modeled stealing drain (only

@@ -6,14 +6,15 @@
 //! `thread_begin` events as the drain proceeds), while hints arrive in
 //! *fork* order. The two are related by the capture policy's dispatch
 //! permutation, which [`PhaseModel::from_trace`] recovers by mirror
-//! replay ([`dispatch_order`]) and inverts — after that, footprint `i`
+//! replay ([`dispatch_trace`]) and inverts — after that, footprint `i`
 //! belongs to the `i`-th forked thread, and any *other* policy's
 //! permutation can be checked against the same data.
 
-use crate::policies::{dispatch_order, paper_policy};
+use crate::policies::dispatch_trace;
 use cachesim::MachineModel;
 use locality_sched::{
-    Hierarchical, Hints, SchedulerConfig, TopologyPolicy, MAX_DIMS, PACKAGE_TRACE_BASE,
+    Hierarchical, Hints, PaperBlockHash, SchedulerConfig, TopologyPolicy, MAX_DIMS,
+    PACKAGE_TRACE_BASE,
 };
 use memtrace::{Addr, AddressSpace, FootprintSink, PhaseTrace, ThreadFootprint};
 use workloads::{matmul, nbody, pde, sor, BinGeometry, HintKind, Kernel, OrderSemantics};
@@ -95,7 +96,7 @@ impl PhaseModel {
             trace.dispatches.len(),
         );
         let hints: Vec<Hints> = trace.hints.iter().map(|h| rebuild_hints(h)).collect();
-        let order = dispatch_order(*config, paper_policy(config), &hints);
+        let order = dispatch_trace(*config, PaperBlockHash::from_config(config), &hints).order;
         let mut footprints = vec![ThreadFootprint::new(); hints.len()];
         for (k, fp) in trace.dispatches.into_iter().enumerate() {
             footprints[order[k]] = fp;
@@ -176,7 +177,7 @@ pub struct Capture {
 pub fn capture_kernel(kernel: Kernel, machine: &MachineModel, scale: &AnalyzeScale) -> Capture {
     let geometry = BinGeometry::for_machine(machine);
     let config = geometry.flat_config(kernel);
-    let policy = paper_policy(&config);
+    let policy = PaperBlockHash::from_config(&config);
     let mut sink = FootprintSink::ignoring_at_or_above(Addr::new(PACKAGE_TRACE_BASE));
     let mut space = AddressSpace::new();
     match kernel {
@@ -275,7 +276,10 @@ mod tests {
         assert_eq!(capture.phases.len(), 1);
         let phase = &capture.phases[0];
         assert_eq!(phase.threads(), 32 * 32);
-        let bins = crate::policies::assign_bins(paper_policy(&capture.config), &phase.hints);
+        let bins = crate::policies::assign_bins(
+            PaperBlockHash::from_config(&capture.config),
+            &phase.hints,
+        );
         assert!(bins.fine_bins > 1, "expected multiple bins");
     }
 }

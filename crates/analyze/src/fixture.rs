@@ -276,7 +276,7 @@ mod tests {
         let capture = Fixture::FalseSharing.capture();
         let phase = &capture.phases[0];
         let bins = crate::policies::assign_bins(
-            crate::policies::paper_policy(&capture.config),
+            locality_sched::PaperBlockHash::from_config(&capture.config),
             &phase.hints,
         );
         assert_eq!(bins.fine_bins, 2);

@@ -38,8 +38,8 @@
 
 use crate::capture::Capture;
 use crate::conflict::{conflict_pairs, ConflictPair};
-use crate::policies::{assign_bins, dispatch_trace, paper_policy, single_policy, unique_policy};
-use locality_sched::BinPolicy;
+use crate::policies::{assign_bins, dispatch_trace, PolicyKind};
+use locality_sched::AnyPolicy;
 use memtrace::{SchedEvent, ScheduleLog, ThreadFootprint, WORD_BYTES};
 use std::collections::BTreeSet;
 use workloads::OrderSemantics;
@@ -349,7 +349,7 @@ pub struct HbReport {
 }
 
 /// Builds one certificate row for `capture` under `policy`.
-fn policy_row<P: BinPolicy + Copy>(capture: &Capture, name: &str, policy: P) -> HbRow {
+fn policy_row(capture: &Capture, name: &str, policy: AnyPolicy) -> HbRow {
     let exact = capture.semantics == OrderSemantics::Exact;
     let mut row = HbRow {
         workload: format!("{}/{}", capture.workload, name),
@@ -473,21 +473,18 @@ pub fn hb_report(machine: &str, captures: &[Capture]) -> HbReport {
         shard_rows: Vec::new(),
     };
     for capture in captures {
-        report
-            .rows
-            .push(policy_row(capture, "paper", paper_policy(&capture.config)));
-        if let Some(h) = capture.hierarchical {
-            report.rows.push(policy_row(capture, "hierarchical", h));
+        let policies = [
+            ("paper", PolicyKind::Paper.policy(capture)),
+            ("hierarchical", PolicyKind::Hierarchical.policy(capture)),
+            ("topology", capture.topology.map(AnyPolicy::Ladder)),
+            ("single", PolicyKind::Single.policy(capture)),
+            ("unique", PolicyKind::Unique.policy(capture)),
+        ];
+        for (name, policy) in policies {
+            if let Some(policy) = policy {
+                report.rows.push(policy_row(capture, name, policy));
+            }
         }
-        if let Some(t) = capture.topology {
-            report.rows.push(policy_row(capture, "topology", t));
-        }
-        report
-            .rows
-            .push(policy_row(capture, "single", single_policy()));
-        report
-            .rows
-            .push(policy_row(capture, "unique", unique_policy()));
         for shards in [2, 4] {
             report.shard_rows.push(shard_certificate(capture, shards));
         }

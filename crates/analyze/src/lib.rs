@@ -51,9 +51,7 @@ pub use hb::{
     hb_report, stealing_log, unordered_conflicts, HbIndex, HbReport, ObligationKind,
     OrderObligation, VectorClock,
 };
-pub use policies::{
-    assign_bins, dispatch_order, dispatch_trace, BinAssignment, DispatchTrace, PolicyKind,
-};
+pub use policies::{assign_bins, dispatch_trace, BinAssignment, DispatchTrace, PolicyKind};
 pub use report::AnalyzeReport;
 
 /// How serious a finding is — decides the gate outcome.

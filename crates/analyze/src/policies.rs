@@ -9,9 +9,10 @@
 //! given (config, policy, fork-ordered hints), so the marker
 //! permutation is exactly the permutation the real run used.
 
+use crate::capture::Capture;
 use locality_sched::{
-    BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SingleBin, UniqueBin,
-    MAX_DIMS,
+    AnyPolicy, BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SingleBin,
+    UniqueBin, MAX_DIMS,
 };
 use memtrace::{SchedLogSink, ScheduleLog};
 use std::collections::HashMap;
@@ -51,34 +52,20 @@ impl PolicyKind {
             PolicyKind::Unique => "unique",
         }
     }
-}
 
-fn mark(log: &mut Vec<usize>, index: usize, _unused: usize) {
-    log.push(index);
-}
-
-/// Replays `hints` (fork order) through a fresh scheduler under
-/// `policy` and returns the dispatch permutation: element `k` is the
-/// fork index of the `k`-th thread to execute.
-///
-/// # Panics
-///
-/// Panics if the scheduler does not run exactly one marker per fork —
-/// impossible for the shipped engine, and worth a loud failure if a
-/// future engine breaks it.
-pub fn dispatch_order<P: BinPolicy>(
-    config: SchedulerConfig,
-    policy: P,
-    hints: &[Hints],
-) -> Vec<usize> {
-    let mut sched: Scheduler<Vec<usize>, P> = Scheduler::with_policy(config, policy);
-    for (index, &h) in hints.iter().enumerate() {
-        sched.fork(mark, index, 0, h);
+    /// The policy this family denotes for `capture` (the flat paper
+    /// policy as the depth-1 ladder), or `None` when the capture
+    /// carries no geometry for it.
+    pub fn policy(self, capture: &Capture) -> Option<AnyPolicy> {
+        Some(match self {
+            PolicyKind::Paper => {
+                AnyPolicy::Ladder(PaperBlockHash::from_config(&capture.config).into())
+            }
+            PolicyKind::Hierarchical => AnyPolicy::Ladder(capture.hierarchical?.into()),
+            PolicyKind::Single => AnyPolicy::Single(SingleBin),
+            PolicyKind::Unique => AnyPolicy::Unique(UniqueBin::default()),
+        })
     }
-    let mut log = Vec::with_capacity(hints.len());
-    sched.run(&mut log, RunMode::Consume);
-    assert_eq!(log.len(), hints.len(), "marker replay lost threads");
-    log
 }
 
 /// A mirror replay with its schedule-event stream: the dispatch
@@ -103,13 +90,16 @@ fn mark_traced(ctx: &mut MarkCtx<'_>, index: usize, _unused: usize) {
     ctx.order.push(index);
 }
 
-/// Like [`dispatch_order`], but records the drain's schedule events
-/// alongside the permutation. The engine is deterministic given
-/// (config, policy, fork-ordered hints), so the returned log is too.
+/// Replays `hints` (fork order) through a fresh scheduler under
+/// `policy`, recording the dispatch permutation and the drain's
+/// schedule events. The engine is deterministic given (config, policy,
+/// fork-ordered hints), so the returned trace is too.
 ///
 /// # Panics
 ///
-/// Panics if the scheduler does not run exactly one marker per fork.
+/// Panics if the scheduler does not run exactly one marker per fork —
+/// impossible for the shipped engine, and worth a loud failure if a
+/// future engine breaks it.
 pub fn dispatch_trace<P: BinPolicy>(
     config: SchedulerConfig,
     policy: P,
@@ -193,21 +183,6 @@ pub fn assign_bins<P: BinPolicy>(mut policy: P, hints: &[Hints]) -> BinAssignmen
     }
 }
 
-/// Builds the [`PaperBlockHash`] the capture's config implies.
-pub fn paper_policy(config: &SchedulerConfig) -> PaperBlockHash {
-    PaperBlockHash::from_config(config)
-}
-
-/// Builds the degenerate single-bin policy.
-pub fn single_policy() -> SingleBin {
-    SingleBin
-}
-
-/// Builds the degenerate one-bin-per-thread policy.
-pub fn unique_policy() -> UniqueBin {
-    UniqueBin::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,7 +200,7 @@ mod tests {
         let hints: Vec<Hints> = (0..8)
             .map(|i| Hints::one(Addr::new(0x1000 * (8 - i))))
             .collect();
-        let order = dispatch_order(config(1024), single_policy(), &hints);
+        let order = dispatch_trace(config(1024), SingleBin, &hints).order;
         assert_eq!(order, (0..8).collect::<Vec<_>>());
     }
 
@@ -234,7 +209,7 @@ mod tests {
         let hints: Vec<Hints> = (0..8)
             .map(|i| Hints::one(Addr::new(0x1000 * (8 - i))))
             .collect();
-        let order = dispatch_order(config(1024), unique_policy(), &hints);
+        let order = dispatch_trace(config(1024), UniqueBin::default(), &hints).order;
         assert_eq!(order, (0..8).collect::<Vec<_>>());
     }
 
@@ -247,9 +222,9 @@ mod tests {
             Hints::one(Addr::new(0x20)),
         ];
         let cfg = config(1024);
-        let order = dispatch_order(cfg, paper_policy(&cfg), &hints);
+        let order = dispatch_trace(cfg, PaperBlockHash::from_config(&cfg), &hints).order;
         assert_eq!(order, vec![0, 2, 1]);
-        let bins = assign_bins(paper_policy(&cfg), &hints);
+        let bins = assign_bins(PaperBlockHash::from_config(&cfg), &hints);
         assert_eq!(bins.fine, vec![0, 1, 0]);
         assert_eq!(bins.fine_bins, 2);
         assert_eq!(bins.parent, bins.fine);
@@ -264,7 +239,7 @@ mod tests {
             Hints::one(Addr::new(0x20)),
         ];
         let cfg = config(1024);
-        let trace = dispatch_trace(cfg, paper_policy(&cfg), &hints);
+        let trace = dispatch_trace(cfg, PaperBlockHash::from_config(&cfg), &hints);
         assert_eq!(trace.order, vec![0, 2, 1]);
         let forks: Vec<u32> = trace
             .log

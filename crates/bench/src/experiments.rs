@@ -4,8 +4,8 @@
 use crate::ExpScale;
 use cachesim::{MachineModel, SimReport, SimSink, TimeBreakdown};
 use locality_sched::{
-    prev_power_of_two, BinPolicy, Hints, PaperBlockHash, ParRunReport, ParScheduler, RunMode,
-    Scheduler, SchedulerConfig, StealPolicy,
+    prev_power_of_two, Hints, ParRunReport, ParScheduler, RunMode, Scheduler, SchedulerConfig,
+    StealPolicy, TopologyPolicy,
 };
 use memtrace::AddressSpace;
 use probe::json;
@@ -232,15 +232,16 @@ pub fn kernel_cells(
     }
 }
 
-/// The simulation cell for `kernel`'s threaded version under an
-/// arbitrary bin `policy`, with the same problem sizes, seeds and hints
-/// as its paper table (one N-body iteration, as in Table 9).
-fn threaded_cell<P: BinPolicy + Send + 'static>(
+/// The simulation cell for `kernel`'s threaded version binned by the
+/// block ladder `policy` (one rung = the paper's flat policy), with the
+/// same problem sizes, seeds and hints as its paper table (one N-body
+/// iteration, as in Table 9).
+fn threaded_cell(
     scale: &ExpScale,
     kernel: Kernel,
     machine: &MachineModel,
     config: SchedulerConfig,
-    policy: P,
+    policy: TopologyPolicy,
 ) -> Cell {
     let scale = *scale;
     match kernel {
@@ -317,7 +318,7 @@ pub fn table1(threads: u64) -> Table1Result {
     let mut best_fork = f64::INFINITY;
     let mut best_run = f64::INFINITY;
     for _rep in 0..3 {
-        let mut sched: Scheduler<()> = Scheduler::new(config);
+        let mut sched = Scheduler::<()>::new(config);
         let start = Instant::now();
         for i in 0..threads {
             let h1 = (i % 16) * block;
@@ -946,40 +947,14 @@ pub fn policy_ablation(
             let geo = BinGeometry::for_machine(&machine);
             let config = geo.flat_config(kernel);
             for &policy in spec.policies {
-                let (cell, blocks) = match policy {
-                    Binning::Flat => (
-                        threaded_cell(
-                            scale,
-                            kernel,
-                            &machine,
-                            config,
-                            PaperBlockHash::from_config(&config),
-                        ),
-                        vec![geo.l2_block(kernel)],
-                    ),
-                    Binning::Hierarchical => (
-                        threaded_cell(
-                            scale,
-                            kernel,
-                            &machine,
-                            config,
-                            geo.hierarchical(kernel)
-                                .expect("machine-derived geometry is valid"),
-                        ),
-                        vec![geo.l1_block(kernel), geo.l2_block(kernel)],
-                    ),
-                    Binning::Topology => (
-                        threaded_cell(
-                            scale,
-                            kernel,
-                            &machine,
-                            config,
-                            geo.topology_policy(kernel)
-                                .expect("machine-derived ladder is valid"),
-                        ),
-                        geo.level_blocks(kernel),
-                    ),
+                let blocks = match policy {
+                    Binning::Flat => vec![geo.l2_block(kernel)],
+                    Binning::Hierarchical => vec![geo.l1_block(kernel), geo.l2_block(kernel)],
+                    Binning::Topology => geo.level_blocks(kernel),
                 };
+                let ladder = TopologyPolicy::uniform(&blocks, false)
+                    .expect("machine-derived ladder is valid");
+                let cell = threaded_cell(scale, kernel, &machine, config, ladder);
                 cells.push(cell);
                 meta.push((kernel.name(), machine_name, policy, blocks, machine.clone()));
             }
@@ -1034,13 +1009,9 @@ pub fn figure4(scale: &ExpScale, driver: Driver) -> Figure4Result {
                         .block_size(block)
                         .build()
                         .expect("power-of-two block");
-                    threaded_cell(
-                        scale,
-                        kernel,
-                        &machine,
-                        config,
-                        PaperBlockHash::from_config(&config),
-                    )
+                    let ladder =
+                        TopologyPolicy::uniform(&[block], false).expect("power-of-two block");
+                    threaded_cell(scale, kernel, &machine, config, ladder)
                 })
                 .collect();
             let times = run_cells(cells, driver)

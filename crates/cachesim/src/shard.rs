@@ -31,33 +31,21 @@
 
 use crate::hierarchy::LlcEvent;
 use crate::{CacheStats, Hierarchy, MissClassifier, SimReport, WritePolicy};
-use memtrace::compact::{push_varint, take_varint, unzigzag, zigzag, FLAG_SAME_SIZE, FLAG_WRITE};
+use memtrace::compact::{push_varint, take_varint, DeltaCodec};
 use memtrace::{Access, AccessKind, Addr, TraceSink};
 
-/// Flag bit 2: escape — the record is not an access. Bit 3 then picks
-/// the type: clear = run-length record, set = sub-span marker.
+/// Flag bit 2 (the first one [`DeltaCodec`] leaves to embedders):
+/// escape — the record is not an access. Bit 3 then picks the type:
+/// clear = run-length record, set = sub-span marker.
 const FLAG_ESCAPE: u8 = 1 << 2;
 const FLAG_MARK: u8 = 1 << 3;
 
 /// Sentinel "no line" value for run tracking.
 const NO_LINE: u64 = u64::MAX;
 
-/// Writes `v` as LEB128 into `buf` at `at`, returning one past the last
-/// byte written. `buf` must have ≥ 10 bytes of room past `at` (a u64
-/// varint is at most 10 bytes).
-#[inline]
-fn put_varint(buf: &mut [u8; 21], mut at: usize, mut v: u64) -> usize {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf[at] = b;
-            return at + 1;
-        }
-        buf[at] = b | 0x80;
-        at += 1;
-    }
-}
+/// Most shards a plan may have: sub-span owners are logged one byte
+/// each (the merge schedule grows by one entry per shard switch).
+const MAX_SHARDS: u32 = 1 << u8::BITS;
 
 /// Drain the shard queues once this many records are pending. Sized so
 /// the encoded queues (2–4 bytes/record) plus the decode working set
@@ -108,8 +96,8 @@ impl ShardPlan {
 
     /// Plans a partition of `hierarchy` into at most `requested` shards.
     /// The effective shard count is the largest power of two ≤
-    /// `requested` that the geometry (and the absence of an MMU)
-    /// supports; it can be 1.
+    /// `requested` (and ≤ 256) that the geometry (and the absence of an
+    /// MMU) supports; it can be 1.
     ///
     /// Among the valid selector shifts the planner takes the *highest*
     /// one that still yields that shard count — the coarsest granules.
@@ -130,14 +118,14 @@ impl ShardPlan {
             return fallback;
         }
         // Bits needed for the requested count, clamped to the field.
-        let k = 32 - requested.max(1).leading_zeros() - 1;
+        let k = 32 - requested.clamp(1, MAX_SHARDS).leading_zeros() - 1;
         let shift = hi - k.clamp(1, hi - lo);
         Self::with_shift(hierarchy, requested, shift).unwrap_or(fallback)
     }
 
     /// Plans a partition with an explicit selector shift, or `None` if
     /// `shift` is outside the valid selector field. The shard count is
-    /// still clamped to the bits available above `shift`.
+    /// still clamped to the bits available above `shift`, and to 256.
     #[must_use]
     pub fn with_shift(hierarchy: &Hierarchy, requested: u32, shift: u32) -> Option<ShardPlan> {
         let lo = Self::min_shift(hierarchy);
@@ -151,7 +139,7 @@ impl ShardPlan {
             // do not partition by virtual address.
             k = 0;
         }
-        let requested = requested.max(1);
+        let requested = requested.clamp(1, MAX_SHARDS);
         let mut shards = 1u32 << k.min(31);
         while shards > requested {
             shards >>= 1;
@@ -183,13 +171,13 @@ impl ShardPlan {
     }
 }
 
-/// Per-shard compact record queue: the [`memtrace::compact`] delta
-/// encoding plus run-length records and sub-span markers.
+/// Per-shard compact record queue: [`memtrace::compact`] access records
+/// (encoded and decoded by its [`DeltaCodec`]) with this module's own
+/// run-length records and sub-span markers between them.
 #[derive(Clone, Debug)]
 struct ShardQueue {
     bytes: Vec<u8>,
-    prev_addr: u64,
-    prev_size: u32,
+    codec: DeltaCodec,
     /// L1 line of the last encoded access when it was single-line (run
     /// head candidate); [`NO_LINE`] otherwise.
     run_line: u64,
@@ -201,8 +189,7 @@ impl Default for ShardQueue {
     fn default() -> Self {
         ShardQueue {
             bytes: Vec::new(),
-            prev_addr: 0,
-            prev_size: 0,
+            codec: DeltaCodec::default(),
             // NO_LINE, not 0: line 0 is a real line, and a run must
             // never start without an encoded head access.
             run_line: NO_LINE,
@@ -241,26 +228,7 @@ impl ShardQueue {
         }
         self.flush_run();
         self.run_line = line;
-        let addr = access.addr.raw();
-        let delta = addr.wrapping_sub(self.prev_addr) as i64;
-        let mut flags = 0u8;
-        if access.kind == AccessKind::Write {
-            flags |= FLAG_WRITE;
-        }
-        if access.size == self.prev_size {
-            flags |= FLAG_SAME_SIZE;
-        }
-        // Assemble the record on the stack and append it in one go: one
-        // capacity check per record instead of one per byte.
-        let mut rec = [0u8; 21];
-        rec[0] = flags;
-        let mut len = put_varint(&mut rec, 1, zigzag(delta));
-        if flags & FLAG_SAME_SIZE == 0 {
-            len = put_varint(&mut rec, len, u64::from(access.size));
-            self.prev_size = access.size;
-        }
-        self.bytes.extend_from_slice(&rec[..len]);
-        self.prev_addr = addr;
+        self.codec.encode(access, &mut self.bytes);
         false
     }
 
@@ -271,8 +239,7 @@ impl ShardQueue {
 
     fn clear(&mut self) {
         self.bytes.clear();
-        self.prev_addr = 0;
-        self.prev_size = 0;
+        self.codec = DeltaCodec::default();
         self.run_line = NO_LINE;
         debug_assert_eq!(self.run_reads | self.run_writes, 0, "run not flushed");
     }
@@ -291,13 +258,13 @@ struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// Replays one drained queue. Decoding mirrors [`ShardQueue::push`];
-    /// the queue is self-produced, so a malformed tail (impossible by
+    /// Replays one drained queue: this module's escape records are
+    /// handled here, everything else is an access record for the codec.
+    /// The queue is self-produced, so a malformed tail (impossible by
     /// construction) just ends the replay.
     fn run(&mut self, bytes: &[u8]) {
         let mut pos = 0usize;
-        let mut prev_addr = 0u64;
-        let mut prev_size = 0u32;
+        let mut codec = DeltaCodec::default();
         let mut cur_line = NO_LINE;
         let mut span_open = false;
         let mut span_start = 0usize;
@@ -322,37 +289,22 @@ impl ShardWorker {
                 }
                 continue;
             }
-            let Some(delta) = take_varint(bytes, &mut pos) else {
+            let Some(access) = codec.decode(flags, bytes, &mut pos) else {
                 break;
             };
-            let size = if flags & FLAG_SAME_SIZE == 0 {
-                let Some(size) = take_varint(bytes, &mut pos) else {
-                    break;
-                };
-                size as u32
-            } else {
-                prev_size
-            };
-            prev_addr = prev_addr.wrapping_add(unzigzag(delta) as u64);
-            prev_size = size;
-            let is_write = flags & FLAG_WRITE != 0;
-            let last_byte = prev_addr.saturating_add(u64::from(size.max(1)) - 1);
-            let first_line = prev_addr >> self.l1_shift;
+            let addr = access.addr.raw();
+            let last_byte = addr.saturating_add(u64::from(access.size.max(1)) - 1);
+            let first_line = addr >> self.l1_shift;
             if last_byte >> self.l1_shift == first_line {
                 // Single-line (the overwhelmingly common case): skip the
                 // full access path's address re-derivation — workers
                 // never carry an MMU (an MMU degrades the plan to one
                 // inline shard with no queues at all).
                 cur_line = first_line;
-                self.hierarchy.access_l1_line(first_line, is_write);
+                self.hierarchy
+                    .access_l1_line(first_line, access.kind == AccessKind::Write);
             } else {
                 cur_line = NO_LINE;
-                let addr = Addr::new(prev_addr);
-                let access = if is_write {
-                    Access::write(addr, size)
-                } else {
-                    Access::read(addr, size)
-                };
                 self.hierarchy.access(access);
             }
         }
@@ -564,6 +516,7 @@ impl ShardedSimSink {
         let switched = shard != self.cur_shard;
         if switched {
             self.cur_shard = shard;
+            // Lossless: a plan never has more than `MAX_SHARDS` shards.
             self.span_owners.push(shard as u8);
         }
         let queue = &mut self.queues[shard as usize];
@@ -967,6 +920,45 @@ mod tests {
         for shards in [1, 2, 4, 8] {
             reports_match(|| machine.hierarchy(), shards, &accesses);
         }
+    }
+
+    /// More shards than a byte can index: the plan used to grant all
+    /// 512, sub-span owners above 255 truncated, and the merge read
+    /// another shard's span counts.
+    #[test]
+    fn sharded_equals_unsharded_at_512_requested_shards() {
+        let config = HierarchyConfig::new(
+            CacheConfig::new(1 << 16, 32, 1).unwrap(),
+            CacheConfig::new(1 << 17, 32, 1).unwrap(),
+        );
+        let plan = ShardPlan::for_hierarchy(&Hierarchy::new(config), 512);
+        assert_eq!(plan.shards(), MAX_SHARDS);
+        assert!(
+            ShardPlan::with_shift(&Hierarchy::new(config), 512, 5)
+                .unwrap()
+                .shards()
+                <= 256
+        );
+        reports_match(|| Hierarchy::new(config), 512, &stream(60_000, 19));
+    }
+
+    /// The record format is `memtrace::compact`'s: a stream with no
+    /// same-line runs and no shard switches is byte-for-byte what a
+    /// [`CompactBuf`](memtrace::CompactBuf) holds for it.
+    #[test]
+    fn run_free_queue_bytes_equal_compact_buf_bytes() {
+        let accesses = stream(5_000, 23);
+        let mut buf = memtrace::CompactBuf::new();
+        let mut queue = ShardQueue::default();
+        for &access in &accesses {
+            buf.push(access);
+            assert!(
+                !queue.push(access, NO_LINE, true),
+                "NO_LINE never collapses"
+            );
+        }
+        queue.flush_run();
+        assert_eq!(queue.bytes, buf.as_bytes());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Baseline schedulers for comparison experiments.
 //!
-//! Both baselines are degenerate configurations of the shared
-//! [`BinEngine`](crate::engine::BinEngine):
+//! Both baselines are the locality [`Scheduler`] under a degenerate
+//! policy — type aliases with their own constructors, not wrappers:
 //!
 //! * [`FifoScheduler`] = [`SingleBin`] policy (every thread in one
 //!   bin) + allocation-order tour → fork order.
@@ -10,11 +10,18 @@
 //!   bit-identical to the pre-refactor implementation (both shuffle
 //!   `0..n` with `SmallRng::seed_from_u64(seed)`).
 
-use crate::engine::BinEngine;
 use crate::policy::{SingleBin, UniqueBin};
-use crate::scheduler::{ThreadScheduler, ThreadSpec};
-use crate::stats::RunStats;
-use crate::{Hints, RunMode, ThreadFn, Tour};
+use crate::{Scheduler, SchedulerConfig, Tour};
+
+/// The baselines' configuration: neither ever looks a key up (one bin,
+/// or append-only unique bins), so a single hash bucket suffices.
+fn baseline_config(tour: Tour) -> SchedulerConfig {
+    SchedulerConfig::builder()
+        .hash_size(1)
+        .tour(tour)
+        .build()
+        .expect("hash size 1 is valid")
+}
 
 /// A scheduler that ignores hints and runs threads in fork (FIFO)
 /// order.
@@ -39,18 +46,12 @@ use crate::{Hints, RunMode, ThreadFn, Tour};
 /// sched.run(&mut out, RunMode::Consume);
 /// assert_eq!(out, vec![0, 1, 2]);
 /// ```
-#[derive(Clone, Debug)]
-pub struct FifoScheduler<C> {
-    engine: BinEngine<ThreadSpec<C>, SingleBin>,
-}
+pub type FifoScheduler<C> = Scheduler<C, SingleBin>;
 
 impl<C> FifoScheduler<C> {
     /// Creates an empty FIFO scheduler.
     pub fn new() -> Self {
-        FifoScheduler {
-            // One bin, so a single hash bucket suffices.
-            engine: BinEngine::new(1, Tour::AllocationOrder, SingleBin),
-        }
+        Scheduler::with_policy(baseline_config(Tour::AllocationOrder), SingleBin)
     }
 }
 
@@ -60,84 +61,22 @@ impl<C> Default for FifoScheduler<C> {
     }
 }
 
-impl<C> ThreadScheduler<C> for FifoScheduler<C> {
-    fn fork(&mut self, func: ThreadFn<C>, arg1: usize, arg2: usize, _hints: Hints) {
-        self.engine.insert_traced(
-            ThreadSpec { func, arg1, arg2 },
-            Hints::none(),
-            &mut memtrace::NullSink,
-        );
-    }
-
-    fn run(&mut self, ctx: &mut C, mode: RunMode) -> RunStats {
-        self.engine.run_with(
-            ctx,
-            mode,
-            |_, _, _| {},
-            |_, _| {},
-            |_, _, _| {},
-            |ctx, spec| (spec.func)(ctx, spec.arg1, spec.arg2),
-        )
-    }
-
-    fn pending(&self) -> u64 {
-        self.engine.pending()
-    }
-}
-
 /// A scheduler that ignores hints and runs threads in seeded random
 /// order — the adversarial locality baseline (any reference locality in
 /// fork order is destroyed).
-#[derive(Clone, Debug)]
-pub struct RandomScheduler<C> {
-    engine: BinEngine<ThreadSpec<C>, UniqueBin>,
-}
+pub type RandomScheduler<C> = Scheduler<C, UniqueBin>;
 
 impl<C> RandomScheduler<C> {
     /// Creates an empty random scheduler with the given shuffle seed.
     pub fn new(seed: u64) -> Self {
-        RandomScheduler {
-            // Unique-key bins are appended, never looked up, so the
-            // bucket array is irrelevant; keep it minimal.
-            engine: BinEngine::new(1, Tour::Random(seed), UniqueBin::default()),
-        }
-    }
-}
-
-impl<C> ThreadScheduler<C> for RandomScheduler<C> {
-    fn fork(&mut self, func: ThreadFn<C>, arg1: usize, arg2: usize, _hints: Hints) {
-        self.engine.insert_traced(
-            ThreadSpec { func, arg1, arg2 },
-            Hints::none(),
-            &mut memtrace::NullSink,
-        );
-    }
-
-    fn run(&mut self, ctx: &mut C, mode: RunMode) -> RunStats {
-        let stats = self.engine.run_with(
-            ctx,
-            mode,
-            |_, _, _| {},
-            |_, _| {},
-            |_, _, _| {},
-            |ctx, spec| (spec.func)(ctx, spec.arg1, spec.arg2),
-        );
-        RunStats {
-            threads_run: stats.threads_run,
-            // Single-thread bins are an engine encoding detail; report
-            // the baseline's historical "one conceptual bin".
-            bins_visited: usize::from(stats.threads_run > 0),
-        }
-    }
-
-    fn pending(&self) -> u64 {
-        self.engine.pending()
+        Scheduler::with_policy(baseline_config(Tour::Random(seed)), UniqueBin::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Hints, RunMode};
     use memtrace::Addr;
 
     type Log = Vec<usize>;

@@ -1,15 +1,19 @@
 //! The shared bin engine (paper §3.2), generic over the scheduled item
 //! type and the [`BinPolicy`].
 //!
-//! Every scheduler in this crate — [`Scheduler`](crate::Scheduler),
-//! [`PhasedScheduler`](crate::PhasedScheduler),
-//! [`FifoScheduler`](crate::FifoScheduler),
-//! [`RandomScheduler`](crate::RandomScheduler) and
-//! [`ParScheduler`](crate::ParScheduler) — is a thin configuration of
-//! this one engine: hash table + ready list, thread groups, optional
+//! [`Scheduler`](crate::Scheduler) and
+//! [`ParScheduler`](crate::ParScheduler) are thin configurations of
+//! this one engine — hash table + ready list, thread groups, optional
 //! package-memory tracing, the tour-ordered drain loop, and the probe
-//! observations. The policy owns *where* a thread goes (hints → bin
-//! key, optional parent grouping); the engine owns everything else.
+//! observations — and [`PhasedScheduler`](crate::PhasedScheduler) is
+//! one `Scheduler` per phase. [`FifoScheduler`](crate::FifoScheduler)
+//! and [`RandomScheduler`](crate::RandomScheduler) are type aliases of
+//! `Scheduler` under a degenerate policy, not configurations of their
+//! own. [`ClosureScheduler`](crate::ClosureScheduler) alone keeps its
+//! own table-and-tour loop: its boxed `FnOnce` bodies are consumed by
+//! the call, so they cannot be drained by reference as the engine
+//! drains its records. The policy owns *where* a thread goes (hints →
+//! bin key, optional parent grouping); the engine owns everything else.
 
 use crate::config::EvictionPolicy;
 use crate::hint::MAX_DIMS;
@@ -562,48 +566,24 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             .filter(|&id| self.bins[id as usize].threads > 0)
             .collect();
         subs.sort_unstable_by(|&a, &b| self.nested_cmp(self.table.key(a), self.table.key(b)));
-        let tracing = self.meta.is_some();
-        let hierarchical = self.policy.depth() > 1;
         let mut dispatched = state.dispatched;
         let mut threads_run = 0u64;
-        let mut bins_visited = 0usize;
         for &id in &subs {
-            bins_visited += 1;
-            self.obs
-                .bin_occupancy
-                .record(self.bins[id as usize].threads);
-            if hierarchical {
-                self.obs.subbins_run.incr();
-            }
-            let _drain_span = self.obs.bin_drain_ns.span();
-            let bin = &mut self.bins[id as usize];
-            if tracing {
-                on_read(ctx, bin.header, BIN_HEADER_BYTES as u32);
-            }
-            for group in &bin.groups {
-                if tracing {
-                    on_read(ctx, group.base, GROUP_HEADER_BYTES as u32);
-                }
-                for (slot, item) in group.items.iter().enumerate() {
-                    if tracing {
-                        on_read(
-                            ctx,
-                            group.base + GROUP_HEADER_BYTES + slot as u64 * SPEC_BYTES,
-                            SPEC_BYTES as u32,
-                        );
-                    }
-                    on_dispatch(ctx, dispatched);
-                    dispatched += 1;
-                    exec(ctx, item);
-                }
-            }
-            threads_run += bin.threads;
+            let drained = self.drain_bin(
+                id,
+                ctx,
+                &mut dispatched,
+                &mut on_read,
+                &mut on_dispatch,
+                &mut exec,
+            );
+            threads_run += drained;
             // Consume the unit. The bin record (and its table key) stay
             // allocated so ids remain stable; a later insert refills it
             // and re-queues its parent with a fresh ready sequence —
             // unless the eviction policy reaps the idle record first,
             // in which case the key re-arrives as a fresh fork.
-            let drained = bin.threads;
+            let bin = &mut self.bins[id as usize];
             bin.groups.clear();
             bin.threads = 0;
             if reap {
@@ -611,7 +591,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             }
             self.threads -= drained;
         }
-        if hierarchical {
+        if self.policy.depth() > 1 {
             self.obs.parent_occupancy.record(threads_run);
         }
         on_unit(ctx, epoch - 1, false);
@@ -633,7 +613,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         }
         Some(RunStats {
             threads_run,
-            bins_visited,
+            bins_visited: subs.len(),
         })
     }
 
@@ -698,6 +678,54 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         &self.bins
     }
 
+    /// Runs every thread of bin `id` in fork order — the walk both drain
+    /// loops share: the package's own reads (bin record, group headers,
+    /// thread records; only when tracing), `on_dispatch` with the next
+    /// value of `dispatched` immediately before each `exec`, and the
+    /// per-bin occupancy, sub-bin and drain-time probes. Returns the
+    /// bin's thread count; the bin itself is left as it was.
+    #[inline]
+    fn drain_bin<X>(
+        &self,
+        id: BinId,
+        ctx: &mut X,
+        dispatched: &mut u64,
+        on_read: &mut impl FnMut(&mut X, Addr, u32),
+        on_dispatch: &mut impl FnMut(&mut X, u64),
+        exec: &mut impl FnMut(&mut X, &T),
+    ) -> u64 {
+        let bin = &self.bins[id as usize];
+        let tracing = self.meta.is_some();
+        self.obs.bin_occupancy.record(bin.threads);
+        if self.policy.depth() > 1 {
+            self.obs.subbins_run.incr();
+        }
+        let _drain_span = self.obs.bin_drain_ns.span();
+        if tracing {
+            // Ready-list step: load the bin record.
+            on_read(ctx, bin.header, BIN_HEADER_BYTES as u32);
+        }
+        for group in &bin.groups {
+            if tracing {
+                // Group header: count + next pointer.
+                on_read(ctx, group.base, GROUP_HEADER_BYTES as u32);
+            }
+            for (slot, item) in group.items.iter().enumerate() {
+                if tracing {
+                    on_read(
+                        ctx,
+                        group.base + GROUP_HEADER_BYTES + slot as u64 * SPEC_BYTES,
+                        SPEC_BYTES as u32,
+                    );
+                }
+                on_dispatch(ctx, *dispatched);
+                *dispatched += 1;
+                exec(ctx, item);
+            }
+        }
+        bin.threads
+    }
+
     /// Drains every bin in tour order: `on_read(ctx, addr, size)` is
     /// called for each package memory reference (only when tracing is
     /// enabled), `on_dispatch(ctx, seq)` immediately before the
@@ -719,7 +747,6 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         mut exec: impl FnMut(&mut X, &T),
     ) -> RunStats {
         let order = self.tour_order();
-        let tracing = self.meta.is_some();
         let hierarchical = self.policy.depth() > 1;
         let mut threads_run = 0u64;
         let mut bins_visited = 0usize;
@@ -741,7 +768,6 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                     continue;
                 }
                 bins_visited += 1;
-                self.obs.bin_occupancy.record(bin.threads);
                 let pk = self.group_key(self.table.key(id));
                 if unit_key != Some(pk) {
                     if unit_key.take().is_some() {
@@ -752,7 +778,6 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                     unit_key = Some(pk);
                 }
                 if hierarchical {
-                    self.obs.subbins_run.incr();
                     match &mut parent {
                         Some((key, threads)) if *key == pk => *threads += bin.threads,
                         _ => {
@@ -763,30 +788,14 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                         }
                     }
                 }
-                let _drain_span = self.obs.bin_drain_ns.span();
-                if tracing {
-                    // Ready-list step: load the bin record.
-                    on_read(ctx, bin.header, BIN_HEADER_BYTES as u32);
-                }
-                for group in &bin.groups {
-                    if tracing {
-                        // Group header: count + next pointer.
-                        on_read(ctx, group.base, GROUP_HEADER_BYTES as u32);
-                    }
-                    for (slot, item) in group.items.iter().enumerate() {
-                        if tracing {
-                            on_read(
-                                ctx,
-                                group.base + GROUP_HEADER_BYTES + slot as u64 * SPEC_BYTES,
-                                SPEC_BYTES as u32,
-                            );
-                        }
-                        on_dispatch(ctx, dispatched);
-                        dispatched += 1;
-                        exec(ctx, item);
-                    }
-                }
-                threads_run += bin.threads;
+                threads_run += self.drain_bin(
+                    id,
+                    ctx,
+                    &mut dispatched,
+                    &mut on_read,
+                    &mut on_dispatch,
+                    &mut exec,
+                );
             }
             if let Some((_, threads)) = parent {
                 self.obs.parent_occupancy.record(threads);

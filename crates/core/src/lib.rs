@@ -52,7 +52,7 @@
 //!
 //! // Cache of 4 "vectors" of 32 bytes; block dimension = half of that.
 //! let config = SchedulerConfig::builder().block_size(64).build()?;
-//! let mut sched = Scheduler::new(config);
+//! let mut sched = Scheduler::<Ctx>::new(config);
 //! for i in 0..4usize {
 //!     for j in 0..4usize {
 //!         let a_col = 0x1000 + (i as u64) * 32; // &A[1, i]
@@ -91,7 +91,8 @@ pub use hint::{Hints, MAX_DIMS};
 pub use parallel::{ParRunReport, ParScheduler, ParThreadFn};
 pub use phased::PhasedScheduler;
 pub use policy::{
-    BinPolicy, Hierarchical, PaperBlockHash, SingleBin, TopologyPolicy, UniqueBin, MAX_LEVELS,
+    AnyPolicy, BinPolicy, Hierarchical, PaperBlockHash, SingleBin, TopologyPolicy, UniqueBin,
+    MAX_LEVELS,
 };
 pub use scheduler::{RunMode, Scheduler, ThreadFn, ThreadScheduler};
 pub use stats::{RunStats, SchedulerStats, WorkerStats};

@@ -61,6 +61,7 @@ use crate::stats::{RunStats, SchedulerStats, WorkerStats};
 use crate::table::BinId;
 use crate::{Hints, SchedulerConfig};
 use memtrace::{SchedEvent, ScheduleLog};
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -539,20 +540,22 @@ fn steal_random(
     None
 }
 
-/// Locality-aware policy: score every victim by the Manhattan distance
-/// (over block coordinates) between its cold-end bin and the bin it is
-/// currently executing, and steal from the farthest — the victim that
-/// loses the least locality by giving up its back half. Ties break
-/// toward the larger backlog, then the lower worker index.
-fn steal_locality(
+/// The scan–score–steal–retry skeleton of the two scoring policies:
+/// rate every other worker's deque with `score(victim, back, front)`
+/// (`back` its cold-end tour position, `front` its hot end), steal half
+/// of the best one — highest score, ties toward the larger backlog,
+/// then the lower worker index — and rescan if that victim drained in
+/// the meantime (total work shrinks monotonically, so this ends).
+/// Returns the victim, the tour positions moved and the winning score.
+fn steal_scored<K: Ord + Copy>(
     me: usize,
     queues: &[WorkerQueue],
-    keys: &[[u64; MAX_DIMS]],
     stats: &mut WorkerStats,
     obs: &ParObs,
-) -> Option<(usize, u64)> {
+    mut score: impl FnMut(&WorkerQueue, u32, u32) -> K,
+) -> Option<(usize, u64, K)> {
     loop {
-        let mut best: Option<(u64, usize, usize)> = None; // (distance, backlog, victim)
+        let mut best: Option<(K, usize, usize)> = None; // (score, backlog, victim)
         for (victim, queue) in queues.iter().enumerate() {
             if victim == me {
                 continue;
@@ -561,37 +564,53 @@ fn steal_locality(
                 let dq = queue.deque.lock().expect("deque poisoned");
                 (dq.back().copied(), dq.front().copied(), dq.len())
             };
-            let Some(back) = back else { continue };
-            let current = queue.current.load(Ordering::Relaxed);
-            // A victim that has not started yet anchors at its front.
-            let anchor = if current == NO_BIN {
-                front.expect("non-empty deque has a front") as usize
-            } else {
-                current
+            let (Some(back), Some(front)) = (back, front) else {
+                continue;
             };
-            let distance = manhattan(keys[back as usize], keys[anchor]);
-            if best.is_none_or(|(d, b, _)| (distance, backlog) > (d, b)) {
-                best = Some((distance, backlog, victim));
+            let key = score(queue, back, front);
+            if best.is_none_or(|(k, b, _)| (key, backlog) > (k, b)) {
+                best = Some((key, backlog, victim));
             }
         }
-        let (_, _, victim) = best?;
+        let (key, _, victim) = best?;
         stats.steals_attempted += 1;
         let moved = steal_half(queues, victim, me, obs);
         if moved > 0 {
             stats.steals_succeeded += 1;
-            return Some((victim, moved));
+            return Some((victim, moved, key));
         }
-        // The chosen victim drained between scoring and stealing;
-        // rescan (total work shrinks monotonically, so this ends).
     }
+}
+
+/// Locality-aware policy: score every victim by the Manhattan distance
+/// (over block coordinates) between its cold-end bin and the bin it is
+/// currently executing, and steal from the farthest — the victim that
+/// loses the least locality by giving up its back half.
+fn steal_locality(
+    me: usize,
+    queues: &[WorkerQueue],
+    keys: &[[u64; MAX_DIMS]],
+    stats: &mut WorkerStats,
+    obs: &ParObs,
+) -> Option<(usize, u64)> {
+    steal_scored(me, queues, stats, obs, |victim, back, front| {
+        let current = victim.current.load(Ordering::Relaxed);
+        // A victim that has not started yet anchors at its front.
+        let anchor = if current == NO_BIN {
+            front as usize
+        } else {
+            current
+        };
+        manhattan(keys[back as usize], keys[anchor])
+    })
+    .map(|(victim, moved, _)| (victim, moved))
 }
 
 /// Topology-aware policy: score every victim by the
 /// lowest-common-ancestor depth between its cold-end bin and the bin
 /// the *thief* is (or was last) executing, and steal from the nearest —
 /// the work that still shares the deepest level of the thief's warm
-/// hierarchy. Ties break toward the larger backlog, then the lower
-/// worker index. A thief that has not run anything yet scores every
+/// hierarchy. A thief that has not run anything yet scores every
 /// victim at distance 0, so ties pick the deepest backlog.
 fn steal_topology(
     me: usize,
@@ -600,44 +619,16 @@ fn steal_topology(
     stats: &mut WorkerStats,
     obs: &ParObs,
 ) -> Option<(usize, u64)> {
-    loop {
-        let anchor = queues[me].current.load(Ordering::Relaxed);
-        // (distance, backlog, victim); minimize distance, maximize
-        // backlog, minimize index.
-        let mut best: Option<(u64, usize, usize)> = None;
-        for (victim, queue) in queues.iter().enumerate() {
-            if victim == me {
-                continue;
-            }
-            let (back, backlog) = {
-                let dq = queue.deque.lock().expect("deque poisoned");
-                (dq.back().copied(), dq.len())
-            };
-            let Some(back) = back else { continue };
-            let distance = if anchor == NO_BIN {
-                0
-            } else {
-                lca_distance(&ladders[back as usize], &ladders[anchor])
-            };
-            let better = match best {
-                None => true,
-                Some((d, b, _)) => distance < d || (distance == d && backlog > b),
-            };
-            if better {
-                best = Some((distance, backlog, victim));
-            }
-        }
-        let (distance, _, victim) = best?;
-        stats.steals_attempted += 1;
-        let moved = steal_half(queues, victim, me, obs);
-        if moved > 0 {
-            stats.steals_succeeded += 1;
-            obs.steal_distance.record(distance);
-            return Some((victim, moved));
-        }
-        // The chosen victim drained between scoring and stealing;
-        // rescan (total work shrinks monotonically, so this ends).
-    }
+    let anchor = queues[me].current.load(Ordering::Relaxed);
+    let (victim, moved, Reverse(distance)) = steal_scored(me, queues, stats, obs, |_, back, _| {
+        Reverse(if anchor == NO_BIN {
+            0
+        } else {
+            lca_distance(&ladders[back as usize], &ladders[anchor])
+        })
+    })?;
+    obs.steal_distance.record(distance);
+    Some((victim, moved))
 }
 
 /// Depth of the lowest common ancestor of two bins over their ancestor

@@ -5,31 +5,37 @@
 //! dimension sizes of the block are set such that their sum are the
 //! same as the second-level cache size" (§3.2) is one choice among
 //! many. [`BinPolicy`] makes that choice a first-class parameter of the
-//! shared bin engine, so every scheduler in this crate — locality,
-//! phased, FIFO, random, parallel — is a thin configuration of one
-//! engine instead of five copies of the fork/bin/drain loop.
+//! shared bin engine, so the locality, phased and parallel schedulers
+//! are thin configurations of one engine, and the FIFO and random
+//! baselines are type aliases of the locality scheduler under a
+//! degenerate policy.
 //!
-//! Three policies reproduce and extend the paper:
+//! One family reproduces and extends the paper — a ladder of block
+//! sizes, one per machine level:
 //!
-//! * [`PaperBlockHash`] — the paper's mapping, bit-identical to the
-//!   pre-refactor `SchedulerConfig::block_coords`: shift each hint by
-//!   `log2(block size)`, optionally fold symmetric hints by sorting
-//!   coordinates descending.
 //! * [`TopologyPolicy`] — an arbitrary machine hierarchy (L1 ⊂ L2 ⊂ L3
 //!   ⊂ NUMA node ⊂ …): one block size per level, finest to coarsest.
 //!   Threads are binned at the finest granularity; the engine tours
 //!   the coarsest-level groups and drains nested sub-bins back-to-back
 //!   in sorted-key order at every depth.
-//! * [`Hierarchical`] — the two-level (L1-in-L2) special case, kept as
-//!   a thin depth-2 alias of [`TopologyPolicy`]; its drain order is
-//!   pinned bit-identical to the pre-topology implementation by the
-//!   golden digests.
+//! * [`PaperBlockHash`] — the paper's mapping, the ladder at depth 1
+//!   (`TopologyPolicy::from` converts it), bit-identical to the
+//!   pre-refactor `SchedulerConfig::block_coords`: shift each hint by
+//!   `log2(block size)`, optionally fold symmetric hints by sorting
+//!   coordinates descending.
+//! * [`Hierarchical`] — the two-level (L1-in-L2) ladder, a thin depth-2
+//!   wrapper of [`TopologyPolicy`]; its drain order is pinned
+//!   bit-identical to the pre-topology implementation by the golden
+//!   digests.
 //!
 //! Two degenerate policies express the baselines:
 //!
 //! * [`SingleBin`] — every thread in one bin (FIFO order).
 //! * [`UniqueBin`] — every thread in its own bin (combined with
 //!   [`Tour::Random`](crate::Tour::Random), a seeded shuffle).
+//!
+//! [`AnyPolicy`] is the closed sum of the three — what a caller that
+//! picks its policy from a name at run time passes to the engine.
 
 use crate::config::ConfigError;
 use crate::hint::MAX_DIMS;
@@ -295,6 +301,19 @@ impl BinPolicy for TopologyPolicy {
     }
 }
 
+impl From<PaperBlockHash> for TopologyPolicy {
+    /// The paper's flat policy as the depth-1 ladder: the same shifts
+    /// and folding, every ancestor level the key itself.
+    fn from(flat: PaperBlockHash) -> Self {
+        TopologyPolicy {
+            base_shifts: flat.shifts,
+            rel_shifts: [[0; MAX_DIMS]; MAX_LEVELS],
+            depth: 1,
+            symmetric: flat.symmetric,
+        }
+    }
+}
+
 /// Two-level policy: L1-cache-sized sub-bins nested inside L2-sized
 /// parent bins — the depth-2 special case of [`TopologyPolicy`], kept
 /// as a named type because it is the configuration the experiment suite
@@ -352,9 +371,15 @@ impl BinPolicy for Hierarchical {
     }
 }
 
+impl From<Hierarchical> for TopologyPolicy {
+    fn from(two_level: Hierarchical) -> Self {
+        two_level.inner
+    }
+}
+
 /// Degenerate policy: every thread lands in one bin, so the engine
-/// drains in fork (FIFO) order. Backs
-/// [`FifoScheduler`](crate::FifoScheduler).
+/// drains in fork (FIFO) order. [`FifoScheduler`](crate::FifoScheduler)
+/// is the locality scheduler under it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SingleBin;
 
@@ -372,8 +397,8 @@ impl BinPolicy for SingleBin {
 
 /// Degenerate policy: every thread gets its own bin (keys are a fork
 /// counter). Combined with [`Tour::Random`](crate::Tour::Random) this
-/// shuffles individual threads — backing
-/// [`RandomScheduler`](crate::RandomScheduler) bit-identically to the
+/// shuffles individual threads — [`RandomScheduler`](crate::RandomScheduler)
+/// is the locality scheduler under it, bit-identical to the
 /// pre-refactor per-thread shuffle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UniqueBin {
@@ -390,6 +415,59 @@ impl BinPolicy for UniqueBin {
 
     fn always_unique(&self) -> bool {
         true
+    }
+}
+
+/// Any shipped policy as one value: the block ladder at whatever depth
+/// (1 = the paper's flat policy, 2 = L1-in-L2, n = the machine tree) or
+/// one of the two degenerate baselines. For callers that choose the
+/// policy from a name at run time and so cannot name it as a type
+/// parameter; each method forwards to the variant's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AnyPolicy {
+    /// A block-size ladder, finest level first.
+    Ladder(TopologyPolicy),
+    /// Everything in one bin.
+    Single(SingleBin),
+    /// Every thread its own bin.
+    Unique(UniqueBin),
+}
+
+impl BinPolicy for AnyPolicy {
+    #[inline]
+    fn bin_key(&mut self, hints: Hints) -> [u64; MAX_DIMS] {
+        match self {
+            AnyPolicy::Ladder(p) => p.bin_key(hints),
+            AnyPolicy::Single(p) => p.bin_key(hints),
+            AnyPolicy::Unique(p) => p.bin_key(hints),
+        }
+    }
+
+    #[inline]
+    fn ancestor_key(&self, key: [u64; MAX_DIMS], level: u32) -> [u64; MAX_DIMS] {
+        match self {
+            AnyPolicy::Ladder(p) => p.ancestor_key(key, level),
+            AnyPolicy::Single(_) | AnyPolicy::Unique(_) => key,
+        }
+    }
+
+    fn depth(&self) -> u32 {
+        match self {
+            AnyPolicy::Ladder(p) => p.depth(),
+            AnyPolicy::Single(_) | AnyPolicy::Unique(_) => 1,
+        }
+    }
+
+    fn symmetric(&self) -> bool {
+        match self {
+            AnyPolicy::Ladder(p) => p.symmetric(),
+            AnyPolicy::Single(p) => p.symmetric(),
+            AnyPolicy::Unique(p) => p.symmetric(),
+        }
+    }
+
+    fn always_unique(&self) -> bool {
+        matches!(self, AnyPolicy::Unique(_))
     }
 }
 

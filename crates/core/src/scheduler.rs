@@ -85,7 +85,7 @@ impl<C> Scheduler<C> {
 
     /// Creates a scheduler with the default configuration.
     pub fn with_defaults() -> Self {
-        Scheduler::new(SchedulerConfig::default())
+        Self::new(SchedulerConfig::default())
     }
 
     /// Replaces the configuration — the paper's `th_init` "can be
@@ -379,7 +379,7 @@ mod tests {
 
     #[test]
     fn runs_every_thread_exactly_once() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         for i in 0..100 {
             sched.fork(record, i, i * 2, Hints::one(Addr::new((i as u64) * 333)));
         }
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn threads_with_same_block_run_adjacently() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         // Interleave forks into two far-apart blocks.
         for i in 0..10 {
             sched.fork(record, 0, i, Hints::one(Addr::new(0)));
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn within_bin_order_is_fork_order() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         for i in 0..(GROUP_CAPACITY * 2 + 7) {
             sched.fork(record, i, 0, Hints::one(Addr::new(4)));
         }
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn retain_re_runs_the_same_schedule() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         for i in 0..5 {
             sched.fork(record, i, 0, Hints::one(Addr::new(i as u64 * 10_000)));
         }
@@ -453,7 +453,7 @@ mod tests {
             .block_size(2 * vec_bytes)
             .build()
             .unwrap();
-        let mut sched: Scheduler<Log> = Scheduler::new(cfg);
+        let mut sched = Scheduler::<Log>::new(cfg);
         for i in 0..4usize {
             for j in 0..4usize {
                 sched.fork(
@@ -492,7 +492,7 @@ mod tests {
             .symmetric(true)
             .build()
             .unwrap();
-        let mut sched: Scheduler<Log> = Scheduler::new(cfg);
+        let mut sched = Scheduler::<Log>::new(cfg);
         sched.fork(record, 0, 0, Hints::two(Addr::new(0), Addr::new(1 << 20)));
         sched.fork(record, 1, 0, Hints::two(Addr::new(1 << 20), Addr::new(0)));
         assert_eq!(sched.bins(), 1, "mirrored hints share a bin");
@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn no_hint_threads_run_in_fork_order() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         for i in 0..10 {
             sched.fork(record, i, 0, Hints::none());
         }
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn fork_after_consume_starts_fresh() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         sched.fork(record, 0, 0, Hints::one(Addr::new(0)));
         let mut log = Log::new();
         sched.run(&mut log, RunMode::Consume);
@@ -537,7 +537,7 @@ mod tests {
     #[test]
     fn package_memory_tracing_emits_references() {
         use memtrace::CountingSink;
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         sched.trace_package_memory();
         let mut fork_sink = CountingSink::new();
         for i in 0..10 {
@@ -565,7 +565,7 @@ mod tests {
         fn traced_record(ctx: &mut Ctx, a: usize, b: usize) {
             ctx.log.push((a, b));
         }
-        let mut sched2: Scheduler<Ctx> = Scheduler::new(config(1024));
+        let mut sched2 = Scheduler::<Ctx>::new(config(1024));
         sched2.trace_package_memory();
         let mut fork_sink = CountingSink::new();
         for i in 0..10 {
@@ -601,7 +601,7 @@ mod tests {
             ctx.sink.write(Addr::new(a as u64 * 0x100), 8);
         }
 
-        let mut sched: Scheduler<Ctx> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Ctx>::new(config(1024));
         sched.trace_package_memory();
         let mut sink = FootprintSink::ignoring_at_or_above(Addr::new(PACKAGE_TRACE_BASE));
         // Two bins: forks 0 and 2 share a block, fork 1 sits far away;
@@ -638,7 +638,7 @@ mod tests {
     #[test]
     fn tracing_disabled_emits_nothing() {
         use memtrace::CountingSink;
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         let mut sink = CountingSink::new();
         sched.fork_traced(record, 0, 0, Hints::none(), &mut sink);
         assert_eq!(sink.data_references(), 0);
@@ -646,7 +646,7 @@ mod tests {
 
     #[test]
     fn reconfigure_between_runs() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         sched.fork(record, 0, 0, Hints::one(Addr::new(5000)));
         // Occupied: reconfiguration refused, count reported.
         assert_eq!(sched.reconfigure(config(4096)), Err(1));
@@ -679,16 +679,8 @@ mod tests {
         fn body(log: &mut Vec<usize>, i: usize, _j: usize) {
             log.push(i);
         }
-        for (symmetric, golden) in [
-            (false, 0x602b_6d0e_814b_6447u64),
-            (true, 0x75cd_8bb5_5def_c1e9),
-        ] {
-            let cfg = SchedulerConfig::builder()
-                .block_size(1 << 16)
-                .symmetric(symmetric)
-                .build()
-                .unwrap();
-            let mut sched: Scheduler<Vec<usize>> = Scheduler::new(cfg);
+        fn digest_of<P: BinPolicy>(cfg: SchedulerConfig, policy: P) -> u64 {
+            let mut sched: Scheduler<Vec<usize>, P> = Scheduler::with_policy(cfg, policy);
             let mut x = 0x9E37_79B9_7F4A_7C15u64;
             for i in 0..300usize {
                 let mut next = || {
@@ -708,7 +700,27 @@ mod tests {
                 digest ^= *v as u64;
                 digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
             }
-            assert_eq!(digest, golden, "symmetric={symmetric}");
+            digest
+        }
+        for (symmetric, golden) in [
+            (false, 0x602b_6d0e_814b_6447u64),
+            (true, 0x75cd_8bb5_5def_c1e9),
+        ] {
+            let cfg = SchedulerConfig::builder()
+                .block_size(1 << 16)
+                .symmetric(symmetric)
+                .build()
+                .unwrap();
+            // The same digest through the paper policy and through the
+            // depth-1 ladder carried as an `AnyPolicy` value.
+            let paper = PaperBlockHash::from_config(&cfg);
+            let ladder = crate::AnyPolicy::Ladder(paper.into());
+            assert_eq!(digest_of(cfg, paper), golden, "symmetric={symmetric}");
+            assert_eq!(
+                digest_of(cfg, ladder),
+                golden,
+                "ladder symmetric={symmetric}"
+            );
         }
     }
 
@@ -761,12 +773,12 @@ mod tests {
                     sched.fork(record, i, 0, Hints::one(Addr::new(x % (1 << 22))));
                 }
             };
-            let mut batch: Scheduler<Log> = Scheduler::new(cfg);
+            let mut batch = Scheduler::<Log>::new(cfg);
             fork_all(&mut batch);
             let mut batch_log = Log::new();
             batch.run(&mut batch_log, RunMode::Consume);
 
-            let mut online: Scheduler<Log> = Scheduler::new(cfg);
+            let mut online = Scheduler::<Log>::new(cfg);
             fork_all(&mut online);
             online.enable_online();
             assert!(online.online());
@@ -810,7 +822,7 @@ mod tests {
 
     #[test]
     fn online_refilled_bin_relinks_at_the_back() {
-        let mut sched: Scheduler<Log> = Scheduler::new(config(1024));
+        let mut sched = Scheduler::<Log>::new(config(1024));
         sched.enable_online();
         // Bin X gets work, drains.
         sched.fork(record, 0, 0, Hints::one(Addr::new(0)));
@@ -838,8 +850,8 @@ mod tests {
     #[test]
     fn lru_cap_bounds_live_bin_records() {
         use crate::EvictionPolicy;
-        let mut sched: Scheduler<Log> =
-            Scheduler::new(eviction_config(EvictionPolicy::LruCap { max_records: 4 }));
+        let mut sched =
+            Scheduler::<Log>::new(eviction_config(EvictionPolicy::LruCap { max_records: 4 }));
         sched.enable_online();
         let mut log = Log::new();
         for i in 0..64usize {
@@ -861,8 +873,8 @@ mod tests {
     #[test]
     fn evicted_key_rearrives_as_fresh_fork() {
         use crate::EvictionPolicy;
-        let mut sched: Scheduler<Log> =
-            Scheduler::new(eviction_config(EvictionPolicy::LruCap { max_records: 1 }));
+        let mut sched =
+            Scheduler::<Log>::new(eviction_config(EvictionPolicy::LruCap { max_records: 1 }));
         sched.enable_online();
         let mut log = Log::new();
         // Bin X fills and drains, leaving an idle record.
@@ -883,7 +895,7 @@ mod tests {
     #[test]
     fn idle_age_reaps_after_configured_drains() {
         use crate::EvictionPolicy;
-        let mut sched: Scheduler<Log> = Scheduler::new(eviction_config(EvictionPolicy::IdleAge {
+        let mut sched = Scheduler::<Log>::new(eviction_config(EvictionPolicy::IdleAge {
             max_idle_drains: 2,
         }));
         sched.enable_online();
@@ -940,13 +952,13 @@ mod tests {
                 sched.fork(record, i, 0, Hints::one(Addr::new(x % (1 << 20))));
             }
         };
-        let mut batch: Scheduler<Log> = Scheduler::new(eviction_config(EvictionPolicy::Off));
+        let mut batch = Scheduler::<Log>::new(eviction_config(EvictionPolicy::Off));
         fork_all(&mut batch);
         let mut batch_log = Log::new();
         batch.run(&mut batch_log, RunMode::Consume);
 
-        let mut online: Scheduler<Log> =
-            Scheduler::new(eviction_config(EvictionPolicy::LruCap { max_records: 2 }));
+        let mut online =
+            Scheduler::<Log>::new(eviction_config(EvictionPolicy::LruCap { max_records: 2 }));
         fork_all(&mut online);
         online.enable_online();
         let mut online_log = Log::new();

@@ -1,8 +1,9 @@
 //! Property-based tests of the locality scheduler's invariants.
 
 use locality_sched::{
-    Addr, BinPolicy, FifoScheduler, Hierarchical, Hints, PaperBlockHash, RandomScheduler, RunMode,
-    Scheduler, SchedulerConfig, SingleBin, ThreadScheduler, TopologyPolicy, Tour,
+    Addr, AnyPolicy, BinPolicy, FifoScheduler, Hierarchical, Hints, PaperBlockHash,
+    RandomScheduler, RunMode, Scheduler, SchedulerConfig, SingleBin, ThreadScheduler,
+    TopologyPolicy, Tour,
 };
 use proptest::prelude::*;
 
@@ -108,7 +109,7 @@ proptest! {
         config in arb_config(),
         hints in prop::collection::vec(arb_hints(), 0..300),
     ) {
-        let mut sched: Scheduler<Log> = Scheduler::new(config);
+        let mut sched = Scheduler::<Log>::new(config);
         for (i, h) in hints.iter().enumerate() {
             sched.fork(record, i, 0, *h);
         }
@@ -130,7 +131,7 @@ proptest! {
         picks in prop::collection::vec(0usize..100, 2..50),
     ) {
         // Fork threads whose hints repeat (tagged by hint index).
-        let mut sched: Scheduler<Log> = Scheduler::new(config);
+        let mut sched = Scheduler::<Log>::new(config);
         let assignments: Vec<usize> =
             picks.iter().map(|&p| p % hints.len()).collect();
         for (i, &which) in assignments.iter().enumerate() {
@@ -164,7 +165,7 @@ proptest! {
         config in arb_config(),
         hints in prop::collection::vec(arb_hints(), 0..100),
     ) {
-        let mut sched: Scheduler<Log> = Scheduler::new(config);
+        let mut sched = Scheduler::<Log>::new(config);
         for (i, h) in hints.iter().enumerate() {
             sched.fork(record, i, 0, *h);
         }
@@ -189,7 +190,7 @@ proptest! {
             .symmetric(true)
             .build()
             .unwrap();
-        let mut sched: Scheduler<Log> = Scheduler::new(config);
+        let mut sched = Scheduler::<Log>::new(config);
         sched.fork(record, 0, 0, Hints::two(Addr::new(a), Addr::new(b)));
         sched.fork(record, 1, 0, Hints::two(Addr::new(b), Addr::new(a)));
         prop_assert_eq!(sched.bins(), 1);
@@ -206,7 +207,7 @@ proptest! {
     ) {
         let block = 1u64 << block_log2;
         let config = SchedulerConfig::builder().block_size(block).build().unwrap();
-        let mut sched: Scheduler<Log> = Scheduler::new(config);
+        let mut sched = Scheduler::<Log>::new(config);
         sched.fork(record, 0, 0, Hints::one(Addr::new(a)));
         sched.fork(record, 1, 0, Hints::one(Addr::new(b)));
         let same_block = (a / block) == (b / block);
@@ -409,7 +410,9 @@ proptest! {
     /// [`Hierarchical`] policy: identical bin keys, identical ancestor
     /// ladder, and an identical drain order under any configuration,
     /// tour, and hint mixture. This is what licenses `Hierarchical` to
-    /// remain a thin alias for the depth-2 case.
+    /// remain a thin alias for the depth-2 case — and the ladder carried
+    /// as an [`AnyPolicy`] value drains identically at depth 1 (against
+    /// [`PaperBlockHash`]), 2 and 3.
     #[test]
     fn topology_depth2_matches_hierarchical(
         config in arb_config(),
@@ -434,17 +437,29 @@ proptest! {
                 );
             }
         }
-        let mut a: Scheduler<Log, _> = Scheduler::with_policy(config, hier);
-        let mut b: Scheduler<Log, _> = Scheduler::with_policy(config, tree);
-        for (i, h) in hints.iter().enumerate() {
-            a.fork(record, i, 0, *h);
-            b.fork(record, i, 0, *h);
+        fn drain<P: BinPolicy>(config: SchedulerConfig, policy: P, hints: &[Hints]) -> Log {
+            let mut sched: Scheduler<Log, P> = Scheduler::with_policy(config, policy);
+            for (i, h) in hints.iter().enumerate() {
+                sched.fork(record, i, 0, *h);
+            }
+            let mut log = Log::new();
+            sched.run(&mut log, RunMode::Consume);
+            log
         }
-        let mut log_a = Log::new();
-        let mut log_b = Log::new();
-        a.run(&mut log_a, RunMode::Consume);
-        b.run(&mut log_b, RunMode::Consume);
-        prop_assert_eq!(log_a, log_b, "drain order diverged");
+        let two_level = drain(config, hier, &hints);
+        prop_assert_eq!(&two_level, &drain(config, tree, &hints), "drain order diverged");
+        prop_assert_eq!(&two_level, &drain(config, AnyPolicy::Ladder(tree), &hints));
+        prop_assert_eq!(&two_level, &drain(config, AnyPolicy::Ladder(hier.into()), &hints));
+        let flat = PaperBlockHash::new([block; 4], symmetric).unwrap();
+        prop_assert_eq!(
+            drain(config, flat, &hints),
+            drain(config, AnyPolicy::Ladder(flat.into()), &hints)
+        );
+        let deep = TopologyPolicy::uniform(&[sub, block, block << 3], symmetric).unwrap();
+        prop_assert_eq!(
+            drain(config, deep, &hints),
+            drain(config, AnyPolicy::Ladder(deep), &hints)
+        );
     }
 
     /// [`PaperBlockHash`] computes exactly the pre-refactor hints→bin
@@ -481,7 +496,7 @@ proptest! {
         config in arb_config(),
         hints in prop::collection::vec(arb_hints(), 0..200),
     ) {
-        let mut sched: Scheduler<Log> = Scheduler::new(config);
+        let mut sched = Scheduler::<Log>::new(config);
         for (i, h) in hints.iter().enumerate() {
             sched.fork(record, i, 0, *h);
         }

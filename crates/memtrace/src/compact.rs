@@ -12,6 +12,11 @@
 //! decodes to some access sequence or terminates early — it never
 //! panics, which the trace-replay fuzz suite relies on.
 //!
+//! This module owns the record format. [`DeltaCodec`] is its one
+//! encoder and one decoder step; [`CompactBuf`] / [`CompactIter`] are
+//! the plain stream over it, and the cache simulator's shard queues
+//! interleave their own escape records with the same access records.
+//!
 //! # Examples
 //!
 //! ```
@@ -29,16 +34,38 @@
 use crate::access::{Access, AccessKind, Addr};
 
 /// Flag bit 0: the record is a write (clear = read).
-pub const FLAG_WRITE: u8 = 1 << 0;
+const FLAG_WRITE: u8 = 1 << 0;
 /// Flag bit 1: the record reuses the previous record's size (no size
 /// varint follows).
-pub const FLAG_SAME_SIZE: u8 = 1 << 1;
+const FLAG_SAME_SIZE: u8 = 1 << 1;
 
-/// Appends `v` as an LEB128 varint (7 bits per byte, high bit = more).
+/// Longest record: the flag byte, a 10-byte address varint, a 5-byte
+/// size varint.
+const MAX_RECORD_BYTES: usize = 16;
+
+/// Writes `v` as an LEB128 varint (7 bits per byte, high bit = more)
+/// into `buf` at `at`, returning one past the last byte written. A
+/// `u64` takes at most 10 bytes. The encoder's form of [`push_varint`]:
+/// a record is assembled on the stack and appended once.
+#[inline]
+fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    loop {
+        let b = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            buf[at] = b;
+            return at + 1;
+        }
+        buf[at] = b | 0x80;
+        at += 1;
+    }
+}
+
+/// Appends `v` as an LEB128 varint, byte by byte.
 ///
-/// Public so sibling encoders (the cache simulator's shard queues embed
-/// extra record types around the same wire idiom) share one varint
-/// implementation.
+/// Public so embedders of the record format (the cache simulator's
+/// shard queues add run-length records between access records) write
+/// their own fields in the same idiom.
 #[inline]
 pub fn push_varint(bytes: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -75,16 +102,78 @@ pub fn take_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Maps a signed delta onto an unsigned varint-friendly value
 /// (0, -1, 1, -2 → 0, 1, 2, 3).
 #[inline]
-#[must_use]
-pub fn zigzag(v: i64) -> u64 {
+fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
 #[inline]
-#[must_use]
-pub fn unzigzag(v: u64) -> i64 {
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// The access-record codec: the delta state one end of a stream carries
+/// from record to record (both ends start from `default()`), with the
+/// one encoder and the one decoder step of the wire format.
+///
+/// A record's flag byte only ever has bits 0 and 1 set, and the decoder
+/// reads no others — bits 2–7 are free for an embedder's own escape
+/// records, which it must recognise and consume before calling
+/// [`decode`](Self::decode).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DeltaCodec {
+    prev_addr: u64,
+    prev_size: u32,
+}
+
+impl DeltaCodec {
+    /// Appends the record for `access` to `bytes`.
+    #[inline]
+    pub fn encode(&mut self, access: Access, bytes: &mut Vec<u8>) {
+        let addr = access.addr.raw();
+        let delta = addr.wrapping_sub(self.prev_addr) as i64;
+        let mut flags = 0u8;
+        if access.kind == AccessKind::Write {
+            flags |= FLAG_WRITE;
+        }
+        if access.size == self.prev_size {
+            flags |= FLAG_SAME_SIZE;
+        }
+        // Assemble the record on the stack and append it in one go: one
+        // capacity check per record instead of one per byte.
+        let mut rec = [0u8; MAX_RECORD_BYTES];
+        rec[0] = flags;
+        let mut len = write_varint(&mut rec, 1, zigzag(delta));
+        if flags & FLAG_SAME_SIZE == 0 {
+            len = write_varint(&mut rec, len, u64::from(access.size));
+            self.prev_size = access.size;
+        }
+        bytes.extend_from_slice(&rec[..len]);
+        self.prev_addr = addr;
+    }
+
+    /// Decodes the record whose flag byte `flags` was read just before
+    /// `*pos`, advancing `*pos` past it. Returns `None` — with the
+    /// delta state untouched — when the buffer ends mid-record.
+    #[inline]
+    pub fn decode(&mut self, flags: u8, bytes: &[u8], pos: &mut usize) -> Option<Access> {
+        let delta = unzigzag(take_varint(bytes, pos)?);
+        let size = if flags & FLAG_SAME_SIZE == 0 {
+            // Sizes wider than u32 cannot be produced by the encoder;
+            // treat a hostile varint as its low 32 bits.
+            take_varint(bytes, pos)? as u32
+        } else {
+            self.prev_size
+        };
+        self.prev_addr = self.prev_addr.wrapping_add(delta as u64);
+        self.prev_size = size;
+        let addr = Addr::new(self.prev_addr);
+        Some(if flags & FLAG_WRITE == 0 {
+            Access::read(addr, size)
+        } else {
+            Access::write(addr, size)
+        })
+    }
 }
 
 /// A growable batch of delta-encoded accesses. See the module docs for
@@ -93,8 +182,7 @@ pub fn unzigzag(v: u64) -> i64 {
 pub struct CompactBuf {
     bytes: Vec<u8>,
     records: usize,
-    prev_addr: u64,
-    prev_size: u32,
+    codec: DeltaCodec,
 }
 
 impl CompactBuf {
@@ -107,22 +195,7 @@ impl CompactBuf {
     /// Appends one access.
     #[inline]
     pub fn push(&mut self, access: Access) {
-        let addr = access.addr.raw();
-        let delta = addr.wrapping_sub(self.prev_addr) as i64;
-        let mut flags = 0u8;
-        if access.kind == AccessKind::Write {
-            flags |= FLAG_WRITE;
-        }
-        if access.size == self.prev_size {
-            flags |= FLAG_SAME_SIZE;
-        }
-        self.bytes.push(flags);
-        push_varint(&mut self.bytes, zigzag(delta));
-        if flags & FLAG_SAME_SIZE == 0 {
-            push_varint(&mut self.bytes, u64::from(access.size));
-            self.prev_size = access.size;
-        }
-        self.prev_addr = addr;
+        self.codec.encode(access, &mut self.bytes);
         self.records += 1;
     }
 
@@ -148,8 +221,7 @@ impl CompactBuf {
     pub fn clear(&mut self) {
         self.bytes.clear();
         self.records = 0;
-        self.prev_addr = 0;
-        self.prev_size = 0;
+        self.codec = DeltaCodec::default();
     }
 
     /// The raw encoded bytes.
@@ -190,8 +262,7 @@ impl Extend<Access> for CompactBuf {
 pub struct CompactIter<'a> {
     bytes: &'a [u8],
     pos: usize,
-    prev_addr: u64,
-    prev_size: u32,
+    codec: DeltaCodec,
 }
 
 impl<'a> CompactIter<'a> {
@@ -202,8 +273,7 @@ impl<'a> CompactIter<'a> {
         CompactIter {
             bytes,
             pos: 0,
-            prev_addr: 0,
-            prev_size: 0,
+            codec: DeltaCodec::default(),
         }
     }
 }
@@ -215,23 +285,9 @@ impl Iterator for CompactIter<'_> {
     fn next(&mut self) -> Option<Access> {
         let flags = *self.bytes.get(self.pos)?;
         let mut pos = self.pos + 1;
-        let delta = unzigzag(take_varint(self.bytes, &mut pos)?);
-        let size = if flags & FLAG_SAME_SIZE == 0 {
-            // Sizes wider than u32 cannot be produced by the encoder;
-            // treat a hostile varint as its low 32 bits.
-            take_varint(self.bytes, &mut pos)? as u32
-        } else {
-            self.prev_size
-        };
+        let access = self.codec.decode(flags, self.bytes, &mut pos)?;
         self.pos = pos;
-        self.prev_addr = self.prev_addr.wrapping_add(delta as u64);
-        self.prev_size = size;
-        let addr = Addr::new(self.prev_addr);
-        Some(if flags & FLAG_WRITE == 0 {
-            Access::read(addr, size)
-        } else {
-            Access::write(addr, size)
-        })
+        Some(access)
     }
 }
 

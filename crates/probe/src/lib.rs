@@ -65,8 +65,8 @@ mod metrics;
 mod profile;
 
 pub use metrics::{
-    Counter, Distribution, Histogram, HistogramSnapshot, LocalCounter, LocalHistogram, LocalSpan,
-    Span,
+    Counter, CounterOf, Distribution, Histogram, HistogramOf, HistogramSnapshot, LocalCounter,
+    LocalHistogram, LocalSpan, Span, SpanOf,
 };
 pub use profile::{Metric, RunProfile, Section};
 

@@ -1,14 +1,20 @@
 //! Collection primitives: counters, histograms, span timers.
 //!
-//! Two parallel implementations live here, selected by the `enabled`
-//! cargo feature. The enabled one comes in two kinds: [`Counter`] and
-//! [`Histogram`] use relaxed atomics so probes can be shared across
-//! worker threads without locks; [`LocalCounter`] and
-//! [`LocalHistogram`] are plain `Cell`s for observations owned by one
-//! thread (held behind `&mut`), where a `lock`-prefixed RMW per event
-//! would be pure cost. The disabled implementation is all zero-sized
-//! types with empty inline methods, so instrumentation sites cost
-//! nothing.
+//! One body, three slots. [`CounterOf`] and [`HistogramOf`] are written
+//! once over a private [`Slot`] — one 64-bit cell of a metric — and the
+//! six public names are aliases picking the slot: a relaxed `AtomicU64`
+//! for [`Counter`] / [`Histogram`], which are shared across worker
+//! threads without locks; a plain `Cell<u64>` for [`LocalCounter`] /
+//! [`LocalHistogram`], observations owned by one thread (held behind
+//! `&mut`), where a `lock`-prefixed RMW per event would be pure cost;
+//! and, with the `enabled` cargo feature off, a zero-sized no-op slot
+//! for all of them, so instrumentation sites cost nothing and a span
+//! never reads the clock.
+
+use std::cell::Cell;
+use std::fmt::Debug;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Number of log₂ buckets: values up to 2⁶³ land in a bucket.
 const BUCKETS: usize = 64;
@@ -89,518 +95,329 @@ pub trait Distribution {
     fn snapshot(&self) -> HistogramSnapshot;
 }
 
-impl Distribution for Histogram {
+impl<S: Slot> Distribution for HistogramOf<S> {
     fn snapshot(&self) -> HistogramSnapshot {
-        Histogram::snapshot(self)
+        HistogramOf::snapshot(self)
     }
 }
 
-impl Distribution for LocalHistogram {
-    fn snapshot(&self) -> HistogramSnapshot {
-        LocalHistogram::snapshot(self)
+/// One 64-bit storage cell of a metric. The trait is public only so the
+/// aliases below can name it in their bounds; the module is private, so
+/// nothing outside the crate can implement or call it.
+pub trait Slot: Debug + Sized + 'static {
+    /// The cell holding 0.
+    const ZERO: Self;
+    /// The cell holding `u64::MAX` (an empty histogram's minimum).
+    const MAX: Self;
+    /// What a running span holds: the histogram and its start time, or
+    /// nothing at all.
+    type Running<'a>: Debug;
+
+    /// Current value.
+    fn get(&self) -> u64;
+    /// Wrapping add.
+    fn add(&self, n: u64);
+    /// Lowers the cell to `v` if `v` is smaller.
+    fn lower(&self, v: u64);
+    /// Raises the cell to `v` if `v` is larger.
+    fn raise(&self, v: u64);
+    /// Starts timing a span over `histogram`.
+    fn start(histogram: &HistogramOf<Self>) -> Self::Running<'_>;
+    /// Records the elapsed nanoseconds of `running`.
+    fn finish(running: &mut Self::Running<'_>);
+}
+
+impl Slot for AtomicU64 {
+    const ZERO: Self = AtomicU64::new(0);
+    const MAX: Self = AtomicU64::new(u64::MAX);
+    type Running<'a> = (&'a HistogramOf<Self>, Instant);
+
+    #[inline]
+    fn get(&self) -> u64 {
+        self.load(Ordering::Relaxed)
     }
+    #[inline]
+    fn add(&self, n: u64) {
+        self.fetch_add(n, Ordering::Relaxed);
+    }
+    #[inline]
+    fn lower(&self, v: u64) {
+        self.fetch_min(v, Ordering::Relaxed);
+    }
+    #[inline]
+    fn raise(&self, v: u64) {
+        self.fetch_max(v, Ordering::Relaxed);
+    }
+    #[inline]
+    fn start(histogram: &HistogramOf<Self>) -> Self::Running<'_> {
+        (histogram, Instant::now())
+    }
+    #[inline]
+    fn finish(running: &mut Self::Running<'_>) {
+        running.0.record(running.1.elapsed().as_nanos() as u64);
+    }
+}
+
+impl Slot for Cell<u64> {
+    const ZERO: Self = Cell::new(0);
+    const MAX: Self = Cell::new(u64::MAX);
+    type Running<'a> = (&'a HistogramOf<Self>, Instant);
+
+    #[inline]
+    fn get(&self) -> u64 {
+        Cell::get(self)
+    }
+    #[inline]
+    fn add(&self, n: u64) {
+        self.set(Cell::get(self).wrapping_add(n));
+    }
+    #[inline]
+    fn lower(&self, v: u64) {
+        self.set(Cell::get(self).min(v));
+    }
+    #[inline]
+    fn raise(&self, v: u64) {
+        self.set(Cell::get(self).max(v));
+    }
+    #[inline]
+    fn start(histogram: &HistogramOf<Self>) -> Self::Running<'_> {
+        (histogram, Instant::now())
+    }
+    #[inline]
+    fn finish(running: &mut Self::Running<'_>) {
+        running.0.record(running.1.elapsed().as_nanos() as u64);
+    }
+}
+
+/// The compiled-out slot: zero-sized, stores nothing, reads as 0.
+#[cfg(not(feature = "enabled"))]
+#[derive(Debug)]
+pub struct NoSlot;
+
+#[cfg(not(feature = "enabled"))]
+impl Slot for NoSlot {
+    const ZERO: Self = NoSlot;
+    const MAX: Self = NoSlot;
+    type Running<'a> = ();
+
+    #[inline(always)]
+    fn get(&self) -> u64 {
+        0
+    }
+    #[inline(always)]
+    fn add(&self, _n: u64) {}
+    #[inline(always)]
+    fn lower(&self, _v: u64) {}
+    #[inline(always)]
+    fn raise(&self, _v: u64) {}
+    #[inline(always)]
+    fn start(_histogram: &HistogramOf<Self>) {}
+    #[inline(always)]
+    fn finish(_running: &mut ()) {}
 }
 
 #[cfg(feature = "enabled")]
-mod imp {
-    use super::{bucket_of, bucket_upper, Distribution, HistogramSnapshot, BUCKETS};
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Instant;
-
-    /// A thread-safe monotonic event counter (relaxed atomics).
-    #[derive(Debug, Default)]
-    pub struct Counter(AtomicU64);
-
-    impl Counter {
-        /// Creates a zeroed counter.
-        pub const fn new() -> Self {
-            Counter(AtomicU64::new(0))
-        }
-
-        /// Adds `n` to the counter.
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// Adds one to the counter.
-        #[inline]
-        pub fn incr(&self) {
-            self.add(1);
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.0.load(Ordering::Relaxed)
-        }
-    }
-
-    impl Clone for Counter {
-        fn clone(&self) -> Self {
-            Counter(AtomicU64::new(self.get()))
-        }
-    }
-
-    /// A single-threaded counter for `&mut`-held hot paths: a plain
-    /// `Cell`, so bumping it is one register-width store, not an
-    /// atomic RMW.
-    #[derive(Clone, Debug, Default)]
-    pub struct LocalCounter(Cell<u64>);
-
-    impl LocalCounter {
-        /// Creates a zeroed counter.
-        pub const fn new() -> Self {
-            LocalCounter(Cell::new(0))
-        }
-
-        /// Adds `n` to the counter.
-        #[inline]
-        pub fn add(&self, n: u64) {
-            self.0.set(self.0.get().wrapping_add(n));
-        }
-
-        /// Adds one to the counter.
-        #[inline]
-        pub fn incr(&self) {
-            self.add(1);
-        }
-
-        /// Current value.
-        #[inline]
-        pub fn get(&self) -> u64 {
-            self.0.get()
-        }
-    }
-
-    /// A log₂-bucketed histogram of `u64` values, shareable across
-    /// threads (every field is a relaxed atomic; concurrent `record`
-    /// calls never lose counts, though a `snapshot` — and so a
-    /// `merge_from` — taken mid-record may be momentarily torn between
-    /// fields). Five atomic RMWs per `record`: for observations owned
-    /// by one thread use [`LocalHistogram`].
-    #[derive(Debug)]
-    pub struct Histogram {
-        buckets: [AtomicU64; BUCKETS],
-        count: AtomicU64,
-        sum: AtomicU64,
-        /// Min encoded as `u64::MAX` when empty.
-        min: AtomicU64,
-        max: AtomicU64,
-    }
-
-    impl Histogram {
-        /// Creates an empty histogram.
-        pub const fn new() -> Self {
-            Histogram {
-                buckets: [const { AtomicU64::new(0) }; BUCKETS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            }
-        }
-
-        /// Records one value.
-        #[inline]
-        pub fn record(&self, value: u64) {
-            self.record_n(value, 1);
-        }
-
-        /// Records `value` `n` times — exactly `n` calls of
-        /// [`record`](Self::record) — at the cost of one. `n = 0`
-        /// records nothing (min and max stay as they were).
-        #[inline]
-        pub fn record_n(&self, value: u64, n: u64) {
-            if n == 0 {
-                return;
-            }
-            self.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
-            self.count.fetch_add(n, Ordering::Relaxed);
-            self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-            self.min.fetch_min(value, Ordering::Relaxed);
-            self.max.fetch_max(value, Ordering::Relaxed);
-        }
-
-        /// Values recorded so far.
-        #[inline]
-        pub fn count(&self) -> u64 {
-            self.count.load(Ordering::Relaxed)
-        }
-
-        /// Sum of values recorded so far.
-        #[inline]
-        pub fn sum(&self) -> u64 {
-            self.sum.load(Ordering::Relaxed)
-        }
-
-        /// Folds another histogram's contents (of either kind) into
-        /// this one.
-        pub fn merge_from(&self, other: &impl Distribution) {
-            let other = other.snapshot();
-            for &(upper, n) in &other.buckets {
-                self.buckets[bucket_of(upper)].fetch_add(n, Ordering::Relaxed);
-            }
-            self.count.fetch_add(other.count, Ordering::Relaxed);
-            self.sum.fetch_add(other.sum, Ordering::Relaxed);
-            // An empty snapshot reports min 0, which is not a value.
-            if other.count > 0 {
-                self.min.fetch_min(other.min, Ordering::Relaxed);
-                self.max.fetch_max(other.max, Ordering::Relaxed);
-            }
-        }
-
-        /// Point-in-time copy of the distribution.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            let count = self.count.load(Ordering::Relaxed);
-            let min = self.min.load(Ordering::Relaxed);
-            HistogramSnapshot {
-                count,
-                sum: self.sum.load(Ordering::Relaxed),
-                min: if min == u64::MAX { 0 } else { min },
-                max: self.max.load(Ordering::Relaxed),
-                buckets: self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| {
-                        let n = b.load(Ordering::Relaxed);
-                        (n > 0).then_some((bucket_upper(i), n))
-                    })
-                    .collect(),
-            }
-        }
-
-        /// Starts a scoped timer that records elapsed nanoseconds into
-        /// this histogram when dropped.
-        #[inline]
-        pub fn span(&self) -> Span<'_> {
-            Span {
-                histogram: self,
-                start: Instant::now(),
-            }
-        }
-    }
-
-    impl Default for Histogram {
-        fn default() -> Self {
-            Histogram::new()
-        }
-    }
-
-    impl Clone for Histogram {
-        fn clone(&self) -> Self {
-            let fresh = Histogram::new();
-            fresh.merge_from(self);
-            fresh
-        }
-    }
-
-    /// Guard returned by [`Histogram::span`]: records the elapsed
-    /// nanoseconds between creation and drop.
-    #[derive(Debug)]
-    pub struct Span<'a> {
-        histogram: &'a Histogram,
-        start: Instant,
-    }
-
-    impl Drop for Span<'_> {
-        #[inline]
-        fn drop(&mut self) {
-            self.histogram
-                .record(self.start.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// The single-threaded [`Histogram`]: the same buckets and the same
-    /// snapshots, kept in plain `Cell`s, so `record` is five ordinary
-    /// loads and stores instead of five atomic RMWs. For observations
-    /// owned by one thread — a simulator or scheduler held behind
-    /// `&mut` (the type is `!Sync`, so the compiler enforces it).
-    #[derive(Clone, Debug)]
-    pub struct LocalHistogram {
-        buckets: [Cell<u64>; BUCKETS],
-        count: Cell<u64>,
-        sum: Cell<u64>,
-        /// Min encoded as `u64::MAX` when empty.
-        min: Cell<u64>,
-        max: Cell<u64>,
-    }
-
-    impl LocalHistogram {
-        /// Creates an empty histogram.
-        pub const fn new() -> Self {
-            LocalHistogram {
-                buckets: [const { Cell::new(0) }; BUCKETS],
-                count: Cell::new(0),
-                sum: Cell::new(0),
-                min: Cell::new(u64::MAX),
-                max: Cell::new(0),
-            }
-        }
-
-        /// Records one value.
-        #[inline]
-        pub fn record(&self, value: u64) {
-            self.record_n(value, 1);
-        }
-
-        /// Records `value` `n` times — exactly `n` calls of
-        /// [`record`](Self::record) — at the cost of one. `n = 0`
-        /// records nothing (min and max stay as they were).
-        #[inline]
-        pub fn record_n(&self, value: u64, n: u64) {
-            if n == 0 {
-                return;
-            }
-            let bucket = &self.buckets[bucket_of(value)];
-            bucket.set(bucket.get().wrapping_add(n));
-            self.count.set(self.count.get().wrapping_add(n));
-            self.sum
-                .set(self.sum.get().wrapping_add(value.wrapping_mul(n)));
-            self.min.set(self.min.get().min(value));
-            self.max.set(self.max.get().max(value));
-        }
-
-        /// Values recorded so far.
-        #[inline]
-        pub fn count(&self) -> u64 {
-            self.count.get()
-        }
-
-        /// Sum of values recorded so far.
-        #[inline]
-        pub fn sum(&self) -> u64 {
-            self.sum.get()
-        }
-
-        /// Folds another histogram's contents (of either kind) into
-        /// this one.
-        pub fn merge_from(&self, other: &impl Distribution) {
-            let other = other.snapshot();
-            for &(upper, n) in &other.buckets {
-                let bucket = &self.buckets[bucket_of(upper)];
-                bucket.set(bucket.get().wrapping_add(n));
-            }
-            self.count.set(self.count.get().wrapping_add(other.count));
-            self.sum.set(self.sum.get().wrapping_add(other.sum));
-            // An empty snapshot reports min 0, which is not a value.
-            if other.count > 0 {
-                self.min.set(self.min.get().min(other.min));
-                self.max.set(self.max.get().max(other.max));
-            }
-        }
-
-        /// Point-in-time copy of the distribution.
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            let min = self.min.get();
-            HistogramSnapshot {
-                count: self.count.get(),
-                sum: self.sum.get(),
-                min: if min == u64::MAX { 0 } else { min },
-                max: self.max.get(),
-                buckets: self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, b)| (b.get() > 0).then_some((bucket_upper(i), b.get())))
-                    .collect(),
-            }
-        }
-
-        /// Starts a scoped timer that records elapsed nanoseconds into
-        /// this histogram when dropped.
-        #[inline]
-        pub fn span(&self) -> LocalSpan<'_> {
-            LocalSpan {
-                histogram: self,
-                start: Instant::now(),
-            }
-        }
-    }
-
-    impl Default for LocalHistogram {
-        fn default() -> Self {
-            LocalHistogram::new()
-        }
-    }
-
-    /// Guard returned by [`LocalHistogram::span`]: records the elapsed
-    /// nanoseconds between creation and drop.
-    #[derive(Debug)]
-    pub struct LocalSpan<'a> {
-        histogram: &'a LocalHistogram,
-        start: Instant,
-    }
-
-    impl Drop for LocalSpan<'_> {
-        #[inline]
-        fn drop(&mut self) {
-            self.histogram
-                .record(self.start.elapsed().as_nanos() as u64);
-        }
-    }
-}
-
+type SharedSlot = AtomicU64;
+#[cfg(feature = "enabled")]
+type LocalSlot = Cell<u64>;
 #[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::{Distribution, HistogramSnapshot};
+type SharedSlot = NoSlot;
+#[cfg(not(feature = "enabled"))]
+type LocalSlot = NoSlot;
 
-    /// Disabled probe counter: zero-sized, all methods are no-ops.
-    #[derive(Clone, Debug, Default)]
-    pub struct Counter;
+/// A thread-safe monotonic event counter (relaxed atomics).
+pub type Counter = CounterOf<SharedSlot>;
+/// A single-threaded counter for `&mut`-held hot paths: a plain `Cell`,
+/// so bumping it is one register-width store, not an atomic RMW.
+pub type LocalCounter = CounterOf<LocalSlot>;
+/// A log₂-bucketed histogram of `u64` values, shareable across threads
+/// (every field is a relaxed atomic; concurrent `record` calls never
+/// lose counts, though a `snapshot` — and so a `merge_from` — taken
+/// mid-record may be momentarily torn between fields). Five atomic RMWs
+/// per `record`: for observations owned by one thread use
+/// [`LocalHistogram`].
+pub type Histogram = HistogramOf<SharedSlot>;
+/// The single-threaded [`Histogram`]: the same buckets and the same
+/// snapshots, kept in plain `Cell`s, so `record` is five ordinary loads
+/// and stores instead of five atomic RMWs. For observations owned by
+/// one thread — a simulator or scheduler held behind `&mut` (the type
+/// is `!Sync`, so the compiler enforces it).
+pub type LocalHistogram = HistogramOf<LocalSlot>;
+/// Guard returned by [`Histogram::span`].
+pub type Span<'a> = SpanOf<'a, SharedSlot>;
+/// Guard returned by [`LocalHistogram::span`].
+pub type LocalSpan<'a> = SpanOf<'a, LocalSlot>;
 
-    impl Counter {
-        /// Creates a no-op counter.
-        pub const fn new() -> Self {
-            Counter
-        }
+/// A monotonic event counter over one storage slot; use it through
+/// [`Counter`] or [`LocalCounter`]. Compiled out, every method is a
+/// no-op and `get` reads 0.
+#[derive(Debug)]
+pub struct CounterOf<S: Slot>(S);
 
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn incr(&self) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
+impl<S: Slot> CounterOf<S> {
+    /// Creates a zeroed counter.
+    pub const fn new() -> Self {
+        CounterOf(S::ZERO)
     }
 
-    /// Disabled single-threaded counter: zero-sized no-op.
-    #[derive(Clone, Debug, Default)]
-    pub struct LocalCounter;
-
-    impl LocalCounter {
-        /// Creates a no-op counter.
-        pub const fn new() -> Self {
-            LocalCounter
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _n: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn incr(&self) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn get(&self) -> u64 {
-            0
-        }
+    /// Adds `n` to the counter.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.add(n);
     }
 
-    /// Disabled histogram: zero-sized, records nothing.
-    #[derive(Clone, Debug, Default)]
-    pub struct Histogram;
-
-    impl Histogram {
-        /// Creates a no-op histogram.
-        pub const fn new() -> Self {
-            Histogram
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _value: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record_n(&self, _value: u64, _n: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn sum(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn merge_from(&self, _other: &impl Distribution) {}
-
-        /// Always the empty snapshot.
-        #[inline(always)]
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot::default()
-        }
-
-        /// Returns a guard whose drop does nothing — no clock is read.
-        #[inline(always)]
-        pub fn span(&self) -> Span<'_> {
-            Span(std::marker::PhantomData)
-        }
+    /// Adds one to the counter.
+    #[inline]
+    pub fn incr(&self) {
+        self.add(1);
     }
 
-    /// Disabled span guard: zero-sized, drop is a no-op.
-    #[derive(Debug)]
-    pub struct Span<'a>(pub(super) std::marker::PhantomData<&'a ()>);
-
-    /// Disabled single-threaded histogram: zero-sized, records nothing.
-    #[derive(Clone, Debug, Default)]
-    pub struct LocalHistogram;
-
-    impl LocalHistogram {
-        /// Creates a no-op histogram.
-        pub const fn new() -> Self {
-            LocalHistogram
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record(&self, _value: u64) {}
-
-        /// No-op.
-        #[inline(always)]
-        pub fn record_n(&self, _value: u64, _n: u64) {}
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn count(&self) -> u64 {
-            0
-        }
-
-        /// Always 0.
-        #[inline(always)]
-        pub fn sum(&self) -> u64 {
-            0
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn merge_from(&self, _other: &impl Distribution) {}
-
-        /// Always the empty snapshot.
-        #[inline(always)]
-        pub fn snapshot(&self) -> HistogramSnapshot {
-            HistogramSnapshot::default()
-        }
-
-        /// Returns a guard whose drop does nothing — no clock is read.
-        #[inline(always)]
-        pub fn span(&self) -> LocalSpan<'_> {
-            LocalSpan(std::marker::PhantomData)
-        }
+    /// Current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.get()
     }
-
-    /// Disabled span guard: zero-sized, drop is a no-op.
-    #[derive(Debug)]
-    pub struct LocalSpan<'a>(pub(super) std::marker::PhantomData<&'a ()>);
 }
 
-pub use imp::{Counter, Histogram, LocalCounter, LocalHistogram, LocalSpan, Span};
+impl<S: Slot> Default for CounterOf<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S: Slot> Clone for CounterOf<S> {
+    fn clone(&self) -> Self {
+        let fresh = Self::new();
+        fresh.add(self.get());
+        fresh
+    }
+}
+
+/// A log₂-bucketed histogram of `u64` values over one kind of storage
+/// slot; use it through [`Histogram`] or [`LocalHistogram`]. Compiled
+/// out, it is zero-sized and records nothing.
+#[derive(Debug)]
+pub struct HistogramOf<S: Slot> {
+    buckets: [S; BUCKETS],
+    count: S,
+    sum: S,
+    /// Min encoded as `u64::MAX` when empty.
+    min: S,
+    max: S,
+}
+
+impl<S: Slot> HistogramOf<S> {
+    /// Creates an empty histogram.
+    pub const fn new() -> Self {
+        HistogramOf {
+            buckets: [S::ZERO; BUCKETS],
+            count: S::ZERO,
+            sum: S::ZERO,
+            min: S::MAX,
+            max: S::ZERO,
+        }
+    }
+
+    /// Records one value.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `value` `n` times — exactly `n` calls of
+    /// [`record`](Self::record) — at the cost of one. `n = 0` records
+    /// nothing (min and max stay as they were).
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(value)].add(n);
+        self.count.add(n);
+        self.sum.add(value.wrapping_mul(n));
+        self.min.lower(value);
+        self.max.raise(value);
+    }
+
+    /// Values recorded so far.
+    #[inline]
+    pub fn count(&self) -> u64 {
+        self.count.get()
+    }
+
+    /// Sum of values recorded so far.
+    #[inline]
+    pub fn sum(&self) -> u64 {
+        self.sum.get()
+    }
+
+    /// Folds another histogram's contents (of either kind) into this
+    /// one.
+    pub fn merge_from(&self, other: &impl Distribution) {
+        let other = other.snapshot();
+        for &(upper, n) in &other.buckets {
+            self.buckets[bucket_of(upper)].add(n);
+        }
+        self.count.add(other.count);
+        self.sum.add(other.sum);
+        // An empty snapshot reports min 0, which is not a value.
+        if other.count > 0 {
+            self.min.lower(other.min);
+            self.max.raise(other.max);
+        }
+    }
+
+    /// Point-in-time copy of the distribution.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let min = self.min.get();
+        HistogramSnapshot {
+            count: self.count.get(),
+            sum: self.sum.get(),
+            min: if min == u64::MAX { 0 } else { min },
+            max: self.max.get(),
+            buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter_map(|(i, b)| (b.get() > 0).then_some((bucket_upper(i), b.get())))
+                .collect(),
+        }
+    }
+
+    /// Starts a scoped timer that records elapsed nanoseconds into this
+    /// histogram when dropped.
+    #[inline]
+    pub fn span(&self) -> SpanOf<'_, S> {
+        SpanOf(S::start(self))
+    }
+}
+
+impl<S: Slot> Default for HistogramOf<S> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<S: Slot> Clone for HistogramOf<S> {
+    fn clone(&self) -> Self {
+        let fresh = Self::new();
+        fresh.merge_from(self);
+        fresh
+    }
+}
+
+/// Guard returned by [`HistogramOf::span`]: records the elapsed
+/// nanoseconds between creation and drop. Compiled out, it is
+/// zero-sized and its drop does nothing.
+#[derive(Debug)]
+pub struct SpanOf<'a, S: Slot>(S::Running<'a>);
+
+impl<S: Slot> Drop for SpanOf<'_, S> {
+    #[inline]
+    fn drop(&mut self) {
+        S::finish(&mut self.0);
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -820,7 +637,11 @@ mod tests {
             assert!(std::mem::size_of::<LocalHistogram>() > 0);
             return;
         }
+        assert_eq!(std::mem::size_of::<Counter>(), 0);
+        assert_eq!(std::mem::size_of::<LocalCounter>(), 0);
+        assert_eq!(std::mem::size_of::<Histogram>(), 0);
         assert_eq!(std::mem::size_of::<LocalHistogram>(), 0);
+        assert_eq!(std::mem::size_of::<Span<'_>>(), 0);
         assert_eq!(std::mem::size_of::<LocalSpan<'_>>(), 0);
         let h = LocalHistogram::new();
         h.record(3);

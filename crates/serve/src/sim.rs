@@ -30,8 +30,8 @@ use crate::metrics::{percentile, ServeReport};
 use crate::trace::Request;
 use cachesim::{MachineModel, SimReport, SimSink};
 use locality_sched::{
-    prev_power_of_two, BinPolicy, EvictionPolicy, Hierarchical, PaperBlockHash, RunMode, Scheduler,
-    SchedulerConfig, SingleBin, TopologyPolicy, UniqueBin,
+    prev_power_of_two, AnyPolicy, EvictionPolicy, RunMode, Scheduler, SchedulerConfig, SingleBin,
+    TopologyPolicy, UniqueBin,
 };
 use memtrace::{Access, TraceSink};
 use std::collections::VecDeque;
@@ -317,13 +317,14 @@ fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
     }
     let l1_before = ctx.sink.hierarchy().l1_stats().misses();
     let l2_before = ctx.sink.hierarchy().l2_stats().misses();
-    let mut lines = 0u64;
-    let mut addr = req.addr;
+    // A payload that would run past the top of the address space is
+    // clamped there; counting the lines first keeps every address below
+    // `end`, so the walk cannot overflow.
     let end = req.addr.saturating_add(req.bytes);
-    while addr < end {
-        ctx.sink.access(Access::read(memtrace::Addr::new(addr), 8));
-        addr += ctx.l1_line;
-        lines += 1;
+    let lines = (end - req.addr).div_ceil(ctx.l1_line);
+    for line in 0..lines {
+        let addr = memtrace::Addr::new(req.addr + line * ctx.l1_line);
+        ctx.sink.access(Access::read(addr, 8));
     }
     ctx.sink
         .instructions(REQUEST_BASE_INSTRUCTIONS + INSTRUCTIONS_PER_LINE * lines);
@@ -389,6 +390,35 @@ fn serve_blocks(machine: &MachineModel) -> Result<(u64, u64), ServeError> {
     Ok((ladder[0], ladder[ladder.len().min(2) - 1]))
 }
 
+/// The scheduler configuration (hash table and tour, with `eviction`)
+/// and the bin policy `policy` names on `machine`: a prefix of the
+/// machine's serving ladder — one rung (the L2 block) for flat, two for
+/// hierarchical, all of them for topology — or a degenerate baseline.
+fn serve_policy(
+    machine: &MachineModel,
+    policy: ServePolicy,
+    eviction: EvictionPolicy,
+) -> Result<(SchedulerConfig, AnyPolicy), ServeError> {
+    let ladder = serve_ladder(machine)?;
+    let l2 = ladder.len().min(2) - 1;
+    let sched_config = SchedulerConfig::builder()
+        .block_size(ladder[l2])
+        .eviction(eviction)
+        .build()
+        .map_err(|e| ServeError::new(e.to_string()))?;
+    let rungs = match policy {
+        ServePolicy::Flat => &ladder[l2..=l2],
+        ServePolicy::Hierarchical => &ladder[..=l2],
+        ServePolicy::Topology => &ladder[..],
+        ServePolicy::SingleBin => return Ok((sched_config, AnyPolicy::Single(SingleBin))),
+        ServePolicy::UniqueBin => {
+            return Ok((sched_config, AnyPolicy::Unique(UniqueBin::default())))
+        }
+    };
+    let ladder = TopologyPolicy::uniform(rungs, false).expect("separated powers of two are valid");
+    Ok((sched_config, AnyPolicy::Ladder(ladder)))
+}
+
 /// Streams `trace` through the online engine under `policy` on
 /// `machine` and returns the outcome. The trace may be any request
 /// iterator with non-decreasing arrival times — millions of requests
@@ -399,72 +429,13 @@ fn serve_blocks(machine: &MachineModel) -> Result<(u64, u64), ServeError> {
 /// Returns [`ServeError`] when `machine`'s caches cannot carve
 /// separated serving bins (see `serve_blocks`).
 pub fn run_serve<I: Iterator<Item = Request>>(
-    trace: I,
-    machine: &MachineModel,
-    config: &ServeConfig,
-    policy: ServePolicy,
-) -> Result<ServeOutcome, ServeError> {
-    let ladder = serve_ladder(machine)?;
-    let (l1_block, l2_block) = (ladder[0], ladder[ladder.len().min(2) - 1]);
-    let sched_config = SchedulerConfig::builder()
-        .block_size(l2_block)
-        .eviction(config.eviction)
-        .build()
-        .map_err(|e| ServeError::new(e.to_string()))?;
-    Ok(match policy {
-        ServePolicy::Flat => run_serve_with(
-            trace,
-            machine,
-            config,
-            policy,
-            sched_config,
-            PaperBlockHash::from_config(&sched_config),
-        ),
-        ServePolicy::Hierarchical => run_serve_with(
-            trace,
-            machine,
-            config,
-            policy,
-            sched_config,
-            Hierarchical::uniform(l1_block, l2_block, false)
-                .expect("separated powers of two are valid"),
-        ),
-        ServePolicy::Topology => run_serve_with(
-            trace,
-            machine,
-            config,
-            policy,
-            sched_config,
-            TopologyPolicy::uniform(&ladder, false).expect("separated powers of two are valid"),
-        ),
-        ServePolicy::SingleBin => {
-            run_serve_with(trace, machine, config, policy, sched_config, SingleBin)
-        }
-        ServePolicy::UniqueBin => run_serve_with(
-            trace,
-            machine,
-            config,
-            policy,
-            sched_config,
-            UniqueBin::default(),
-        ),
-    })
-}
-
-/// [`run_serve`] generic over an explicit [`BinPolicy`].
-fn run_serve_with<I, P>(
     mut trace: I,
     machine: &MachineModel,
     config: &ServeConfig,
     policy: ServePolicy,
-    sched_config: SchedulerConfig,
-    bin_policy: P,
-) -> ServeOutcome
-where
-    I: Iterator<Item = Request>,
-    P: BinPolicy,
-{
-    let mut sched: Scheduler<ExecCtx, P> = Scheduler::with_policy(sched_config, bin_policy);
+) -> Result<ServeOutcome, ServeError> {
+    let (sched_config, bin_policy) = serve_policy(machine, policy, config.eviction)?;
+    let mut sched = Scheduler::with_policy(sched_config, bin_policy);
     sched.enable_online();
     let timing = machine.timing();
     let overhead_ns = machine.thread_overhead_ns();
@@ -658,12 +629,12 @@ where
     if config.log_execution {
         schedule.push(memtrace::SchedEvent::Barrier);
     }
-    ServeOutcome {
+    Ok(ServeOutcome {
         report,
         sim: ctx.sink.report(),
         log,
         schedule,
-    }
+    })
 }
 
 /// Cancels waiting requests per `policy` to make room for an arrival
@@ -742,57 +713,15 @@ pub fn run_offline<I: Iterator<Item = Request>>(
     machine: &MachineModel,
     policy: ServePolicy,
 ) -> Result<Vec<ExecRecord>, ServeError> {
-    let ladder = serve_ladder(machine)?;
-    let (l1_block, l2_block) = (ladder[0], ladder[ladder.len().min(2) - 1]);
-    let sched_config = SchedulerConfig::builder()
-        .block_size(l2_block)
-        .build()
-        .expect("power-of-two block is valid");
-    Ok(match policy {
-        ServePolicy::Flat => run_offline_with(
-            trace,
-            machine,
-            sched_config,
-            PaperBlockHash::from_config(&sched_config),
-        ),
-        ServePolicy::Hierarchical => run_offline_with(
-            trace,
-            machine,
-            sched_config,
-            Hierarchical::uniform(l1_block, l2_block, false)
-                .expect("separated powers of two are valid"),
-        ),
-        ServePolicy::Topology => run_offline_with(
-            trace,
-            machine,
-            sched_config,
-            TopologyPolicy::uniform(&ladder, false).expect("separated powers of two are valid"),
-        ),
-        ServePolicy::SingleBin => run_offline_with(trace, machine, sched_config, SingleBin),
-        ServePolicy::UniqueBin => {
-            run_offline_with(trace, machine, sched_config, UniqueBin::default())
-        }
-    })
-}
-
-fn run_offline_with<I, P>(
-    trace: I,
-    machine: &MachineModel,
-    sched_config: SchedulerConfig,
-    bin_policy: P,
-) -> Vec<ExecRecord>
-where
-    I: Iterator<Item = Request>,
-    P: BinPolicy,
-{
-    let mut sched: Scheduler<ExecCtx, P> = Scheduler::with_policy(sched_config, bin_policy);
+    let (sched_config, bin_policy) = serve_policy(machine, policy, EvictionPolicy::Off)?;
+    let mut sched = Scheduler::with_policy(sched_config, bin_policy);
     let mut ctx = ExecCtx::new(machine);
     for req in trace {
         let slot = ctx.admit(&req);
         sched.fork(serve_thread, slot, 0, req.hints());
     }
     sched.run(&mut ctx, RunMode::Consume);
-    ctx.records
+    Ok(ctx.records)
 }
 
 #[cfg(test)]
@@ -922,6 +851,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.report, b.report);
+    }
+
+    #[test]
+    fn payload_past_the_top_of_the_address_space_is_clamped() {
+        let machine = MachineModel::r8000().scaled(1.0 / 64.0).unwrap();
+        let request = Request {
+            id: 0,
+            arrival_ns: 0,
+            object: 0,
+            addr: u64::MAX - 100,
+            bytes: 1000,
+        };
+        let config = legacy_config(1, 16, true);
+        let out = run_serve(
+            std::iter::once(request),
+            &machine,
+            &config,
+            ServePolicy::Flat,
+        )
+        .unwrap();
+        assert_eq!(out.report.completed, 1);
+        assert_eq!(out.log[0].lines, 100u64.div_ceil(machine.l1_line()));
     }
 
     #[test]

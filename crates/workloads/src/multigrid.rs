@@ -270,7 +270,7 @@ fn smooth<S: TraceSink>(level: &mut Level, iters: usize, smoother: Smoother, sin
         }
         Smoother::Threaded(config) => {
             for _ in 0..iters {
-                let mut sched: Scheduler<MgCtx<'_, S>> = Scheduler::new(config);
+                let mut sched = Scheduler::<MgCtx<'_, S>>::new(config);
                 sched.trace_package_memory();
                 for i3 in 1..=n {
                     let hint_line = i3.min(n - 1);

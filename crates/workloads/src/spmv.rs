@@ -182,7 +182,7 @@ pub fn threaded<S: TraceSink>(
 ) -> WorkloadReport {
     let order = data.order.clone();
     let stats = {
-        let mut sched: Scheduler<SpmvCtx<'_, S>> = Scheduler::new(config);
+        let mut sched = Scheduler::<SpmvCtx<'_, S>>::new(config);
         sched.trace_package_memory();
         for &row in &order {
             sched.fork_traced(

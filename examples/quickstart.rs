@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A machine with a 64 KiB last-level cache and 2-D hints: the paper's
     // default rule sizes each block dimension at half the cache.
     let config = SchedulerConfig::for_cache(64 << 10, 2)?;
-    let mut sched = Scheduler::new(config);
+    let mut sched = Scheduler::<Log>::new(config);
 
     // Pretend we have two arrays of 8 columns x 8 KiB, and a unit of
     // work per column pair — e.g. a dot product. Fork order is row

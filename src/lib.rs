@@ -34,7 +34,8 @@
 //! }
 //!
 //! let config = SchedulerConfig::for_cache(2 << 20, 2)?; // 2 MB L2, 2-D hints
-//! let mut sched = Scheduler::new(config);
+//! // `<_>`: the context type is inferred, the policy is the paper's default.
+//! let mut sched = Scheduler::<_>::new(config);
 //! for i in 0..64usize {
 //!     for j in 0..64usize {
 //!         let a_col = 0x1000_0000u64 + (i as u64) * 8192;

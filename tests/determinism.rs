@@ -56,7 +56,7 @@ fn random_tour_is_seeded() {
             .tour(Tour::Random(seed))
             .build()
             .unwrap();
-        let mut sched: Scheduler<Log> = Scheduler::new(config);
+        let mut sched = Scheduler::<Log>::new(config);
         for i in 0..64 {
             sched.fork(body, i, 0, Hints::one((i as u64 * 100_000).into()));
         }

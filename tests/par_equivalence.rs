@@ -132,7 +132,7 @@ fn mm_par_body(ctx: &ParMat, i: usize, j: usize) {
 }
 
 fn mm_sequential() -> (Vec<f64>, u64) {
-    let mut sched: Scheduler<SeqMat> = Scheduler::new(config(StealPolicy::default()));
+    let mut sched = Scheduler::<SeqMat>::new(config(StealPolicy::default()));
     for i in 0..MM_N {
         for j in 0..MM_N {
             sched.fork(mm_seq_body, i, j, mm_hints(i, j));
@@ -225,7 +225,7 @@ fn sor_sequential() -> (Vec<f64>, u64) {
     let mut grid = noise(3, SOR_N * SOR_N);
     let mut threads = 0;
     for _ in 0..SOR_SWEEPS {
-        let mut sched: Scheduler<SeqSor> = Scheduler::new(config(StealPolicy::default()));
+        let mut sched = Scheduler::<SeqSor>::new(config(StealPolicy::default()));
         for row in 1..SOR_N - 1 {
             sched.fork(sor_seq_body, row, 0, sor_hints(row));
         }
@@ -341,7 +341,7 @@ fn nb_par_body(ctx: &ParNb, i: usize, _unused: usize) {
 }
 
 fn nb_sequential() -> (Vec<f64>, u64) {
-    let mut sched: Scheduler<SeqNb> = Scheduler::new(config(StealPolicy::default()));
+    let mut sched = Scheduler::<SeqNb>::new(config(StealPolicy::default()));
     for i in 0..NB_N {
         sched.fork(nb_seq_body, i, 0, nb_hints(i));
     }
