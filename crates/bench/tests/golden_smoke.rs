@@ -174,3 +174,22 @@ fn failed_artifact_write_exits_1() {
         "{stderr}"
     );
 }
+
+/// A baseline nested 200,000 arrays deep is a parse error (exit 2),
+/// not a gate killed by a stack overflow.
+#[test]
+fn benchdiff_rejects_hostile_nesting_with_exit_2() {
+    let path = std::env::temp_dir().join(format!("benchdiff-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000)).expect("scratch file");
+    let output = Command::new(env!("CARGO_BIN_EXE_benchdiff"))
+        .args([&path, &path])
+        .output()
+        .expect("spawning benchdiff");
+    std::fs::remove_file(&path).expect("scratch file cleanup");
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("benchdiff: ") && stderr.contains("nesting"),
+        "{stderr}"
+    );
+}

@@ -27,8 +27,9 @@ fn parse_size(text: &str) -> Result<u64, String> {
     };
     digits
         .parse::<u64>()
-        .map(|v| v * multiplier)
-        .map_err(|e| format!("bad size {text:?}: {e}"))
+        .map_err(|e| format!("bad size {text:?}: {e}"))?
+        .checked_mul(multiplier)
+        .ok_or_else(|| format!("bad size {text:?}: does not fit in 64 bits"))
 }
 
 fn parse_cache(spec: &str) -> Result<CacheConfig, String> {
@@ -100,18 +101,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
+/// Reports a command line that cannot be run: why, the usage line,
+/// exit status 2.
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("dinero: {message}");
+    eprintln!(
+        "usage: dinero [--l1 S:L:A] [--l2 S:L:A] [--machine r8000|r10000] \
+         [--mmu identity|random|binhop] [--write-through-l1] TRACE"
+    );
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = match parse_args(&args) {
         Ok(o) => o,
-        Err(message) => {
-            eprintln!("dinero: {message}");
-            eprintln!(
-                "usage: dinero [--l1 S:L:A] [--l2 S:L:A] [--machine r8000|r10000] \
-                 [--mmu identity|random|binhop] [--write-through-l1] TRACE"
-            );
-            return ExitCode::FAILURE;
-        }
+        Err(message) => return usage_error(&message),
     };
     let l1 = if options.write_through_l1 {
         options
@@ -120,7 +125,10 @@ fn main() -> ExitCode {
     } else {
         options.l1
     };
-    let config = HierarchyConfig::new(l1, options.l2);
+    let config = match HierarchyConfig::try_new(l1, options.l2) {
+        Ok(config) => config,
+        Err(e) => return usage_error(&e.to_string()),
+    };
     let hierarchy = match options.mmu {
         Some(policy) => Hierarchy::with_mmu(
             config,

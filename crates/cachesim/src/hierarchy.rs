@@ -1,7 +1,7 @@
 //! The two-level cache hierarchy of the paper's machines.
 
 use crate::paging::{PageMapper, Tlb, TlbStats};
-use crate::{Cache, CacheConfig, CacheStats, MissClassCounts, MissClassifier};
+use crate::{Cache, CacheConfig, CacheConfigError, CacheStats, MissClassCounts, MissClassifier};
 use memtrace::{Access, AccessKind, Addr};
 
 /// Virtual-memory simulation attached to a hierarchy: a page mapper
@@ -61,7 +61,36 @@ pub struct HierarchyConfig {
     pub l3: Option<CacheConfig>,
 }
 
+/// The one condition between adjacent levels: a level's line may not be
+/// smaller than the line of the level above it (fills could not be
+/// satisfied line-at-a-time).
+fn check_line_order(
+    (above, upper): (&str, CacheConfig),
+    (below, lower): (&str, CacheConfig),
+) -> Result<(), CacheConfigError> {
+    if lower.line() < upper.line() {
+        return Err(CacheConfigError::new(format!(
+            "{below} line ({}) must be >= {above} line ({})",
+            lower.line(),
+            upper.line()
+        )));
+    }
+    Ok(())
+}
+
 impl HierarchyConfig {
+    /// Creates a two-level hierarchy config (the paper's machines)
+    /// from geometry that arrives from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the L2 line size is smaller than the L1 line
+    /// size.
+    pub fn try_new(l1d: CacheConfig, l2: CacheConfig) -> Result<Self, CacheConfigError> {
+        check_line_order(("L1", l1d), ("L2", l2))?;
+        Ok(HierarchyConfig { l1d, l2, l3: None })
+    }
+
     /// Creates a two-level hierarchy config (the paper's machines).
     ///
     /// # Panics
@@ -69,13 +98,7 @@ impl HierarchyConfig {
     /// Panics if the L2 line size is smaller than the L1 line size
     /// (fills could not be satisfied line-at-a-time).
     pub fn new(l1d: CacheConfig, l2: CacheConfig) -> Self {
-        assert!(
-            l2.line() >= l1d.line(),
-            "L2 line ({}) must be >= L1 line ({})",
-            l2.line(),
-            l1d.line()
-        );
-        HierarchyConfig { l1d, l2, l3: None }
+        HierarchyConfig::try_new(l1d, l2).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates a three-level hierarchy config (a modern machine).
@@ -86,12 +109,7 @@ impl HierarchyConfig {
     /// above it.
     pub fn new3(l1d: CacheConfig, l2: CacheConfig, l3: CacheConfig) -> Self {
         let mut config = HierarchyConfig::new(l1d, l2);
-        assert!(
-            l3.line() >= l2.line(),
-            "L3 line ({}) must be >= L2 line ({})",
-            l3.line(),
-            l2.line()
-        );
+        check_line_order(("L2", l2), ("L3", l3)).unwrap_or_else(|e| panic!("{e}"));
         config.l3 = Some(l3);
         config
     }

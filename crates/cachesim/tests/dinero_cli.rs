@@ -63,6 +63,24 @@ fn rejects_bad_arguments() {
         .expect("run dinero");
     assert!(!output.status.success());
 
+    // Geometry no hierarchy can have is a usage error, not a panic: an
+    // L2 line shorter than the L1 line, and a size past 64 bits.
+    for (flags, why) in [
+        (
+            ["--l1", "16K:64:1", "--l2", "2M:32:4"],
+            "L2 line (32) must be >= L1 line (64)",
+        ),
+        (
+            ["--l1", "17592186044416M:32:1", "--l2", "2M:128:4"],
+            "does not fit in 64 bits",
+        ),
+    ] {
+        let output = dinero().args(flags).arg("/nonexistent").output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{flags:?}: {output:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert!(stderr.contains(why) && stderr.contains("usage"), "{stderr}");
+    }
+
     let output = dinero().arg("/nonexistent-trace-file").output().unwrap();
     assert!(!output.status.success());
     let stderr = String::from_utf8(output.stderr).unwrap();

@@ -1,8 +1,15 @@
-//! An ergonomic closure-based front end to the locality scheduler.
+//! An ergonomic closure-based front end to the locality scheduler: the
+//! shared [`BinEngine`] over take-once cells of boxed bodies.
 
+use crate::engine::BinEngine;
+use crate::policy::PaperBlockHash;
 use crate::stats::{RunStats, SchedulerStats};
-use crate::table::BinTable;
-use crate::{Hints, SchedulerConfig};
+use crate::{Hints, RunMode, SchedulerConfig};
+use std::cell::Cell;
+
+/// A boxed `FnOnce` body. The engine drains its records by reference,
+/// so running one takes it out of its cell.
+type Body<'scope> = Cell<Option<Box<dyn FnOnce() + 'scope>>>;
 
 /// A locality scheduler whose threads are boxed closures.
 ///
@@ -37,18 +44,18 @@ use crate::{Hints, SchedulerConfig};
 /// ```
 pub struct ClosureScheduler<'scope> {
     config: SchedulerConfig,
-    table: BinTable,
-    bins: Vec<Vec<Box<dyn FnOnce() + 'scope>>>,
-    threads: u64,
+    engine: BinEngine<Body<'scope>, PaperBlockHash>,
 }
 
 impl<'scope> ClosureScheduler<'scope> {
     /// Creates an empty closure scheduler.
     pub fn new(config: SchedulerConfig) -> Self {
         ClosureScheduler {
-            table: BinTable::new(config.hash_size()),
-            bins: Vec::new(),
-            threads: 0,
+            engine: BinEngine::new(
+                config.hash_size(),
+                config.tour(),
+                PaperBlockHash::from_config(&config),
+            ),
             config,
         }
     }
@@ -61,53 +68,40 @@ impl<'scope> ClosureScheduler<'scope> {
     /// Creates and schedules a thread running `body`, binned by
     /// `hints`.
     pub fn fork(&mut self, hints: Hints, body: impl FnOnce() + 'scope) {
-        let key = self.config.block_coords(hints);
-        let (id, created) = self.table.lookup_or_insert(key);
-        if created {
-            self.bins.push(Vec::new());
-        }
-        self.bins[id as usize].push(Box::new(body));
-        self.threads += 1;
+        let body: Body<'scope> = Cell::new(Some(Box::new(body)));
+        self.engine
+            .insert_traced(body, hints, &mut memtrace::NullSink);
     }
 
     /// Number of threads currently scheduled.
     pub fn pending(&self) -> u64 {
-        self.threads
+        self.engine.pending()
     }
 
     /// Number of bins currently allocated.
     pub fn bins(&self) -> usize {
-        self.table.len()
+        self.engine.bins()
     }
 
     /// Distribution statistics over the current schedule.
     pub fn stats(&self) -> SchedulerStats {
-        SchedulerStats::from_bin_counts(self.bins.iter().map(|b| b.len() as u64).collect())
+        self.engine.stats()
     }
 
     /// Runs and consumes every scheduled thread in tour order.
     pub fn run(&mut self) -> RunStats {
-        let order = self.config.tour().order(self.table.keys());
-        let mut threads_run = 0u64;
-        let mut bins_visited = 0usize;
-        for id in order {
-            let bin = std::mem::take(&mut self.bins[id as usize]);
-            if bin.is_empty() {
-                continue;
-            }
-            bins_visited += 1;
-            threads_run += bin.len() as u64;
-            for body in bin {
-                body();
-            }
-        }
-        self.table.clear();
-        self.bins.clear();
-        self.threads = 0;
-        RunStats {
-            threads_run,
-            bins_visited,
-        }
+        self.engine.run_with(
+            &mut (),
+            RunMode::Consume,
+            |_, _, _| {},
+            |_, _| {},
+            |_, _, _| {},
+            |_, body| {
+                if let Some(body) = body.take() {
+                    body();
+                }
+            },
+        )
     }
 }
 
@@ -115,8 +109,8 @@ impl std::fmt::Debug for ClosureScheduler<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClosureScheduler")
             .field("config", &self.config)
-            .field("threads", &self.threads)
-            .field("bins", &self.table.len())
+            .field("threads", &self.engine.pending())
+            .field("bins", &self.engine.bins())
             .finish()
     }
 }
@@ -124,6 +118,7 @@ impl std::fmt::Debug for ClosureScheduler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Scheduler, Tour};
     use memtrace::Addr;
     use std::cell::RefCell;
 
@@ -164,6 +159,37 @@ mod tests {
         assert_eq!(sched.bins(), 2);
         let stats = sched.stats();
         assert_eq!(stats.max_threads_per_bin(), 2);
+
+        // Same engine, same tour: the run order is the function-pointer
+        // scheduler's.
+        fn record(log: &mut Vec<usize>, i: usize, _: usize) {
+            log.push(i);
+        }
+        for tour in [Tour::SortedKey, Tour::Hilbert] {
+            let cfg = SchedulerConfig::builder()
+                .block_size(1024)
+                .tour(tour)
+                .build()
+                .unwrap();
+            let log = RefCell::new(Vec::new());
+            let mut closures = ClosureScheduler::new(cfg);
+            let mut pointers = Scheduler::<Vec<usize>>::new(cfg);
+            for i in 0..200usize {
+                let a = Addr::new((i as u64 * 7919) % (1 << 16));
+                let b = Addr::new((i as u64 * 104_729) % (1 << 16));
+                let log = &log;
+                closures.fork(Hints::two(a, b), move || log.borrow_mut().push(i));
+                pointers.fork(record, i, 0, Hints::two(a, b));
+            }
+            let mut expect = Vec::new();
+            assert_eq!(
+                closures.run(),
+                pointers.run(&mut expect, RunMode::Consume),
+                "{tour:?}"
+            );
+            drop(closures); // release the closures' borrow of `log`
+            assert_eq!(log.into_inner(), expect, "{tour:?}");
+        }
     }
 
     #[test]

@@ -3,17 +3,21 @@
 //!
 //! [`Scheduler`](crate::Scheduler) and
 //! [`ParScheduler`](crate::ParScheduler) are thin configurations of
-//! this one engine — hash table + ready list, thread groups, optional
-//! package-memory tracing, the tour-ordered drain loop, and the probe
-//! observations — and [`PhasedScheduler`](crate::PhasedScheduler) is
-//! one `Scheduler` per phase. [`FifoScheduler`](crate::FifoScheduler)
+//! this one engine — hash table + ready list, one record vector per
+//! bin, optional package-memory tracing, the tour-ordered drain loop,
+//! and the probe observations — [`PhasedScheduler`](crate::PhasedScheduler)
+//! is one `Scheduler` per phase, and
+//! [`ClosureScheduler`](crate::ClosureScheduler) is the engine over
+//! take-once cells of boxed bodies. [`FifoScheduler`](crate::FifoScheduler)
 //! and [`RandomScheduler`](crate::RandomScheduler) are type aliases of
 //! `Scheduler` under a degenerate policy, not configurations of their
-//! own. [`ClosureScheduler`](crate::ClosureScheduler) alone keeps its
-//! own table-and-tour loop: its boxed `FnOnce` bodies are consumed by
-//! the call, so they cannot be drained by reference as the engine
-//! drains its records. The policy owns *where* a thread goes (hints →
-//! bin key, optional parent grouping); the engine owns everything else.
+//! own. The policy owns *where* a thread goes (hints → bin key,
+//! optional parent grouping); the engine owns everything else.
+//!
+//! The paper's package chunks a bin's threads into 256-record *thread
+//! groups*. Here that layout exists only where it is observable: in
+//! the synthetic addresses of the package-memory trace. The heap holds
+//! the records of a bin contiguously, in fork order.
 
 use crate::config::EvictionPolicy;
 use crate::hint::MAX_DIMS;
@@ -33,10 +37,10 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 /// — can filter on it.
 pub const PACKAGE_TRACE_BASE: u64 = 0x7f00_0000_0000;
 
-/// Threads per thread-group chunk. "The thread group data structure
-/// represents a number of threads within a bin; by grouping threads
-/// together in this way, amortization reduces the cost of thread
-/// structure management" (§3.2).
+/// Threads per thread-group chunk of the traced package. "The thread
+/// group data structure represents a number of threads within a bin; by
+/// grouping threads together in this way, amortization reduces the cost
+/// of thread structure management" (§3.2).
 pub(crate) const GROUP_CAPACITY: usize = 256;
 
 /// Bytes of one thread record: function pointer + two word arguments
@@ -49,22 +53,17 @@ const GROUP_HEADER_BYTES: u64 = 16;
 /// Bytes of one hash bucket (a pointer).
 const BUCKET_BYTES: u64 = 8;
 
-/// One thread group: a chunk of thread records plus the synthetic
-/// address of its storage (null when package-memory tracing is off).
-#[derive(Clone, Debug)]
-pub(crate) struct Group<T> {
-    items: Vec<T>,
-    base: Addr,
-}
-
-/// A bin: the chain of thread groups for one block of the scheduling
-/// space.
+/// A bin: the thread records of one block of the scheduling space, in
+/// fork order.
 #[derive(Clone, Debug)]
 pub(crate) struct Bin<T> {
-    groups: Vec<Group<T>>,
-    threads: u64,
+    items: Vec<T>,
     /// Synthetic address of the bin record (null when tracing is off).
     header: Addr,
+    /// Synthetic base address of each thread group: record `index`
+    /// lives in group `index / GROUP_CAPACITY` (empty when tracing is
+    /// off).
+    groups: Vec<Addr>,
     /// Drain epoch at which this bin was last drained empty — its
     /// ticket in the eviction idle queue. `0` means "not a candidate"
     /// (never drained, refilled since, or freshly (re)created); a
@@ -75,21 +74,21 @@ pub(crate) struct Bin<T> {
 impl<T> Bin<T> {
     fn new(header: Addr) -> Self {
         Bin {
-            groups: Vec::new(),
-            threads: 0,
+            items: Vec::new(),
             header,
+            groups: Vec::new(),
             idle_stamp: 0,
         }
     }
 
     /// Number of threads in the bin.
     pub(crate) fn threads(&self) -> u64 {
-        self.threads
+        self.items.len() as u64
     }
 
     /// All thread records in fork order.
-    pub(crate) fn items(&self) -> impl Iterator<Item = &T> {
-        self.groups.iter().flat_map(|g| g.items.iter())
+    pub(crate) fn items(&self) -> &[T] {
+        &self.items
     }
 }
 
@@ -102,19 +101,17 @@ struct MetaTrace {
     /// The hash table's bucket array.
     table_base: Addr,
     /// Bump pointer for bin records and thread groups, mimicking an
-    /// arena allocator.
+    /// arena allocator. The arena is the rest of the address space
+    /// above the bucket array — synthetic addresses cost nothing to
+    /// reserve — so at 24 real bytes a record no schedule that fits in
+    /// memory can exhaust it.
     bump: Addr,
     arena_base: Addr,
-    end: Addr,
 }
 
 impl MetaTrace {
     fn alloc(&mut self, bytes: u64) -> Addr {
         let addr = self.bump;
-        assert!(
-            addr.raw() + bytes <= self.end.raw(),
-            "scheduler meta-trace region exhausted"
-        );
         self.bump = addr + bytes;
         addr
     }
@@ -216,7 +213,7 @@ impl OnlineState {
     }
 }
 
-/// The bin engine: bin table, tour, thread groups, meta tracing, and
+/// The bin engine: bin table, tour, bin records, meta tracing, and
 /// the drain loop, parameterized by the scheduled item type `T` and
 /// the binning policy `P`.
 #[derive(Clone, Debug)]
@@ -292,14 +289,10 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         let buckets = (self.hash_size as u64).pow(4) * BUCKET_BYTES;
         let table_base = Addr::new(PACKAGE_TRACE_BASE);
         let bump = (table_base + buckets).align_up(128);
-        // A generous arena for bin records and thread groups; synthetic
-        // addresses cost nothing to reserve.
-        let arena = 1u64 << 30;
         self.meta = Some(MetaTrace {
             table_base,
             bump,
             arena_base: bump,
-            end: bump + arena,
         });
     }
 
@@ -308,20 +301,16 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// scheduler instance), the synthetic trace region does not.
     pub(crate) fn reconfigure(&mut self, hash_size: usize, tour: Tour, policy: P) {
         debug_assert_eq!(self.threads, 0);
+        // Ready state referred to the old keys: incremental mode stays
+        // on, restarting from an empty ready list as after any clear.
+        self.clear();
         self.table = BinTable::new(hash_size);
-        self.bins.clear();
         self.hash_size = hash_size;
         self.tour = tour;
         self.policy = policy;
         // The synthetic hash-table region was sized for the old
         // configuration; re-enable tracing afterwards if needed.
         self.meta = None;
-        // Ready state referred to the old keys; incremental mode stays
-        // on (keeping its eviction policy), starting from an empty
-        // ready list (legal: the engine is empty here).
-        if let Some(state) = &self.online {
-            self.online = Some(OnlineState::with_eviction(state.eviction));
-        }
     }
 
     /// Places `item` into the bin chosen by the policy for `hints`,
@@ -374,37 +363,28 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         // A refill (or fresh creation) disqualifies any queued eviction
         // candidacy for this slot.
         bin.idle_stamp = 0;
-        let needs_group = match bin.groups.last() {
-            Some(group) => group.items.len() >= GROUP_CAPACITY,
-            None => true,
-        };
-        if needs_group {
-            let base = match &mut self.meta {
-                Some(meta) => {
-                    let base = meta.alloc(GROUP_HEADER_BYTES + GROUP_CAPACITY as u64 * SPEC_BYTES);
-                    sink.write(base, GROUP_HEADER_BYTES as u32);
-                    base
-                }
-                None => Addr::NULL,
-            };
-            bin.groups.push(Group {
-                items: Vec::with_capacity(GROUP_CAPACITY),
-                base,
-            });
-        }
-        let group = bin.groups.last_mut().expect("group just ensured");
-        let slot = group.items.len() as u64;
-        group.items.push(item);
-        if self.meta.is_some() {
+        let index = bin.items.len();
+        bin.items.push(item);
+        // A bin allocated before tracing was switched on has no
+        // synthetic record and stays silent.
+        if let Some(meta) = self.meta.as_mut().filter(|_| !bin.header.is_null()) {
+            let slot = (index % GROUP_CAPACITY) as u64;
+            if slot == 0 {
+                // The last group is full (or there is none): chain a
+                // fresh one.
+                let base = meta.alloc(GROUP_HEADER_BYTES + GROUP_CAPACITY as u64 * SPEC_BYTES);
+                sink.write(base, GROUP_HEADER_BYTES as u32);
+                bin.groups.push(base);
+            }
+            let base = *bin.groups.last().expect("every traced record has a group");
             // Store the three-word thread record and bump the group's
             // count field.
             sink.write(
-                group.base + GROUP_HEADER_BYTES + slot * SPEC_BYTES,
+                base + GROUP_HEADER_BYTES + slot * SPEC_BYTES,
                 SPEC_BYTES as u32,
             );
-            sink.write(group.base, 8);
+            sink.write(base, 8);
         }
-        bin.threads += 1;
         self.threads += 1;
         if self.online.is_some() {
             let parent = self.group_key(key);
@@ -432,7 +412,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     #[inline]
     fn is_evictable(&self, id: BinId, stamp: u64) -> bool {
         self.table.is_live(id)
-            && self.bins[id as usize].threads == 0
+            && self.bins[id as usize].items.is_empty()
             && self.bins[id as usize].idle_stamp == stamp
     }
 
@@ -441,10 +421,10 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// member list. Live-bin tour order is untouched — the record has
     /// no threads, is not queued, and ids of other bins don't shift.
     fn evict(&mut self, id: BinId) {
-        debug_assert_eq!(self.bins[id as usize].threads, 0);
+        debug_assert!(self.bins[id as usize].items.is_empty());
         let parent = self.group_key(self.table.key(id));
         self.table.remove(id);
-        // Drop the group storage; the slot is reused by a later insert.
+        // Drop the record storage; the slot is reused by a later insert.
         self.bins[id as usize] = Bin::new(Addr::NULL);
         let state = self.online.as_mut().expect("eviction is online-only");
         if let Some(members) = state.members.get_mut(&parent) {
@@ -517,7 +497,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         for (id, bin) in self.bins.iter().enumerate() {
             let parent = self.group_key(self.table.key(id as BinId));
             state.members.entry(parent).or_default().push(id as BinId);
-            if bin.threads > 0 {
+            if !bin.items.is_empty() {
                 state.queue(&self.tour, parent);
             }
         }
@@ -563,7 +543,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         let mut subs: Vec<BinId> = state.members[&parent]
             .iter()
             .copied()
-            .filter(|&id| self.bins[id as usize].threads > 0)
+            .filter(|&id| !self.bins[id as usize].items.is_empty())
             .collect();
         subs.sort_unstable_by(|&a, &b| self.nested_cmp(self.table.key(a), self.table.key(b)));
         let mut dispatched = state.dispatched;
@@ -582,10 +562,11 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             // allocated so ids remain stable; a later insert refills it
             // and re-queues its parent with a fresh ready sequence —
             // unless the eviction policy reaps the idle record first,
-            // in which case the key re-arrives as a fresh fork.
+            // in which case the key re-arrives as a fresh fork. The
+            // record vector keeps its allocation for the refill.
             let bin = &mut self.bins[id as usize];
+            bin.items.clear();
             bin.groups.clear();
-            bin.threads = 0;
             if reap {
                 bin.idle_stamp = epoch;
             }
@@ -680,7 +661,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
 
     /// Runs every thread of bin `id` in fork order — the walk both drain
     /// loops share: the package's own reads (bin record, group headers,
-    /// thread records; only when tracing), `on_dispatch` with the next
+    /// thread records; only for a traced bin), `on_dispatch` with the next
     /// value of `dispatched` immediately before each `exec`, and the
     /// per-bin occupancy, sub-bin and drain-time probes. Returns the
     /// bin's thread count; the bin itself is left as it was.
@@ -695,8 +676,8 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         exec: &mut impl FnMut(&mut X, &T),
     ) -> u64 {
         let bin = &self.bins[id as usize];
-        let tracing = self.meta.is_some();
-        self.obs.bin_occupancy.record(bin.threads);
+        let tracing = !bin.header.is_null();
+        self.obs.bin_occupancy.record(bin.threads());
         if self.policy.depth() > 1 {
             self.obs.subbins_run.incr();
         }
@@ -705,25 +686,25 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             // Ready-list step: load the bin record.
             on_read(ctx, bin.header, BIN_HEADER_BYTES as u32);
         }
-        for group in &bin.groups {
+        for (index, item) in bin.items.iter().enumerate() {
             if tracing {
-                // Group header: count + next pointer.
-                on_read(ctx, group.base, GROUP_HEADER_BYTES as u32);
-            }
-            for (slot, item) in group.items.iter().enumerate() {
-                if tracing {
-                    on_read(
-                        ctx,
-                        group.base + GROUP_HEADER_BYTES + slot as u64 * SPEC_BYTES,
-                        SPEC_BYTES as u32,
-                    );
+                let base = bin.groups[index / GROUP_CAPACITY];
+                let slot = (index % GROUP_CAPACITY) as u64;
+                if slot == 0 {
+                    // Group header: count + next pointer.
+                    on_read(ctx, base, GROUP_HEADER_BYTES as u32);
                 }
-                on_dispatch(ctx, *dispatched);
-                *dispatched += 1;
-                exec(ctx, item);
+                on_read(
+                    ctx,
+                    base + GROUP_HEADER_BYTES + slot * SPEC_BYTES,
+                    SPEC_BYTES as u32,
+                );
             }
+            on_dispatch(ctx, *dispatched);
+            *dispatched += 1;
+            exec(ctx, item);
         }
-        bin.threads
+        bin.threads()
     }
 
     /// Drains every bin in tour order: `on_read(ctx, addr, size)` is
@@ -746,62 +727,34 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         mut on_unit: impl FnMut(&mut X, u64, bool),
         mut exec: impl FnMut(&mut X, &T),
     ) -> RunStats {
-        let order = self.tour_order();
-        let hierarchical = self.policy.depth() > 1;
+        let mut order = self.tour_order();
+        order.retain(|&id| !self.bins[id as usize].items.is_empty());
         let mut threads_run = 0u64;
-        let mut bins_visited = 0usize;
         let mut dispatched = 0u64;
         {
             let _run_span = self.obs.run_ns.span();
-            // Running total for the current parent group (hierarchical
-            // only); the tour keeps each parent's sub-bins contiguous,
-            // so one linear pass suffices.
-            let mut parent: Option<([u64; MAX_DIMS], u64)> = None;
-            // Drain-unit boundary tracking: the unit key is the group
-            // (coarsest-level) key, which for flat policies is the bin
-            // key itself — each bin its own unit.
-            let mut unit_seq = 0u64;
-            let mut unit_key: Option<[u64; MAX_DIMS]> = None;
-            for id in order {
-                let bin = &self.bins[id as usize];
-                if bin.threads == 0 {
-                    continue;
+            // A drain unit is one coarsest-level group, whose sub-bins
+            // the tour keeps contiguous; for flat policies the group
+            // key is the bin key itself — each bin its own unit.
+            let units = order.chunk_by(|&a, &b| self.steal_key(a) == self.steal_key(b));
+            for (unit, bins) in units.enumerate() {
+                on_unit(ctx, unit as u64, true);
+                let mut threads = 0u64;
+                for &id in bins {
+                    threads += self.drain_bin(
+                        id,
+                        ctx,
+                        &mut dispatched,
+                        &mut on_read,
+                        &mut on_dispatch,
+                        &mut exec,
+                    );
                 }
-                bins_visited += 1;
-                let pk = self.group_key(self.table.key(id));
-                if unit_key != Some(pk) {
-                    if unit_key.take().is_some() {
-                        on_unit(ctx, unit_seq, false);
-                        unit_seq += 1;
-                    }
-                    on_unit(ctx, unit_seq, true);
-                    unit_key = Some(pk);
+                if self.policy.depth() > 1 {
+                    self.obs.parent_occupancy.record(threads);
                 }
-                if hierarchical {
-                    match &mut parent {
-                        Some((key, threads)) if *key == pk => *threads += bin.threads,
-                        _ => {
-                            if let Some((_, threads)) = parent.take() {
-                                self.obs.parent_occupancy.record(threads);
-                            }
-                            parent = Some((pk, bin.threads));
-                        }
-                    }
-                }
-                threads_run += self.drain_bin(
-                    id,
-                    ctx,
-                    &mut dispatched,
-                    &mut on_read,
-                    &mut on_dispatch,
-                    &mut exec,
-                );
-            }
-            if let Some((_, threads)) = parent {
-                self.obs.parent_occupancy.record(threads);
-            }
-            if unit_key.is_some() {
-                on_unit(ctx, unit_seq, false);
+                on_unit(ctx, unit as u64, false);
+                threads_run += threads;
             }
         }
         if mode == RunMode::Consume {
@@ -809,7 +762,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         }
         RunStats {
             threads_run,
-            bins_visited,
+            bins_visited: order.len(),
         }
     }
 
@@ -842,7 +795,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                 .iter()
                 .enumerate()
                 .filter(|&(id, _)| self.table.is_live(id as BinId))
-                .map(|(_, b)| b.threads)
+                .map(|(_, b)| b.threads())
                 .collect(),
         )
     }

@@ -18,9 +18,9 @@
 //!   Threads are binned at the finest granularity; the engine tours
 //!   the coarsest-level groups and drains nested sub-bins back-to-back
 //!   in sorted-key order at every depth.
-//! * [`PaperBlockHash`] — the paper's mapping, the ladder at depth 1
-//!   (`TopologyPolicy::from` converts it), bit-identical to the
-//!   pre-refactor `SchedulerConfig::block_coords`: shift each hint by
+//! * [`PaperBlockHash`] — the paper's mapping, a thin depth-1 wrapper
+//!   of [`TopologyPolicy`], bit-identical to the pre-refactor
+//!   `SchedulerConfig::block_coords`: shift each hint by
 //!   `log2(block size)`, optionally fold symmetric hints by sorting
 //!   coordinates descending.
 //! * [`Hierarchical`] — the two-level (L1-in-L2) ladder, a thin depth-2
@@ -93,22 +93,27 @@ pub trait BinPolicy: Clone + std::fmt::Debug {
 /// The paper's policy (§2.3/§3.2): each hint address shifted right by
 /// `log2(block size)` for its dimension, with optional symmetric
 /// folding (coordinates sorted descending so mirrored hints share a
-/// bin). Bit-identical to the pre-refactor `Scheduler` binning — the
+/// bin) — the depth-1 special case of [`TopologyPolicy`], kept as a
+/// named type whose [`depth`](BinPolicy::depth) is the constant 1, so
+/// the engine's flat path compiles without ancestor grouping.
+/// Bit-identical to the pre-refactor `Scheduler` binning — the
 /// differential and golden suites pin this.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PaperBlockHash {
-    shifts: [u32; MAX_DIMS],
-    symmetric: bool,
+    inner: TopologyPolicy,
 }
 
 impl PaperBlockHash {
     /// Derives the policy from a [`SchedulerConfig`]'s block sizes and
     /// symmetric flag — the mapping every config-built scheduler uses.
     pub fn from_config(config: &SchedulerConfig) -> Self {
-        PaperBlockHash {
-            shifts: config.shifts(),
+        let inner = TopologyPolicy {
+            base_shifts: config.shifts(),
+            rel_shifts: [[0; MAX_DIMS]; MAX_LEVELS],
+            depth: 1,
             symmetric: config.symmetric(),
-        }
+        };
+        PaperBlockHash { inner }
     }
 
     /// Builds the policy from per-dimension block sizes (each a nonzero
@@ -119,39 +124,24 @@ impl PaperBlockHash {
     /// Returns an error if any block size is zero or not a power of
     /// two.
     pub fn new(block_sizes: [u64; MAX_DIMS], symmetric: bool) -> Result<Self, ConfigError> {
-        let mut shifts = [0u32; MAX_DIMS];
-        for (dim, &size) in block_sizes.iter().enumerate() {
-            if size == 0 || !size.is_power_of_two() {
-                return Err(ConfigError::new(format!(
-                    "block size {size} in dimension {dim} is not a nonzero power of two"
-                )));
-            }
-            shifts[dim] = size.trailing_zeros();
-        }
-        Ok(PaperBlockHash { shifts, symmetric })
+        // Validated unfolded: the paper folds whatever per-dimension
+        // sizes `th_init` was given; the ladder's uniform-blocks rule
+        // exists for nested levels.
+        let inner = TopologyPolicy::new(&[block_sizes], false)?;
+        Ok(PaperBlockHash {
+            inner: TopologyPolicy { symmetric, ..inner },
+        })
     }
 }
 
 impl BinPolicy for PaperBlockHash {
     #[inline]
     fn bin_key(&mut self, hints: Hints) -> [u64; MAX_DIMS] {
-        let addrs = hints.as_array();
-        let mut coords = [
-            addrs[0].raw() >> self.shifts[0],
-            addrs[1].raw() >> self.shifts[1],
-            addrs[2].raw() >> self.shifts[2],
-            addrs[3].raw() >> self.shifts[3],
-        ];
-        if self.symmetric {
-            // Canonicalize the coordinate multiset; descending order
-            // keeps null (zero) coordinates in the trailing dimensions.
-            coords.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        coords
+        self.inner.bin_key(hints)
     }
 
     fn symmetric(&self) -> bool {
-        self.symmetric
+        self.inner.symmetric
     }
 }
 
@@ -273,6 +263,8 @@ impl BinPolicy for TopologyPolicy {
             addrs[3].raw() >> self.base_shifts[3],
         ];
         if self.symmetric {
+            // Canonicalize the coordinate multiset; descending order
+            // keeps null (zero) coordinates in the trailing dimensions.
             // Shifting is monotone, so descending fine keys yield
             // descending ancestor keys: folding stays consistent across
             // every level.
@@ -302,15 +294,8 @@ impl BinPolicy for TopologyPolicy {
 }
 
 impl From<PaperBlockHash> for TopologyPolicy {
-    /// The paper's flat policy as the depth-1 ladder: the same shifts
-    /// and folding, every ancestor level the key itself.
     fn from(flat: PaperBlockHash) -> Self {
-        TopologyPolicy {
-            base_shifts: flat.shifts,
-            rel_shifts: [[0; MAX_DIMS]; MAX_LEVELS],
-            depth: 1,
-            symmetric: flat.symmetric,
-        }
+        flat.inner
     }
 }
 
@@ -487,6 +472,14 @@ mod tests {
             let mut policy = PaperBlockHash::from_config(&cfg);
             let hints = Hints::three(Addr::new(10_000), Addr::new(70_000), Addr::new(5_000));
             assert_eq!(policy.bin_key(hints), cfg.block_coords(hints));
+            assert_eq!(
+                PaperBlockHash::new([1024, 2048, 4096, 8192], symmetric),
+                Ok(policy)
+            );
+            // The depth-1 ladder is the same policy.
+            let mut ladder = TopologyPolicy::from(policy);
+            assert_eq!(ladder.bin_key(hints), cfg.block_coords(hints));
+            assert_eq!((ladder.depth(), ladder.symmetric()), (1, symmetric));
         }
     }
 

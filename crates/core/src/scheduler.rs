@@ -589,6 +589,73 @@ mod tests {
         assert_eq!(ctx.sink.reads(), 10 + 10 + 10);
     }
 
+    /// The package-memory stream itself, pinned: FNV-1a over every
+    /// `(kind, addr, size)` that `fork_traced` + `run_traced` emit for
+    /// a seeded interleaving of three 600-thread bins (each crossing
+    /// two thread-group boundaries) and fifty one-thread bins, captured
+    /// while bins still stored their records in 256-record groups.
+    #[test]
+    fn package_memory_stream_matches_pre_refactor_golden() {
+        use memtrace::{AccessKind, VecSink};
+        struct Ctx {
+            sink: VecSink,
+        }
+        fn idle(_: &mut Ctx, _: usize, _: usize) {}
+
+        let mut blocks: Vec<u64> = (0..3 * 600).map(|i| i % 3).collect();
+        blocks.extend(3..53);
+        // Seeded Fisher-Yates, so the bins' groups interleave in the
+        // arena.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in (1..blocks.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            blocks.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let mut sched = Scheduler::<Ctx>::new(config(1 << 12));
+        sched.trace_package_memory();
+        let mut ctx = Ctx {
+            sink: VecSink::new(),
+        };
+        for (i, &block) in blocks.iter().enumerate() {
+            let hints = Hints::one(Addr::new(block << 12));
+            sched.fork_traced(idle, i, 0, hints, &mut ctx.sink);
+        }
+        let stats = sched.run_traced(&mut ctx, RunMode::Consume, |c| &mut c.sink);
+        assert_eq!((stats.threads_run, stats.bins_visited), (1850, 53));
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for access in ctx.sink.accesses() {
+            let kind = u64::from(access.kind == AccessKind::Write);
+            for word in [kind, access.addr.raw(), u64::from(access.size)] {
+                digest ^= word;
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(ctx.sink.accesses().len(), 7624);
+        assert_eq!(digest, 0xa071_5621_7a4f_6739, "digest {digest:#018x}");
+    }
+
+    /// The synthetic arena cannot run out before the `u32` bin-id space
+    /// does: 200,000 traced one-thread bins take 1.2 GiB of it, past
+    /// the 1 GiB it was once capped at.
+    #[test]
+    #[cfg_attr(miri, ignore = "200k forks are slow under the interpreter")]
+    fn traced_schedule_outgrows_a_gibibyte_of_synthetic_arena() {
+        use crate::policy::UniqueBin;
+        use memtrace::CountingSink;
+        fn idle(_: &mut CountingSink, _: usize, _: usize) {}
+        let mut sched: Scheduler<CountingSink, UniqueBin> =
+            Scheduler::with_policy(SchedulerConfig::default(), UniqueBin::default());
+        sched.trace_package_memory();
+        let mut sink = CountingSink::new();
+        for i in 0..200_000 {
+            sched.fork_traced(idle, i, 0, Hints::none(), &mut sink);
+        }
+        let stats = sched.run_traced(&mut sink, RunMode::Consume, |sink| sink);
+        assert_eq!((stats.threads_run, stats.bins_visited), (200_000, 200_000));
+    }
+
     #[test]
     fn schedule_events_reach_the_sink_in_schedule_order() {
         use crate::engine::PACKAGE_TRACE_BASE;
@@ -771,6 +838,13 @@ mod tests {
                     x ^= x >> 7;
                     x ^= x << 17;
                     sched.fork(record, i, 0, Hints::one(Addr::new(x % (1 << 22))));
+                }
+                // Eight bins equal in dimensions 0-2, forked in
+                // descending dimension 3: a tie on Morton's 3-D code.
+                for i in 0..8usize {
+                    let tied = Addr::new(1 << 30);
+                    let last = Addr::new((7 - i as u64) << 12);
+                    sched.fork(record, 400 + i, 0, Hints::four(tied, tied, tied, last));
                 }
             };
             let mut batch = Scheduler::<Log>::new(cfg);

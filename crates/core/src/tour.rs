@@ -1,4 +1,9 @@
 //! Bin traversal orders.
+//!
+//! A tour is one function, [`Tour::rank`]: the batch order sorts bins
+//! by it and the online drain pops ready units by it, so the two paths
+//! cannot disagree — bins that tie on the rank go in allocation order
+//! on both.
 
 use crate::hint::MAX_DIMS;
 use crate::table::BinId;
@@ -25,7 +30,9 @@ use rand::SeedableRng;
 ///   differ in one block step. The curve covers dimensions 0–1 *only*
 ///   (while keys carry [`MAX_DIMS`] = 4 coordinates); see
 ///   [`Hilbert`](Tour::Hilbert) for the dimension-2/3 tie-break.
-/// * [`Morton`](Tour::Morton) — Z-order over all three dimensions.
+/// * [`Morton`](Tour::Morton) — Z-order over the first three
+///   dimensions; bins that tie on the 3-D code drain in ascending
+///   dimension 3.
 /// * [`Random`](Tour::Random) — seeded random order; the adversarial
 ///   baseline (destroys inter-bin locality while keeping intra-bin
 ///   locality).
@@ -54,25 +61,15 @@ pub enum Tour {
 
 impl Tour {
     /// Computes the visit order over bins whose block coordinates are
-    /// `keys` (indexed by bin id).
+    /// `keys` (indexed by bin id): the key tours sort by
+    /// [`rank`](Tour::rank), ties going to the bin allocated first —
+    /// the order the online drain pops ready units in.
     pub(crate) fn order(&self, keys: &[[u64; MAX_DIMS]]) -> Vec<BinId> {
         let mut ids: Vec<BinId> = (0..keys.len() as BinId).collect();
         match *self {
             Tour::AllocationOrder => {}
-            Tour::SortedKey => {
-                ids.sort_unstable_by_key(|&id| keys[id as usize]);
-            }
-            Tour::Hilbert => {
-                ids.sort_unstable_by_key(|&id| {
-                    let k = keys[id as usize];
-                    (hilbert_d(k[0], k[1]), k[2], k[3])
-                });
-            }
-            Tour::Morton => {
-                ids.sort_unstable_by_key(|&id| {
-                    let k = keys[id as usize];
-                    morton3(k[0], k[1], k[2])
-                });
+            Tour::SortedKey | Tour::Hilbert | Tour::Morton => {
+                ids.sort_unstable_by_key(|&id| (self.rank(keys[id as usize]), id));
             }
             Tour::Random(seed) => {
                 let mut rng = SmallRng::seed_from_u64(seed);
@@ -82,11 +79,12 @@ impl Tour {
         ids
     }
 
-    /// Total-order rank of one bin key under this tour, for the
-    /// *incremental* (online) drain: among the currently-ready drain
-    /// units the engine picks the minimal `(rank, ready_seq)`, so two
-    /// ready units always compare the same way the batch tour would
-    /// have ordered them.
+    /// Total-order rank of one bin key under this tour — what the
+    /// batch [`order`](Tour::order) sorts by, and what the
+    /// *incremental* (online) drain pops by: among the currently-ready
+    /// drain units the engine picks the minimal `(rank, ready_seq)`, so
+    /// two ready units always compare the same way the batch tour
+    /// orders them.
     ///
     /// [`AllocationOrder`](Tour::AllocationOrder) ranks every key
     /// equally — the tie-break on the ready sequence number then yields

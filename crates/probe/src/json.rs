@@ -155,10 +155,18 @@ impl Json {
     }
 
     /// Parses a JSON document.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offset if `text` is not one JSON
+    /// value, or nests arrays and objects deeper than 128 levels (the
+    /// parser recurses per level; the artifacts this workspace writes
+    /// stay under ten).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -170,9 +178,14 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+const MAX_NESTING: u32 = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: u32,
 }
 
 impl Parser<'_> {
@@ -202,8 +215,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -211,6 +224,20 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses one array or object, a level deeper than its parent.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -352,6 +379,12 @@ mod tests {
         assert!(Json::parse("[1,2,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+        // Nesting is bounded, so hostile depth is an error and not a
+        // stack overflow.
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(128)).is_ok());
+        assert!(Json::parse(&nested(129)).is_err());
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]
