@@ -2,8 +2,8 @@
 
 use crate::capture::{Capture, DrainConcurrency, PhaseModel};
 use crate::conflict::{conflict_pairs, ConflictPair};
-use crate::hb::{stealing_log, HbIndex, ObligationKind, OrderObligation};
-use crate::policies::{assign_bins, dispatch_trace, BinAssignment, PolicyKind};
+use crate::hb::phase_verdict;
+use crate::policies::{assign_bins, BinAssignment, PolicyKind};
 use crate::{Finding, Severity};
 use locality_sched::{BinPolicy, PaperBlockHash};
 use memtrace::{ThreadFootprint, WORD_BYTES};
@@ -166,90 +166,46 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
             let Some(policy) = kind.policy(capture) else {
                 continue;
             };
-            let assignment = assign_bins(policy, &phase.hints);
-            let trace = dispatch_trace(capture.config, policy, &phase.hints);
-            // Two happens-before indices per policy: the serial drain's
-            // real event stream (totally ordered — decides fork-order
-            // obligations), and the modeled stealing drain (only
-            // same-bin order survives — decides which conflicting
-            // pairs race when units migrate).
-            let serial = HbIndex::from_log(&trace.log);
-            let stealing = HbIndex::from_log(&stealing_log(
-                phase.threads(),
-                &assignment.fine,
-                &trace.order,
-            ));
-            hb_events += serial.events + stealing.events;
+            let verdict = phase_verdict(capture.config, policy, phase, &conflicts);
+            hb_events += verdict.events;
             if *kind == PolicyKind::Paper {
-                hb_units += serial.units;
+                hb_units += verdict.units;
             }
-            let position = {
-                let mut position = vec![0usize; trace.order.len()];
-                for (pos, &fork) in trace.order.iter().enumerate() {
-                    position[fork] = pos;
+            // One conflict-order obligation a pair, and a fork-order one
+            // where fork order is the contract.
+            check.hb_obligations += conflicts.len() as u64 * (1 + u64::from(exact));
+            if exact {
+                check.violations += verdict.out_of_order.len() as u64;
+                if let Some(pair) = verdict.out_of_order.first() {
+                    order_examples.entry(check.policy).or_insert_with(|| {
+                        format!(
+                            "phase {phase_ix}: thread {} runs before conflicting \
+                             earlier thread {} (word {:#x})",
+                            pair.b,
+                            pair.a,
+                            pair.example_word * WORD_BYTES
+                        )
+                    });
                 }
-                position
-            };
-            for pair in &conflicts {
-                let fork_order = OrderObligation {
-                    kind: ObligationKind::ForkOrder,
-                    a: pair.a,
-                    b: pair.b,
-                };
-                let preserved = fork_order.satisfied(&serial);
-                debug_assert_eq!(
-                    preserved,
-                    position[pair.a] < position[pair.b],
-                    "serial happens-before must agree with the dispatch permutation"
-                );
-                if exact {
-                    check.hb_obligations += 1;
-                }
-                if !preserved {
-                    if exact {
-                        check.violations += 1;
-                        order_examples.entry(check.policy).or_insert_with(|| {
-                            format!(
-                                "phase {phase_ix}: thread {} runs before conflicting \
-                                 earlier thread {} (word {:#x})",
-                                pair.b,
-                                pair.a,
-                                pair.example_word * WORD_BYTES
-                            )
-                        });
-                    } else {
-                        check.reordered += 1;
-                    }
-                }
-                let conflict_order = OrderObligation {
-                    kind: ObligationKind::ConflictOrder,
-                    a: pair.a,
-                    b: pair.b,
-                };
-                check.hb_obligations += 1;
-                let unordered = !conflict_order.satisfied(&stealing);
-                debug_assert_eq!(
-                    unordered,
-                    assignment.fine[pair.a] != assignment.fine[pair.b],
-                    "stealing-model races must be exactly the cross-bin pairs"
-                );
-                if unordered {
-                    check.steal_unsafe += 1;
-                    if *kind == PolicyKind::Paper
-                        && capture.concurrency == DrainConcurrency::Stealing
-                    {
-                        race_example.get_or_insert_with(|| {
-                            format!(
-                                "phase {phase_ix}: threads {} and {} (bins {} and {}) \
-                                 share word {:#x} with no happens-before edge",
-                                pair.a,
-                                pair.b,
-                                assignment.fine[pair.a],
-                                assignment.fine[pair.b],
-                                pair.example_word * WORD_BYTES
-                            )
-                        });
-                    }
+            } else {
+                check.reordered += verdict.out_of_order.len() as u64;
+            }
+            check.steal_unsafe += verdict.unordered.len() as u64;
+            let declared_stealing =
+                *kind == PolicyKind::Paper && capture.concurrency == DrainConcurrency::Stealing;
+            if declared_stealing {
+                if let Some(pair) = verdict.unordered.first() {
+                    race_example.get_or_insert_with(|| {
+                        format!(
+                            "phase {phase_ix}: threads {} and {} (bins {} and {}) \
+                             share word {:#x} with no happens-before edge",
+                            pair.a,
+                            pair.b,
+                            verdict.fine[pair.a],
+                            verdict.fine[pair.b],
+                            pair.example_word * WORD_BYTES
+                        )
+                    });
                 }
             }
         }

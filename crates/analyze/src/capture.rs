@@ -3,7 +3,7 @@
 //! fork-indexed per-thread footprints.
 //!
 //! The sink records footprints in *dispatch* order (it only sees
-//! `thread_begin` events as the drain proceeds), while hints arrive in
+//! `SchedMark::Dispatch` marks as the drain proceeds), while hints arrive in
 //! *fork* order. The two are related by the capture policy's dispatch
 //! permutation, which [`PhaseModel::from_trace`] recovers by mirror
 //! replay ([`dispatch_trace`]) and inverts — after that, footprint `i`
@@ -195,13 +195,7 @@ pub fn capture_kernel(kernel: Kernel, machine: &MachineModel, scale: &AnalyzeSca
         }
         Kernel::NBody => {
             let mut data = nbody::NBodyData::new(&mut space, scale.nbody_n, CAPTURE_SEED);
-            let params = nbody::NBodyParams {
-                // The scheduling plane scales with the analysis
-                // machine's L2 (the default is tied to the full-size
-                // R8000), keeping ~4 blocks per dimension.
-                plane_extent: 4 * (machine.l2_capacity() / 3),
-                ..nbody::NBodyParams::default()
-            };
+            let params = nbody::NBodyParams::for_l2(machine.l2_capacity());
             nbody::threaded_with(
                 &mut data,
                 scale.nbody_iters,

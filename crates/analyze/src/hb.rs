@@ -8,12 +8,15 @@
 //! vector clocks at **drain-unit granularity** and decide, for any two
 //! thread bodies, whether the log orders them.
 //!
-//! Drain-unit granularity is sound because a drain unit (one bin, or
-//! one parent group's sub-bins) executes serially on exactly one actor,
-//! and every migration mechanism in the codebase — deque stealing,
-//! shard hand-off, lane grant — moves *whole units*, never fractions.
-//! So intra-unit bodies inherit the actor's program order, and
-//! inter-unit order reduces to the clock algebra below.
+//! Drain-unit granularity is sound because a drain unit executes
+//! serially on exactly one actor, so intra-unit bodies inherit the
+//! actor's program order and inter-unit order reduces to the clock
+//! algebra below. What a unit *is* depends on who migrates work: shard
+//! hand-offs and lane grants move the serial drain's units whole, but
+//! `ParScheduler`'s deques hold tour positions (bins), so under a
+//! nested policy a steal can split a parent group's sub-bins between
+//! workers — which is why [`stealing_log`] models one actor per *fine*
+//! bin, not per parent group.
 //!
 //! Clock rules (each event ticks the acting actor so snapshots are
 //! strictly increasing per actor):
@@ -36,10 +39,10 @@
 //! Two bodies `a`, `b` satisfy `a ⇒ b` iff `b`'s body clock has seen
 //! `a`'s actor tick at `a`'s dispatch: `Va[A_a] ≤ Vb[A_a]`.
 
-use crate::capture::Capture;
+use crate::capture::{Capture, PhaseModel};
 use crate::conflict::{conflict_pairs, ConflictPair};
 use crate::policies::{assign_bins, dispatch_trace, PolicyKind};
-use locality_sched::AnyPolicy;
+use locality_sched::{AnyPolicy, SchedulerConfig};
 use memtrace::{SchedEvent, ScheduleLog, ThreadFootprint, WORD_BYTES};
 use std::collections::BTreeSet;
 use workloads::OrderSemantics;
@@ -278,14 +281,73 @@ pub fn stealing_log(forks: usize, fine: &[usize], order: &[usize]) -> ScheduleLo
     log
 }
 
-/// Counts conflicting pairs the index leaves unordered — the pairs a
-/// migrating drain may execute in either order, i.e. data races under
-/// that execution model.
-pub fn unordered_conflicts(index: &HbIndex, conflicts: &[ConflictPair]) -> u64 {
-    conflicts
-        .iter()
-        .filter(|pair| !index.ordered(pair.a, pair.b))
-        .count() as u64
+/// schedlint's verdict on one policy over one phase — what both the
+/// lint summary and the `ANALYZE_hb.json` certificates sum from.
+#[derive(Clone, Debug)]
+pub(crate) struct PhaseVerdict {
+    /// Fine bin of every fork under the policy.
+    pub fine: Vec<usize>,
+    /// Drain units of the serial trace.
+    pub units: u64,
+    /// Schedule events replayed (serial + stealing model).
+    pub events: u64,
+    /// Conflicting pairs the serial drain runs out of fork order: a
+    /// violation where fork order is the workload's contract.
+    pub out_of_order: Vec<ConflictPair>,
+    /// Conflicting pairs the stealing model leaves unordered — the
+    /// pairs a migrating drain may execute in either order, i.e. data
+    /// races under that execution model.
+    pub unordered: Vec<ConflictPair>,
+}
+
+/// Mirror-replays `policy` over `phase` and judges `conflicts` (the
+/// phase's conflicting pairs) against two happens-before indices: the
+/// serial drain's real event stream (totally ordered — decides the
+/// [`ForkOrder`](ObligationKind::ForkOrder) obligations) and the
+/// modeled stealing drain (only same-bin order survives — decides the
+/// [`ConflictOrder`](ObligationKind::ConflictOrder) ones).
+pub(crate) fn phase_verdict(
+    config: SchedulerConfig,
+    policy: AnyPolicy,
+    phase: &PhaseModel,
+    conflicts: &[ConflictPair],
+) -> PhaseVerdict {
+    let trace = dispatch_trace(config, policy, &phase.hints);
+    let fine = assign_bins(policy, &phase.hints).fine;
+    let serial = HbIndex::from_log(&trace.log);
+    let stealing = HbIndex::from_log(&stealing_log(phase.threads(), &fine, &trace.order));
+    let failing = |kind: ObligationKind, index: &HbIndex| -> Vec<ConflictPair> {
+        let unmet = |pair: &&ConflictPair| {
+            let (a, b) = (pair.a, pair.b);
+            !OrderObligation { kind, a, b }.satisfied(index)
+        };
+        conflicts.iter().filter(unmet).copied().collect()
+    };
+    let out_of_order = failing(ObligationKind::ForkOrder, &serial);
+    let unordered = failing(ObligationKind::ConflictOrder, &stealing);
+    if cfg!(debug_assertions) {
+        let mut position = vec![0usize; trace.order.len()];
+        for (pos, &fork) in trace.order.iter().enumerate() {
+            position[fork] = pos;
+        }
+        let flipped = conflicts.iter().filter(|p| position[p.a] > position[p.b]);
+        assert!(
+            out_of_order.iter().eq(flipped),
+            "serial happens-before must agree with the dispatch permutation"
+        );
+        let cross_bin = conflicts.iter().filter(|p| fine[p.a] != fine[p.b]);
+        assert!(
+            unordered.iter().eq(cross_bin),
+            "stealing-model races must be exactly the cross-bin pairs"
+        );
+    }
+    PhaseVerdict {
+        units: serial.units,
+        events: serial.events + stealing.events,
+        fine,
+        out_of_order,
+        unordered,
+    }
 }
 
 /// One steal-safety certificate row of `ANALYZE_hb.json`: a kernel ×
@@ -348,8 +410,14 @@ pub struct HbReport {
     pub shard_rows: Vec<ShardRow>,
 }
 
-/// Builds one certificate row for `capture` under `policy`.
-fn policy_row(capture: &Capture, name: &str, policy: AnyPolicy) -> HbRow {
+/// Builds one certificate row for `capture` under `policy`;
+/// `conflicts[i]` holds the conflicting pairs of phase `i`.
+fn policy_row(
+    capture: &Capture,
+    conflicts: &[Vec<ConflictPair>],
+    name: &str,
+    policy: AnyPolicy,
+) -> HbRow {
     let exact = capture.semantics == OrderSemantics::Exact;
     let mut row = HbRow {
         workload: format!("{}/{}", capture.workload, name),
@@ -363,63 +431,21 @@ fn policy_row(capture: &Capture, name: &str, policy: AnyPolicy) -> HbRow {
         hb_unordered: 0,
         hb_steal_safe: 0,
     };
-    for phase in &capture.phases {
-        let conflicts = conflict_pairs(&phase.footprints);
-        let trace = dispatch_trace(capture.config, policy, &phase.hints);
-        let serial = HbIndex::from_log(&trace.log);
-        let assignment = assign_bins(policy, &phase.hints);
-        let stealing = HbIndex::from_log(&stealing_log(
-            phase.threads(),
-            &assignment.fine,
-            &trace.order,
-        ));
-        row.hb_units += serial.units;
-        row.hb_events += serial.events + stealing.events;
+    for (phase, conflicts) in capture.phases.iter().zip(conflicts) {
+        let verdict = phase_verdict(capture.config, policy, phase, conflicts);
+        row.hb_units += verdict.units;
+        row.hb_events += verdict.events;
         row.hb_conflict_pairs += conflicts.len() as u64;
-        for pair in &conflicts {
-            if exact {
-                row.hb_obligations += 1;
-                let fork_order = OrderObligation {
-                    kind: ObligationKind::ForkOrder,
-                    a: pair.a,
-                    b: pair.b,
-                };
-                if !fork_order.satisfied(&serial) {
-                    row.hb_violations += 1;
-                }
-            }
-            row.hb_obligations += 1;
+        // One conflict-order obligation a pair, and a fork-order one
+        // where fork order is the contract.
+        row.hb_obligations += conflicts.len() as u64 * (1 + u64::from(exact));
+        if exact {
+            row.hb_violations += verdict.out_of_order.len() as u64;
         }
-        row.hb_unordered += unordered_conflicts(&stealing, &conflicts);
+        row.hb_unordered += verdict.unordered.len() as u64;
     }
     row.hb_steal_safe = u64::from(row.hb_unordered == 0);
     row
-}
-
-/// Models one merge round of an `s`-shard simulator pipeline —
-/// identical in shape to `ShardedSimSink::schedule_log` after one
-/// drain: producer → shard hand-offs, one drain unit per shard, shard →
-/// merge hand-offs, barrier.
-pub fn shard_model_log(shards: u32) -> ScheduleLog {
-    let mut log = ScheduleLog::new(shards + 1);
-    for s in 0..shards {
-        log.push(SchedEvent::Handoff { from: 0, to: s + 1 });
-    }
-    for s in 0..shards {
-        log.push(SchedEvent::DrainBegin {
-            actor: s + 1,
-            unit: s,
-        });
-        log.push(SchedEvent::DrainEnd {
-            actor: s + 1,
-            unit: s,
-        });
-    }
-    for s in 0..shards {
-        log.push(SchedEvent::Handoff { from: s + 1, to: 0 });
-    }
-    log.push(SchedEvent::Barrier);
-    log
 }
 
 /// Certifies the sharded simulator's partition against `capture`'s real
@@ -438,7 +464,7 @@ pub fn shard_certificate(capture: &Capture, requested: u32) -> ShardRow {
     ShardRow {
         workload: format!("{}/shards{requested}", capture.workload),
         shards: plan.shards(),
-        hb_events: shard_model_log(plan.shards()).len() as u64,
+        hb_events: ScheduleLog::shard_rounds(plan.shards(), 1).len() as u64,
         hb_cross_shard_words: cross,
         hb_steal_safe: u64::from(cross == 0),
     }
@@ -473,6 +499,11 @@ pub fn hb_report(machine: &str, captures: &[Capture]) -> HbReport {
         shard_rows: Vec::new(),
     };
     for capture in captures {
+        let conflicts: Vec<Vec<ConflictPair>> = capture
+            .phases
+            .iter()
+            .map(|phase| conflict_pairs(&phase.footprints))
+            .collect();
         let policies = [
             ("paper", PolicyKind::Paper.policy(capture)),
             ("hierarchical", PolicyKind::Hierarchical.policy(capture)),
@@ -482,7 +513,9 @@ pub fn hb_report(machine: &str, captures: &[Capture]) -> HbReport {
         ];
         for (name, policy) in policies {
             if let Some(policy) = policy {
-                report.rows.push(policy_row(capture, name, policy));
+                report
+                    .rows
+                    .push(policy_row(capture, &conflicts, name, policy));
             }
         }
         for shards in [2, 4] {
@@ -653,9 +686,9 @@ mod tests {
         // report() flushes the queues: exactly one drain round.
         let _ = sink.report();
         assert_eq!(
-            shard_model_log(plan.shards()).digest(),
+            ScheduleLog::shard_rounds(plan.shards(), 1).digest(),
             sink.schedule_log().digest(),
-            "modeled log must stay in lockstep with the simulator's"
+            "one drain is one round of the certificate's model"
         );
     }
 }

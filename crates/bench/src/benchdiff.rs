@@ -12,11 +12,10 @@
 //! layer's `run_profile` counters track nondeterministic runtime
 //! behaviour (steal interleavings); those compare *informationally* —
 //! shown when they move, never failing the run — unless a
-//! [`GatePolicy`] promotes them. `--gate-throughput` promotes just the
+//! [`GatePolicy`] promotes them: `--gate-throughput` promotes the
 //! `*per_sec` leaves (higher is better) for CI legs where baseline and
-//! current run on the same runner class back-to-back; `--gate-all`
-//! additionally promotes wall times and runtime counters for strict
-//! same-machine A/B comparisons. What gates by default is what a
+//! current run on the same runner class back-to-back. Wall times and
+//! runtime counters never gate. What gates by default is what a
 //! checked-in baseline from another machine can promise: `speedup*`
 //! ratios (higher is better) and deterministic workload counts like
 //! `accesses` (must match within threshold in either direction).
@@ -90,8 +89,6 @@ fn walk(value: &Json, path: String, out: &mut Vec<(String, f64)>) {
 pub enum Direction {
     /// Higher is better; regression = drop beyond threshold.
     Higher,
-    /// Lower is better; regression = rise beyond threshold.
-    Lower,
     /// Expected stable; regression = movement beyond threshold either
     /// way.
     Stable,
@@ -157,47 +154,19 @@ const STABLE_LEAVES: &[&str] = &[
     "hb_cross_shard_words",
 ];
 
-/// Which machine-dependent metric families are promoted from
+/// Which machine-dependent metrics are promoted from
 /// [`Direction::Info`] to a gated direction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GatePolicy {
-    /// Gate `*per_sec` throughputs (higher is better): for CI legs
-    /// where baseline and current run back-to-back on the same runner
-    /// class, so a throughput drop is a code regression, not machine
-    /// noise. A throughput *rise* never fails.
-    pub throughput: bool,
-    /// Gate everything gateable — wall times (lower is better) and the
-    /// remaining runtime counters (stable) too. Strict same-machine
-    /// A/B comparisons only. Implies the throughput gate.
-    pub all: bool,
-}
-
-impl GatePolicy {
+pub enum GatePolicy {
     /// The default cross-machine policy: ratios and deterministic
     /// counts only.
-    pub fn baseline() -> Self {
-        GatePolicy::default()
-    }
-
-    /// `--gate-throughput`.
-    pub fn throughput() -> Self {
-        GatePolicy {
-            throughput: true,
-            all: false,
-        }
-    }
-
-    /// `--gate-all`.
-    pub fn all() -> Self {
-        GatePolicy {
-            throughput: true,
-            all: true,
-        }
-    }
-
-    fn gates_throughput(self) -> bool {
-        self.throughput || self.all
-    }
+    #[default]
+    Baseline,
+    /// `--gate-throughput`: also gate `*per_sec` throughputs (higher is
+    /// better), for CI legs where baseline and current run back-to-back
+    /// on the same runner class, so a throughput drop is a code
+    /// regression, not machine noise. A throughput *rise* never fails.
+    Throughput,
 }
 
 /// Classifies a flattened path under a [`GatePolicy`].
@@ -208,44 +177,25 @@ pub fn classify(path: &str, policy: GatePolicy) -> Direction {
     }
     if path.contains("run_profile") {
         // Probe counters track runtime nondeterminism (steal
-        // interleavings, wall times) — informational even under
-        // --gate-all.
+        // interleavings, wall times).
         return Direction::Info;
     }
     if leaf == "makespan_ns" && path.contains(".report.") {
         // A `ParRunReport`'s makespan is the max *wall-clock* busy
         // time across workers — machine-dependent, unlike the serving
         // rows' virtual-clock leaf of the same name.
-        return if policy.all {
-            Direction::Lower
-        } else {
-            Direction::Info
-        };
+        return Direction::Info;
     }
     if STABLE_LEAVES.contains(&leaf) {
         return Direction::Stable;
     }
-    if leaf.contains("per_sec") {
-        return if policy.gates_throughput() {
-            Direction::Higher
-        } else {
-            Direction::Info
-        };
+    if leaf.contains("per_sec") && policy == GatePolicy::Throughput {
+        return Direction::Higher;
     }
-    if leaf.ends_with("_ns") {
-        return if policy.all {
-            Direction::Lower
-        } else {
-            Direction::Info
-        };
-    }
-    // Remaining leaves are runtime-dependent counters (steal counts,
-    // per-worker executed totals, makespan units).
-    if policy.all {
-        Direction::Stable
-    } else {
-        Direction::Info
-    }
+    // What is left depends on the host or the run: wall times (`*_ns`),
+    // ungated throughputs, steal counts, per-worker executed totals,
+    // makespan units.
+    Direction::Info
 }
 
 /// One compared metric.
@@ -370,7 +320,6 @@ pub fn diff(
             (Direction::Info, _, _) => false,
             (_, None, _) => true,
             (Direction::Higher, _, Some(d)) => d < -threshold,
-            (Direction::Lower, _, Some(d)) => d > threshold,
             (Direction::Stable, _, Some(d)) => d.abs() > threshold,
             // Zero baseline: any nonzero current on a stable metric is
             // movement; directional metrics can't compute a ratio and
@@ -456,70 +405,38 @@ mod tests {
     fn wall_clock_report_makespan_is_informational() {
         // The serving rows' virtual-clock makespan stays gated…
         assert_eq!(
-            classify("rows[flat].makespan_ns", GatePolicy::baseline()),
+            classify("rows[flat].makespan_ns", GatePolicy::Baseline),
             Direction::Stable
         );
-        // …but a ParRunReport's wall-clock makespan never gates
-        // cross-machine, and gates as a time (lower is better) only
-        // under --gate-all.
+        // …but a ParRunReport's wall-clock makespan never gates.
         assert_eq!(
             classify(
                 "rows[locality-aware.w4].report.makespan_ns",
-                GatePolicy::baseline()
+                GatePolicy::Throughput
             ),
             Direction::Info
-        );
-        assert_eq!(
-            classify(
-                "rows[locality-aware.w4].report.makespan_ns",
-                GatePolicy::all()
-            ),
-            Direction::Lower
         );
     }
 
     #[test]
     fn identical_reports_pass() {
         let a = sim_json(100000);
-        let report = diff(&a, &a, 0.15, GatePolicy::all()).expect("diff");
+        let report = diff(&a, &a, 0.15, GatePolicy::Throughput).expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
         assert!(report.to_markdown().contains("**PASS**"));
     }
 
     #[test]
     fn small_throughput_drop_is_accepted() {
-        // 5% slower fast path: under the 15% gate even with --gate-all.
+        // 5% slower fast path: under the 15% gate.
         let report = diff(
             &sim_json(100000),
             &sim_json(105000),
             0.15,
-            GatePolicy::all(),
+            GatePolicy::Throughput,
         )
         .expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
-    }
-
-    #[test]
-    fn large_throughput_drop_is_flagged_under_gate_all() {
-        // 25% slower fast path: throughput and speedup both breach 15%.
-        let report = diff(
-            &sim_json(100000),
-            &sim_json(125000),
-            0.15,
-            GatePolicy::all(),
-        )
-        .expect("diff");
-        assert!(!report.passed());
-        let failing: Vec<&str> = report.regressions().map(|r| r.path.as_str()).collect();
-        assert!(
-            failing.contains(&"rows[matmul@s4].fast_accesses_per_sec"),
-            "{failing:?}"
-        );
-        assert!(failing.contains(&"rows[matmul@s4].speedup"), "{failing:?}");
-        assert!(failing.contains(&"rows[matmul@s4].fast_ns"), "{failing:?}");
-        let md = report.to_markdown();
-        assert!(md.contains("**FAIL**"), "{md}");
-        assert!(md.contains("**REGRESSION**"), "{md}");
     }
 
     #[test]
@@ -532,7 +449,7 @@ mod tests {
             &sim_json(100000),
             &sim_json(125000),
             0.15,
-            GatePolicy::baseline(),
+            GatePolicy::Baseline,
         )
         .expect("diff");
         let failing: Vec<&str> = report.regressions().map(|r| r.path.as_str()).collect();
@@ -544,16 +461,16 @@ mod tests {
         // 25% slower sharded replay. Under the default policy only the
         // sharded_speedup ratio gates; --gate-throughput additionally
         // fails the raw accesses/sec drop, while wall times stay
-        // informational (that is --gate-all territory).
+        // informational.
         let base = sharded_sim_json(100000, 40000);
         let slower = sharded_sim_json(100000, 50000);
-        let default_fail: Vec<String> = diff(&base, &slower, 0.15, GatePolicy::baseline())
+        let default_fail: Vec<String> = diff(&base, &slower, 0.15, GatePolicy::Baseline)
             .expect("diff")
             .regressions()
             .map(|r| r.path.clone())
             .collect();
         assert_eq!(default_fail, vec!["rows[matmul@s4].sharded_speedup"]);
-        let gated = diff(&base, &slower, 0.15, GatePolicy::throughput()).expect("diff");
+        let gated = diff(&base, &slower, 0.15, GatePolicy::Throughput).expect("diff");
         let failing: Vec<&str> = gated.regressions().map(|r| r.path.as_str()).collect();
         assert!(
             failing.contains(&"rows[matmul@s4].sharded_accesses_per_sec"),
@@ -563,6 +480,9 @@ mod tests {
             !failing.iter().any(|p| p.ends_with("_ns")),
             "wall times must not gate under --gate-throughput: {failing:?}"
         );
+        let md = gated.to_markdown();
+        assert!(md.contains("**FAIL**"), "{md}");
+        assert!(md.contains("**REGRESSION**"), "{md}");
     }
 
     #[test]
@@ -572,7 +492,7 @@ mod tests {
             &sharded_sim_json(100000, 50000),
             &sharded_sim_json(100000, 30000),
             0.15,
-            GatePolicy::throughput(),
+            GatePolicy::Throughput,
         )
         .expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
@@ -585,7 +505,7 @@ mod tests {
         // gated 4-shard metric reports as missing.
         let base = sharded_sim_json(100000, 50000);
         let other = base.replace("@s4", "@s8");
-        let report = diff(&base, &other, 0.15, GatePolicy::baseline()).expect("diff");
+        let report = diff(&base, &other, 0.15, GatePolicy::Baseline).expect("diff");
         assert!(!report.passed());
         assert!(report
             .regressions()
@@ -596,7 +516,7 @@ mod tests {
     fn stable_counts_gate_both_directions() {
         let base = sim_json(100000);
         let grown = base.replace("\"accesses\":1000", "\"accesses\":2000");
-        let report = diff(&base, &grown, 0.15, GatePolicy::baseline()).expect("diff");
+        let report = diff(&base, &grown, 0.15, GatePolicy::Baseline).expect("diff");
         let failing: Vec<&str> = report.regressions().map(|r| r.path.as_str()).collect();
         assert!(failing.contains(&"rows[matmul@s4].accesses"), "{failing:?}");
     }
@@ -605,7 +525,7 @@ mod tests {
     fn missing_gated_metric_is_a_regression() {
         let base = sim_json(100000);
         let renamed = base.replace("\"speedup\"", "\"speedupX\"");
-        let report = diff(&base, &renamed, 0.15, GatePolicy::baseline()).expect("diff");
+        let report = diff(&base, &renamed, 0.15, GatePolicy::Baseline).expect("diff");
         assert!(!report.passed());
         let row = report
             .rows
@@ -619,7 +539,7 @@ mod tests {
     fn run_profile_never_gates() {
         let base = sim_json(100000);
         let drifted = base.replace("\"hits\":900", "\"hits\":1");
-        let report = diff(&base, &drifted, 0.15, GatePolicy::all()).expect("diff");
+        let report = diff(&base, &drifted, 0.15, GatePolicy::Throughput).expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
         // ... but the movement is surfaced in the table.
         assert!(

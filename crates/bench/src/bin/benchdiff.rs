@@ -3,14 +3,12 @@
 //!
 //! ```text
 //! benchdiff <baseline.json> <current.json> [--threshold 0.15]
-//!           [--gate-throughput] [--gate-all]
+//!           [--gate-throughput]
 //! ```
 //!
 //! `--gate-throughput` promotes `*per_sec` metrics to gated
 //! (higher-is-better: a drop beyond the threshold fails) for CI legs
-//! that produce baseline and current on the same runner class;
-//! `--gate-all` additionally gates wall times and runtime counters for
-//! strict same-machine A/B runs.
+//! that produce baseline and current on the same runner class.
 //!
 //! Prints a markdown delta table to stdout (pipe into
 //! `$GITHUB_STEP_SUMMARY` in CI). Exit codes: 0 = pass, 1 = at least
@@ -22,7 +20,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: benchdiff <baseline.json> <current.json> [--threshold <rel>] \
-         [--gate-throughput] [--gate-all]"
+         [--gate-throughput]"
     );
     ExitCode::from(2)
 }
@@ -31,7 +29,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files = Vec::new();
     let mut threshold = 0.15f64;
-    let mut policy = GatePolicy::baseline();
+    let mut policy = GatePolicy::Baseline;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -47,8 +45,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--gate-throughput" => policy.throughput = true,
-            "--gate-all" => policy = GatePolicy::all(),
+            "--gate-throughput" => policy = GatePolicy::Throughput,
             "--help" | "-h" => return usage(),
             other if other.starts_with('-') => {
                 eprintln!("benchdiff: unknown flag '{other}'");

@@ -190,20 +190,10 @@ pub fn sor_cells(scale: &ExpScale, machine: &MachineModel) -> Vec<Cell> {
     ]
 }
 
-/// N-body parameters on `machine`: the scheduling plane is fixed so
-/// the default block (L2/3) cuts each dimension into 4, as on the
-/// full-size machine.
-pub fn nbody_params(machine: &MachineModel) -> nbody::NBodyParams {
-    nbody::NBodyParams {
-        plane_extent: 4 * (machine.l2_config().size() / 3),
-        ..nbody::NBodyParams::default()
-    }
-}
-
 /// The two N-body versions of Table 8 on `machine`, as cells.
 pub fn nbody_cells(scale: &ExpScale, machine: &MachineModel, iterations: usize) -> Vec<Cell> {
     let n = scale.nbody_n;
-    let params = nbody_params(machine);
+    let params = nbody::NBodyParams::for_l2(machine.l2_capacity());
     let sched = BinGeometry::for_machine(machine).flat_config(Kernel::NBody);
     let data = move |space: &mut AddressSpace| nbody::NBodyData::new(space, n, 2024);
     vec![
@@ -265,7 +255,7 @@ fn threaded_cell(
         }
         Kernel::NBody => {
             let n = scale.nbody_n;
-            let params = nbody_params(machine);
+            let params = nbody::NBodyParams::for_l2(machine.l2_capacity());
             cell(machine, move |sp, s| {
                 nbody::threaded_with(
                     &mut nbody::NBodyData::new(sp, n, 2024),

@@ -20,7 +20,7 @@
 //! the traced workload; `slow`/`fast` times keep the original
 //! generate-and-simulate definition for baseline continuity.
 
-use crate::experiments::{drive, machines, nbody_params};
+use crate::experiments::{drive, machines};
 use crate::ExpScale;
 use cachesim::{MachineModel, ShardedSimSink, SimReport, SimSink};
 use memtrace::{AddressSpace, TraceSink, VecSink};
@@ -159,7 +159,7 @@ fn baseline(
         }
         Kernel::NBody => {
             let mut data = nbody::NBodyData::new(space, scale.nbody_n, 2024);
-            let params = nbody_params(machine);
+            let params = nbody::NBodyParams::for_l2(machine.l2_capacity());
             Box::new(move |mut sink| {
                 nbody::unthreaded(&mut data, 1, params, &mut sink);
             })

@@ -19,7 +19,7 @@
 //!   the paper) over the L2's associativity, capacity, and line size,
 //!   using untiled vs threaded matmul as the probe.
 
-use crate::experiments::{nbody_params, scaled, simulate};
+use crate::experiments::{scaled, simulate};
 use crate::fmt::TextTable;
 use crate::ExpScale;
 use cachesim::{CacheConfig, HierarchyConfig, MachineModel, PagePolicy, SimReport, SimSink};
@@ -174,7 +174,7 @@ fn hint_dims_ablation(scale: &ExpScale) {
     for dims in [1usize, 2, 3] {
         let params = nbody::NBodyParams {
             hint_dims: dims,
-            ..nbody_params(&machine)
+            ..nbody::NBodyParams::for_l2(machine.l2_capacity())
         };
         let config = block_config(machine.l2_config().size() / 4);
         let (report, r) = simulate(machine.hierarchy(), |space, sim| {

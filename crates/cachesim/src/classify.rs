@@ -45,6 +45,16 @@ impl MissClassCounts {
             MissClass::Conflict => self.conflict += 1,
         }
     }
+
+    /// The counts as the `classifier` section of a run profile.
+    pub fn probe_section(&self) -> probe::Section {
+        let mut section = probe::Section::new("classifier");
+        section
+            .counter("compulsory", self.compulsory)
+            .counter("capacity", self.capacity)
+            .counter("conflict", self.conflict);
+        section
+    }
 }
 
 /// One-pass 3C classifier for a cache level's reference stream.

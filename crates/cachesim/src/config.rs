@@ -59,6 +59,12 @@ impl CacheConfigError {
     }
 }
 
+/// Most lines a level may have. A [`Cache`](crate::Cache) allocates a
+/// tag, a stamp and a dirty bit per line up front — 4.3 GiB at this
+/// bound, where the paper's largest level has 2¹⁴ lines — so a geometry
+/// from a command line is refused here, before anything is allocated.
+const MAX_LINES: u64 = 1 << 28;
+
 impl CacheConfig {
     /// Creates a cache geometry of `size` bytes total, `line`-byte lines,
     /// and `assoc`-way set associativity.
@@ -66,8 +72,9 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns an error if any parameter is zero, `size` or `line` is not
-    /// a power of two, `size` is not divisible by `line * assoc`, or the
-    /// resulting set count is not a power of two.
+    /// a power of two, `size` is not divisible by `line * assoc`, the
+    /// resulting set count is not a power of two, or the level would
+    /// have more than 2²⁸ lines.
     pub fn new(size: u64, line: u64, assoc: u32) -> Result<Self, CacheConfigError> {
         if size == 0 || line == 0 || assoc == 0 {
             return Err(CacheConfigError::new(
@@ -96,6 +103,12 @@ impl CacheConfig {
         if !sets.is_power_of_two() {
             return Err(CacheConfigError::new(format!(
                 "set count {sets} is not a power of two"
+            )));
+        }
+        let lines = size / line;
+        if lines > MAX_LINES {
+            return Err(CacheConfigError::new(format!(
+                "size {size} / line {line} is {lines} lines, more than the {MAX_LINES} a level may have"
             )));
         }
         Ok(CacheConfig {

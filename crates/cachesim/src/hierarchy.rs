@@ -1,7 +1,9 @@
 //! The two-level cache hierarchy of the paper's machines.
 
 use crate::paging::{PageMapper, Tlb, TlbStats};
-use crate::{Cache, CacheConfig, CacheConfigError, CacheStats, MissClassCounts, MissClassifier};
+use crate::{
+    Cache, CacheConfig, CacheConfigError, CacheStats, MissClassCounts, MissClassifier, SimReport,
+};
 use memtrace::{Access, AccessKind, Addr};
 
 /// Virtual-memory simulation attached to a hierarchy: a page mapper
@@ -112,6 +114,13 @@ impl HierarchyConfig {
         check_line_order(("L2", l2), ("L3", l3)).unwrap_or_else(|e| panic!("{e}"));
         config.l3 = Some(l3);
         config
+    }
+
+    /// The configured levels, top down.
+    pub fn levels(&self) -> impl Iterator<Item = CacheConfig> {
+        [Some(self.l1d), Some(self.l2), self.l3]
+            .into_iter()
+            .flatten()
     }
 }
 
@@ -246,6 +255,20 @@ impl Hierarchy {
         h
     }
 
+    /// The levels present, top down. For the cold paths only: the
+    /// access path names its levels.
+    fn levels(&self) -> impl Iterator<Item = &Cache> {
+        [Some(&self.l1d), Some(&self.l2), self.l3.as_ref()]
+            .into_iter()
+            .flatten()
+    }
+
+    fn levels_mut(&mut self) -> impl Iterator<Item = &mut Cache> {
+        [Some(&mut self.l1d), Some(&mut self.l2), self.l3.as_mut()]
+            .into_iter()
+            .flatten()
+    }
+
     /// The configured geometry.
     pub fn config(&self) -> HierarchyConfig {
         HierarchyConfig {
@@ -261,10 +284,8 @@ impl Hierarchy {
     /// as the exhaustive reference for differential tests and the
     /// `simbench` before/after comparison.
     pub fn set_fast_path(&mut self, enabled: bool) {
-        self.l1d.set_fast_path(enabled);
-        self.l2.set_fast_path(enabled);
-        if let Some(l3) = &mut self.l3 {
-            l3.set_fast_path(enabled);
+        for level in self.levels_mut() {
+            level.set_fast_path(enabled);
         }
         self.classifier.set_fast_path(enabled);
         if let Some(mmu) = &mut self.mmu {
@@ -546,23 +567,44 @@ impl Hierarchy {
     /// like the statistics they sit beside; empty-ish when probes are
     /// compiled out (callers gate embedding on [`probe::enabled`]).
     pub fn run_profile(&self) -> probe::RunProfile {
+        let mut profile = self.level_profile();
+        profile.push(self.classifier.counts().probe_section());
+        profile
+    }
+
+    /// [`run_profile`](Self::run_profile) without the classifier's
+    /// section: what a shard, whose classification is deferred to its
+    /// owner, has to say.
+    pub(crate) fn level_profile(&self) -> probe::RunProfile {
         let mut profile = probe::RunProfile::new();
-        profile.push(self.l1d.probe_section("l1"));
-        profile.push(self.l2.probe_section("l2"));
-        if let Some(l3) = &self.l3 {
-            profile.push(l3.probe_section("l3"));
+        for (name, level) in ["l1", "l2", "l3"].into_iter().zip(self.levels()) {
+            profile.push(level.probe_section(name));
         }
         let mut latency = probe::Section::new("latency");
         latency.histogram("miss_service_ns", &self.miss_latency_ns());
         profile.push(latency);
-        let classes = self.classifier.counts();
-        let mut verdicts = probe::Section::new("classifier");
-        verdicts
-            .counter("compulsory", classes.compulsory)
-            .counter("capacity", classes.capacity)
-            .counter("conflict", classes.conflict);
-        profile.push(verdicts);
         profile
+    }
+
+    /// Folds this hierarchy's statistics into `report`, level by level
+    /// (a level `report` lacks so far is created): how a report over one
+    /// hierarchy or over several shards of one is assembled. A hierarchy
+    /// under deferred classification adds no `classes` — its owner holds
+    /// the merged classifier.
+    pub fn add_to(&self, report: &mut SimReport) {
+        report.l1.merge(self.l1d.stats());
+        report.l2.merge(self.l2.stats());
+        if let Some(l3) = &self.l3 {
+            report.l3.get_or_insert_default().merge(l3.stats());
+        }
+        let (classes, tlb) = (self.classifier.counts(), self.tlb_stats());
+        report.classes.compulsory += classes.compulsory;
+        report.classes.capacity += classes.capacity;
+        report.classes.conflict += classes.conflict;
+        report.tlb.accesses += tlb.accesses;
+        report.tlb.misses += tlb.misses;
+        report.memory_reads += self.memory_reads;
+        report.memory_writebacks += self.memory_writebacks;
     }
 
     /// Zeroes all statistics — and with them every probe observation
@@ -570,10 +612,8 @@ impl Hierarchy {
     /// contents warm (excludes warm-up, as the paper's simulations
     /// exclude program initialization).
     pub fn reset_stats(&mut self) {
-        self.l1d.reset_stats();
-        self.l2.reset_stats();
-        if let Some(l3) = &mut self.l3 {
-            l3.reset_stats();
+        for level in self.levels_mut() {
+            level.reset_stats();
         }
         self.classifier.reset_counts();
         if let Some(log) = &mut self.llc_log {

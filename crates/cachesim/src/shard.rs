@@ -30,7 +30,7 @@
 //! the host has a single core; results are identical either way.
 
 use crate::hierarchy::LlcEvent;
-use crate::{CacheStats, Hierarchy, MissClassifier, SimReport, WritePolicy};
+use crate::{Hierarchy, MissClassifier, SimReport, WritePolicy};
 use memtrace::compact::{push_varint, take_varint, DeltaCodec};
 use memtrace::{Access, AccessKind, Addr, TraceSink};
 
@@ -73,25 +73,17 @@ impl ShardPlan {
     /// The lowest valid selector shift for `hierarchy`: every level's
     /// line offset is below it.
     fn min_shift(hierarchy: &Hierarchy) -> u32 {
-        let config = hierarchy.config();
-        let mut shift = config.l1d.line().trailing_zeros();
-        shift = shift.max(config.l2.line().trailing_zeros());
-        if let Some(l3) = config.l3 {
-            shift = shift.max(l3.line().trailing_zeros());
-        }
-        shift
+        let line_bits = |c: crate::CacheConfig| c.line().trailing_zeros();
+        let levels = hierarchy.config().levels();
+        levels.map(line_bits).max().expect("at least two levels")
     }
 
     /// One past the highest valid selector bit: the log2 of the
     /// smallest way size (line × sets) over all levels.
     fn max_shift(hierarchy: &Hierarchy) -> u32 {
-        let config = hierarchy.config();
-        let way_bits = |c: &crate::CacheConfig| (c.line() * c.sets()).trailing_zeros();
-        let mut hi = way_bits(&config.l1d).min(way_bits(&config.l2));
-        if let Some(l3) = config.l3 {
-            hi = hi.min(way_bits(&l3));
-        }
-        hi
+        let way_bits = |c: crate::CacheConfig| (c.line() * c.sets()).trailing_zeros();
+        let levels = hierarchy.config().levels();
+        levels.map(way_bits).min().expect("at least two levels")
     }
 
     /// Plans a partition of `hierarchy` into at most `requested` shards.
@@ -462,37 +454,14 @@ impl ShardedSimSink {
     }
 
     /// The schedule-event stream of the sharded pipeline's hand-off
-    /// structure, for happens-before analysis: one round of
-    /// producer → shard hand-offs (actor 0 flushing each queue), one
-    /// drain unit per shard (the sequential replay of that shard's
-    /// records, actors 1..=shards), the shard → merge hand-offs back to
-    /// actor 0 (the program-order classifier merge), and a final
-    /// barrier, repeated once per completed drain round (at least one,
-    /// so the model is meaningful before the first flush). Every
-    /// cross-shard edge goes *through* actor 0 — two shards never
-    /// synchronize directly, which is exactly why per-shard replay must
-    /// be conflict-free at selector granularity to be sound.
+    /// structure, for happens-before analysis: one
+    /// [`shard round`](memtrace::ScheduleLog::shard_rounds) per
+    /// completed drain round (at least one, so the model is meaningful
+    /// before the first flush).
     #[must_use]
     pub fn schedule_log(&self) -> memtrace::ScheduleLog {
-        use memtrace::SchedEvent;
-        let shards = self.plan.shards();
-        let rounds = self.rounds.max(1);
-        let mut log = memtrace::ScheduleLog::new(shards + 1);
-        for round in 0..rounds {
-            for s in 0..shards {
-                log.push(SchedEvent::Handoff { from: 0, to: s + 1 });
-            }
-            for s in 0..shards {
-                let unit = u32::try_from(round).expect("round fits u32") * shards + s;
-                log.push(SchedEvent::DrainBegin { actor: s + 1, unit });
-                log.push(SchedEvent::DrainEnd { actor: s + 1, unit });
-            }
-            for s in 0..shards {
-                log.push(SchedEvent::Handoff { from: s + 1, to: 0 });
-            }
-            log.push(SchedEvent::Barrier);
-        }
-        log
+        let rounds = u32::try_from(self.rounds.max(1)).expect("round count fits u32");
+        memtrace::ScheduleLog::shard_rounds(self.plan.shards(), rounds)
     }
 
     /// Records forked threads, as [`SimSink::add_threads`](crate::SimSink::add_threads).
@@ -658,40 +627,20 @@ impl ShardedSimSink {
     /// [`SimSink`](crate::SimSink) produces for the same trace.
     pub fn report(&mut self) -> SimReport {
         self.drain();
-        let mut l1 = CacheStats::default();
-        let mut l2 = CacheStats::default();
-        let mut l3 = CacheStats::default();
-        let has_l3 = self.workers[0].hierarchy.l3_stats().is_some();
-        let mut memory_reads = 0;
-        let mut memory_writebacks = 0;
-        for worker in &self.workers {
-            let h = &worker.hierarchy;
-            l1.merge(h.l1_stats());
-            l2.merge(h.l2_stats());
-            if let Some(stats) = h.l3_stats() {
-                l3.merge(stats);
-            }
-            memory_reads += h.memory_reads();
-            memory_writebacks += h.memory_writebacks();
-        }
-        let classes = if self.is_partitioned() {
-            self.classifier.counts()
-        } else {
-            self.workers[0].hierarchy.classes()
-        };
-        SimReport {
+        let mut report = SimReport {
             instructions: self.instructions,
             reads: self.reads,
             writes: self.writes,
-            l1,
-            l2,
-            l3: has_l3.then_some(l3),
-            classes,
-            tlb: self.workers[0].hierarchy.tlb_stats(),
-            memory_reads,
-            memory_writebacks,
             threads: self.threads,
+            ..SimReport::default()
+        };
+        for worker in &self.workers {
+            worker.hierarchy.add_to(&mut report);
         }
+        if self.is_partitioned() {
+            report.classes = self.classifier.counts();
+        }
+        report
     }
 
     /// Drains, then consumes the sink and returns the final statistics.
@@ -730,24 +679,15 @@ impl ShardedSimSink {
             .counter("queue_bytes", self.obs.queue_bytes.get());
         profile.push(section);
         for (i, worker) in self.workers.iter().enumerate() {
-            for section in worker.hierarchy.run_profile().into_sections() {
-                // Per-shard classifier sections are all-zero under
-                // deferred classification; the merged verdicts below
-                // are the meaningful ones.
-                if section.name() == "classifier" {
-                    continue;
-                }
+            // Per-shard classifier counts are all-zero under deferred
+            // classification; the merged verdicts below are the
+            // meaningful ones.
+            for section in worker.hierarchy.level_profile().into_sections() {
                 let name = format!("shard{i}.{}", section.name());
                 profile.push(section.renamed(name));
             }
         }
-        let classes = self.classifier.counts();
-        let mut verdicts = probe::Section::new("classifier");
-        verdicts
-            .counter("compulsory", classes.compulsory)
-            .counter("capacity", classes.capacity)
-            .counter("conflict", classes.conflict);
-        profile.push(verdicts);
+        profile.push(self.classifier.counts().probe_section());
         profile
     }
 }

@@ -80,19 +80,15 @@ impl SimSink {
 
     /// Snapshots the current statistics.
     pub fn report(&self) -> SimReport {
-        SimReport {
+        let mut report = SimReport {
             instructions: self.instructions,
             reads: self.reads,
             writes: self.writes,
-            l1: *self.hierarchy.l1_stats(),
-            l2: *self.hierarchy.l2_stats(),
-            l3: self.hierarchy.l3_stats().copied(),
-            classes: self.hierarchy.classes(),
-            tlb: self.hierarchy.tlb_stats(),
-            memory_reads: self.hierarchy.memory_reads(),
-            memory_writebacks: self.hierarchy.memory_writebacks(),
             threads: self.threads,
-        }
+            ..SimReport::default()
+        };
+        self.hierarchy.add_to(&mut report);
+        report
     }
 
     /// Consumes the sink and returns the final statistics.

@@ -64,7 +64,8 @@ fn rejects_bad_arguments() {
     assert!(!output.status.success());
 
     // Geometry no hierarchy can have is a usage error, not a panic: an
-    // L2 line shorter than the L1 line, and a size past 64 bits.
+    // L2 line shorter than the L1 line, a size past 64 bits, and one
+    // that fits 64 bits but whose 2^38 lines no host could allocate.
     for (flags, why) in [
         (
             ["--l1", "16K:64:1", "--l2", "2M:32:4"],
@@ -73,6 +74,10 @@ fn rejects_bad_arguments() {
         (
             ["--l1", "17592186044416M:32:1", "--l2", "2M:128:4"],
             "does not fit in 64 bits",
+        ),
+        (
+            ["--l1", "8388608M:32:1", "--l2", "2M:128:4"],
+            "274877906944 lines, more than the 268435456 a level may have",
         ),
     ] {
         let output = dinero().args(flags).arg("/nonexistent").output().unwrap();

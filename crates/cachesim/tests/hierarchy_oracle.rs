@@ -1,0 +1,301 @@
+//! A whole-hierarchy oracle, independent of every engine path.
+//!
+//! `tests/fastpath_equivalence.rs` compares the fast, slow and sharded
+//! paths with *each other*: a bug they share passes it. This file
+//! states the simulator's semantics a second time, as dumbly as
+//! possible — a `Vec`-LRU set-associative cache per level (write-back /
+//! write-allocate, or write-through / no-write-allocate at the L1),
+//! Hill & Smith's 3C classification over the last level's stream (a
+//! set of lines ever seen for *compulsory*, a fully-associative LRU of
+//! the same line count for *capacity*), memory reads and write-backs —
+//! and requires `SimSink` fast, `SimSink` slow and `ShardedSimSink` at
+//! 1, 2 and 4 shards to equal it field for field, on two- and
+//! three-level machines and on streams whose accesses span lines.
+
+use cachesim::{
+    CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, ShardedSimSink,
+    SimReport, SimSink, WritePolicy,
+};
+use memtrace::{Access, AccessKind, Addr, TraceSink};
+use proptest::prelude::*;
+use std::collections::HashSet;
+
+/// One set-associative level: each set is a list of `(line, dirty)` in
+/// recency order, least recently used first.
+struct OracleCache {
+    sets: Vec<Vec<(u64, bool)>>,
+    assoc: usize,
+    line_bytes: u64,
+    write_through: bool,
+    stats: CacheStats,
+}
+
+/// What one reference did: whether it hit, and the dirty line it
+/// evicted, if any.
+struct Outcome {
+    hit: bool,
+    writeback: Option<u64>,
+}
+
+impl OracleCache {
+    fn new(config: CacheConfig) -> Self {
+        OracleCache {
+            sets: vec![Vec::new(); config.sets() as usize],
+            assoc: config.assoc() as usize,
+            line_bytes: config.line(),
+            write_through: config.write_policy() == WritePolicy::WriteThroughNoAllocate,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn reference(&mut self, line: u64, is_write: bool) -> Outcome {
+        if is_write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        let dirties = is_write && !self.write_through;
+        let index = (line % self.sets.len() as u64) as usize;
+        let set = &mut self.sets[index];
+        if let Some(pos) = set.iter().position(|&(resident, _)| resident == line) {
+            let (_, dirty) = set.remove(pos);
+            set.push((line, dirty || dirties));
+            return Outcome {
+                hit: true,
+                writeback: None,
+            };
+        }
+        if is_write {
+            self.stats.write_misses += 1;
+        } else {
+            self.stats.read_misses += 1;
+        }
+        if is_write && self.write_through {
+            // No write-allocate.
+            return Outcome {
+                hit: false,
+                writeback: None,
+            };
+        }
+        let mut writeback = None;
+        if set.len() == self.assoc {
+            let (victim, dirty) = set.remove(0);
+            if dirty {
+                self.stats.writebacks += 1;
+                writeback = Some(victim);
+            }
+        }
+        set.push((line, dirties));
+        Outcome {
+            hit: false,
+            writeback,
+        }
+    }
+}
+
+/// Hill & Smith's one-pass 3C classification of a level's stream.
+struct OracleClassifier {
+    seen: HashSet<u64>,
+    /// Fully-associative LRU of the level's line count, least recently
+    /// used first.
+    fully_assoc: Vec<u64>,
+    lines: usize,
+    counts: MissClassCounts,
+}
+
+impl OracleClassifier {
+    /// Every reference of the classified level passes through here;
+    /// `hit` is what the real (set-associative) level did with it.
+    fn reference(&mut self, line: u64, hit: bool) {
+        let first_touch = self.seen.insert(line);
+        let resident = self.fully_assoc.iter().position(|&l| l == line);
+        if let Some(pos) = resident {
+            self.fully_assoc.remove(pos);
+        } else if self.fully_assoc.len() == self.lines {
+            self.fully_assoc.remove(0);
+        }
+        self.fully_assoc.push(line);
+        if hit {
+            return;
+        }
+        if first_touch {
+            self.counts.compulsory += 1;
+        } else if resident.is_none() {
+            self.counts.capacity += 1;
+        } else {
+            self.counts.conflict += 1;
+        }
+    }
+}
+
+/// The whole machine: the levels top-down, the classifier over the
+/// last one, and the traffic that reaches memory.
+struct OracleHierarchy {
+    levels: Vec<OracleCache>,
+    classifier: OracleClassifier,
+    report: SimReport,
+}
+
+impl OracleHierarchy {
+    fn new(config: HierarchyConfig) -> Self {
+        let configs: Vec<CacheConfig> = [Some(config.l1d), Some(config.l2), config.l3]
+            .into_iter()
+            .flatten()
+            .collect();
+        let last = configs[configs.len() - 1];
+        OracleHierarchy {
+            levels: configs.into_iter().map(OracleCache::new).collect(),
+            classifier: OracleClassifier {
+                seen: HashSet::new(),
+                fully_assoc: Vec::new(),
+                lines: last.lines() as usize,
+                counts: MissClassCounts::default(),
+            },
+            report: SimReport::default(),
+        }
+    }
+
+    /// One reference to `line` of level `depth`, and everything it
+    /// causes below.
+    fn reference(&mut self, depth: usize, line: u64, is_write: bool) {
+        let level = &mut self.levels[depth];
+        let (line_bytes, propagate_write) = (level.line_bytes, is_write && level.write_through);
+        let outcome = level.reference(line, is_write);
+        if depth + 1 == self.levels.len() {
+            self.classifier.reference(line, outcome.hit);
+            if !outcome.hit {
+                self.report.memory_reads += 1;
+            }
+            if outcome.writeback.is_some() {
+                self.report.memory_writebacks += 1;
+            }
+            return;
+        }
+        // Lines only grow going down: this many of ours make one below.
+        let per_line_below = self.levels[depth + 1].line_bytes / line_bytes;
+        if propagate_write {
+            // Write-through: every write goes down; a write miss does
+            // not fetch.
+            self.reference(depth + 1, line / per_line_below, true);
+        } else if !outcome.hit {
+            // Demand fetch (a read below, even for a write miss).
+            self.reference(depth + 1, line / per_line_below, false);
+        }
+        if let Some(victim) = outcome.writeback {
+            self.reference(depth + 1, victim / per_line_below, true);
+        }
+    }
+
+    fn access(&mut self, access: Access) {
+        let is_write = access.kind == AccessKind::Write;
+        if is_write {
+            self.report.writes += 1;
+        } else {
+            self.report.reads += 1;
+        }
+        let line_bytes = self.levels[0].line_bytes;
+        let first = access.addr.raw() / line_bytes;
+        let last = (access.addr.raw() + u64::from(access.size.max(1)) - 1) / line_bytes;
+        for line in first..=last {
+            self.reference(0, line, is_write);
+        }
+    }
+
+    fn finish(mut self) -> SimReport {
+        self.report.l1 = self.levels[0].stats;
+        self.report.l2 = self.levels[1].stats;
+        self.report.l3 = self.levels.get(2).map(|level| level.stats);
+        self.report.classes = self.classifier.counts;
+        self.report
+    }
+}
+
+/// Two- and three-level machines small enough that a few thousand
+/// references evict at every level, with lines that grow (or stay)
+/// going down and an L1 of either write policy.
+fn arb_machine() -> impl Strategy<Value = HierarchyConfig> {
+    (
+        (8u32..11, 4u32..6, 0u32..2, any::<bool>()),
+        (10u32..13, 0u32..2, 0u32..3),
+        prop_oneof![Just(None), (12u32..14, 0u32..2, 0u32..3).prop_map(Some)],
+    )
+        .prop_map(|(l1, l2, l3)| {
+            let (l1_size, l1_line, l1_assoc, write_through) = l1;
+            let (l2_size, l2_line_up, l2_assoc) = l2;
+            let level = |size: u32, line: u32, assoc: u32| {
+                CacheConfig::new(1 << size, 1 << line, 1 << assoc)
+            };
+            let mut l1d = level(l1_size, l1_line, l1_assoc).expect("valid L1");
+            if write_through {
+                l1d = l1d.with_write_policy(WritePolicy::WriteThroughNoAllocate);
+            }
+            let l2_line = l1_line + l2_line_up;
+            let l2 = level(l2_size, l2_line, l2_assoc).expect("valid L2");
+            match l3 {
+                None => HierarchyConfig::new(l1d, l2),
+                Some((size, line_up, assoc)) => HierarchyConfig::new3(
+                    l1d,
+                    l2,
+                    level(size, l2_line + line_up, assoc).expect("valid L3"),
+                ),
+            }
+        })
+}
+
+/// Reads and writes, a third of them writes, with sizes from zero
+/// bytes to several L1 lines. Half start in a hot 2 KiB window and half
+/// anywhere in 32 KiB (several times the largest last level above), and
+/// each is the head of a short word-by-word walk, so the stream has the
+/// same-line runs the rehit paths and the shard queues' run-length
+/// records exist for as well as misses at every level.
+fn arb_stream() -> impl Strategy<Value = Vec<Access>> {
+    const SIZES: [u32; 8] = [0, 1, 4, 8, 8, 24, 100, 300];
+    let start = prop_oneof![0u64..2048, 0u64..(32 << 10)];
+    prop::collection::vec((start, 0usize..SIZES.len(), 0u32..3, 1u64..5), 1..1200).prop_map(
+        |walks| {
+            walks
+                .into_iter()
+                .flat_map(|(start, size, kind, steps)| {
+                    (0..steps).map(move |step| Access {
+                        addr: Addr::new(start + 8 * step),
+                        size: SIZES[size],
+                        kind: if kind == 0 {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        },
+                    })
+                })
+                .collect()
+        },
+    )
+}
+
+proptest! {
+    #[test]
+    fn every_engine_path_equals_the_oracle(config in arb_machine(), stream in arb_stream()) {
+        let mut oracle = OracleHierarchy::new(config);
+        for &access in &stream {
+            oracle.access(access);
+        }
+        let expected = oracle.finish();
+        prop_assert_eq!(expected.classes.total(), expected.llc_misses());
+
+        for fast in [true, false] {
+            let mut sim = SimSink::new(Hierarchy::new(config));
+            sim.set_fast_path(fast);
+            // Ragged batches, so batch boundaries land everywhere.
+            for chunk in stream.chunks(37) {
+                sim.access_batch(chunk);
+            }
+            prop_assert_eq!(sim.finish(), expected, "SimSink, fast paths {}", fast);
+        }
+        for shards in [1, 2, 4] {
+            let mut sim = ShardedSimSink::new(Hierarchy::new(config), shards);
+            for chunk in stream.chunks(37) {
+                sim.access_batch(chunk);
+            }
+            prop_assert_eq!(sim.finish(), expected, "ShardedSimSink, {} shards", shards);
+        }
+    }
+}

@@ -95,7 +95,6 @@ impl<'scope> ClosureScheduler<'scope> {
             RunMode::Consume,
             |_, _, _| {},
             |_, _| {},
-            |_, _, _| {},
             |_, body| {
                 if let Some(body) = body.take() {
                     body();

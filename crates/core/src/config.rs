@@ -114,14 +114,6 @@ pub enum EvictionPolicy {
     /// Never free bin records (the paper's behaviour; the default).
     #[default]
     Off,
-    /// Free a drained-and-empty bin record once it has sat idle for
-    /// `max_idle_drains` drain grants without being refilled. Bounds
-    /// idle-record *lifetime*; table size then tracks the working set.
-    IdleAge {
-        /// Drain grants an empty record may outlive before it is freed
-        /// (≥ 1).
-        max_idle_drains: u64,
-    },
     /// Cap the number of live bin records: whenever an insert grows the
     /// table past `max_records`, the least-recently-drained empty
     /// records are freed until the cap holds (or no empty record
@@ -138,9 +130,6 @@ impl fmt::Display for EvictionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EvictionPolicy::Off => f.write_str("off"),
-            EvictionPolicy::IdleAge { max_idle_drains } => {
-                write!(f, "idle-age({max_idle_drains})")
-            }
             EvictionPolicy::LruCap { max_records } => write!(f, "lru-cap({max_records})"),
         }
     }
@@ -295,19 +284,10 @@ impl SchedulerConfigBuilder {
                 self.hash_size
             )));
         }
-        match self.eviction {
-            EvictionPolicy::Off => {}
-            EvictionPolicy::IdleAge { max_idle_drains: 0 } => {
-                return Err(ConfigError::new(
-                    "idle-age eviction requires max_idle_drains >= 1",
-                ));
-            }
-            EvictionPolicy::LruCap { max_records: 0 } => {
-                return Err(ConfigError::new(
-                    "lru-cap eviction requires max_records >= 1",
-                ));
-            }
-            EvictionPolicy::IdleAge { .. } | EvictionPolicy::LruCap { .. } => {}
+        if self.eviction == (EvictionPolicy::LruCap { max_records: 0 }) {
+            return Err(ConfigError::new(
+                "lru-cap eviction requires max_records >= 1",
+            ));
         }
         Ok(SchedulerConfig {
             block_sizes: self.block_sizes,
@@ -561,25 +541,16 @@ mod tests {
         assert_eq!(SchedulerConfig::default().eviction(), EvictionPolicy::Off);
         for policy in [
             EvictionPolicy::Off,
-            EvictionPolicy::IdleAge { max_idle_drains: 4 },
             EvictionPolicy::LruCap { max_records: 128 },
         ] {
             let c = SchedulerConfig::builder().eviction(policy).build().unwrap();
             assert_eq!(c.eviction(), policy);
         }
         assert!(SchedulerConfig::builder()
-            .eviction(EvictionPolicy::IdleAge { max_idle_drains: 0 })
-            .build()
-            .is_err());
-        assert!(SchedulerConfig::builder()
             .eviction(EvictionPolicy::LruCap { max_records: 0 })
             .build()
             .is_err());
         assert_eq!(EvictionPolicy::Off.to_string(), "off");
-        assert_eq!(
-            EvictionPolicy::IdleAge { max_idle_drains: 4 }.to_string(),
-            "idle-age(4)"
-        );
         assert_eq!(
             EvictionPolicy::LruCap { max_records: 128 }.to_string(),
             "lru-cap(128)"

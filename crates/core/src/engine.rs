@@ -25,7 +25,7 @@ use crate::policy::BinPolicy;
 use crate::stats::{RunStats, SchedulerStats};
 use crate::table::{BinId, BinTable};
 use crate::{Hints, RunMode, Tour};
-use memtrace::{Addr, TraceSink};
+use memtrace::{Addr, SchedMark, TraceSink};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -173,10 +173,9 @@ struct OnlineState {
     /// Parent key → member bin ids, in bin-creation order.
     members: HashMap<[u64; MAX_DIMS], Vec<BinId>>,
     next_seq: u64,
-    /// Dispatch counter across all incremental drains (feeds
-    /// `on_dispatch` with globally increasing sequence numbers, so a
-    /// full incremental drain numbers threads exactly as one batch run
-    /// would).
+    /// Dispatch counter across all incremental drains (numbers the
+    /// [`SchedMark::Dispatch`] marks globally, so a full incremental
+    /// drain numbers threads exactly as one batch run would).
     dispatched: u64,
     /// Bin-record retirement policy (see [`EvictionPolicy`]).
     eviction: EvictionPolicy,
@@ -317,12 +316,12 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// emitting the package's own memory references into `sink` if
     /// tracing is enabled: the hash-bucket probe, the thread-record
     /// store, and the bin-header update. Always announces the fork's
-    /// hint addresses via [`TraceSink::thread_hints`] (a no-op for
-    /// ordinary sinks) so schedule-analysis sinks see the thread/hint
-    /// graph in fork order.
+    /// hint addresses with a [`SchedMark::Fork`] (a no-op for ordinary
+    /// sinks) so schedule-analysis sinks see the thread/hint graph in
+    /// fork order.
     #[inline]
     pub(crate) fn insert_traced<S: TraceSink>(&mut self, item: T, hints: Hints, sink: &mut S) {
-        sink.thread_hints(&hints.as_array()[..hints.dims()]);
+        sink.mark(SchedMark::Fork(&hints.as_array()[..hints.dims()]));
         let key = self.policy.bin_key(hints);
         let (id, created) = if self.policy.always_unique() {
             (self.table.append_unique(key), true)
@@ -437,39 +436,24 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         self.obs.evictions.incr();
     }
 
-    /// Applies the configured eviction policy, called once per insert.
+    /// Applies the configured eviction policy, called once per insert:
+    /// while the table is over the cap, frees the least-recently-drained
+    /// empty records.
     fn apply_eviction(&mut self) {
-        let eviction = match &self.online {
-            Some(state) => state.eviction,
-            None => return,
+        let Some(EvictionPolicy::LruCap { max_records }) =
+            self.online.as_ref().map(|state| state.eviction)
+        else {
+            return;
         };
-        match eviction {
-            EvictionPolicy::Off => {}
-            EvictionPolicy::IdleAge { max_idle_drains } => loop {
-                let state = self.online.as_mut().expect("checked above");
-                let Some(&(stamp, id)) = state.idle.front() else {
-                    break;
-                };
-                if stamp.saturating_add(max_idle_drains) > state.drain_epoch {
-                    break;
-                }
-                state.idle.pop_front();
-                if self.is_evictable(id, stamp) {
-                    self.evict(id);
-                }
-            },
-            EvictionPolicy::LruCap { max_records } => {
-                while self.table.len() as u64 > max_records {
-                    let state = self.online.as_mut().expect("checked above");
-                    let Some((stamp, id)) = state.idle.pop_front() else {
-                        // No empty candidate left; every live record
-                        // holds threads and must stay.
-                        break;
-                    };
-                    if self.is_evictable(id, stamp) {
-                        self.evict(id);
-                    }
-                }
+        while self.table.len() as u64 > max_records {
+            let state = self.online.as_mut().expect("checked above");
+            let Some((stamp, id)) = state.idle.pop_front() else {
+                // No empty candidate left; every live record holds
+                // threads and must stay.
+                break;
+            };
+            if self.is_evictable(id, stamp) {
+                self.evict(id);
             }
         }
     }
@@ -521,8 +505,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         &mut self,
         ctx: &mut X,
         mut on_read: impl FnMut(&mut X, Addr, u32),
-        mut on_dispatch: impl FnMut(&mut X, u64),
-        mut on_unit: impl FnMut(&mut X, u64, bool),
+        mut on_mark: impl FnMut(&mut X, SchedMark<'_>),
         mut exec: impl FnMut(&mut X, &T),
     ) -> Option<RunStats> {
         let (parent, epoch) = {
@@ -537,7 +520,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         };
         // The whole incremental drain is one unit; its ordinal is the
         // 0-based drain epoch.
-        on_unit(ctx, epoch - 1, true);
+        on_mark(ctx, SchedMark::DrainBegin(epoch - 1));
         let state = self.online.as_ref().expect("checked above");
         let reap = state.eviction != EvictionPolicy::Off;
         let mut subs: Vec<BinId> = state.members[&parent]
@@ -554,7 +537,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                 ctx,
                 &mut dispatched,
                 &mut on_read,
-                &mut on_dispatch,
+                &mut on_mark,
                 &mut exec,
             );
             threads_run += drained;
@@ -575,7 +558,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         if self.policy.depth() > 1 {
             self.obs.parent_occupancy.record(threads_run);
         }
-        on_unit(ctx, epoch - 1, false);
+        on_mark(ctx, SchedMark::DrainEnd(epoch - 1));
         let bins = &self.bins;
         let state = self.online.as_mut().expect("checked above");
         state.dispatched = dispatched;
@@ -661,8 +644,8 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
 
     /// Runs every thread of bin `id` in fork order — the walk both drain
     /// loops share: the package's own reads (bin record, group headers,
-    /// thread records; only for a traced bin), `on_dispatch` with the next
-    /// value of `dispatched` immediately before each `exec`, and the
+    /// thread records; only for a traced bin), a [`SchedMark::Dispatch`]
+    /// numbered from `dispatched` immediately before each `exec`, and the
     /// per-bin occupancy, sub-bin and drain-time probes. Returns the
     /// bin's thread count; the bin itself is left as it was.
     #[inline]
@@ -672,7 +655,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         ctx: &mut X,
         dispatched: &mut u64,
         on_read: &mut impl FnMut(&mut X, Addr, u32),
-        on_dispatch: &mut impl FnMut(&mut X, u64),
+        on_mark: &mut impl FnMut(&mut X, SchedMark<'_>),
         exec: &mut impl FnMut(&mut X, &T),
     ) -> u64 {
         let bin = &self.bins[id as usize];
@@ -700,7 +683,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                     SPEC_BYTES as u32,
                 );
             }
-            on_dispatch(ctx, *dispatched);
+            on_mark(ctx, SchedMark::Dispatch(*dispatched));
             *dispatched += 1;
             exec(ctx, item);
         }
@@ -709,22 +692,21 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
 
     /// Drains every bin in tour order: `on_read(ctx, addr, size)` is
     /// called for each package memory reference (only when tracing is
-    /// enabled), `on_dispatch(ctx, seq)` immediately before the
-    /// `seq`-th thread of this run executes (unconditionally — callers
-    /// wanting schedule events pass a forwarder, others a no-op),
-    /// `on_unit(ctx, unit, begin)` at each drain-unit boundary (one bin
-    /// for flat policies, one parent group's contiguous sub-bins for
-    /// nested ones — the granularity work stealing moves whole), and
+    /// enabled), `on_mark(ctx, mark)` with a [`SchedMark::Dispatch`]
+    /// immediately before each thread of this run executes and a
+    /// [`SchedMark::DrainBegin`] / [`SchedMark::DrainEnd`] pair around
+    /// each drain unit (one bin for flat policies, one parent group's
+    /// contiguous sub-bins for nested ones) — unconditionally: callers
+    /// wanting the schedule pass a forwarder, others a no-op — and
     /// `exec(ctx, item)` for each thread record. Splitting the sink
-    /// access (`on_read`/`on_dispatch`) from thread execution (`exec`)
+    /// access (`on_read`/`on_mark`) from thread execution (`exec`)
     /// lets one `&mut ctx` serve both without aliasing.
     pub(crate) fn run_with<X>(
         &mut self,
         ctx: &mut X,
         mode: RunMode,
         mut on_read: impl FnMut(&mut X, Addr, u32),
-        mut on_dispatch: impl FnMut(&mut X, u64),
-        mut on_unit: impl FnMut(&mut X, u64, bool),
+        mut on_mark: impl FnMut(&mut X, SchedMark<'_>),
         mut exec: impl FnMut(&mut X, &T),
     ) -> RunStats {
         let mut order = self.tour_order();
@@ -738,7 +720,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             // key is the bin key itself — each bin its own unit.
             let units = order.chunk_by(|&a, &b| self.steal_key(a) == self.steal_key(b));
             for (unit, bins) in units.enumerate() {
-                on_unit(ctx, unit as u64, true);
+                on_mark(ctx, SchedMark::DrainBegin(unit as u64));
                 let mut threads = 0u64;
                 for &id in bins {
                     threads += self.drain_bin(
@@ -746,14 +728,14 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                         ctx,
                         &mut dispatched,
                         &mut on_read,
-                        &mut on_dispatch,
+                        &mut on_mark,
                         &mut exec,
                     );
                 }
                 if self.policy.depth() > 1 {
                     self.obs.parent_occupancy.record(threads);
                 }
-                on_unit(ctx, unit as u64, false);
+                on_mark(ctx, SchedMark::DrainEnd(unit as u64));
                 threads_run += threads;
             }
         }

@@ -191,7 +191,6 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
             mode,
             |_, _, _| {},
             |_, _| {},
-            |_, _, _| {},
             |ctx, spec| (spec.func)(ctx, spec.arg1, spec.arg2),
         )
     }
@@ -200,15 +199,13 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
     /// dispatch-time memory references (ready-list walk, bin headers,
     /// thread-record loads) if
     /// [`trace_package_memory`](Self::trace_package_memory) was called,
-    /// plus the run's *schedule events*: a
-    /// [`thread_begin`](TraceSink::thread_begin) before each thread
-    /// body, a [`drain_begin`](TraceSink::drain_begin) /
-    /// [`drain_end`](TraceSink::drain_end) pair around each drain unit
-    /// (one bin for flat policies, one parent group's sub-bins for
-    /// nested ones), and a [`run_end`](TraceSink::run_end) when the
-    /// drain finishes. Ordinary sinks ignore those (default no-ops);
-    /// schedule-analysis sinks use them to attribute the trace to
-    /// threads and to rebuild the drain-unit structure.
+    /// plus the run's [`SchedMark`](memtrace::SchedMark)s: a `Dispatch`
+    /// before each thread body, a `DrainBegin` / `DrainEnd` pair around
+    /// each drain unit (one bin for flat policies, one parent group's
+    /// sub-bins for nested ones), and a `RunEnd` when the drain
+    /// finishes. Ordinary sinks ignore those (the default `mark` is a
+    /// no-op); schedule-analysis sinks use them to attribute the trace
+    /// to threads and to rebuild the drain-unit structure.
     ///
     /// `sink_of` borrows the sink out of the context between thread
     /// invocations (thread bodies usually own the sink through the same
@@ -225,19 +222,10 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
             ctx,
             mode,
             |ctx, addr, size| (sink_of.borrow_mut())(ctx).read(addr, size),
-            |ctx, seq| (sink_of.borrow_mut())(ctx).thread_begin(seq),
-            |ctx, unit, begin| {
-                let sink = &mut *(sink_of.borrow_mut());
-                let sink = sink(ctx);
-                if begin {
-                    sink.drain_begin(unit);
-                } else {
-                    sink.drain_end(unit);
-                }
-            },
+            |ctx, mark| (sink_of.borrow_mut())(ctx).mark(mark),
             |ctx, spec| (spec.func)(ctx, spec.arg1, spec.arg2),
         );
-        (sink_of.into_inner())(ctx).run_end();
+        (sink_of.into_inner())(ctx).mark(memtrace::SchedMark::RunEnd);
         stats
     }
 
@@ -292,7 +280,6 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
             ctx,
             |_, _, _| {},
             |_, _| {},
-            |_, _, _| {},
             |ctx, spec| (spec.func)(ctx, spec.arg1, spec.arg2),
         )
     }
@@ -962,33 +949,6 @@ mod tests {
         sched.fork(record, 2, 0, Hints::one(Addr::new(4)));
         while sched.drain_next(&mut log).is_some() {}
         assert_eq!(log, vec![(0, 0), (1, 0), (2, 0)]);
-    }
-
-    /// Idle-age eviction frees a record only once it has outlived
-    /// `max_idle_drains` drain grants without a refill.
-    #[test]
-    fn idle_age_reaps_after_configured_drains() {
-        use crate::EvictionPolicy;
-        let mut sched = Scheduler::<Log>::new(eviction_config(EvictionPolicy::IdleAge {
-            max_idle_drains: 2,
-        }));
-        sched.enable_online();
-        let mut log = Log::new();
-        // A drains at epoch 1.
-        sched.fork(record, 0, 0, Hints::one(Addr::new(0)));
-        assert!(sched.drain_next(&mut log).is_some());
-        // Two more fork/drain rounds age A to the threshold; it is
-        // still within its allowance at each intermediate fork.
-        sched.fork(record, 1, 0, Hints::one(Addr::new(2048)));
-        assert_eq!(sched.evictions(), 0);
-        assert!(sched.drain_next(&mut log).is_some());
-        sched.fork(record, 2, 0, Hints::one(Addr::new(4096)));
-        assert_eq!(sched.evictions(), 0);
-        assert!(sched.drain_next(&mut log).is_some());
-        // Epoch is now 3 ≥ 1 + 2: the next fork reaps A (and only A).
-        sched.fork(record, 3, 0, Hints::one(Addr::new(6144)));
-        assert_eq!(sched.evictions(), 1);
-        assert_eq!(sched.bins(), 3);
     }
 
     /// UniqueBin (every fork a fresh record) is the worst-case leak;

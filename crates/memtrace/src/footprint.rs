@@ -1,8 +1,9 @@
 //! Per-thread footprint accumulation for schedule analysis.
 //!
-//! [`FootprintSink`] consumes the schedule events a tracing scheduler
-//! emits ([`TraceSink::thread_hints`] at fork, [`TraceSink::thread_begin`]
-//! at dispatch, [`TraceSink::run_end`] when a run drains) and attributes
+//! [`FootprintSink`] consumes the [`SchedMark`]s a tracing scheduler
+//! emits ([`Fork`](SchedMark::Fork) at fork,
+//! [`Dispatch`](SchedMark::Dispatch) at dispatch,
+//! [`RunEnd`](SchedMark::RunEnd) when a run drains) and attributes
 //! every memory reference in between to the thread that made it. The
 //! result is one [`PhaseTrace`] per scheduler run: the fork-ordered hint
 //! lists plus the dispatch-ordered read/write footprints, the raw
@@ -19,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::mem;
 
-use crate::{Access, AccessKind, Addr, TraceSink};
+use crate::{Access, AccessKind, Addr, SchedMark, TraceSink};
 
 /// The footprint granule: 8-byte words, the traced element size.
 pub const WORD_BYTES: u64 = 8;
@@ -43,7 +44,9 @@ impl ThreadFootprint {
             return;
         }
         let first = access.addr.raw() / WORD_BYTES;
-        let last = (access.addr.raw() + u64::from(access.size) - 1) / WORD_BYTES;
+        // Saturating: a trace file can carry a reference that ends past
+        // the top of the address space.
+        let last = access.addr.raw().saturating_add(u64::from(access.size) - 1) / WORD_BYTES;
         let set = match access.kind {
             AccessKind::Read => &mut self.reads,
             AccessKind::Write => &mut self.writes,
@@ -92,7 +95,7 @@ impl ThreadFootprint {
 /// footprints in *dispatch* order. The two indexings generally differ —
 /// relating them requires replaying the scheduling policy over the
 /// hints, which is exactly what the analyzer does.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTrace {
     /// Hint addresses per forked thread, in fork order (possibly empty
     /// per thread for unhinted forks).
@@ -104,8 +107,8 @@ pub struct PhaseTrace {
 /// A [`TraceSink`] that builds per-phase, per-thread footprints from a
 /// traced scheduler run.
 ///
-/// References arriving between [`thread_begin`](TraceSink::thread_begin)
-/// events belong to the thread that began; references outside any run
+/// References arriving between [`Dispatch`](SchedMark::Dispatch)
+/// marks belong to the thread that began; references outside any run
 /// accumulate in a single *ambient* footprint. Addresses at or above an
 /// optional threshold are dropped — schedulers synthesize their own
 /// bookkeeping traffic at a reserved high base (the package trace), and
@@ -114,16 +117,16 @@ pub struct PhaseTrace {
 /// # Examples
 ///
 /// ```
-/// use memtrace::{Addr, FootprintSink, TraceSink};
+/// use memtrace::{Addr, FootprintSink, SchedMark, TraceSink};
 ///
 /// let mut sink = FootprintSink::new();
-/// sink.thread_hints(&[Addr::new(0x100)]); // fork 0
-/// sink.thread_hints(&[Addr::new(0x200)]); // fork 1
-/// sink.thread_begin(0);
+/// sink.mark(SchedMark::Fork(&[Addr::new(0x100)])); // fork 0
+/// sink.mark(SchedMark::Fork(&[Addr::new(0x200)])); // fork 1
+/// sink.mark(SchedMark::Dispatch(0));
 /// sink.write(Addr::new(0x208), 8); // belongs to the first dispatch
-/// sink.thread_begin(1);
+/// sink.mark(SchedMark::Dispatch(1));
 /// sink.read(Addr::new(0x100), 8);
-/// sink.run_end();
+/// sink.mark(SchedMark::RunEnd);
 /// let phases = sink.into_phases();
 /// assert_eq!(phases.len(), 1);
 /// assert_eq!(phases[0].hints.len(), 2);
@@ -204,23 +207,24 @@ impl TraceSink for FootprintSink {
 
     fn instructions(&mut self, _count: u64) {}
 
-    fn thread_hints(&mut self, hints: &[Addr]) {
-        self.pending_hints.push(hints.to_vec());
-    }
-
-    fn thread_begin(&mut self, seq: u64) {
-        if seq == 0 && self.in_run {
-            // A new run started while the previous one never announced
-            // its end (e.g. an untraced drain): close it defensively.
-            self.close_phase();
+    /// Dispatches are taken in arrival order; the ordinal only tells a
+    /// new run (it restarts at 0) from the next thread of this one.
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        match mark {
+            SchedMark::Fork(hints) => self.pending_hints.push(hints.to_vec()),
+            SchedMark::Dispatch(seq) => {
+                if seq == 0 && self.in_run {
+                    // A new run started while the previous one never
+                    // announced its end (e.g. an untraced drain): close
+                    // it defensively.
+                    self.close_phase();
+                }
+                self.in_run = true;
+                self.dispatches.push(ThreadFootprint::new());
+            }
+            SchedMark::RunEnd => self.close_phase(),
+            SchedMark::DrainBegin(_) | SchedMark::DrainEnd(_) => {}
         }
-        self.in_run = true;
-        debug_assert_eq!(self.dispatches.len() as u64, seq, "dispatch sequence gap");
-        self.dispatches.push(ThreadFootprint::new());
-    }
-
-    fn run_end(&mut self) {
-        self.close_phase();
     }
 }
 
@@ -246,6 +250,16 @@ mod tests {
     }
 
     #[test]
+    fn a_reference_at_the_top_of_the_address_space_keeps_its_last_word() {
+        let mut fp = ThreadFootprint::new();
+        fp.record(Access::read(Addr::new(u64::MAX - 3), 8));
+        assert_eq!(
+            fp.read_words().iter().copied().collect::<Vec<_>>(),
+            vec![u64::MAX / WORD_BYTES]
+        );
+    }
+
+    #[test]
     fn lines_derive_from_words() {
         let mut fp = ThreadFootprint::new();
         fp.record(Access::read(Addr::new(0), 8));
@@ -260,18 +274,18 @@ mod tests {
         let mut sink = FootprintSink::new();
         // Phase 1: two forks, dispatched in reverse order.
         sink.read(Addr::new(0x8000), 8); // ambient setup
-        sink.thread_hints(&[Addr::new(0x100)]);
-        sink.thread_hints(&[Addr::new(0x200), Addr::new(0x300)]);
-        sink.thread_begin(0);
+        sink.mark(SchedMark::Fork(&[Addr::new(0x100)]));
+        sink.mark(SchedMark::Fork(&[Addr::new(0x200), Addr::new(0x300)]));
+        sink.mark(SchedMark::Dispatch(0));
         sink.write(Addr::new(0x200), 8);
-        sink.thread_begin(1);
+        sink.mark(SchedMark::Dispatch(1));
         sink.write(Addr::new(0x100), 8);
-        sink.run_end();
+        sink.mark(SchedMark::RunEnd);
         // Phase 2: one fork.
-        sink.thread_hints(&[]);
-        sink.thread_begin(0);
+        sink.mark(SchedMark::Fork(&[]));
+        sink.mark(SchedMark::Dispatch(0));
         sink.read(Addr::new(0x400), 8);
-        sink.run_end();
+        sink.mark(SchedMark::RunEnd);
         sink.instructions(10); // ignored
         sink.write(Addr::new(0x8008), 8); // ambient again
 
@@ -290,11 +304,11 @@ mod tests {
     #[test]
     fn high_addresses_are_ignored_when_requested() {
         let mut sink = FootprintSink::ignoring_at_or_above(Addr::new(0x1000));
-        sink.thread_hints(&[Addr::new(0x10)]);
-        sink.thread_begin(0);
+        sink.mark(SchedMark::Fork(&[Addr::new(0x10)]));
+        sink.mark(SchedMark::Dispatch(0));
         sink.read(Addr::new(0x10), 8);
         sink.read(Addr::new(0x1000), 8); // dropped
-        sink.run_end();
+        sink.mark(SchedMark::RunEnd);
         let phases = sink.into_phases();
         assert_eq!(phases[0].dispatches[0].read_words().len(), 1);
     }
@@ -302,8 +316,8 @@ mod tests {
     #[test]
     fn dangling_run_is_closed_by_into_phases() {
         let mut sink = FootprintSink::new();
-        sink.thread_hints(&[Addr::new(0x10)]);
-        sink.thread_begin(0);
+        sink.mark(SchedMark::Fork(&[Addr::new(0x10)]));
+        sink.mark(SchedMark::Dispatch(0));
         sink.write(Addr::new(0x10), 8);
         let phases = sink.into_phases();
         assert_eq!(phases.len(), 1);

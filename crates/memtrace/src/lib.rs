@@ -51,7 +51,7 @@ pub use compact::{CompactBuf, CompactIter};
 pub use footprint::{FootprintSink, PhaseTrace, ThreadFootprint, WORD_BYTES};
 pub use matrix::{MatrixLayout, TracedMatrix};
 pub use regions::{RegionSink, RegionTraffic};
-pub use schedule::{SchedEvent, SchedLogSink, ScheduleLog};
+pub use schedule::{SchedEvent, SchedLogSink, SchedMark, ScheduleLog};
 pub use sink::{CountingSink, FnSink, NullSink, TeeSink, TraceSink, VecSink};
 pub use space::AddressSpace;
-pub use tracefile::{TraceEvent, TraceFileReader, TraceFileWriter, TraceHints, MAX_TRACE_HINTS};
+pub use tracefile::{TraceFileReader, TraceFileWriter, MAX_TRACE_HINTS};

@@ -20,6 +20,40 @@
 //! which thread bodies are ordered. Actor 0 is by convention the
 //! serial/coordinating lane; further actors are numbered from 1.
 
+/// One mark of the *schedule* half of a trace, as a scheduler emits it
+/// into a [`TraceSink`](crate::TraceSink) between the memory references
+/// it orders. This is the one spelling of those facts from the engine's
+/// drain loop to the trace file (which stores marks verbatim, see
+/// [`TraceFileWriter`](crate::TraceFileWriter)); [`SchedLogSink`] lifts
+/// them onto actor 0 of a [`ScheduleLog`].
+///
+/// A *drain unit* is the contiguous block of dispatches the serial
+/// drain hands out together: one bin for flat policies, one parent
+/// group's sub-bins for nested ones. It is not what work stealing
+/// moves: `ParScheduler`'s deques hold tour positions (bins), so under
+/// a nested policy a steal can split a parent group between workers —
+/// which is why the analyzer's stealing model gives every *fine* bin an
+/// actor of its own instead of reasoning at unit granularity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SchedMark<'a> {
+    /// A thread was forked with these hint addresses (empty for an
+    /// unhinted thread). Marks arrive in fork order.
+    Fork(&'a [crate::Addr]),
+    /// Drain unit `n` (0-based within the current run) begins.
+    DrainBegin(u64),
+    /// The `n`-th thread (0-based) of the current run is dispatched:
+    /// every reference up to the next `Dispatch` or [`RunEnd`] belongs
+    /// to its body.
+    ///
+    /// [`RunEnd`]: SchedMark::RunEnd
+    Dispatch(u64),
+    /// Drain unit `n` ends.
+    DrainEnd(u64),
+    /// The scheduler run (one *phase* of forked threads) is over;
+    /// references after it are ambient until the next run starts.
+    RunEnd,
+}
+
 /// One schedule event. `actor`, `thief`, `victim`, `from`, and `to`
 /// are actor ids; `fork` is a fork index (program order); `unit` is a
 /// drain-unit ordinal (one bin for flat policies, one parent group's
@@ -67,6 +101,35 @@ impl ScheduleLog {
             actors,
             events: Vec::new(),
         }
+    }
+
+    /// The hand-off structure of a `shards`-way sharded simulator
+    /// pipeline over `rounds` drain rounds, on `shards + 1` actors. A
+    /// round is one producer → shard hand-off per shard (actor 0
+    /// flushing each queue), one drain unit per shard (the sequential
+    /// replay of that shard's records, actors `1..=shards`), the
+    /// shard → merge hand-offs back to actor 0 (the program-order
+    /// classifier merge), and a barrier. Every cross-shard edge goes
+    /// *through* actor 0 — two shards never synchronize directly, which
+    /// is exactly why per-shard replay must be conflict-free at
+    /// selector granularity to be sound.
+    pub fn shard_rounds(shards: u32, rounds: u32) -> Self {
+        let mut log = ScheduleLog::new(shards + 1);
+        for round in 0..rounds {
+            for s in 0..shards {
+                log.push(SchedEvent::Handoff { from: 0, to: s + 1 });
+            }
+            for s in 0..shards {
+                let unit = round * shards + s;
+                log.push(SchedEvent::DrainBegin { actor: s + 1, unit });
+                log.push(SchedEvent::DrainEnd { actor: s + 1, unit });
+            }
+            for s in 0..shards {
+                log.push(SchedEvent::Handoff { from: s + 1, to: 0 });
+            }
+            log.push(SchedEvent::Barrier);
+        }
+        log
     }
 
     /// Appends one event.
@@ -145,14 +208,14 @@ impl ScheduleLog {
 /// # Examples
 ///
 /// ```
-/// use memtrace::{Addr, SchedEvent, SchedLogSink, TraceSink};
+/// use memtrace::{Addr, SchedEvent, SchedLogSink, SchedMark, TraceSink};
 ///
 /// let mut sink = SchedLogSink::new();
-/// sink.thread_hints(&[Addr::new(0x100)]); // fork 0
-/// sink.drain_begin(0);
-/// sink.thread_begin(0);
-/// sink.drain_end(0);
-/// sink.run_end();
+/// sink.mark(SchedMark::Fork(&[Addr::new(0x100)])); // fork 0
+/// sink.mark(SchedMark::DrainBegin(0));
+/// sink.mark(SchedMark::Dispatch(0));
+/// sink.mark(SchedMark::DrainEnd(0));
+/// sink.mark(SchedMark::RunEnd);
 /// let log = sink.into_log();
 /// assert_eq!(log.events[0], SchedEvent::Fork { actor: 0, fork: 0 });
 /// assert_eq!(log.events.last(), Some(&SchedEvent::Barrier));
@@ -190,35 +253,28 @@ impl crate::TraceSink for SchedLogSink {
     #[inline]
     fn instructions(&mut self, _count: u64) {}
 
-    fn thread_hints(&mut self, _hints: &[crate::Addr]) {
-        let fork = self.forks;
-        self.forks += 1;
-        self.log.push(SchedEvent::Fork { actor: 0, fork });
-    }
-
-    fn thread_begin(&mut self, seq: u64) {
-        self.log.push(SchedEvent::Dispatch {
-            actor: 0,
-            fork: u32::try_from(seq).expect("dispatch sequence fits u32"),
-        });
-    }
-
-    fn drain_begin(&mut self, unit: u64) {
-        self.log.push(SchedEvent::DrainBegin {
-            actor: 0,
-            unit: u32::try_from(unit).expect("drain unit fits u32"),
-        });
-    }
-
-    fn drain_end(&mut self, unit: u64) {
-        self.log.push(SchedEvent::DrainEnd {
-            actor: 0,
-            unit: u32::try_from(unit).expect("drain unit fits u32"),
-        });
-    }
-
-    fn run_end(&mut self) {
-        self.log.push(SchedEvent::Barrier);
+    /// A live engine never produces an ordinal that does not fit the
+    /// log's `u32`; one read from a trace file can, and is dropped.
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        let narrow = |ordinal: u64| u32::try_from(ordinal).ok();
+        let event = match mark {
+            SchedMark::Fork(_) => {
+                let fork = self.forks;
+                self.forks += 1;
+                Some(SchedEvent::Fork { actor: 0, fork })
+            }
+            SchedMark::DrainBegin(unit) => {
+                narrow(unit).map(|unit| SchedEvent::DrainBegin { actor: 0, unit })
+            }
+            SchedMark::Dispatch(seq) => {
+                narrow(seq).map(|fork| SchedEvent::Dispatch { actor: 0, fork })
+            }
+            SchedMark::DrainEnd(unit) => {
+                narrow(unit).map(|unit| SchedEvent::DrainEnd { actor: 0, unit })
+            }
+            SchedMark::RunEnd => Some(SchedEvent::Barrier),
+        };
+        self.log.events.extend(event);
     }
 }
 
@@ -230,13 +286,13 @@ mod tests {
     #[test]
     fn sink_records_the_full_event_vocabulary_in_order() {
         let mut sink = SchedLogSink::new();
-        sink.thread_hints(&[Addr::new(0x100)]);
-        sink.thread_hints(&[]);
-        sink.drain_begin(0);
-        sink.thread_begin(0);
-        sink.thread_begin(1);
-        sink.drain_end(0);
-        sink.run_end();
+        sink.mark(SchedMark::Fork(&[Addr::new(0x100)]));
+        sink.mark(SchedMark::Fork(&[]));
+        sink.mark(SchedMark::DrainBegin(0));
+        sink.mark(SchedMark::Dispatch(0));
+        sink.mark(SchedMark::Dispatch(1));
+        sink.mark(SchedMark::DrainEnd(0));
+        sink.mark(SchedMark::RunEnd);
         let log = sink.into_log();
         assert_eq!(log.actors, 1);
         assert_eq!(
@@ -250,6 +306,24 @@ mod tests {
                 SchedEvent::DrainEnd { actor: 0, unit: 0 },
                 SchedEvent::Barrier,
             ]
+        );
+    }
+
+    #[test]
+    fn marks_whose_ordinal_does_not_fit_the_log_are_dropped() {
+        let mut sink = SchedLogSink::new();
+        let wide = u64::from(u32::MAX) + 1;
+        sink.mark(SchedMark::DrainBegin(wide));
+        sink.mark(SchedMark::Dispatch(u64::MAX));
+        sink.mark(SchedMark::DrainEnd(wide));
+        assert!(sink.log().is_empty());
+        sink.mark(SchedMark::Dispatch(u64::from(u32::MAX)));
+        assert_eq!(
+            sink.into_log().events,
+            vec![SchedEvent::Dispatch {
+                actor: 0,
+                fork: u32::MAX
+            }]
         );
     }
 

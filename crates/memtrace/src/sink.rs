@@ -1,6 +1,6 @@
 //! Trace consumers.
 
-use crate::{Access, Addr};
+use crate::{Access, Addr, SchedMark};
 
 /// A consumer of memory-reference traces.
 ///
@@ -46,47 +46,16 @@ pub trait TraceSink {
     /// Accounts `count` executed instructions.
     fn instructions(&mut self, count: u64);
 
-    /// Observes the hint addresses of a newly forked thread, in fork
-    /// order. Schedulers emit one event per fork (possibly with an
-    /// empty slice for unhinted threads); most sinks ignore it — the
-    /// default is a no-op — but schedule-analysis sinks use the fork
-    /// stream to rebuild the thread/hint graph.
+    /// Observes one mark of the schedule half of the stream: a fork, a
+    /// dispatch, a drain-unit boundary or the end of a run (see
+    /// [`SchedMark`]). Ordinary sinks ignore marks — the default is a
+    /// no-op — while schedule-analysis sinks use them to attribute the
+    /// references in between to threads and to rebuild the drain-unit
+    /// structure. Implementations `match` the mark exhaustively, so a
+    /// mark added later fails to compile until each one handles it.
     #[inline]
-    fn thread_hints(&mut self, hints: &[Addr]) {
-        let _ = hints;
-    }
-
-    /// Marks the dispatch of the `seq`-th thread (0-based) of the
-    /// current scheduler run: every access that follows, up to the next
-    /// `thread_begin` or [`run_end`](TraceSink::run_end), belongs to
-    /// that thread's body. Default: no-op.
-    #[inline]
-    fn thread_begin(&mut self, seq: u64) {
-        let _ = seq;
-    }
-
-    /// Marks the end of a scheduler run (one *phase* of forked
-    /// threads); accesses after it are ambient until the next run
-    /// starts. Default: no-op.
-    #[inline]
-    fn run_end(&mut self) {}
-
-    /// Marks the start of drain unit `unit` (0-based within the current
-    /// run): the contiguous block of dispatches a scheduler hands out as
-    /// one indivisible batch — one bin for flat policies, one parent
-    /// group's sub-bins for nested policies. Work stealing moves whole
-    /// drain units between workers, never fractions of one, which is
-    /// what makes unit granularity sound for happens-before analysis.
-    /// Default: no-op.
-    #[inline]
-    fn drain_begin(&mut self, unit: u64) {
-        let _ = unit;
-    }
-
-    /// Marks the end of drain unit `unit`. Default: no-op.
-    #[inline]
-    fn drain_end(&mut self, unit: u64) {
-        let _ = unit;
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        let _ = mark;
     }
 
     /// Convenience: consumes a read of `size` bytes at `addr`.
@@ -119,28 +88,8 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     }
 
     #[inline]
-    fn thread_hints(&mut self, hints: &[Addr]) {
-        (**self).thread_hints(hints);
-    }
-
-    #[inline]
-    fn thread_begin(&mut self, seq: u64) {
-        (**self).thread_begin(seq);
-    }
-
-    #[inline]
-    fn run_end(&mut self) {
-        (**self).run_end();
-    }
-
-    #[inline]
-    fn drain_begin(&mut self, unit: u64) {
-        (**self).drain_begin(unit);
-    }
-
-    #[inline]
-    fn drain_end(&mut self, unit: u64) {
-        (**self).drain_end(unit);
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        (**self).mark(mark);
     }
 }
 
@@ -373,33 +322,9 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     }
 
     #[inline]
-    fn thread_hints(&mut self, hints: &[Addr]) {
-        self.first.thread_hints(hints);
-        self.second.thread_hints(hints);
-    }
-
-    #[inline]
-    fn thread_begin(&mut self, seq: u64) {
-        self.first.thread_begin(seq);
-        self.second.thread_begin(seq);
-    }
-
-    #[inline]
-    fn run_end(&mut self) {
-        self.first.run_end();
-        self.second.run_end();
-    }
-
-    #[inline]
-    fn drain_begin(&mut self, unit: u64) {
-        self.first.drain_begin(unit);
-        self.second.drain_begin(unit);
-    }
-
-    #[inline]
-    fn drain_end(&mut self, unit: u64) {
-        self.first.drain_end(unit);
-        self.second.drain_end(unit);
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        self.first.mark(mark);
+        self.second.mark(mark);
     }
 }
 

@@ -10,17 +10,22 @@
 //! 0x01 addr:u64 size:u32          read
 //! 0x02 addr:u64 size:u32          write
 //! 0x03 count:u64                  instructions
-//! 0x04 seq:u64                    thread dispatch (schedule event)
-//! 0x05 count:u8 addr:u64 × count  thread fork hints (schedule event)
-//! 0x06                            run end (schedule event)
+//! 0x04 seq:u64                    thread dispatch (schedule mark)
+//! 0x05 count:u8 addr:u64 × count  thread fork hints (schedule mark)
+//! 0x06                            run end (schedule mark)
+//! 0x07 unit:u64                   drain unit begin (schedule mark)
+//! 0x08 unit:u64                   drain unit end (schedule mark)
 //! ```
 //!
-//! The schedule-event records (0x04–0x06) mirror the optional
-//! [`TraceSink`] schedule methods, so a recorded trace of a *traced
-//! scheduler run* replays losslessly into schedule-aware sinks such as
-//! [`FootprintSink`](crate::FootprintSink). Hint records carry at most
-//! [`MAX_TRACE_HINTS`] addresses; longer hint lists are truncated on
-//! write (no scheduler in this package forks with more).
+//! The schedule-mark records (0x04–0x08) are the variants of
+//! [`SchedMark`], one each, so a recorded trace of a *traced scheduler
+//! run* replays losslessly into schedule-aware sinks such as
+//! [`FootprintSink`](crate::FootprintSink) and
+//! [`SchedLogSink`](crate::SchedLogSink). (Files written before the
+//! drain-unit records existed hold no 0x07 / 0x08 and read unchanged.)
+//! Hint records carry at most [`MAX_TRACE_HINTS`] addresses; longer
+//! hint lists are truncated on write (no scheduler in this package
+//! forks with more).
 //!
 //! # Word-alignment convention
 //!
@@ -35,61 +40,23 @@
 //! records as untrusted: the simulator clamps line spans instead of
 //! trusting `addr + size` not to overflow, and
 //! [`TraceFileReader::replay`] reports truncation or unknown tags as
-//! errors, never panics.
+//! errors, never panics. Mark ordinals are as untrusted as addresses: a
+//! sink may ignore one it cannot use, but must not panic on it.
 
-use crate::{Access, AccessKind, Addr, TraceSink};
+use crate::{Access, AccessKind, Addr, SchedMark, TraceSink};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 
 const TAG_READ: u8 = 0x01;
 const TAG_WRITE: u8 = 0x02;
 const TAG_INSTR: u8 = 0x03;
-const TAG_THREAD_BEGIN: u8 = 0x04;
-const TAG_THREAD_HINTS: u8 = 0x05;
+const TAG_DISPATCH: u8 = 0x04;
+const TAG_FORK: u8 = 0x05;
 const TAG_RUN_END: u8 = 0x06;
+const TAG_DRAIN_BEGIN: u8 = 0x07;
+const TAG_DRAIN_END: u8 = 0x08;
 
 /// Maximum hint addresses one 0x05 record can carry.
 pub const MAX_TRACE_HINTS: usize = 8;
-
-/// The hint list of one forked thread, as stored in a trace file:
-/// a fixed-capacity inline array so [`TraceEvent`] stays `Copy`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceHints {
-    addrs: [Addr; MAX_TRACE_HINTS],
-    len: u8,
-}
-
-impl TraceHints {
-    /// Packs a hint slice, truncating past [`MAX_TRACE_HINTS`].
-    pub fn new(hints: &[Addr]) -> Self {
-        let len = hints.len().min(MAX_TRACE_HINTS);
-        let mut addrs = [Addr::NULL; MAX_TRACE_HINTS];
-        addrs[..len].copy_from_slice(&hints[..len]);
-        TraceHints {
-            addrs,
-            len: len as u8,
-        }
-    }
-
-    /// The stored hint addresses.
-    pub fn as_slice(&self) -> &[Addr] {
-        &self.addrs[..usize::from(self.len)]
-    }
-}
-
-/// One record of a trace file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A memory reference.
-    Access(Access),
-    /// An instruction-count batch.
-    Instructions(u64),
-    /// Dispatch of the `seq`-th thread of the current scheduler run.
-    ThreadBegin(u64),
-    /// Fork of a thread with the given hint addresses.
-    ThreadHints(TraceHints),
-    /// End of a scheduler run.
-    RunEnd,
-}
 
 /// A [`TraceSink`] that serializes the trace to a writer.
 ///
@@ -147,6 +114,15 @@ impl<W: Write> TraceFileWriter<W> {
         }
     }
 
+    /// A tag followed by one little-endian `u64`: the layout of the
+    /// instruction-count record and of every mark that is an ordinal.
+    fn emit_u64(&mut self, tag: u8, value: u64) {
+        let mut record = [0u8; 9];
+        record[0] = tag;
+        record[1..9].copy_from_slice(&value.to_le_bytes());
+        self.emit(&record);
+    }
+
     /// Flushes the stream and surfaces any deferred I/O error.
     ///
     /// # Errors
@@ -194,36 +170,30 @@ impl<W: Write> TraceSink for TraceFileWriter<W> {
     }
 
     fn instructions(&mut self, count: u64) {
-        let mut record = [0u8; 9];
-        record[0] = TAG_INSTR;
-        record[1..9].copy_from_slice(&count.to_le_bytes());
-        self.emit(&record);
+        self.emit_u64(TAG_INSTR, count);
     }
 
-    fn thread_begin(&mut self, seq: u64) {
-        let mut record = [0u8; 9];
-        record[0] = TAG_THREAD_BEGIN;
-        record[1..9].copy_from_slice(&seq.to_le_bytes());
-        self.emit(&record);
-    }
-
-    fn thread_hints(&mut self, hints: &[Addr]) {
-        let packed = TraceHints::new(hints);
-        let mut record = Vec::with_capacity(2 + packed.as_slice().len() * 8);
-        record.push(TAG_THREAD_HINTS);
-        record.push(packed.len);
-        for addr in packed.as_slice() {
-            record.extend_from_slice(&addr.raw().to_le_bytes());
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        match mark {
+            SchedMark::Fork(hints) => {
+                let hints = &hints[..hints.len().min(MAX_TRACE_HINTS)];
+                let mut record = Vec::with_capacity(2 + hints.len() * 8);
+                record.push(TAG_FORK);
+                record.push(hints.len() as u8);
+                for addr in hints {
+                    record.extend_from_slice(&addr.raw().to_le_bytes());
+                }
+                self.emit(&record);
+            }
+            SchedMark::DrainBegin(unit) => self.emit_u64(TAG_DRAIN_BEGIN, unit),
+            SchedMark::Dispatch(seq) => self.emit_u64(TAG_DISPATCH, seq),
+            SchedMark::DrainEnd(unit) => self.emit_u64(TAG_DRAIN_END, unit),
+            SchedMark::RunEnd => self.emit(&[TAG_RUN_END]),
         }
-        self.emit(&record);
-    }
-
-    fn run_end(&mut self) {
-        self.emit(&[TAG_RUN_END]);
     }
 }
 
-/// Reads a trace file back as an iterator of [`TraceEvent`]s.
+/// Reads a trace file back into a [`TraceSink`].
 #[derive(Debug)]
 pub struct TraceFileReader<R: Read> {
     input: BufReader<R>,
@@ -237,89 +207,72 @@ impl<R: Read> TraceFileReader<R> {
         }
     }
 
-    /// Reads the next event, `Ok(None)` at clean end-of-stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure, a truncated record, or an
-    /// unknown tag.
-    pub fn next_event(&mut self) -> io::Result<Option<TraceEvent>> {
-        let mut tag = [0u8; 1];
-        match self.input.read_exact(&mut tag) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        match tag[0] {
-            TAG_READ | TAG_WRITE => {
-                let mut payload = [0u8; 12];
-                self.input.read_exact(&mut payload)?;
-                let addr = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-                let size = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
-                let access = if tag[0] == TAG_READ {
-                    Access::read(Addr::new(addr), size)
-                } else {
-                    Access::write(Addr::new(addr), size)
-                };
-                Ok(Some(TraceEvent::Access(access)))
-            }
-            TAG_INSTR => {
-                let mut payload = [0u8; 8];
-                self.input.read_exact(&mut payload)?;
-                Ok(Some(TraceEvent::Instructions(u64::from_le_bytes(payload))))
-            }
-            TAG_THREAD_BEGIN => {
-                let mut payload = [0u8; 8];
-                self.input.read_exact(&mut payload)?;
-                Ok(Some(TraceEvent::ThreadBegin(u64::from_le_bytes(payload))))
-            }
-            TAG_THREAD_HINTS => {
-                let mut count = [0u8; 1];
-                self.input.read_exact(&mut count)?;
-                let count = usize::from(count[0]);
-                if count > MAX_TRACE_HINTS {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("hint record carries {count} addresses (max {MAX_TRACE_HINTS})"),
-                    ));
-                }
-                let mut addrs = [Addr::NULL; MAX_TRACE_HINTS];
-                for slot in addrs.iter_mut().take(count) {
-                    let mut payload = [0u8; 8];
-                    self.input.read_exact(&mut payload)?;
-                    *slot = Addr::new(u64::from_le_bytes(payload));
-                }
-                Ok(Some(TraceEvent::ThreadHints(TraceHints {
-                    addrs,
-                    len: count as u8,
-                })))
-            }
-            TAG_RUN_END => Ok(Some(TraceEvent::RunEnd)),
-            unknown => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown trace record tag {unknown:#04x}"),
-            )),
-        }
+    fn read_u64(&mut self) -> io::Result<u64> {
+        let mut payload = [0u8; 8];
+        self.input.read_exact(&mut payload)?;
+        Ok(u64::from_le_bytes(payload))
     }
 
     /// Replays the whole trace into `sink`, returning the event count.
     ///
     /// # Errors
     ///
-    /// Returns an error if the stream is corrupt or truncated.
+    /// Returns an error on I/O failure, a truncated record, or an
+    /// unknown tag; the records before it have been delivered.
     pub fn replay<S: TraceSink>(mut self, sink: &mut S) -> io::Result<u64> {
         let mut events = 0;
-        while let Some(event) = self.next_event()? {
-            match event {
-                TraceEvent::Access(a) => sink.access(a),
-                TraceEvent::Instructions(n) => sink.instructions(n),
-                TraceEvent::ThreadBegin(seq) => sink.thread_begin(seq),
-                TraceEvent::ThreadHints(h) => sink.thread_hints(h.as_slice()),
-                TraceEvent::RunEnd => sink.run_end(),
+        loop {
+            let mut tag = [0u8; 1];
+            match self.input.read_exact(&mut tag) {
+                Ok(()) => {}
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(events),
+                Err(e) => return Err(e),
+            }
+            match tag[0] {
+                TAG_READ | TAG_WRITE => {
+                    let mut payload = [0u8; 12];
+                    self.input.read_exact(&mut payload)?;
+                    let addr = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
+                    let size = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
+                    let addr = Addr::new(addr);
+                    sink.access(if tag[0] == TAG_READ {
+                        Access::read(addr, size)
+                    } else {
+                        Access::write(addr, size)
+                    });
+                }
+                TAG_INSTR => sink.instructions(self.read_u64()?),
+                TAG_DISPATCH => sink.mark(SchedMark::Dispatch(self.read_u64()?)),
+                TAG_FORK => {
+                    let mut count = [0u8; 1];
+                    self.input.read_exact(&mut count)?;
+                    let count = usize::from(count[0]);
+                    if count > MAX_TRACE_HINTS {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "hint record carries {count} addresses (max {MAX_TRACE_HINTS})"
+                            ),
+                        ));
+                    }
+                    let mut hints = [Addr::NULL; MAX_TRACE_HINTS];
+                    for slot in &mut hints[..count] {
+                        *slot = Addr::new(self.read_u64()?);
+                    }
+                    sink.mark(SchedMark::Fork(&hints[..count]));
+                }
+                TAG_RUN_END => sink.mark(SchedMark::RunEnd),
+                TAG_DRAIN_BEGIN => sink.mark(SchedMark::DrainBegin(self.read_u64()?)),
+                TAG_DRAIN_END => sink.mark(SchedMark::DrainEnd(self.read_u64()?)),
+                unknown => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("unknown trace record tag {unknown:#04x}"),
+                    ));
+                }
             }
             events += 1;
         }
-        Ok(events)
     }
 }
 
@@ -399,13 +352,13 @@ mod tests {
         let mut buffer = Vec::new();
         {
             let mut writer = TraceFileWriter::new(&mut buffer);
-            writer.thread_hints(&[Addr::new(0x100), Addr::new(0x200)]);
-            writer.thread_hints(&[]);
-            writer.thread_begin(0);
+            writer.mark(SchedMark::Fork(&[Addr::new(0x100), Addr::new(0x200)]));
+            writer.mark(SchedMark::Fork(&[]));
+            writer.mark(SchedMark::Dispatch(0));
             writer.write(Addr::new(0x100), 8);
-            writer.thread_begin(1);
+            writer.mark(SchedMark::Dispatch(1));
             writer.read(Addr::new(0x300), 8);
-            writer.run_end();
+            writer.mark(SchedMark::RunEnd);
             assert_eq!(writer.events(), 7);
             writer.finish().unwrap();
         }
@@ -428,24 +381,78 @@ mod tests {
         let mut buffer = Vec::new();
         {
             let mut writer = TraceFileWriter::new(&mut buffer);
-            writer.thread_hints(&hints);
+            writer.mark(SchedMark::Fork(&hints));
             writer.finish().unwrap();
         }
-        let event = TraceFileReader::new(buffer.as_slice())
-            .next_event()
-            .unwrap()
+        let mut sink = crate::FootprintSink::new();
+        TraceFileReader::new(buffer.as_slice())
+            .replay(&mut sink)
             .unwrap();
-        match event {
-            TraceEvent::ThreadHints(h) => {
-                assert_eq!(h.as_slice(), &hints[..MAX_TRACE_HINTS]);
-            }
-            other => panic!("expected hint record, got {other:?}"),
+        assert_eq!(sink.into_phases()[0].hints, [&hints[..MAX_TRACE_HINTS]]);
+    }
+
+    /// Marks are stored verbatim, drain units included: what a live
+    /// schedule-aware sink saw is what a replay of the file delivers.
+    #[test]
+    fn every_mark_round_trips() {
+        use crate::{SchedLogSink, TeeSink};
+        let mut buffer = Vec::new();
+        let mut tee = TeeSink::new(SchedLogSink::new(), TraceFileWriter::new(&mut buffer));
+        tee.mark(SchedMark::Fork(&[Addr::new(0x100)]));
+        tee.mark(SchedMark::Fork(&[]));
+        for unit in 0..2 {
+            tee.mark(SchedMark::DrainBegin(unit));
+            tee.mark(SchedMark::Dispatch(unit));
+            tee.mark(SchedMark::DrainEnd(unit));
         }
+        tee.mark(SchedMark::RunEnd);
+        let (live, writer) = tee.into_inner();
+        writer.finish().unwrap();
+        let mut replayed = SchedLogSink::new();
+        let events = TraceFileReader::new(buffer.as_slice())
+            .replay(&mut replayed)
+            .unwrap();
+        assert_eq!(events, 9);
+        assert_eq!(replayed.log(), live.log());
+        assert_eq!(live.log().len(), 9);
+    }
+
+    /// A mark's ordinal is input like any other field: the widest
+    /// dispatch ordinal, a dispatch sequence that starts at 7, and a
+    /// drain unit past `u32` all replay into the schedule-aware sinks.
+    #[test]
+    fn hostile_mark_ordinals_replay_without_panicking() {
+        use crate::{FootprintSink, SchedEvent, SchedLogSink, TeeSink};
+        let replay = |bytes: &[u8]| {
+            let mut tee = TeeSink::new(SchedLogSink::new(), FootprintSink::new());
+            TraceFileReader::new(bytes).replay(&mut tee).unwrap();
+            let (log, footprints) = tee.into_inner();
+            (log.into_log().events, footprints.into_phases())
+        };
+        let record = |tag: u8, ordinal: u64| {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&ordinal.to_le_bytes());
+            bytes
+        };
+
+        let (events, phases) = replay(&record(TAG_DISPATCH, u64::MAX));
+        assert_eq!(events, [], "no u32 names this dispatch");
+        assert_eq!(phases[0].dispatches.len(), 1);
+
+        let mut gap = record(TAG_DISPATCH, 7);
+        gap.extend_from_slice(&encode_access(Access::write(Addr::new(0x40), 8)));
+        let (events, phases) = replay(&gap);
+        assert_eq!(events, [SchedEvent::Dispatch { actor: 0, fork: 7 }]);
+        assert!(phases[0].dispatches[0].write_words().contains(&(0x40 / 8)));
+
+        let (events, phases) = replay(&record(TAG_DRAIN_BEGIN, 1 << 32));
+        assert_eq!(events, []);
+        assert!(phases.is_empty());
     }
 
     #[test]
     fn corrupt_hint_count_is_an_error() {
-        let buffer = vec![TAG_THREAD_HINTS, 200];
+        let buffer = vec![TAG_FORK, 200];
         let err = TraceFileReader::new(buffer.as_slice())
             .replay(&mut CountingSink::new())
             .unwrap_err();

@@ -230,7 +230,6 @@ proptest! {
         eviction in prop_oneof![
             Just(EvictionPolicy::Off),
             Just(EvictionPolicy::LruCap { max_records: 8 }),
-            Just(EvictionPolicy::IdleAge { max_idle_drains: 3 }),
         ],
         object_bytes in prop_oneof![Just(0u64), Just(64), Just(4096), Just(1 << 16)],
         mean_interarrival_ns in prop_oneof![Just(0u64), Just(100), Just(10_000)],

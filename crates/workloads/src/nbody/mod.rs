@@ -75,8 +75,9 @@ pub struct NBodyParams {
     /// dimensions of the scheduling plane"). The plane is a property of
     /// the experiment, fixed independently of the scheduler's block
     /// size, so that sweeping the block size (Figure 4) coarsens or
-    /// refines the binning. A good choice is ~4/3 of the L2 size: the
-    /// package-default block (L2/3) then cuts each dimension into 4.
+    /// refines the binning. [`for_l2`](Self::for_l2) makes it ~4/3 of
+    /// the L2 size: the package-default block (L2/3) then cuts each
+    /// dimension into 4.
     pub plane_extent: u64,
     /// How many position coordinates become scheduling hints (1–3).
     /// The paper uses all three; lower dimensionalities exist for the
@@ -85,17 +86,25 @@ pub struct NBodyParams {
     pub hint_dims: usize,
 }
 
-impl Default for NBodyParams {
-    fn default() -> Self {
+impl NBodyParams {
+    /// The paper's parameters with the scheduling plane sized for an L2
+    /// of `l2_bytes`: 4 blocks per side at the package's default block
+    /// size (L2 / 3 dims), on a scaled machine as on the full-size one.
+    pub fn for_l2(l2_bytes: u64) -> Self {
         NBodyParams {
             theta: 0.8,
             eps: 1e-3,
             dt: 1e-3,
-            // 4 blocks per side at the package's default block size
-            // (2 MB L2 / 3 dims).
-            plane_extent: 4 * ((2 << 20) / 3),
+            plane_extent: 4 * (l2_bytes / 3),
             hint_dims: 3,
         }
+    }
+}
+
+impl Default for NBodyParams {
+    /// [`for_l2`](Self::for_l2) of the R8000's 2 MB.
+    fn default() -> Self {
+        NBodyParams::for_l2(2 << 20)
     }
 }
 

@@ -17,10 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("machine: {machine}");
     println!("problem: {bodies} bodies (Plummer cluster), 2 timesteps\n");
 
-    let params = nbody::NBodyParams {
-        plane_extent: 4 * (machine.l2_config().size() / 3),
-        ..nbody::NBodyParams::default()
-    };
+    let params = nbody::NBodyParams::for_l2(machine.l2_capacity());
 
     // Unthreaded: bodies processed in (shuffled) storage order.
     let mut space = AddressSpace::new();

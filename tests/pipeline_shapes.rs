@@ -170,10 +170,7 @@ fn nbody_threading_cuts_l2_misses() {
         .scaled_split(1.0, 1.0 / 16.0)
         .expect("valid scaled machine");
     let bodies = 6000;
-    let params = nbody::NBodyParams {
-        plane_extent: 4 * (machine.l2_config().size() / 3),
-        ..nbody::NBodyParams::default()
-    };
+    let params = nbody::NBodyParams::for_l2(machine.l2_capacity());
 
     let mut space = AddressSpace::new();
     let mut data = nbody::NBodyData::new(&mut space, bodies, 17);

@@ -5,10 +5,11 @@
 
 use proptest::prelude::*;
 use thread_locality::apps::matmul;
+use thread_locality::sched::{Hierarchical, Hints, RunMode, Scheduler, SchedulerConfig};
 use thread_locality::sim::{MachineModel, ShardedSimSink, SimSink};
 use thread_locality::trace::{
-    Access, AccessKind, Addr, AddressSpace, CompactBuf, CompactIter, TeeSink, TraceFileReader,
-    TraceFileWriter, TraceSink,
+    Access, AccessKind, Addr, AddressSpace, CompactBuf, CompactIter, FootprintSink, SchedEvent,
+    SchedLogSink, SchedMark, TeeSink, TraceFileReader, TraceFileWriter, TraceSink,
 };
 
 #[test]
@@ -43,6 +44,65 @@ fn recorded_trace_replays_to_identical_simulation() {
     assert_eq!(online, replayed, "online and replayed simulations diverge");
 }
 
+/// The schedule half of the stream survives the file too: a traced
+/// scheduler run recorded to a trace file replays into schedule-aware
+/// sinks exactly as it arrived live. Under a nested policy a drain unit
+/// (a parent group) is not a bin, so the unit marks carry structure the
+/// dispatch marks alone do not.
+#[test]
+fn recorded_schedule_replays_to_the_live_log_and_footprints() {
+    type Live = TeeSink<SchedLogSink, FootprintSink>;
+    struct Ctx<'a> {
+        sink: TeeSink<Live, TraceFileWriter<&'a mut Vec<u8>>>,
+    }
+    fn touch(ctx: &mut Ctx<'_>, index: usize, _: usize) {
+        ctx.sink.read(Addr::new(index as u64 * 256), 8);
+        ctx.sink.write(Addr::new((1 << 20) + index as u64 * 8), 8);
+    }
+
+    let mut buffer: Vec<u8> = Vec::new();
+    let (live_log, live_footprints) = {
+        let mut ctx = Ctx {
+            sink: TeeSink::new(
+                TeeSink::new(SchedLogSink::new(), FootprintSink::new()),
+                TraceFileWriter::new(&mut buffer),
+            ),
+        };
+        // 1 KiB sub-bins in 4 KiB parents; hints stride 256 B over
+        // 16 KiB, visited out of order: 4 drain units of 4 sub-bins of
+        // 4 threads.
+        let policy = Hierarchical::uniform(1 << 10, 1 << 12, false).expect("valid nesting");
+        let mut sched: Scheduler<Ctx<'_>, Hierarchical> =
+            Scheduler::with_policy(SchedulerConfig::default(), policy);
+        for phase in 0..2 {
+            for i in 0..64usize {
+                let index = (i * 37 + phase) % 64;
+                let hint = Hints::one(Addr::new(index as u64 * 256));
+                sched.fork_traced(touch, index, 0, hint, &mut ctx.sink);
+            }
+            sched.run_traced(&mut ctx, RunMode::Consume, |c| &mut c.sink);
+        }
+        let (live, writer) = ctx.sink.into_inner();
+        writer.finish().expect("flush trace");
+        live.into_inner()
+    };
+
+    let mut replayed: Live = TeeSink::new(SchedLogSink::new(), FootprintSink::new());
+    TraceFileReader::new(buffer.as_slice())
+        .replay(&mut replayed)
+        .expect("replay trace");
+    let (log, footprints) = replayed.into_inner();
+    assert_eq!(log.log(), live_log.log());
+    assert_eq!(footprints.into_phases(), live_footprints.into_phases());
+
+    let count = |wanted: fn(&SchedEvent) -> bool| {
+        live_log.log().events.iter().filter(|e| wanted(e)).count()
+    };
+    assert_eq!(count(|e| matches!(e, SchedEvent::DrainBegin { .. })), 2 * 4);
+    assert_eq!(count(|e| matches!(e, SchedEvent::Dispatch { .. })), 2 * 64);
+    assert_eq!(count(|e| matches!(e, SchedEvent::Barrier)), 2);
+}
+
 /// A deliberately tiny machine, so even short fuzz traces cause
 /// evictions, write-backs and classifier traffic.
 fn tiny_sim() -> SimSink {
@@ -67,14 +127,23 @@ fn records_at_the_top_of_the_address_space_replay_without_panicking() {
     writer.instructions(u64::MAX);
     writer.finish().expect("flush trace");
 
-    let mut sim = tiny_sim();
+    let mut sinks = TeeSink::new(
+        tiny_sim(),
+        TeeSink::new(SchedLogSink::new(), FootprintSink::new()),
+    );
     let events = TraceFileReader::new(buffer.as_slice())
-        .replay(&mut sim)
+        .replay(&mut sinks)
         .expect("extreme but well-formed records replay cleanly");
     assert_eq!(events, 4);
+    let (sim, schedule) = sinks.into_inner();
     let report = sim.finish();
     assert_eq!(report.reads + report.writes, 3);
     assert_eq!(report.instructions, u64::MAX);
+    // No run is open, so the references are ambient; each keeps the
+    // words up to the top of the address space, none wraps to word 0.
+    let ambient = schedule.second().ambient();
+    assert!(ambient.write_words().contains(&(u64::MAX / 8)));
+    assert_eq!(ambient.read_words().first(), Some(&((u64::MAX - 4096) / 8)));
 }
 
 proptest! {
@@ -82,15 +151,18 @@ proptest! {
     /// either a clean end-of-trace or an `io::Error` (truncation,
     /// unknown tag). Whatever does decode is simulated, so any decoded
     /// address — including spans touching u64::MAX — must be handled by
-    /// the hierarchy's saturating span arithmetic. (Sizes are clamped
-    /// on the way in only to bound the *walk length* of this test:
-    /// random bytes decode to multi-gigabyte spans every few records.)
+    /// the hierarchy's saturating span arithmetic — and any decoded
+    /// mark, with whatever ordinal, by the schedule-aware sinks teed
+    /// beside it. (Sizes are clamped on the way in only to bound the
+    /// *walk length* of this test: random bytes decode to
+    /// multi-gigabyte spans every few records, and a footprint is by
+    /// design linear in the bytes an access touches.)
     #[test]
     fn arbitrary_bytes_never_panic_the_replay_pipeline(
         bytes in prop::collection::vec(any::<u8>(), 0..4096),
     ) {
-        struct ClampSink(SimSink);
-        impl TraceSink for ClampSink {
+        struct ClampSink<S>(S);
+        impl<S: TraceSink> TraceSink for ClampSink<S> {
             fn access(&mut self, access: Access) {
                 self.0.access(Access {
                     size: access.size.min(4096),
@@ -100,12 +172,24 @@ proptest! {
             fn instructions(&mut self, count: u64) {
                 self.0.instructions(count);
             }
+            fn mark(&mut self, mark: SchedMark<'_>) {
+                self.0.mark(mark);
+            }
         }
-        let mut sink = ClampSink(tiny_sim());
+        let mut sink = ClampSink(TeeSink::new(
+            tiny_sim(),
+            TeeSink::new(SchedLogSink::new(), FootprintSink::new()),
+        ));
         let _ = TraceFileReader::new(bytes.as_slice()).replay(&mut sink);
-        let report = sink.0.finish();
+        let (sim, schedule) = sink.0.into_inner();
+        let report = sim.finish();
         // Every decoded access touches at least one L1 line.
         prop_assert!(report.l1.references() >= report.reads + report.writes);
+        // Every dispatch the log kept opened a footprint.
+        let (log, footprints) = schedule.into_inner();
+        let dispatches = |e: &&SchedEvent| matches!(e, SchedEvent::Dispatch { .. });
+        let footprints: usize = footprints.into_phases().iter().map(|p| p.dispatches.len()).sum();
+        prop_assert!(log.log().events.iter().filter(dispatches).count() <= footprints);
     }
 
     /// A trace of arbitrary *well-formed* records round-trips: what the
