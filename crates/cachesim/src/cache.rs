@@ -54,6 +54,9 @@ impl CacheStats {
     }
 }
 
+/// Tag of an empty way. Not a line index any address has:
+/// [`CacheConfig`] refuses lines shorter than two bytes, so every line
+/// index is at most `u64::MAX / 2`.
 const INVALID: u64 = u64::MAX;
 
 /// Probe observations for one cache level: which fast path served each

@@ -1,7 +1,17 @@
 //! One-pass compulsory/capacity/conflict miss classification.
+//!
+//! The classifier asks two things of every reference the classified
+//! level sees: has the line been referenced before, and would a
+//! fully-associative LRU cache of the level's line count still hold
+//! it. With the fast paths on, one [`Recency`] table answers both in
+//! one probe; with them off, the reference model answers them
+//! separately — a SipHash `HashSet` of lines seen and an [`LruSet`] —
+//! and is what the differential suites, `simbench` and the repository
+//! benchmark compare the table against.
 
 use crate::linehash::LineHashState;
 use crate::lru::LruSet;
+use crate::recency::{Recency, Touch};
 use crate::CacheConfig;
 use std::collections::HashSet;
 
@@ -81,10 +91,24 @@ impl MissClassCounts {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MissClassifier {
-    seen: HashSet<u64, LineHashState>,
-    fully_assoc: LruSet,
+    model: Model,
+    /// Lines in the fully-associative capacity model.
+    capacity: usize,
     counts: MissClassCounts,
-    fast: bool,
+}
+
+/// The state behind the classifier's two questions; which one is built
+/// is the fast-path knob.
+#[derive(Clone, Debug)]
+enum Model {
+    /// Fast paths on.
+    Table(Recency),
+    /// Fast paths off: the exhaustive reference. SipHash in both
+    /// structures, no shortcut in either, every reference updates both.
+    Reference {
+        seen: HashSet<u64, LineHashState>,
+        fully_assoc: LruSet,
+    },
 }
 
 impl MissClassifier {
@@ -92,30 +116,45 @@ impl MissClassifier {
     /// the fast lookup paths enabled.
     ///
     /// The capacity model is a fully-associative LRU cache with
-    /// `config.lines()` lines.
+    /// `config.lines()` lines. Nothing is allocated in proportion to
+    /// that count: the model's storage grows with the lines referenced.
     pub fn new(config: &CacheConfig) -> Self {
+        let capacity = config.lines() as usize;
         MissClassifier {
-            seen: HashSet::with_hasher(LineHashState::for_fast(true)),
-            fully_assoc: LruSet::new(config.lines() as usize),
+            model: Model::Table(Recency::new(capacity)),
+            capacity,
             counts: MissClassCounts::default(),
-            fast: true,
         }
     }
 
-    /// Switches the fast paths (one-multiply line hashing, front-of-list
-    /// LRU scan, and elision of provably redundant `seen` updates) on or
-    /// off. Classification is bit-identical in both modes; the slow mode
-    /// is the exhaustive reference.
+    /// Switches between the flat recency table (fast paths on, the
+    /// default) and the reference model (off). Classification is
+    /// bit-identical in both; switching mid-stream carries the lines
+    /// seen and the resident lines, in LRU order, across.
     pub fn set_fast_path(&mut self, fast: bool) {
-        if self.fast == fast {
-            return;
-        }
-        self.fast = fast;
-        self.fully_assoc.set_fast(fast);
-        let mut seen =
-            HashSet::with_capacity_and_hasher(self.seen.capacity(), LineHashState::for_fast(fast));
-        seen.extend(self.seen.drain());
-        self.seen = seen;
+        self.model = match (&self.model, fast) {
+            (Model::Table(table), false) => {
+                let mut seen = HashSet::with_hasher(LineHashState::for_fast(false));
+                seen.extend(table.seen());
+                let mut fully_assoc = LruSet::new(self.capacity);
+                fully_assoc.set_fast(false);
+                for line in table.resident() {
+                    fully_assoc.touch(line);
+                }
+                Model::Reference { seen, fully_assoc }
+            }
+            (Model::Reference { seen, fully_assoc }, true) => {
+                let mut table = Recency::new(self.capacity);
+                for &line in seen {
+                    table.note_seen(line);
+                }
+                for line in fully_assoc.lru_first() {
+                    table.touch(line);
+                }
+                Model::Table(table)
+            }
+            _ => return,
+        };
     }
 
     /// Records a reference that *hit* in the classified cache.
@@ -123,43 +162,50 @@ impl MissClassifier {
     /// Keeps the capacity model's recency state in sync.
     #[inline]
     pub fn note_hit(&mut self, line: u64) {
-        let fa_hit = self.fully_assoc.touch(line);
-        // Every insertion into the FA model (here and in
-        // `classify_miss`) is paired with a `seen` insertion, so FA ⊆
-        // seen always: when the FA model already held the line, the
-        // `seen` update is a no-op the fast path elides.
-        if !(self.fast && fa_hit) {
-            self.seen.insert(line);
+        match &mut self.model {
+            Model::Table(table) => {
+                table.touch(line);
+            }
+            Model::Reference { seen, fully_assoc } => {
+                seen.insert(line);
+                fully_assoc.touch(line);
+            }
         }
     }
 
     /// Classifies a miss on `line` and updates the model state.
     #[inline]
     pub fn classify_miss(&mut self, line: u64) -> MissClass {
-        let class = if self.fast {
-            // FA ⊆ seen (see `note_hit`): an FA hit implies the line was
-            // seen before, so the first-touch probe is needed only on an
-            // FA miss — where `insert`'s return value answers it.
-            if self.fully_assoc.touch(line) {
-                MissClass::Conflict
-            } else if self.seen.insert(line) {
-                MissClass::Compulsory
-            } else {
-                MissClass::Capacity
-            }
-        } else {
-            let first_touch = self.seen.insert(line);
-            let fa_hit = self.fully_assoc.touch(line);
-            if first_touch {
-                MissClass::Compulsory
-            } else if !fa_hit {
-                MissClass::Capacity
-            } else {
-                MissClass::Conflict
+        let class = match &mut self.model {
+            Model::Table(table) => match table.touch(line) {
+                Touch::First => MissClass::Compulsory,
+                Touch::Evicted => MissClass::Capacity,
+                Touch::Hit => MissClass::Conflict,
+            },
+            Model::Reference { seen, fully_assoc } => {
+                let first_touch = seen.insert(line);
+                let fa_hit = fully_assoc.touch(line);
+                if first_touch {
+                    MissClass::Compulsory
+                } else if !fa_hit {
+                    MissClass::Capacity
+                } else {
+                    MissClass::Conflict
+                }
             }
         };
         self.counts.record(class);
         class
+    }
+
+    /// Lengths of the recency table and its ring, in entries (`None`
+    /// with the fast paths off).
+    #[cfg(test)]
+    pub(crate) fn table_lens(&self) -> Option<(usize, usize)> {
+        match &self.model {
+            Model::Table(table) => Some(table.lens()),
+            Model::Reference { .. } => None,
+        }
     }
 
     /// Classified miss counts so far.
@@ -246,27 +292,71 @@ mod tests {
         assert_ne!(c.classify_miss(0), MissClass::Compulsory);
     }
 
-    #[test]
-    fn fast_and_slow_classifiers_agree_class_by_class() {
-        let mut fast = classifier(8);
-        let mut slow = classifier(8);
-        slow.set_fast_path(false);
-        let mut state = 0x1234_5678u64;
-        for _ in 0..20_000 {
+    /// Feeds one stream to two classifiers the way the hierarchy does
+    /// — hits keep recency in sync, misses get classified — and
+    /// compares them class by class. `left` starts with the fast paths
+    /// on, `right` with them off; a nonzero `toggle_every` flips `left`
+    /// that often, so its state crosses between the two models with
+    /// lines seen, resident and evicted in it.
+    fn check_agreement(lines: u64, keys: u64, steps: usize, toggle_every: usize) {
+        let mut left = classifier(lines);
+        let mut right = classifier(lines);
+        right.set_fast_path(false);
+        assert!(left.table_lens().is_some() && right.table_lens().is_none());
+        let mut state = 0x1234_5678u64 ^ keys;
+        for step in 0..steps {
+            if toggle_every > 0 && step.is_multiple_of(toggle_every) {
+                let fast = left.table_lens().is_some();
+                left.set_fast_path(!fast);
+            }
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let line = (state >> 33) % 24;
-            // Mimic the hierarchy's usage: hits keep recency in sync,
-            // misses get classified.
-            if state.is_multiple_of(3) {
-                fast.note_hit(line);
-                slow.note_hit(line);
+            // Two in three from a window that slides over the keys (so
+            // reuse distances straddle the capacity), one from anywhere.
+            let line = if (state >> 20).is_multiple_of(3) {
+                (state >> 33) % keys
             } else {
-                assert_eq!(fast.classify_miss(line), slow.classify_miss(line));
+                (step as u64 / 64 + (state >> 33) % (lines + lines / 2)) % keys
+            };
+            if state.is_multiple_of(3) {
+                left.note_hit(line);
+                right.note_hit(line);
+            } else {
+                assert_eq!(
+                    left.classify_miss(line),
+                    right.classify_miss(line),
+                    "step {step}"
+                );
             }
         }
-        assert_eq!(fast.counts(), slow.counts());
+        assert_eq!(left.counts(), right.counts());
+        let counts = left.counts();
+        assert!(counts.compulsory > 0 && counts.capacity > 0 && counts.conflict > 0);
+    }
+
+    #[test]
+    fn fast_and_slow_classifiers_agree_class_by_class() {
+        // The table against the reference model: small enough that
+        // every touch evicts, and large enough (with ten times the keys)
+        // that the table doubles and the ring compacts many times over.
+        check_agreement(8, 24, 20_000, 0);
+        check_agreement(64, 640, 200_000, 0);
+    }
+
+    #[test]
+    fn toggling_the_fast_path_mid_stream_carries_the_state_across() {
+        check_agreement(8, 24, 20_000, 97);
+        check_agreement(64, 640, 50_000, 97);
+    }
+
+    #[test]
+    fn nothing_is_allocated_by_the_configured_capacity() {
+        // 2^28 lines, the most a level may have.
+        let config = CacheConfig::new(1 << 33, 32, 1).unwrap();
+        assert_eq!(config.lines(), 1 << 28);
+        let (slots, ring) = MissClassifier::new(&config).table_lens().unwrap();
+        assert!(slots <= 16 && ring == 0, "{slots} slots, ring of {ring}");
     }
 
     #[test]

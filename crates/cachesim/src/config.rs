@@ -65,6 +65,10 @@ impl CacheConfigError {
 /// from a command line is refused here, before anything is allocated.
 const MAX_LINES: u64 = 1 << 28;
 
+/// Shortest line a level may have, which keeps every line index
+/// (`address / line`) below `u64::MAX`.
+const MIN_LINE: u64 = 2;
+
 impl CacheConfig {
     /// Creates a cache geometry of `size` bytes total, `line`-byte lines,
     /// and `assoc`-way set associativity.
@@ -72,9 +76,9 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns an error if any parameter is zero, `size` or `line` is not
-    /// a power of two, `size` is not divisible by `line * assoc`, the
-    /// resulting set count is not a power of two, or the level would
-    /// have more than 2²⁸ lines.
+    /// a power of two, `line` is a single byte, `size` is not divisible
+    /// by `line * assoc`, the resulting set count is not a power of two,
+    /// or the level would have more than 2²⁸ lines.
     pub fn new(size: u64, line: u64, assoc: u32) -> Result<Self, CacheConfigError> {
         if size == 0 || line == 0 || assoc == 0 {
             return Err(CacheConfigError::new(
@@ -89,6 +93,14 @@ impl CacheConfig {
         if !line.is_power_of_two() {
             return Err(CacheConfigError::new(format!(
                 "line {line} is not a power of two"
+            )));
+        }
+        if line < MIN_LINE {
+            // `Cache` marks an empty way with the tag `u64::MAX`, and
+            // with one-byte lines that is the line index of the top
+            // address: its first reference would count as a hit.
+            return Err(CacheConfigError::new(format!(
+                "line {line} is shorter than the {MIN_LINE} bytes a line must have"
             )));
         }
         let way_bytes = line

@@ -517,6 +517,12 @@ impl Hierarchy {
         }
     }
 
+    /// The (possibly unused, under deferred classification) classifier.
+    #[cfg(test)]
+    pub(crate) fn classifier(&self) -> &MissClassifier {
+        &self.classifier
+    }
+
     /// L1 data-cache statistics.
     pub fn l1_stats(&self) -> &CacheStats {
         self.l1d.stats()
@@ -915,6 +921,30 @@ mod tests {
         // The clamped spans each touch exactly one L1 line (the last).
         assert_eq!(h.l1_stats().references(), 3);
         assert_eq!(h.l1_stats().misses(), 1, "all three hit the top line");
+    }
+
+    #[test]
+    fn the_top_address_misses_on_its_first_reference() {
+        // With one-byte lines the top address would be line `u64::MAX`,
+        // the tag of an empty way, and its first reference an L1 hit
+        // that never reaches the L2: no such geometry exists.
+        assert!(CacheConfig::new(64, 1, 1).is_err());
+        assert!(CacheConfig::new(1024, 1, 2).is_err());
+        // With the shortest lines there are, on either path, it misses
+        // once at both levels and then hits.
+        for fast in [true, false] {
+            let mut h = Hierarchy::new(HierarchyConfig::new(
+                CacheConfig::new(64, 2, 1).unwrap(),
+                CacheConfig::new(1024, 2, 2).unwrap(),
+            ));
+            h.set_fast_path(fast);
+            h.access(Access::read(Addr::new(u64::MAX), 1));
+            h.access(Access::read(Addr::new(u64::MAX - 1), 1));
+            assert_eq!(h.l1_stats().references(), 2);
+            assert_eq!(h.l1_stats().misses(), 1, "fast {fast}");
+            assert_eq!(h.l2_stats().misses(), 1, "fast {fast}");
+            assert_eq!(h.classes().compulsory, 1);
+        }
     }
 
     #[test]

@@ -52,6 +52,7 @@ mod linehash;
 mod lru;
 mod machine;
 mod paging;
+mod recency;
 mod report;
 mod shard;
 mod sink;

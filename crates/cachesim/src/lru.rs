@@ -1,8 +1,10 @@
-//! An O(1) bounded LRU set over `u64` keys.
+//! An O(1) bounded LRU set over `u64` keys: a hash index into a linked
+//! recency list.
 //!
-//! Backs the fully-associative capacity model of the 3C classifier,
-//! where the "set" holds tens of thousands of lines and a linear scan
-//! per reference would be prohibitive.
+//! Backs the TLB, and the fully-associative capacity model of the 3C
+//! classifier's *reference* mode (fast paths off), which is what
+//! [`Recency`](crate::recency::Recency) — the classifier's model with
+//! the fast paths on — is tested against. The two share no lookup code.
 
 use crate::linehash::LineHashState;
 use std::collections::HashMap;
@@ -136,6 +138,18 @@ impl LruSet {
         false
     }
 
+    /// The resident keys, least recently used first.
+    pub(crate) fn lru_first(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut slot = self.tail;
+        std::iter::from_fn(move || {
+            (slot != NIL).then(|| {
+                let key = self.keys[slot as usize];
+                slot = self.prev[slot as usize];
+                key
+            })
+        })
+    }
+
     /// Returns `true` if `key` is resident, without updating recency.
     /// (Test-only helper.)
     #[allow(dead_code)]
@@ -188,6 +202,7 @@ mod tests {
         assert!(!lru.contains(2));
         assert!(lru.contains(3));
         assert_eq!(lru.len(), 2);
+        assert_eq!(lru.lru_first().collect::<Vec<_>>(), [1, 3]);
     }
 
     #[test]

@@ -882,6 +882,28 @@ mod tests {
         reports_match(|| Hierarchy::new(config), 512, &stream(60_000, 19));
     }
 
+    /// Deferred classification never consults a shard's own classifier,
+    /// and the merged one is sized by the lines that reach it: neither
+    /// is allocated by the level's line count.
+    #[test]
+    fn unused_shard_classifiers_are_not_sized_by_the_llc() {
+        let config = HierarchyConfig::new(
+            CacheConfig::new(1 << 16, 32, 1).unwrap(),
+            CacheConfig::new(1 << 17, 32, 1).unwrap(),
+        );
+        let sim = ShardedSimSink::new(Hierarchy::new(config), 256);
+        assert_eq!(sim.workers.len(), 256);
+        let classifiers = sim
+            .workers
+            .iter()
+            .map(|worker| worker.hierarchy.classifier())
+            .chain([&sim.classifier]);
+        for classifier in classifiers {
+            let (slots, ring) = classifier.table_lens().expect("fast paths on");
+            assert!(slots <= 16 && ring == 0, "{slots} slots, ring of {ring}");
+        }
+    }
+
     /// The record format is `memtrace::compact`'s: a stream with no
     /// same-line runs and no shard switches is byte-for-byte what a
     /// [`CompactBuf`](memtrace::CompactBuf) holds for it.

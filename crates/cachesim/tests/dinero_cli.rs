@@ -92,6 +92,47 @@ fn rejects_bad_arguments() {
     assert!(stderr.contains("cannot open"), "{stderr}");
 }
 
+/// With one-byte lines the top address would be line `u64::MAX`, the
+/// tag the simulator marks an empty way with, and its first reference
+/// an L1 hit: such a geometry is a usage error, and the shortest line
+/// there is replays the record as one miss at each level.
+#[test]
+fn one_byte_lines_are_refused_and_the_top_address_misses() {
+    let dir = std::env::temp_dir().join(format!("dinero-test3-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("top.bin");
+    let mut writer = TraceFileWriter::new(std::fs::File::create(&trace).unwrap());
+    writer.read(Addr::new(u64::MAX), 1);
+    writer.finish().expect("flush trace");
+
+    let output = dinero()
+        .args(["--l1", "64:1:1", "--l2", "1024:1:2"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains("line 1 is shorter than the 2 bytes a line must have")
+            && stderr.contains("usage"),
+        "{stderr}"
+    );
+
+    let output = dinero()
+        .args(["--l1", "64:2:1", "--l2", "1024:2:2"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    // The report counts in thousands; the rates show the one miss.
+    let rates: Vec<&str> = stdout.lines().filter(|l| l.contains("rate")).collect();
+    assert_eq!(rates.len(), 2, "{stdout}");
+    assert!(rates.iter().all(|l| l.contains("100.0%")), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn mmu_and_write_policy_flags_work() {
     let dir = std::env::temp_dir().join(format!("dinero-test2-{}", std::process::id()));

@@ -10,7 +10,8 @@
 //! the same line count for *capacity*), memory reads and write-backs —
 //! and requires `SimSink` fast, `SimSink` slow and `ShardedSimSink` at
 //! 1, 2 and 4 shards to equal it field for field, on two- and
-//! three-level machines and on streams whose accesses span lines.
+//! three-level machines and on streams whose accesses span lines and
+//! that stop, somewhere, for a phase of nothing but last-level hits.
 
 use cachesim::{
     CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, ShardedSimSink,
@@ -271,9 +272,37 @@ fn arb_stream() -> impl Strategy<Value = Vec<Access>> {
     )
 }
 
+/// A phase that is all hits at the last level: in-order read sweeps,
+/// one read per L1 line, over the first `quarters`/4 of a region the
+/// size of the last level. Unless a level above is as large as the
+/// region, every sweep misses above and re-references each last-level
+/// line at a reuse distance of the region's line count — at least 8,
+/// past the six positions `LruSet`'s front scan reaches, and within the
+/// fully-associative model's capacity. The sweeps make more than four
+/// times the level's line count of such references, so the classifier's
+/// recency ring fills with dead records and compacts, and its table has
+/// doubled on the way there, under the oracle's eyes.
+fn hit_heavy_phase(config: &HierarchyConfig, quarters: u64) -> Vec<Access> {
+    let last = config.l3.unwrap_or(config.l2);
+    let region = last.size() * quarters / 4;
+    let sweeps = 16 / quarters + 3;
+    (0..sweeps)
+        .flat_map(|_| (0..region).step_by(config.l1d.line() as usize))
+        .map(|addr| Access::read(Addr::new(addr), 8))
+        .collect()
+}
+
 proptest! {
     #[test]
-    fn every_engine_path_equals_the_oracle(config in arb_machine(), stream in arb_stream()) {
+    fn every_engine_path_equals_the_oracle(
+        config in arb_machine(),
+        stream in arb_stream(),
+        phase_at in 0usize..4800,
+        quarters in 2u64..5,
+    ) {
+        let mut stream = stream;
+        let phase_at = phase_at % (stream.len() + 1);
+        stream.splice(phase_at..phase_at, hit_heavy_phase(&config, quarters));
         let mut oracle = OracleHierarchy::new(config);
         for &access in &stream {
             oracle.access(access);

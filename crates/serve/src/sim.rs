@@ -1010,7 +1010,7 @@ mod tests {
     #[test]
     fn degenerate_l2_is_a_config_error_not_a_flat_hierarchy() {
         use cachesim::{CacheConfig, HierarchyConfig};
-        let tiny = CacheConfig::new(2, 1, 1).unwrap();
+        let tiny = CacheConfig::new(2, 2, 1).unwrap();
         let machine = MachineModel::custom(
             "tiny",
             1e9,
