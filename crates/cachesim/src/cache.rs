@@ -360,14 +360,38 @@ impl Cache {
         if line != self.last_line || !self.fast_path || (writes > 0 && self.write_through) {
             return false;
         }
-        self.stats.reads += reads;
-        self.stats.writes += writes;
         let way = self.last_way as usize;
         debug_assert_eq!(self.lines[way], line);
         debug_assert_eq!(self.stamps[way], self.tick);
         self.dirty[way] |= writes > 0;
-        self.obs.rehits.add(reads + writes);
+        self.credit_hits(reads, writes);
         true
+    }
+
+    /// Counts `reads` + `writes` hits the caller has proved without a
+    /// lookup — statistics and the probe's `rehits`, nothing else. What
+    /// makes that all a hit would have changed is the caller's
+    /// argument: [`rehit_many`](Cache::rehit_many)'s, or the run
+    /// record's epoch rule (`Hierarchy::run`).
+    #[inline]
+    pub(crate) fn credit_hits(&mut self, reads: u64, writes: u64) {
+        self.stats.reads += reads;
+        self.stats.writes += writes;
+        self.obs.rehits.add(reads + writes);
+    }
+
+    /// Whether `line` is resident: a read-only probe that moves no
+    /// stamp, tick, MRU way, last line or statistic. `written` says the
+    /// caller's last reference to the line was a write-back write, which
+    /// must have left it dirty.
+    #[inline]
+    pub(crate) fn holds(&self, line: u64, written: bool) -> bool {
+        let base = (line & self.set_mask) as usize * self.assoc;
+        let way = self.lines[base..base + self.assoc]
+            .iter()
+            .position(|&tag| tag == line);
+        debug_assert!(way.is_none_or(|way| !written || self.dirty[base + way]));
+        way.is_some()
     }
 
     /// Flushes this level's probe observations into a profile section:
@@ -636,6 +660,31 @@ mod tests {
                 "line {line}"
             );
         }
+    }
+
+    #[test]
+    fn holds_probes_without_moving_anything_and_credit_moves_counters_only() {
+        // One 2-way set: lines 0 (dirty) and 1, line 0 the LRU.
+        let mut c = cache(64, 32, 2);
+        c.access_line(0, true);
+        c.access_line(1, false);
+        let before = c.clone();
+        assert!(c.holds(0, true) && c.holds(1, false));
+        assert!(!c.holds(2, false), "never referenced");
+        c.credit_hits(5, 3);
+        assert_eq!((c.stats().reads, c.stats().writes), (6, 4));
+        assert_eq!(c.stats().misses(), 2);
+        assert_eq!(c.obs.rehits.get(), 8 * u64::from(probe::enabled()));
+        // Neither changed what the next references do: line 0 is still
+        // the LRU victim and still dirty, and line 1 still rehits.
+        assert!(c.try_rehit(1, false));
+        let (evicting, reference) = (
+            c.access_line(2, false),
+            before.clone().access_line(2, false),
+        );
+        assert_eq!(evicting, reference);
+        assert_eq!(evicting.writeback, Some(0));
+        assert_eq!((c.tick, c.last_line), (before.tick + 1, 2));
     }
 
     #[test]

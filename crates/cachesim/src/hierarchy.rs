@@ -4,7 +4,8 @@ use crate::paging::{PageMapper, Tlb, TlbStats};
 use crate::{
     Cache, CacheConfig, CacheConfigError, CacheStats, MissClassCounts, MissClassifier, SimReport,
 };
-use memtrace::{Access, AccessKind, Addr};
+use memtrace::{Access, AccessKind, Addr, Stream, StreamRun};
+use std::ops::Range;
 
 /// Virtual-memory simulation attached to a hierarchy: a page mapper
 /// (virtual→physical) and a TLB.
@@ -339,6 +340,97 @@ impl Hierarchy {
                 break;
             }
             line += 1;
+        }
+    }
+
+    /// Feeds a run record, one L1-line epoch at a time: the maximal
+    /// whole rounds during which every stream's elements stay inside
+    /// the line of its first one. Each stream's first element of the
+    /// epoch is referenced for real; if every stream's line is then
+    /// resident in the L1, the epoch's other references are counted as
+    /// L1 hits and nothing else moves.
+    ///
+    /// That is exact (DESIGN.md §3.3.1). The `k` first references are
+    /// round one with the same-line rehits that follow each of them
+    /// removed, and a rehit moves counters only; so after them the
+    /// lines are stamped in stream order above everything else in the
+    /// L1, each set's MRU way and the last line are the last stream's,
+    /// and a write stream's line is dirty. With all of them resident,
+    /// every later reference of the epoch hits, evicts nothing, sends
+    /// nothing down, and would only re-stamp the same lines in the same
+    /// order with nothing in between — and stamps are compared, never
+    /// reported. If a line is *not* resident (the streams evict each
+    /// other, as two columns that alias in a direct-mapped L1 do), only
+    /// round one's rehits are counted and the epoch's other rounds are
+    /// expanded.
+    ///
+    /// The whole record is expanded, reference by reference, when the
+    /// argument has no footing: fast paths off (the slow path *is* the
+    /// expansion), an MMU attached (the TLB hears every reference), a
+    /// write stream into a write-through L1 (every write goes down).
+    /// So is a round in which an element or a group straddles a line.
+    pub(crate) fn run(&mut self, run: &StreamRun<'_>) {
+        let streams = run.streams();
+        let writes = |stream: &Stream| stream.kind == AccessKind::Write;
+        let writers = streams.iter().filter(|stream| writes(stream)).count() as u64;
+        if !self.fast_path() || self.mmu.is_some() || (self.l1_write_through && writers > 0) {
+            return self.expand(run, 0..run.rounds());
+        }
+        let group = u64::from(run.group());
+        // References per stream proved to be L1 hits: counters only,
+        // so they are summed over the run and added once.
+        let mut hits = 0;
+        let mut round = 0;
+        while round < run.rounds() {
+            let first = round * group;
+            let epoch = streams
+                .iter()
+                .map(|stream| self.rounds_in_line(stream, first, group))
+                .fold(run.rounds() - round, u64::min);
+            if epoch == 0 {
+                self.expand(run, round..round + 1);
+                round += 1;
+                continue;
+            }
+            let shift = self.l1_shift;
+            let line = |stream: &Stream| stream.element(first).addr.raw() >> shift;
+            for stream in streams {
+                self.access_l1_line(line(stream), writes(stream));
+            }
+            let l1d = &self.l1d;
+            if epoch == 1 || streams.iter().all(|s| l1d.holds(line(s), writes(s))) {
+                hits += epoch * group - 1;
+            } else {
+                hits += group - 1;
+                self.expand(run, round + 1..round + epoch);
+            }
+            round += epoch;
+        }
+        let readers = streams.len() as u64 - writers;
+        self.l1d.credit_hits(readers * hits, writers * hits);
+    }
+
+    /// The whole rounds of `group` elements, from element `first` on,
+    /// that `stream` spends inside the L1 line element `first` starts
+    /// in: 0 if that element, or the group it opens, leaves the line.
+    #[inline]
+    fn rounds_in_line(&self, stream: &Stream, first: u64, group: u64) -> u64 {
+        let start = stream.element(first).addr.raw();
+        let room = self.l1_line - (start & (self.l1_line - 1));
+        let size = u64::from(stream.size.max(1));
+        let Some(slack) = room.checked_sub(size) else {
+            return 0;
+        };
+        // A stride of 0 never leaves the line.
+        slack
+            .checked_div(stream.stride)
+            .map_or(u64::MAX, |steps| (steps + 1) / group)
+    }
+
+    /// The given rounds of `run`, reference by reference.
+    fn expand(&mut self, run: &StreamRun<'_>, rounds: Range<u64>) {
+        for access in run.accesses(rounds) {
+            self.access(access);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Online simulation as a trace sink.
 
 use crate::{Hierarchy, SimReport};
-use memtrace::{Access, AccessKind, TraceSink};
+use memtrace::{Access, AccessKind, StreamRun, TraceSink};
 
 /// A [`TraceSink`] that drives a cache [`Hierarchy`] online.
 ///
@@ -137,13 +137,29 @@ impl TraceSink for SimSink {
     fn instructions(&mut self, count: u64) {
         self.instructions += count;
     }
+
+    /// Counts the record's references and instructions in O(streams)
+    /// and hands it to the hierarchy, which replays it per L1-line
+    /// epoch (see DESIGN.md §3.3.1) — exactly equivalent to the default
+    /// expansion.
+    #[inline]
+    fn run(&mut self, run: &StreamRun<'_>) {
+        for stream in run.streams() {
+            match stream.kind {
+                AccessKind::Read => self.reads += run.elements_per_stream(),
+                AccessKind::Write => self.writes += run.elements_per_stream(),
+            }
+        }
+        self.instructions += run.rounds() * run.instructions();
+        self.hierarchy.run(run);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MachineModel;
-    use memtrace::Addr;
+    use crate::{CacheConfig, HierarchyConfig, MachineModel};
+    use memtrace::{Addr, Stream};
 
     #[test]
     fn counts_match_hierarchy() {
@@ -200,6 +216,84 @@ mod tests {
             many.access_batch(chunk);
         }
         assert_eq!(one.finish(), many.finish());
+    }
+
+    /// `run` into a fresh sink, and the same references one by one.
+    fn run_and_expansion(
+        config: HierarchyConfig,
+        fast: bool,
+        run: &StreamRun<'_>,
+    ) -> (SimReport, SimReport) {
+        let mut whole = SimSink::new(Hierarchy::new(config));
+        let mut expanded = SimSink::new(Hierarchy::new(config));
+        whole.set_fast_path(fast);
+        expanded.set_fast_path(fast);
+        whole.run(run);
+        for access in run.accesses(0..run.rounds()) {
+            expanded.access(access);
+        }
+        expanded.instructions(run.rounds() * run.instructions());
+        (whole.finish(), expanded.finish())
+    }
+
+    fn column(base: u64, kind: AccessKind) -> Stream {
+        Stream {
+            base: Addr::new(base),
+            stride: 8,
+            size: 8,
+            kind,
+        }
+    }
+
+    #[test]
+    fn a_run_over_disjoint_lines_misses_once_a_line_and_counts_the_rest() {
+        // 256 B direct-mapped L1, 32 B lines: the three columns start
+        // mid-line in three different sets and never meet.
+        let config = HierarchyConfig::new(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(2048, 64, 2).unwrap(),
+        );
+        let streams = [
+            column(0x1008, AccessKind::Read),
+            column(0x2050, AccessKind::Read),
+            column(0x2050, AccessKind::Write),
+        ];
+        let run = StreamRun::new(&streams, 1, 9, 5);
+        for fast in [true, false] {
+            let (whole, expanded) = run_and_expansion(config, fast, &run);
+            assert_eq!(whole, expanded, "fast {fast}");
+            assert_eq!((whole.reads, whole.writes, whole.instructions), (18, 9, 45));
+            // 72 bytes from 0x1008 touch lines 0x1000..0x1040: three;
+            // from 0x2050 lines 0x2040..0x2080: three, read then written.
+            assert_eq!((whole.l1.read_misses, whole.l1.write_misses), (6, 0));
+        }
+    }
+
+    #[test]
+    fn streams_that_evict_each_other_are_expanded_and_miss_every_round() {
+        // Two columns 256 B apart alias in every set of a 256 B
+        // direct-mapped L1: each round's first elements evict each
+        // other, which no counted hit could do — an epoch (two rounds
+        // of two 8-byte elements in a 32 B line) has one first element
+        // a stream.
+        let config = HierarchyConfig::new(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(2048, 64, 2).unwrap(),
+        );
+        let streams = [
+            column(0x1000, AccessKind::Write),
+            column(0x1100, AccessKind::Read),
+        ];
+        let run = StreamRun::new(&streams, 2, 16, 7);
+        let (whole, expanded) = run_and_expansion(config, true, &run);
+        assert_eq!(whole, expanded);
+        assert_eq!(whole.l1.misses(), 2 * 16, "a miss a stream a round");
+        assert_eq!(whole.l1.writebacks, 16, "the written line, every time");
+        // In a 2-way L1 of the same size they live side by side.
+        let two_way = HierarchyConfig::new(CacheConfig::new(256, 32, 2).unwrap(), config.l2);
+        let (whole, expanded) = run_and_expansion(two_way, true, &run);
+        assert_eq!(whole, expanded);
+        assert_eq!(whole.l1.misses(), 2 * 8, "a miss a stream an epoch");
     }
 
     #[test]

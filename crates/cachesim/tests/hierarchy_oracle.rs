@@ -12,6 +12,12 @@
 //! 1, 2 and 4 shards to equal it field for field, on two- and
 //! three-level machines and on streams whose accesses span lines and
 //! that stop, somewhere, for a phase of nothing but last-level hits.
+//!
+//! Run records get the same treatment: programs of `StreamRun`s spliced
+//! between ordinary accesses go through `SimSink::run` on both paths
+//! and, expanded reference by reference, through `SimSink::access` and
+//! the oracle, which knows nothing of runs, epochs or lines that stay
+//! resident.
 
 use cachesim::{
     CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, ShardedSimSink,
@@ -20,6 +26,10 @@ use cachesim::{
 use memtrace::{Access, AccessKind, Addr, TraceSink};
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+#[path = "common/run_programs.rs"]
+mod run_programs;
+use run_programs::{arb_program, feed, Delivery};
 
 /// One set-associative level: each set is a list of `(line, dirty)` in
 /// recency order, least recently used first.
@@ -135,6 +145,16 @@ struct OracleHierarchy {
     levels: Vec<OracleCache>,
     classifier: OracleClassifier,
     report: SimReport,
+}
+
+impl TraceSink for OracleHierarchy {
+    fn access(&mut self, access: Access) {
+        OracleHierarchy::access(self, access);
+    }
+
+    fn instructions(&mut self, count: u64) {
+        self.report.instructions += count;
+    }
 }
 
 impl OracleHierarchy {
@@ -325,6 +345,28 @@ proptest! {
                 sim.access_batch(chunk);
             }
             prop_assert_eq!(sim.finish(), expected, "ShardedSimSink, {} shards", shards);
+        }
+    }
+
+    #[test]
+    fn run_records_equal_their_expansion_and_the_oracle(
+        config in arb_machine(),
+        program in arb_program(),
+    ) {
+        let mut oracle = OracleHierarchy::new(config);
+        feed(&program, Delivery::Elements, &mut oracle);
+        let expected = oracle.finish();
+        prop_assert_eq!(expected.classes.total(), expected.llc_misses());
+
+        for (delivery, fast) in [
+            (Delivery::Runs, true),
+            (Delivery::Runs, false),
+            (Delivery::Elements, true),
+        ] {
+            let mut sim = SimSink::new(Hierarchy::new(config));
+            sim.set_fast_path(fast);
+            feed(&program, delivery, &mut sim);
+            prop_assert_eq!(sim.finish(), expected, "{:?}, fast paths {}", delivery, fast);
         }
     }
 }

@@ -18,6 +18,9 @@
 //! * Traced containers ([`TracedMatrix`], [`TracedBuf`]) that emit one
 //!   [`Access`] per element touch, plus analytic instruction accounting
 //!   via [`TraceSink::instructions`].
+//! * [`StreamRun`] — an inner loop's references said once (*k* strided
+//!   [`Stream`]s advancing together), delivered through
+//!   [`TraceSink::run`], whose default expands it to the element calls.
 //!
 //! # Examples
 //!
@@ -40,6 +43,7 @@ pub mod compact;
 mod footprint;
 mod matrix;
 mod regions;
+mod run;
 mod schedule;
 mod sink;
 mod space;
@@ -51,6 +55,7 @@ pub use compact::{CompactBuf, CompactIter};
 pub use footprint::{FootprintSink, PhaseTrace, ThreadFootprint, WORD_BYTES};
 pub use matrix::{MatrixLayout, TracedMatrix};
 pub use regions::{RegionSink, RegionTraffic};
+pub use run::{Stream, StreamRun};
 pub use schedule::{SchedEvent, SchedLogSink, SchedMark, ScheduleLog};
 pub use sink::{CountingSink, FnSink, NullSink, TeeSink, TraceSink, VecSink};
 pub use space::AddressSpace;

@@ -1,6 +1,6 @@
 //! A dense `f64` matrix whose element accesses emit trace events.
 
-use crate::{Addr, AddressSpace, TraceSink};
+use crate::{AccessKind, Addr, AddressSpace, Stream, TraceSink};
 
 /// Element storage order of a [`TracedMatrix`].
 ///
@@ -141,6 +141,25 @@ impl TracedMatrix {
     #[inline]
     pub fn row_addr(&self, i: usize) -> Addr {
         self.addr_of(i, 0)
+    }
+
+    /// A walk down column `j` from row 0, one element a step, as a
+    /// [`Stream`] of `kind` references: what a kernel puts in a
+    /// [`StreamRun`](crate::StreamRun) for an inner loop over a column.
+    /// The record carries addresses only; the kernel reads and writes
+    /// the values through [`at`](TracedMatrix::at) and
+    /// [`set_untraced`](TracedMatrix::set_untraced).
+    #[inline]
+    pub fn col_stream(&self, j: usize, kind: AccessKind) -> Stream {
+        Stream {
+            base: self.col_addr(j),
+            stride: match self.layout {
+                MatrixLayout::RowMajor => self.cols as u64 * ELEM,
+                MatrixLayout::ColMajor => ELEM,
+            },
+            size: ELEM as u32,
+            kind,
+        }
     }
 
     /// Traced load of element `(i, j)`.
@@ -288,6 +307,24 @@ mod tests {
             .collect();
         assert_eq!(batched.to_vec(), singles);
         assert_eq!(batched_sink.accesses(), single_sink.accesses());
+    }
+
+    #[test]
+    fn col_stream_names_the_addresses_a_column_walk_touches() {
+        for layout in [MatrixLayout::ColMajor, MatrixLayout::RowMajor] {
+            let m = TracedMatrix::zeros(&mut space(), 5, 3, layout);
+            let stream = m.col_stream(2, AccessKind::Write);
+            let mut walked = VecSink::new();
+            let mut copy = m.clone();
+            for i in 0..5 {
+                copy.set(i, 2, 0.0, &mut walked);
+            }
+            let streamed: Vec<_> = (0..5).map(|i| stream.element(i)).collect();
+            assert_eq!(streamed, walked.accesses(), "{layout:?}");
+        }
+        // A single row has a column walk too (of one step).
+        let row = TracedMatrix::zeros(&mut space(), 1, 4, MatrixLayout::ColMajor);
+        assert_eq!(row.col_stream(3, AccessKind::Read).base, row.addr_of(0, 3));
     }
 
     #[test]

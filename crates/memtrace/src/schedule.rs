@@ -223,7 +223,7 @@ impl ScheduleLog {
 #[derive(Clone, Debug, Default)]
 pub struct SchedLogSink {
     log: ScheduleLog,
-    forks: u32,
+    forks: u64,
 }
 
 impl SchedLogSink {
@@ -232,6 +232,15 @@ impl SchedLogSink {
         SchedLogSink {
             log: ScheduleLog::new(1),
             forks: 0,
+        }
+    }
+
+    /// A sink that has already counted `forks` forks.
+    #[cfg(test)]
+    fn with_forks(forks: u64) -> Self {
+        SchedLogSink {
+            forks,
+            ..SchedLogSink::new()
         }
     }
 
@@ -254,14 +263,15 @@ impl crate::TraceSink for SchedLogSink {
     fn instructions(&mut self, _count: u64) {}
 
     /// A live engine never produces an ordinal that does not fit the
-    /// log's `u32`; one read from a trace file can, and is dropped.
+    /// log's `u32`; one read from a trace file can, and is dropped — as
+    /// is every fork after the 2³²-th, whose ordinal this sink counts.
     fn mark(&mut self, mark: SchedMark<'_>) {
         let narrow = |ordinal: u64| u32::try_from(ordinal).ok();
         let event = match mark {
             SchedMark::Fork(_) => {
                 let fork = self.forks;
                 self.forks += 1;
-                Some(SchedEvent::Fork { actor: 0, fork })
+                narrow(fork).map(|fork| SchedEvent::Fork { actor: 0, fork })
             }
             SchedMark::DrainBegin(unit) => {
                 narrow(unit).map(|unit| SchedEvent::DrainBegin { actor: 0, unit })
@@ -324,6 +334,29 @@ mod tests {
                 actor: 0,
                 fork: u32::MAX
             }]
+        );
+    }
+
+    #[test]
+    fn forks_past_the_last_u32_ordinal_are_dropped_not_renumbered() {
+        let mut sink = SchedLogSink::with_forks(u64::from(u32::MAX) - 1);
+        for _ in 0..4 {
+            sink.mark(SchedMark::Fork(&[]));
+        }
+        sink.mark(SchedMark::RunEnd);
+        assert_eq!(
+            sink.into_log().events,
+            vec![
+                SchedEvent::Fork {
+                    actor: 0,
+                    fork: u32::MAX - 1
+                },
+                SchedEvent::Fork {
+                    actor: 0,
+                    fork: u32::MAX
+                },
+                SchedEvent::Barrier,
+            ]
         );
     }
 

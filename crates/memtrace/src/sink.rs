@@ -1,6 +1,6 @@
 //! Trace consumers.
 
-use crate::{Access, Addr, SchedMark};
+use crate::{Access, AccessKind, Addr, SchedMark, StreamRun};
 
 /// A consumer of memory-reference traces.
 ///
@@ -30,8 +30,9 @@ pub trait TraceSink {
     /// once per element — the default does exactly that — but sinks
     /// with per-call overhead (an online cache simulation, a trace-file
     /// writer) can override it to amortize dispatch across the batch.
-    /// Traced containers emit batches from their inner loops, so the
-    /// hot simulation path sees slices instead of single references.
+    /// Stored traces are replayed in batches of thousands; the traced
+    /// containers' own batches are an unrolled loop body's references
+    /// to one container, about two a call.
     ///
     /// Overrides must preserve exact equivalence: a batched delivery
     /// and an element-wise delivery of the same stream must leave the
@@ -45,6 +46,37 @@ pub trait TraceSink {
 
     /// Accounts `count` executed instructions.
     fn instructions(&mut self, count: u64);
+
+    /// Consumes the references of an inner loop, said once (see
+    /// [`StreamRun`] for the order a record denotes).
+    ///
+    /// The default expands the record to exactly the calls an emitter
+    /// without this hook makes — per round and stream, one
+    /// [`access_batch`](TraceSink::access_batch) of the group (a plain
+    /// [`access`](TraceSink::access) for a group of one), then the
+    /// round's [`instructions`](TraceSink::instructions) — so a sink
+    /// that does not override it cannot tell a run from the loop it
+    /// stands for. An override must leave the sink in the state that
+    /// expansion would (see `tests/fastpath_equivalence.rs`).
+    #[inline]
+    fn run(&mut self, run: &StreamRun<'_>) {
+        let group = run.group() as usize;
+        let mut batch = [Access::read(Addr::NULL, 0); StreamRun::MAX_GROUP as usize];
+        for round in 0..run.rounds() {
+            let first = round * u64::from(run.group());
+            for stream in run.streams() {
+                if group == 1 {
+                    self.access(stream.element(first));
+                    continue;
+                }
+                for (slot, index) in batch[..group].iter_mut().zip(first..) {
+                    *slot = stream.element(index);
+                }
+                self.access_batch(&batch[..group]);
+            }
+            self.instructions(run.instructions());
+        }
+    }
 
     /// Observes one mark of the schedule half of the stream: a fork, a
     /// dispatch, a drain-unit boundary or the end of a run (see
@@ -88,6 +120,11 @@ impl<S: TraceSink + ?Sized> TraceSink for &mut S {
     }
 
     #[inline]
+    fn run(&mut self, run: &StreamRun<'_>) {
+        (**self).run(run);
+    }
+
+    #[inline]
     fn mark(&mut self, mark: SchedMark<'_>) {
         (**self).mark(mark);
     }
@@ -123,6 +160,9 @@ impl TraceSink for NullSink {
 
     #[inline]
     fn instructions(&mut self, _count: u64) {}
+
+    #[inline]
+    fn run(&mut self, _run: &StreamRun<'_>) {}
 }
 
 /// A sink that counts references and instructions without storing them.
@@ -184,32 +224,41 @@ impl CountingSink {
     pub fn reset(&mut self) {
         *self = CountingSink::default();
     }
+
+    #[inline]
+    fn count(&mut self, kind: AccessKind, size: u32, references: u64) {
+        match kind {
+            AccessKind::Read => self.reads += references,
+            AccessKind::Write => self.writes += references,
+        }
+        self.bytes += references * u64::from(size);
+    }
 }
 
 impl TraceSink for CountingSink {
     #[inline]
     fn access(&mut self, access: Access) {
-        match access.kind {
-            crate::AccessKind::Read => self.reads += 1,
-            crate::AccessKind::Write => self.writes += 1,
-        }
-        self.bytes += u64::from(access.size);
+        self.count(access.kind, access.size, 1);
     }
 
     #[inline]
     fn access_batch(&mut self, accesses: &[Access]) {
         for access in accesses {
-            match access.kind {
-                crate::AccessKind::Read => self.reads += 1,
-                crate::AccessKind::Write => self.writes += 1,
-            }
-            self.bytes += u64::from(access.size);
+            self.count(access.kind, access.size, 1);
         }
     }
 
     #[inline]
     fn instructions(&mut self, count: u64) {
         self.instructions += count;
+    }
+
+    #[inline]
+    fn run(&mut self, run: &StreamRun<'_>) {
+        for stream in run.streams() {
+            self.count(stream.kind, stream.size, run.elements_per_stream());
+        }
+        self.instructions += run.rounds() * run.instructions();
     }
 }
 
@@ -322,6 +371,12 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     }
 
     #[inline]
+    fn run(&mut self, run: &StreamRun<'_>) {
+        self.first.run(run);
+        self.second.run(run);
+    }
+
+    #[inline]
     fn mark(&mut self, mark: SchedMark<'_>) {
         self.first.mark(mark);
         self.second.mark(mark);
@@ -375,7 +430,6 @@ impl<F: FnMut(Access)> TraceSink for FnSink<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AccessKind;
 
     #[test]
     fn counting_sink_counts() {

@@ -17,7 +17,7 @@
 use crate::overhead::{FORK_INSTRUCTIONS, RUN_INSTRUCTIONS};
 use crate::WorkloadReport;
 use locality_sched::{BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig};
-use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
+use memtrace::{AccessKind, AddressSpace, MatrixLayout, StreamRun, TraceSink, TracedMatrix};
 
 /// Instructions per multiply-add in the untiled interchanged loop.
 pub const INTERCHANGED_INSTR_PER_MADD: u64 = 5;
@@ -102,11 +102,22 @@ pub fn interchanged<S: TraceSink>(data: &mut MatMulData, sink: &mut S) -> Worklo
     for j in 0..n {
         for k in 0..n {
             let b_kj = data.b.get(k, j, sink);
+            // The inner loop over i, said once: load A[i, k], load
+            // C[i, j], store C[i, j].
+            let streams = [
+                data.a.col_stream(k, AccessKind::Read),
+                data.c.col_stream(j, AccessKind::Read),
+                data.c.col_stream(j, AccessKind::Write),
+            ];
+            sink.run(&StreamRun::new(
+                &streams,
+                1,
+                n as u64,
+                INTERCHANGED_INSTR_PER_MADD,
+            ));
             for i in 0..n {
-                let a_ik = data.a.get(i, k, sink);
-                let c_ij = data.c.get(i, j, sink);
-                data.c.set(i, j, c_ij + a_ik * b_kj, sink);
-                sink.instructions(INTERCHANGED_INSTR_PER_MADD);
+                let c_ij = data.c.at(i, j) + data.a.at(i, k) * b_kj;
+                data.c.set_untraced(i, j, c_ij);
             }
         }
     }
@@ -147,14 +158,22 @@ fn dot_column<S: TraceSink>(
     sink: &mut S,
 ) -> f64 {
     let n = at.rows();
+    // The unrolled loop, said once: two columns, n / 2 rounds of two
+    // elements each.
+    let streams = [
+        at.col_stream(i, AccessKind::Read),
+        b.col_stream(j, AccessKind::Read),
+    ];
+    sink.run(&StreamRun::new(
+        &streams,
+        2,
+        (n / 2) as u64,
+        TRANSPOSED_INSTR_PER_2_MADDS,
+    ));
     let mut acc = 0.0;
     let mut k = 0;
     while k + 2 <= n {
-        // Batched per matrix: both column elements in one sink call.
-        let [a0, a1] = at.get_batch([(k, i), (k + 1, i)], sink);
-        let [b0, b1] = b.get_batch([(k, j), (k + 1, j)], sink);
-        acc += a0 * b0 + a1 * b1;
-        sink.instructions(TRANSPOSED_INSTR_PER_2_MADDS);
+        acc += at.at(k, i) * b.at(k, j) + at.at(k + 1, i) * b.at(k + 1, j);
         k += 2;
     }
     if k < n {

@@ -14,14 +14,29 @@
 //! [`SimSink`]'s for every workload, shard count, and valid selector
 //! shift, including the degenerate cases (one shard, an MMU forcing the
 //! inline fallback).
+//!
+//! And to *run records*: `SimSink::run` replays a record per L1-line
+//! epoch, and must leave the report its element-by-element expansion
+//! leaves — on generated records under an MMU (the leg the cache oracle,
+//! which has no TLB, cannot check) and on the matmul kernels that emit
+//! them.
 
 use proptest::prelude::*;
 use thread_locality::apps::{matmul, nbody, pde, sor};
+use thread_locality::sched::SchedulerConfig;
 use thread_locality::sim::{
     CacheConfig, Hierarchy, HierarchyConfig, MachineModel, Mmu, PageMapper, PagePolicy, ShardPlan,
-    ShardedSimSink, SimReport, SimSink,
+    ShardedSimSink, SimReport, SimSink, WritePolicy,
 };
-use thread_locality::trace::{Access, AccessKind, Addr, AddressSpace, TraceSink, VecSink};
+use thread_locality::trace::{
+    Access, AccessKind, Addr, AddressSpace, SchedMark, TraceSink, VecSink,
+};
+
+// The generator `cachesim/tests/hierarchy_oracle.rs` checks against its
+// oracle.
+#[path = "../crates/cachesim/tests/common/run_programs.rs"]
+mod run_programs;
+use run_programs::{arb_program, feed, Delivery};
 
 /// A machine small enough that the toy working sets below still
 /// overflow the caches (otherwise the fast paths would never face an
@@ -283,5 +298,225 @@ fn batched_delivery_equals_element_wise_on_a_real_trace() {
             sim.access_batch(chunk);
         }
         assert_eq!(sim.finish(), element_wise, "chunk size {chunk_size}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Run records ≡ their expansion.
+// ---------------------------------------------------------------------
+
+proptest! {
+    /// Under a scrambling page mapping and an 8-entry TLB every
+    /// reference of a record must reach the TLB, so `run` has to expand:
+    /// the report — `tlb` counters included — is the element-wise one,
+    /// fast paths on or off.
+    #[test]
+    fn run_records_under_an_mmu_equal_their_expansion(program in arb_program()) {
+        let config = HierarchyConfig::new(
+            CacheConfig::new(1 << 12, 32, 1).unwrap(),
+            CacheConfig::new(1 << 16, 128, 4).unwrap(),
+        );
+        let report = |delivery: Delivery, fast: bool| {
+            let mmu = Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(5), 4096), 8);
+            let mut sim = SimSink::new(Hierarchy::with_mmu(config, mmu));
+            sim.set_fast_path(fast);
+            feed(&program, delivery, &mut sim);
+            sim.finish()
+        };
+        let expected = report(Delivery::Elements, false);
+        prop_assert!(expected.tlb.misses > 0, "the TLB must have been exercised");
+        prop_assert_eq!(report(Delivery::Elements, true), expected);
+        prop_assert_eq!(report(Delivery::Runs, true), expected);
+        prop_assert_eq!(report(Delivery::Runs, false), expected);
+    }
+}
+
+/// A sink that forwards everything but `run`, which it leaves to the
+/// trait's default: the inner sink sees a kernel's records expanded.
+struct Expanded<S>(S);
+
+impl<S: TraceSink> TraceSink for Expanded<S> {
+    fn access(&mut self, access: Access) {
+        self.0.access(access);
+    }
+
+    fn access_batch(&mut self, accesses: &[Access]) {
+        self.0.access_batch(accesses);
+    }
+
+    fn instructions(&mut self, count: u64) {
+        self.0.instructions(count);
+    }
+
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        self.0.mark(mark);
+    }
+}
+
+/// The three kernels whose inner loops are run records: 0 interchanged,
+/// 1 transposed, 2 threaded.
+fn run_kernels<S: TraceSink>(n: usize, kernel: usize, sink: &mut S) {
+    let mut data = matmul::MatMulData::new(&mut AddressSpace::new(), n, 7);
+    match kernel {
+        0 => matmul::interchanged(&mut data, sink),
+        1 => matmul::transposed(&mut data, sink),
+        _ => {
+            let config = SchedulerConfig::builder()
+                .block_size(1 << 11)
+                .build()
+                .unwrap();
+            matmul::threaded(&mut data, config, sink)
+        }
+    };
+    assert!(data.max_error_vs_naive() < 1e-9, "kernel {kernel}, n = {n}");
+}
+
+/// `kernel` at size `n` into `SimSink::run` and into the expansion;
+/// asserts the reports equal and returns them.
+fn run_equals_expansion(hierarchy: &dyn Fn() -> Hierarchy, n: usize, kernel: usize) -> SimReport {
+    let mut whole = SimSink::new(hierarchy());
+    run_kernels(n, kernel, &mut whole);
+    let mut expanded = Expanded(SimSink::new(hierarchy()));
+    run_kernels(n, kernel, &mut expanded);
+    let (whole, expanded) = (whole.finish(), expanded.0.finish());
+    assert_eq!(whole, expanded, "kernel {kernel}, n = {n}");
+    whole
+}
+
+#[test]
+fn matmul_run_records_equal_their_expansion_on_every_kind_of_machine() {
+    let write_through = || {
+        let l1 = CacheConfig::new(1 << 10, 32, 1)
+            .unwrap()
+            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
+        Hierarchy::new(HierarchyConfig::new(
+            l1,
+            CacheConfig::new(1 << 15, 128, 4).unwrap(),
+        ))
+    };
+    let with_mmu = || {
+        let config = HierarchyConfig::new(
+            CacheConfig::new(1 << 12, 32, 1).unwrap(),
+            CacheConfig::new(1 << 16, 128, 4).unwrap(),
+        );
+        let mmu = Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(5), 4096), 8);
+        Hierarchy::with_mmu(config, mmu)
+    };
+    let r10000 = MachineModel::r10000()
+        .scaled_split(1.0 / 16.0, 1.0 / 64.0)
+        .expect("valid scaled machine");
+    // The scheduler's package memory sits at 0x7f00_0000_0000, outside
+    // the page mapper's 28-bit frame space: under an MMU, the two
+    // unthreaded kernels only.
+    let machines: [(&str, &dyn Fn() -> Hierarchy, usize); 4] = [
+        ("scaled r8000", &|| machine().hierarchy(), 3),
+        ("scaled r10000, 2-way L1", &|| r10000.hierarchy(), 3),
+        ("write-through L1", &write_through, 3),
+        ("mmu attached", &with_mmu, 2),
+    ];
+    for (name, hierarchy, kernels) in machines {
+        // 33 is odd: the dot product's tail iteration runs.
+        for n in [40, 33] {
+            for kernel in 0..kernels {
+                let report = run_equals_expansion(hierarchy, n, kernel);
+                assert!(report.l1.misses() > 0, "{name}: the L1 must overflow");
+            }
+        }
+    }
+}
+
+#[test]
+fn matmul_columns_that_alias_in_the_l1_take_the_eviction_fallback() {
+    // A 256-byte direct-mapped L1 and 32 x 32 matrices: every column is
+    // 256 bytes, so any two of them meet in every set and the streams
+    // of a record evict each other round after round. A counted hit
+    // cannot miss, and an epoch — four elements a stream in a 32-byte
+    // line — references only its first elements for real; the misses
+    // below are more than that leaves room for, so the rounds after an
+    // epoch's first were expanded.
+    let n = 32;
+    let hierarchy = || {
+        Hierarchy::new(HierarchyConfig::new(
+            CacheConfig::new(256, 32, 1).unwrap(),
+            CacheConfig::new(1 << 13, 128, 2).unwrap(),
+        ))
+    };
+    let cube = (n * n * n) as u64;
+    // Per multiply-add, `interchanged` misses on A and on the load of C
+    // (the store rehits); a dot product shares each miss between the
+    // two multiply-adds of a round.
+    for (kernel, streams, misses_per_madd) in [(0, 3, 2), (1, 2, 1), (2, 2, 1)] {
+        let report = run_equals_expansion(&hierarchy, n, kernel);
+        let in_records = streams * cube;
+        let elsewhere = report.data_references() - in_records;
+        let first_elements = in_records / 4;
+        assert!(
+            report.l1.misses() >= misses_per_madd * cube,
+            "kernel {kernel}"
+        );
+        assert!(
+            report.l1.misses() > first_elements + elsewhere,
+            "kernel {kernel}: {} misses",
+            report.l1.misses()
+        );
+    }
+}
+
+/// Every call a sink receives — which hook, with what — folded into one
+/// FNV-1a digest: two emitters agree on it only if they make the same
+/// calls in the same order, batch boundaries included.
+struct CallDigest(u64);
+
+impl CallDigest {
+    fn eat(&mut self, words: &[u64]) {
+        for &word in words {
+            self.0 = (self.0 ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn eat_access(&mut self, access: Access) {
+        let kind = u64::from(access.kind == AccessKind::Write);
+        self.eat(&[kind, access.addr.raw(), u64::from(access.size)]);
+    }
+}
+
+impl TraceSink for CallDigest {
+    fn access(&mut self, access: Access) {
+        self.eat(&[1]);
+        self.eat_access(access);
+    }
+
+    fn access_batch(&mut self, accesses: &[Access]) {
+        self.eat(&[2, accesses.len() as u64]);
+        for &access in accesses {
+            self.eat_access(access);
+        }
+    }
+
+    fn instructions(&mut self, count: u64) {
+        self.eat(&[3, count]);
+    }
+
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        match mark {
+            SchedMark::Fork(hints) => self.eat(&[4, hints.len() as u64]),
+            SchedMark::DrainBegin(unit) => self.eat(&[5, unit]),
+            SchedMark::Dispatch(seq) => self.eat(&[6, seq]),
+            SchedMark::DrainEnd(unit) => self.eat(&[7, unit]),
+            SchedMark::RunEnd => self.eat(&[8]),
+        }
+    }
+}
+
+/// The default expansion of a run record is the old stream, call for
+/// call: these digests were captured from the kernels while their inner
+/// loops still called `get`, `set` and `get_batch` per element. `n` is
+/// odd, so the dot product's tail iteration is in them.
+#[test]
+fn run_records_expand_to_the_calls_the_kernels_used_to_make() {
+    for (kernel, golden) in [(0, 0x5f54_2375_a07d_3f6a), (2, 0x9eba_a331_172e_b706u64)] {
+        let mut sink = CallDigest(0xcbf2_9ce4_8422_2325);
+        run_kernels(33, kernel, &mut sink);
+        assert_eq!(sink.0, golden, "kernel {kernel}: {:#018x}", sink.0);
     }
 }
