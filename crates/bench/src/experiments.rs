@@ -752,17 +752,6 @@ pub struct PolicyAblation {
     pub footnote: &'static str,
 }
 
-impl PolicyAblation {
-    /// Whether the ablation measures the full-tree policy. Its rows
-    /// then carry a variable-length block ladder (`depth`/`blocks`)
-    /// instead of the two-level `l1_block`/`l2_block` pair, and since
-    /// several deeper policies compare against flat, delta rows are
-    /// keyed by policy as well as by (kernel, machine).
-    pub fn full_depth(&self) -> bool {
-        self.policies.contains(&Binning::Topology)
-    }
-}
-
 /// `binpolicy`: flat vs hierarchical binning on both paper machines.
 pub static BINPOLICY: PolicyAblation = PolicyAblation {
     experiment: "binpolicy",
@@ -867,7 +856,6 @@ impl PolicyAblationResult {
     /// payload: per-cell deterministic miss counts/rates (gated by
     /// benchdiff) plus each deeper policy's deltas against flat.
     pub fn to_json(&self) -> String {
-        let full_depth = self.spec.full_depth();
         json::write(|w| {
             w.object(|w| {
                 w.key("experiment").string(self.spec.experiment);
@@ -878,17 +866,12 @@ impl PolicyAblationResult {
                             w.key("kernel").string(row.kernel);
                             w.key("machine").string(row.machine);
                             w.key("policy").string(row.policy.name());
-                            if full_depth {
-                                w.key("depth").uint(row.blocks.len() as u64);
-                                w.key("blocks").array(|w| {
-                                    for &block in &row.blocks {
-                                        w.uint(block);
-                                    }
-                                });
-                            } else {
-                                w.key("l1_block").uint(row.blocks[0]);
-                                w.key("l2_block").uint(row.blocks[row.blocks.len() - 1]);
-                            }
+                            w.key("depth").uint(row.blocks.len() as u64);
+                            w.key("blocks").array(|w| {
+                                for &block in &row.blocks {
+                                    w.uint(block);
+                                }
+                            });
                             w.key("threads").uint(row.threads);
                             w.key("accesses").uint(row.accesses);
                             w.key("l1_misses").uint(row.report.l1.misses());
@@ -904,12 +887,7 @@ impl PolicyAblationResult {
                 w.key("deltas").array(|w| {
                     for (row, [l1, l2, modeled]) in self.deltas() {
                         w.object(|w| {
-                            if full_depth {
-                                w.key("workload").string(&row.workload);
-                            } else {
-                                w.key("workload")
-                                    .string(&format!("{}.{}", row.kernel, row.machine));
-                            }
+                            w.key("workload").string(&row.workload);
                             w.key("l1_miss_delta_pct").float(l1, 4);
                             w.key("l2_miss_delta_pct").float(l2, 4);
                             w.key("modeled_delta_pct").float(modeled, 4);

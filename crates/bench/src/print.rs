@@ -229,13 +229,12 @@ pub fn steal(result: &StealAblationResult) {
 /// simulated misses and block ladder, then each deeper policy's deltas
 /// against flat.
 pub fn policy_ablation(result: &PolicyAblationResult) {
-    let full_depth = result.spec.full_depth();
     println!("{}", result.spec.intro);
     let mut t = TextTable::new(vec![
         "workload",
         "machine",
         "policy",
-        if full_depth { "ladder" } else { "block(s)" },
+        "ladder",
         "threads",
         "L1 misses",
         "L2 misses",
@@ -243,10 +242,9 @@ pub fn policy_ablation(result: &PolicyAblationResult) {
         "L2 rate",
         "modeled (ms)",
     ]);
-    // The two-level table prints whole KiB; the deeper ladders reach
-    // sub-KiB rungs and print those in bytes.
+    // Whole KiB, except the sub-KiB rungs of the deeper ladders: bytes.
     let block = |b: u64| {
-        if full_depth && b < 1 << 10 {
+        if b < 1 << 10 {
             format!("{b}")
         } else {
             format!("{}K", b >> 10)
@@ -274,17 +272,20 @@ pub fn policy_ablation(result: &PolicyAblationResult) {
     }
     print!("{}", t.render());
     println!();
-    let mut header = vec!["workload", "machine"];
-    if full_depth {
-        header.push("policy");
-    }
-    header.extend(["L1 miss Δ", "L2 miss Δ", "modeled Δ"]);
-    let mut d = TextTable::new(header);
+    let mut d = TextTable::new(vec![
+        "workload",
+        "machine",
+        "policy",
+        "L1 miss Δ",
+        "L2 miss Δ",
+        "modeled Δ",
+    ]);
     for (row, deltas) in result.deltas() {
-        let mut cells = vec![row.kernel.to_owned(), row.machine.to_owned()];
-        if full_depth {
-            cells.push(row.policy.name().to_owned());
-        }
+        let mut cells = vec![
+            row.kernel.to_owned(),
+            row.machine.to_owned(),
+            row.policy.name().to_owned(),
+        ];
         cells.extend(deltas.iter().map(|delta| format!("{delta:+.1}%")));
         d.row(cells);
     }

@@ -169,12 +169,12 @@ impl Cache {
     /// the same-line short-circuit). Statistics are bit-identical
     /// either way; disabling exists so tests and benchmarks can compare
     /// against the exhaustive reference path.
-    pub fn set_fast_path(&mut self, enabled: bool) {
+    pub(crate) fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
     }
 
     /// Whether the fast lookup paths are enabled.
-    pub fn fast_path(&self) -> bool {
+    pub(crate) fn fast_path(&self) -> bool {
         self.fast_path
     }
 

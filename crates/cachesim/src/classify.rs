@@ -3,17 +3,14 @@
 //! The classifier asks two things of every reference the classified
 //! level sees: has the line been referenced before, and would a
 //! fully-associative LRU cache of the level's line count still hold
-//! it. With the fast paths on, one [`Recency`] table answers both in
-//! one probe; with them off, the reference model answers them
-//! separately — a SipHash `HashSet` of lines seen and an [`LruSet`] —
-//! and is what the differential suites, `simbench` and the repository
-//! benchmark compare the table against.
+//! it. [`LruModel`] answers both in one touch — the flat table with the
+//! fast paths on, the reference model with them off, which is what the
+//! differential suites, `simbench` and the repository benchmark compare
+//! the table against. The classifier is that model plus its counts.
 
-use crate::linehash::LineHashState;
-use crate::lru::LruSet;
-use crate::recency::{Recency, Touch};
+use crate::lru::LruModel;
+use crate::recency::Touch;
 use crate::CacheConfig;
-use std::collections::HashSet;
 
 /// The three-C class of a cache miss (Hill & Smith, *Evaluating
 /// Associativity in CPU Caches*, IEEE ToC 1989 — reference \[21\] of the
@@ -91,24 +88,9 @@ impl MissClassCounts {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MissClassifier {
-    model: Model,
-    /// Lines in the fully-associative capacity model.
-    capacity: usize,
+    /// Fully-associative LRU cache of the level's line count.
+    model: LruModel,
     counts: MissClassCounts,
-}
-
-/// The state behind the classifier's two questions; which one is built
-/// is the fast-path knob.
-#[derive(Clone, Debug)]
-enum Model {
-    /// Fast paths on.
-    Table(Recency),
-    /// Fast paths off: the exhaustive reference. SipHash in both
-    /// structures, no shortcut in either, every reference updates both.
-    Reference {
-        seen: HashSet<u64, LineHashState>,
-        fully_assoc: LruSet,
-    },
 }
 
 impl MissClassifier {
@@ -119,42 +101,17 @@ impl MissClassifier {
     /// `config.lines()` lines. Nothing is allocated in proportion to
     /// that count: the model's storage grows with the lines referenced.
     pub fn new(config: &CacheConfig) -> Self {
-        let capacity = config.lines() as usize;
         MissClassifier {
-            model: Model::Table(Recency::new(capacity)),
-            capacity,
+            model: LruModel::new(config.lines() as usize),
             counts: MissClassCounts::default(),
         }
     }
 
     /// Switches between the flat recency table (fast paths on, the
     /// default) and the reference model (off). Classification is
-    /// bit-identical in both; switching mid-stream carries the lines
-    /// seen and the resident lines, in LRU order, across.
-    pub fn set_fast_path(&mut self, fast: bool) {
-        self.model = match (&self.model, fast) {
-            (Model::Table(table), false) => {
-                let mut seen = HashSet::with_hasher(LineHashState::for_fast(false));
-                seen.extend(table.seen());
-                let mut fully_assoc = LruSet::new(self.capacity);
-                fully_assoc.set_fast(false);
-                for line in table.resident() {
-                    fully_assoc.touch(line);
-                }
-                Model::Reference { seen, fully_assoc }
-            }
-            (Model::Reference { seen, fully_assoc }, true) => {
-                let mut table = Recency::new(self.capacity);
-                for &line in seen {
-                    table.note_seen(line);
-                }
-                for line in fully_assoc.lru_first() {
-                    table.touch(line);
-                }
-                Model::Table(table)
-            }
-            _ => return,
-        };
+    /// bit-identical in both, and across a switch mid-stream.
+    pub(crate) fn set_fast_path(&mut self, fast: bool) {
+        self.model.set_fast_path(fast);
     }
 
     /// Records a reference that *hit* in the classified cache.
@@ -162,37 +119,16 @@ impl MissClassifier {
     /// Keeps the capacity model's recency state in sync.
     #[inline]
     pub fn note_hit(&mut self, line: u64) {
-        match &mut self.model {
-            Model::Table(table) => {
-                table.touch(line);
-            }
-            Model::Reference { seen, fully_assoc } => {
-                seen.insert(line);
-                fully_assoc.touch(line);
-            }
-        }
+        self.model.touch(line);
     }
 
     /// Classifies a miss on `line` and updates the model state.
     #[inline]
     pub fn classify_miss(&mut self, line: u64) -> MissClass {
-        let class = match &mut self.model {
-            Model::Table(table) => match table.touch(line) {
-                Touch::First => MissClass::Compulsory,
-                Touch::Evicted => MissClass::Capacity,
-                Touch::Hit => MissClass::Conflict,
-            },
-            Model::Reference { seen, fully_assoc } => {
-                let first_touch = seen.insert(line);
-                let fa_hit = fully_assoc.touch(line);
-                if first_touch {
-                    MissClass::Compulsory
-                } else if !fa_hit {
-                    MissClass::Capacity
-                } else {
-                    MissClass::Conflict
-                }
-            }
+        let class = match self.model.touch(line) {
+            Touch::First => MissClass::Compulsory,
+            Touch::Evicted => MissClass::Capacity,
+            Touch::Hit => MissClass::Conflict,
         };
         self.counts.record(class);
         class
@@ -202,10 +138,7 @@ impl MissClassifier {
     /// with the fast paths off).
     #[cfg(test)]
     pub(crate) fn table_lens(&self) -> Option<(usize, usize)> {
-        match &self.model {
-            Model::Table(table) => Some(table.lens()),
-            Model::Reference { .. } => None,
-        }
+        self.model.table_lens()
     }
 
     /// Classified miss counts so far.

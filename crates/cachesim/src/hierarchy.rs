@@ -1,5 +1,6 @@
 //! The two-level cache hierarchy of the paper's machines.
 
+use crate::cache::LineOutcome;
 use crate::paging::{PageMapper, Tlb, TlbStats};
 use crate::{
     Cache, CacheConfig, CacheConfigError, CacheStats, MissClassCounts, MissClassifier, SimReport,
@@ -280,10 +281,12 @@ impl Hierarchy {
     }
 
     /// Enables or disables the fast lookup paths (same-line
-    /// short-circuit here, MRU-first probing inside each level).
-    /// Statistics are bit-identical either way; the slow path is kept
-    /// as the exhaustive reference for differential tests and the
-    /// `simbench` before/after comparison.
+    /// short-circuit here, MRU-first probing inside each level, the
+    /// flat recency table under the classifier and the TLB). The
+    /// hierarchy owns the knob and tells its parts. Statistics are
+    /// bit-identical either way and across a switch mid-stream; the
+    /// slow path is kept as the exhaustive reference for differential
+    /// tests and the `simbench` before/after comparison.
     pub fn set_fast_path(&mut self, enabled: bool) {
         for level in self.levels_mut() {
             level.set_fast_path(enabled);
@@ -545,37 +548,15 @@ impl Hierarchy {
             return;
         }
         let outcome = self.l2.access_line(l2_line, is_write);
-        match &mut self.l3 {
-            None => {
-                // The L2 is the DRAM-facing level: classify its stream
-                // (or log it for a deferred, merged classification).
-                if let Some(log) = &mut self.llc_log {
-                    log.push(LlcEvent {
-                        line: l2_line,
-                        hit: outcome.hit,
-                    });
-                    if !outcome.hit {
-                        self.memory_reads += 1;
-                    }
-                } else if outcome.hit {
-                    self.classifier.note_hit(l2_line);
-                } else {
-                    self.classifier.classify_miss(l2_line);
-                    self.memory_reads += 1;
-                }
-                if outcome.writeback.is_some() {
-                    self.memory_writebacks += 1;
-                }
-            }
-            Some(_) => {
-                let ratio = self.l3_line_shift - self.l2_line_shift;
-                if !outcome.hit {
-                    self.reference_l3(l2_line >> ratio, false);
-                }
-                if let Some(victim) = outcome.writeback {
-                    self.reference_l3(victim >> ratio, true);
-                }
-            }
+        if self.l3.is_none() {
+            return self.note_llc(l2_line, outcome);
+        }
+        let ratio = self.l3_line_shift - self.l2_line_shift;
+        if !outcome.hit {
+            self.reference_l3(l2_line >> ratio, false);
+        }
+        if let Some(victim) = outcome.writeback {
+            self.reference_l3(victim >> ratio, true);
         }
     }
 
@@ -590,18 +571,27 @@ impl Hierarchy {
             return;
         }
         let outcome = l3.access_line(l3_line, is_write);
+        self.note_llc(l3_line, outcome);
+    }
+
+    /// What a reference that went through `access_line` at the
+    /// DRAM-facing level leaves behind: its line classified (or logged
+    /// for a deferred, merged classification) and the memory traffic
+    /// counted.
+    #[inline]
+    fn note_llc(&mut self, line: u64, outcome: LineOutcome) {
         if let Some(log) = &mut self.llc_log {
             log.push(LlcEvent {
-                line: l3_line,
+                line,
                 hit: outcome.hit,
             });
             if !outcome.hit {
                 self.memory_reads += 1;
             }
         } else if outcome.hit {
-            self.classifier.note_hit(l3_line);
+            self.classifier.note_hit(line);
         } else {
-            self.classifier.classify_miss(l3_line);
+            self.classifier.classify_miss(line);
             self.memory_reads += 1;
         }
         if outcome.writeback.is_some() {

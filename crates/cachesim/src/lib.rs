@@ -48,7 +48,6 @@ mod cache;
 mod classify;
 mod config;
 mod hierarchy;
-mod linehash;
 mod lru;
 mod machine;
 mod paging;

@@ -1,29 +1,119 @@
-//! An O(1) bounded LRU set over `u64` keys: a hash index into a linked
-//! recency list.
+//! The fully-associative LRU model — the 3C classifier's capacity model
+//! and the TLB's entry set — and the reference it is tested against.
 //!
-//! Backs the TLB, and the fully-associative capacity model of the 3C
-//! classifier's *reference* mode (fast paths off), which is what
-//! [`Recency`](crate::recency::Recency) — the classifier's model with
-//! the fast paths on — is tested against. The two share no lookup code.
+//! [`LruModel`] is the model: with the fast paths on (the default) it is
+//! the flat [`Recency`] table, one probe a touch; with them off it is
+//! the reference — a SipHash `HashSet` of keys seen and [`LruSet`], a
+//! hash index into a linked recency list, every touch updating both.
+//! The two share no lookup code, answer every touch identically, and
+//! convert into each other mid-stream. `MissClassifier` is this model
+//! plus its counts, `Tlb` this model plus its statistics.
 
-use crate::linehash::LineHashState;
-use std::collections::HashMap;
+use crate::recency::{Recency, Touch};
+use std::collections::{HashMap, HashSet};
+
+/// A fully-associative LRU cache of `capacity` keys that also remembers
+/// every key it ever held. See the module documentation.
+#[derive(Clone, Debug)]
+pub(crate) struct LruModel {
+    state: State,
+    capacity: usize,
+}
+
+/// Which one is built is the fast-path knob.
+#[derive(Clone, Debug)]
+enum State {
+    /// Fast paths on.
+    Table(Recency),
+    /// Fast paths off: no shortcut in either structure.
+    Reference {
+        seen: HashSet<u64>,
+        fully_assoc: LruSet,
+    },
+}
+
+impl LruModel {
+    /// Creates an empty model of `capacity` keys, with the fast paths
+    /// on. Nothing is allocated in proportion to `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero or more than 2²⁸.
+    pub(crate) fn new(capacity: usize) -> Self {
+        LruModel {
+            state: State::Table(Recency::new(capacity)),
+            capacity,
+        }
+    }
+
+    /// Switches between the table (`fast`) and the reference. Every
+    /// later touch answers the same either way: the keys seen and the
+    /// resident keys, in LRU order, are carried across.
+    pub(crate) fn set_fast_path(&mut self, fast: bool) {
+        self.state = match (&self.state, fast) {
+            (State::Table(table), false) => {
+                let mut fully_assoc = LruSet::new(self.capacity);
+                for key in table.resident() {
+                    fully_assoc.touch(key);
+                }
+                State::Reference {
+                    seen: table.seen().collect(),
+                    fully_assoc,
+                }
+            }
+            (State::Reference { seen, fully_assoc }, true) => {
+                let mut table = Recency::new(self.capacity);
+                for &key in seen {
+                    table.note_seen(key);
+                }
+                for key in fully_assoc.lru_first() {
+                    table.touch(key);
+                }
+                State::Table(table)
+            }
+            _ => return,
+        };
+    }
+
+    /// References `key` and makes it the most recently used, evicting
+    /// the least recently used key if `key` was not resident and the
+    /// model is full. Reports what it found.
+    #[inline]
+    pub(crate) fn touch(&mut self, key: u64) -> Touch {
+        match &mut self.state {
+            State::Table(table) => table.touch(key),
+            State::Reference { seen, fully_assoc } => {
+                let first = seen.insert(key);
+                let hit = fully_assoc.touch(key);
+                if first {
+                    Touch::First
+                } else if hit {
+                    Touch::Hit
+                } else {
+                    Touch::Evicted
+                }
+            }
+        }
+    }
+
+    /// Lengths of the table and its ring, in entries (`None` with the
+    /// fast paths off).
+    #[cfg(test)]
+    pub(crate) fn table_lens(&self) -> Option<(usize, usize)> {
+        match &self.state {
+            State::Table(table) => Some(table.lens()),
+            State::Reference { .. } => None,
+        }
+    }
+}
 
 const NIL: u32 = u32::MAX;
 
-/// How many recency positions [`LruSet::touch`] scans (pointer-chasing
-/// from the MRU end) before falling back to the hash index, in fast
-/// mode. Loop traces interleave a handful of arrays, so the line just
-/// referenced is almost always within the first few positions.
-const FRONT_SCAN: u32 = 6;
-
 /// A fixed-capacity set of `u64` keys with least-recently-used eviction,
-/// O(1) per operation.
+/// O(1) per operation: the reference half of [`LruModel`].
 ///
 /// The recency list is stored structure-of-arrays: `keys`, `prev`, and
-/// `next` are parallel flat arrays indexed by slot. The fast-path front
-/// scan chases `next` pointers while comparing `keys`, touching two
-/// dense arrays instead of striding over 16-byte nodes.
+/// `next` are parallel flat arrays indexed by slot.
 ///
 /// # Examples
 ///
@@ -40,16 +130,14 @@ pub(crate) struct LruSet {
     keys: Vec<u64>,
     prev: Vec<u32>,
     next: Vec<u32>,
-    index: HashMap<u64, u32, LineHashState>,
+    index: HashMap<u64, u32>,
     head: u32,
     tail: u32,
     capacity: usize,
-    fast: bool,
 }
 
 impl LruSet {
-    /// Creates a set holding at most `capacity` keys, with the fast
-    /// lookup path enabled.
+    /// Creates a set holding at most `capacity` keys.
     ///
     /// # Panics
     ///
@@ -61,27 +149,11 @@ impl LruSet {
             keys: Vec::with_capacity(prealloc),
             prev: Vec::with_capacity(prealloc),
             next: Vec::with_capacity(prealloc),
-            index: HashMap::with_capacity_and_hasher(prealloc, LineHashState::for_fast(true)),
+            index: HashMap::with_capacity(prealloc),
             head: NIL,
             tail: NIL,
             capacity,
-            fast: true,
         }
-    }
-
-    /// Switches the fast lookup path (front-of-list scan + one-multiply
-    /// hashing) on or off. Hit/miss/eviction behaviour is identical in
-    /// both modes; the slow mode is the exhaustive SipHash reference.
-    pub(crate) fn set_fast(&mut self, fast: bool) {
-        if self.fast == fast {
-            return;
-        }
-        self.fast = fast;
-        // Bucket positions depend on the hash function: rebuild.
-        let mut index =
-            HashMap::with_capacity_and_hasher(self.index.capacity(), LineHashState::for_fast(fast));
-        index.extend(self.index.drain());
-        self.index = index;
     }
 
     /// Number of keys currently resident. (Test-only helper.)
@@ -94,25 +166,6 @@ impl LruSet {
     /// inserted, evicting the least-recently-used key if full. Either
     /// way `key` becomes most-recently-used.
     pub(crate) fn touch(&mut self, key: u64) -> bool {
-        if self.fast {
-            // A key near the MRU end is found by chasing a few `next`
-            // pointers, with no hashing at all — and at position 0 the
-            // touch is a structural no-op.
-            let mut slot = self.head;
-            for depth in 0..FRONT_SCAN {
-                if slot == NIL {
-                    break;
-                }
-                if self.keys[slot as usize] == key {
-                    if depth > 0 {
-                        self.unlink(slot);
-                        self.push_front(slot);
-                    }
-                    return true;
-                }
-                slot = self.next[slot as usize];
-            }
-        }
         if let Some(&slot) = self.index.get(&key) {
             self.unlink(slot);
             self.push_front(slot);
@@ -190,6 +243,7 @@ impl LruSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recency::tests::{xorshift, Oracle as Naive};
 
     #[test]
     fn basic_hit_miss_evict() {
@@ -237,53 +291,82 @@ mod tests {
         }
     }
 
-    /// Drives an [`LruSet`] against a naive O(n) oracle. `toggle_every`
-    /// switches the fast path on/off periodically when nonzero.
-    fn check_against_oracle(initial_fast: bool, toggle_every: usize) {
-        use std::collections::VecDeque;
-        let mut oracle: VecDeque<u64> = VecDeque::new();
+    #[test]
+    fn matches_naive_model_on_random_stream() {
         let capacity = 16;
+        let mut naive = Naive::new(capacity);
         let mut lru = LruSet::new(capacity);
-        lru.set_fast(initial_fast);
         let mut state = 0x2545_f491_4f6c_dd1du64;
         for step in 0..10_000usize {
-            if toggle_every > 0 && step.is_multiple_of(toggle_every) {
-                let fast = lru.fast;
-                lru.set_fast(!fast);
-            }
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let key = state % 40;
-            let oracle_hit = if let Some(pos) = oracle.iter().position(|&k| k == key) {
-                oracle.remove(pos);
-                oracle.push_front(key);
-                true
-            } else {
-                if oracle.len() == capacity {
-                    oracle.pop_back();
-                }
-                oracle.push_front(key);
-                false
-            };
-            assert_eq!(lru.touch(key), oracle_hit, "step {step}");
+            let key = xorshift(&mut state) % 40;
+            let hit = naive.touch(key) == Touch::Hit;
+            assert_eq!(lru.touch(key), hit, "step {step}");
         }
     }
 
-    #[test]
-    fn matches_naive_model_on_random_stream() {
-        check_against_oracle(true, 0);
+    /// Touches `steps` keys drawn from `next` in the naive model and in
+    /// two [`LruModel`]s, one starting as the table and one as the
+    /// reference, and compares every answer of both with the naive
+    /// one. A nonzero `toggle_every` flips both knobs that often: there
+    /// is always one model of each kind, and every toggle converts in
+    /// both directions.
+    fn check_models(
+        capacity: usize,
+        toggle_every: usize,
+        steps: usize,
+        mut next: impl FnMut(usize) -> u64,
+    ) {
+        let mut naive = Naive::new(capacity);
+        let mut models = [LruModel::new(capacity), LruModel::new(capacity)];
+        models[1].set_fast_path(false);
+        for step in 0..steps {
+            // Keys spread over the whole `u64` range, `u64::MAX` included.
+            let key = next(step).wrapping_mul(0x0101_0101_0101_0101) ^ u64::MAX;
+            let expected = naive.touch(key);
+            for model in &mut models {
+                if toggle_every > 0 && step.is_multiple_of(toggle_every) {
+                    let fast = model.table_lens().is_some();
+                    model.set_fast_path(!fast);
+                }
+                assert_eq!(
+                    model.touch(key),
+                    expected,
+                    "capacity {capacity}, toggled every {toggle_every}, step {step}"
+                );
+            }
+        }
+        assert_ne!(
+            models[0].table_lens().is_some(),
+            models[1].table_lens().is_some()
+        );
     }
 
     #[test]
-    fn slow_mode_matches_naive_model() {
-        check_against_oracle(false, 0);
-    }
-
-    #[test]
-    fn toggling_fast_mode_mid_stream_preserves_contents() {
-        // The index rebuild on toggle must carry every resident key.
-        check_against_oracle(true, 97);
+    fn table_reference_and_naive_model_agree_touch_by_touch() {
+        for capacity in [1, 8, 64, 4096] {
+            // Half again as many keys as fit: reuse distances straddle
+            // the capacity.
+            let fits = capacity as u64;
+            let keys = fits + fits / 2 + 1;
+            let steps = 2 * keys as usize + 1000;
+            for toggle_every in [0, 1 + capacity / 3, 97 + capacity] {
+                let mut state = 0x2545_f491_4f6c_dd1d ^ keys;
+                check_models(capacity, toggle_every, steps, |_| {
+                    xorshift(&mut state) % keys
+                });
+                // Strided, a third of the steps each: a cycle that just
+                // fits (all hits once warm), one a key too long (every
+                // touch evicts), and a stride of 3 over all the keys.
+                check_models(capacity, toggle_every, steps, |step| {
+                    let step = step as u64;
+                    match 3 * step / steps as u64 {
+                        0 => step % fits,
+                        1 => step % (fits + 1),
+                        _ => step * 3 % keys,
+                    }
+                });
+            }
+        }
     }
 
     #[test]

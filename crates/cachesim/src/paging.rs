@@ -7,9 +7,11 @@
 //! model ignores TLB misses entirely (one reason the SOR baseline runs
 //! slower than the model predicts: column sweeps of a 32 MB array touch
 //! thousands of pages). These extensions let the harness quantify both
-//! effects.
+//! effects. The TLB is [`LruModel`] — the crate's fully-associative LRU
+//! model, the one under the 3C classifier — plus its statistics.
 
-use crate::lru::LruSet;
+use crate::lru::LruModel;
+use crate::recency::Touch;
 use memtrace::Addr;
 
 /// How virtual pages map to physical page frames (which determines the
@@ -85,26 +87,26 @@ impl PageMapper {
     #[inline]
     pub fn translate(&self, vaddr: Addr) -> Addr {
         let vpn = vaddr.raw() / self.page_size;
-        // Synthetic frame numbers live in a 28-bit frame space (a 1 TB
-        // physical address space at 4 KiB pages). The non-identity
-        // policies are *bijections* on that space, so distinct virtual
-        // pages never alias one frame.
-        const FRAME_BITS: u32 = 28;
-        const FRAME_MASK: u64 = (1 << FRAME_BITS) - 1;
-        debug_assert!(vpn <= FRAME_MASK, "virtual page number exceeds frame space");
-        let frame = match self.policy {
-            PagePolicy::Identity => vpn,
+        // The non-identity policies are *bijections* on the low 28 bits
+        // of the page number (a 1 TB space at 4 KiB pages) and carry
+        // the bits above through, so distinct virtual pages never alias
+        // one frame wherever a trace puts them.
+        const FRAME_MASK: u64 = (1 << 28) - 1;
+        let low = vpn & FRAME_MASK;
+        let mixed = match self.policy {
+            PagePolicy::Identity => low,
             PagePolicy::RandomSeeded(seed) => {
                 // Bijective mix: xor, odd multiply (invertible mod 2^28),
                 // xor-shift (invertible), odd multiply.
-                let mut x = (vpn ^ (seed & FRAME_MASK)) & FRAME_MASK;
+                let mut x = low ^ (seed & FRAME_MASK);
                 x = x.wrapping_mul(0x9E3_779B | 1) & FRAME_MASK;
                 x ^= x >> 14;
                 x = x.wrapping_mul(0xBF5_8477 | 1) & FRAME_MASK;
                 x
             }
-            PagePolicy::BinHopping => vpn.wrapping_mul(0x9E37_79B9 | 1) & FRAME_MASK,
+            PagePolicy::BinHopping => low.wrapping_mul(0x9E37_79B9 | 1) & FRAME_MASK,
         };
+        let frame = (vpn & !FRAME_MASK) | mixed;
         Addr::new((frame * self.page_size) | (vaddr.raw() & self.offset_mask))
     }
 }
@@ -150,7 +152,7 @@ impl TlbStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: LruSet,
+    entries: LruModel,
     page_shift: u32,
     stats: TlbStats,
 }
@@ -161,15 +163,15 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or `page_size` is not a power of
-    /// two.
+    /// Panics if `entries` is zero or more than 2²⁸, or `page_size` is
+    /// not a power of two.
     pub fn new(entries: usize, page_size: u64) -> Self {
         assert!(
             page_size.is_power_of_two(),
             "page size must be a power of two"
         );
         Tlb {
-            entries: LruSet::new(entries),
+            entries: LruModel::new(entries),
             page_shift: page_size.trailing_zeros(),
             stats: TlbStats::default(),
         }
@@ -180,7 +182,7 @@ impl Tlb {
     #[inline]
     pub fn access(&mut self, vaddr: Addr) -> bool {
         self.stats.accesses += 1;
-        let hit = self.entries.touch(vaddr.raw() >> self.page_shift);
+        let hit = self.entries.touch(vaddr.raw() >> self.page_shift) == Touch::Hit;
         if !hit {
             self.stats.misses += 1;
         }
@@ -192,11 +194,11 @@ impl Tlb {
         self.page_shift
     }
 
-    /// Switches the entry set's fast lookup path on or off (see
+    /// Switches the entry set between the table and the reference (see
     /// [`Hierarchy::set_fast_path`](crate::Hierarchy::set_fast_path)).
-    /// Hit/miss behaviour is identical in both modes.
-    pub fn set_fast_path(&mut self, fast: bool) {
-        self.entries.set_fast(fast);
+    /// Hit/miss behaviour is identical in both, and across a switch.
+    pub(crate) fn set_fast_path(&mut self, fast: bool) {
+        self.entries.set_fast_path(fast);
     }
 
     /// Accumulated statistics.
@@ -264,6 +266,31 @@ mod tests {
             p0.raw() + 4096,
             "contiguity must be destroyed (w.h.p.)"
         );
+    }
+
+    #[test]
+    fn pages_a_terabyte_apart_keep_their_own_frames() {
+        // The policies mix the low 28 bits of the page number and carry
+        // the rest through. Below 2^28 pages, the pinned frames:
+        let random = PageMapper::new(PagePolicy::RandomSeeded(7), 4096);
+        let hopping = PageMapper::new(PagePolicy::BinHopping, 4096);
+        let v = Addr::new(0x1234_5678);
+        assert_eq!(random.translate(v), Addr::new(0x4f_4117_2678));
+        assert_eq!(hopping.translate(v), Addr::new(0x45_119d_d678));
+        // Above it — the traced thread package's region, a corrupt
+        // trace record — pages 2^28 pages apart differ in the bits
+        // carried through, so they do not share a frame.
+        for mapper in [random, hopping, PageMapper::new(PagePolicy::Identity, 4096)] {
+            for low in [0x1000_0000, 0x7f00_0000_0000, u64::MAX - 7 - (1 << 40)] {
+                let (near, far) = (Addr::new(low), Addr::new(low + (1 << 40)));
+                assert_eq!(
+                    mapper.translate(far).raw() - mapper.translate(near).raw(),
+                    1 << 40,
+                    "{:?} {low:#x}",
+                    mapper.policy()
+                );
+            }
+        }
     }
 
     #[test]

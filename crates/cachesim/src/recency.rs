@@ -1,6 +1,11 @@
-//! The 3C classifier's two questions — *was this line ever referenced?*
-//! and *would a fully-associative LRU cache of the level's line count
-//! still hold it?* — answered by one probe of one flat table.
+//! The fully-associative LRU model with the fast paths on: the 3C
+//! classifier's two questions — *was this line ever referenced?* and
+//! *would a fully-associative LRU cache of the level's line count still
+//! hold it?* — and the TLB's one (*is this page's entry resident?*),
+//! answered by one probe of one flat table. [`LruModel`] holds either
+//! this table or the reference it is tested against.
+//!
+//! [`LruModel`]: crate::lru::LruModel
 //!
 //! Two structures, two invariants:
 //!
@@ -21,7 +26,7 @@
 //!
 //! [`Recency::touch`] therefore reports, in one probe, what the
 //! reference model ([`LruSet`](crate::lru::LruSet) plus a `HashSet`)
-//! needs a list scan and up to four hash operations for.
+//! needs list surgery and up to four hash operations for.
 
 /// Stamp of a slot no line occupies.
 const EMPTY: u32 = 0;
@@ -356,20 +361,21 @@ fn grown_slots(slots: usize) -> Result<usize, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::{HashSet, VecDeque};
 
-    /// The naive model `lru.rs` tests `LruSet` against, plus the set of
-    /// lines ever touched.
-    struct Oracle {
+    /// The naive model — linear search, move to the front, drop the
+    /// back — plus the set of lines ever touched. `lru.rs` tests the
+    /// reference and the conversions against it too.
+    pub(crate) struct Oracle {
         recency: VecDeque<u64>,
         seen: HashSet<u64>,
         capacity: usize,
     }
 
     impl Oracle {
-        fn new(capacity: usize) -> Self {
+        pub(crate) fn new(capacity: usize) -> Self {
             Oracle {
                 recency: VecDeque::new(),
                 seen: HashSet::new(),
@@ -377,7 +383,7 @@ mod tests {
             }
         }
 
-        fn touch(&mut self, line: u64) -> Touch {
+        pub(crate) fn touch(&mut self, line: u64) -> Touch {
             let first = self.seen.insert(line);
             let touch = if let Some(pos) = self.recency.iter().position(|&l| l == line) {
                 self.recency.remove(pos);
@@ -397,7 +403,7 @@ mod tests {
         }
     }
 
-    fn xorshift(state: &mut u64) -> u64 {
+    pub(crate) fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
         *state ^= *state >> 7;
         *state ^= *state << 17;

@@ -152,3 +152,30 @@ fn mmu_and_write_policy_flags_work() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A trace may put a record anywhere: the traced thread package lives
+/// at `0x7f00_0000_0000`, a corrupt file can say `u64::MAX - 7`. Page
+/// numbers past the 28 bits the page policies mix are replayed, not
+/// asserted away.
+#[test]
+fn records_past_a_terabyte_replay_under_every_page_policy() {
+    let dir = std::env::temp_dir().join(format!("dinero-test4-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("far.bin");
+    let mut writer = TraceFileWriter::new(std::fs::File::create(&trace).unwrap());
+    writer.read(Addr::new(0x7f00_0000_0000), 8);
+    writer.write(Addr::new(u64::MAX - 7), 8);
+    writer.finish().expect("flush trace");
+
+    for policy in ["random", "binhop", "identity"] {
+        let output = dinero()
+            .args(["--mmu", policy])
+            .arg(&trace)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(0), "{policy}: {output:?}");
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        assert!(stdout.contains("2 events"), "{stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

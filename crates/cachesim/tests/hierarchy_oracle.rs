@@ -18,10 +18,12 @@
 //! and, expanded reference by reference, through `SimSink::access` and
 //! the oracle, which knows nothing of runs, epochs or lines that stay
 //! resident.
+//!
+//! With an MMU attached the TLB gets its own: a `Vec` of page numbers.
 
 use cachesim::{
-    CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, ShardedSimSink,
-    SimReport, SimSink, WritePolicy,
+    CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, Mmu, PageMapper,
+    PagePolicy, ShardedSimSink, SimReport, SimSink, TlbStats, WritePolicy,
 };
 use memtrace::{Access, AccessKind, Addr, TraceSink};
 use proptest::prelude::*;
@@ -29,7 +31,7 @@ use std::collections::HashSet;
 
 #[path = "common/run_programs.rs"]
 mod run_programs;
-use run_programs::{arb_program, feed, Delivery};
+use run_programs::{arb_program, feed, Delivery, Step};
 
 /// One set-associative level: each set is a list of `(line, dirty)` in
 /// recency order, least recently used first.
@@ -297,11 +299,11 @@ fn arb_stream() -> impl Strategy<Value = Vec<Access>> {
 /// size of the last level. Unless a level above is as large as the
 /// region, every sweep misses above and re-references each last-level
 /// line at a reuse distance of the region's line count — at least 8,
-/// past the six positions `LruSet`'s front scan reaches, and within the
-/// fully-associative model's capacity. The sweeps make more than four
-/// times the level's line count of such references, so the classifier's
-/// recency ring fills with dead records and compacts, and its table has
-/// doubled on the way there, under the oracle's eyes.
+/// so never the line touched last, and within the fully-associative
+/// model's capacity. The sweeps make more than four times the level's
+/// line count of such references, so the classifier's recency ring
+/// fills with dead records and compacts, and its table has doubled on
+/// the way there, under the oracle's eyes.
 fn hit_heavy_phase(config: &HierarchyConfig, quarters: u64) -> Vec<Access> {
     let last = config.l3.unwrap_or(config.l2);
     let region = last.size() * quarters / 4;
@@ -310,6 +312,48 @@ fn hit_heavy_phase(config: &HierarchyConfig, quarters: u64) -> Vec<Access> {
         .flat_map(|_| (0..region).step_by(config.l1d.line() as usize))
         .map(|addr| Access::read(Addr::new(addr), 8))
         .collect()
+}
+
+const PAGE: u64 = 4096;
+
+/// A fully-associative LRU TLB: the resident page numbers, least
+/// recently used first, and one translation per page an access touches.
+struct OracleTlb {
+    pages: Vec<u64>,
+    entries: usize,
+    stats: TlbStats,
+}
+
+impl TraceSink for OracleTlb {
+    fn access(&mut self, access: Access) {
+        let first = access.addr.raw() / PAGE;
+        let last = (access.addr.raw() + u64::from(access.size.max(1)) - 1) / PAGE;
+        for page in first..=last {
+            self.stats.accesses += 1;
+            if let Some(pos) = self.pages.iter().position(|&p| p == page) {
+                self.pages.remove(pos);
+            } else {
+                self.stats.misses += 1;
+                if self.pages.len() == self.entries {
+                    self.pages.remove(0);
+                }
+            }
+            self.pages.push(page);
+        }
+    }
+
+    fn instructions(&mut self, _count: u64) {}
+}
+
+/// A read a page, cycling twice over one page fewer than the TLB holds,
+/// then over exactly as many, then over one more: every revisit at a
+/// reuse distance just under, at and past the capacity (all hits, all
+/// hits, all misses).
+fn page_revisits(entries: u64) -> impl Iterator<Item = Step> {
+    [entries - 1, entries, entries + 1]
+        .into_iter()
+        .flat_map(|pages| (0..2 * pages).map(move |i| i % pages * PAGE + 8 * (i % 7)))
+        .map(|addr| Step::Access(Access::read(Addr::new(addr), 8)))
 }
 
 proptest! {
@@ -367,6 +411,41 @@ proptest! {
             sim.set_fast_path(fast);
             feed(&program, delivery, &mut sim);
             prop_assert_eq!(sim.finish(), expected, "{:?}, fast paths {}", delivery, fast);
+        }
+    }
+
+    #[test]
+    fn with_an_mmu_the_tlb_equals_a_vec_of_pages(
+        config in arb_machine(),
+        program in arb_program(),
+        entries in prop_oneof![Just(8usize), Just(64), Just(1536)],
+        revisit_at in any::<usize>(),
+        toggle_at in any::<usize>(),
+    ) {
+        let mut program = program;
+        let revisit_at = revisit_at % (program.len() + 1);
+        program.splice(revisit_at..revisit_at, page_revisits(entries as u64));
+        let mut oracle = OracleHierarchy::new(config);
+        let mut tlb = OracleTlb { pages: Vec::new(), entries, stats: TlbStats::default() };
+        feed(&program, Delivery::Elements, &mut oracle);
+        feed(&program, Delivery::Elements, &mut tlb);
+        // Physical = virtual: the levels see what they see without an MMU.
+        let mut expected = oracle.finish();
+        expected.tlb = tlb.stats;
+        prop_assert!(expected.tlb.misses > entries as u64);
+
+        let (before, after) = program.split_at(toggle_at % (program.len() + 1));
+        for (fast_before, fast_after) in [(true, true), (false, false), (true, false), (false, true)] {
+            let mmu = Mmu::new(PageMapper::new(PagePolicy::Identity, PAGE), entries);
+            let mut sim = SimSink::new(Hierarchy::with_mmu(config, mmu));
+            sim.set_fast_path(fast_before);
+            feed(before, Delivery::Runs, &mut sim);
+            sim.set_fast_path(fast_after);
+            feed(after, Delivery::Runs, &mut sim);
+            prop_assert_eq!(
+                sim.finish(), expected,
+                "{} entries, fast paths {} then {}", entries, fast_before, fast_after
+            );
         }
     }
 }
