@@ -1,6 +1,7 @@
 //! Ablations of the scheduler's design choices (DESIGN.md §4): bin
-//! tour, symmetric-hint folding, and hash-table size — measured as host
-//! wall-clock of fork+run over a realistic hint distribution.
+//! tour and symmetric-hint folding — measured as host wall-clock of
+//! fork+run over a realistic hint distribution. (`hash_size` is the
+//! traced table's geometry and has no host effect to sweep.)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use locality_sched::{Hints, RunMode, Scheduler, SchedulerConfig, Tour};
@@ -65,22 +66,5 @@ fn bench_symmetric(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_hash_size(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation-hash-size");
-    group.throughput(Throughput::Elements(THREADS));
-    group.sample_size(10);
-    for hash_size in [2usize, 8, 16, 32] {
-        group.bench_function(format!("hash{hash_size}"), |b| {
-            let config = SchedulerConfig::builder()
-                .block_size(1 << 20)
-                .hash_size(hash_size)
-                .build()
-                .expect("valid config");
-            b.iter(|| fork_run(config));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_tours, bench_symmetric, bench_hash_size);
+criterion_group!(benches, bench_tours, bench_symmetric);
 criterion_main!(benches);

@@ -52,21 +52,16 @@ fn bench_fork_and_run(c: &mut Criterion) {
     group.throughput(Throughput::Elements(THREADS));
     group.sample_size(10);
 
-    for (name, hash_size) in [("hash16", 16usize), ("hash32", 32)] {
-        group.bench_function(name, |b| {
-            let config = SchedulerConfig::builder()
-                .hash_size(hash_size)
-                .build()
-                .expect("valid config");
-            b.iter(|| {
-                let mut sched = Scheduler::<()>::new(config);
-                for i in 0..THREADS {
-                    sched.fork(null_thread, i as usize, 0, uniform_hints(i));
-                }
-                sched.run(&mut (), RunMode::Consume)
-            });
+    group.bench_function("fork+run", |b| {
+        let config = SchedulerConfig::default();
+        b.iter(|| {
+            let mut sched = Scheduler::<()>::new(config);
+            for i in 0..THREADS {
+                sched.fork(null_thread, i as usize, 0, uniform_hints(i));
+            }
+            sched.run(&mut (), RunMode::Consume)
         });
-    }
+    });
 
     group.bench_function("run-only-retained", |b| {
         let config = SchedulerConfig::default();

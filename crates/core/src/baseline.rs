@@ -14,7 +14,8 @@ use crate::policy::{SingleBin, UniqueBin};
 use crate::{Scheduler, SchedulerConfig, Tour};
 
 /// The baselines' configuration: neither ever looks a key up (one bin,
-/// or append-only unique bins), so a single hash bucket suffices.
+/// or append-only unique bins), so the traced package's table is a
+/// single bucket.
 fn baseline_config(tour: Tour) -> SchedulerConfig {
     SchedulerConfig::builder()
         .hash_size(1)

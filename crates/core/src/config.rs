@@ -216,8 +216,11 @@ impl SchedulerConfigBuilder {
         self
     }
 
-    /// Sets the hash-table size per dimension (the table has
-    /// `hash_size⁴` buckets). Must be a power of two, at most 32.
+    /// Sets the per-dimension size of the *traced* package's hash
+    /// table: the paper's `hash_size⁴` array of bucket pointers, whose
+    /// addresses [`trace_package_memory`](crate::Scheduler::trace_package_memory)
+    /// probes. It sizes nothing on the host, where the bin table grows
+    /// with the live bins. Must be a power of two, at most 32.
     pub fn hash_size(mut self, size: usize) -> Self {
         self.hash_size = size;
         self
@@ -280,7 +283,7 @@ impl SchedulerConfigBuilder {
         }
         if self.hash_size > 32 {
             return Err(ConfigError::new(format!(
-                "hash size {} exceeds 32 (the bucket array is hash_size^{MAX_DIMS})",
+                "hash size {} exceeds 32 (the traced bucket array spans hash_size^{MAX_DIMS} pointers)",
                 self.hash_size
             )));
         }
@@ -343,7 +346,7 @@ impl SchedulerConfig {
         self.block_sizes[dim]
     }
 
-    /// Hash-table size per dimension.
+    /// Traced hash-table size per dimension.
     pub fn hash_size(&self) -> usize {
         self.hash_size
     }

@@ -71,12 +71,17 @@ pub(crate) struct Bin<T> {
     idle_stamp: u64,
 }
 
+/// The emptied `items` and `groups` vectors of a cleared bin, kept for
+/// the bin that takes its id in the next round.
+type Storage<T> = (Vec<T>, Vec<Addr>);
+
 impl<T> Bin<T> {
-    fn new(header: Addr) -> Self {
+    fn new(header: Addr, (items, groups): Storage<T>) -> Self {
+        debug_assert!(items.is_empty() && groups.is_empty());
         Bin {
-            items: Vec::new(),
+            items,
             header,
-            groups: Vec::new(),
+            groups,
             idle_stamp: 0,
         }
     }
@@ -98,8 +103,11 @@ impl<T> Bin<T> {
 /// the paper's threaded and cache-conscious PDE columns in Table 5).
 #[derive(Clone, Debug)]
 struct MetaTrace {
-    /// The hash table's bucket array.
+    /// The hash table's bucket array: the paper's `hash_size⁴` array of
+    /// pointers, which exists only as these addresses.
     table_base: Addr,
+    /// `log2(hash_size)`: index bits each coordinate contributes.
+    dim_bits: u32,
     /// Bump pointer for bin records and thread groups, mimicking an
     /// arena allocator. The arena is the rest of the address space
     /// above the bucket array — synthetic addresses cost nothing to
@@ -110,6 +118,19 @@ struct MetaTrace {
 }
 
 impl MetaTrace {
+    /// Address of the bucket the paper's table probes for `key`: "a
+    /// shift and a mask operation on each hint" (the shift already
+    /// happened when hints became block coordinates).
+    #[inline]
+    fn bucket_addr(&self, key: [u64; MAX_DIMS]) -> Addr {
+        let mask = (1u64 << self.dim_bits) - 1;
+        let mut bucket = 0u64;
+        for coord in key {
+            bucket = (bucket << self.dim_bits) | (coord & mask);
+        }
+        self.table_base + bucket * BUCKET_BYTES
+    }
+
     fn alloc(&mut self, bytes: u64) -> Addr {
         let addr = self.bump;
         self.bump = addr + bytes;
@@ -153,6 +174,33 @@ struct SchedObs {
 /// list — units drain in the order they first received work.
 type ReadyEntry = Reverse<([u64; MAX_DIMS], u64, [u64; MAX_DIMS])>;
 
+/// What one drain threads through its consecutive bins.
+struct DrainCursor {
+    /// Number of the next [`SchedMark::Dispatch`].
+    dispatched: u64,
+    /// When the previous bin ended (or the drain began): the drain-time
+    /// probe laps it, so a bin costs one clock read, not a span's two.
+    clock: probe::LocalLap,
+}
+
+impl DrainCursor {
+    fn starting_at(dispatched: u64) -> Self {
+        DrainCursor {
+            dispatched,
+            clock: probe::LocalLap::start(),
+        }
+    }
+}
+
+/// One parent group of the online engine.
+#[derive(Clone, Debug, Default)]
+struct DrainUnit {
+    /// Member bin ids, in bin-creation order.
+    bins: Vec<BinId>,
+    /// Whether the parent is in the ready heap.
+    queued: bool,
+}
+
 /// Incremental-drain bookkeeping, present only after
 /// [`BinEngine::enable_online`]. The drain *unit* is a parent group:
 /// for flat policies the parent key is the bin key itself (one bin per
@@ -160,7 +208,7 @@ type ReadyEntry = Reverse<([u64; MAX_DIMS], u64, [u64; MAX_DIMS])>;
 /// back-to-back in sorted fine-key order, exactly as the batch tour
 /// does.
 ///
-/// Invariant: a parent key is queued in `heap` (and present in
+/// Invariant: a parent key is queued in `heap` (and its unit flagged
 /// `queued`) iff at least one of its member bins holds threads. Inserts
 /// queue the parent on its empty → non-empty transition; a drain pops
 /// it and empties every member bin, so there are never stale heap
@@ -168,10 +216,8 @@ type ReadyEntry = Reverse<([u64; MAX_DIMS], u64, [u64; MAX_DIMS])>;
 #[derive(Clone, Debug, Default)]
 struct OnlineState {
     heap: BinaryHeap<ReadyEntry>,
-    /// Parent keys currently queued, with their ready sequence number.
-    queued: HashMap<[u64; MAX_DIMS], u64>,
-    /// Parent key → member bin ids, in bin-creation order.
-    members: HashMap<[u64; MAX_DIMS], Vec<BinId>>,
+    /// Parent key → its drain unit.
+    members: HashMap<[u64; MAX_DIMS], DrainUnit>,
     next_seq: u64,
     /// Dispatch counter across all incremental drains (numbers the
     /// [`SchedMark::Dispatch`] marks globally, so a full incremental
@@ -200,14 +246,24 @@ impl OnlineState {
         }
     }
 
-    /// Queues `parent` if it is not already ready.
-    fn queue(&mut self, tour: &Tour, parent: [u64; MAX_DIMS]) {
-        if self.queued.contains_key(&parent) {
+    /// Records `created` (a bin just allocated under `parent`, if any)
+    /// and queues `parent` if it is not already ready. A fork into an
+    /// existing bin is one plain probe: `entry` is kept to the creating
+    /// fork, where it measured 17 ns a call dearer than `get_mut`.
+    fn note_fork(&mut self, tour: &Tour, parent: [u64; MAX_DIMS], created: Option<BinId>) {
+        if let Some(id) = created {
+            self.members.entry(parent).or_default().bins.push(id);
+        }
+        let unit = self
+            .members
+            .get_mut(&parent)
+            .expect("every live bin is in its parent's unit");
+        if unit.queued {
             return;
         }
+        unit.queued = true;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queued.insert(parent, seq);
         self.heap.push(Reverse((tour.rank(parent), seq, parent)));
     }
 }
@@ -228,13 +284,17 @@ pub(crate) struct BinEngine<T, P> {
     online: Option<OnlineState>,
     /// High-water mark of live bin records, across the engine's life.
     peak_bins: usize,
+    /// Storage of the bins the last [`clear`](Self::clear) emptied,
+    /// last id first: the next round's bin `i` pops what this round's
+    /// bin `i` grew, so a round shaped like the last allocates nothing.
+    spare: Vec<Storage<T>>,
 }
 
 impl<T, P: BinPolicy> BinEngine<T, P> {
     /// Creates an empty engine.
     pub(crate) fn new(hash_size: usize, tour: Tour, policy: P) -> Self {
         BinEngine {
-            table: BinTable::new(hash_size),
+            table: BinTable::new(),
             bins: Vec::new(),
             threads: 0,
             policy,
@@ -244,6 +304,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             obs: SchedObs::default(),
             online: None,
             peak_bins: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -285,25 +346,26 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// Enables tracing of the package's own memory traffic (see
     /// [`Scheduler::trace_package_memory`](crate::Scheduler::trace_package_memory)).
     pub(crate) fn trace_package_memory(&mut self) {
-        let buckets = (self.hash_size as u64).pow(4) * BUCKET_BYTES;
+        let buckets = (self.hash_size as u64).pow(MAX_DIMS as u32) * BUCKET_BYTES;
         let table_base = Addr::new(PACKAGE_TRACE_BASE);
         let bump = (table_base + buckets).align_up(128);
         self.meta = Some(MetaTrace {
             table_base,
+            dim_bits: self.hash_size.trailing_zeros(),
             bump,
             arena_base: bump,
         });
     }
 
-    /// Replaces table geometry, tour, and policy; only legal while
-    /// empty. Probe observations survive (they are cumulative per
-    /// scheduler instance), the synthetic trace region does not.
+    /// Replaces the traced table's geometry, tour, and policy; only
+    /// legal while empty. Probe observations survive (they are
+    /// cumulative per scheduler instance), the synthetic trace region
+    /// does not.
     pub(crate) fn reconfigure(&mut self, hash_size: usize, tour: Tour, policy: P) {
         debug_assert_eq!(self.threads, 0);
         // Ready state referred to the old keys: incremental mode stays
         // on, restarting from an empty ready list as after any clear.
         self.clear();
-        self.table = BinTable::new(hash_size);
         self.hash_size = hash_size;
         self.tour = tour;
         self.policy = policy;
@@ -334,10 +396,9 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         } else {
             self.obs.rebin_hits.incr();
         }
-        if let Some(meta) = &mut self.meta {
+        if let Some(meta) = &self.meta {
             // Hash probe.
-            let bucket = self.table.bucket_index(key) as u64;
-            sink.read(meta.table_base + bucket * BUCKET_BYTES, BUCKET_BYTES as u32);
+            sink.read(meta.bucket_addr(key), BUCKET_BYTES as u32);
         }
         if created {
             let header = match &mut self.meta {
@@ -350,12 +411,13 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                 }
                 None => Addr::NULL,
             };
+            let bin = Bin::new(header, self.spare.pop().unwrap_or_default());
             // The table recycles evicted slots, so the id may name an
             // existing (dead) slot rather than the end of the array.
             if (id as usize) < self.bins.len() {
-                self.bins[id as usize] = Bin::new(header);
+                self.bins[id as usize] = bin;
             } else {
-                self.bins.push(Bin::new(header));
+                self.bins.push(bin);
             }
         }
         let bin = &mut self.bins[id as usize];
@@ -388,13 +450,10 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         if self.online.is_some() {
             let parent = self.group_key(key);
             let state = self.online.as_mut().expect("checked above");
-            if created {
-                state.members.entry(parent).or_default().push(id);
-            }
             // Either the parent is already ready (no-op) or this insert
             // made it non-empty — re-link it at the back of the ready
             // order, as the paper's package re-links a refilled bin.
-            state.queue(&self.tour, parent);
+            state.note_fork(&self.tour, parent, created.then_some(id));
             // Reap retired records *after* the fork completes: only
             // inserts trigger eviction, so a run whose arrivals all
             // precede its drains (the t=0 equivalence case) never
@@ -424,11 +483,13 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         let parent = self.group_key(self.table.key(id));
         self.table.remove(id);
         // Drop the record storage; the slot is reused by a later insert.
-        self.bins[id as usize] = Bin::new(Addr::NULL);
+        self.bins[id as usize] = Bin::new(Addr::NULL, Storage::default());
         let state = self.online.as_mut().expect("eviction is online-only");
-        if let Some(members) = state.members.get_mut(&parent) {
-            members.retain(|&m| m != id);
-            if members.is_empty() {
+        if let Some(unit) = state.members.get_mut(&parent) {
+            unit.bins.retain(|&m| m != id);
+            // A queued parent holds a non-empty bin, which is never a
+            // victim, so only idle units empty out.
+            if unit.bins.is_empty() {
                 state.members.remove(&parent);
             }
         }
@@ -480,9 +541,10 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         let mut state = OnlineState::with_eviction(eviction);
         for (id, bin) in self.bins.iter().enumerate() {
             let parent = self.group_key(self.table.key(id as BinId));
-            state.members.entry(parent).or_default().push(id as BinId);
+            let unit = state.members.entry(parent).or_default();
+            unit.bins.push(id as BinId);
             if !bin.items.is_empty() {
-                state.queue(&self.tour, parent);
+                state.note_fork(&self.tour, parent, None);
             }
         }
         self.online = Some(state);
@@ -508,38 +570,33 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         mut on_mark: impl FnMut(&mut X, SchedMark<'_>),
         mut exec: impl FnMut(&mut X, &T),
     ) -> Option<RunStats> {
-        let (parent, epoch) = {
+        let (epoch, reap, dispatched, mut subs) = {
             let state = self
                 .online
                 .as_mut()
                 .expect("drain_next_with requires enable_online");
             let Reverse((_rank, _seq, parent)) = state.heap.pop()?;
-            state.queued.remove(&parent);
             state.drain_epoch += 1;
-            (parent, state.drain_epoch)
+            let unit = state
+                .members
+                .get_mut(&parent)
+                .expect("a queued parent has a unit");
+            unit.queued = false;
+            let bins = &self.bins;
+            let ready = |&id: &BinId| !bins[id as usize].items.is_empty();
+            let subs: Vec<BinId> = unit.bins.iter().copied().filter(ready).collect();
+            let reap = state.eviction != EvictionPolicy::Off;
+            (state.drain_epoch, reap, state.dispatched, subs)
         };
         // The whole incremental drain is one unit; its ordinal is the
         // 0-based drain epoch.
         on_mark(ctx, SchedMark::DrainBegin(epoch - 1));
-        let state = self.online.as_ref().expect("checked above");
-        let reap = state.eviction != EvictionPolicy::Off;
-        let mut subs: Vec<BinId> = state.members[&parent]
-            .iter()
-            .copied()
-            .filter(|&id| !self.bins[id as usize].items.is_empty())
-            .collect();
         subs.sort_unstable_by(|&a, &b| self.nested_cmp(self.table.key(a), self.table.key(b)));
-        let mut dispatched = state.dispatched;
         let mut threads_run = 0u64;
+        let mut cursor = DrainCursor::starting_at(dispatched);
         for &id in &subs {
-            let drained = self.drain_bin(
-                id,
-                ctx,
-                &mut dispatched,
-                &mut on_read,
-                &mut on_mark,
-                &mut exec,
-            );
+            let drained =
+                self.drain_bin(id, ctx, &mut cursor, &mut on_read, &mut on_mark, &mut exec);
             threads_run += drained;
             // Consume the unit. The bin record (and its table key) stay
             // allocated so ids remain stable; a later insert refills it
@@ -561,7 +618,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         on_mark(ctx, SchedMark::DrainEnd(epoch - 1));
         let bins = &self.bins;
         let state = self.online.as_mut().expect("checked above");
-        state.dispatched = dispatched;
+        state.dispatched = cursor.dispatched;
         if reap {
             for &id in &subs {
                 state.idle.push_back((epoch, id));
@@ -645,15 +702,16 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// Runs every thread of bin `id` in fork order — the walk both drain
     /// loops share: the package's own reads (bin record, group headers,
     /// thread records; only for a traced bin), a [`SchedMark::Dispatch`]
-    /// numbered from `dispatched` immediately before each `exec`, and the
-    /// per-bin occupancy, sub-bin and drain-time probes. Returns the
-    /// bin's thread count; the bin itself is left as it was.
+    /// numbered from the cursor immediately before each `exec`, and the
+    /// per-bin occupancy, sub-bin and drain-time probes (the time since
+    /// the cursor's previous bin ended). Returns the bin's thread count;
+    /// the bin itself is left as it was.
     #[inline]
     fn drain_bin<X>(
         &self,
         id: BinId,
         ctx: &mut X,
-        dispatched: &mut u64,
+        cursor: &mut DrainCursor,
         on_read: &mut impl FnMut(&mut X, Addr, u32),
         on_mark: &mut impl FnMut(&mut X, SchedMark<'_>),
         exec: &mut impl FnMut(&mut X, &T),
@@ -664,7 +722,6 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         if self.policy.depth() > 1 {
             self.obs.subbins_run.incr();
         }
-        let _drain_span = self.obs.bin_drain_ns.span();
         if tracing {
             // Ready-list step: load the bin record.
             on_read(ctx, bin.header, BIN_HEADER_BYTES as u32);
@@ -683,10 +740,11 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                     SPEC_BYTES as u32,
                 );
             }
-            on_mark(ctx, SchedMark::Dispatch(*dispatched));
-            *dispatched += 1;
+            on_mark(ctx, SchedMark::Dispatch(cursor.dispatched));
+            cursor.dispatched += 1;
             exec(ctx, item);
         }
+        cursor.clock.lap(&self.obs.bin_drain_ns);
         bin.threads()
     }
 
@@ -712,25 +770,19 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         let mut order = self.tour_order();
         order.retain(|&id| !self.bins[id as usize].items.is_empty());
         let mut threads_run = 0u64;
-        let mut dispatched = 0u64;
         {
             let _run_span = self.obs.run_ns.span();
             // A drain unit is one coarsest-level group, whose sub-bins
             // the tour keeps contiguous; for flat policies the group
             // key is the bin key itself — each bin its own unit.
             let units = order.chunk_by(|&a, &b| self.steal_key(a) == self.steal_key(b));
+            let mut cursor = DrainCursor::starting_at(0);
             for (unit, bins) in units.enumerate() {
                 on_mark(ctx, SchedMark::DrainBegin(unit as u64));
                 let mut threads = 0u64;
                 for &id in bins {
-                    threads += self.drain_bin(
-                        id,
-                        ctx,
-                        &mut dispatched,
-                        &mut on_read,
-                        &mut on_mark,
-                        &mut exec,
-                    );
+                    threads +=
+                        self.drain_bin(id, ctx, &mut cursor, &mut on_read, &mut on_mark, &mut exec);
                 }
                 if self.policy.depth() > 1 {
                     self.obs.parent_occupancy.record(threads);
@@ -808,10 +860,17 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     }
 
     /// Removes all scheduled threads and bins (the arena of a traced
-    /// package is recycled, as a real allocator would).
+    /// package is recycled, as a real allocator would). The bins'
+    /// emptied vectors *replace* the spare list, so the engine never
+    /// holds more storage than the last round used.
     pub(crate) fn clear(&mut self) {
         self.table.clear();
-        self.bins.clear();
+        self.spare.clear();
+        self.spare.extend(self.bins.drain(..).rev().map(|mut bin| {
+            bin.items.clear();
+            bin.groups.clear();
+            (bin.items, bin.groups)
+        }));
         self.threads = 0;
         if let Some(meta) = &mut self.meta {
             meta.bump = meta.arena_base;
@@ -822,5 +881,163 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         if let Some(state) = &self.online {
             self.online = Some(OnlineState::with_eviction(state.eviction));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::PaperBlockHash;
+    use crate::SchedulerConfig;
+    use memtrace::{AccessKind, NullSink, VecSink};
+
+    const BLOCK: u64 = 1 << 10;
+
+    fn engine(hash_size: usize) -> BinEngine<u32, PaperBlockHash> {
+        let config = SchedulerConfig::builder()
+            .block_size(BLOCK)
+            .hash_size(hash_size)
+            .build()
+            .unwrap();
+        let policy = PaperBlockHash::from_config(&config);
+        BinEngine::new(config.hash_size(), config.tour(), policy)
+    }
+
+    fn hints_of(coords: &[u64]) -> Hints {
+        let at = |dim: usize| Addr::new(coords[dim] * BLOCK + 8);
+        match coords.len() {
+            1 => Hints::one(at(0)),
+            2 => Hints::two(at(0), at(1)),
+            _ => Hints::three(at(0), at(1), at(2)),
+        }
+    }
+
+    fn consume(engine: &mut BinEngine<u32, PaperBlockHash>) -> u64 {
+        let stats = engine.run_with(
+            &mut (),
+            RunMode::Consume,
+            |(), _, _| {},
+            |(), _| {},
+            |(), _| {},
+        );
+        stats.threads_run
+    }
+
+    /// The traced package still probes the paper's table: bucket
+    /// `Σ (coord_d mod hash_size) · hash_size^(3 − d)` of a
+    /// `hash_size⁴` array of 8-byte pointers, whatever the host's table
+    /// does with the key.
+    #[test]
+    fn traced_bucket_probe_is_the_papers_shift_and_mask() {
+        for hash_size in [1u64, 4, 16] {
+            let mut engine = engine(hash_size as usize);
+            engine.trace_package_memory();
+            for coords in [&[37u64][..], &[37, 1_061], &[37, 1_061, 5], &[16, 32, 48]] {
+                let mut sink = VecSink::new();
+                engine.insert_traced(0, hints_of(coords), &mut sink);
+                let mut bucket = 0;
+                for dim in 0..MAX_DIMS {
+                    let coord = coords.get(dim).copied().unwrap_or(0);
+                    bucket += (coord % hash_size) * hash_size.pow((MAX_DIMS - 1 - dim) as u32);
+                }
+                let probe = sink.accesses()[0];
+                assert_eq!(probe.kind, AccessKind::Read);
+                assert_eq!(
+                    (probe.addr.raw(), probe.size),
+                    (PACKAGE_TRACE_BASE + 8 * bucket, 8),
+                    "hash_size {hash_size}, coords {coords:?}"
+                );
+            }
+        }
+    }
+
+    /// Bin `i` of the round gets `1 + 37 i mod 300` threads, forked
+    /// round-robin so the bins' vectors grow interleaved.
+    fn fork_round(engine: &mut BinEngine<u32, PaperBlockHash>, bins: u64, sink: &mut VecSink) {
+        for turn in 0..300 {
+            for bin in (0..bins).filter(|bin| turn < 1 + 37 * bin % 300) {
+                engine.insert_traced(turn as u32, hints_of(&[bin, 2 * bin]), sink);
+                let forked = engine.bins[bin as usize].items.len();
+                assert_eq!(forked as u64, turn + 1, "a recycled vector arrives empty");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_round_of_the_same_forks_allocates_nothing() {
+        for traced in [false, true] {
+            let mut engine = engine(16);
+            if traced {
+                engine.trace_package_memory();
+            }
+            let mut sink = VecSink::new();
+            fork_round(&mut engine, 40, &mut sink);
+            let storage = |engine: &BinEngine<u32, PaperBlockHash>| -> Vec<_> {
+                let of = |bin: &Bin<u32>| (bin.items.as_ptr(), bin.groups.as_ptr());
+                engine.bins.iter().map(of).collect()
+            };
+            let lens: Vec<_> = engine.bins.iter().map(|bin| bin.items.len()).collect();
+            let first_round = storage(&engine);
+            let threads: u64 = lens.iter().map(|&len| len as u64).sum();
+            assert_eq!(consume(&mut engine), threads);
+            assert_eq!(engine.spare.len(), 40);
+
+            // Bin i's first fork finds room for all of last round's
+            // records, before anything is pushed after it.
+            for (id, &len) in lens.iter().enumerate() {
+                let block = id as u64;
+                engine.insert_traced(0, hints_of(&[block, 2 * block]), &mut sink);
+                let bin = &engine.bins[id];
+                assert!(bin.items.capacity() >= len, "bin {id}");
+                assert_eq!(
+                    (bin.items.len(), bin.groups.len()),
+                    (1, usize::from(traced))
+                );
+            }
+            assert!(engine.spare.is_empty());
+            engine.clear();
+
+            // And the whole round lands in the very same allocations.
+            fork_round(&mut engine, 40, &mut sink);
+            assert_eq!(storage(&engine), first_round, "traced {traced}");
+            assert_eq!(consume(&mut engine), threads);
+        }
+    }
+
+    #[test]
+    fn spare_storage_never_outlives_the_round_after_it() {
+        let mut engine = engine(16);
+        let mut sink = VecSink::new();
+        fork_round(&mut engine, 100, &mut sink);
+        consume(&mut engine);
+        assert_eq!(engine.spare.len(), 100);
+        fork_round(&mut engine, 10, &mut sink);
+        assert_eq!(engine.spare.len(), 90, "ten taken, in id order");
+        consume(&mut engine);
+        assert_eq!(engine.spare.len(), 10, "replaced, not appended to");
+        // A retained run hands nothing over.
+        fork_round(&mut engine, 4, &mut sink);
+        engine.run_with(
+            &mut (),
+            RunMode::Retain,
+            |(), _, _| {},
+            |(), _| {},
+            |(), _| {},
+        );
+        assert_eq!((engine.spare.len(), engine.pending() > 0), (6, true));
+    }
+
+    #[test]
+    fn eviction_drops_the_records_storage() {
+        let mut engine = engine(16);
+        engine.enable_online(EvictionPolicy::LruCap { max_records: 1 });
+        engine.insert_traced(0, hints_of(&[1]), &mut NullSink);
+        let drained = engine.drain_next_with(&mut (), |(), _, _| {}, |(), _| {}, |(), _| {});
+        assert_eq!(drained.map(|stats| stats.threads_run), Some(1));
+        assert!(engine.bins[0].items.capacity() > 0, "a drain keeps it");
+        engine.insert_traced(0, hints_of(&[2]), &mut NullSink);
+        assert_eq!((engine.evictions(), engine.bins()), (1, 1));
+        assert_eq!(engine.bins[0].items.capacity(), 0);
+        assert!(engine.spare.is_empty());
     }
 }

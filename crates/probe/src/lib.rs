@@ -15,6 +15,8 @@
 //!   hot paths that hold `&mut self` anyway.
 //! * [`Histogram::span`] / [`LocalHistogram::span`] — a scoped timer
 //!   guard that records elapsed nanoseconds into a histogram on drop.
+//! * [`LocalLap`] — a running instant for back-to-back intervals: one
+//!   clock read per interval instead of a span's two.
 //!
 //! The rule for picking a kind: shared across threads → `Counter` /
 //! `Histogram`; owned behind `&mut` → `LocalCounter` /
@@ -65,8 +67,8 @@ mod metrics;
 mod profile;
 
 pub use metrics::{
-    Counter, CounterOf, Distribution, Histogram, HistogramOf, HistogramSnapshot, LocalCounter,
-    LocalHistogram, LocalSpan, Span, SpanOf,
+    Counter, CounterOf, Distribution, Histogram, HistogramOf, HistogramSnapshot, LapOf,
+    LocalCounter, LocalHistogram, LocalLap, LocalSpan, Span, SpanOf,
 };
 pub use profile::{Metric, RunProfile, Section};
 

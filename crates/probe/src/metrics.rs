@@ -112,6 +112,9 @@ pub trait Slot: Debug + Sized + 'static {
     /// What a running span holds: the histogram and its start time, or
     /// nothing at all.
     type Running<'a>: Debug;
+    /// What a lap timer holds: the instant its last lap ended, or
+    /// nothing at all.
+    type Clock: Debug;
 
     /// Current value.
     fn get(&self) -> u64;
@@ -125,6 +128,19 @@ pub trait Slot: Debug + Sized + 'static {
     fn start(histogram: &HistogramOf<Self>) -> Self::Running<'_>;
     /// Records the elapsed nanoseconds of `running`.
     fn finish(running: &mut Self::Running<'_>);
+    /// Reads the clock.
+    fn now() -> Self::Clock;
+    /// Records the nanoseconds since `clock` into `histogram` and
+    /// restarts `clock` there — one clock read.
+    fn lap(histogram: &HistogramOf<Self>, clock: &mut Self::Clock);
+}
+
+/// The one body of `Slot::lap` for the slots that keep time.
+#[inline]
+fn lap_instant<S: Slot>(histogram: &HistogramOf<S>, clock: &mut Instant) {
+    let now = Instant::now();
+    histogram.record(now.duration_since(*clock).as_nanos() as u64);
+    *clock = now;
 }
 
 impl Slot for AtomicU64 {
@@ -155,6 +171,15 @@ impl Slot for AtomicU64 {
     #[inline]
     fn finish(running: &mut Self::Running<'_>) {
         running.0.record(running.1.elapsed().as_nanos() as u64);
+    }
+    type Clock = Instant;
+    #[inline]
+    fn now() -> Instant {
+        Instant::now()
+    }
+    #[inline]
+    fn lap(histogram: &HistogramOf<Self>, clock: &mut Instant) {
+        lap_instant(histogram, clock);
     }
 }
 
@@ -187,6 +212,15 @@ impl Slot for Cell<u64> {
     fn finish(running: &mut Self::Running<'_>) {
         running.0.record(running.1.elapsed().as_nanos() as u64);
     }
+    type Clock = Instant;
+    #[inline]
+    fn now() -> Instant {
+        Instant::now()
+    }
+    #[inline]
+    fn lap(histogram: &HistogramOf<Self>, clock: &mut Instant) {
+        lap_instant(histogram, clock);
+    }
 }
 
 /// The compiled-out slot: zero-sized, stores nothing, reads as 0.
@@ -214,6 +248,11 @@ impl Slot for NoSlot {
     fn start(_histogram: &HistogramOf<Self>) {}
     #[inline(always)]
     fn finish(_running: &mut ()) {}
+    type Clock = ();
+    #[inline(always)]
+    fn now() {}
+    #[inline(always)]
+    fn lap(_histogram: &HistogramOf<Self>, _clock: &mut ()) {}
 }
 
 #[cfg(feature = "enabled")]
@@ -247,6 +286,8 @@ pub type LocalHistogram = HistogramOf<LocalSlot>;
 pub type Span<'a> = SpanOf<'a, SharedSlot>;
 /// Guard returned by [`LocalHistogram::span`].
 pub type LocalSpan<'a> = SpanOf<'a, LocalSlot>;
+/// Lap timer over [`LocalHistogram`]s.
+pub type LocalLap = LapOf<LocalSlot>;
 
 /// A monotonic event counter over one storage slot; use it through
 /// [`Counter`] or [`LocalCounter`]. Compiled out, every method is a
@@ -416,6 +457,29 @@ impl<S: Slot> Drop for SpanOf<'_, S> {
     #[inline]
     fn drop(&mut self) {
         S::finish(&mut self.0);
+    }
+}
+
+/// A running instant for timing back-to-back intervals: each
+/// [`lap`](Self::lap) records the nanoseconds since the previous one
+/// (or since [`start`](Self::start)) and begins the next interval at
+/// the same reading, so *n* consecutive intervals cost *n* + 1 clock
+/// reads where *n* spans cost 2*n*. Compiled out, it is zero-sized and
+/// never reads the clock.
+#[derive(Debug)]
+pub struct LapOf<S: Slot>(S::Clock);
+
+impl<S: Slot> LapOf<S> {
+    /// Starts the first interval now.
+    #[inline]
+    pub fn start() -> Self {
+        LapOf(S::now())
+    }
+
+    /// Ends the current interval into `histogram` and starts the next.
+    #[inline]
+    pub fn lap(&mut self, histogram: &HistogramOf<S>) {
+        S::lap(histogram, &mut self.0);
     }
 }
 
@@ -660,6 +724,22 @@ mod tests {
             std::hint::black_box(());
         }
         assert_eq!(h.count(), u64::from(crate::enabled()));
+    }
+
+    #[test]
+    fn lap_records_one_interval_per_call_and_is_zero_sized_when_disabled() {
+        let h = LocalHistogram::new();
+        let mut clock = LocalLap::start();
+        for _ in 0..3 {
+            std::hint::black_box(());
+            clock.lap(&h);
+        }
+        if crate::enabled() {
+            assert_eq!(h.count(), 3);
+        } else {
+            assert_eq!(h.count(), 0);
+            assert_eq!(std::mem::size_of::<LocalLap>(), 0);
+        }
     }
 
     #[test]
