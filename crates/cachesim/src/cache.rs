@@ -68,7 +68,8 @@ const INVALID: u64 = u64::MAX;
 struct CacheObs {
     /// Hits served by the same-line short-circuit ([`Cache::try_rehit`]).
     rehits: probe::LocalCounter,
-    /// Hits served by the MRU-first probe before the full set scan.
+    /// Looked-up hits on the set's most recently used line (slot 0),
+    /// counted while the fast paths are on.
     mru_hits: probe::LocalCounter,
 }
 
@@ -105,38 +106,32 @@ pub(crate) struct LineOutcome {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// Structure-of-arrays set metadata, one flat allocation per field,
-    /// indexed by `set * assoc + way`. The hit scan touches only
-    /// `lines`; `stamps` is read only when choosing a victim and
-    /// `dirty` only on hits and evictions, so the common probe streams
-    /// through one contiguous tag array instead of striding over
-    /// per-line structs.
+    /// Every set's tags in one flat allocation: set `s` is the slice
+    /// `s * assoc..(s + 1) * assoc`, kept in recency order, most
+    /// recently used line first. The set *is* its LRU stack, so the
+    /// victim is its last slot and nothing records when a way was used.
+    /// Empty ways are never moved to the front, so they stay at the
+    /// tail and are filled before anything is evicted.
     lines: Vec<u64>,
-    /// Global tick of last use per way, for LRU victim choice.
-    stamps: Vec<u64>,
-    /// Dirty flag per way.
+    /// Dirty flag of the line in the same slot of `lines`; it moves
+    /// with its tag. An empty way is never dirty.
     dirty: Vec<bool>,
     set_shift: u32,
     set_mask: u64,
     assoc: usize,
-    tick: u64,
     stats: CacheStats,
-    /// Per-set index of the most-recently-used way. Probed first on
-    /// the fast path: loop-heavy reference streams hit the MRU way far
-    /// more often than any other, so most hits skip the full set scan.
-    mru: Vec<u32>,
     /// Line index touched by the previous access, if that access left
-    /// it resident; `INVALID` otherwise. Enables the same-line
-    /// short-circuit ([`try_rehit`](Cache::try_rehit)).
+    /// it resident — in slot 0 of its set, where every access puts its
+    /// line; `INVALID` otherwise. Enables the same-line short-circuit
+    /// ([`try_rehit`](Cache::try_rehit)).
     last_line: u64,
-    /// Index into `ways` of `last_line`'s slot (valid only while
-    /// `last_line != INVALID`).
-    last_way: u32,
     /// Cached `config.write_policy() == WriteThroughNoAllocate`.
     write_through: bool,
-    /// When false, every access takes the original full-scan path; the
-    /// differential suite and `simbench` use this as the bit-identical
-    /// slow reference.
+    /// When false, [`try_rehit`](Cache::try_rehit) and
+    /// [`rehit_many`](Cache::rehit_many) decline, so every reference
+    /// takes [`access_line`](Cache::access_line); the differential
+    /// suite and `simbench` use this as the bit-identical slow
+    /// reference.
     fast_path: bool,
     obs: CacheObs,
 }
@@ -149,26 +144,22 @@ impl Cache {
         Cache {
             config,
             lines: vec![INVALID; sets * assoc],
-            stamps: vec![0; sets * assoc],
             dirty: vec![false; sets * assoc],
             set_shift: config.line().trailing_zeros(),
             set_mask: config.sets() - 1,
             assoc,
-            tick: 0,
             stats: CacheStats::default(),
-            mru: vec![0; sets],
             last_line: INVALID,
-            last_way: 0,
             write_through: config.write_policy() == WritePolicy::WriteThroughNoAllocate,
             fast_path: true,
             obs: CacheObs::default(),
         }
     }
 
-    /// Enables or disables the fast lookup paths (MRU-first probing and
-    /// the same-line short-circuit). Statistics are bit-identical
-    /// either way; disabling exists so tests and benchmarks can compare
-    /// against the exhaustive reference path.
+    /// Enables or disables the same-line short-circuit. Statistics are
+    /// bit-identical either way; disabling exists so tests and
+    /// benchmarks can compare against a replay that looks every
+    /// reference up.
     pub(crate) fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
     }
@@ -211,103 +202,64 @@ impl Cache {
     #[inline]
     pub(crate) fn access_line(&mut self, line: u64, is_write: bool) -> LineOutcome {
         debug_assert_ne!(line, INVALID);
-        let write_through = self.write_through;
-        self.tick += 1;
         if is_write {
             self.stats.writes += 1;
         } else {
             self.stats.reads += 1;
         }
+        let base = (line & self.set_mask) as usize * self.assoc;
+        let tags = &mut self.lines[base..base + self.assoc];
+        let dirty = &mut self.dirty[base..base + self.assoc];
 
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.assoc;
-
-        // MRU-first probe: loop-heavy streams overwhelmingly re-hit the
-        // way touched most recently, so checking it before the full scan
-        // turns the common hit into a single compare. Identical stats:
-        // a hit here is exactly the hit the scan below would have found.
-        if self.fast_path {
-            let mru_way = base + self.mru[set] as usize;
-            if self.lines[mru_way] == line {
-                self.stamps[mru_way] = self.tick;
-                self.dirty[mru_way] |= is_write && !write_through;
-                self.last_line = line;
-                self.last_way = mru_way as u32;
-                self.obs.mru_hits.incr();
-                return LineOutcome {
-                    hit: true,
-                    writeback: None,
-                };
+        // Put `line` in at the front and carry each displaced line one
+        // slot down, until the line itself comes out — a hit: the slots
+        // before its old one have rotated and it is at the front — or
+        // the carried line falls off the end: a miss, and that was the
+        // LRU line, or an empty way while the set has one.
+        let (mut carried, mut carried_dirty) = (line, false);
+        let mut found = None;
+        for (slot, (tag, flag)) in tags.iter_mut().zip(dirty.iter_mut()).enumerate() {
+            std::mem::swap(tag, &mut carried);
+            std::mem::swap(flag, &mut carried_dirty);
+            if carried == line {
+                found = Some(slot);
+                break;
             }
         }
-
-        // Hit path: a pure tag scan over the contiguous `lines` slice.
-        // Victim ranking is deferred to the miss path below, so hits
-        // never touch the stamp array.
-        let tags = &self.lines[base..base + self.assoc];
-        for (i, &tag) in tags.iter().enumerate() {
-            if tag == line {
-                let way = base + i;
-                self.stamps[way] = self.tick;
-                // Write-through lines are never dirty: the write goes
-                // down immediately (the caller propagates it).
-                self.dirty[way] |= is_write && !write_through;
-                self.mru[set] = i as u32;
-                self.last_line = line;
-                self.last_way = way as u32;
-                return LineOutcome {
-                    hit: true,
-                    writeback: None,
-                };
-            }
-        }
-
-        // Miss.
-        if is_write {
-            self.stats.write_misses += 1;
-        } else {
-            self.stats.read_misses += 1;
-        }
-        if is_write && write_through {
-            // No write-allocate: the line is not brought in, so it must
-            // not be remembered as resident.
-            self.last_line = INVALID;
-            return LineOutcome {
-                hit: false,
-                writeback: None,
-            };
-        }
-        // Choose the LRU (or an invalid) way as the victim.
-        let mut victim = 0usize;
-        let mut victim_tick = u64::MAX;
-        for i in 0..self.assoc {
-            let rank = if self.lines[base + i] == INVALID {
-                0
+        let hit = found.is_some();
+        self.obs
+            .mru_hits
+            .add(u64::from(found == Some(0) && self.fast_path));
+        if !hit {
+            if is_write {
+                self.stats.write_misses += 1;
             } else {
-                self.stamps[base + i]
-            };
-            if rank < victim_tick {
-                victim_tick = rank;
-                victim = i;
+                self.stats.read_misses += 1;
+            }
+            if is_write && self.write_through {
+                // No write-allocate: the line is not brought in, so the
+                // set goes back as it was — every line one slot up, the
+                // carried one last — and the line must not be
+                // remembered as resident.
+                tags.rotate_left(1);
+                dirty.rotate_left(1);
+                tags[tags.len() - 1] = carried;
+                dirty[dirty.len() - 1] = carried_dirty;
+                self.last_line = INVALID;
+                return LineOutcome {
+                    hit: false,
+                    writeback: None,
+                };
             }
         }
-        let way = base + victim;
-        let writeback = if self.lines[way] != INVALID && self.dirty[way] {
-            self.stats.writebacks += 1;
-            Some(self.lines[way])
-        } else {
-            None
-        };
-        self.lines[way] = line;
-        self.dirty[way] = is_write && !write_through;
-        self.stamps[way] = self.tick;
-        self.mru[set] = victim as u32;
+        // On a hit the carried flag is the line's own. Write-through
+        // lines are never dirty: the write goes down immediately (the
+        // caller propagates it).
+        dirty[0] = (hit && carried_dirty) || (is_write && !self.write_through);
         self.last_line = line;
-        self.last_way = way as u32;
-        LineOutcome {
-            hit: false,
-            writeback,
-        }
+        let writeback = (!hit && carried_dirty).then_some(carried);
+        self.stats.writebacks += u64::from(writeback.is_some());
+        LineOutcome { hit, writeback }
     }
 
     /// Same-line short-circuit: if `line` is the line this cache touched
@@ -318,14 +270,10 @@ impl Cache {
     ///
     /// Correctness: between the access that set `last_line` and this
     /// call, no other reference entered this cache, so the line cannot
-    /// have been evicted. Write-through writes are excluded even on a
-    /// rehit because the caller must still propagate them downstream.
-    ///
-    /// The LRU clock is left alone: the way was stamped by the
-    /// `access_line` that set `last_line`, only rehits have happened
-    /// since, and rehits do not advance `tick` — so the way already
-    /// holds the cache-wide maximum stamp. Restamping it would change no
-    /// comparison a later victim choice makes.
+    /// have been evicted — and it is still in slot 0 of its set, where
+    /// that access put it, so a looked-up hit would move nothing.
+    /// Write-through writes are excluded even on a rehit because the
+    /// caller must still propagate them downstream.
     #[inline]
     pub(crate) fn try_rehit(&mut self, line: u64, is_write: bool) -> bool {
         if line != self.last_line || !self.fast_path || (is_write && self.write_through) {
@@ -336,10 +284,7 @@ impl Cache {
         } else {
             self.stats.reads += 1;
         }
-        let way = self.last_way as usize;
-        debug_assert_eq!(self.lines[way], line);
-        debug_assert_eq!(self.stamps[way], self.tick);
-        self.dirty[way] |= is_write;
+        *self.front_dirty(line) |= is_write;
         self.obs.rehits.incr();
         true
     }
@@ -360,12 +305,18 @@ impl Cache {
         if line != self.last_line || !self.fast_path || (writes > 0 && self.write_through) {
             return false;
         }
-        let way = self.last_way as usize;
-        debug_assert_eq!(self.lines[way], line);
-        debug_assert_eq!(self.stamps[way], self.tick);
-        self.dirty[way] |= writes > 0;
+        *self.front_dirty(line) |= writes > 0;
         self.credit_hits(reads, writes);
         true
+    }
+
+    /// The dirty flag of `line`, which the caller knows is `last_line`
+    /// and therefore the front of its set.
+    #[inline]
+    fn front_dirty(&mut self, line: u64) -> &mut bool {
+        let front = (line & self.set_mask) as usize * self.assoc;
+        debug_assert_eq!(self.lines[front], line);
+        &mut self.dirty[front]
     }
 
     /// Counts `reads` + `writes` hits the caller has proved without a
@@ -381,17 +332,17 @@ impl Cache {
     }
 
     /// Whether `line` is resident: a read-only probe that moves no
-    /// stamp, tick, MRU way, last line or statistic. `written` says the
-    /// caller's last reference to the line was a write-back write, which
-    /// must have left it dirty.
+    /// line within its set, no last line and no statistic. `written`
+    /// says the caller's last reference to the line was a write-back
+    /// write, which must have left it dirty.
     #[inline]
     pub(crate) fn holds(&self, line: u64, written: bool) -> bool {
         let base = (line & self.set_mask) as usize * self.assoc;
-        let way = self.lines[base..base + self.assoc]
+        let slot = self.lines[base..base + self.assoc]
             .iter()
             .position(|&tag| tag == line);
-        debug_assert!(way.is_none_or(|way| !written || self.dirty[base + way]));
-        way.is_some()
+        debug_assert!(slot.is_none_or(|slot| !written || self.dirty[base + slot]));
+        slot.is_some()
     }
 
     /// Flushes this level's probe observations into a profile section:
@@ -424,13 +375,9 @@ impl Cache {
     /// Invalidates all lines and zeroes the statistics.
     pub fn reset(&mut self) {
         self.lines.fill(INVALID);
-        self.stamps.fill(0);
         self.dirty.fill(false);
-        self.tick = 0;
         self.reset_stats();
-        self.mru.fill(0);
         self.last_line = INVALID;
-        self.last_way = 0;
     }
 }
 
@@ -605,12 +552,12 @@ mod tests {
 
     #[test]
     fn long_rehit_runs_in_a_full_set_leave_the_lru_victim_unchanged() {
-        // Rehits do not restamp their way. In a full 4-way set, run long
-        // rehit bursts (single and bulk) against every way in turn and
-        // interleave evictions: every line written is dirty, so each
+        // Rehits move nothing within the set. In a full 4-way set, run
+        // long rehit bursts (single and bulk) against every line in turn
+        // and interleave evictions: every line written is dirty, so each
         // eviction names its victim through the write-back, and the
-        // slow path — which restamps on every reference — must name
-        // the same one every time.
+        // slow path — which looks every reference up — must name the
+        // same one every time.
         let config = CacheConfig::new(128, 32, 4).unwrap(); // one set
         let mut fast = Cache::new(config);
         let mut slow = Cache::new(config);
@@ -627,9 +574,8 @@ mod tests {
         }
         for round in 0..64u64 {
             // Touch one of the last four lines brought in (usually still
-            // resident), then rehit it for a long run: the burst is
-            // longer than the number of ticks separating any two stamps
-            // in the set.
+            // resident), then rehit it for a run far longer than the set
+            // is wide.
             let resident = next_line - 1 - (round % 4);
             reference(&mut fast, &mut slow, resident);
             let burst = 100 + 37 * round;
@@ -668,23 +614,28 @@ mod tests {
         let mut c = cache(64, 32, 2);
         c.access_line(0, true);
         c.access_line(1, false);
-        let before = c.clone();
+        let mut fresh = c.clone();
         assert!(c.holds(0, true) && c.holds(1, false));
         assert!(!c.holds(2, false), "never referenced");
         c.credit_hits(5, 3);
         assert_eq!((c.stats().reads, c.stats().writes), (6, 4));
         assert_eq!(c.stats().misses(), 2);
         assert_eq!(c.obs.rehits.get(), 8 * u64::from(probe::enabled()));
-        // Neither changed what the next references do: line 0 is still
-        // the LRU victim and still dirty, and line 1 still rehits.
+        // Neither changed what the next references do: line 1 still
+        // rehits, line 0 is still the LRU victim and still dirty, and
+        // from there on the cache answers as a clone taken before the
+        // probes does.
         assert!(c.try_rehit(1, false));
-        let (evicting, reference) = (
-            c.access_line(2, false),
-            before.clone().access_line(2, false),
-        );
-        assert_eq!(evicting, reference);
-        assert_eq!(evicting.writeback, Some(0));
-        assert_eq!((c.tick, c.last_line), (before.tick + 1, 2));
+        assert_eq!(c.access_line(2, false).writeback, Some(0));
+        assert_eq!(fresh.access_line(2, false).writeback, Some(0));
+        for (line, is_write) in [(2, true), (1, false), (0, false), (3, true), (2, false)] {
+            assert_eq!(c.try_rehit(line, is_write), fresh.try_rehit(line, is_write));
+            assert_eq!(
+                c.access_line(line, is_write),
+                fresh.access_line(line, is_write),
+                "line {line}"
+            );
+        }
     }
 
     #[test]
@@ -694,9 +645,10 @@ mod tests {
         for _ in 0..10 {
             assert!(c.try_rehit(0, false));
         }
-        c.access_line(1, false);
-        c.access_line(0, false); // MRU probe misses, scan hits
-        c.access_line(0, false); // MRU hit
+        c.access_line(1, false); // another set: ends the rehit run
+        c.access_line(0, false); // looked up, found in slot 0
+        c.access_line(0, false);
+        assert_eq!(c.obs.mru_hits.get(), 2 * u64::from(probe::enabled()));
         c.reset_stats();
         assert!(c.try_rehit(0, false), "contents and last line stay warm");
         assert_eq!(c.stats().hits(), 1);
@@ -705,10 +657,26 @@ mod tests {
     }
 
     #[test]
+    fn mru_hits_count_lookups_that_find_the_line_at_the_front() {
+        for fast in [true, false] {
+            let mut c = cache(64, 32, 2); // one 2-way set
+            c.set_fast_path(fast);
+            c.access_line(0, false);
+            c.access_line(1, false);
+            c.access_line(0, false); // from slot 1: not counted
+            c.access_line(0, false); // at the front
+            c.access_line(0, true); // and again
+            assert_eq!(c.stats().hits(), 3);
+            let counted = 2 * u64::from(fast && probe::enabled());
+            assert_eq!(c.obs.mru_hits.get(), counted, "fast paths {fast}");
+        }
+    }
+
+    #[test]
     fn fast_and_slow_paths_produce_identical_stats() {
         // Drive two identical caches with the same pseudo-random stream:
         // the fast one through the rehit-then-lookup path the hierarchy
-        // uses, the slow one through the exhaustive scan only. Every
+        // uses, the slow one through the set lookup only. Every
         // counter must agree, for both write policies.
         for policy in [
             WritePolicy::WriteBackAllocate,
@@ -726,8 +694,8 @@ mod tests {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                // Bias toward reuse (and exact repeats) so the MRU probe
-                // and the same-line rehit actually fire.
+                // Bias toward reuse (and exact repeats) so hits at the
+                // front of a set and same-line rehits actually occur.
                 let line = match i % 4 {
                     0 => (x % 8) * 4,
                     1 => x % 4, // tiny range: frequent exact repeats
@@ -746,6 +714,128 @@ mod tests {
             }
             assert_eq!(fast.stats(), slow.stats(), "policy {policy:?}");
             assert!(outcomes_checked > 0);
+        }
+    }
+
+    /// The textbook set: `(line, dirty)` pairs, most recently used
+    /// first, at most `assoc` of them.
+    fn model_access(
+        set: &mut Vec<(u64, bool)>,
+        assoc: usize,
+        write_through: bool,
+        line: u64,
+        is_write: bool,
+    ) -> LineOutcome {
+        let dirties = is_write && !write_through;
+        if let Some(at) = set.iter().position(|&(resident, _)| resident == line) {
+            let (_, dirty) = set.remove(at);
+            set.insert(0, (line, dirty || dirties));
+            return LineOutcome {
+                hit: true,
+                writeback: None,
+            };
+        }
+        let mut writeback = None;
+        if !(is_write && write_through) {
+            if set.len() == assoc {
+                writeback = set
+                    .pop()
+                    .and_then(|(victim, dirty)| dirty.then_some(victim));
+            }
+            set.insert(0, (line, dirties));
+        }
+        LineOutcome {
+            hit: false,
+            writeback,
+        }
+    }
+
+    #[test]
+    fn outcomes_match_a_list_per_set_model_at_every_associativity() {
+        for (assoc, sets) in [(1, 16), (2, 8), (4, 4), (8, 2), (16, 2), (64, 1)] {
+            for policy in [
+                WritePolicy::WriteBackAllocate,
+                WritePolicy::WriteThroughNoAllocate,
+            ] {
+                let config = CacheConfig::new(32 * u64::from(assoc) * sets, 32, assoc)
+                    .unwrap()
+                    .with_write_policy(policy);
+                let write_through = policy == WritePolicy::WriteThroughNoAllocate;
+                let mut c = Cache::new(config);
+                let mut model = vec![Vec::new(); sets as usize];
+                let mut x = 0x9e3779b97f4a7c15u64 ^ u64::from(assoc);
+                let (mut line, mut writebacks) = (0, 0);
+                for i in 0..20_000u64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Three lines a way, so sets fill and evict; every
+                    // fifth reference repeats the one before it.
+                    if i % 5 != 4 {
+                        line = (x >> 8) % (3 * u64::from(assoc) * sets);
+                    }
+                    let is_write = x.is_multiple_of(3);
+                    let expected = model_access(
+                        &mut model[(line % sets) as usize],
+                        assoc as usize,
+                        write_through,
+                        line,
+                        is_write,
+                    );
+                    assert_eq!(
+                        c.access_line(line, is_write),
+                        expected,
+                        "{assoc}-way {policy:?}, reference {i}: line {line}"
+                    );
+                    writebacks += u64::from(expected.writeback.is_some());
+                }
+                assert_eq!(c.stats().writebacks, writebacks);
+                assert!(write_through || writebacks > 1_000, "{assoc}-way");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_ways_fill_before_anything_is_evicted() {
+        // One 4-way set. Written lines are dirty, so an eviction would
+        // show as a write-back; hits in between reorder the residents
+        // but must never push an empty way to the front.
+        let mut c = cache(128, 32, 4);
+        for round in 0..2 {
+            for line in 0..4 {
+                assert_eq!(
+                    c.access_line(line, true),
+                    LineOutcome {
+                        hit: false,
+                        writeback: None
+                    },
+                    "round {round}, line {line}"
+                );
+                for resident in 0..=line {
+                    assert!(c.access_line(resident, false).hit, "line {resident}");
+                }
+            }
+            // Full now: the fifth line evicts the LRU, line 0.
+            assert_eq!(c.access_line(4, false).writeback, Some(0));
+            c.reset();
+        }
+    }
+
+    #[test]
+    fn rehits_dirty_the_line_a_later_eviction_writes_back() {
+        for bulk in [false, true] {
+            let mut c = cache(64, 32, 2); // one 2-way set
+            c.access_line(0, false);
+            c.access_line(1, false); // both clean
+            if bulk {
+                assert!(c.rehit_many(1, 3, 1));
+            } else {
+                assert!(c.try_rehit(1, true));
+            }
+            assert!(c.holds(1, true));
+            assert_eq!(c.access_line(2, false).writeback, None, "line 0 was clean");
+            assert_eq!(c.access_line(3, false).writeback, Some(1), "bulk: {bulk}");
+            assert_eq!(c.stats().writebacks, 1);
         }
     }
 }

@@ -60,7 +60,7 @@ impl CacheConfigError {
 }
 
 /// Most lines a level may have. A [`Cache`](crate::Cache) allocates a
-/// tag, a stamp and a dirty bit per line up front — 4.3 GiB at this
+/// tag and a dirty flag per line up front — 2.25 GiB at this
 /// bound, where the paper's largest level has 2¹⁴ lines — so a geometry
 /// from a command line is refused here, before anything is allocated.
 const MAX_LINES: u64 = 1 << 28;

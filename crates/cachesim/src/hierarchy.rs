@@ -280,13 +280,16 @@ impl Hierarchy {
         }
     }
 
-    /// Enables or disables the fast lookup paths (same-line
-    /// short-circuit here, MRU-first probing inside each level, the
-    /// flat recency table under the classifier and the TLB). The
-    /// hierarchy owns the knob and tells its parts. Statistics are
-    /// bit-identical either way and across a switch mid-stream; the
-    /// slow path is kept as the exhaustive reference for differential
-    /// tests and the `simbench` before/after comparison.
+    /// Enables or disables the fast lookup paths: each level's
+    /// same-line short-circuit, the run records' L1-line epochs, and
+    /// the flat recency table under the classifier and the TLB. Off,
+    /// every reference is looked up in its set — the lookup itself is
+    /// the same either way — and the classifier and the TLB run their
+    /// hash-set-and-list reference model. The hierarchy owns the knob
+    /// and tells its parts. Statistics are bit-identical either way and
+    /// across a switch mid-stream; the slow path is kept as the
+    /// exhaustive reference for differential tests and the `simbench`
+    /// before/after comparison.
     pub fn set_fast_path(&mut self, enabled: bool) {
         for level in self.levels_mut() {
             level.set_fast_path(enabled);
@@ -356,15 +359,14 @@ impl Hierarchy {
     /// That is exact (DESIGN.md §3.3.1). The `k` first references are
     /// round one with the same-line rehits that follow each of them
     /// removed, and a rehit moves counters only; so after them the
-    /// lines are stamped in stream order above everything else in the
-    /// L1, each set's MRU way and the last line are the last stream's,
-    /// and a write stream's line is dirty. With all of them resident,
-    /// every later reference of the epoch hits, evicts nothing, sends
-    /// nothing down, and would only re-stamp the same lines in the same
-    /// order with nothing in between — and stamps are compared, never
-    /// reported. If a line is *not* resident (the streams evict each
-    /// other, as two columns that alias in a direct-mapped L1 do), only
-    /// round one's rehits are counted and the epoch's other rounds are
+    /// lines lead their sets in stream order, the last line is the last
+    /// stream's, and a write stream's line is dirty. With all of them
+    /// resident, every later reference of the epoch hits, evicts
+    /// nothing and sends nothing down, and repeating the same `k` lines
+    /// in the same order leaves every set's order as round one left
+    /// it. If a line is *not* resident (the streams evict each other,
+    /// as two columns that alias in a direct-mapped L1 do), only round
+    /// one's rehits are counted and the epoch's other rounds are
     /// expanded.
     ///
     /// The whole record is expanded, reference by reference, when the

@@ -5,11 +5,10 @@
 //! field of **every** level, and two addresses with different selector
 //! values can never meet in a set at any level — they are, in BUNDLEP's
 //! terms, conflict-free regions. Each of the `2^k` shards therefore
-//! runs the ordinary fast path over a private [`Hierarchy`] clone (its
-//! own structure-of-arrays tag/stamp state), and the per-shard
-//! [`CacheStats`] sum to the unsharded totals *exactly* — per-set LRU
-//! order is preserved because LRU stamps are only ever compared within
-//! a set, and a set belongs to exactly one shard.
+//! runs the ordinary fast path over a private [`Hierarchy`] clone, and
+//! the per-shard [`CacheStats`] sum to the unsharded totals *exactly* —
+//! a set's recency order is moved only by references to that set, and
+//! a set belongs to exactly one shard.
 //!
 //! Two things do not decompose by address and are handled specially:
 //!

@@ -238,9 +238,9 @@ impl OracleHierarchy {
 /// going down and an L1 of either write policy.
 fn arb_machine() -> impl Strategy<Value = HierarchyConfig> {
     (
-        (8u32..11, 4u32..6, 0u32..2, any::<bool>()),
-        (10u32..13, 0u32..2, 0u32..3),
-        prop_oneof![Just(None), (12u32..14, 0u32..2, 0u32..3).prop_map(Some)],
+        (8u32..11, 4u32..6, 0u32..3, any::<bool>()),
+        (10u32..13, 0u32..2, 0u32..4),
+        prop_oneof![Just(None), (12u32..14, 0u32..2, 0u32..4).prop_map(Some)],
     )
         .prop_map(|(l1, l2, l3)| {
             let (l1_size, l1_line, l1_assoc, write_through) = l1;

@@ -7,9 +7,10 @@ use proptest::prelude::*;
 /// A naive reference model of a set-associative LRU cache, O(assoc) per
 /// access, kept deliberately dumb so it can serve as an oracle.
 struct NaiveCache {
-    sets: Vec<Vec<u64>>, // MRU-first tag lists
+    sets: Vec<Vec<(u64, bool)>>, // MRU-first (tag, dirty) lists
     assoc: usize,
     line: u64,
+    writebacks: u64,
 }
 
 impl NaiveCache {
@@ -18,30 +19,32 @@ impl NaiveCache {
             sets: vec![Vec::new(); config.sets() as usize],
             assoc: config.assoc() as usize,
             line: config.line(),
+            writebacks: 0,
         }
     }
 
-    fn access(&mut self, addr: u64) -> bool {
+    fn access(&mut self, addr: u64, write: bool) -> bool {
         let line = addr / self.line;
         let set = (line % self.sets.len() as u64) as usize;
         let list = &mut self.sets[set];
-        if let Some(pos) = list.iter().position(|&t| t == line) {
-            list.remove(pos);
-            list.insert(0, line);
+        if let Some(pos) = list.iter().position(|&(t, _)| t == line) {
+            let (_, dirty) = list.remove(pos);
+            list.insert(0, (line, dirty || write));
             true
         } else {
             if list.len() == self.assoc {
-                list.pop();
+                let (_, dirty) = list.pop().expect("a full set");
+                self.writebacks += u64::from(dirty);
             }
-            list.insert(0, line);
+            list.insert(0, (line, write));
             false
         }
     }
 }
 
 fn arb_geometry() -> impl Strategy<Value = CacheConfig> {
-    // sizes 256B..8KiB, lines 16..128, assoc 1..8, filtered for validity
-    (8u32..14, 4u32..8, 0u32..4).prop_filter_map(
+    // sizes 256B..8KiB, lines 16..128, assoc 1..64, filtered for validity
+    (8u32..14, 4u32..8, 0u32..7).prop_filter_map(
         "valid geometry",
         |(size_log2, line_log2, assoc_log2)| {
             CacheConfig::new(1 << size_log2, 1 << line_log2, 1 << assoc_log2).ok()
@@ -62,8 +65,9 @@ proptest! {
         let mut oracle = NaiveCache::new(config);
         for (i, &addr) in addrs.iter().enumerate() {
             let hit = cache.access_addr(Addr::new(addr), writes[i]);
-            prop_assert_eq!(hit, oracle.access(addr), "access {} at {:#x}", i, addr);
+            prop_assert_eq!(hit, oracle.access(addr, writes[i]), "access {} at {:#x}", i, addr);
         }
+        prop_assert_eq!(cache.stats().writebacks, oracle.writebacks);
     }
 
     /// 3C classes always partition the misses, and the first touch of

@@ -318,21 +318,26 @@ fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
     let l1_before = ctx.sink.hierarchy().l1_stats().misses();
     let l2_before = ctx.sink.hierarchy().l2_stats().misses();
     // A payload that would run past the top of the address space is
-    // clamped there; counting the lines first keeps every address below
-    // `end`, so the walk cannot overflow.
+    // clamped there. The walk is over the line indexes its bytes fall
+    // in — one more than `bytes / line` when it starts mid-line — so no
+    // address past `end` is ever formed.
     let end = req.addr.saturating_add(req.bytes);
-    let lines = (end - req.addr).div_ceil(ctx.l1_line);
-    for line in 0..lines {
-        let addr = memtrace::Addr::new(req.addr + line * ctx.l1_line);
+    let span = |line: u64| {
+        if end == req.addr {
+            0
+        } else {
+            (end - 1) / line - req.addr / line + 1
+        }
+    };
+    let lines = span(ctx.l1_line);
+    let first = req.addr / ctx.l1_line;
+    for line in first..first + lines {
+        let addr = memtrace::Addr::new(line * ctx.l1_line);
         ctx.sink.access(Access::read(addr, 8));
     }
     ctx.sink
         .instructions(REQUEST_BASE_INSTRUCTIONS + INSTRUCTIONS_PER_LINE * lines);
-    let l2_lines = if req.bytes == 0 {
-        0
-    } else {
-        end.div_ceil(ctx.l2_line) - req.addr / ctx.l2_line
-    };
+    let l2_lines = span(ctx.l2_line);
     ctx.records.push(ExecRecord {
         id: req.id,
         l1_misses: ctx.sink.hierarchy().l1_stats().misses() - l1_before,
@@ -873,6 +878,31 @@ mod tests {
         .unwrap();
         assert_eq!(out.report.completed, 1);
         assert_eq!(out.log[0].lines, 100u64.div_ceil(machine.l1_line()));
+    }
+
+    #[test]
+    fn payload_that_starts_mid_line_is_scanned_to_its_last_byte() {
+        let machine = MachineModel::r8000().scaled(1.0 / 64.0).unwrap();
+        assert_eq!((machine.l1_line(), machine.l2_line()), (32, 128));
+        // Bytes 16..48: two 32-byte lines, though only one line's worth.
+        let request = Request {
+            id: 0,
+            arrival_ns: 0,
+            object: 0,
+            addr: 16,
+            bytes: 32,
+        };
+        let config = legacy_config(1, 16, true);
+        let out = run_serve(
+            std::iter::once(request),
+            &machine,
+            &config,
+            ServePolicy::Flat,
+        )
+        .unwrap();
+        assert_eq!((out.log[0].lines, out.log[0].l2_lines), (2, 1));
+        assert_eq!(out.sim.data_references(), 2);
+        assert_eq!(out.log[0].l1_misses, 2, "bytes 32..48 were referenced");
     }
 
     #[test]
