@@ -1,6 +1,9 @@
 //! `benchdiff`: field-by-field comparison of two benchmark JSON
-//! reports (`BENCH_sim.json`, `BENCH_steal.json`) for CI regression
-//! gating.
+//! reports for CI regression gating. CI gates every artifact `repro`
+//! and `schedlint` write against its committed copy in `baselines/`:
+//! `BENCH_steal.json`, `BENCH_binpolicy.json`, `BENCH_topology.json`,
+//! `BENCH_serve.json` (against `BENCH_serve_smoke.json`),
+//! `ANALYZE_smoke.json` and `ANALYZE_hb.json`.
 //!
 //! Both files are flattened to `path → number` maps (array rows are
 //! labeled by their identifying field — `workload`, `policy`+`workers`,
@@ -11,14 +14,10 @@
 //! (`*_ns`, `*per_sec`) depend on the host machine, and the probe
 //! layer's `run_profile` counters track nondeterministic runtime
 //! behaviour (steal interleavings); those compare *informationally* —
-//! shown when they move, never failing the run — unless a
-//! [`GatePolicy`] promotes them: `--gate-throughput` promotes the
-//! `*per_sec` leaves (higher is better) for CI legs where baseline and
-//! current run on the same runner class back-to-back. Wall times and
-//! runtime counters never gate. What gates by default is what a
+//! shown when they move, never failing the run. What gates is what a
 //! checked-in baseline from another machine can promise: `speedup*`
-//! ratios (higher is better) and deterministic workload counts like
-//! `accesses` (must match within threshold in either direction).
+//! ratios (higher is better) and deterministic counts like `accesses`
+//! (must match within threshold in either direction).
 
 use probe::json::Json;
 use std::fmt::Write as _;
@@ -47,7 +46,8 @@ fn row_label(row: &Json, index: usize) -> String {
 
 /// Flattens numeric leaves to `path → value`, in document order.
 ///
-/// Arrays of objects recurse with row labels (`rows[matmul@s4].fast_ns`);
+/// Arrays of objects recurse with row labels
+/// (`rows[matmul.r8000.flat].l2_misses`);
 /// arrays of anything else (histogram bucket pairs, bare number lists)
 /// are skipped — their comparable summaries (`count`, `p50`, …) are
 /// already scalar fields next to them. Strings and booleans are
@@ -105,8 +105,9 @@ const STABLE_LEAVES: &[&str] = &[
     "threads",
     "workers",
     "threads_run",
-    // The effective shard count is machine-geometry-derived config, not
-    // a measurement: it must reproduce exactly.
+    // schedlint's partition certificates (the `<kernel>/shards<N>` rows
+    // of ANALYZE_hb.json) carry the shard count they were proved at:
+    // config, not a measurement, so it must reproduce exactly.
     "shards",
     // Trace-driven simulation results are bit-deterministic: the same
     // program order produces the same miss counts on any host.
@@ -154,23 +155,8 @@ const STABLE_LEAVES: &[&str] = &[
     "hb_cross_shard_words",
 ];
 
-/// Which machine-dependent metrics are promoted from
-/// [`Direction::Info`] to a gated direction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum GatePolicy {
-    /// The default cross-machine policy: ratios and deterministic
-    /// counts only.
-    #[default]
-    Baseline,
-    /// `--gate-throughput`: also gate `*per_sec` throughputs (higher is
-    /// better), for CI legs where baseline and current run back-to-back
-    /// on the same runner class, so a throughput drop is a code
-    /// regression, not machine noise. A throughput *rise* never fails.
-    Throughput,
-}
-
-/// Classifies a flattened path under a [`GatePolicy`].
-pub fn classify(path: &str, policy: GatePolicy) -> Direction {
+/// Classifies a flattened path.
+pub fn classify(path: &str) -> Direction {
     let leaf = path.rsplit('.').next().unwrap_or(path);
     if leaf.starts_with("speedup") || leaf.ends_with("speedup") {
         return Direction::Higher;
@@ -189,12 +175,9 @@ pub fn classify(path: &str, policy: GatePolicy) -> Direction {
     if STABLE_LEAVES.contains(&leaf) {
         return Direction::Stable;
     }
-    if leaf.contains("per_sec") && policy == GatePolicy::Throughput {
-        return Direction::Higher;
-    }
     // What is left depends on the host or the run: wall times (`*_ns`),
-    // ungated throughputs, steal counts, per-worker executed totals,
-    // makespan units.
+    // throughputs (`*per_sec`), steal counts, per-worker executed
+    // totals, makespan units.
     Direction::Info
 }
 
@@ -302,17 +285,12 @@ impl DiffReport {
 /// Every baseline metric is matched by path. A gated metric missing
 /// from `current` is a regression (schema drift must not silently
 /// disable the gate); metrics only in `current` are informational.
-pub fn diff(
-    baseline: &str,
-    current: &str,
-    threshold: f64,
-    policy: GatePolicy,
-) -> Result<DiffReport, String> {
+pub fn diff(baseline: &str, current: &str, threshold: f64) -> Result<DiffReport, String> {
     let base = flatten(&Json::parse(baseline).map_err(|e| format!("baseline: {e}"))?);
     let cur = flatten(&Json::parse(current).map_err(|e| format!("current: {e}"))?);
     let mut rows = Vec::new();
     for (path, base_value) in &base {
-        let direction = classify(path, policy);
+        let direction = classify(path);
         let current_value = cur.iter().find(|(p, _)| p == path).map(|&(_, v)| v);
         let delta = current_value
             .and_then(|c| (*base_value != 0.0).then(|| (c - base_value) / base_value.abs()));
@@ -355,85 +333,102 @@ pub fn diff(
 mod tests {
     use super::*;
 
-    fn sim_json(fast_ns: u64) -> String {
-        sharded_sim_json(fast_ns, 50000)
+    /// Shaped like `BENCH_binpolicy.json`: rows labelled by `workload`.
+    fn binpolicy_json(l2_misses: u64) -> String {
+        format!(
+            "{{\"experiment\":\"binpolicy\",\"rows\":[\
+             {{\"workload\":\"matmul.r8000.flat\",\"kernel\":\"matmul\",\"machine\":\"r8000\",\
+             \"policy\":\"flat\",\"depth\":1,\"blocks\":[8192],\"threads\":9216,\
+             \"accesses\":1852356,\"l1_misses\":104124,\"l2_misses\":{l2_misses},\
+             \"modeled_ns\":104825440}}],\
+             \"deltas\":[{{\"workload\":\"matmul.r8000.hierarchical\",\
+             \"l2_miss_delta_pct\":141.6}}]}}"
+        )
     }
 
-    fn sharded_sim_json(fast_ns: u64, sharded_ns: u64) -> String {
-        // Shape matches SimBenchResult::to_json.
+    /// Shaped like `BENCH_steal.json`: rows labelled `policy.wN`, each
+    /// carrying a wall-clock `ParRunReport` with per-worker rows and a
+    /// probe profile.
+    fn steal_json(wall_ns: u64, speedup_vs_none: f64) -> String {
         format!(
-            "{{\"experiment\":\"simbench\",\"reps\":3,\"rows\":[\
-             {{\"workload\":\"matmul@s4\",\"accesses\":1000,\"shards\":4,\
-             \"slow_ns\":200000,\"fast_ns\":{fast_ns},\"sharded_ns\":{sharded_ns},\
-             \"slow_accesses_per_sec\":5000000.0,\
-             \"fast_accesses_per_sec\":{:.1},\
-             \"sharded_accesses_per_sec\":{:.1},\
-             \"speedup\":{:.3},\"sharded_speedup\":{:.3}}}],\
-             \"run_profile\":{{\"matmul.l1\":{{\"hits\":900,\"misses\":100}}}}}}",
-            1000.0 / (fast_ns as f64 / 1e9),
-            1000.0 / (sharded_ns as f64 / 1e9),
-            200000.0 / fast_ns as f64,
-            200000.0 / sharded_ns as f64,
+            "{{\"experiment\":\"steal_ablation\",\"workload\":\"windowed-sum\",\
+             \"bins\":48,\"threads\":384,\"rows\":[\
+             {{\"policy\":\"locality-aware\",\"workers\":4,\"wall_ns\":{wall_ns},\
+             \"makespan_units\":56448,\"modeled_ns\":20853630,\
+             \"threads_per_sec\":{:.1},\"speedup_vs_none\":{speedup_vs_none:.3},\
+             \"report\":{{\"policy\":\"locality-aware\",\"workers\":4,\"threads_run\":384,\
+             \"makespan_ns\":{wall_ns},\"per_worker\":[{{\"worker\":0,\"busy_ns\":{wall_ns}}}],\
+             \"run_profile\":{{\"par\":{{\"half_steals\":3}}}}}}}}]}}",
+            384.0 / (wall_ns as f64 / 1e9),
         )
     }
 
     #[test]
     fn parser_round_trips_report_shapes() {
-        let doc = Json::parse(&sim_json(100000)).expect("valid JSON");
-        let rows = doc.get("rows").expect("rows");
-        match rows {
-            Json::Arr(items) => assert_eq!(items.len(), 1),
-            other => panic!("rows not an array: {other:?}"),
+        for (doc, experiment) in [
+            (binpolicy_json(24352), "binpolicy"),
+            (steal_json(80_000_000, 2.5), "steal_ablation"),
+        ] {
+            let doc = Json::parse(&doc).expect("valid JSON");
+            match doc.get("rows").expect("rows") {
+                Json::Arr(items) => assert_eq!(items.len(), 1),
+                other => panic!("rows not an array: {other:?}"),
+            }
+            assert_eq!(
+                doc.get("experiment"),
+                Some(&Json::Str(experiment.to_owned()))
+            );
         }
-        assert_eq!(
-            doc.get("experiment"),
-            Some(&Json::Str("simbench".to_owned()))
-        );
     }
 
     #[test]
     fn flatten_labels_rows_by_identity() {
-        let doc = Json::parse(&sim_json(100000)).expect("valid JSON");
-        let flat = flatten(&doc);
-        let paths: Vec<&str> = flat.iter().map(|(p, _)| p.as_str()).collect();
-        assert!(paths.contains(&"rows[matmul@s4].fast_ns"), "{paths:?}");
-        assert!(paths.contains(&"run_profile.matmul.l1.hits"), "{paths:?}");
+        let mut paths = Vec::new();
+        for doc in [binpolicy_json(24352), steal_json(80_000_000, 2.5)] {
+            let doc = Json::parse(&doc).expect("valid JSON");
+            paths.extend(flatten(&doc).into_iter().map(|(path, _)| path));
+        }
+        for expected in [
+            "rows[matmul.r8000.flat].l2_misses",
+            "deltas[matmul.r8000.hierarchical].l2_miss_delta_pct",
+            "rows[locality-aware.w4].speedup_vs_none",
+            "rows[locality-aware.w4].report.per_worker[w0].busy_ns",
+            "rows[locality-aware.w4].report.run_profile.par.half_steals",
+        ] {
+            assert!(paths.iter().any(|p| p == expected), "{expected}: {paths:?}");
+        }
         assert!(!paths.iter().any(|p| p.contains("[0]")), "{paths:?}");
+        // Number arrays (`blocks`) are skipped, not flattened.
+        assert!(!paths.iter().any(|p| p.contains("blocks")), "{paths:?}");
     }
 
     #[test]
     fn wall_clock_report_makespan_is_informational() {
         // The serving rows' virtual-clock makespan stays gated…
-        assert_eq!(
-            classify("rows[flat].makespan_ns", GatePolicy::Baseline),
-            Direction::Stable
-        );
+        assert_eq!(classify("rows[flat].makespan_ns"), Direction::Stable);
         // …but a ParRunReport's wall-clock makespan never gates.
         assert_eq!(
-            classify(
-                "rows[locality-aware.w4].report.makespan_ns",
-                GatePolicy::Throughput
-            ),
+            classify("rows[locality-aware.w4].report.makespan_ns"),
             Direction::Info
         );
     }
 
     #[test]
     fn identical_reports_pass() {
-        let a = sim_json(100000);
-        let report = diff(&a, &a, 0.15, GatePolicy::Throughput).expect("diff");
-        assert!(report.passed(), "{}", report.to_markdown());
-        assert!(report.to_markdown().contains("**PASS**"));
+        for a in [binpolicy_json(24352), steal_json(80_000_000, 2.5)] {
+            let report = diff(&a, &a, 0.15).expect("diff");
+            assert!(report.passed(), "{}", report.to_markdown());
+            assert!(report.to_markdown().contains("**PASS**"));
+        }
     }
 
     #[test]
     fn small_throughput_drop_is_accepted() {
-        // 5% slower fast path: under the 15% gate.
+        // 5% lower stealing speedup: under the 15% gate.
         let report = diff(
-            &sim_json(100000),
-            &sim_json(105000),
+            &steal_json(80_000_000, 2.5),
+            &steal_json(80_000_000, 2.375),
             0.15,
-            GatePolicy::Throughput,
         )
         .expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
@@ -441,111 +436,114 @@ mod tests {
 
     #[test]
     fn machine_dependent_metrics_do_not_gate_by_default() {
-        // Same 25% wall-time swing, default gating: times and
-        // throughputs are informational (another machine is simply
-        // faster), but the speedup *ratio* still gates — and it moved
-        // beyond 15%, so the diff fails on exactly that.
+        // A 25% wall-clock swing with a 25% lower speedup: wall times,
+        // the report's makespan and threads/sec are informational
+        // (another machine is simply slower), but the speedup *ratio*
+        // gates — and it moved beyond 15%, so the diff fails on exactly
+        // that.
         let report = diff(
-            &sim_json(100000),
-            &sim_json(125000),
+            &steal_json(80_000_000, 2.5),
+            &steal_json(100_000_000, 1.875),
             0.15,
-            GatePolicy::Baseline,
         )
         .expect("diff");
         let failing: Vec<&str> = report.regressions().map(|r| r.path.as_str()).collect();
-        assert_eq!(failing, vec!["rows[matmul@s4].speedup"], "{failing:?}");
-    }
-
-    #[test]
-    fn throughput_gate_promotes_per_sec_drops_only() {
-        // 25% slower sharded replay. Under the default policy only the
-        // sharded_speedup ratio gates; --gate-throughput additionally
-        // fails the raw accesses/sec drop, while wall times stay
-        // informational.
-        let base = sharded_sim_json(100000, 40000);
-        let slower = sharded_sim_json(100000, 50000);
-        let default_fail: Vec<String> = diff(&base, &slower, 0.15, GatePolicy::Baseline)
-            .expect("diff")
-            .regressions()
-            .map(|r| r.path.clone())
-            .collect();
-        assert_eq!(default_fail, vec!["rows[matmul@s4].sharded_speedup"]);
-        let gated = diff(&base, &slower, 0.15, GatePolicy::Throughput).expect("diff");
-        let failing: Vec<&str> = gated.regressions().map(|r| r.path.as_str()).collect();
-        assert!(
-            failing.contains(&"rows[matmul@s4].sharded_accesses_per_sec"),
+        assert_eq!(
+            failing,
+            vec!["rows[locality-aware.w4].speedup_vs_none"],
             "{failing:?}"
         );
-        assert!(
-            !failing.iter().any(|p| p.ends_with("_ns")),
-            "wall times must not gate under --gate-throughput: {failing:?}"
-        );
-        let md = gated.to_markdown();
-        assert!(md.contains("**FAIL**"), "{md}");
-        assert!(md.contains("**REGRESSION**"), "{md}");
-    }
-
-    #[test]
-    fn throughput_gate_is_one_sided() {
-        // A throughput *rise* is an improvement, not a regression.
-        let report = diff(
-            &sharded_sim_json(100000, 50000),
-            &sharded_sim_json(100000, 30000),
-            0.15,
-            GatePolicy::Throughput,
-        )
-        .expect("diff");
-        assert!(report.passed(), "{}", report.to_markdown());
     }
 
     #[test]
     fn shard_count_in_identity_splits_rows() {
-        // A baseline recorded at 4 shards never silently compares
-        // against an 8-shard run: the row labels differ, so every
-        // gated 4-shard metric reports as missing.
-        let base = sharded_sim_json(100000, 50000);
-        let other = base.replace("@s4", "@s8");
-        let report = diff(&base, &other, 0.15, GatePolicy::Baseline).expect("diff");
+        // A partition certificate proved at 4 shards never silently
+        // compares against one proved at 8: the row labels differ, so
+        // every gated 4-shard leaf reports as missing.
+        let base = include_str!("../../../baselines/ANALYZE_hb.json");
+        let other = base.replace("\"matmul/shards4\"", "\"matmul/shards8\"");
+        let report = diff(base, &other, 0.15).expect("diff");
         assert!(!report.passed());
         assert!(report
             .regressions()
-            .any(|r| r.path == "rows[matmul@s4].speedup" && r.current.is_none()));
+            .any(|r| r.path == "rows[matmul/shards4].shards" && r.current.is_none()));
     }
 
     #[test]
     fn stable_counts_gate_both_directions() {
-        let base = sim_json(100000);
-        let grown = base.replace("\"accesses\":1000", "\"accesses\":2000");
-        let report = diff(&base, &grown, 0.15, GatePolicy::Baseline).expect("diff");
-        let failing: Vec<&str> = report.regressions().map(|r| r.path.as_str()).collect();
-        assert!(failing.contains(&"rows[matmul@s4].accesses"), "{failing:?}");
+        let base = binpolicy_json(24352);
+        for moved in [20000, 29000] {
+            let report = diff(&base, &binpolicy_json(moved), 0.15).expect("diff");
+            let failing: Vec<&str> = report.regressions().map(|r| r.path.as_str()).collect();
+            assert_eq!(
+                failing,
+                vec!["rows[matmul.r8000.flat].l2_misses"],
+                "{moved}"
+            );
+        }
     }
 
     #[test]
     fn missing_gated_metric_is_a_regression() {
-        let base = sim_json(100000);
-        let renamed = base.replace("\"speedup\"", "\"speedupX\"");
-        let report = diff(&base, &renamed, 0.15, GatePolicy::Baseline).expect("diff");
+        let base = binpolicy_json(24352);
+        let renamed = base.replace("\"l2_misses\"", "\"l2_missesX\"");
+        let report = diff(&base, &renamed, 0.15).expect("diff");
         assert!(!report.passed());
         let row = report
             .rows
             .iter()
-            .find(|r| r.path == "rows[matmul@s4].speedup")
+            .find(|r| r.path == "rows[matmul.r8000.flat].l2_misses")
             .expect("baseline row kept");
         assert!(row.current.is_none() && row.regression);
     }
 
     #[test]
     fn run_profile_never_gates() {
-        let base = sim_json(100000);
-        let drifted = base.replace("\"hits\":900", "\"hits\":1");
-        let report = diff(&base, &drifted, 0.15, GatePolicy::Throughput).expect("diff");
+        let base = steal_json(80_000_000, 2.5);
+        let drifted = base.replace("\"half_steals\":3", "\"half_steals\":30");
+        let report = diff(&base, &drifted, 0.15).expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
         // ... but the movement is surfaced in the table.
+        let md = report.to_markdown();
         assert!(
-            report.to_markdown().contains("run_profile.matmul.l1.hits"),
-            "{}",
-            report.to_markdown()
+            md.contains("rows[locality-aware.w4].report.run_profile.par.half_steals"),
+            "{md}"
         );
+    }
+
+    /// Every committed baseline passes against itself, with exactly as
+    /// many gated leaves as it had before the gate lost its
+    /// throughput-promoting policy (counted then under the default
+    /// policy): dropping the parameter disarmed no gate. A new baseline
+    /// must be pinned here too.
+    #[test]
+    fn every_baseline_passes_against_itself_with_its_gates_armed() {
+        const GATED: &[(&str, usize)] = &[
+            ("ANALYZE_hb.json", 172),
+            ("ANALYZE_smoke.json", 24),
+            ("BENCH_binpolicy.json", 96),
+            ("BENCH_serve_smoke.json", 110),
+            ("BENCH_steal.json", 50),
+            ("BENCH_topology.json", 144),
+        ];
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("baselines/ exists")
+            .map(|entry| entry.expect("dir entry").file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let pinned: Vec<&str> = GATED.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, pinned, "every baseline is pinned");
+        for &(name, gated) in GATED {
+            let doc = std::fs::read_to_string(dir.join(name)).expect("readable baseline");
+            let report = diff(&doc, &doc, 0.15).expect("diff");
+            assert!(report.passed(), "{name}: {}", report.to_markdown());
+            let armed = report
+                .rows
+                .iter()
+                .filter(|r| r.direction != Direction::Info)
+                .count();
+            assert_eq!(armed, gated, "{name}");
+        }
     }
 }

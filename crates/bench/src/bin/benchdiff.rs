@@ -3,25 +3,22 @@
 //!
 //! ```text
 //! benchdiff <baseline.json> <current.json> [--threshold 0.15]
-//!           [--gate-throughput]
 //! ```
 //!
-//! `--gate-throughput` promotes `*per_sec` metrics to gated
-//! (higher-is-better: a drop beyond the threshold fails) for CI legs
-//! that produce baseline and current on the same runner class.
+//! Gates the deterministic counts and speedup ratios of a `BENCH_*.json`
+//! or `ANALYZE_*.json` artifact against its committed baseline; wall
+//! times, throughputs and probe counters are shown, never gated (see
+//! `repro::benchdiff`).
 //!
 //! Prints a markdown delta table to stdout (pipe into
 //! `$GITHUB_STEP_SUMMARY` in CI). Exit codes: 0 = pass, 1 = at least
 //! one regression, 2 = usage or parse error.
 
-use repro::benchdiff::{diff, GatePolicy};
+use repro::benchdiff::diff;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: benchdiff <baseline.json> <current.json> [--threshold <rel>] \
-         [--gate-throughput]"
-    );
+    eprintln!("usage: benchdiff <baseline.json> <current.json> [--threshold <rel>]");
     ExitCode::from(2)
 }
 
@@ -29,7 +26,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut files = Vec::new();
     let mut threshold = 0.15f64;
-    let mut policy = GatePolicy::Baseline;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -45,7 +41,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--gate-throughput" => policy = GatePolicy::Throughput,
             "--help" | "-h" => return usage(),
             other if other.starts_with('-') => {
                 eprintln!("benchdiff: unknown flag '{other}'");
@@ -62,7 +57,7 @@ fn main() -> ExitCode {
     };
     let result = read(baseline_path)
         .and_then(|base| read(current_path).map(|cur| (base, cur)))
-        .and_then(|(base, cur)| diff(&base, &cur, threshold, policy));
+        .and_then(|(base, cur)| diff(&base, &cur, threshold));
     match result {
         Ok(report) => {
             println!("### benchdiff: `{baseline_path}` → `{current_path}`\n");

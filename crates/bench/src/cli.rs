@@ -1,56 +1,36 @@
 //! The `repro` command line: argument parsing, the usage text, and the
 //! loop that runs registry entries and writes their artifacts.
 
-use crate::registry::{self, Ctx, Experiment, Run, REGISTRY};
-use crate::simbench::DEFAULT_SHARDS;
+use crate::registry::{self, Experiment, Run, REGISTRY};
 use crate::ExpScale;
 use std::process::ExitCode;
 
 /// The usage line, generated from the registry.
 pub fn usage() -> String {
     let names: Vec<&str> = REGISTRY.iter().map(|experiment| experiment.name).collect();
-    format!(
-        "usage: repro [all|{}]... [--full|--smoke] [--shards N] [--analyze]",
-        names.join("|")
-    )
+    format!("usage: repro [all|{}]... [--full|--smoke]", names.join("|"))
 }
 
-/// Parses `repro`'s arguments into the run context and the experiments
-/// to run, in the order named (`all`, or no name, selects the
-/// registry's `in_all` entries; `--analyze` appends `analyze`). Flags
-/// are processed in order, so `--smoke --full` ends at full scale.
+/// Parses `repro`'s arguments into the problem scale and the
+/// experiments to run, in the order named (`all`, or no name, selects
+/// the registry's `in_all` entries). Flags are processed in order, so
+/// `--smoke --full` ends at full scale.
 ///
 /// # Errors
 ///
-/// An unknown experiment name, an unknown flag, or `--shards` without a
-/// count.
-pub fn parse<I>(args: I) -> Result<(Ctx, Vec<&'static Experiment>), String>
+/// An unknown experiment name or an unknown flag.
+pub fn parse<I>(args: I) -> Result<(ExpScale, Vec<&'static Experiment>), String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut ctx = Ctx {
-        scale: ExpScale::default_scaled(),
-        shards: DEFAULT_SHARDS,
-    };
+    let mut scale = ExpScale::default_scaled();
     let mut wanted: Vec<&'static Experiment> = Vec::new();
     let mut all = false;
-    let mut analyze = false;
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
+    for arg in args {
         match arg.as_str() {
-            "--full" => ctx.scale = ExpScale::full(),
-            "--smoke" => ctx.scale = ExpScale::smoke(),
-            "--analyze" => analyze = true,
+            "--full" => scale = ExpScale::full(),
+            "--smoke" => scale = ExpScale::smoke(),
             "all" => all = true,
-            flag if flag == "--shards" || flag.starts_with("--shards=") => {
-                let count = match flag.strip_prefix("--shards=") {
-                    Some(count) => Some(count.to_owned()),
-                    None => args.next(),
-                };
-                ctx.shards = count
-                    .and_then(|count| count.parse().ok())
-                    .ok_or("--shards needs a count")?;
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
             name => {
                 wanted.push(registry::find(name).ok_or(format!("unknown experiment: {name}"))?);
@@ -60,10 +40,7 @@ where
     if all || wanted.is_empty() {
         wanted = REGISTRY.iter().filter(|e| e.in_all).collect();
     }
-    if analyze && !wanted.iter().any(|e| e.name == "analyze") {
-        wanted.extend(registry::find("analyze"));
-    }
-    Ok((ctx, wanted))
+    Ok((scale, wanted))
 }
 
 /// Runs `repro` with the given arguments: the scale header, then each
@@ -74,22 +51,21 @@ pub fn main<I>(args: I) -> ExitCode
 where
     I: IntoIterator<Item = String>,
 {
-    let (ctx, wanted) = match parse(args) {
+    let (scale, wanted) = match parse(args) {
         Ok(parsed) => parsed,
         Err(err) => {
             eprintln!("repro: {err}\n{}", usage());
             return ExitCode::from(2);
         }
     };
-    let scale = &ctx.scale;
     println!(
         "thread-locality reproduction harness (scale: matmul n={}, pde n={}, sor n={}, nbody n={})\n",
         scale.matmul_n, scale.pde_n, scale.sor_n, scale.nbody_n
     );
     for experiment in wanted {
         let ran = match experiment.run {
-            Run::Print(run) => run(&ctx),
-            Run::Artifact(path, run) => run(&ctx).and_then(|json| {
+            Run::Print(run) => run(&scale),
+            Run::Artifact(path, run) => run(&scale).and_then(|json| {
                 std::fs::write(path, json)
                     .map_err(|err| format!("could not write {path}: {err}"))?;
                 println!("\nwrote {path}");

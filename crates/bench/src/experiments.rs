@@ -40,45 +40,6 @@ pub enum Driver {
     Parallel,
 }
 
-/// Driver-level probe state: per-cell wall time and the number of
-/// cells executed, accumulated across every [`run_cells`] call in the
-/// process. Process-global (const constructors make the static free)
-/// because cells run on driver-owned threads with no natural place to
-/// thread a handle through.
-struct DriverObs {
-    cells: probe::Counter,
-    cell_wall_ns: probe::Histogram,
-}
-
-static DRIVER_OBS: DriverObs = DriverObs {
-    cells: probe::Counter::new(),
-    cell_wall_ns: probe::Histogram::new(),
-};
-
-/// The driver's probe section (`"driver"`): cells executed so far and
-/// the per-cell wall-time distribution.
-pub fn driver_profile() -> probe::Section {
-    let mut section = probe::Section::new("driver");
-    section
-        .counter("cells", DRIVER_OBS.cells.get())
-        .histogram("cell_wall_ns", &DRIVER_OBS.cell_wall_ns);
-    section
-}
-
-/// Runs `work` as one driver cell: counted in the `"driver"` probe
-/// section and timed into its wall-clock histogram.
-///
-/// This is the accounting entry point for *every* independent
-/// simulation the process runs — [`run_cells`] batches route through it
-/// per cell, and benchmark mains that time runs directly (simbench's
-/// slow/fast/sharded repetitions) must wrap each timed run in it, or
-/// the published `"driver":{"cells":…}` counter silently reads zero.
-pub fn drive<T>(work: impl FnOnce() -> T) -> T {
-    let _span = DRIVER_OBS.cell_wall_ns.span();
-    DRIVER_OBS.cells.incr();
-    work()
-}
-
 /// Runs `cells` under `driver`, returning results in cell order.
 ///
 /// Determinism: each cell owns its address space, workload data and
@@ -88,12 +49,9 @@ pub fn drive<T>(work: impl FnOnce() -> T) -> T {
 /// interleaves cell completion (see DESIGN.md).
 pub fn run_cells(cells: Vec<Cell>, driver: Driver) -> Vec<(String, SimReport)> {
     match driver {
-        Driver::Sequential => cells.into_iter().map(drive).collect(),
+        Driver::Sequential => cells.into_iter().map(|cell| cell()).collect(),
         Driver::Parallel => std::thread::scope(|scope| {
-            let handles: Vec<_> = cells
-                .into_iter()
-                .map(|cell| scope.spawn(move || drive(cell)))
-                .collect();
+            let handles: Vec<_> = cells.into_iter().map(|cell| scope.spawn(cell)).collect();
             handles
                 .into_iter()
                 .map(|handle| handle.join().expect("simulation cell panicked"))

@@ -24,7 +24,6 @@ pub mod print;
 pub mod registry;
 pub mod scale;
 pub mod servebench;
-pub mod simbench;
 pub mod studies;
 
 pub use scale::ExpScale;

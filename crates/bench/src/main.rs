@@ -3,12 +3,12 @@
 //! artifacts, and the studies beyond the paper.
 //!
 //! ```text
-//! repro [all|<name>]... [--full|--smoke] [--shards N] [--analyze]
+//! repro [all|<name>]... [--full|--smoke]
 //! ```
 //!
-//! Run with an unknown name for the list of names. `--analyze` (or the
-//! `analyze` name) appends the `schedlint` four-kernel schedule-safety
-//! self-check and writes `ANALYZE_smoke.json`.
+//! Run with an unknown name for the list of names. The `analyze` name
+//! runs the `schedlint` four-kernel schedule-safety self-check and
+//! writes `ANALYZE_smoke.json`.
 
 fn main() -> std::process::ExitCode {
     repro::cli::main(std::env::args().skip(1))

@@ -6,7 +6,6 @@ use crate::experiments::{
 use crate::fmt::{ratio, secs, thousands, TextTable};
 use crate::paper;
 use crate::servebench::ServeBenchResult;
-use crate::simbench::SimBenchResult;
 use cachesim::SimReport;
 use locality_sched::StealPolicy;
 
@@ -123,45 +122,6 @@ pub fn miss_table(title: &str, rows: &[MissRow], paper_rows: &[(&str, &[u64])]) 
             );
         }
         t.row(cells);
-    }
-    print!("{}", t.render());
-}
-
-/// Prints the fast-path simulation benchmark: per workload the
-/// simulated-access throughput with the fast lookup paths off and on,
-/// plus the sharded replay pipeline, after the built-in check that all
-/// three produce identical reports. The sharded column times trace
-/// *replay* only (capture excluded), so it measures the engine.
-pub fn simbench(result: &SimBenchResult) {
-    println!(
-        "Simulation fast-path benchmark: accesses/sec, slow (exhaustive) vs fast path vs sharded replay, best of {} (reports verified identical)\n",
-        result.reps
-    );
-    let mut t = TextTable::new(vec![
-        "workload",
-        "accesses",
-        "slow (ms)",
-        "fast (ms)",
-        "shard (ms)",
-        "slow Macc/s",
-        "fast Macc/s",
-        "shard Macc/s",
-        "speedup",
-        "shard speedup",
-    ]);
-    for row in &result.rows {
-        t.row(vec![
-            row.label(),
-            thousands(row.accesses),
-            format!("{:.2}", row.slow_ns as f64 / 1e6),
-            format!("{:.2}", row.fast_ns as f64 / 1e6),
-            format!("{:.2}", row.sharded_ns as f64 / 1e6),
-            format!("{:.2}", row.accesses_per_sec(row.slow_ns) / 1e6),
-            format!("{:.2}", row.accesses_per_sec(row.fast_ns) / 1e6),
-            format!("{:.2}", row.accesses_per_sec(row.sharded_ns) / 1e6),
-            ratio(row.speedup()),
-            ratio(row.sharded_speedup()),
-        ]);
     }
     print!("{}", t.render());
 }

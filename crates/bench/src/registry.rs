@@ -4,33 +4,24 @@
 //! tables are rows over two shapes (`time_table`, `miss_table`):
 //! kernel, title, the paper's published rows, and for Table 3 a version
 //! filter.
+//!
+//! Every run takes the problem scale; batches of simulation cells run
+//! under [`Driver::default()`] (`Driver::Sequential` is the tests'
+//! reference).
 
 use crate::experiments::{self, Driver};
-use crate::{paper, print, servebench, simbench, studies, ExpScale};
+use crate::{paper, print, servebench, studies, ExpScale};
 use workloads::Kernel;
-
-/// What a run needs besides the experiment itself: the problem scale
-/// and the shard count for sharded replay cells (a *request* — the
-/// shard planner clamps it to what the simulated machine's geometry
-/// supports). Batches of simulation cells run under
-/// [`Driver::default()`]; `Driver::Sequential` is the tests' reference.
-#[derive(Clone, Copy, Debug)]
-pub struct Ctx {
-    /// Problem and machine scale.
-    pub scale: ExpScale,
-    /// Shards requested for sharded replay cells.
-    pub shards: u32,
-}
 
 /// How an experiment runs. Both kinds print their results to stdout and
 /// may fail with a reason.
 #[derive(Debug)]
 pub enum Run {
     /// Prints only.
-    Print(fn(&Ctx) -> Result<(), String>),
+    Print(fn(&ExpScale) -> Result<(), String>),
     /// Also returns the JSON payload `repro` writes to the named file
     /// in the working directory.
-    Artifact(&'static str, fn(&Ctx) -> Result<String, String>),
+    Artifact(&'static str, fn(&ExpScale) -> Result<String, String>),
 }
 
 /// One runnable experiment.
@@ -62,127 +53,115 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "table2",
         in_all: true,
-        run: Run::Print(|ctx| {
-            let title = format!("Table 2: matrix multiply (n = {})", ctx.scale.matmul_n);
+        run: Run::Print(|scale| {
+            let title = format!("Table 2: matrix multiply (n = {})", scale.matmul_n);
             let note = "Modeled seconds on ratio-preserved scaled machines; \
                         compare ratios, not absolutes.";
-            time_table(ctx, Kernel::MatMul, &title, &paper::table2::ROWS, note)
+            time_table(scale, Kernel::MatMul, &title, &paper::table2::ROWS, note)
         }),
     },
     Experiment {
         name: "table3",
         in_all: true,
-        run: Run::Print(|ctx| {
+        run: Run::Print(|scale| {
             let title = "Table 3: matmul memory references and cache misses (scaled R8000)";
             let versions = &paper::table3::VERSIONS;
-            miss_table(ctx, Kernel::MatMul, title, &paper::table3::ROWS, versions)
+            miss_table(scale, Kernel::MatMul, title, &paper::table3::ROWS, versions)
         }),
     },
     Experiment {
         name: "table4",
         in_all: true,
-        run: Run::Print(|ctx| {
-            let scale = &ctx.scale;
+        run: Run::Print(|scale| {
             let title = format!(
                 "Table 4: PDE (n = {}, {} iterations + residual)",
                 scale.pde_n, scale.pde_iters
             );
-            time_table(ctx, Kernel::Pde, &title, &paper::table4::ROWS, "")
+            time_table(scale, Kernel::Pde, &title, &paper::table4::ROWS, "")
         }),
     },
     Experiment {
         name: "table5",
         in_all: true,
-        run: Run::Print(|ctx| {
+        run: Run::Print(|scale| {
             let title = "Table 5: PDE cache misses (scaled R8000)";
-            miss_table(ctx, Kernel::Pde, title, &paper::table5::ROWS, &[])
+            miss_table(scale, Kernel::Pde, title, &paper::table5::ROWS, &[])
         }),
     },
     Experiment {
         name: "table6",
         in_all: true,
-        run: Run::Print(|ctx| {
-            let scale = &ctx.scale;
+        run: Run::Print(|scale| {
             let title = format!(
                 "Table 6: SOR (n = {}, t = {}, tile {})",
                 scale.sor_n, scale.sor_t, scale.sor_tile
             );
-            time_table(ctx, Kernel::Sor, &title, &paper::table6::ROWS, "")
+            time_table(scale, Kernel::Sor, &title, &paper::table6::ROWS, "")
         }),
     },
     Experiment {
         name: "table7",
         in_all: true,
-        run: Run::Print(|ctx| {
+        run: Run::Print(|scale| {
             let title = "Table 7: SOR memory references and cache misses (scaled R8000)";
-            miss_table(ctx, Kernel::Sor, title, &paper::table7::ROWS, &[])
+            miss_table(scale, Kernel::Sor, title, &paper::table7::ROWS, &[])
         }),
     },
     Experiment {
         name: "table8",
         in_all: true,
-        run: Run::Print(|ctx| {
-            let scale = &ctx.scale;
+        run: Run::Print(|scale| {
             let title = format!(
                 "Table 8: N-body ({} bodies, {} iterations)",
                 scale.nbody_n, scale.nbody_iters
             );
-            time_table(ctx, Kernel::NBody, &title, &paper::table8::ROWS, "")
+            time_table(scale, Kernel::NBody, &title, &paper::table8::ROWS, "")
         }),
     },
     Experiment {
         name: "table9",
         in_all: true,
-        run: Run::Print(|ctx| {
+        run: Run::Print(|scale| {
             let title = "Table 9: N-body cache misses, one iteration (scaled R8000)";
-            miss_table(ctx, Kernel::NBody, title, &paper::table9::ROWS, &[])
+            miss_table(scale, Kernel::NBody, title, &paper::table9::ROWS, &[])
         }),
     },
     Experiment {
         name: "figure4",
         in_all: true,
-        run: Run::Print(|ctx| {
-            print::figure4(&experiments::figure4(&ctx.scale, Driver::default()));
+        run: Run::Print(|scale| {
+            print::figure4(&experiments::figure4(scale, Driver::default()));
             Ok(())
         }),
     },
     Experiment {
         name: "steal",
         in_all: true,
-        run: Run::Artifact("BENCH_steal.json", |ctx| {
-            let result = experiments::steal(&ctx.scale);
+        run: Run::Artifact("BENCH_steal.json", |scale| {
+            let result = experiments::steal(scale);
             print::steal(&result);
-            Ok(result.to_json())
-        }),
-    },
-    Experiment {
-        name: "simbench",
-        in_all: true,
-        run: Run::Artifact("BENCH_sim.json", |ctx| {
-            let result = simbench::simbench(&ctx.scale, 3, ctx.shards);
-            print::simbench(&result);
             Ok(result.to_json())
         }),
     },
     Experiment {
         name: "binpolicy",
         in_all: true,
-        run: Run::Artifact("BENCH_binpolicy.json", |ctx| {
-            policy_ablation(&experiments::BINPOLICY, ctx)
+        run: Run::Artifact("BENCH_binpolicy.json", |scale| {
+            policy_ablation(&experiments::BINPOLICY, scale)
         }),
     },
     Experiment {
         name: "topology",
         in_all: true,
-        run: Run::Artifact("BENCH_topology.json", |ctx| {
-            policy_ablation(&experiments::TOPOLOGY, ctx)
+        run: Run::Artifact("BENCH_topology.json", |scale| {
+            policy_ablation(&experiments::TOPOLOGY, scale)
         }),
     },
     Experiment {
         name: "servebench",
         in_all: true,
-        run: Run::Artifact("BENCH_serve.json", |ctx| {
-            let result = servebench::servebench(&ctx.scale);
+        run: Run::Artifact("BENCH_serve.json", |scale| {
+            let result = servebench::servebench(scale);
             print::servebench(&result);
             Ok(result.to_json())
         }),
@@ -200,24 +179,24 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "ablation",
         in_all: false,
-        run: Run::Print(|ctx| {
-            studies::ablation(&ctx.scale);
+        run: Run::Print(|scale| {
+            studies::ablation(scale);
             Ok(())
         }),
     },
     Experiment {
         name: "modern",
         in_all: false,
-        run: Run::Print(|ctx| {
-            studies::modern(&ctx.scale);
+        run: Run::Print(|scale| {
+            studies::modern(scale);
             Ok(())
         }),
     },
     Experiment {
         name: "sensitivity",
         in_all: false,
-        run: Run::Print(|ctx| {
-            studies::sensitivity(&ctx.scale);
+        run: Run::Print(|scale| {
+            studies::sensitivity(scale);
             Ok(())
         }),
     },
@@ -227,13 +206,13 @@ pub static REGISTRY: &[Experiment] = &[
 /// scaled machines next to the paper's `(version, R8000 s, R10000 s)`
 /// rows, with `note` printed underneath.
 fn time_table(
-    ctx: &Ctx,
+    scale: &ExpScale,
     kernel: Kernel,
     title: &str,
     paper_rows: &[(&str, f64, f64)],
     note: &str,
 ) -> Result<(), String> {
-    let rows = experiments::time_rows(kernel, &ctx.scale, Driver::default());
+    let rows = experiments::time_rows(kernel, scale, Driver::default());
     print::time_table(title, &rows, paper_rows, note);
     Ok(())
 }
@@ -242,30 +221,30 @@ fn time_table(
 /// `kernel` (every version when empty) simulated on the scaled R8000,
 /// next to the paper's `(metric, [thousands per version])` rows.
 fn miss_table(
-    ctx: &Ctx,
+    scale: &ExpScale,
     kernel: Kernel,
     title: &str,
     paper_rows: &[(&str, &[u64])],
     versions: &[&str],
 ) -> Result<(), String> {
-    let rows = experiments::miss_rows(kernel, &ctx.scale, versions, Driver::default());
+    let rows = experiments::miss_rows(kernel, scale, versions, Driver::default());
     print::miss_table(title, &rows, paper_rows);
     Ok(())
 }
 
 fn policy_ablation(
     spec: &'static experiments::PolicyAblation,
-    ctx: &Ctx,
+    scale: &ExpScale,
 ) -> Result<String, String> {
-    let result = experiments::policy_ablation(spec, &ctx.scale, Driver::default());
+    let result = experiments::policy_ablation(spec, scale, Driver::default());
     print::policy_ablation(&result);
     Ok(result.to_json())
 }
 
 /// The long-run bounded-memory gate: fails if the bin table ever
 /// exceeded its cap or the request accounting does not balance.
-fn servelong(ctx: &Ctx) -> Result<(), String> {
-    let (result, violations) = servebench::servelong(&ctx.scale);
+fn servelong(scale: &ExpScale) -> Result<(), String> {
+    let (result, violations) = servebench::servelong(scale);
     print::servebench(&result);
     if !violations.is_empty() {
         return Err(violations
@@ -286,7 +265,7 @@ fn servelong(ctx: &Ctx) -> Result<(), String> {
 /// analysis scale, independent of `--smoke`/`--full`: the committed
 /// `ANALYZE_smoke.json` baseline must be byte-reproducible on every
 /// host.
-fn analyze(_: &Ctx) -> Result<String, String> {
+fn analyze(_: &ExpScale) -> Result<String, String> {
     let machine = analyze::default_machine();
     let opts = analyze::AnalyzeOptions::default();
     let mut report = analyze::AnalyzeReport::new(machine.name(), opts.hint_threshold_pct);

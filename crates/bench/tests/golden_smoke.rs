@@ -138,13 +138,14 @@ fn studies_print_between_the_harness_header_and_a_blank_line() {
 }
 
 /// Usage errors exit 2 with a usage line naming the registry, and run
-/// nothing.
+/// nothing — the retired `--shards` and `--analyze` flags included.
 #[test]
 fn usage_errors_exit_2() {
     for args in [
         &["tabel1", "--smoke"][..],
         &["table1", "--smok"],
-        &["simbench", "--shards"],
+        &["table1", "--shards", "4"],
+        &["table1", "--analyze"],
     ] {
         let output = repro().args(args).output().expect("spawning repro");
         assert_eq!(output.status.code(), Some(2), "{args:?}");
@@ -192,4 +193,36 @@ fn benchdiff_rejects_hostile_nesting_with_exit_2() {
         stderr.contains("benchdiff: ") && stderr.contains("nesting"),
         "{stderr}"
     );
+}
+
+/// A bad `benchdiff` command line exits 2 and prints no table: a
+/// missing, negative or non-finite `--threshold`, a third path, and the
+/// retired `--gate-throughput`. The same two files with a good
+/// threshold pass, so each refusal is the argument's doing.
+#[test]
+fn benchdiff_usage_errors_exit_2() {
+    let baseline = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../baselines/BENCH_binpolicy.json"
+    );
+    let benchdiff = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_benchdiff"))
+            .args([baseline, baseline])
+            .args(extra)
+            .output()
+            .expect("spawning benchdiff")
+    };
+    assert_eq!(benchdiff(&["--threshold", "0.15"]).status.code(), Some(0));
+    for extra in [
+        &["--threshold"][..],
+        &["--threshold", "-1"],
+        &["--threshold", "nan"],
+        &["--threshold", "inf"],
+        &[baseline],
+        &["--gate-throughput"],
+    ] {
+        let output = benchdiff(extra);
+        assert_eq!(output.status.code(), Some(2), "{extra:?}");
+        assert!(output.stdout.is_empty(), "{extra:?} printed a table");
+    }
 }

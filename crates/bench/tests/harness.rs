@@ -3,9 +3,9 @@
 //! lists, the smoke-scale experiments have the paper's shape, and the
 //! registry and the command line over it agree.
 
+use proptest::prelude::*;
 use repro::experiments::{self, Driver};
-use repro::registry::{Ctx, Experiment, Run, REGISTRY};
-use repro::simbench::DEFAULT_SHARDS;
+use repro::registry::{Experiment, Run, REGISTRY};
 use repro::{cli, paper, ExpScale};
 use workloads::Kernel;
 
@@ -161,44 +161,44 @@ fn registry_is_consistent_and_runs_at_smoke() {
     expected.extend(REGISTRY.iter().map(|experiment| experiment.name));
     assert_eq!(listed.split('|').collect::<Vec<_>>(), expected);
 
-    let ctx = Ctx {
-        scale: ExpScale {
-            serve_requests: 3_000,
-            ..ExpScale::smoke()
-        },
-        shards: DEFAULT_SHARDS,
+    let scale = ExpScale {
+        serve_requests: 3_000,
+        ..ExpScale::smoke()
     };
     for experiment in REGISTRY.iter().filter(|e| e.in_all) {
         let fail = |err: String| -> ! { panic!("{}: {err}", experiment.name) };
         match experiment.run {
-            Run::Print(run) => run(&ctx).unwrap_or_else(|err| fail(err)),
+            Run::Print(run) => run(&scale).unwrap_or_else(|err| fail(err)),
             Run::Artifact(_, run) => {
-                let json = run(&ctx).unwrap_or_else(|err| fail(err));
+                let json = run(&scale).unwrap_or_else(|err| fail(err));
                 probe::json::Json::parse(&json).unwrap_or_else(|err| fail(err));
             }
         }
     }
 }
 
-fn parse(args: &[&str]) -> Result<(Ctx, Vec<&'static Experiment>), String> {
+fn parse(args: &[&str]) -> Result<(ExpScale, Vec<&'static Experiment>), String> {
     cli::parse(args.iter().map(|arg| (*arg).to_owned()))
 }
 
 #[test]
 fn scale_and_shard_flags_are_processed_in_order() {
-    let scale = |args: &[&str]| parse(args).expect("valid arguments").0.scale;
+    let scale = |args: &[&str]| parse(args).expect("valid arguments").0;
     assert_eq!(scale(&[]), ExpScale::default_scaled());
     assert_eq!(scale(&["--full"]), ExpScale::full());
     assert_eq!(scale(&["table2", "--smoke"]), ExpScale::smoke());
     assert_eq!(scale(&["--smoke", "--full"]), ExpScale::full());
 
-    let shards = |args: &[&str]| parse(args).map(|(ctx, _)| ctx.shards);
-    assert_eq!(shards(&["--smoke"]), Ok(DEFAULT_SHARDS));
-    assert_eq!(shards(&["--shards", "8"]), Ok(8));
-    assert_eq!(shards(&["--shards=2"]), Ok(2));
-    for bad in [&["--shards", "nope"][..], &["--shards"], &["--shards="]] {
-        assert_eq!(shards(bad), Err("--shards needs a count".to_owned()));
-    }
+    // `--shards` and `--analyze` are retired: the first one met is the
+    // error.
+    assert_eq!(
+        parse(&["--smoke", "--shards", "4", "--analyze"]).err(),
+        Some("unknown flag: --shards".to_owned())
+    );
+    assert_eq!(
+        parse(&["table1", "--shards=4"]).err(),
+        Some("unknown flag: --shards=4".to_owned())
+    );
 }
 
 #[test]
@@ -216,8 +216,6 @@ fn names_select_experiments_in_the_order_given() {
         .collect();
     assert_eq!(names(&[]), all);
     assert_eq!(names(&["table2", "all"]), all);
-    assert_eq!(names(&["table2", "--analyze"]), ["table2", "analyze"]);
-    assert_eq!(names(&["analyze", "--analyze"]), ["analyze"]);
 }
 
 #[test]
@@ -230,4 +228,62 @@ fn unknown_names_and_flags_are_errors() {
         parse(&["table1", "--smok"]).err(),
         Some("unknown flag: --smok".to_owned())
     );
+}
+
+/// One `repro` argument: a registry name, `all`, a scale flag, a
+/// retired flag, a bare count, or an arbitrary short string.
+fn token() -> impl Strategy<Value = String> {
+    let fixed = |t: &'static str| Just(t.to_owned());
+    prop_oneof![
+        (0..REGISTRY.len()).prop_map(|i| REGISTRY[i].name.to_owned()),
+        fixed("all"),
+        fixed("--full"),
+        fixed("--smoke"),
+        fixed("--shards"),
+        fixed("--shards=4"),
+        fixed("--analyze"),
+        fixed("4"),
+        prop::collection::vec(any::<u8>(), 0..8)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+    ]
+}
+
+proptest! {
+    /// `cli::parse` never panics and accepts exactly the vocabulary:
+    /// any token that is not a name, `all` or a scale flag is an error
+    /// naming the first such token — an unknown flag (every retired
+    /// flag among them) if it starts with `-`, else an unknown name.
+    /// Accepted lines select the named experiments in order (the `all`
+    /// set when `all` or no name is given) at the last scale flag.
+    #[test]
+    fn cli_parse_accepts_exactly_names_all_and_scale_flags(
+        tokens in prop::collection::vec(token(), 0..6),
+    ) {
+        let is_name = |t: &str| REGISTRY.iter().any(|e| e.name == t);
+        let valid = |t: &str| matches!(t, "all" | "--full" | "--smoke") || is_name(t);
+        let args: Vec<&str> = tokens.iter().map(String::as_str).collect();
+        match (parse(&args), args.iter().find(|t| !valid(t))) {
+            (Ok((scale, wanted)), None) => {
+                let expected_scale = match args.iter().rev().find(|t| t.starts_with("--")) {
+                    Some(&"--full") => ExpScale::full(),
+                    Some(_) => ExpScale::smoke(),
+                    None => ExpScale::default_scaled(),
+                };
+                prop_assert_eq!(scale, expected_scale);
+                let named: Vec<&str> = args.iter().copied().filter(|t| is_name(t)).collect();
+                let expected: Vec<&str> = if named.is_empty() || args.contains(&"all") {
+                    REGISTRY.iter().filter(|e| e.in_all).map(|e| e.name).collect()
+                } else {
+                    named
+                };
+                let got: Vec<&str> = wanted.iter().map(|e| e.name).collect();
+                prop_assert_eq!(got, expected);
+            }
+            (Err(err), Some(bad)) => {
+                let kind = if bad.starts_with('-') { "flag" } else { "experiment" };
+                prop_assert_eq!(err, format!("unknown {kind}: {bad}"));
+            }
+            (parsed, bad) => panic!("{args:?}: parsed {parsed:?}, first invalid {bad:?}"),
+        }
+    }
 }

@@ -130,8 +130,8 @@ pub struct Cache {
     /// When false, [`try_rehit`](Cache::try_rehit) and
     /// [`rehit_many`](Cache::rehit_many) decline, so every reference
     /// takes [`access_line`](Cache::access_line); the differential
-    /// suite and `simbench` use this as the bit-identical slow
-    /// reference.
+    /// suites and the repository benchmark's checks (`benchmark/`) use
+    /// this as the bit-identical slow reference.
     fast_path: bool,
     obs: CacheObs,
 }

@@ -5,8 +5,9 @@
 //! fully-associative LRU cache of the level's line count still hold
 //! it. [`LruModel`] answers both in one touch — the flat table with the
 //! fast paths on, the reference model with them off, which is what the
-//! differential suites, `simbench` and the repository benchmark compare
-//! the table against. The classifier is that model plus its counts.
+//! differential suites and the repository benchmark's checks
+//! (`benchmark/`) compare the table against. The classifier is that
+//! model plus its counts.
 
 use crate::lru::LruModel;
 use crate::recency::Touch;

@@ -288,8 +288,8 @@ impl Hierarchy {
     /// hash-set-and-list reference model. The hierarchy owns the knob
     /// and tells its parts. Statistics are bit-identical either way and
     /// across a switch mid-stream; the slow path is kept as the
-    /// exhaustive reference for differential tests and the `simbench`
-    /// before/after comparison.
+    /// exhaustive reference the differential suites and the repository
+    /// benchmark's checks (`benchmark/`) compare the fast paths against.
     pub fn set_fast_path(&mut self, enabled: bool) {
         for level in self.levels_mut() {
             level.set_fast_path(enabled);

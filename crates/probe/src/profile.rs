@@ -21,7 +21,7 @@ pub enum Metric {
 }
 
 /// An ordered collection of named metrics for one layer of the system
-/// (`"sched"`, `"l2"`, `"driver"`, …).
+/// (`"sched"`, `"l2"`, `"par"`, …).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Section {
     name: String,
