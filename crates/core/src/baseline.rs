@@ -30,7 +30,7 @@ fn baseline_config(tour: Tour) -> SchedulerConfig {
 /// Running a threaded program under `FifoScheduler` reproduces the
 /// memory-reference order of the original loop nest (plus thread
 /// overhead); it is the "what does binning buy over doing nothing"
-/// baseline in the ablation benches.
+/// baseline of the comparison experiments.
 ///
 /// # Examples
 ///

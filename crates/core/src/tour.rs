@@ -16,7 +16,7 @@ use rand::SeedableRng;
 /// The paper (§2.3): "Scheduling involves traversing the bins along
 /// some path, preferably the shortest one", and its implementation
 /// (§3.2) visits bins in ready-list (allocation) order. The
-/// alternatives here let the ablation benches quantify how much the
+/// alternatives here let the `ablation` study quantify how much the
 /// tour matters once threads are binned:
 ///
 /// * [`AllocationOrder`](Tour::AllocationOrder) — the paper's

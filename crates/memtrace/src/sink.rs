@@ -8,7 +8,7 @@ use crate::{Access, AccessKind, Addr, SchedMark, StreamRun};
 /// sink decides what tracing costs:
 ///
 /// * [`NullSink`] — everything inlines to nothing; the workload runs at
-///   native speed (used for wall-clock Criterion benches).
+///   native speed (the benchmark's wall-clock baselines).
 /// * `cachesim::SimSink` — feeds an online cache-hierarchy simulation
 ///   (the paper's Pixie → DineroIII pipeline, without the intermediate
 ///   trace file).

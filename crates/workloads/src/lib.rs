@@ -8,8 +8,6 @@
 //! | §4.3 PDE (red-black Gauss–Seidel) | [`pde`] | regular, cache-conscious, threaded |
 //! | §4.3 SOR | [`sor`] | untiled, hand-tiled (skewed), threaded |
 //! | §4.4 N-body (Barnes–Hut) | [`nbody`] | unthreaded, threaded |
-//! | (extension) sparse matrix–vector | [`spmv`] | work-list order, threaded |
-//! | (extension) multigrid V-cycle | [`multigrid`] | the solver the PDE kernel nests in, any smoother |
 //!
 //! Every version of a workload computes the same mathematical result
 //! (bitwise-identical where the paper's transformation is
@@ -23,13 +21,11 @@
 
 pub mod geometry;
 pub mod matmul;
-pub mod multigrid;
 pub mod nbody;
 pub mod overhead;
 pub mod pde;
 pub mod report;
 pub mod sor;
-pub mod spmv;
 
 pub use geometry::{BinGeometry, HintKind, Kernel, OrderSemantics};
 pub use report::WorkloadReport;
