@@ -5,7 +5,7 @@ use crate::conflict::{conflict_pairs, ConflictPair};
 use crate::hb::phase_verdict;
 use crate::policies::{assign_bins, BinAssignment, PolicyKind};
 use crate::{Finding, Severity};
-use locality_sched::{BinPolicy, PaperBlockHash};
+use locality_sched::{AnyPolicy, BinPolicy, PaperBlockHash};
 use memtrace::{ThreadFootprint, WORD_BYTES};
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::{HintKind, OrderSemantics};
@@ -29,8 +29,10 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// Order-safety result for one policy family.
-#[derive(Clone, Debug)]
+/// Order-safety result for one policy family, summed over a capture's
+/// phases — a row of the lint summary and of the `ANALYZE_hb.json`
+/// certificates alike.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PolicyCheck {
     /// Policy label.
     pub policy: &'static str,
@@ -54,6 +56,85 @@ pub struct PolicyCheck {
     /// [`ConflictOrder`](crate::ObligationKind::ConflictOrder) per
     /// conflicting pair in the stealing model).
     pub hb_obligations: u64,
+    /// Drain units of the policy's serial traces.
+    pub hb_units: u64,
+    /// Schedule events replayed into happens-before indices (serial +
+    /// stealing model).
+    pub hb_events: u64,
+    /// The first reordered conflicting pair of an order-exact
+    /// workload, described.
+    pub(crate) order_example: Option<String>,
+    /// The first conflicting pair the stealing model leaves unordered,
+    /// described.
+    pub(crate) race_example: Option<String>,
+}
+
+/// The conflicting pairs of each of `capture`'s phases.
+pub(crate) fn phase_conflicts(capture: &Capture) -> Vec<Vec<ConflictPair>> {
+    capture
+        .phases
+        .iter()
+        .map(|phase| conflict_pairs(&phase.footprints))
+        .collect()
+}
+
+/// Sums `policy`'s [`phase_verdict`]s over `capture`; `conflicts[i]`
+/// holds the conflicting pairs of phase `i`. A `None` policy (no
+/// geometry for the family) yields an unchecked, all-zero check.
+pub(crate) fn check_policy(
+    capture: &Capture,
+    conflicts: &[Vec<ConflictPair>],
+    name: &'static str,
+    policy: Option<AnyPolicy>,
+) -> PolicyCheck {
+    let mut check = PolicyCheck {
+        policy: name,
+        checked: policy.is_some(),
+        ..PolicyCheck::default()
+    };
+    let Some(policy) = policy else {
+        return check;
+    };
+    let exact = capture.semantics == OrderSemantics::Exact;
+    for (phase_ix, (phase, conflicts)) in capture.phases.iter().zip(conflicts).enumerate() {
+        let verdict = phase_verdict(capture.config, policy, phase, conflicts);
+        check.hb_units += verdict.units;
+        check.hb_events += verdict.events;
+        // One conflict-order obligation a pair, and a fork-order one
+        // where fork order is the contract.
+        check.hb_obligations += conflicts.len() as u64 * (1 + u64::from(exact));
+        if exact {
+            check.violations += verdict.out_of_order.len() as u64;
+            if let Some(pair) = verdict.out_of_order.first() {
+                check.order_example.get_or_insert_with(|| {
+                    format!(
+                        "phase {phase_ix}: thread {} runs before conflicting \
+                         earlier thread {} (word {:#x})",
+                        pair.b,
+                        pair.a,
+                        pair.example_word * WORD_BYTES
+                    )
+                });
+            }
+        } else {
+            check.reordered += verdict.out_of_order.len() as u64;
+        }
+        check.steal_unsafe += verdict.unordered.len() as u64;
+        if let Some(pair) = verdict.unordered.first() {
+            check.race_example.get_or_insert_with(|| {
+                format!(
+                    "phase {phase_ix}: threads {} and {} (bins {} and {}) \
+                     share word {:#x} with no happens-before edge",
+                    pair.a,
+                    pair.b,
+                    verdict.fine[pair.a],
+                    verdict.fine[pair.b],
+                    pair.example_word * WORD_BYTES
+                )
+            });
+        }
+    }
+    check
 }
 
 /// Everything `schedlint` reports for one workload.
@@ -131,104 +212,44 @@ impl KernelSummary {
 /// Runs all four analyses over a capture.
 pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
     let exact = capture.semantics == OrderSemantics::Exact;
-    let mut checks: Vec<PolicyCheck> = PolicyKind::ALL
+    let conflicts = phase_conflicts(capture);
+    let checks: Vec<PolicyCheck> = PolicyKind::ALL
         .iter()
-        .map(|k| PolicyCheck {
-            policy: k.name(),
-            checked: k.policy(capture).is_some(),
-            violations: 0,
-            reordered: 0,
-            steal_unsafe: 0,
-            hb_obligations: 0,
-        })
+        .map(|kind| check_policy(capture, &conflicts, kind.name(), kind.policy(capture)))
         .collect();
+    // `PolicyKind::ALL` leads with the paper policy.
+    let paper = &checks[0];
     let mut findings = Vec::new();
     let mut threads = 0u64;
     let mut bins = 0u64;
-    let mut total_conflicts = 0u64;
-    let mut hb_events = 0u64;
-    let mut hb_units = 0u64;
-    let mut race_example: Option<String> = None;
     let mut coverage = CoverageStats::default();
     let mut overflow = OverflowStats::default();
     let mut false_sharing = FalseSharingStats::default();
     let mut cross_node = CrossNodeStats::default();
-    let mut order_examples: BTreeMap<&'static str, String> = BTreeMap::new();
 
-    for (phase_ix, phase) in capture.phases.iter().enumerate() {
+    for (phase_ix, (phase, conflicts)) in capture.phases.iter().zip(&conflicts).enumerate() {
         threads += phase.threads() as u64;
-        let conflicts = conflict_pairs(&phase.footprints);
-        total_conflicts += conflicts.len() as u64;
         let paper_bins = assign_bins(PaperBlockHash::from_config(&capture.config), &phase.hints);
         bins += paper_bins.fine_bins as u64;
-
-        for (check, kind) in checks.iter_mut().zip(PolicyKind::ALL.iter()) {
-            let Some(policy) = kind.policy(capture) else {
-                continue;
-            };
-            let verdict = phase_verdict(capture.config, policy, phase, &conflicts);
-            hb_events += verdict.events;
-            if *kind == PolicyKind::Paper {
-                hb_units += verdict.units;
-            }
-            // One conflict-order obligation a pair, and a fork-order one
-            // where fork order is the contract.
-            check.hb_obligations += conflicts.len() as u64 * (1 + u64::from(exact));
-            if exact {
-                check.violations += verdict.out_of_order.len() as u64;
-                if let Some(pair) = verdict.out_of_order.first() {
-                    order_examples.entry(check.policy).or_insert_with(|| {
-                        format!(
-                            "phase {phase_ix}: thread {} runs before conflicting \
-                             earlier thread {} (word {:#x})",
-                            pair.b,
-                            pair.a,
-                            pair.example_word * WORD_BYTES
-                        )
-                    });
-                }
-            } else {
-                check.reordered += verdict.out_of_order.len() as u64;
-            }
-            check.steal_unsafe += verdict.unordered.len() as u64;
-            let declared_stealing =
-                *kind == PolicyKind::Paper && capture.concurrency == DrainConcurrency::Stealing;
-            if declared_stealing {
-                if let Some(pair) = verdict.unordered.first() {
-                    race_example.get_or_insert_with(|| {
-                        format!(
-                            "phase {phase_ix}: threads {} and {} (bins {} and {}) \
-                             share word {:#x} with no happens-before edge",
-                            pair.a,
-                            pair.b,
-                            verdict.fine[pair.a],
-                            verdict.fine[pair.b],
-                            pair.example_word * WORD_BYTES
-                        )
-                    });
-                }
-            }
-        }
-
         if capture.hint_kind == HintKind::Address {
             coverage.accumulate(capture, phase_ix, phase, opts);
         }
         overflow.accumulate(capture, phase_ix, phase, &paper_bins);
         false_sharing.accumulate(capture, phase_ix, phase, &paper_bins);
-        cross_node.accumulate(capture, phase_ix, phase, &conflicts);
+        cross_node.accumulate(capture, phase_ix, phase, conflicts);
     }
 
     // Findings: conflict-order errors per policy, then the rest.
     for check in &checks {
-        if check.violations > 0 {
+        if let Some(example) = &check.order_example {
             findings.push(Finding {
                 severity: Severity::Error,
                 analysis: "conflict-order",
                 workload: capture.workload.clone(),
                 detail: format!(
                     "policy `{}` reorders {} conflicting pair(s) in an order-exact \
-                     workload; e.g. {}",
-                    check.policy, check.violations, order_examples[check.policy]
+                     workload; e.g. {example}",
+                    check.policy, check.violations
                 ),
             });
         }
@@ -246,10 +267,15 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
             ),
         });
     }
-    let paper_steal = checks
-        .iter()
-        .find(|c| c.policy == "paper")
-        .map_or(0, |c| c.steal_unsafe);
+    let paper_steal = paper.steal_unsafe;
+    let breakdown = || -> String {
+        let parts: Vec<String> = checks
+            .iter()
+            .filter(|c| c.checked && c.steal_unsafe > 0)
+            .map(|c| format!("{}: {}", c.policy, c.steal_unsafe))
+            .collect();
+        parts.join(", ")
+    };
     // The happens-before race lint: under a declared stealing drain,
     // an unordered conflicting pair is not a "may flip" warning but a
     // W/W or R/W data race — an error, regardless of order semantics.
@@ -258,11 +284,6 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
         DrainConcurrency::Stealing => paper_steal,
     };
     if hb_races > 0 {
-        let breakdown: Vec<String> = checks
-            .iter()
-            .filter(|c| c.checked && c.steal_unsafe > 0)
-            .map(|c| format!("{}: {}", c.policy, c.steal_unsafe))
-            .collect();
         findings.push(Finding {
             severity: Severity::Error,
             analysis: "hb-race",
@@ -271,17 +292,12 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
                 "{} conflicting pair(s) unordered by happens-before under the declared \
                  stealing drain ({}); e.g. {}",
                 hb_races,
-                breakdown.join(", "),
-                race_example.as_deref().unwrap_or("(no example)")
+                breakdown(),
+                paper.race_example.as_deref().unwrap_or("(no example)")
             ),
         });
     }
     if exact && paper_steal > 0 && capture.concurrency == DrainConcurrency::Serial {
-        let breakdown: Vec<String> = checks
-            .iter()
-            .filter(|c| c.checked && c.steal_unsafe > 0)
-            .map(|c| format!("{}: {}", c.policy, c.steal_unsafe))
-            .collect();
         findings.push(Finding {
             severity: Severity::Warning,
             analysis: "steal-safety",
@@ -290,7 +306,7 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
                 "conflicting pairs cross bin boundaries ({}); their order is preserved \
                  by the serial allocation-order tour but not by bin containment, so a \
                  multi-worker or stealing drain may flip them",
-                breakdown.join(", ")
+                breakdown()
             ),
         });
     }
@@ -305,7 +321,7 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
         threads,
         phases: capture.phases.len() as u64,
         bins,
-        conflict_pairs: total_conflicts,
+        conflict_pairs: conflicts.iter().map(|c| c.len() as u64).sum(),
         violations: checks.iter().map(|c| c.violations).max().unwrap_or(0),
         reordered_convergent: reordered_max,
         steal_unsafe_pairs: paper_steal,
@@ -315,8 +331,8 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
         overflow_subbins: overflow.sub,
         false_sharing_lines: false_sharing.lines,
         cross_node_pairs: cross_node.pairs,
-        hb_events,
-        hb_units,
+        hb_events: checks.iter().map(|c| c.hb_events).sum(),
+        hb_units: paper.hb_units,
         hb_obligations: checks.iter().map(|c| c.hb_obligations).sum(),
         hb_races,
         checks,
@@ -680,6 +696,45 @@ mod tests {
         for check in &summary.checks {
             assert!(check.checked, "{} skipped", check.policy);
             assert_eq!(check.violations, 0, "{} reorders the PDE", check.policy);
+        }
+    }
+
+    #[test]
+    fn a_reordered_conflict_of_an_order_exact_workload_is_an_error() {
+        // The unordered-race fixture's two threads write one word from
+        // two bins. A third fork back in the first bin, with the second
+        // thread's footprint, conflicts with that earlier thread but
+        // drains before it under both block policies.
+        let mut capture = crate::Fixture::UnorderedRace.capture();
+        capture.semantics = OrderSemantics::Exact;
+        capture.concurrency = DrainConcurrency::Serial;
+        let phase = &mut capture.phases[0];
+        phase.hints.push(phase.hints[0]);
+        phase.footprints.push(phase.footprints[1].clone());
+        let summary = analyze(&capture, &AnalyzeOptions::default());
+        let flagged: Vec<(&str, u64)> = summary
+            .checks
+            .iter()
+            .map(|c| (c.policy, c.violations))
+            .collect();
+        let expected = [
+            ("paper", 1),
+            ("hierarchical", 1),
+            ("single", 0),
+            ("unique", 0),
+        ];
+        assert_eq!(flagged, expected);
+        let errors: Vec<&str> = summary
+            .findings
+            .iter()
+            .filter(|f| f.analysis == "conflict-order")
+            .map(|f| f.detail.as_str())
+            .collect();
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        for (detail, policy) in errors.iter().zip(["paper", "hierarchical"]) {
+            let example = "phase 0: thread 2 runs before conflicting earlier thread 1";
+            assert!(detail.starts_with(&format!("policy `{policy}` reorders 1 ")));
+            assert!(detail.contains(example), "{detail}");
         }
     }
 

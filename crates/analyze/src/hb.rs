@@ -39,13 +39,13 @@
 //! Two bodies `a`, `b` satisfy `a ⇒ b` iff `b`'s body clock has seen
 //! `a`'s actor tick at `a`'s dispatch: `Va[A_a] ≤ Vb[A_a]`.
 
+use crate::analysis::{check_policy, phase_conflicts, PolicyCheck};
 use crate::capture::{Capture, PhaseModel};
-use crate::conflict::{conflict_pairs, ConflictPair};
+use crate::conflict::ConflictPair;
 use crate::policies::{assign_bins, dispatch_trace, PolicyKind};
 use locality_sched::{AnyPolicy, SchedulerConfig};
 use memtrace::{SchedEvent, ScheduleLog, ThreadFootprint, WORD_BYTES};
 use std::collections::BTreeSet;
-use workloads::OrderSemantics;
 
 /// A per-actor vector clock: `t[a]` counts actor `a`'s events observed
 /// so far.
@@ -352,30 +352,22 @@ pub(crate) fn phase_verdict(
 
 /// One steal-safety certificate row of `ANALYZE_hb.json`: a kernel ×
 /// policy pair with its obligation counts under both execution models.
+/// The check is the one [`analyze`](crate::analyze) sums for the same
+/// pair: its `violations` are the serial model's broken
+/// [`ForkOrder`](ObligationKind::ForkOrder) obligations (must be 0 —
+/// the mirror-replay theorem), its `steal_unsafe` the conflicting
+/// pairs the stealing model leaves unordered, and the row certifies
+/// the policy safe to drain with stealing workers when those are 0.
 #[derive(Clone, Debug)]
 pub struct HbRow {
     /// Row label: `<workload>/<policy>`.
     pub workload: String,
-    /// Policy name.
-    pub policy: String,
     /// Phases analyzed.
     pub phases: u64,
-    /// Drain units of the serial trace, summed over phases.
-    pub hb_units: u64,
-    /// Schedule events processed (serial + stealing model).
-    pub hb_events: u64,
-    /// Order obligations checked.
-    pub hb_obligations: u64,
     /// Conflicting pairs found.
-    pub hb_conflict_pairs: u64,
-    /// [`ForkOrder`](ObligationKind::ForkOrder) obligations violated in
-    /// the serial model (must be 0 — the mirror-replay theorem).
-    pub hb_violations: u64,
-    /// Conflicting pairs unordered in the stealing model.
-    pub hb_unordered: u64,
-    /// 1 when `hb_unordered == 0`: the policy is certified safe to
-    /// drain with stealing workers for this kernel.
-    pub hb_steal_safe: u64,
+    pub conflict_pairs: u64,
+    /// The policy's verdicts, summed over phases.
+    pub check: PolicyCheck,
 }
 
 /// One sharded-replay certificate row: the simulator's shard partition
@@ -408,44 +400,6 @@ pub struct HbReport {
     pub rows: Vec<HbRow>,
     /// Kernel × shard-count certificate rows.
     pub shard_rows: Vec<ShardRow>,
-}
-
-/// Builds one certificate row for `capture` under `policy`;
-/// `conflicts[i]` holds the conflicting pairs of phase `i`.
-fn policy_row(
-    capture: &Capture,
-    conflicts: &[Vec<ConflictPair>],
-    name: &str,
-    policy: AnyPolicy,
-) -> HbRow {
-    let exact = capture.semantics == OrderSemantics::Exact;
-    let mut row = HbRow {
-        workload: format!("{}/{}", capture.workload, name),
-        policy: name.to_string(),
-        phases: capture.phases.len() as u64,
-        hb_units: 0,
-        hb_events: 0,
-        hb_obligations: 0,
-        hb_conflict_pairs: 0,
-        hb_violations: 0,
-        hb_unordered: 0,
-        hb_steal_safe: 0,
-    };
-    for (phase, conflicts) in capture.phases.iter().zip(conflicts) {
-        let verdict = phase_verdict(capture.config, policy, phase, conflicts);
-        row.hb_units += verdict.units;
-        row.hb_events += verdict.events;
-        row.hb_conflict_pairs += conflicts.len() as u64;
-        // One conflict-order obligation a pair, and a fork-order one
-        // where fork order is the contract.
-        row.hb_obligations += conflicts.len() as u64 * (1 + u64::from(exact));
-        if exact {
-            row.hb_violations += verdict.out_of_order.len() as u64;
-        }
-        row.hb_unordered += verdict.unordered.len() as u64;
-    }
-    row.hb_steal_safe = u64::from(row.hb_unordered == 0);
-    row
 }
 
 /// Certifies the sharded simulator's partition against `capture`'s real
@@ -499,11 +453,8 @@ pub fn hb_report(machine: &str, captures: &[Capture]) -> HbReport {
         shard_rows: Vec::new(),
     };
     for capture in captures {
-        let conflicts: Vec<Vec<ConflictPair>> = capture
-            .phases
-            .iter()
-            .map(|phase| conflict_pairs(&phase.footprints))
-            .collect();
+        let conflicts = phase_conflicts(capture);
+        let conflict_pairs = conflicts.iter().map(|c| c.len() as u64).sum();
         let policies = [
             ("paper", PolicyKind::Paper.policy(capture)),
             ("hierarchical", PolicyKind::Hierarchical.policy(capture)),
@@ -512,10 +463,14 @@ pub fn hb_report(machine: &str, captures: &[Capture]) -> HbReport {
             ("unique", PolicyKind::Unique.policy(capture)),
         ];
         for (name, policy) in policies {
-            if let Some(policy) = policy {
-                report
-                    .rows
-                    .push(policy_row(capture, &conflicts, name, policy));
+            let check = check_policy(capture, &conflicts, name, policy);
+            if check.checked {
+                report.rows.push(HbRow {
+                    workload: format!("{}/{name}", capture.workload),
+                    phases: capture.phases.len() as u64,
+                    conflict_pairs,
+                    check,
+                });
             }
         }
         for shards in [2, 4] {
@@ -538,17 +493,19 @@ impl HbReport {
                 w.key("machine").string(&self.machine);
                 w.key("rows").array(|w| {
                     for r in &self.rows {
+                        let check = &r.check;
                         w.object(|w| {
                             w.key("workload").string(&r.workload);
-                            w.key("policy").string(&r.policy);
+                            w.key("policy").string(check.policy);
                             w.key("phases").uint(r.phases);
-                            w.key("hb_units").uint(r.hb_units);
-                            w.key("hb_events").uint(r.hb_events);
-                            w.key("hb_obligations").uint(r.hb_obligations);
-                            w.key("hb_conflict_pairs").uint(r.hb_conflict_pairs);
-                            w.key("hb_violations").uint(r.hb_violations);
-                            w.key("hb_unordered").uint(r.hb_unordered);
-                            w.key("hb_steal_safe").uint(r.hb_steal_safe);
+                            w.key("hb_units").uint(check.hb_units);
+                            w.key("hb_events").uint(check.hb_events);
+                            w.key("hb_obligations").uint(check.hb_obligations);
+                            w.key("hb_conflict_pairs").uint(r.conflict_pairs);
+                            w.key("hb_violations").uint(check.violations);
+                            w.key("hb_unordered").uint(check.steal_unsafe);
+                            w.key("hb_steal_safe")
+                                .uint(u64::from(check.steal_unsafe == 0));
                         });
                     }
                     for r in &self.shard_rows {

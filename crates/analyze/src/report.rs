@@ -197,10 +197,7 @@ mod tests {
             checks: vec![PolicyCheck {
                 policy: "paper",
                 checked: true,
-                violations: 0,
-                reordered: 0,
-                steal_unsafe: 0,
-                hb_obligations: 0,
+                ..PolicyCheck::default()
             }],
             findings: vec![Finding {
                 severity: Severity::Warning,

@@ -17,12 +17,13 @@ use cachesim::MachineModel;
 use proptest::prelude::*;
 use workloads::Kernel;
 
-/// Asserts the happens-before certificate rows for `capture` agree
-/// with the mirror-replay verdicts in `summary`: identical fork-order
-/// violation counts (the serial models coincide) and identical
-/// unordered-pair counts (the stealing model's races are exactly the
-/// cross-bin conflicts mirror replay flags as steal-unsafe). HB can
-/// therefore never contradict the PR 5 proof — it extends it.
+/// Asserts every policy `summary` checked has a happens-before
+/// certificate row for `capture` carrying the very same verdicts. Each
+/// verdict is itself checked against mirror replay as it is built (in
+/// debug builds, which these tests are): the serial model's fork-order
+/// violations are exactly the pairs the dispatch permutation flips, and
+/// the stealing model's races exactly the cross-bin conflicts. HB can
+/// therefore never contradict the mirror-replay proof — it extends it.
 fn assert_hb_matches_mirror_replay(report: &HbReport, capture: &Capture, summary: &KernelSummary) {
     for check in summary.checks.iter().filter(|c| c.checked) {
         let label = format!("{}/{}", capture.workload, check.policy);
@@ -31,16 +32,8 @@ fn assert_hb_matches_mirror_replay(report: &HbReport, capture: &Capture, summary
             .iter()
             .find(|r| r.workload == label)
             .unwrap_or_else(|| panic!("no certificate row for {label}"));
-        assert_eq!(
-            row.hb_violations, check.violations,
-            "{label}: HB fork-order verdict diverges from mirror replay"
-        );
-        assert_eq!(
-            row.hb_unordered, check.steal_unsafe,
-            "{label}: HB stealing-model races diverge from cross-bin pairs"
-        );
-        assert_eq!(row.hb_steal_safe == 1, check.steal_unsafe == 0, "{label}");
-        assert_eq!(row.hb_conflict_pairs, summary.conflict_pairs, "{label}");
+        assert_eq!(&row.check, check, "{label}");
+        assert_eq!(row.conflict_pairs, summary.conflict_pairs, "{label}");
     }
 }
 
@@ -98,15 +91,15 @@ fn hb_certificates_agree_with_mirror_replay_on_every_kernel() {
     // The lint passes clean on every shipped policy × kernel — the
     // topology rows (TopologyAware stealing) included.
     for row in &report.rows {
-        assert_eq!(row.hb_violations, 0, "{}", row.workload);
+        assert_eq!(row.check.violations, 0, "{}", row.workload);
         assert!(
-            row.hb_obligations > 0 || row.hb_conflict_pairs == 0,
+            row.check.hb_obligations > 0 || row.conflict_pairs == 0,
             "{}",
             row.workload
         );
     }
     assert!(
-        report.rows.iter().any(|r| r.policy == "topology"),
+        report.rows.iter().any(|r| r.check.policy == "topology"),
         "kernels must carry a topology certificate row"
     );
     // Every shard partition certificate must hold: no cache line may

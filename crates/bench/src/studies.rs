@@ -1,8 +1,7 @@
 //! Studies beyond the paper's tables, each one registry name:
 //!
 //! * `ablation` — the scheduler's design choices measured in simulated
-//!   cache misses (the Criterion `ablation` bench measures the same
-//!   choices in host wall-clock): bin tour policy (paper §2.3's
+//!   cache misses: bin tour policy (paper §2.3's
 //!   "preferably the shortest path"), symmetric-hint folding (§2.3's
 //!   50% bin saving), page-mapping policy under a physically-indexed
 //!   L2 (§6), and N-body hint dimensionality (§6: "limited to 3 address

@@ -5,8 +5,7 @@
 //! [`ParScheduler`](crate::ParScheduler) are thin configurations of
 //! this one engine — hash table + ready list, one record vector per
 //! bin, optional package-memory tracing, the tour-ordered drain loop,
-//! and the probe observations — [`PhasedScheduler`](crate::PhasedScheduler)
-//! is one `Scheduler` per phase, and
+//! and the probe observations — and
 //! [`ClosureScheduler`](crate::ClosureScheduler) is the engine over
 //! take-once cells of boxed bodies. [`FifoScheduler`](crate::FifoScheduler)
 //! and [`RandomScheduler`](crate::RandomScheduler) are type aliases of
@@ -355,23 +354,6 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             bump,
             arena_base: bump,
         });
-    }
-
-    /// Replaces the traced table's geometry, tour, and policy; only
-    /// legal while empty. Probe observations survive (they are
-    /// cumulative per scheduler instance), the synthetic trace region
-    /// does not.
-    pub(crate) fn reconfigure(&mut self, hash_size: usize, tour: Tour, policy: P) {
-        debug_assert_eq!(self.threads, 0);
-        // Ready state referred to the old keys: incremental mode stays
-        // on, restarting from an empty ready list as after any clear.
-        self.clear();
-        self.hash_size = hash_size;
-        self.tour = tour;
-        self.policy = policy;
-        // The synthetic hash-table region was sized for the old
-        // configuration; re-enable tracing afterwards if needed.
-        self.meta = None;
     }
 
     /// Places `item` into the bin chosen by the policy for `hints`,

@@ -73,7 +73,6 @@ mod config;
 mod engine;
 mod hint;
 mod parallel;
-mod phased;
 mod policy;
 mod scheduler;
 mod stats;
@@ -89,7 +88,6 @@ pub use config::{
 pub use engine::PACKAGE_TRACE_BASE;
 pub use hint::{Hints, MAX_DIMS};
 pub use parallel::{ParRunReport, ParScheduler, ParThreadFn};
-pub use phased::PhasedScheduler;
 pub use policy::{
     AnyPolicy, BinPolicy, Hierarchical, PaperBlockHash, SingleBin, TopologyPolicy, UniqueBin,
     MAX_LEVELS,

@@ -5,8 +5,8 @@
 //! dimension sizes of the block are set such that their sum are the
 //! same as the second-level cache size" (§3.2) is one choice among
 //! many. [`BinPolicy`] makes that choice a first-class parameter of the
-//! shared bin engine, so the locality, phased and parallel schedulers
-//! are thin configurations of one engine, and the FIFO and random
+//! shared bin engine, so the locality and parallel schedulers are thin
+//! configurations of one engine, and the FIFO and random
 //! baselines are type aliases of the locality scheduler under a
 //! degenerate policy.
 //!

@@ -78,7 +78,10 @@ pub struct Scheduler<C, P = PaperBlockHash> {
 
 impl<C> Scheduler<C> {
     /// Creates an empty scheduler (the paper's `th_init`) using the
-    /// paper's binning policy derived from `config`.
+    /// paper's binning policy derived from `config`. The paper's
+    /// `th_init` "can be called more than once to change those sizes";
+    /// here that is a new scheduler, which reuses the traced package
+    /// region (see [`trace_package_memory`](Self::trace_package_memory)).
     pub fn new(config: SchedulerConfig) -> Self {
         Scheduler::with_policy(config, PaperBlockHash::from_config(&config))
     }
@@ -86,19 +89,6 @@ impl<C> Scheduler<C> {
     /// Creates a scheduler with the default configuration.
     pub fn with_defaults() -> Self {
         Self::new(SchedulerConfig::default())
-    }
-
-    /// Replaces the configuration — the paper's `th_init` "can be
-    /// called more than once to change those sizes".
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheduler's pending thread count if threads are
-    /// scheduled: bins cannot be re-derived without the original hints,
-    /// so reconfiguration is only possible while empty (between runs),
-    /// which is when the paper's interface allowed it too.
-    pub fn reconfigure(&mut self, config: SchedulerConfig) -> Result<(), u64> {
-        self.reconfigure_with(config, PaperBlockHash::from_config(&config))
     }
 }
 
@@ -136,22 +126,6 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
     /// The active binning policy.
     pub fn policy(&self) -> &P {
         self.engine.policy()
-    }
-
-    /// Like [`reconfigure`](Scheduler::reconfigure) with an explicit
-    /// replacement policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns the pending thread count if threads are scheduled.
-    pub fn reconfigure_with(&mut self, config: SchedulerConfig, policy: P) -> Result<(), u64> {
-        if self.engine.pending() > 0 {
-            return Err(self.engine.pending());
-        }
-        self.engine
-            .reconfigure(config.hash_size(), config.tour(), policy);
-        self.config = config;
-        Ok(())
     }
 
     /// Creates and schedules a thread to call `func(ctx, arg1, arg2)`,
@@ -696,21 +670,6 @@ mod tests {
         let mut sink = CountingSink::new();
         sched.fork_traced(record, 0, 0, Hints::none(), &mut sink);
         assert_eq!(sink.data_references(), 0);
-    }
-
-    #[test]
-    fn reconfigure_between_runs() {
-        let mut sched = Scheduler::<Log>::new(config(1024));
-        sched.fork(record, 0, 0, Hints::one(Addr::new(5000)));
-        // Occupied: reconfiguration refused, count reported.
-        assert_eq!(sched.reconfigure(config(4096)), Err(1));
-        let mut log = Log::new();
-        sched.run(&mut log, RunMode::Consume);
-        // Empty: accepted, and the new block size takes effect.
-        assert_eq!(sched.reconfigure(config(1 << 16)), Ok(()));
-        sched.fork(record, 0, 0, Hints::one(Addr::new(0)));
-        sched.fork(record, 1, 0, Hints::one(Addr::new(5000)));
-        assert_eq!(sched.bins(), 1, "5000 < 64 KiB: same block now");
     }
 
     #[test]

@@ -327,26 +327,6 @@ proptest! {
         }
     }
 
-    /// Phased scheduling never lets a later phase overtake an earlier
-    /// one, while still binning within phases.
-    #[test]
-    fn phases_never_interleave(
-        hints in prop::collection::vec(arb_hints(), 1..60),
-        phases in prop::collection::vec(0u32..5, 1..60),
-    ) {
-        use locality_sched::PhasedScheduler;
-        let mut sched: PhasedScheduler<Log> = PhasedScheduler::new(SchedulerConfig::default());
-        let n = hints.len().min(phases.len());
-        for i in 0..n {
-            sched.fork(phases[i], record, phases[i] as usize, i, hints[i]);
-        }
-        let mut log = Log::new();
-        let stats = sched.run(&mut log, RunMode::Consume);
-        prop_assert_eq!(stats.threads_run, n as u64);
-        let seen: Vec<usize> = log.iter().map(|&(p, _)| p).collect();
-        prop_assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{:?}", seen);
-    }
-
     /// Any policy reporting `symmetric() == true` is invariant under
     /// permutation of its hint addresses: mirrored (or arbitrarily
     /// reordered) hints land in the same bin. This is the trait-level

@@ -49,24 +49,6 @@ pub struct TraceConfig {
     pub calm_len: u64,
 }
 
-impl TraceConfig {
-    /// An Azure-functions-flavoured default: skewed popularity, 8:1
-    /// burst modulation, 64 KiB nominal objects.
-    pub fn azure_style(seed: u64, requests: u64) -> Self {
-        TraceConfig {
-            seed,
-            requests,
-            objects: 1 << 16,
-            zipf_s: 0.99,
-            object_bytes: 1 << 16,
-            mean_interarrival_ns: 2_000,
-            burst_factor: 8,
-            burst_len: 512,
-            calm_len: 1536,
-        }
-    }
-}
-
 /// One timestamped serving request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Request {

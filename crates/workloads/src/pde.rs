@@ -23,8 +23,7 @@
 use crate::overhead::{FORK_INSTRUCTIONS, RUN_INSTRUCTIONS};
 use crate::WorkloadReport;
 use locality_sched::{
-    BinPolicy, Hints, PaperBlockHash, PhasedScheduler, RunMode, Scheduler, SchedulerConfig,
-    SchedulerStats,
+    BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SchedulerStats,
 };
 use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
 
@@ -229,7 +228,9 @@ fn pde_thread<S: TraceSink>(ctx: &mut PdeCtx<'_, S>, i3: usize, with_residual: u
 
 /// The threaded version: one thread per fused line pair (`n` threads
 /// per iteration), hinted by the line's base address, forked and run
-/// once per iteration.
+/// once per iteration. Each iteration's run is the barrier the next
+/// iteration depends on, so the solver needs no dependence mechanism
+/// beyond the paper's run-to-completion threads (§6).
 ///
 /// The paper notes this version "is programmed with a specific
 /// ordering (red-black) which determines when an element of u is
@@ -294,48 +295,6 @@ pub fn threaded_with<S: TraceSink, P: BinPolicy>(
     report
 }
 
-/// A variant of [`threaded`] that forks *all* iterations up front into
-/// a [`PhasedScheduler`], one phase per iteration — the dependency
-/// extension (phase barriers) carrying the dependence the per-iteration
-/// `th_run` otherwise enforces by construction. Numerically identical
-/// to the other versions.
-pub fn threaded_phased<S: TraceSink>(
-    data: &mut PdeData,
-    iters: usize,
-    config: SchedulerConfig,
-    sink: &mut S,
-) -> WorkloadReport {
-    let n = data.n;
-    let mut sched: PhasedScheduler<PdeCtx<'_, S>> = PhasedScheduler::new(config);
-    for it in 0..iters {
-        let last = it + 1 == iters;
-        for i3 in 1..=n {
-            let hint_line = i3.min(n - 1);
-            sched.fork(
-                it as u32,
-                pde_thread::<S>,
-                i3,
-                usize::from(last),
-                Hints::one(data.u.col_addr(hint_line)),
-            );
-            sink.instructions(FORK_INSTRUCTIONS);
-        }
-    }
-    let threads = sched.pending();
-    let last_stats = sched.phase_stats(iters.saturating_sub(1) as u32);
-    {
-        let mut ctx = PdeCtx { data, sink };
-        sched.run(&mut ctx, RunMode::Consume);
-    }
-    let mut report = WorkloadReport::threaded(
-        "pde/threaded-phased",
-        data.checksum(),
-        last_stats.unwrap_or_default(),
-    );
-    report.threads = threads;
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,12 +344,6 @@ mod tests {
         threaded(&mut d, 5, config(), &mut NullSink);
         assert_eq!(collect_u(&d), u_ref, "threaded u differs");
         assert_eq!(collect_r(&d), r_ref, "threaded r differs");
-
-        d.reset();
-        let report = threaded_phased(&mut d, 5, config(), &mut NullSink);
-        assert_eq!(collect_u(&d), u_ref, "threaded-phased u differs");
-        assert_eq!(collect_r(&d), r_ref, "threaded-phased r differs");
-        assert_eq!(report.threads, 5 * 33);
     }
 
     #[test]
