@@ -9,8 +9,8 @@
 //!
 //! `--hb-json` writes the happens-before steal-safety certificate
 //! report (`ANALYZE_hb.json`) over the analyzed kernels: one row per
-//! kernel × policy with vector-clock obligation counts, plus sharded
-//! simulator partition certificates. The output is byte-reproducible
+//! kernel × policy with vector-clock obligation counts, plus
+//! `ShardPlan` partition certificates. The output is byte-reproducible
 //! run-to-run.
 //!
 //! Exit codes follow the `benchdiff` convention: 0 = clean, 1 = gate

@@ -3,7 +3,7 @@
 //! The mirror-replay proof (PR 5) shows a policy's *serial* drain
 //! preserves conflicting-pair order; it says nothing about what happens
 //! when drain units migrate between actors — `ParScheduler` stealing,
-//! the sharded simulator's hand-offs, serving-lane grants. This module
+//! shard hand-offs, serving-lane grants. This module
 //! generalizes the proof: replay a [`ScheduleLog`] into per-actor
 //! vector clocks at **drain-unit granularity** and decide, for any two
 //! thread bodies, whether the log orders them.
@@ -31,8 +31,8 @@
 //!   is already the fork → dispatch join. Joining here would invent
 //!   ordering that no synchronization enforces and hide real races.
 //! * [`Handoff`](SchedEvent::Handoff) is a synchronizing edge: the
-//!   receiver joins the sender's clock (shard queue flush, merge, lane
-//!   grant).
+//!   receiver joins the sender's clock (a shard round's flush and
+//!   merge, a lane grant).
 //! * [`Barrier`](SchedEvent::Barrier) joins every actor with every
 //!   other (the final join of a run).
 //!
@@ -370,19 +370,20 @@ pub struct HbRow {
     pub check: PolicyCheck,
 }
 
-/// One sharded-replay certificate row: the simulator's shard partition
-/// checked against a kernel's real footprints.
+/// One partition certificate row: a [`cachesim::ShardPlan`] checked
+/// against a kernel's real footprints.
 #[derive(Clone, Debug)]
 pub struct ShardRow {
     /// Row label: `<workload>/shards<requested>`.
     pub workload: String,
     /// Shards the plan actually produced.
     pub shards: u32,
-    /// Events in the modeled hand-off log (one merge round).
+    /// Events in one round of the modeled hand-off log
+    /// ([`ScheduleLog::shard_rounds`]).
     pub hb_events: u64,
     /// Footprint words whose cache line straddles a shard boundary
-    /// (must be 0: every cross-shard edge chains through the merge on
-    /// actor 0, so split-line LRU state would be a race).
+    /// (must be 0: shards that synchronize only through a coordinator
+    /// must never split one line's LRU state between them).
     pub hb_cross_shard_words: u64,
     /// 1 when `hb_cross_shard_words == 0`.
     pub hb_steal_safe: u64,
@@ -402,10 +403,10 @@ pub struct HbReport {
     pub shard_rows: Vec<ShardRow>,
 }
 
-/// Certifies the sharded simulator's partition against `capture`'s real
-/// footprints: every footprint word's cache line must map entirely to
-/// one shard, because per-shard replay is serial and shards only
-/// synchronize through the merge.
+/// Certifies the plan `ShardPlan::for_hierarchy` makes for `requested`
+/// shards against `capture`'s real footprints: every footprint word's
+/// cache line must map entirely to one shard, i.e. the plan's regions
+/// are conflict-free for this kernel.
 pub fn shard_certificate(capture: &Capture, requested: u32) -> ShardRow {
     let plan = cachesim::ShardPlan::for_hierarchy(&capture.machine.hierarchy(), requested);
     let line = capture.machine.l2_line();
@@ -627,25 +628,5 @@ mod tests {
             b: 1,
         };
         assert!(conflict.satisfied(&index), "still ordered, just reversed");
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // kernel capture / simulator replay: too slow under miri
-    fn shard_model_log_matches_the_simulator_shape() {
-        use cachesim::{MachineModel, ShardPlan, ShardedSimSink};
-        use memtrace::TraceSink;
-        let machine = MachineModel::r8000();
-        let plan = ShardPlan::for_hierarchy(&machine.hierarchy(), 4);
-        let mut sink = ShardedSimSink::with_plan(machine.hierarchy(), plan);
-        for i in 0..64u64 {
-            sink.access(memtrace::Access::read(memtrace::Addr::new(i * 64), 8));
-        }
-        // report() flushes the queues: exactly one drain round.
-        let _ = sink.report();
-        assert_eq!(
-            ScheduleLog::shard_rounds(plan.shards(), 1).digest(),
-            sink.schedule_log().digest(),
-            "one drain is one round of the certificate's model"
-        );
     }
 }

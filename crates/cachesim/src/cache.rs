@@ -34,8 +34,7 @@ impl CacheStats {
         self.references() - self.misses()
     }
 
-    /// Accumulates another level's counters into this one — the reduce
-    /// step when per-shard statistics are summed into machine totals.
+    /// Accumulates another level's counters into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.reads += other.reads;
         self.writes += other.writes;
@@ -127,9 +126,8 @@ pub struct Cache {
     last_line: u64,
     /// Cached `config.write_policy() == WriteThroughNoAllocate`.
     write_through: bool,
-    /// When false, [`try_rehit`](Cache::try_rehit) and
-    /// [`rehit_many`](Cache::rehit_many) decline, so every reference
-    /// takes [`access_line`](Cache::access_line); the differential
+    /// When false, [`try_rehit`](Cache::try_rehit) declines, so every
+    /// reference takes [`access_line`](Cache::access_line); the differential
     /// suites and the repository benchmark's checks (`benchmark/`) use
     /// this as the bit-identical slow reference.
     fast_path: bool,
@@ -284,46 +282,18 @@ impl Cache {
         } else {
             self.stats.reads += 1;
         }
-        *self.front_dirty(line) |= is_write;
-        self.obs.rehits.incr();
-        true
-    }
-
-    /// Bulk form of [`try_rehit`](Cache::try_rehit): records `reads`
-    /// read hits and `writes` write hits to `line` in O(1), exactly as
-    /// if `try_rehit` had been called once per reference. Used by the
-    /// sharded replay loop, whose compact queues carry run-length
-    /// collapsed same-line records.
-    ///
-    /// Equivalence: a rehit touches only the counters and the dirty
-    /// bit, so `n` of them sum. Declined (returning `false`, having
-    /// recorded nothing) under exactly the conditions `try_rehit`
-    /// declines for any reference in the run — the caller then replays
-    /// per-reference.
-    #[inline]
-    pub(crate) fn rehit_many(&mut self, line: u64, reads: u64, writes: u64) -> bool {
-        if line != self.last_line || !self.fast_path || (writes > 0 && self.write_through) {
-            return false;
-        }
-        *self.front_dirty(line) |= writes > 0;
-        self.credit_hits(reads, writes);
-        true
-    }
-
-    /// The dirty flag of `line`, which the caller knows is `last_line`
-    /// and therefore the front of its set.
-    #[inline]
-    fn front_dirty(&mut self, line: u64) -> &mut bool {
+        // `line` is `last_line`, so it leads its set.
         let front = (line & self.set_mask) as usize * self.assoc;
         debug_assert_eq!(self.lines[front], line);
-        &mut self.dirty[front]
+        self.dirty[front] |= is_write;
+        self.obs.rehits.incr();
+        true
     }
 
     /// Counts `reads` + `writes` hits the caller has proved without a
     /// lookup — statistics and the probe's `rehits`, nothing else. What
     /// makes that all a hit would have changed is the caller's
-    /// argument: [`rehit_many`](Cache::rehit_many)'s, or the run
-    /// record's epoch rule (`Hierarchy::run`).
+    /// argument: the run record's epoch rule (`Hierarchy::run`).
     #[inline]
     pub(crate) fn credit_hits(&mut self, reads: u64, writes: u64) {
         self.stats.reads += reads;
@@ -585,7 +555,9 @@ mod tests {
                     assert!(slow.access_line(resident, round % 3 == 0).hit);
                 }
             } else {
-                assert!(fast.rehit_many(resident, burst - 7, 7));
+                // The same burst as one rehit and a bulk credit.
+                assert!(fast.try_rehit(resident, true));
+                fast.credit_hits(burst - 7, 6);
                 for i in 0..burst {
                     assert!(slow.access_line(resident, i < 7).hit);
                 }
@@ -827,10 +799,9 @@ mod tests {
             let mut c = cache(64, 32, 2); // one 2-way set
             c.access_line(0, false);
             c.access_line(1, false); // both clean
+            assert!(c.try_rehit(1, true));
             if bulk {
-                assert!(c.rehit_many(1, 3, 1));
-            } else {
-                assert!(c.try_rehit(1, true));
+                c.credit_hits(3, 0);
             }
             assert!(c.holds(1, true));
             assert_eq!(c.access_line(2, false).writeback, None, "line 0 was clean");

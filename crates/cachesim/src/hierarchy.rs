@@ -34,19 +34,6 @@ impl Mmu {
     }
 }
 
-/// One reference of the DRAM-facing level's stream, recorded instead of
-/// classified when deferred classification is on (see
-/// [`Hierarchy::set_deferred_classification`]). The sharded simulator
-/// replays these into a single shared [`MissClassifier`] in program
-/// order after its workers drain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct LlcEvent {
-    /// Line index at the DRAM-facing level.
-    pub line: u64,
-    /// Whether the reference hit.
-    pub hit: bool,
-}
-
 /// Geometry of a two-level hierarchy: a (split) L1 data cache backed by
 /// a unified L2.
 ///
@@ -168,13 +155,6 @@ pub struct Hierarchy {
     l2_line_shift: u32,
     l3_line_shift: u32,
     mmu: Option<Mmu>,
-    /// When `Some`, the DRAM-facing level's references are appended
-    /// here instead of being fed to `classifier` (deferred
-    /// classification). The LLC same-line short-circuit is disabled in
-    /// this mode: its "`note_hit` would be a structural no-op" argument
-    /// holds only against the *local* previous reference, and the
-    /// sharded replay interleaves several hierarchies' streams.
-    llc_log: Option<Vec<LlcEvent>>,
     memory_reads: u64,
     memory_writebacks: u64,
     /// Modelled ns to service an L1 miss that hits below (0 = unset).
@@ -200,7 +180,6 @@ impl Hierarchy {
             l2_line_shift: config.l2.line().trailing_zeros(),
             l3_line_shift: last_level.line().trailing_zeros(),
             mmu: None,
-            llc_log: None,
             memory_reads: 0,
             memory_writebacks: 0,
             probe_l1_miss_ns: 0,
@@ -439,61 +418,18 @@ impl Hierarchy {
         }
     }
 
-    /// Switches deferred classification on or off. While on, the
-    /// DRAM-facing level's reference stream is recorded as
-    /// [`LlcEvent`]s (see [`take_llc_events`](Self::take_llc_events))
-    /// instead of being classified locally, and the LLC same-line
-    /// short-circuit is disabled so the log is complete.
-    pub(crate) fn set_deferred_classification(&mut self, on: bool) {
-        if on {
-            self.llc_log.get_or_insert_with(Vec::new);
-        } else {
-            self.llc_log = None;
-        }
-    }
-
-    /// Number of deferred LLC events currently buffered.
-    pub(crate) fn llc_event_count(&self) -> usize {
-        self.llc_log.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Drains the deferred LLC event log, in the order the references
-    /// entered the DRAM-facing level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if deferred classification is not enabled.
-    pub(crate) fn drain_llc_events(&mut self, into: &mut Vec<LlcEvent>) {
-        let log = self
-            .llc_log
-            .as_mut()
-            .expect("deferred classification not enabled");
-        into.append(log);
-    }
-
     /// Replays one reference contained in a single L1 line. Statistics
     /// are identical to [`access`](Self::access) with any access whose
     /// bytes all fall in `l1_line`, minus the address arithmetic the
-    /// sharded decoder has already done to know the line. Only valid
-    /// without an MMU (no TLB traffic is recorded).
+    /// caller has already done to know the line. Only valid without an
+    /// MMU (no TLB traffic is recorded).
     #[inline]
-    pub(crate) fn access_l1_line(&mut self, l1_line: u64, is_write: bool) {
+    fn access_l1_line(&mut self, l1_line: u64, is_write: bool) {
         debug_assert!(self.mmu.is_none(), "single-line entry skips the TLB");
         if self.l1d.try_rehit(l1_line, is_write) {
             return;
         }
         self.touch_l1_line(l1_line, is_write);
-    }
-
-    /// Bulk same-line L1 rehit for run-length collapsed replay records:
-    /// `reads` + `writes` references to `l1_line`, all guaranteed by
-    /// the encoder to lie within that line. `false` means nothing was
-    /// recorded and the caller must replay per-reference. Only
-    /// meaningful without an MMU (no TLB traffic is recorded).
-    #[inline]
-    pub(crate) fn rehit_run(&mut self, l1_line: u64, reads: u64, writes: u64) -> bool {
-        debug_assert!(self.mmu.is_none(), "rehit_run skips TLB accounting");
-        self.l1d.rehit_many(l1_line, reads, writes)
     }
 
     /// Whether an MMU (TLB + physically-indexed L2) is attached.
@@ -541,12 +477,8 @@ impl Hierarchy {
         // the classifier already holds it at the MRU position of the
         // fully-associative model and in its seen-set — `note_hit`
         // would be a structural no-op. Nothing propagates downward on a
-        // hit, so the short-circuit is complete. When the L2 is the
-        // DRAM-facing level and classification is deferred, every
-        // reference must produce a log event, so the short-circuit is
-        // skipped (an L3 below makes the L2 stream unclassified and the
-        // rehit always safe).
-        if (self.l3.is_some() || self.llc_log.is_none()) && self.l2.try_rehit(l2_line, is_write) {
+        // hit, so the short-circuit is complete.
+        if self.l2.try_rehit(l2_line, is_write) {
             return;
         }
         let outcome = self.l2.access_line(l2_line, is_write);
@@ -567,9 +499,7 @@ impl Hierarchy {
         let l3 = self.l3.as_mut().expect("only called with an L3");
         // Same-line short-circuit, with the same classifier argument as
         // in `reference_l2`: the previous L3 reference was this line.
-        // Skipped under deferred classification for the same reason as
-        // there (the L3 is always the DRAM-facing level).
-        if self.llc_log.is_none() && l3.try_rehit(l3_line, is_write) {
+        if l3.try_rehit(l3_line, is_write) {
             return;
         }
         let outcome = l3.access_line(l3_line, is_write);
@@ -577,20 +507,11 @@ impl Hierarchy {
     }
 
     /// What a reference that went through `access_line` at the
-    /// DRAM-facing level leaves behind: its line classified (or logged
-    /// for a deferred, merged classification) and the memory traffic
-    /// counted.
+    /// DRAM-facing level leaves behind: its line classified and the
+    /// memory traffic counted.
     #[inline]
     fn note_llc(&mut self, line: u64, outcome: LineOutcome) {
-        if let Some(log) = &mut self.llc_log {
-            log.push(LlcEvent {
-                line,
-                hit: outcome.hit,
-            });
-            if !outcome.hit {
-                self.memory_reads += 1;
-            }
-        } else if outcome.hit {
+        if outcome.hit {
             self.classifier.note_hit(line);
         } else {
             self.classifier.classify_miss(line);
@@ -599,12 +520,6 @@ impl Hierarchy {
         if outcome.writeback.is_some() {
             self.memory_writebacks += 1;
         }
-    }
-
-    /// The (possibly unused, under deferred classification) classifier.
-    #[cfg(test)]
-    pub(crate) fn classifier(&self) -> &MissClassifier {
-        &self.classifier
     }
 
     /// L1 data-cache statistics.
@@ -657,15 +572,6 @@ impl Hierarchy {
     /// like the statistics they sit beside; empty-ish when probes are
     /// compiled out (callers gate embedding on [`probe::enabled`]).
     pub fn run_profile(&self) -> probe::RunProfile {
-        let mut profile = self.level_profile();
-        profile.push(self.classifier.counts().probe_section());
-        profile
-    }
-
-    /// [`run_profile`](Self::run_profile) without the classifier's
-    /// section: what a shard, whose classification is deferred to its
-    /// owner, has to say.
-    pub(crate) fn level_profile(&self) -> probe::RunProfile {
         let mut profile = probe::RunProfile::new();
         for (name, level) in ["l1", "l2", "l3"].into_iter().zip(self.levels()) {
             profile.push(level.probe_section(name));
@@ -673,14 +579,12 @@ impl Hierarchy {
         let mut latency = probe::Section::new("latency");
         latency.histogram("miss_service_ns", &self.miss_latency_ns());
         profile.push(latency);
+        profile.push(self.classifier.counts().probe_section());
         profile
     }
 
     /// Folds this hierarchy's statistics into `report`, level by level
-    /// (a level `report` lacks so far is created): how a report over one
-    /// hierarchy or over several shards of one is assembled. A hierarchy
-    /// under deferred classification adds no `classes` — its owner holds
-    /// the merged classifier.
+    /// (a level `report` lacks so far is created).
     pub fn add_to(&self, report: &mut SimReport) {
         report.l1.merge(self.l1d.stats());
         report.l2.merge(self.l2.stats());
@@ -706,9 +610,6 @@ impl Hierarchy {
             level.reset_stats();
         }
         self.classifier.reset_counts();
-        if let Some(log) = &mut self.llc_log {
-            log.clear();
-        }
         if let Some(mmu) = &mut self.mmu {
             mmu.tlb.reset_stats();
         }
@@ -1168,19 +1069,16 @@ mod tests {
     fn latency_histogram_equals_one_record_per_reference_below_l1() {
         let penalties = (70, 1020);
         for config in [two_level(), three_level()] {
-            for deferred in [false, true] {
-                let mut h = Hierarchy::new(config);
-                h.set_probe_penalties(penalties.0, penalties.1);
-                h.set_deferred_classification(deferred);
-                let oracle = Histogram::new();
-                replay_with_oracle(&mut h, mixed_trace(30_000, 42), penalties, &oracle);
-                let folded = miss_service_ns(&h);
-                assert_eq!(folded, oracle.snapshot(), "{config:?} deferred={deferred}");
-                if probe::enabled() {
-                    assert!(folded.count > 10_000, "the trace leaves the L1");
-                    assert_eq!((folded.min, folded.max), (70, 1090));
-                    assert_eq!(folded.buckets.len(), 2);
-                }
+            let mut h = Hierarchy::new(config);
+            h.set_probe_penalties(penalties.0, penalties.1);
+            let oracle = Histogram::new();
+            replay_with_oracle(&mut h, mixed_trace(30_000, 42), penalties, &oracle);
+            let folded = miss_service_ns(&h);
+            assert_eq!(folded, oracle.snapshot(), "{config:?}");
+            if probe::enabled() {
+                assert!(folded.count > 10_000, "the trace leaves the L1");
+                assert_eq!((folded.min, folded.max), (70, 1090));
+                assert_eq!(folded.buckets.len(), 2);
             }
         }
     }

@@ -1,16 +1,16 @@
 //! A whole-hierarchy oracle, independent of every engine path.
 //!
-//! `tests/fastpath_equivalence.rs` compares the fast, slow and sharded
-//! paths with *each other*: a bug they share passes it. This file
+//! `tests/fastpath_equivalence.rs` compares the fast and slow paths
+//! with *each other*: a bug they share passes it. This file
 //! states the simulator's semantics a second time, as dumbly as
 //! possible — a `Vec`-LRU set-associative cache per level (write-back /
 //! write-allocate, or write-through / no-write-allocate at the L1),
 //! Hill & Smith's 3C classification over the last level's stream (a
 //! set of lines ever seen for *compulsory*, a fully-associative LRU of
 //! the same line count for *capacity*), memory reads and write-backs —
-//! and requires `SimSink` fast, `SimSink` slow and `ShardedSimSink` at
-//! 1, 2 and 4 shards to equal it field for field, on two- and
-//! three-level machines and on streams whose accesses span lines and
+//! and requires `SimSink` fast and slow to equal it field for field,
+//! on two- and three-level machines and on streams whose accesses span
+//! lines and
 //! that stop, somewhere, for a phase of nothing but last-level hits.
 //!
 //! Run records get the same treatment: programs of `StreamRun`s spliced
@@ -23,7 +23,7 @@
 
 use cachesim::{
     CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, Mmu, PageMapper,
-    PagePolicy, ShardedSimSink, SimReport, SimSink, TlbStats, WritePolicy,
+    PagePolicy, SimReport, SimSink, TlbStats, WritePolicy,
 };
 use memtrace::{Access, AccessKind, Addr, TraceSink};
 use proptest::prelude::*;
@@ -269,8 +269,8 @@ fn arb_machine() -> impl Strategy<Value = HierarchyConfig> {
 /// bytes to several L1 lines. Half start in a hot 2 KiB window and half
 /// anywhere in 32 KiB (several times the largest last level above), and
 /// each is the head of a short word-by-word walk, so the stream has the
-/// same-line runs the rehit paths and the shard queues' run-length
-/// records exist for as well as misses at every level.
+/// same-line runs the rehit paths exist for as well as misses at every
+/// level.
 fn arb_stream() -> impl Strategy<Value = Vec<Access>> {
     const SIZES: [u32; 8] = [0, 1, 4, 8, 8, 24, 100, 300];
     let start = prop_oneof![0u64..2048, 0u64..(32 << 10)];
@@ -382,13 +382,6 @@ proptest! {
                 sim.access_batch(chunk);
             }
             prop_assert_eq!(sim.finish(), expected, "SimSink, fast paths {}", fast);
-        }
-        for shards in [1, 2, 4] {
-            let mut sim = ShardedSimSink::new(Hierarchy::new(config), shards);
-            for chunk in stream.chunks(37) {
-                sim.access_batch(chunk);
-            }
-            prop_assert_eq!(sim.finish(), expected, "ShardedSimSink, {} shards", shards);
         }
     }
 

@@ -4,18 +4,15 @@
 //! buffer: one flag byte per record, the address as a zigzag LEB128
 //! varint delta against the previous record, and the size only when it
 //! differs from the previous record's. Strided kernels encode in 2–3
-//! bytes per access (vs 16 for the in-memory struct), so a multi-million
-//! record shard queue stays cache-resident while it waits to be drained.
+//! bytes per access (vs 16 for the in-memory struct).
 //!
 //! The encoding is lossless for every possible `Access` (address deltas
 //! wrap through `u64`), and the decoder is total: any byte sequence
 //! decodes to some access sequence or terminates early — it never
 //! panics, which the trace-replay fuzz suite relies on.
 //!
-//! This module owns the record format. [`DeltaCodec`] is its one
-//! encoder and one decoder step; [`CompactBuf`] / [`CompactIter`] are
-//! the plain stream over it, and the cache simulator's shard queues
-//! interleave their own escape records with the same access records.
+//! `DeltaCodec` is the format's one encoder and one decoder step;
+//! [`CompactBuf`] / [`CompactIter`] are the stream over it.
 //!
 //! # Examples
 //!
@@ -45,8 +42,8 @@ const MAX_RECORD_BYTES: usize = 16;
 
 /// Writes `v` as an LEB128 varint (7 bits per byte, high bit = more)
 /// into `buf` at `at`, returning one past the last byte written. A
-/// `u64` takes at most 10 bytes. The encoder's form of [`push_varint`]:
-/// a record is assembled on the stack and appended once.
+/// `u64` takes at most 10 bytes. A record is assembled on the stack
+/// and appended once.
 #[inline]
 fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
     loop {
@@ -61,29 +58,11 @@ fn write_varint(buf: &mut [u8], mut at: usize, mut v: u64) -> usize {
     }
 }
 
-/// Appends `v` as an LEB128 varint, byte by byte.
-///
-/// Public so embedders of the record format (the cache simulator's
-/// shard queues add run-length records between access records) write
-/// their own fields in the same idiom.
-#[inline]
-pub fn push_varint(bytes: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            bytes.push(b);
-            return;
-        }
-        bytes.push(b | 0x80);
-    }
-}
-
 /// Reads an LEB128 varint starting at `*pos`. Returns `None` on a
 /// truncated buffer; bits past the 64th are discarded rather than
 /// overflowing, so arbitrary input can never panic.
 #[inline]
-pub fn take_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+fn take_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -114,14 +93,11 @@ fn unzigzag(v: u64) -> i64 {
 
 /// The access-record codec: the delta state one end of a stream carries
 /// from record to record (both ends start from `default()`), with the
-/// one encoder and the one decoder step of the wire format.
-///
-/// A record's flag byte only ever has bits 0 and 1 set, and the decoder
-/// reads no others — bits 2–7 are free for an embedder's own escape
-/// records, which it must recognise and consume before calling
-/// [`decode`](Self::decode).
+/// one encoder and the one decoder step of the wire format. A record's
+/// flag byte only ever has bits 0 and 1 set, and the decoder reads no
+/// others.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DeltaCodec {
+struct DeltaCodec {
     prev_addr: u64,
     prev_size: u32,
 }
@@ -129,7 +105,7 @@ pub struct DeltaCodec {
 impl DeltaCodec {
     /// Appends the record for `access` to `bytes`.
     #[inline]
-    pub fn encode(&mut self, access: Access, bytes: &mut Vec<u8>) {
+    fn encode(&mut self, access: Access, bytes: &mut Vec<u8>) {
         let addr = access.addr.raw();
         let delta = addr.wrapping_sub(self.prev_addr) as i64;
         let mut flags = 0u8;
@@ -156,7 +132,7 @@ impl DeltaCodec {
     /// `*pos`, advancing `*pos` past it. Returns `None` — with the
     /// delta state untouched — when the buffer ends mid-record.
     #[inline]
-    pub fn decode(&mut self, flags: u8, bytes: &[u8], pos: &mut usize) -> Option<Access> {
+    fn decode(&mut self, flags: u8, bytes: &[u8], pos: &mut usize) -> Option<Access> {
         let delta = unzigzag(take_varint(bytes, pos)?);
         let size = if flags & FLAG_SAME_SIZE == 0 {
             // Sizes wider than u32 cannot be produced by the encoder;

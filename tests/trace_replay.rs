@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use thread_locality::apps::matmul;
 use thread_locality::sched::{Hierarchical, Hints, RunMode, Scheduler, SchedulerConfig};
-use thread_locality::sim::{MachineModel, ShardedSimSink, SimSink};
+use thread_locality::sim::{MachineModel, SimSink};
 use thread_locality::trace::{
     Access, AccessKind, Addr, AddressSpace, CompactBuf, CompactIter, FootprintSink, SchedEvent,
     SchedLogSink, SchedMark, TeeSink, TraceFileReader, TraceFileWriter, TraceSink,
@@ -258,25 +258,21 @@ proptest! {
     }
 
     /// Decoding *arbitrary bytes* as compact records never panics, and
-    /// whatever does decode simulates cleanly — through the unsharded
-    /// sink and through the sharded pipeline, which must still agree
-    /// with each other on hostile input.
+    /// whatever does decode simulates cleanly.
     #[test]
-    fn arbitrary_compact_bytes_never_panic_and_shard_identically(
+    fn arbitrary_compact_bytes_never_panic(
         bytes in prop::collection::vec(any::<u8>(), 0..2048),
     ) {
         let machine = MachineModel::r8000().scaled_split(1.0 / 256.0, 1.0 / 1024.0).expect("valid scaled machine");
-        let mut unsharded = SimSink::new(machine.hierarchy());
-        let mut sharded = ShardedSimSink::new(machine.hierarchy(), 4);
+        let mut sim = SimSink::new(machine.hierarchy());
         for access in CompactIter::new(&bytes) {
             // Clamp only the walk length (random bytes decode to
             // multi-gigabyte spans every few records), exactly as the
             // trace-file fuzz above does.
-            let access = Access { size: access.size.min(4096), ..access };
-            unsharded.access(access);
-            sharded.access(access);
+            sim.access(Access { size: access.size.min(4096), ..access });
         }
-        prop_assert_eq!(unsharded.finish(), sharded.finish());
+        let report = sim.finish();
+        prop_assert_eq!(report.classes.total(), report.l2.misses());
     }
 }
 
