@@ -50,17 +50,13 @@ pub struct PolicyCheck {
     /// guaranteed only by the serial tour, not by bin containment, so
     /// a multi-worker or stealing drain may flip them.
     pub steal_unsafe: u64,
-    /// Order obligations checked against the happens-before indices
-    /// (one [`ForkOrder`](crate::ObligationKind::ForkOrder) per
-    /// conflicting pair in order-exact workloads, plus one
-    /// [`ConflictOrder`](crate::ObligationKind::ConflictOrder) per
-    /// conflicting pair in the stealing model).
+    /// Order obligations checked: one per conflicting pair in the
+    /// stealing model (must be ordered some way), plus one per
+    /// conflicting pair of an order-exact workload in the serial model
+    /// (must keep fork order).
     pub hb_obligations: u64,
     /// Drain units of the policy's serial traces.
     pub hb_units: u64,
-    /// Schedule events replayed into happens-before indices (serial +
-    /// stealing model).
-    pub hb_events: u64,
     /// The first reordered conflicting pair of an order-exact
     /// workload, described.
     pub(crate) order_example: Option<String>,
@@ -97,9 +93,8 @@ pub(crate) fn check_policy(
     };
     let exact = capture.semantics == OrderSemantics::Exact;
     for (phase_ix, (phase, conflicts)) in capture.phases.iter().zip(conflicts).enumerate() {
-        let verdict = phase_verdict(capture.config, policy, phase, conflicts);
+        let verdict = phase_verdict(capture.config, policy, &phase.hints, conflicts);
         check.hb_units += verdict.units;
-        check.hb_events += verdict.events;
         // One conflict-order obligation a pair, and a fork-order one
         // where fork order is the contract.
         check.hb_obligations += conflicts.len() as u64 * (1 + u64::from(exact));
@@ -172,9 +167,6 @@ pub struct KernelSummary {
     /// the coarsest topology level (0 unless the capture carries a
     /// depth-≥ 3 topology).
     pub cross_node_pairs: u64,
-    /// Schedule events replayed into happens-before indices (serial +
-    /// stealing model, all policies, all phases).
-    pub hb_events: u64,
     /// Drain units of the capture policy's serial trace.
     pub hb_units: u64,
     /// Order obligations checked across all policies.
@@ -331,7 +323,6 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
         overflow_subbins: overflow.sub,
         false_sharing_lines: false_sharing.lines,
         cross_node_pairs: cross_node.pairs,
-        hb_events: checks.iter().map(|c| c.hb_events).sum(),
         hb_units: paper.hb_units,
         hb_obligations: checks.iter().map(|c| c.hb_obligations).sum(),
         hb_races,

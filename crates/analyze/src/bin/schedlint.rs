@@ -9,9 +9,9 @@
 //!
 //! `--hb-json` writes the happens-before steal-safety certificate
 //! report (`ANALYZE_hb.json`) over the analyzed kernels: one row per
-//! kernel × policy with vector-clock obligation counts, plus
-//! `ShardPlan` partition certificates. The output is byte-reproducible
-//! run-to-run.
+//! kernel × policy with its order obligations, fork-order violations
+//! and cross-bin (unordered) conflicting pairs. The output is
+//! byte-reproducible run-to-run.
 //!
 //! Exit codes follow the `benchdiff` convention: 0 = clean, 1 = gate
 //! failure (`--gate`: any error finding; `--gate-warnings` additionally
@@ -44,7 +44,7 @@ fn usage() -> ! {
          Analyzes captured thread footprints for schedule-safety violations,\n\
          happens-before races, inaccurate hints, overflowing bins, and\n\
          cross-bin false sharing. With no --kernel/--fixture, analyzes all\n\
-         four paper kernels. --hb-json writes the vector-clock steal-safety\n\
+         four paper kernels. --hb-json writes the happens-before steal-safety\n\
          certificates for the analyzed kernels.\n\
          Exit codes: 0 clean, 1 gate failure, 2 usage/IO error."
     );

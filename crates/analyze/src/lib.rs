@@ -47,9 +47,7 @@ pub use capture::{
 };
 pub use conflict::{conflict_pairs, ConflictPair};
 pub use fixture::Fixture;
-pub use hb::{
-    hb_report, stealing_log, HbIndex, HbReport, ObligationKind, OrderObligation, VectorClock,
-};
+pub use hb::{hb_report, HbReport};
 pub use policies::{assign_bins, dispatch_trace, BinAssignment, DispatchTrace, PolicyKind};
 pub use report::AnalyzeReport;
 

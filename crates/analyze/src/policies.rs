@@ -14,7 +14,7 @@ use locality_sched::{
     AnyPolicy, BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SingleBin,
     UniqueBin, MAX_DIMS,
 };
-use memtrace::{SchedLogSink, ScheduleLog};
+use memtrace::{Access, SchedMark, TraceSink};
 use std::collections::HashMap;
 
 /// The shipped bin-policy families `schedlint` proves safe.
@@ -68,31 +68,45 @@ impl PolicyKind {
     }
 }
 
-/// A mirror replay with its schedule-event stream: the dispatch
-/// permutation plus the [`ScheduleLog`] of the serial drain (forks,
-/// drain-unit begin/end, dispatches — resolved to fork indices — and
-/// the final barrier), ready for happens-before indexing.
+/// A mirror replay: the dispatch permutation and the number of drain
+/// units the serial drain opened.
 #[derive(Clone, Debug)]
 pub struct DispatchTrace {
     /// Dispatch permutation: element `k` is the fork index of the
     /// `k`-th thread to execute.
     pub order: Vec<usize>,
-    /// The serial drain's schedule-event stream, fork-labeled.
-    pub log: ScheduleLog,
+    /// Drain units of the serial drain (one bin for flat policies, one
+    /// parent group's sub-bins for nested ones).
+    pub units: u64,
 }
 
-struct MarkCtx<'a> {
+/// The marker run's context and trace sink at once: markers record
+/// their fork index, and the sink counts the drain units the engine
+/// opens.
+struct Markers {
     order: Vec<usize>,
-    sink: &'a mut SchedLogSink,
+    units: u64,
 }
 
-fn mark_traced(ctx: &mut MarkCtx<'_>, index: usize, _unused: usize) {
-    ctx.order.push(index);
+fn mark_dispatch(markers: &mut Markers, index: usize, _unused: usize) {
+    markers.order.push(index);
+}
+
+impl TraceSink for Markers {
+    fn access(&mut self, _access: Access) {}
+
+    fn instructions(&mut self, _count: u64) {}
+
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        if let SchedMark::DrainBegin(_) = mark {
+            self.units += 1;
+        }
+    }
 }
 
 /// Replays `hints` (fork order) through a fresh scheduler under
-/// `policy`, recording the dispatch permutation and the drain's
-/// schedule events. The engine is deterministic given (config, policy,
+/// `policy`, recording the dispatch permutation and counting the
+/// drain's units. The engine is deterministic given (config, policy,
 /// fork-ordered hints), so the returned trace is too.
 ///
 /// # Panics
@@ -105,21 +119,24 @@ pub fn dispatch_trace<P: BinPolicy>(
     policy: P,
     hints: &[Hints],
 ) -> DispatchTrace {
-    let mut sink = SchedLogSink::new();
-    let mut sched: Scheduler<MarkCtx<'_>, P> = Scheduler::with_policy(config, policy);
+    let mut sched: Scheduler<Markers, P> = Scheduler::with_policy(config, policy);
     for (index, &h) in hints.iter().enumerate() {
-        sched.fork_traced(mark_traced, index, 0, h, &mut sink);
+        sched.fork(mark_dispatch, index, 0, h);
     }
-    let mut ctx = MarkCtx {
+    let mut markers = Markers {
         order: Vec::with_capacity(hints.len()),
-        sink: &mut sink,
+        units: 0,
     };
-    sched.run_traced(&mut ctx, RunMode::Consume, |c| &mut *c.sink);
-    let order = ctx.order;
-    assert_eq!(order.len(), hints.len(), "marker replay lost threads");
-    let mut log = sink.into_log();
-    log.relabel_dispatch_forks(&order);
-    DispatchTrace { order, log }
+    sched.run_traced(&mut markers, RunMode::Consume, |m| m);
+    assert_eq!(
+        markers.order.len(),
+        hints.len(),
+        "marker replay lost threads"
+    );
+    DispatchTrace {
+        order: markers.order,
+        units: markers.units,
+    }
 }
 
 /// Bin membership of every forked thread under one policy, at both
@@ -231,8 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_trace_logs_forks_units_and_fork_labeled_dispatches() {
-        use memtrace::SchedEvent;
+    fn dispatch_trace_returns_the_order_and_the_drain_units() {
         let hints = vec![
             Hints::one(Addr::new(0x10)),
             Hints::one(Addr::new(0x100_000)),
@@ -241,32 +257,12 @@ mod tests {
         let cfg = config(1024);
         let trace = dispatch_trace(cfg, PaperBlockHash::from_config(&cfg), &hints);
         assert_eq!(trace.order, vec![0, 2, 1]);
-        let forks: Vec<u32> = trace
-            .log
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                SchedEvent::Dispatch { fork, .. } => Some(*fork),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(forks, vec![0, 2, 1], "dispatches carry fork indices");
-        let begins = trace
-            .log
-            .events
-            .iter()
-            .filter(|e| matches!(e, SchedEvent::DrainBegin { .. }))
-            .count();
-        assert_eq!(begins, 2, "two bins, two drain units");
-        assert_eq!(trace.log.events.last(), Some(&SchedEvent::Barrier));
-        assert_eq!(
-            trace.log.events[..3],
-            [
-                SchedEvent::Fork { actor: 0, fork: 0 },
-                SchedEvent::Fork { actor: 0, fork: 1 },
-                SchedEvent::Fork { actor: 0, fork: 2 },
-            ]
-        );
+        assert_eq!(trace.units, 2, "two bins, two drain units");
+        let nested = locality_sched::Hierarchical::uniform(1024, 4096, false).unwrap();
+        let sub_bins = [0x0, 0x400, 0x1000].map(|a| Hints::one(Addr::new(a)));
+        let trace = dispatch_trace(cfg, nested, &sub_bins);
+        assert_eq!(trace.order, vec![0, 1, 2]);
+        assert_eq!(trace.units, 2, "one unit per parent group, not per sub-bin");
     }
 
     #[test]

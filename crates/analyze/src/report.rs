@@ -149,7 +149,6 @@ fn kernel_row(k: &KernelSummary, w: &mut json::Writer) {
         ("overflow_subbins", k.overflow_subbins),
         ("false_sharing_lines", k.false_sharing_lines),
         ("cross_node_pairs", k.cross_node_pairs),
-        ("hb_events", k.hb_events),
         ("hb_units", k.hb_units),
         ("hb_obligations", k.hb_obligations),
         ("hb_races", k.hb_races),
@@ -190,7 +189,6 @@ mod tests {
             overflow_subbins: 0,
             false_sharing_lines: 1,
             cross_node_pairs: 0,
-            hb_events: 24,
             hb_units: 2,
             hb_obligations: 0,
             hb_races: 0,

@@ -18,12 +18,10 @@ use proptest::prelude::*;
 use workloads::Kernel;
 
 /// Asserts every policy `summary` checked has a happens-before
-/// certificate row for `capture` carrying the very same verdicts. Each
-/// verdict is itself checked against mirror replay as it is built (in
-/// debug builds, which these tests are): the serial model's fork-order
-/// violations are exactly the pairs the dispatch permutation flips, and
-/// the stealing model's races exactly the cross-bin conflicts. HB can
-/// therefore never contradict the mirror-replay proof — it extends it.
+/// certificate row for `capture` carrying the very same verdicts. Both
+/// sides come from `check_policy` summing one set of phase verdicts, so
+/// this pins that the lint summary and `ANALYZE_hb.json` never drift
+/// apart: same rows, same counts, same conflict totals.
 fn assert_hb_matches_mirror_replay(report: &HbReport, capture: &Capture, summary: &KernelSummary) {
     for check in summary.checks.iter().filter(|c| c.checked) {
         let label = format!("{}/{}", capture.workload, check.policy);
@@ -102,13 +100,6 @@ fn hb_certificates_agree_with_mirror_replay_on_every_kernel() {
         report.rows.iter().any(|r| r.check.policy == "topology"),
         "kernels must carry a topology certificate row"
     );
-    // Every shard partition certificate must hold: no cache line may
-    // straddle a shard boundary.
-    assert_eq!(report.shard_rows.len(), captures.len() * 2);
-    for row in &report.shard_rows {
-        assert_eq!(row.hb_cross_shard_words, 0, "{}", row.workload);
-        assert_eq!(row.hb_steal_safe, 1, "{}", row.workload);
-    }
 }
 
 #[test]
@@ -170,8 +161,8 @@ proptest! {
                 l2_shrink
             );
         }
-        // The happens-before engine must reach the same verdicts as
-        // mirror replay at every sampled scale and geometry.
+        // The certificates must carry the lint's verdicts at every
+        // sampled scale and geometry.
         let report = hb_report(machine.name(), std::slice::from_ref(&capture));
         assert_hb_matches_mirror_replay(&report, &capture, &summary);
     }

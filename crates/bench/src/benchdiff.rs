@@ -105,10 +105,6 @@ const STABLE_LEAVES: &[&str] = &[
     "threads",
     "workers",
     "threads_run",
-    // schedlint's partition certificates (the `<kernel>/shards<N>` rows
-    // of ANALYZE_hb.json) carry the shard count they were proved at:
-    // config, not a measurement, so it must reproduce exactly.
-    "shards",
     // Trace-driven simulation results are bit-deterministic: the same
     // program order produces the same miss counts on any host.
     "l1_misses",
@@ -140,11 +136,10 @@ const STABLE_LEAVES: &[&str] = &[
     "evictions",
     "peak_live_bin_records",
     "wasted_memory_time",
-    // Happens-before certificates (schedlint): event, unit, obligation,
-    // and race counts are replay-derived from seeded captures and must
-    // reproduce bit-exactly — any drift means the HB engine or a
+    // Happens-before certificates (schedlint): unit, obligation, and
+    // race counts are replay-derived from seeded captures and must
+    // reproduce bit-exactly — any drift means the verdicts or a
     // policy's schedule changed.
-    "hb_events",
     "hb_units",
     "hb_obligations",
     "hb_races",
@@ -152,7 +147,6 @@ const STABLE_LEAVES: &[&str] = &[
     "hb_violations",
     "hb_unordered",
     "hb_steal_safe",
-    "hb_cross_shard_words",
 ];
 
 /// Classifies a flattened path.
@@ -456,17 +450,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_in_identity_splits_rows() {
-        // A partition certificate proved at 4 shards never silently
-        // compares against one proved at 8: the row labels differ, so
-        // every gated 4-shard leaf reports as missing.
+    fn row_label_is_row_identity() {
+        // A certificate row under a new label never silently compares
+        // against the old one: the labels differ, so every gated leaf of
+        // the old row reports as missing.
         let base = include_str!("../../../baselines/ANALYZE_hb.json");
-        let other = base.replace("\"matmul/shards4\"", "\"matmul/shards8\"");
+        let other = base.replace("\"pde/paper\"", "\"pde/paper-renamed\"");
         let report = diff(base, &other, 0.15).expect("diff");
         assert!(!report.passed());
         assert!(report
             .regressions()
-            .any(|r| r.path == "rows[matmul/shards4].shards" && r.current.is_none()));
+            .any(|r| r.path == "rows[pde/paper].hb_units" && r.current.is_none()));
     }
 
     #[test]
@@ -518,9 +512,13 @@ mod tests {
     /// must be pinned here too.
     #[test]
     fn every_baseline_passes_against_itself_with_its_gates_armed() {
+        // ANALYZE_hb: 20 kernel × policy rows × 6 `hb_*` leaves
+        // (units, obligations, conflict pairs, violations, unordered,
+        // steal-safe). ANALYZE_smoke: 4 kernel rows × 5 leaves
+        // (threads, bins, hb_units, hb_obligations, hb_races).
         const GATED: &[(&str, usize)] = &[
-            ("ANALYZE_hb.json", 172),
-            ("ANALYZE_smoke.json", 24),
+            ("ANALYZE_hb.json", 120),
+            ("ANALYZE_smoke.json", 20),
             ("BENCH_binpolicy.json", 96),
             ("BENCH_serve_smoke.json", 110),
             ("BENCH_steal.json", 50),

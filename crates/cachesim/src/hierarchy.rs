@@ -104,13 +104,6 @@ impl HierarchyConfig {
         config.l3 = Some(l3);
         config
     }
-
-    /// The configured levels, top down.
-    pub fn levels(&self) -> impl Iterator<Item = CacheConfig> {
-        [Some(self.l1d), Some(self.l2), self.l3]
-            .into_iter()
-            .flatten()
-    }
 }
 
 /// A simulated L1-data + unified-L2 hierarchy with 3C classification of
@@ -430,11 +423,6 @@ impl Hierarchy {
             return;
         }
         self.touch_l1_line(l1_line, is_write);
-    }
-
-    /// Whether an MMU (TLB + physically-indexed L2) is attached.
-    pub(crate) fn has_mmu(&self) -> bool {
-        self.mmu.is_some()
     }
 
     /// Maps a virtual L1 line index to the L2 line index that backs it

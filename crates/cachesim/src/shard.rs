@@ -1,14 +1,4 @@
-//! Address-region partitions of a hierarchy.
-//!
-//! The hierarchy's set-index bit fields make a partition exact rather
-//! than approximate: pick `k` *selector bits* that lie inside the
-//! set-index field of **every** level, and two addresses with different
-//! selector values can never meet in a set at any level — they are, in
-//! BUNDLEP's terms, conflict-free regions. A [`ShardPlan`] is such a
-//! choice of bits; schedlint's partition certificates check real kernel
-//! footprints against it. An MMU (fully-associative TLB, physically
-//! indexed L2) breaks the selector-bit invariant, so a hierarchy with
-//! one plans a single shard.
+//! The sharded simulator's shell.
 //!
 //! Replay is not partitioned. Routing every record into per-shard
 //! queues, replaying them on private hierarchies and merging the 3C
@@ -19,115 +9,16 @@
 use crate::{Hierarchy, SimReport, SimSink};
 use memtrace::{Access, SchedMark, StreamRun, TraceSink};
 
-/// Most shards a plan may have.
-const MAX_SHARDS: u32 = 1 << u8::BITS;
-
-/// The address-region partition for a hierarchy: which selector bits
-/// split the address space into conflict-free shards.
-///
-/// Validity: the selector bits `[shift, shift + log2(shards))` must lie
-/// inside every level's set-index field, i.e. at or above every line
-/// offset (`shift >= log2(line)`) and strictly below every level's way
-/// size (`shift + k <= log2(line * sets)`). [`ShardPlan::for_hierarchy`]
-/// picks the highest valid shift that still yields the requested shard
-/// count and clamps that count to what the geometry supports;
-/// [`ShardPlan::with_shift`] lets tests explore the whole valid space.
+/// The address-region partition a [`ShardedSimSink`] replays under:
+/// always one shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardPlan {
-    shift: u32,
-    mask: u64,
-    shards: u32,
-}
+pub struct ShardPlan(());
 
 impl ShardPlan {
-    /// The lowest valid selector shift for `hierarchy`: every level's
-    /// line offset is below it.
-    fn min_shift(hierarchy: &Hierarchy) -> u32 {
-        let line_bits = |c: crate::CacheConfig| c.line().trailing_zeros();
-        let levels = hierarchy.config().levels();
-        levels.map(line_bits).max().expect("at least two levels")
-    }
-
-    /// One past the highest valid selector bit: the log2 of the
-    /// smallest way size (line × sets) over all levels.
-    fn max_shift(hierarchy: &Hierarchy) -> u32 {
-        let way_bits = |c: crate::CacheConfig| (c.line() * c.sets()).trailing_zeros();
-        let levels = hierarchy.config().levels();
-        levels.map(way_bits).min().expect("at least two levels")
-    }
-
-    /// Plans a partition of `hierarchy` into at most `requested` shards.
-    /// The effective shard count is the largest power of two ≤
-    /// `requested` (and ≤ 256) that the geometry (and the absence of an
-    /// MMU) supports; it can be 1.
-    ///
-    /// Among the valid selector shifts the planner takes the *highest*
-    /// one that still yields that shard count — the coarsest granules,
-    /// so interleaved streams (multiple arrays walked in lockstep)
-    /// switch shards once per granule instead of once per line.
-    #[must_use]
-    pub fn for_hierarchy(hierarchy: &Hierarchy, requested: u32) -> ShardPlan {
-        let lo = Self::min_shift(hierarchy);
-        let hi = Self::max_shift(hierarchy);
-        let fallback = ShardPlan {
-            shift: lo,
-            mask: 0,
-            shards: 1,
-        };
-        if lo >= hi {
-            return fallback;
-        }
-        // Bits needed for the requested count, clamped to the field.
-        let k = 32 - requested.clamp(1, MAX_SHARDS).leading_zeros() - 1;
-        let shift = hi - k.clamp(1, hi - lo);
-        Self::with_shift(hierarchy, requested, shift).unwrap_or(fallback)
-    }
-
-    /// Plans a partition with an explicit selector shift, or `None` if
-    /// `shift` is outside the valid selector field. The shard count is
-    /// still clamped to the bits available above `shift`, and to 256.
-    #[must_use]
-    pub fn with_shift(hierarchy: &Hierarchy, requested: u32, shift: u32) -> Option<ShardPlan> {
-        let lo = Self::min_shift(hierarchy);
-        let hi = Self::max_shift(hierarchy);
-        if shift < lo || shift >= hi {
-            return None;
-        }
-        let mut k = hi - shift;
-        if hierarchy.has_mmu() {
-            // Physically-indexed levels and the fully-associative TLB
-            // do not partition by virtual address.
-            k = 0;
-        }
-        let requested = requested.clamp(1, MAX_SHARDS);
-        let mut shards = 1u32 << k.min(31);
-        while shards > requested {
-            shards >>= 1;
-        }
-        Some(ShardPlan {
-            shift,
-            mask: u64::from(shards) - 1,
-            shards,
-        })
-    }
-
-    /// Effective number of shards (a power of two, ≥ 1).
+    /// Effective number of shards (always 1).
     #[must_use]
     pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// The selector shift: shard identity is `(addr >> shift) % shards`.
-    #[must_use]
-    pub fn selector_shift(&self) -> u32 {
-        self.shift
-    }
-
-    /// Which shard owns `addr`.
-    #[inline]
-    #[must_use]
-    pub fn shard_of(&self, addr: u64) -> u32 {
-        ((addr >> self.shift) & self.mask) as u32
+        1
     }
 }
 
@@ -153,7 +44,6 @@ impl ShardPlan {
 #[derive(Clone, Debug)]
 pub struct ShardedSimSink {
     sim: SimSink,
-    plan: ShardPlan,
 }
 
 impl ShardedSimSink {
@@ -162,7 +52,6 @@ impl ShardedSimSink {
     #[must_use]
     pub fn new(hierarchy: Hierarchy, _shards: u32) -> Self {
         ShardedSimSink {
-            plan: ShardPlan::for_hierarchy(&hierarchy, 1),
             sim: SimSink::new(hierarchy),
         }
     }
@@ -170,7 +59,7 @@ impl ShardedSimSink {
     /// The partition in effect.
     #[must_use]
     pub fn plan(&self) -> ShardPlan {
-        self.plan
+        ShardPlan(())
     }
 
     /// Records forked threads, as [`SimSink::add_threads`].
@@ -224,7 +113,7 @@ impl TraceSink for ShardedSimSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheConfig, HierarchyConfig, MachineModel};
+    use crate::{CacheConfig, HierarchyConfig};
     use memtrace::Addr;
 
     /// Feeds the same pseudo-random reads and writes — a strided walk
@@ -250,35 +139,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_respects_geometry_bounds() {
-        let machine = MachineModel::r8000();
-        let h = machine.hierarchy();
-        // r8000: L1 way size 16 KiB (2^14), L2 line 128 B → selector
-        // field [7, 14): up to 128 shards.
-        let plan = ShardPlan::for_hierarchy(&h, 1024);
-        assert_eq!(plan.selector_shift(), 7);
-        assert_eq!(plan.shards(), 128);
-        assert_eq!(ShardPlan::for_hierarchy(&h, 4).shards(), 4);
-        // When the field has spare bits, the planner sits the selector
-        // at the top of it: 4 shards need 2 bits → shift 12, not 7.
-        assert_eq!(ShardPlan::for_hierarchy(&h, 4).selector_shift(), 12);
-        assert_eq!(ShardPlan::for_hierarchy(&h, 5).shards(), 4, "round down");
-        assert_eq!(ShardPlan::for_hierarchy(&h, 0).shards(), 1);
-        assert!(ShardPlan::with_shift(&h, 4, 6).is_none(), "inside L2 line");
-        assert!(ShardPlan::with_shift(&h, 4, 14).is_none(), "above L1 way");
-        assert_eq!(ShardPlan::with_shift(&h, 4, 11).unwrap().shards(), 4);
-    }
-
-    #[test]
     fn degenerate_geometry_falls_back_to_one_shard() {
-        // L1 way size equals the L2 line size: no valid selector bits.
+        // L1 way size equals the L2 line size: still one shard, and
+        // the shell still replays.
         let h = Hierarchy::new(HierarchyConfig::new(
             CacheConfig::new(64, 32, 1).unwrap(),
             CacheConfig::new(2048, 64, 2).unwrap(),
         ));
-        let plan = ShardPlan::for_hierarchy(&h, 8);
-        assert_eq!(plan.shards(), 1);
         let mut sink = ShardedSimSink::new(h, 8);
+        assert_eq!(sink.plan().shards(), 1);
         sink.read(Addr::new(0), 8);
         assert_eq!(sink.report().reads, 1);
     }
@@ -296,21 +165,19 @@ mod tests {
                 Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(5), 4096), 8),
             )
         };
-        assert_eq!(ShardPlan::for_hierarchy(&make(), 8).shards(), 1);
+        assert_eq!(ShardedSimSink::new(make(), 8).plan().shards(), 1);
         reports_match(make, 8, 11);
     }
 
-    /// More shards than a byte can index: the plan clamps to 256.
+    /// More shards than a byte can index: still one shard, still equal.
     #[test]
     fn sharded_equals_unsharded_at_512_requested_shards() {
         let config = HierarchyConfig::new(
             CacheConfig::new(1 << 16, 32, 1).unwrap(),
             CacheConfig::new(1 << 17, 32, 1).unwrap(),
         );
-        let plan = ShardPlan::for_hierarchy(&Hierarchy::new(config), 512);
-        assert_eq!(plan.shards(), MAX_SHARDS);
-        let low = ShardPlan::with_shift(&Hierarchy::new(config), 512, 5).unwrap();
-        assert!(low.shards() <= 256);
+        let sink = ShardedSimSink::new(Hierarchy::new(config), 512);
+        assert_eq!(sink.plan().shards(), 1);
         reports_match(|| Hierarchy::new(config), 512, 19);
     }
 }

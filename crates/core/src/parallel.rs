@@ -167,7 +167,7 @@ pub struct ParRunReport {
     /// halves moved. Event *content* depends on how steals raced, so
     /// the log is for structural checks (every unit drained exactly
     /// once, steals consistent with counters), not for byte-stable
-    /// artifacts — reproducible analysis uses modeled logs instead.
+    /// artifacts — reproducible analysis uses mirror replay instead.
     pub schedule: ScheduleLog,
 }
 

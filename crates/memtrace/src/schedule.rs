@@ -1,23 +1,19 @@
-//! Ordered schedule-event streams for happens-before analysis.
+//! Ordered schedule-event streams.
 //!
 //! A [`ScheduleLog`] is the scheduling-plane counterpart of a memory
 //! trace: an ordered list of [`SchedEvent`]s naming which *actor* (a
 //! sequential execution lane — the serial drain loop, one `ParScheduler`
-//! worker, one cache-simulator shard, one serving lane) did what, and
-//! where work moved between actors. Emitters:
+//! worker, one serving lane) did what, and where work moved between
+//! actors. Emitters:
 //!
 //! * the serial `BinEngine` drain (fork / drain-unit begin-end /
 //!   dispatch, all on actor 0), recorded by [`SchedLogSink`];
 //! * `ParScheduler` workers (drain-unit begin/end per worker, plus
 //!   [`Steal`](SchedEvent::Steal) provenance when half a deque moves);
-//! * the sharded cache simulator ([`Handoff`](SchedEvent::Handoff)
-//!   producer → shard and shard → merge);
 //! * the serving simulation (grant [`Handoff`](SchedEvent::Handoff)s to
 //!   lanes).
 //!
-//! The log carries *order*, not timing: a happens-before engine (the
-//! `analyze` crate) replays it into per-actor vector clocks and decides
-//! which thread bodies are ordered. Actor 0 is by convention the
+//! The log carries *order*, not timing. Actor 0 is by convention the
 //! serial/coordinating lane; further actors are numbered from 1.
 
 /// One mark of the *schedule* half of a trace, as a scheduler emits it
@@ -32,8 +28,8 @@
 /// group's sub-bins for nested ones. It is not what work stealing
 /// moves: `ParScheduler`'s deques hold tour positions (bins), so under
 /// a nested policy a steal can split a parent group between workers —
-/// which is why the analyzer's stealing model gives every *fine* bin an
-/// actor of its own instead of reasoning at unit granularity.
+/// which is why the analyzer's stealing model orders bodies by *fine*
+/// bin, not by drain unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedMark<'a> {
     /// A thread was forked with these hint addresses (empty for an
@@ -60,25 +56,22 @@ pub enum SchedMark<'a> {
 /// sub-bins for nested policies).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedEvent {
-    /// `actor` forked (published) thread `fork`. Establishes the birth
-    /// clock a later [`Dispatch`](SchedEvent::Dispatch) joins.
+    /// `actor` forked (published) thread `fork`.
     Fork { actor: u32, fork: u32 },
     /// `actor` started draining unit `unit`.
     DrainBegin { actor: u32, unit: u32 },
     /// `actor` ran the body of thread `fork` (inside the actor's
     /// currently open drain unit, if any). Recording sinks that cannot
-    /// resolve fork indices store the dispatch sequence number here;
-    /// see [`ScheduleLog::relabel_dispatch_forks`].
+    /// resolve fork indices store the dispatch sequence number here.
     Dispatch { actor: u32, fork: u32 },
     /// `actor` finished draining unit `unit`.
     DrainEnd { actor: u32, unit: u32 },
     /// `thief` moved `units` drain units from `victim`'s deque.
-    /// Provenance only: the records' publication edge is the
-    /// fork → dispatch join, which the stolen units' dispatches already
-    /// carry, so a steal adds no ordering of its own.
+    /// Provenance only: a steal moves unexecuted work, not history, so
+    /// it orders no body against another.
     Steal { thief: u32, victim: u32, units: u32 },
     /// `from` handed its work (and its history: a synchronizing edge)
-    /// to `to` — a shard queue flush, a merge, a lane grant.
+    /// to `to` — a partition hand-off, a lane grant.
     Handoff { from: u32, to: u32 },
     /// Full join: every actor synchronizes with every other (the final
     /// join of a run).
@@ -103,35 +96,6 @@ impl ScheduleLog {
         }
     }
 
-    /// The hand-off structure of a `shards`-way sharded simulator
-    /// pipeline over `rounds` drain rounds, on `shards + 1` actors. A
-    /// round is one producer → shard hand-off per shard (actor 0
-    /// flushing each queue), one drain unit per shard (the sequential
-    /// replay of that shard's records, actors `1..=shards`), the
-    /// shard → merge hand-offs back to actor 0 (the program-order
-    /// classifier merge), and a barrier. Every cross-shard edge goes
-    /// *through* actor 0 — two shards never synchronize directly, which
-    /// is exactly why per-shard replay must be conflict-free at
-    /// selector granularity to be sound.
-    pub fn shard_rounds(shards: u32, rounds: u32) -> Self {
-        let mut log = ScheduleLog::new(shards + 1);
-        for round in 0..rounds {
-            for s in 0..shards {
-                log.push(SchedEvent::Handoff { from: 0, to: s + 1 });
-            }
-            for s in 0..shards {
-                let unit = round * shards + s;
-                log.push(SchedEvent::DrainBegin { actor: s + 1, unit });
-                log.push(SchedEvent::DrainEnd { actor: s + 1, unit });
-            }
-            for s in 0..shards {
-                log.push(SchedEvent::Handoff { from: s + 1, to: 0 });
-            }
-            log.push(SchedEvent::Barrier);
-        }
-        log
-    }
-
     /// Appends one event.
     #[inline]
     pub fn push(&mut self, event: SchedEvent) {
@@ -146,19 +110,6 @@ impl ScheduleLog {
     /// `true` when no event has been recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Rewrites every [`Dispatch`](SchedEvent::Dispatch) event's `fork`
-    /// field — recorded as a dispatch *sequence* number by sinks that
-    /// cannot see fork identity — through `fork_of_seq` (element `k` =
-    /// fork index of the `k`-th dispatch). Panics if a recorded
-    /// sequence number is out of range.
-    pub fn relabel_dispatch_forks(&mut self, fork_of_seq: &[usize]) {
-        for event in &mut self.events {
-            if let SchedEvent::Dispatch { fork, .. } = event {
-                *fork = u32::try_from(fork_of_seq[*fork as usize]).expect("fork index fits u32");
-            }
-        }
     }
 
     /// FNV-1a digest over the event stream — a cheap fingerprint for
@@ -201,9 +152,7 @@ impl ScheduleLog {
 /// Memory references and instruction counts are discarded; only the
 /// scheduling plane is kept. [`Dispatch`](SchedEvent::Dispatch) events
 /// store the dispatch sequence number in the `fork` field (the sink
-/// cannot see fork identity); callers that know the dispatch
-/// permutation resolve it with
-/// [`ScheduleLog::relabel_dispatch_forks`].
+/// cannot see fork identity).
 ///
 /// # Examples
 ///
@@ -356,21 +305,6 @@ mod tests {
                     fork: u32::MAX
                 },
                 SchedEvent::Barrier,
-            ]
-        );
-    }
-
-    #[test]
-    fn relabel_maps_dispatch_sequence_to_fork_index() {
-        let mut log = ScheduleLog::new(1);
-        log.push(SchedEvent::Dispatch { actor: 0, fork: 0 });
-        log.push(SchedEvent::Dispatch { actor: 0, fork: 1 });
-        log.relabel_dispatch_forks(&[1, 0]);
-        assert_eq!(
-            log.events,
-            vec![
-                SchedEvent::Dispatch { actor: 0, fork: 1 },
-                SchedEvent::Dispatch { actor: 0, fork: 0 },
             ]
         );
     }

@@ -75,14 +75,6 @@ impl Section {
         self
     }
 
-    /// Returns the section under a new name — used to namespace
-    /// per-workload copies of the same layer's section (`"l1"` →
-    /// `"matmul.l1"`) before merging profiles.
-    pub fn renamed(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Serializes the section body as one JSON object (without the
     /// surrounding `"name":` key).
     pub fn to_json(&self) -> String {
@@ -147,12 +139,6 @@ impl RunProfile {
     /// The sections in insertion order.
     pub fn sections(&self) -> &[Section] {
         &self.sections
-    }
-
-    /// Consumes the profile, yielding its sections — for re-namespacing
-    /// one run's sections into a larger merged profile.
-    pub fn into_sections(self) -> Vec<Section> {
-        self.sections
     }
 
     /// Whether no section carries any metric.
@@ -223,20 +209,6 @@ mod tests {
         profile.push(a).push(Section::new("empty")).push(b);
         assert_eq!(profile.to_json(), "{\"a\":{\"x\":1},\"b\":{\"y\":2}}");
         assert_eq!(profile.sections().len(), 2, "empty section dropped");
-    }
-
-    #[test]
-    fn renamed_sections_merge_into_namespaced_profile() {
-        let mut inner = RunProfile::new();
-        let mut l1 = Section::new("l1");
-        l1.counter("hits", 9);
-        inner.push(l1);
-        let mut merged = RunProfile::new();
-        for section in inner.into_sections() {
-            let name = format!("matmul.{}", section.name());
-            merged.push(section.renamed(name));
-        }
-        assert_eq!(merged.to_json(), "{\"matmul.l1\":{\"hits\":9}}");
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub struct ServeConfig {
     /// Record the per-request execution log (id, miss deltas) — the
     /// equivalence suite's witness — and the lane-dispatch
     /// [`ScheduleLog`](memtrace::ScheduleLog) in
-    /// [`ServeOutcome::schedule`], the happens-before engine's witness.
+    /// [`ServeOutcome::schedule`], the witness of lane order.
     /// Costs memory; off for benches.
     pub log_execution: bool,
 }
