@@ -10,7 +10,7 @@
 //! * The *serial* drain runs every body on one actor in dispatch order,
 //!   so `a ⇒ b` iff `a` is dispatched before `b`. A conflicting pair
 //!   whose later fork is dispatched first breaks fork order.
-//! * A *stealing* drain (`ParScheduler`, `TopologyAware` included, which
+//! * A *stealing* drain (`ParScheduler` under any steal rule, which
 //!   only biases victim choice) moves tour positions, i.e. fine bins,
 //!   between workers. Bodies of one bin still run in dispatch order on
 //!   one worker; bodies of two bins are ordered by nothing but their

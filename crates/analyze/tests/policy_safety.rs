@@ -87,7 +87,7 @@ fn hb_certificates_agree_with_mirror_replay_on_every_kernel() {
         );
     }
     // The lint passes clean on every shipped policy × kernel — the
-    // topology rows (TopologyAware stealing) included.
+    // topology-ladder rows included.
     for row in &report.rows {
         assert_eq!(row.check.violations, 0, "{}", row.workload);
         assert!(

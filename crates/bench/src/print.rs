@@ -257,12 +257,11 @@ pub fn policy_ablation(result: &PolicyAblationResult) {
 /// behaviour, and modeled latency percentiles over one shared trace.
 pub fn servebench(result: &ServeBenchResult) {
     println!(
-        "Online serving: {} Zipf-skewed bursty requests streamed through the\ncontinuously-draining engine on the {} ({} lanes, queue bound {},\nadmission {}, eviction {})\n",
+        "Online serving: {} Zipf-skewed bursty requests streamed through the\ncontinuously-draining engine on the {} ({} lanes, queue bound {},\nadmission shed-oldest, eviction {})\n",
         thousands(result.trace.requests),
         result.machine,
         result.lanes,
         result.queue_bound,
-        result.admission,
         result.eviction,
     );
     let mut t = TextTable::new(vec![

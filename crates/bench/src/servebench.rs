@@ -38,8 +38,6 @@ pub struct ServeBenchResult {
     pub lanes: u64,
     /// Admission bound.
     pub queue_bound: u64,
-    /// Admission policy (display form, e.g. `shed-oldest`).
-    pub admission: String,
     /// Eviction policy (display form, e.g. `lru-cap(8192)`).
     pub eviction: String,
     /// Per-policy rows, in [`ServePolicy::all`] order.
@@ -87,7 +85,6 @@ pub fn servebench_with(scale: &ExpScale, config: &ServeConfig) -> ServeBenchResu
         trace,
         lanes: config.lanes as u64,
         queue_bound: config.queue_bound,
-        admission: config.admission.to_string(),
         eviction: config.eviction.to_string(),
         rows,
     }
@@ -163,7 +160,7 @@ impl ServeBenchResult {
                 w.key("burst_factor").uint(self.trace.burst_factor);
                 w.key("lanes").uint(self.lanes);
                 w.key("queue_bound").uint(self.queue_bound);
-                w.key("admission").string(&self.admission);
+                w.key("admission").string("shed-oldest");
                 w.key("eviction").string(&self.eviction);
                 w.key("rows").array(|w| {
                     for row in &self.rows {

@@ -610,7 +610,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use memtrace::Addr;
-    use probe::{Histogram, HistogramSnapshot, Metric};
+    use probe::{HistogramSnapshot, LocalHistogram, Metric};
 
     fn small_hierarchy() -> Hierarchy {
         // L1: 256 B direct-mapped, 32 B lines. L2: 2 KiB 2-way, 64 B lines.
@@ -1037,7 +1037,7 @@ mod tests {
         h: &mut Hierarchy,
         trace: impl Iterator<Item = Access>,
         (l1_ns, llc_ns): (u64, u64),
-        oracle: &Histogram,
+        oracle: &LocalHistogram,
     ) {
         let below = |h: &Hierarchy| match h.l3_stats() {
             Some(l3) => h.l2_stats().hits() + l3.references(),
@@ -1059,7 +1059,7 @@ mod tests {
         for config in [two_level(), three_level()] {
             let mut h = Hierarchy::new(config);
             h.set_probe_penalties(penalties.0, penalties.1);
-            let oracle = Histogram::new();
+            let oracle = LocalHistogram::new();
             replay_with_oracle(&mut h, mixed_trace(30_000, 42), penalties, &oracle);
             let folded = miss_service_ns(&h);
             assert_eq!(folded, oracle.snapshot(), "{config:?}");
@@ -1083,7 +1083,7 @@ mod tests {
             // Penalties are read at flush: setting them late covers the
             // references already made, at the values now in force.
             h.set_probe_penalties(5, 50);
-            let oracle = Histogram::new();
+            let oracle = LocalHistogram::new();
             let mut replayed = Hierarchy::new(config);
             replay_with_oracle(&mut replayed, mixed_trace(5_000, 7), (5, 50), &oracle);
             assert_eq!(miss_service_ns(&h), oracle.snapshot());
@@ -1103,7 +1103,7 @@ mod tests {
             assert_eq!(miss_service_ns(&h), HistogramSnapshot::default());
             // A short measured phase after a long warm-up: every number
             // in the profile describes the measured phase only.
-            let oracle = Histogram::new();
+            let oracle = LocalHistogram::new();
             replay_with_oracle(&mut h, mixed_trace(500, 11), penalties, &oracle);
             assert_eq!(miss_service_ns(&h), oracle.snapshot());
             for section in h.run_profile().sections() {

@@ -6,10 +6,8 @@
 //! with a working-set capacity, a transfer-line granularity, and a
 //! fanout (sibling count under the next-coarser level). It is the
 //! single source of hierarchy truth: schedulers derive per-level bin
-//! block sizes from the capacities, work stealing ranks victims by
-//! lowest-common-ancestor depth in this tree, and the schedule linter
-//! warns when conflicting threads land under different top-level
-//! subtrees.
+//! block sizes from the capacities, and the schedule linter warns when
+//! conflicting threads land under different top-level subtrees.
 //!
 //! Every [`MachineModel`](crate::MachineModel) has a topology: the two
 //! paper machines derive a two-level tree from their cache hierarchy,

@@ -49,13 +49,6 @@ impl Error for ConfigError {}
 ///   currently executing. Stolen bins are the ones least likely to
 ///   share cache-sized working set with the victim's near-term work,
 ///   so the steal costs the victim the least locality.
-/// - [`TopologyAware`](StealPolicy::TopologyAware): rank victims by the
-///   machine-hierarchy distance between their cold end and the bin the
-///   *thief* just finished — the depth of the lowest common ancestor in
-///   the policy's ladder — and steal from the nearest subtree first, so
-///   stolen work shares as much of the thief's warm hierarchy as
-///   possible. Requires a multi-level policy to differ from flat
-///   distance-0 ties.
 ///
 /// All stealing policies take half the victim's deque from the back
 /// (cold end), preserving tour order within each fragment.
@@ -70,10 +63,6 @@ pub enum StealPolicy {
     /// distance over block coordinates) from its current bin.
     #[default]
     LocalityAware,
-    /// Steal from the victim whose cold end shares the deepest ancestor
-    /// (lowest-common-ancestor depth over the policy's topology ladder)
-    /// with the thief's last-run bin.
-    TopologyAware,
 }
 
 impl fmt::Display for StealPolicy {
@@ -82,7 +71,6 @@ impl fmt::Display for StealPolicy {
             StealPolicy::None => "none",
             StealPolicy::Random => "random",
             StealPolicy::LocalityAware => "locality-aware",
-            StealPolicy::TopologyAware => "topology-aware",
         })
     }
 }
@@ -525,7 +513,6 @@ mod tests {
             StealPolicy::None,
             StealPolicy::Random,
             StealPolicy::LocalityAware,
-            StealPolicy::TopologyAware,
         ] {
             let c = SchedulerConfig::builder()
                 .steal_policy(policy)
@@ -536,7 +523,6 @@ mod tests {
         assert_eq!(StealPolicy::None.to_string(), "none");
         assert_eq!(StealPolicy::Random.to_string(), "random");
         assert_eq!(StealPolicy::LocalityAware.to_string(), "locality-aware");
-        assert_eq!(StealPolicy::TopologyAware.to_string(), "topology-aware");
     }
 
     #[test]

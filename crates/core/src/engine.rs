@@ -664,18 +664,6 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         self.group_key(self.table.key(id))
     }
 
-    /// The full ancestor ladder of one bin, finest level first — the
-    /// coordinates topology-aware stealing scores
-    /// lowest-common-ancestor depth over. A single-entry ladder for
-    /// flat policies.
-    #[inline]
-    pub(crate) fn steal_ladder(&self, id: BinId) -> Vec<[u64; MAX_DIMS]> {
-        let key = self.table.key(id);
-        (0..self.policy.depth())
-            .map(|level| self.policy.ancestor_key(key, level))
-            .collect()
-    }
-
     /// The allocated bins, indexed by bin id.
     pub(crate) fn bins_slice(&self) -> &[Bin<T>] {
         &self.bins

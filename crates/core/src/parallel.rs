@@ -34,12 +34,6 @@
 //! coordinates) from that victim's currently-executing bin — the bins
 //! least likely to share a cache-sized working set with the victim's
 //! near-term work, so the transfer costs the victim the least reuse.
-//! [`StealPolicy::TopologyAware`] instead scores victims from the
-//! *thief's* side: over the policy's ancestor ladder (derived from the
-//! machine topology), it ranks each victim's cold end by the depth of
-//! its lowest common ancestor with the bin the thief just finished and
-//! steals from the nearest subtree first — work that still shares part
-//! of the thief's warm cache hierarchy.
 //!
 //! # Concurrency contract
 //!
@@ -51,7 +45,8 @@
 //! between them beyond deque transfers and the final join. Work only
 //! ever moves *between deques* (under their mutexes), so every forked
 //! thread is executed exactly once by exactly one worker regardless of
-//! how steals interleave.
+//! how steals interleave. Nothing else is shared: each worker owns its
+//! counters and probe observations and hands them back at the join.
 
 use crate::config::StealPolicy;
 use crate::engine::{Bin, BinEngine};
@@ -61,7 +56,6 @@ use crate::stats::{RunStats, SchedulerStats, WorkerStats};
 use crate::table::BinId;
 use crate::{Hints, SchedulerConfig};
 use memtrace::{SchedEvent, ScheduleLog};
-use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -101,30 +95,35 @@ impl WorkerQueue {
     }
 }
 
-/// Probe observations for one parallel run, shared by all workers
-/// (every primitive is either atomic or a no-op ZST, so `&ParObs` is
-/// `Sync` in both probe modes). Kept out of [`WorkerStats`] so the
-/// always-on report stays identical whether or not probes are compiled
-/// in; flushed into [`ParRunReport::profile`] after the join.
+/// Probe observations of one parallel run. The coordinator's copy
+/// records the partition; each worker records into its own copy (plain
+/// cells, like its [`WorkerStats`]) and returns it at the join, where
+/// it is merged into the coordinator's. Kept out of [`WorkerStats`] so
+/// the always-on report stays identical whether or not probes are
+/// compiled in; flushed into [`ParRunReport::profile`].
 #[derive(Default)]
 struct ParObs {
     /// Tour positions moved per successful half-steal.
-    steal_size: probe::Histogram,
+    steal_size: probe::LocalHistogram,
     /// Deque depths observed at partition time and after each transfer
     /// (thief's new depth, victim's remainder) — the histogram's `max`
     /// is the run's deque-depth high-water mark.
-    deque_depth: probe::Histogram,
+    deque_depth: probe::LocalHistogram,
     /// Wall time one worker spent draining one bin.
-    bin_run_ns: probe::Histogram,
+    bin_run_ns: probe::LocalHistogram,
     /// Steals that moved at least one tour position.
-    half_steals: probe::Counter,
-    /// Lowest-common-ancestor depth of each successful topology-aware
-    /// steal (0 = same finest bin block, ladder depth = unrelated
-    /// subtrees). Empty under the other policies.
-    steal_distance: probe::Histogram,
+    half_steals: probe::LocalCounter,
 }
 
 impl ParObs {
+    /// Folds one worker's observations into these.
+    fn merge_from(&self, other: &ParObs) {
+        self.steal_size.merge_from(&other.steal_size);
+        self.deque_depth.merge_from(&other.deque_depth);
+        self.bin_run_ns.merge_from(&other.bin_run_ns);
+        self.half_steals.add(other.half_steals.get());
+    }
+
     /// Flushes the observations into a `"par"` profile section.
     fn section(&self) -> probe::Section {
         let mut section = probe::Section::new("par");
@@ -132,8 +131,7 @@ impl ParObs {
             .counter("half_steals", self.half_steals.get())
             .histogram("steal_size", &self.steal_size)
             .histogram("deque_depth", &self.deque_depth)
-            .histogram("bin_run_ns", &self.bin_run_ns)
-            .histogram("steal_distance", &self.steal_distance);
+            .histogram("bin_run_ns", &self.bin_run_ns);
         section
     }
 }
@@ -323,16 +321,6 @@ impl<C: Sync, P: BinPolicy> ParScheduler<C, P> {
         // a last-level notion.
         let keys: Vec<[u64; MAX_DIMS]> =
             order.iter().map(|&id| self.engine.steal_key(id)).collect();
-        // Full ancestor ladders per tour position, only materialized
-        // for the policy that scores lowest-common-ancestor depth.
-        let ladders: Vec<Vec<[u64; MAX_DIMS]>> = if policy == StealPolicy::TopologyAware {
-            order
-                .iter()
-                .map(|&id| self.engine.steal_ladder(id))
-                .collect()
-        } else {
-            Vec::new()
-        };
         let bins = self.engine.bins_slice();
 
         // Contiguous partition of the tour, balanced by thread count:
@@ -372,17 +360,13 @@ impl<C: Sync, P: BinPolicy> ParScheduler<C, P> {
             }
         }
 
-        let outcomes: Vec<(WorkerStats, Vec<SchedEvent>)> = std::thread::scope(|scope| {
+        let outcomes: Vec<(WorkerStats, Vec<SchedEvent>, ParObs)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
                     let queues = &queues;
                     let order = &order;
                     let keys = &keys;
-                    let ladders = &ladders;
-                    let obs = &obs;
-                    scope.spawn(move || {
-                        worker_loop(me, queues, order, keys, ladders, bins, policy, ctx, obs)
-                    })
+                    scope.spawn(move || worker_loop(me, queues, order, keys, bins, policy, ctx))
                 })
                 .collect();
             handles
@@ -391,12 +375,13 @@ impl<C: Sync, P: BinPolicy> ParScheduler<C, P> {
                 .collect()
         });
 
-        let per_worker: Vec<WorkerStats> = outcomes.iter().map(|(w, _)| *w).collect();
+        let per_worker: Vec<WorkerStats> = outcomes.iter().map(|(w, _, _)| *w).collect();
         // Per-worker event streams concatenated in worker order; each
         // stream is internally ordered, cross-worker order is modeled
         // by the final barrier (the scope join).
-        for (_, events) in outcomes {
+        for (_, events, worker_obs) in outcomes {
             schedule.events.extend(events);
+            obs.merge_from(&worker_obs);
         }
         schedule.push(SchedEvent::Barrier);
 
@@ -421,23 +406,22 @@ impl<C: Sync, P: BinPolicy> ParScheduler<C, P> {
 }
 
 /// One worker: drain the own deque front-to-back; once empty, steal
-/// per `policy` or exit. Returns the worker's counters plus its
-/// observed schedule events (drain-unit begin/end per tour position
-/// executed, steal provenance per successful transfer).
-#[allow(clippy::too_many_arguments)]
+/// per `policy` or exit. Returns the worker's counters, its observed
+/// schedule events (drain-unit begin/end per tour position executed,
+/// steal provenance per successful transfer) and its probe
+/// observations.
 fn worker_loop<C: Sync>(
     me: usize,
     queues: &[WorkerQueue],
     order: &[BinId],
     keys: &[[u64; MAX_DIMS]],
-    ladders: &[Vec<[u64; MAX_DIMS]>],
     bins: &[Bin<ParSpec<C>>],
     policy: StealPolicy,
     ctx: &C,
-    obs: &ParObs,
-) -> (WorkerStats, Vec<SchedEvent>) {
+) -> (WorkerStats, Vec<SchedEvent>, ParObs) {
     let mut stats = WorkerStats::default();
     let mut events: Vec<SchedEvent> = Vec::new();
+    let obs = ParObs::default();
     let actor = me as u32 + 1;
     let mut rng = XorShift64::for_worker(me);
     loop {
@@ -461,14 +445,13 @@ fn worker_loop<C: Sync>(
             continue;
         }
         if policy == StealPolicy::None {
-            return (stats, events);
+            return (stats, events, obs);
         }
         let parked = Instant::now();
         let got = match policy {
             StealPolicy::None => unreachable!("handled above"),
-            StealPolicy::Random => steal_random(me, queues, &mut rng, &mut stats, obs),
-            StealPolicy::LocalityAware => steal_locality(me, queues, keys, &mut stats, obs),
-            StealPolicy::TopologyAware => steal_topology(me, queues, ladders, &mut stats, obs),
+            StealPolicy::Random => steal_random(me, queues, &mut rng, &mut stats, &obs),
+            StealPolicy::LocalityAware => steal_locality(me, queues, keys, &mut stats, &obs),
         };
         stats.parked_ns += parked.elapsed().as_nanos() as u64;
         match got {
@@ -480,7 +463,7 @@ fn worker_loop<C: Sync>(
             None => {
                 // No victim has stealable work; the only remaining bins
                 // are in flight on other workers and cannot move. Done.
-                return (stats, events);
+                return (stats, events, obs);
             }
         }
     }
@@ -488,8 +471,9 @@ fn worker_loop<C: Sync>(
 
 /// Moves up to half of `victim`'s deque (back half, at least one
 /// entry) onto the back of `me`'s deque. Returns the number of tour
-/// positions moved (0 if the victim's deque was empty). Never holds
-/// two deque locks at once, so steals cannot deadlock.
+/// positions moved (0 if the victim's deque was empty) and records the
+/// transfer in the thief's `obs`. Never holds two deque locks at once,
+/// so steals cannot deadlock.
 fn steal_half(queues: &[WorkerQueue], victim: usize, me: usize, obs: &ParObs) -> u64 {
     let (stolen, remainder) = {
         let mut dq = queues[victim].deque.lock().expect("deque poisoned");
@@ -540,22 +524,23 @@ fn steal_random(
     None
 }
 
-/// The scan–score–steal–retry skeleton of the two scoring policies:
-/// rate every other worker's deque with `score(victim, back, front)`
-/// (`back` its cold-end tour position, `front` its hot end), steal half
-/// of the best one — highest score, ties toward the larger backlog,
-/// then the lower worker index — and rescan if that victim drained in
-/// the meantime (total work shrinks monotonically, so this ends).
-/// Returns the victim, the tour positions moved and the winning score.
-fn steal_scored<K: Ord + Copy>(
+/// Locality-aware policy: score every victim by the Manhattan distance
+/// (over block coordinates) between its cold-end bin and the bin it is
+/// currently executing, and steal half of the farthest — the victim
+/// that loses the least locality by giving up its back half. Ties go
+/// toward the larger backlog, then the lower worker index. If the
+/// chosen victim drained in the meantime, rescan (total work shrinks
+/// monotonically, so this ends). Returns the victim and the number of
+/// tour positions moved.
+fn steal_locality(
     me: usize,
     queues: &[WorkerQueue],
+    keys: &[[u64; MAX_DIMS]],
     stats: &mut WorkerStats,
     obs: &ParObs,
-    mut score: impl FnMut(&WorkerQueue, u32, u32) -> K,
-) -> Option<(usize, u64, K)> {
+) -> Option<(usize, u64)> {
     loop {
-        let mut best: Option<(K, usize, usize)> = None; // (score, backlog, victim)
+        let mut best: Option<(u64, usize, usize)> = None; // (score, backlog, victim)
         for (victim, queue) in queues.iter().enumerate() {
             if victim == me {
                 continue;
@@ -567,83 +552,26 @@ fn steal_scored<K: Ord + Copy>(
             let (Some(back), Some(front)) = (back, front) else {
                 continue;
             };
-            let key = score(queue, back, front);
-            if best.is_none_or(|(k, b, _)| (key, backlog) > (k, b)) {
-                best = Some((key, backlog, victim));
+            let current = queue.current.load(Ordering::Relaxed);
+            // A victim that has not started yet anchors at its front.
+            let anchor = if current == NO_BIN {
+                front as usize
+            } else {
+                current
+            };
+            let score = manhattan(keys[back as usize], keys[anchor]);
+            if best.is_none_or(|(s, b, _)| (score, backlog) > (s, b)) {
+                best = Some((score, backlog, victim));
             }
         }
-        let (key, _, victim) = best?;
+        let (_, _, victim) = best?;
         stats.steals_attempted += 1;
         let moved = steal_half(queues, victim, me, obs);
         if moved > 0 {
             stats.steals_succeeded += 1;
-            return Some((victim, moved, key));
+            return Some((victim, moved));
         }
     }
-}
-
-/// Locality-aware policy: score every victim by the Manhattan distance
-/// (over block coordinates) between its cold-end bin and the bin it is
-/// currently executing, and steal from the farthest — the victim that
-/// loses the least locality by giving up its back half.
-fn steal_locality(
-    me: usize,
-    queues: &[WorkerQueue],
-    keys: &[[u64; MAX_DIMS]],
-    stats: &mut WorkerStats,
-    obs: &ParObs,
-) -> Option<(usize, u64)> {
-    steal_scored(me, queues, stats, obs, |victim, back, front| {
-        let current = victim.current.load(Ordering::Relaxed);
-        // A victim that has not started yet anchors at its front.
-        let anchor = if current == NO_BIN {
-            front as usize
-        } else {
-            current
-        };
-        manhattan(keys[back as usize], keys[anchor])
-    })
-    .map(|(victim, moved, _)| (victim, moved))
-}
-
-/// Topology-aware policy: score every victim by the
-/// lowest-common-ancestor depth between its cold-end bin and the bin
-/// the *thief* is (or was last) executing, and steal from the nearest —
-/// the work that still shares the deepest level of the thief's warm
-/// hierarchy. A thief that has not run anything yet scores every
-/// victim at distance 0, so ties pick the deepest backlog.
-fn steal_topology(
-    me: usize,
-    queues: &[WorkerQueue],
-    ladders: &[Vec<[u64; MAX_DIMS]>],
-    stats: &mut WorkerStats,
-    obs: &ParObs,
-) -> Option<(usize, u64)> {
-    let anchor = queues[me].current.load(Ordering::Relaxed);
-    let (victim, moved, Reverse(distance)) = steal_scored(me, queues, stats, obs, |_, back, _| {
-        Reverse(if anchor == NO_BIN {
-            0
-        } else {
-            lca_distance(&ladders[back as usize], &ladders[anchor])
-        })
-    })?;
-    obs.steal_distance.record(distance);
-    Some((victim, moved))
-}
-
-/// Depth of the lowest common ancestor of two bins over their ancestor
-/// ladders: 0 when they are the same finest-level bin block, `d` when
-/// level `d` is the first the two keys share, and the full ladder depth
-/// when they share no level at all (different top-level subtrees).
-#[inline]
-fn lca_distance(a: &[[u64; MAX_DIMS]], b: &[[u64; MAX_DIMS]]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    for (level, (ka, kb)) in a.iter().zip(b.iter()).enumerate() {
-        if ka == kb {
-            return level as u64;
-        }
-    }
-    a.len() as u64
 }
 
 /// Manhattan distance between two block-coordinate keys.
@@ -708,11 +636,10 @@ mod tests {
         }
     }
 
-    const ALL_POLICIES: [StealPolicy; 4] = [
+    const ALL_POLICIES: [StealPolicy; 3] = [
         StealPolicy::None,
         StealPolicy::Random,
         StealPolicy::LocalityAware,
-        StealPolicy::TopologyAware,
     ];
 
     #[test]
@@ -870,7 +797,58 @@ mod tests {
                         "{policy} workers={workers}: {w}"
                     );
                 }
+                if probe::enabled() {
+                    // Every worker's observations reached the merged
+                    // section: one drain time per bin, one steal-size
+                    // sample per successful steal.
+                    let label = format!("{policy} workers={workers}");
+                    let bin_run = par_histogram(&report, "bin_run_ns");
+                    assert_eq!(bin_run.count as usize, report.run.bins_visited, "{label}");
+                    let half_steals = par_counter(&report, "half_steals");
+                    assert_eq!(half_steals, report.stats.steals_succeeded(), "{label}");
+                    let steal_size = par_histogram(&report, "steal_size");
+                    assert_eq!(steal_size.count, half_steals, "{label}");
+                    let units: u64 = report
+                        .schedule
+                        .events
+                        .iter()
+                        .map(|event| match event {
+                            SchedEvent::Steal { units, .. } => u64::from(*units),
+                            _ => 0,
+                        })
+                        .sum();
+                    assert_eq!(steal_size.sum, units, "{label}");
+                }
             }
+        }
+    }
+
+    /// The `"par"` section's metric `name`, if the run recorded one.
+    fn par_metric<'a>(report: &'a ParRunReport, name: &str) -> Option<&'a probe::Metric> {
+        let section = report
+            .profile
+            .sections()
+            .iter()
+            .find(|s| s.name() == "par")?;
+        section
+            .metrics()
+            .iter()
+            .find_map(|(n, metric)| (n == name).then_some(metric))
+    }
+
+    /// A `"par"` histogram; empty histograms are left out of sections.
+    fn par_histogram(report: &ParRunReport, name: &str) -> probe::HistogramSnapshot {
+        match par_metric(report, name) {
+            Some(probe::Metric::Histogram(snapshot)) => snapshot.clone(),
+            None => probe::HistogramSnapshot::default(),
+            Some(other) => panic!("{name} is not a histogram: {other:?}"),
+        }
+    }
+
+    fn par_counter(report: &ParRunReport, name: &str) -> u64 {
+        match par_metric(report, name) {
+            Some(probe::Metric::Counter(value)) => *value,
+            other => panic!("{name} is not a counter: {other:?}"),
         }
     }
 
@@ -944,7 +922,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         miri,
-        ignore = "16 scheduler runs x 400 forks are too slow under the interpreter"
+        ignore = "12 scheduler runs x 400 forks are too slow under the interpreter"
     )]
     fn observed_schedule_log_is_well_formed() {
         // Every drain unit (tour position) appears as exactly one
@@ -1004,46 +982,6 @@ mod tests {
                     "{policy}/{workers}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn lca_distance_walks_the_ladder() {
-        let a = vec![[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]];
-        let b = vec![[2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]];
-        let c = vec![[9, 0, 0, 0], [4, 0, 0, 0], [0, 0, 0, 0]];
-        let d = vec![[7, 0, 0, 0], [3, 0, 0, 0], [1, 0, 0, 0]];
-        assert_eq!(lca_distance(&a, &a), 0, "same fine bin");
-        assert_eq!(lca_distance(&a, &b), 1, "share the mid level");
-        assert_eq!(lca_distance(&a, &c), 2, "share only the root");
-        assert_eq!(lca_distance(&a, &d), 3, "different subtrees");
-    }
-
-    #[test]
-    #[cfg_attr(
-        miri,
-        ignore = "4 scheduler runs x 600 forks are too slow under the interpreter"
-    )]
-    fn topology_aware_steals_run_everything_with_deep_policies() {
-        use crate::policy::TopologyPolicy;
-        let policy = TopologyPolicy::uniform(&[1 << 12, 1 << 16, 1 << 20], false).unwrap();
-        for workers in [1, 2, 4, 8] {
-            let mut sched: ParScheduler<Counters, TopologyPolicy> =
-                ParScheduler::with_policy(config_with(StealPolicy::TopologyAware), policy);
-            for i in 0..600usize {
-                sched.fork(
-                    bump,
-                    i % 10,
-                    1,
-                    Hints::one(Addr::new((i as u64 % 48) * 100_000)),
-                );
-            }
-            let ctx = counters(10);
-            let report = sched.run_report(&ctx, workers);
-            assert_eq!(report.run.threads_run, 600, "workers = {workers}");
-            assert_eq!(report.policy, StealPolicy::TopologyAware);
-            let total: u64 = ctx.slots.iter().map(|s| s.load(Ordering::Relaxed)).sum();
-            assert_eq!(total, 600);
         }
     }
 

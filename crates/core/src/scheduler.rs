@@ -85,11 +85,6 @@ impl<C> Scheduler<C> {
     pub fn new(config: SchedulerConfig) -> Self {
         Scheduler::with_policy(config, PaperBlockHash::from_config(&config))
     }
-
-    /// Creates a scheduler with the default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(SchedulerConfig::default())
-    }
 }
 
 impl<C, P: BinPolicy> Scheduler<C, P> {
@@ -475,7 +470,7 @@ mod tests {
 
     #[test]
     fn run_on_empty_scheduler_is_a_noop() {
-        let mut sched: Scheduler<Log> = Scheduler::with_defaults();
+        let mut sched = Scheduler::<Log>::new(SchedulerConfig::default());
         let mut log = Log::new();
         let stats = sched.run(&mut log, RunMode::Consume);
         assert_eq!(stats.threads_run, 0);
@@ -679,7 +674,7 @@ mod tests {
             let mut log = Log::new();
             sched.run(&mut log, RunMode::Consume).threads_run
         }
-        let mut sched: Scheduler<Log> = Scheduler::with_defaults();
+        let mut sched = Scheduler::<Log>::new(SchedulerConfig::default());
         assert_eq!(drive(&mut sched), 1);
     }
 

@@ -37,7 +37,6 @@ fn arb_policy() -> impl Strategy<Value = locality_sched::StealPolicy> {
         Just(StealPolicy::None),
         Just(StealPolicy::Random),
         Just(StealPolicy::LocalityAware),
-        Just(StealPolicy::TopologyAware),
     ]
 }
 
@@ -223,7 +222,7 @@ proptest! {
         let mut reference: Vec<usize> = (0..hints.len()).collect();
         reference.sort_unstable();
 
-        let mut locality: Scheduler<Log> = Scheduler::with_defaults();
+        let mut locality = Scheduler::<Log>::new(SchedulerConfig::default());
         let mut fifo: FifoScheduler<Log> = FifoScheduler::new();
         let mut random: RandomScheduler<Log> = RandomScheduler::new(seed);
         for (i, h) in hints.iter().enumerate() {

@@ -57,6 +57,6 @@ pub use matrix::{MatrixLayout, TracedMatrix};
 pub use regions::{RegionSink, RegionTraffic};
 pub use run::{Stream, StreamRun};
 pub use schedule::{SchedEvent, SchedLogSink, SchedMark, ScheduleLog};
-pub use sink::{CountingSink, FnSink, NullSink, TeeSink, TraceSink, VecSink};
+pub use sink::{CountingSink, NullSink, TeeSink, TraceSink, VecSink};
 pub use space::AddressSpace;
 pub use tracefile::{TraceFileReader, TraceFileWriter, MAX_TRACE_HINTS};

@@ -383,50 +383,6 @@ impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     }
 }
 
-/// A sink that invokes a closure on every reference (instruction counts
-/// are tallied but not forwarded).
-///
-/// Handy in tests for asserting properties of a trace without storing it.
-pub struct FnSink<F> {
-    callback: F,
-    instructions: u64,
-}
-
-impl<F: FnMut(Access)> FnSink<F> {
-    /// Creates a sink calling `callback` for every access.
-    pub fn new(callback: F) -> Self {
-        FnSink {
-            callback,
-            instructions: 0,
-        }
-    }
-
-    /// Total instructions accounted.
-    pub fn instructions_executed(&self) -> u64 {
-        self.instructions
-    }
-}
-
-impl<F> std::fmt::Debug for FnSink<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnSink")
-            .field("instructions", &self.instructions)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<F: FnMut(Access)> TraceSink for FnSink<F> {
-    #[inline]
-    fn access(&mut self, access: Access) {
-        (self.callback)(access);
-    }
-
-    #[inline]
-    fn instructions(&mut self, count: u64) {
-        self.instructions += count;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,18 +427,6 @@ mod tests {
         assert_eq!(b.reads(), 1);
         assert_eq!(a.instructions_executed(), 5);
         assert_eq!(b.instructions_executed(), 5);
-    }
-
-    #[test]
-    fn fn_sink_invokes_callback() {
-        let mut seen = Vec::new();
-        {
-            let mut sink = FnSink::new(|a| seen.push(a));
-            sink.read(Addr::new(4), 4);
-            sink.instructions(2);
-            assert_eq!(sink.instructions_executed(), 2);
-        }
-        assert_eq!(seen, vec![Access::read(Addr::new(4), 4)]);
     }
 
     #[test]

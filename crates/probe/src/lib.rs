@@ -5,24 +5,21 @@
 //! schedulers, the cache simulator, the experiment driver — is
 //! instrumented with the primitives in this crate:
 //!
-//! * [`Counter`] — a thread-safe monotonic counter (relaxed atomics).
-//! * [`LocalCounter`] — a single-threaded counter (`Cell`) for hot
-//!   paths that hold `&mut self` anyway.
-//! * [`Histogram`] — a log₂-bucketed value distribution with count /
-//!   sum / min / max and approximate percentiles, mergeable across
-//!   threads.
-//! * [`LocalHistogram`] — the same distribution in plain `Cell`s, for
-//!   hot paths that hold `&mut self` anyway.
-//! * [`Histogram::span`] / [`LocalHistogram::span`] — a scoped timer
-//!   guard that records elapsed nanoseconds into a histogram on drop.
+//! * [`LocalCounter`] — a monotonic counter in a plain `Cell`.
+//! * [`LocalHistogram`] — a log₂-bucketed value distribution with
+//!   count / sum / min / max and approximate percentiles, in plain
+//!   `Cell`s.
+//! * [`LocalHistogram::span`] — a scoped timer guard that records
+//!   elapsed nanoseconds into a histogram on drop.
 //! * [`LocalLap`] — a running instant for back-to-back intervals: one
 //!   clock read per interval instead of a span's two.
 //!
-//! The rule for picking a kind: shared across threads → `Counter` /
-//! `Histogram`; owned behind `&mut` → `LocalCounter` /
-//! `LocalHistogram`. An observation whose value is a constant of the
-//! run is counted and folded in at flush time with `record_n`, not
-//! recorded per event (see DESIGN.md §8).
+//! There is one kind, and it is `!Sync`: every observation is owned by
+//! one thread. A layer that runs on several threads gives each its own
+//! counters and histograms and merges them at the join
+//! ([`merge_from`](HistogramOf::merge_from)). An observation whose value
+//! is a constant of the run is counted and folded in at flush time with
+//! `record_n`, not recorded per event (see DESIGN.md §8).
 //!
 //! All of the above are **compile-time gated** by the `enabled` cargo
 //! feature (on by default). With the feature off every primitive is a
@@ -44,8 +41,8 @@
 //! # Examples
 //!
 //! ```
-//! let forks = probe::Counter::new();
-//! let latency = probe::Histogram::new();
+//! let forks = probe::LocalCounter::new();
+//! let latency = probe::LocalHistogram::new();
 //! forks.add(3);
 //! {
 //!     let _span = latency.span(); // records elapsed ns on drop
@@ -67,8 +64,8 @@ mod metrics;
 mod profile;
 
 pub use metrics::{
-    Counter, CounterOf, Distribution, Histogram, HistogramOf, HistogramSnapshot, LapOf,
-    LocalCounter, LocalHistogram, LocalLap, LocalSpan, Span, SpanOf,
+    CounterOf, HistogramOf, HistogramSnapshot, LapOf, LocalCounter, LocalHistogram, LocalLap,
+    LocalSpan, SpanOf,
 };
 pub use profile::{Metric, RunProfile, Section};
 

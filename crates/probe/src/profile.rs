@@ -7,7 +7,8 @@
 //! modes lets report code assemble profiles unconditionally and gate
 //! only the embedding on [`enabled`](crate::enabled).
 
-use crate::{json, Distribution, HistogramSnapshot};
+use crate::metrics::Slot;
+use crate::{json, HistogramOf, HistogramSnapshot};
 
 /// One named metric inside a [`Section`].
 #[derive(Clone, Debug, PartialEq)]
@@ -59,13 +60,13 @@ impl Section {
         self
     }
 
-    /// Adds a histogram metric (snapshotting `histogram`, of either
-    /// kind, now). Empty histograms are skipped — a disabled probe
-    /// layer contributes no all-zero noise to reports.
-    pub fn histogram(
+    /// Adds a histogram metric (snapshotting `histogram` now). Empty
+    /// histograms are skipped — a disabled probe layer contributes no
+    /// all-zero noise to reports.
+    pub fn histogram<S: Slot>(
         &mut self,
         name: impl Into<String>,
-        histogram: &impl Distribution,
+        histogram: &HistogramOf<S>,
     ) -> &mut Self {
         let snapshot = histogram.snapshot();
         if snapshot.count > 0 {
@@ -164,7 +165,7 @@ impl RunProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Histogram;
+    use crate::LocalHistogram;
 
     #[test]
     fn section_json_shape() {
@@ -183,7 +184,7 @@ mod tests {
 
     #[test]
     fn histogram_metric_embeds_buckets() {
-        let h = Histogram::new();
+        let h = LocalHistogram::new();
         h.record(1);
         h.record(100);
         let mut section = Section::new("lat");

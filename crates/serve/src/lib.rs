@@ -37,7 +37,6 @@ pub use detmath::{det_exp, det_ln, det_powf};
 pub use event::{Event, EventHeap};
 pub use metrics::{percentile, ServeReport};
 pub use sim::{
-    run_offline, run_serve, AdmissionPolicy, ExecRecord, ServeConfig, ServeError, ServeOutcome,
-    ServePolicy,
+    run_offline, run_serve, ExecRecord, ServeConfig, ServeError, ServeOutcome, ServePolicy,
 };
 pub use trace::{cdf_digest, trace_digest, Request, TraceConfig, TraceGen};

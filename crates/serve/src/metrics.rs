@@ -17,11 +17,12 @@ pub struct ServeReport {
     pub offered: u64,
     /// Requests admitted past the queue bound.
     pub admitted: u64,
-    /// Requests turned away at admission.
+    /// Requests turned away at admission (a full queue with nothing
+    /// waiting to shed).
     pub rejected: u64,
-    /// Admitted requests cancelled while queued by a shedding
-    /// admission policy (`admitted == completed + shed` once the run
-    /// ends drained).
+    /// Admitted requests cancelled while queued to make room for a
+    /// later arrival (`admitted == completed + shed` once the run ends
+    /// drained).
     pub shed: u64,
     /// Requests actually served.
     pub completed: u64,

@@ -66,54 +66,21 @@ impl fmt::Display for ServeError {
 
 impl Error for ServeError {}
 
-/// What happens to an arrival when the admission queue is full.
-///
-/// Rejecting turns away the *new* request; the shedding policies
-/// instead cancel an already-queued request — SLO-aware load shedding,
-/// trading work already buffered (and the memory-time it wasted) for
-/// the fresh arrival. A cancelled request's thread record stays in its
-/// bin as a tombstone and is discarded for free when the bin drains;
-/// the engine's drain order is untouched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Turn the arriving request away (the classic bounded queue).
-    Reject,
-    /// Cancel the oldest waiting request to admit the arrival — the
-    /// queued request least likely to still meet any latency target.
-    ShedOldest,
-    /// Cancel the newest waiting request to admit the arrival,
-    /// preserving the seniority of long-waiting work.
-    ShedNewest,
-    /// Cancel every waiting request whose age already exceeds
-    /// `slo_ns` (its completion could not meet the SLO even if served
-    /// immediately); reject the arrival only if nothing had expired.
-    DeadlineDrop {
-        /// Maximum useful age of a queued request, nanoseconds.
-        slo_ns: u64,
-    },
-}
-
-impl fmt::Display for AdmissionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AdmissionPolicy::Reject => write!(f, "reject"),
-            AdmissionPolicy::ShedOldest => write!(f, "shed-oldest"),
-            AdmissionPolicy::ShedNewest => write!(f, "shed-newest"),
-            AdmissionPolicy::DeadlineDrop { slo_ns } => write!(f, "deadline-drop({slo_ns})"),
-        }
-    }
-}
-
 /// Serving-side knobs, independent of the trace.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Concurrent serving lanes (drain units in flight).
     pub lanes: usize,
     /// Admission bound: the maximum number of waiting (admitted,
-    /// not-yet-served, not-shed) requests.
+    /// not-yet-served, not-shed) requests. An arrival that finds the
+    /// queue full sheds the oldest waiting request — the one least
+    /// likely to still meet any latency target — trading work already
+    /// buffered (and the memory-time it wasted) for the fresh arrival.
+    /// The shed request's thread record stays in its bin as a tombstone
+    /// and is discarded for free when the bin drains, so the engine's
+    /// drain order is untouched. With nothing to shed (a bound of 0)
+    /// the arrival is rejected.
     pub queue_bound: u64,
-    /// What to do with an arrival that finds the queue full.
-    pub admission: AdmissionPolicy,
     /// Bin-record retirement policy for the online engine; bounds the
     /// bin table on long runs. [`EvictionPolicy::Off`] reproduces the
     /// paper's never-free behaviour.
@@ -134,7 +101,6 @@ impl ServeConfig {
         ServeConfig {
             lanes: 4,
             queue_bound: 4096,
-            admission: AdmissionPolicy::ShedOldest,
             eviction: EvictionPolicy::LruCap { max_records: 8192 },
             log_execution: false,
         }
@@ -228,8 +194,8 @@ enum PendingState {
     Waiting,
     /// Served; the slot is on the free list awaiting reuse.
     Done,
-    /// Cancelled by a shedding admission policy while queued; its
-    /// thread record is a tombstone that drains for free.
+    /// Shed by a later arrival while queued; its thread record is a
+    /// tombstone that drains for free.
     Shed,
 }
 
@@ -465,11 +431,10 @@ pub fn run_serve<I: Iterator<Item = Request>>(
     let mut total_latency = 0u128;
     let mut total_slowdown_x1000 = 0u128;
     let mut log = Vec::new();
-    // Admission order of waiting slots, for the shedding policies.
+    // Admission order of waiting slots, oldest first, for shedding.
     // Entries are lazily invalidated (a served slot is recycled with a
     // new id) and compacted once stale entries dominate.
     let mut admission_order: VecDeque<(usize, u64)> = VecDeque::new();
-    let track_order = config.admission != AdmissionPolicy::Reject;
 
     // Seed the heap with the first arrival; each pop chains the next,
     // so only one un-admitted request is ever held.
@@ -488,32 +453,25 @@ pub fn run_serve<I: Iterator<Item = Request>>(
                     let req = next_arrival.take().expect("arrival event without request");
                     offered += 1;
                     let mut admit = ctx.in_queue < config.queue_bound;
-                    if !admit {
-                        let freed = shed_for(
-                            config.admission,
-                            &mut admission_order,
-                            &mut ctx,
-                            now,
-                            &mut wasted_byte_ns,
-                        );
-                        shed += freed;
-                        admit = freed > 0;
+                    if !admit
+                        && shed_oldest(&mut admission_order, &mut ctx, now, &mut wasted_byte_ns)
+                    {
+                        shed += 1;
+                        admit = true;
                     }
                     if admit {
                         let slot = ctx.admit(&req);
-                        if track_order {
-                            admission_order.push_back((slot, req.id));
-                            // Compact once stale (served/shed) entries
-                            // dominate; valid entries number ≤ in_queue.
-                            let compact_at =
-                                config.queue_bound.saturating_mul(2).saturating_add(16);
-                            if admission_order.len() as u64 > compact_at {
-                                let requests = &ctx.requests;
-                                admission_order.retain(|&(slot, id)| {
-                                    requests[slot].id == id
-                                        && requests[slot].state == PendingState::Waiting
-                                });
-                            }
+                        admission_order.push_back((slot, req.id));
+                        // Compact once stale (served/shed) entries
+                        // dominate; valid entries number ≤ in_queue, so
+                        // an unbounded queue's order stays bounded too.
+                        let compact_at = ctx.in_queue.saturating_mul(2).saturating_add(16);
+                        if admission_order.len() as u64 > compact_at {
+                            let requests = &ctx.requests;
+                            admission_order.retain(|&(slot, id)| {
+                                requests[slot].id == id
+                                    && requests[slot].state == PendingState::Waiting
+                            });
                         }
                         sched.fork(serve_thread, slot, 0, req.hints());
                         max_depth = max_depth.max(ctx.in_queue);
@@ -642,65 +600,28 @@ pub fn run_serve<I: Iterator<Item = Request>>(
     })
 }
 
-/// Cancels waiting requests per `policy` to make room for an arrival
-/// at `now`; returns how many were cancelled (0 ⇒ reject the
-/// arrival). Stale `order` entries — slots recycled since admission
-/// (id mismatch) or no longer waiting — are discarded as encountered.
-fn shed_for(
-    policy: AdmissionPolicy,
+/// Sheds the oldest waiting request to make room for an arrival at
+/// `now`; returns whether one was shed (false ⇒ nothing is waiting, so
+/// the arrival is rejected). Stale `order` entries — slots recycled
+/// since admission (id mismatch) or no longer waiting — are discarded
+/// as encountered.
+fn shed_oldest(
     order: &mut VecDeque<(usize, u64)>,
     ctx: &mut ExecCtx,
     now: u64,
     wasted_byte_ns: &mut u128,
-) -> u64 {
-    fn is_waiting(ctx: &ExecCtx, slot: usize, id: u64) -> bool {
-        ctx.requests[slot].id == id && ctx.requests[slot].state == PendingState::Waiting
-    }
-    fn cancel(ctx: &mut ExecCtx, slot: usize, now: u64, wasted_byte_ns: &mut u128) {
+) -> bool {
+    while let Some((slot, id)) = order.pop_front() {
         let req = &mut ctx.requests[slot];
-        *wasted_byte_ns += u128::from(req.bytes) * u128::from(now.saturating_sub(req.arrival_ns));
-        req.state = PendingState::Shed;
-        ctx.in_queue -= 1;
-    }
-    match policy {
-        AdmissionPolicy::Reject => 0,
-        AdmissionPolicy::ShedOldest => {
-            while let Some((slot, id)) = order.pop_front() {
-                if is_waiting(ctx, slot, id) {
-                    cancel(ctx, slot, now, wasted_byte_ns);
-                    return 1;
-                }
-            }
-            0
-        }
-        AdmissionPolicy::ShedNewest => {
-            while let Some((slot, id)) = order.pop_back() {
-                if is_waiting(ctx, slot, id) {
-                    cancel(ctx, slot, now, wasted_byte_ns);
-                    return 1;
-                }
-            }
-            0
-        }
-        AdmissionPolicy::DeadlineDrop { slo_ns } => {
-            // Valid entries sit in arrival order, so the scan can stop
-            // at the first one still within its deadline.
-            let mut freed = 0u64;
-            while let Some(&(slot, id)) = order.front() {
-                if !is_waiting(ctx, slot, id) {
-                    order.pop_front();
-                    continue;
-                }
-                if ctx.requests[slot].arrival_ns.saturating_add(slo_ns) > now {
-                    break;
-                }
-                order.pop_front();
-                cancel(ctx, slot, now, wasted_byte_ns);
-                freed += 1;
-            }
-            freed
+        if req.id == id && req.state == PendingState::Waiting {
+            *wasted_byte_ns +=
+                u128::from(req.bytes) * u128::from(now.saturating_sub(req.arrival_ns));
+            req.state = PendingState::Shed;
+            ctx.in_queue -= 1;
+            return true;
         }
     }
+    false
 }
 
 /// The offline oracle the equivalence suite compares against: fork
@@ -748,11 +669,10 @@ mod tests {
         })
     }
 
-    fn legacy_config(lanes: usize, queue_bound: u64, log_execution: bool) -> ServeConfig {
+    fn plain_config(lanes: usize, queue_bound: u64, log_execution: bool) -> ServeConfig {
         ServeConfig {
             lanes,
             queue_bound,
-            admission: AdmissionPolicy::Reject,
             eviction: EvictionPolicy::Off,
             log_execution,
         }
@@ -761,7 +681,7 @@ mod tests {
     #[test]
     fn serves_every_admitted_request() {
         let machine = MachineModel::r8000();
-        let config = legacy_config(2, u64::MAX, true);
+        let config = plain_config(2, u64::MAX, true);
         let out = run_serve(tiny_trace(2000), &machine, &config, ServePolicy::Flat).unwrap();
         assert_eq!(out.report.offered, 2000);
         assert_eq!(out.report.rejected, 0);
@@ -784,7 +704,7 @@ mod tests {
     fn lane_schedule_log_chains_every_unit_through_the_grant_loop() {
         use memtrace::SchedEvent;
         let machine = MachineModel::r8000();
-        let config = legacy_config(3, u64::MAX, true);
+        let config = plain_config(3, u64::MAX, true);
         let out = run_serve(tiny_trace(1500), &machine, &config, ServePolicy::Flat).unwrap();
         let log = &out.schedule;
         assert_eq!(log.actors, 4, "grant loop + 3 lanes");
@@ -818,7 +738,7 @@ mod tests {
         let again = run_serve(tiny_trace(1500), &machine, &config, ServePolicy::Flat).unwrap();
         assert_eq!(log.digest(), again.schedule.digest());
         // Logging off ⇒ no schedule recorded.
-        let quiet = legacy_config(3, u64::MAX, false);
+        let quiet = plain_config(3, u64::MAX, false);
         let silent = run_serve(tiny_trace(200), &machine, &quiet, ServePolicy::Flat).unwrap();
         assert!(silent.schedule.is_empty());
     }
@@ -826,7 +746,7 @@ mod tests {
     #[test]
     fn locality_policy_beats_fifo_on_warm_hits() {
         let machine = MachineModel::r8000();
-        let config = legacy_config(1, u64::MAX, false);
+        let config = plain_config(1, u64::MAX, false);
         let flat = run_serve(tiny_trace(4000), &machine, &config, ServePolicy::Flat).unwrap();
         let fifo = run_serve(tiny_trace(4000), &machine, &config, ServePolicy::SingleBin).unwrap();
         assert!(
@@ -868,7 +788,7 @@ mod tests {
             addr: u64::MAX - 100,
             bytes: 1000,
         };
-        let config = legacy_config(1, 16, true);
+        let config = plain_config(1, 16, true);
         let out = run_serve(
             std::iter::once(request),
             &machine,
@@ -892,7 +812,7 @@ mod tests {
             addr: 16,
             bytes: 32,
         };
-        let config = legacy_config(1, 16, true);
+        let config = plain_config(1, 16, true);
         let out = run_serve(
             std::iter::once(request),
             &machine,
@@ -907,70 +827,57 @@ mod tests {
 
     #[test]
     fn bounded_queue_rejects_and_accounts() {
+        // A zero bound leaves nothing to shed: every arrival is rejected.
         let machine = MachineModel::r8000();
-        let config = legacy_config(1, 8, false);
+        let config = plain_config(1, 0, false);
         let out = run_serve(tiny_trace(2000), &machine, &config, ServePolicy::Flat).unwrap();
         assert_eq!(out.report.offered, 2000);
-        assert_eq!(out.report.admitted + out.report.rejected, 2000);
-        assert_eq!(out.report.completed, out.report.admitted);
-        assert_eq!(out.report.shed, 0);
-        assert!(out.report.max_queue_depth <= 8);
+        assert_eq!(out.report.rejected, 2000);
+        assert_eq!(
+            (out.report.admitted, out.report.completed, out.report.shed),
+            (0, 0, 0)
+        );
+        assert_eq!(out.report.max_queue_depth, 0);
     }
 
     #[test]
     fn shedding_admits_at_the_expense_of_queued_work() {
         let machine = MachineModel::r8000();
-        for admission in [
-            AdmissionPolicy::ShedOldest,
-            AdmissionPolicy::ShedNewest,
-            AdmissionPolicy::DeadlineDrop { slo_ns: 20_000 },
-        ] {
-            let config = ServeConfig {
-                lanes: 1,
-                queue_bound: 8,
-                admission,
-                eviction: EvictionPolicy::Off,
-                log_execution: false,
-            };
-            let out = run_serve(tiny_trace(2000), &machine, &config, ServePolicy::Flat).unwrap();
-            assert_eq!(out.report.offered, 2000, "{admission:?}");
-            assert_eq!(
-                out.report.admitted + out.report.rejected,
-                2000,
-                "{admission:?}"
-            );
-            assert_eq!(
-                out.report.completed + out.report.shed,
-                out.report.admitted,
-                "{admission:?}"
-            );
-            assert!(out.report.shed > 0, "{admission:?} never shed");
-            assert!(
-                out.report.wasted_memory_time > 0,
-                "{admission:?} shed {} requests with no wasted memory-time",
-                out.report.shed
-            );
-            assert!(out.report.max_queue_depth <= 8, "{admission:?}");
-        }
+        let config = plain_config(1, 8, false);
+        let out = run_serve(tiny_trace(2000), &machine, &config, ServePolicy::Flat).unwrap();
+        assert_eq!(out.report.offered, 2000);
+        assert_eq!(out.report.admitted + out.report.rejected, 2000);
+        assert_eq!(out.report.completed + out.report.shed, out.report.admitted);
+        assert!(out.report.shed > 0, "never shed");
+        assert!(
+            out.report.wasted_memory_time > 0,
+            "shed {} requests with no wasted memory-time",
+            out.report.shed
+        );
+        assert!(out.report.max_queue_depth <= 8);
     }
 
     #[test]
     fn shed_oldest_admits_more_than_reject_turns_away() {
-        // Shedding trades queued work for arrivals: every shed frees a
-        // seat, so `rejected` can only shrink relative to Reject.
+        // Shedding trades queued work for arrivals: a full queue with
+        // anything waiting sheds instead of rejecting, so only a bound
+        // with nothing to shed turns arrivals away.
         let machine = MachineModel::r8000();
-        let reject = run_serve(
+        let shed = run_serve(
             tiny_trace(2000),
             &machine,
-            &legacy_config(1, 8, false),
+            &plain_config(1, 8, false),
             ServePolicy::Flat,
         )
         .unwrap();
-        let shed_config = ServeConfig {
-            admission: AdmissionPolicy::ShedOldest,
-            ..legacy_config(1, 8, false)
-        };
-        let shed = run_serve(tiny_trace(2000), &machine, &shed_config, ServePolicy::Flat).unwrap();
+        let reject = run_serve(
+            tiny_trace(2000),
+            &machine,
+            &plain_config(1, 0, false),
+            ServePolicy::Flat,
+        )
+        .unwrap();
+        assert_eq!(shed.report.rejected, 0);
         assert!(
             shed.report.admitted > reject.report.admitted,
             "shedding admitted {} <= reject's {}",

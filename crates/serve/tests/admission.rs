@@ -1,5 +1,5 @@
 //! Admission-control edges: bounded queues under bursts, zero-length
-//! requests, arrival-timestamp ties, and the shedding policies. The
+//! requests, arrival-timestamp ties, and shed-oldest admission. The
 //! serving loop must never panic, never lose a request
 //! (`admitted + rejected == offered` and `completed + shed ==
 //! admitted`), and never exceed its queue bound.
@@ -7,7 +7,7 @@
 use cachesim::MachineModel;
 use locality_sched::EvictionPolicy;
 use proptest::prelude::*;
-use serve::{run_serve, AdmissionPolicy, Request, ServeConfig, ServePolicy, TraceConfig, TraceGen};
+use serve::{run_serve, Request, ServeConfig, ServePolicy, TraceConfig, TraceGen};
 
 fn bursty(seed: u64, requests: u64) -> TraceConfig {
     TraceConfig {
@@ -27,12 +27,14 @@ fn bounded(lanes: usize, queue_bound: u64) -> ServeConfig {
     ServeConfig {
         lanes,
         queue_bound,
-        admission: AdmissionPolicy::Reject,
         eviction: EvictionPolicy::Off,
         log_execution: false,
     }
 }
 
+/// A full queue sheds its oldest waiting request for each arrival:
+/// nothing is rejected, and every admitted request is either served or
+/// shed.
 #[test]
 fn queue_full_rejections_are_accounted_exactly() {
     let machine = MachineModel::r8000();
@@ -49,18 +51,21 @@ fn queue_full_rejections_are_accounted_exactly() {
         out.report.offered
     );
     assert_eq!(
-        out.report.completed, out.report.admitted,
+        out.report.completed + out.report.shed,
+        out.report.admitted,
         "admitted work lost"
     );
+    assert_eq!(out.report.rejected, 0, "a full queue sheds, never rejects");
     assert!(
-        out.report.rejected > 0,
+        out.report.shed > 0,
         "a 16-deep queue must spill under 64× bursts"
     );
     assert!(out.report.max_queue_depth <= 16);
 }
 
 /// A burst longer than the queue bound: the queue saturates and the
-/// overflow is rejected, but everything admitted still completes.
+/// overflow sheds older work, but every admitted request is accounted
+/// for.
 #[test]
 fn burst_longer_than_queue_bound_spills_not_crashes() {
     let machine = MachineModel::r10000();
@@ -73,10 +78,11 @@ fn burst_longer_than_queue_bound_spills_not_crashes() {
         ServePolicy::Hierarchical,
     )
     .unwrap();
-    assert_eq!(out.report.admitted + out.report.rejected, 2_048);
-    assert_eq!(out.report.completed, out.report.admitted);
+    assert_eq!(out.report.admitted, 2_048);
+    assert_eq!(out.report.rejected, 0);
+    assert_eq!(out.report.completed + out.report.shed, out.report.admitted);
     assert!(
-        out.report.rejected >= 2_048 / 4,
+        out.report.shed >= 2_048 / 4,
         "most of each burst must spill"
     );
     assert!(out.report.max_queue_depth <= 8);
@@ -137,8 +143,9 @@ fn arrival_timestamp_ties_keep_trace_order() {
     assert_eq!(order, (0..64).collect::<Vec<u64>>());
 }
 
-/// Ties at the bound: with queue_bound = k, exactly the first k of a
-/// simultaneous batch are admitted (no over-admission on ties).
+/// Ties at the bound: with queue_bound = k, a simultaneous batch never
+/// holds more than k waiting requests (no over-admission on ties);
+/// every arrival past the k-th sheds one.
 #[test]
 fn ties_at_the_bound_admit_exactly_the_bound() {
     let machine = MachineModel::r8000();
@@ -150,12 +157,13 @@ fn ties_at_the_bound_admit_exactly_the_bound() {
         bytes: 128,
     });
     let out = run_serve(tied, &machine, &bounded(4, 10), ServePolicy::UniqueBin).unwrap();
-    assert_eq!(out.report.admitted, 10);
-    assert_eq!(out.report.rejected, 22);
+    assert_eq!(out.report.max_queue_depth, 10);
+    assert_eq!(out.report.rejected, 0);
+    assert_eq!(out.report.shed, 22);
     assert_eq!(out.report.completed, 10);
 }
 
-/// Under ShedOldest with simultaneous arrivals, the bound still holds
+/// With simultaneous arrivals, the bound still holds
 /// and each arrival past the bound cancels the then-oldest waiting
 /// request: the survivors are the *last* k of the batch.
 #[test]
@@ -169,7 +177,6 @@ fn shed_oldest_on_ties_keeps_the_newest() {
         bytes: 128,
     });
     let config = ServeConfig {
-        admission: AdmissionPolicy::ShedOldest,
         log_execution: true,
         ..bounded(1, 10)
     };
@@ -185,48 +192,20 @@ fn shed_oldest_on_ties_keeps_the_newest() {
     assert_eq!(order, (22..32).collect::<Vec<u64>>());
 }
 
-/// DeadlineDrop cancels exactly the expired queue prefix; requests
-/// young enough to meet the SLO survive even under overload.
-#[test]
-fn deadline_drop_sheds_only_expired_work() {
-    let machine = MachineModel::r8000();
-    let config = ServeConfig {
-        admission: AdmissionPolicy::DeadlineDrop { slo_ns: 50_000 },
-        ..bounded(1, 8)
-    };
-    let out = run_serve(
-        TraceGen::new(bursty(13, 4_096)),
-        &machine,
-        &config,
-        ServePolicy::Flat,
-    )
-    .unwrap();
-    assert_eq!(out.report.admitted + out.report.rejected, 4_096);
-    assert_eq!(out.report.completed + out.report.shed, out.report.admitted);
-    assert!(out.report.shed > 0, "bursts must age requests past the SLO");
-    assert!(out.report.max_queue_depth <= 8);
-    assert!(out.report.wasted_memory_time > 0);
-}
-
 proptest! {
-    /// Fuzz the whole admission surface: random traces, bounds, lane
-    /// counts, bin policies, admission policies, eviction. Invariants:
-    /// accounting balances (`admitted + rejected == offered`,
-    /// `completed + shed == admitted`), the bound holds, and nothing
-    /// panics.
+    /// Fuzz the whole admission surface: random traces, bounds (0
+    /// included, the only bound that rejects), lane counts, bin
+    /// policies, eviction. Invariants: accounting balances
+    /// (`admitted + rejected == offered`, `completed + shed ==
+    /// admitted`), the bound holds, only an empty queue rejects, and
+    /// nothing panics.
     #[test]
     fn admission_invariants_hold_under_fuzz(
         seed in any::<u64>(),
         requests in 1u64..600,
-        queue_bound in prop_oneof![Just(1u64), Just(4), Just(64), Just(u64::MAX)],
+        queue_bound in prop_oneof![Just(0u64), Just(1), Just(4), Just(64), Just(u64::MAX)],
         lanes in 1usize..5,
         policy_index in 0usize..4,
-        admission in prop_oneof![
-            Just(AdmissionPolicy::Reject),
-            Just(AdmissionPolicy::ShedOldest),
-            Just(AdmissionPolicy::ShedNewest),
-            Just(AdmissionPolicy::DeadlineDrop { slo_ns: 10_000 }),
-        ],
         eviction in prop_oneof![
             Just(EvictionPolicy::Off),
             Just(EvictionPolicy::LruCap { max_records: 8 }),
@@ -248,7 +227,6 @@ proptest! {
         let machine = MachineModel::r8000();
         let policy = ServePolicy::all()[policy_index];
         let serve_config = ServeConfig {
-            admission,
             eviction,
             ..bounded(lanes, queue_bound)
         };
@@ -265,8 +243,10 @@ proptest! {
         if eviction == EvictionPolicy::Off {
             prop_assert_eq!(out.report.evictions, 0);
         }
-        if admission == AdmissionPolicy::Reject {
-            prop_assert_eq!(out.report.shed, 0);
+        if queue_bound == 0 {
+            prop_assert_eq!(out.report.rejected, requests);
+        } else {
+            prop_assert_eq!(out.report.rejected, 0);
         }
     }
 }

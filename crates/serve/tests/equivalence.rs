@@ -12,8 +12,7 @@ use cachesim::MachineModel;
 use locality_sched::EvictionPolicy;
 use proptest::prelude::*;
 use serve::{
-    run_offline, run_serve, AdmissionPolicy, ExecRecord, Request, ServeConfig, ServePolicy,
-    TraceConfig, TraceGen,
+    run_offline, run_serve, ExecRecord, Request, ServeConfig, ServePolicy, TraceConfig, TraceGen,
 };
 
 /// The t=0 variant of a trace: same requests, all arriving at the
@@ -54,7 +53,6 @@ fn online_log(
     let serve_config = ServeConfig {
         lanes,
         queue_bound: u64::MAX,
-        admission: AdmissionPolicy::ShedOldest,
         eviction: EvictionPolicy::LruCap { max_records: 8192 },
         log_execution: true,
     };
@@ -150,7 +148,6 @@ fn lane_count_preserves_order_derived_metrics() {
     let unbounded = |lanes: usize| ServeConfig {
         lanes,
         queue_bound: u64::MAX,
-        admission: AdmissionPolicy::Reject,
         eviction: EvictionPolicy::Off,
         log_execution: false,
     };

@@ -15,10 +15,7 @@
 use cachesim::MachineModel;
 use locality_sched::EvictionPolicy;
 use proptest::prelude::*;
-use serve::{
-    run_offline, run_serve, AdmissionPolicy, Request, ServeConfig, ServePolicy, TraceConfig,
-    TraceGen,
-};
+use serve::{run_offline, run_serve, Request, ServeConfig, ServePolicy, TraceConfig, TraceGen};
 
 fn streaming_config(seed: u64, requests: u64) -> TraceConfig {
     TraceConfig {
@@ -50,7 +47,6 @@ fn aggressive_lru_cap_bounds_the_table_over_100k_requests() {
     let config = ServeConfig {
         lanes: 4,
         queue_bound: 256,
-        admission: AdmissionPolicy::ShedOldest,
         eviction: EvictionPolicy::LruCap { max_records: cap },
         log_execution: false,
     };
@@ -98,7 +94,6 @@ fn eviction_off_lets_the_table_track_the_key_universe() {
     let config = ServeConfig {
         lanes: 4,
         queue_bound: 256,
-        admission: AdmissionPolicy::ShedOldest,
         eviction: EvictionPolicy::Off,
         log_execution: false,
     };
@@ -139,7 +134,6 @@ fn evicted_key_rearrival_is_indistinguishable_from_fresh() {
     let config = ServeConfig {
         lanes: 1,
         queue_bound: u64::MAX,
-        admission: AdmissionPolicy::Reject,
         eviction: EvictionPolicy::LruCap { max_records: 2 },
         log_execution: true,
     };

@@ -1,6 +1,7 @@
 //! Differential testing of the fast simulation paths: with the fast
-//! lookups enabled (same-line rehits, MRU-first way probes, classifier
-//! shortcut, line-index hashing) every [`SimReport`] field must be
+//! lookups enabled (same-line rehits, run records' L1-line epochs, the
+//! flat recency table under the classifier and the TLB) every
+//! [`SimReport`] field must be
 //! *bit-identical* to the exhaustive reference path, on every workload,
 //! with and without an MMU attached, and regardless of how accesses are
 //! batched on their way into the sink. The reports are a pure function

@@ -19,11 +19,10 @@ use thread_locality::sched::{
 };
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const POLICIES: [StealPolicy; 4] = [
+const POLICIES: [StealPolicy; 3] = [
     StealPolicy::None,
     StealPolicy::Random,
     StealPolicy::LocalityAware,
-    StealPolicy::TopologyAware,
 ];
 
 /// One output cell that parallel workers may write without holding a
