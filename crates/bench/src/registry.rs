@@ -192,14 +192,6 @@ pub static REGISTRY: &[Experiment] = &[
             Ok(())
         }),
     },
-    Experiment {
-        name: "sensitivity",
-        in_all: false,
-        run: Run::Print(|scale| {
-            studies::sensitivity(scale);
-            Ok(())
-        }),
-    },
 ];
 
 /// A timing table (Tables 2/4/6/8): every version of `kernel` on both

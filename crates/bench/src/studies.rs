@@ -1,12 +1,10 @@
 //! Studies beyond the paper's tables, each one registry name:
 //!
 //! * `ablation` — the scheduler's design choices measured in simulated
-//!   cache misses: bin tour policy (paper §2.3's
-//!   "preferably the shortest path"), symmetric-hint folding (§2.3's
-//!   50% bin saving), page-mapping policy under a physically-indexed
-//!   L2 (§6), and N-body hint dimensionality (§6: "limited to 3 address
-//!   hints"). The SMP steal policy (§7's future work) is the `steal`
-//!   experiment.
+//!   cache misses: symmetric-hint folding (§2.3's 50% bin saving),
+//!   page-mapping policy under a physically-indexed L2 (§6), and N-body
+//!   hint dimensionality (§6: "limited to 3 address hints"). The SMP
+//!   steal policy (§7's future work) is the `steal` experiment.
 //! * `modern` — does 1996's locality scheduling still matter on a
 //!   modern memory hierarchy? The paper closes predicting "latency
 //!   tolerance techniques such as thread scheduling will become more
@@ -14,22 +12,17 @@
 //!   increases"; this re-runs the headline workloads on a three-level
 //!   2020s machine model (32 KB L1 / 512 KB L2 / 32 MB L3, 80 ns DRAM)
 //!   scaled against the same data : LLC ratios.
-//! * `sensitivity` — a Hill & Smith-style sweep (reference \[21\] of
-//!   the paper) over the L2's associativity, capacity, and line size,
-//!   using untiled vs threaded matmul as the probe.
 
 use crate::experiments::{scaled, simulate};
 use crate::fmt::TextTable;
 use crate::ExpScale;
-use cachesim::{CacheConfig, HierarchyConfig, MachineModel, PagePolicy, SimReport, SimSink};
-use locality_sched::{ClosureScheduler, Hints, SchedulerConfig, Tour};
+use cachesim::{MachineModel, PagePolicy, SimReport, SimSink};
+use locality_sched::{Hints, RunMode, Scheduler, SchedulerConfig};
 use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
-use std::cell::RefCell;
 use workloads::{matmul, nbody, sor};
 
-/// The `ablation` study (sections 1–4).
+/// The `ablation` study (sections 1–3).
 pub fn ablation(scale: &ExpScale) {
-    tour_ablation(scale);
     symmetric_ablation();
     paging_ablation(scale);
     hint_dims_ablation(scale);
@@ -42,42 +35,29 @@ fn block_config(block: u64) -> SchedulerConfig {
         .expect("valid config")
 }
 
-fn tour_ablation(scale: &ExpScale) {
-    println!("Ablation 1: bin tour policy (threaded matmul, scaled R8000)\n");
-    let machine = scaled(MachineModel::r8000(), scale.matmul_factor);
-    let mut table = TextTable::new(vec!["tour", "L2 misses", "L2 capacity", "modeled s"]);
-    for (name, tour) in [
-        ("allocation-order (paper)", Tour::AllocationOrder),
-        ("sorted-key", Tour::SortedKey),
-        ("hilbert", Tour::Hilbert),
-        ("morton", Tour::Morton),
-        ("random", Tour::Random(42)),
-    ] {
-        let config = SchedulerConfig::builder()
-            .block_size(machine.l2_config().size() / 2)
-            .tour(tour)
-            .build()
-            .expect("valid config");
-        let (_, r) = simulate(machine.hierarchy(), |space, sim| {
-            let mut data = matmul::MatMulData::new(space, scale.matmul_n, 42);
-            matmul::threaded(&mut data, config, sim)
-        });
-        table.row(vec![
-            name.into(),
-            r.l2.misses().to_string(),
-            r.classes.capacity.to_string(),
-            format!("{:.3}", r.time_on(&machine).total()),
-        ]);
+/// What the pairwise kernel's threads share: the matrix they read and
+/// the simulator their references go to.
+struct PairCtx {
+    m: TracedMatrix,
+    sim: SimSink,
+}
+
+/// Thread (i, j) of the pairwise kernel: the dot product of columns i
+/// and j.
+fn pair_dot(ctx: &mut PairCtx, i: usize, j: usize) {
+    let mut acc = 0.0;
+    for k in 0..ctx.m.rows() {
+        acc += ctx.m.get(k, i, &mut ctx.sim) * ctx.m.get(k, j, &mut ctx.sim);
     }
-    print!("{}", table.render());
-    println!("\nIntra-bin locality dominates; space-filling tours shave the\ninter-bin block reloads; random pays one extra block reload per bin.\n");
+    ctx.sim.instructions(4 * ctx.m.rows() as u64);
+    std::hint::black_box(acc);
 }
 
 /// A pairwise-interaction kernel where both hint orders occur: task
 /// (i, j) reads columns i and j of the same matrix, forked for all
 /// ordered pairs — the situation §2.3's symmetric folding targets.
 fn symmetric_ablation() {
-    println!("Ablation 2: symmetric-hint folding (pairwise column kernel)\n");
+    println!("Ablation 1: symmetric-hint folding (pairwise column kernel)\n");
     let machine = scaled(MachineModel::r8000(), 1.0 / 32.0);
     let n = 96usize;
     let mut table = TextTable::new(vec!["folding", "bins", "L2 misses", "modeled s"]);
@@ -86,38 +66,27 @@ fn symmetric_ablation() {
         let m = TracedMatrix::from_fn(&mut space, n, n, MatrixLayout::ColMajor, |i, j| {
             (i + j) as f64
         });
-        let sim = RefCell::new(SimSink::new(machine.hierarchy()));
         let config = SchedulerConfig::builder()
             .block_size(machine.l2_config().size() / 2)
             .symmetric(symmetric)
             .build()
             .expect("valid config");
-        let mut sched = ClosureScheduler::new(config);
+        let mut sched = Scheduler::<PairCtx>::new(config);
         for i in 0..n {
             for j in 0..n {
-                if i == j {
-                    continue;
+                if i != j {
+                    sched.fork(pair_dot, i, j, Hints::two(m.col_addr(i), m.col_addr(j)));
                 }
-                let m = &m;
-                let sim = &sim;
-                sched.fork(Hints::two(m.col_addr(i), m.col_addr(j)), move || {
-                    let mut sink = sim.borrow_mut();
-                    let mut acc = 0.0;
-                    for k in 0..m.rows() {
-                        acc += m.get(k, i, &mut *sink) * m.get(k, j, &mut *sink);
-                    }
-                    sink.instructions(4 * m.rows() as u64);
-                    std::hint::black_box(acc);
-                });
             }
         }
         let bins = sched.bins();
-        let threads = sched.pending();
-        sched.run();
-        drop(sched);
-        let mut sim = sim.into_inner();
-        sim.add_threads(threads);
-        let r = sim.finish();
+        let mut ctx = PairCtx {
+            m,
+            sim: SimSink::new(machine.hierarchy()),
+        };
+        let stats = sched.run(&mut ctx, RunMode::Consume);
+        ctx.sim.add_threads(stats.threads_run);
+        let r = ctx.sim.finish();
         table.row(vec![
             name.into(),
             bins.to_string(),
@@ -130,7 +99,7 @@ fn symmetric_ablation() {
 }
 
 fn paging_ablation(scale: &ExpScale) {
-    println!("Ablation 3: page mapping under a physically-indexed L2 (threaded SOR)\n");
+    println!("Ablation 2: page mapping under a physically-indexed L2 (threaded SOR)\n");
     let machine = scaled(MachineModel::r8000(), scale.sor_factor);
     let mut table = TextTable::new(vec![
         "mapping",
@@ -167,7 +136,7 @@ fn paging_ablation(scale: &ExpScale) {
 }
 
 fn hint_dims_ablation(scale: &ExpScale) {
-    println!("Ablation 4: N-body hint dimensionality (one timestep, scaled R8000)\n");
+    println!("Ablation 3: N-body hint dimensionality (one timestep, scaled R8000)\n");
     let machine = scaled(MachineModel::r8000(), scale.nbody_factor);
     let mut table = TextTable::new(vec!["hints", "bins", "L2 misses", "L2 capacity"]);
     for dims in [1usize, 2, 3] {
@@ -312,103 +281,4 @@ pub fn modern(scale: &ExpScale) {
     println!("misses buy more than they ever did — the paper's closing");
     println!("prediction (\"latency tolerance techniques ... will become more");
     println!("important as the performance gap increases\"), quantified.");
-}
-
-/// An R8000 whose L2 is replaced by `l2`.
-fn machine_with_l2(l2: CacheConfig) -> MachineModel {
-    let base = MachineModel::r8000();
-    MachineModel::custom(
-        format!("R8000/L2={l2}"),
-        75e6,
-        1.0,
-        7.0,
-        1060.0,
-        HierarchyConfig::new(base.l1_config(), l2),
-        base.thread_overhead_ns(),
-    )
-}
-
-/// The `sensitivity` study.
-pub fn sensitivity(scale: &ExpScale) {
-    let n = scale.matmul_n;
-    let base_l2 = (3 * n * n * 8 / 12).next_power_of_two() as u64; // data : L2 = 12
-    println!(
-        "Sensitivity of threaded matmul (n = {n}) to L2 geometry; base L2 = {} KiB\n",
-        base_l2 >> 10
-    );
-    // One sweep row: `label` cells, then untiled vs threaded L2 misses
-    // (each followed by its conflict misses when `conflicts`) and the
-    // reduction, on an R8000 with the given L2.
-    let row = |label: Vec<String>, capacity: u64, line: u64, assoc: u32, conflicts: bool| {
-        let machine = machine_with_l2(CacheConfig::new(capacity, line, assoc).expect("geometry"));
-        let untiled = run_matmul(&machine, n, false);
-        let threaded = run_matmul(&machine, n, true);
-        let mut cells = label;
-        for report in [&untiled, &threaded] {
-            cells.push(report.l2.misses().to_string());
-            if conflicts {
-                cells.push(report.classes.conflict.to_string());
-            }
-        }
-        cells.push(reduction(untiled.l2.misses(), threaded.l2.misses()));
-        cells
-    };
-
-    // Associativity sweep at fixed capacity.
-    println!(
-        "L2 associativity (capacity {} KiB, 128 B lines):\n",
-        base_l2 >> 10
-    );
-    let mut t = TextTable::new(vec![
-        "assoc",
-        "untiled misses",
-        "(conflict)",
-        "threaded misses",
-        "(conflict)",
-        "reduction",
-    ]);
-    for assoc in [1u32, 2, 4, 8] {
-        t.row(row(vec![format!("{assoc}-way")], base_l2, 128, assoc, true));
-    }
-    print!("{}", t.render());
-
-    // Line-size sweep at fixed capacity/assoc.
-    println!("\nL2 line size (capacity {} KiB, 4-way):\n", base_l2 >> 10);
-    let mut t = TextTable::new(vec![
-        "line",
-        "untiled misses",
-        "threaded misses",
-        "reduction",
-    ]);
-    for line in [32u64, 64, 128, 256] {
-        t.row(row(vec![format!("{line}B")], base_l2, line, 4, false));
-    }
-    print!("{}", t.render());
-
-    // Capacity sweep at fixed line/assoc: threading's benefit shrinks
-    // as the cache approaches the data size.
-    println!("\nL2 capacity (4-way, 128 B lines):\n");
-    let mut t = TextTable::new(vec![
-        "capacity",
-        "data:L2",
-        "untiled misses",
-        "threaded misses",
-        "reduction",
-    ]);
-    for shift in [-1i32, 0, 1, 2, 3] {
-        let capacity = if shift < 0 {
-            base_l2 >> (-shift)
-        } else {
-            base_l2 << shift
-        };
-        let label = vec![
-            format!("{}K", capacity >> 10),
-            format!("{:.1}", (3 * n * n * 8) as f64 / capacity as f64),
-        ];
-        t.row(row(label, capacity, 128, 4, false));
-    }
-    print!("{}", t.render());
-    println!("\nOnce the whole data set fits the L2, everyone's misses collapse to");
-    println!("compulsory and scheduling stops mattering — locality scheduling is a");
-    println!("capacity-miss technique, exactly as the paper frames it.");
 }

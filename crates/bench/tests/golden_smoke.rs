@@ -137,8 +137,32 @@ fn studies_print_between_the_harness_header_and_a_blank_line() {
     );
 }
 
+/// The symmetric-folding ablation runs a fixed kernel (n = 96 on the
+/// 1/32 R8000) whatever the scale, so its rows are pinned exactly:
+/// folding takes the pairwise kernel from 9 bins to 6 and its L2
+/// misses from 1214 to 782.
+#[test]
+fn ablation_pins_the_symmetric_folding_rows() {
+    let stdout = run_smoke("ablation");
+    let rows = "\
+folding                  bins  L2 misses  modeled s
+---------------------------------------------------
+off                         9       1214      0.083
+on (paper's 50% saving)     6        782      0.083
+";
+    let section = stdout
+        .split_once("Ablation 1: symmetric-hint folding (pairwise column kernel)\n\n")
+        .unwrap_or_else(|| panic!("missing folding section:\n{stdout}"))
+        .1;
+    assert!(section.starts_with(rows), "{section}");
+    for heading in ["Ablation 2: page mapping", "Ablation 3: N-body"] {
+        assert!(stdout.contains(heading), "missing {heading:?}:\n{stdout}");
+    }
+}
+
 /// Usage errors exit 2 with a usage line naming the registry, and run
-/// nothing — the retired `--shards` and `--analyze` flags included.
+/// nothing — the retired `--shards` and `--analyze` flags and the
+/// retired `sensitivity` study included.
 #[test]
 fn usage_errors_exit_2() {
     for args in [
@@ -146,6 +170,7 @@ fn usage_errors_exit_2() {
         &["table1", "--smok"],
         &["table1", "--shards", "4"],
         &["table1", "--analyze"],
+        &["sensitivity", "--smoke"],
     ] {
         let output = repro().args(args).output().expect("spawning repro");
         assert_eq!(output.status.code(), Some(2), "{args:?}");

@@ -4,22 +4,21 @@
 //! policy — type aliases with their own constructors, not wrappers:
 //!
 //! * [`FifoScheduler`] = [`SingleBin`] policy (every thread in one
-//!   bin) + allocation-order tour → fork order.
+//!   bin) → fork order.
 //! * [`RandomScheduler`] = [`UniqueBin`] policy (every thread in its
-//!   own bin) + [`Tour::Random`] → a seeded per-thread shuffle,
-//!   bit-identical to the pre-refactor implementation (both shuffle
-//!   `0..n` with `SmallRng::seed_from_u64(seed)`).
+//!   own bin) + a shuffled batch bin order → a seeded per-thread
+//!   shuffle, bit-identical to the pre-refactor implementation (both
+//!   shuffle `0..n` with `SmallRng::seed_from_u64(seed)`).
 
 use crate::policy::{SingleBin, UniqueBin};
-use crate::{Scheduler, SchedulerConfig, Tour};
+use crate::{Scheduler, SchedulerConfig};
 
 /// The baselines' configuration: neither ever looks a key up (one bin,
 /// or append-only unique bins), so the traced package's table is a
 /// single bucket.
-fn baseline_config(tour: Tour) -> SchedulerConfig {
+fn baseline_config() -> SchedulerConfig {
     SchedulerConfig::builder()
         .hash_size(1)
-        .tour(tour)
         .build()
         .expect("hash size 1 is valid")
 }
@@ -52,7 +51,7 @@ pub type FifoScheduler<C> = Scheduler<C, SingleBin>;
 impl<C> FifoScheduler<C> {
     /// Creates an empty FIFO scheduler.
     pub fn new() -> Self {
-        Scheduler::with_policy(baseline_config(Tour::AllocationOrder), SingleBin)
+        Scheduler::with_policy(baseline_config(), SingleBin)
     }
 }
 
@@ -65,12 +64,17 @@ impl<C> Default for FifoScheduler<C> {
 /// A scheduler that ignores hints and runs threads in seeded random
 /// order — the adversarial locality baseline (any reference locality in
 /// fork order is destroyed).
+///
+/// The seed shuffles the batch [`run`](Scheduler::run) only. After
+/// [`enable_online`](Scheduler::enable_online) every thread is its own
+/// drain unit on the ready list, so
+/// [`drain_next`](Scheduler::drain_next) hands them out in fork order.
 pub type RandomScheduler<C> = Scheduler<C, UniqueBin>;
 
 impl<C> RandomScheduler<C> {
     /// Creates an empty random scheduler with the given shuffle seed.
     pub fn new(seed: u64) -> Self {
-        Scheduler::with_policy(baseline_config(Tour::Random(seed)), UniqueBin::default())
+        Scheduler::shuffled(baseline_config(), UniqueBin::default(), Some(seed))
     }
 }
 
@@ -162,6 +166,22 @@ mod tests {
             sched.run(&mut log, RunMode::Consume);
             assert_eq!(log, golden, "seed={seed} n={n}");
         }
+    }
+
+    /// The seed shuffles the batch run only: online, the ready list
+    /// hands threads out in fork order.
+    #[test]
+    fn random_online_drains_in_fork_order() {
+        let mut sched: RandomScheduler<Log> = RandomScheduler::new(7);
+        sched.enable_online();
+        for i in 0..16 {
+            sched.fork(body, i, 0, Hints::none());
+        }
+        let mut log = Log::new();
+        while let Some(stats) = sched.drain_next(&mut log) {
+            assert_eq!(stats.threads_run, 1);
+        }
+        assert_eq!(log, (0..16).collect::<Vec<_>>());
     }
 
     #[test]

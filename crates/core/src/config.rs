@@ -2,7 +2,7 @@
 
 use crate::hint::MAX_DIMS;
 use crate::policy::BinPolicy as _;
-use crate::{Hints, Tour};
+use crate::Hints;
 use std::error::Error;
 use std::fmt;
 
@@ -124,7 +124,8 @@ impl fmt::Display for EvictionPolicy {
 }
 
 /// Configuration of a locality [`Scheduler`](crate::Scheduler):
-/// block sizes, hash-table size, symmetric-hint folding, and bin tour.
+/// block sizes, hash-table size, symmetric-hint folding, work stealing
+/// and online eviction.
 ///
 /// The paper's `th_init(blocksize, hashsize)` sets a single block size
 /// used in every dimension; [`SchedulerConfigBuilder::block_size`] does
@@ -151,7 +152,6 @@ pub struct SchedulerConfig {
     shifts: [u32; MAX_DIMS],
     hash_size: usize,
     symmetric: bool,
-    tour: Tour,
     steal: StealPolicy,
     eviction: EvictionPolicy,
 }
@@ -162,7 +162,6 @@ pub struct SchedulerConfigBuilder {
     block_sizes: [u64; MAX_DIMS],
     hash_size: usize,
     symmetric: bool,
-    tour: Tour,
     steal: StealPolicy,
     eviction: EvictionPolicy,
 }
@@ -182,7 +181,6 @@ impl Default for SchedulerConfigBuilder {
             block_sizes: [DEFAULT_BLOCK; MAX_DIMS],
             hash_size: DEFAULT_HASH_SIZE,
             symmetric: false,
-            tour: Tour::AllocationOrder,
             steal: StealPolicy::default(),
             eviction: EvictionPolicy::default(),
         }
@@ -219,13 +217,6 @@ impl SchedulerConfigBuilder {
     /// data", halving the bin count (§2.3).
     pub fn symmetric(mut self, symmetric: bool) -> Self {
         self.symmetric = symmetric;
-        self
-    }
-
-    /// Sets the bin traversal order (default:
-    /// [`Tour::AllocationOrder`], the paper's implementation).
-    pub fn tour(mut self, tour: Tour) -> Self {
-        self.tour = tour;
         self
     }
 
@@ -285,7 +276,6 @@ impl SchedulerConfigBuilder {
             shifts,
             hash_size: self.hash_size,
             symmetric: self.symmetric,
-            tour: self.tour,
             steal: self.steal,
             eviction: self.eviction,
         })
@@ -344,11 +334,6 @@ impl SchedulerConfig {
         self.symmetric
     }
 
-    /// The configured bin tour.
-    pub fn tour(&self) -> Tour {
-        self.tour
-    }
-
     /// The configured work-stealing policy.
     pub fn steal_policy(&self) -> StealPolicy {
         self.steal
@@ -389,17 +374,13 @@ impl fmt::Display for SchedulerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "blocks [{}, {}, {}, {}] hash {}^4{}{}",
+            "blocks [{}, {}, {}, {}] hash {}^4{}",
             self.block_sizes[0],
             self.block_sizes[1],
             self.block_sizes[2],
             self.block_sizes[3],
             self.hash_size,
             if self.symmetric { " symmetric" } else { "" },
-            match self.tour {
-                Tour::AllocationOrder => "",
-                _ => " (custom tour)",
-            }
         )
     }
 }
@@ -426,7 +407,6 @@ mod tests {
         assert_eq!(c.block_size(0), 512 << 10);
         assert_eq!(c.hash_size(), 16);
         assert!(!c.symmetric());
-        assert_eq!(c.tour(), Tour::AllocationOrder);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! [`Scheduler`](crate::Scheduler) and
 //! [`ParScheduler`](crate::ParScheduler) are thin configurations of
 //! this one engine — hash table + ready list, one record vector per
-//! bin, optional package-memory tracing, the tour-ordered drain loop,
-//! and the probe observations — and
-//! [`ClosureScheduler`](crate::ClosureScheduler) is the engine over
-//! take-once cells of boxed bodies. [`FifoScheduler`](crate::FifoScheduler)
-//! and [`RandomScheduler`](crate::RandomScheduler) are type aliases of
+//! bin, optional package-memory tracing, the drain loop over bins in
+//! allocation order, and the probe observations.
+//! [`FifoScheduler`](crate::FifoScheduler) and
+//! [`RandomScheduler`](crate::RandomScheduler) are type aliases of
 //! `Scheduler` under a degenerate policy, not configurations of their
-//! own. The policy owns *where* a thread goes (hints → bin key,
-//! optional parent grouping); the engine owns everything else.
+//! own; the random baseline's seed shuffles the batch bin order and
+//! nothing else. The policy owns *where* a thread goes (hints → bin
+//! key, optional parent grouping); the engine owns everything else.
 //!
 //! The paper's package chunks a bin's threads into 256-record *thread
 //! groups*. Here that layout exists only where it is observable: in
@@ -23,10 +23,13 @@ use crate::hint::MAX_DIMS;
 use crate::policy::BinPolicy;
 use crate::stats::{RunStats, SchedulerStats};
 use crate::table::{BinId, BinTable};
-use crate::{Hints, RunMode, Tour};
+use crate::{Hints, RunMode};
 use memtrace::{Addr, SchedMark, TraceSink};
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use std::cmp::Ordering;
+use std::collections::{HashMap, VecDeque};
 
 /// Fixed base of the package's synthetic memory: every reference the
 /// scheduler emits on its own behalf (hash buckets, bin records, thread
@@ -166,13 +169,6 @@ struct SchedObs {
     evictions: probe::LocalCounter,
 }
 
-/// A ready-heap entry: `(tour rank, ready sequence, parent key)`.
-/// Ordered `Reverse` so the heap pops the minimal rank first; the
-/// monotone ready sequence breaks rank ties, which under
-/// [`Tour::AllocationOrder`] (rank constant) *is* the paper's ready
-/// list — units drain in the order they first received work.
-type ReadyEntry = Reverse<([u64; MAX_DIMS], u64, [u64; MAX_DIMS])>;
-
 /// What one drain threads through its consecutive bins.
 struct DrainCursor {
     /// Number of the next [`SchedMark::Dispatch`].
@@ -196,7 +192,7 @@ impl DrainCursor {
 struct DrainUnit {
     /// Member bin ids, in bin-creation order.
     bins: Vec<BinId>,
-    /// Whether the parent is in the ready heap.
+    /// Whether the parent is on the ready list.
     queued: bool,
 }
 
@@ -207,17 +203,18 @@ struct DrainUnit {
 /// back-to-back in sorted fine-key order, exactly as the batch tour
 /// does.
 ///
-/// Invariant: a parent key is queued in `heap` (and its unit flagged
+/// Invariant: a parent key is on `ready` (and its unit flagged
 /// `queued`) iff at least one of its member bins holds threads. Inserts
-/// queue the parent on its empty → non-empty transition; a drain pops
-/// it and empties every member bin, so there are never stale heap
-/// entries.
+/// link the parent at the back on its empty → non-empty transition; a
+/// drain pops the front and empties every member bin, so the list
+/// never holds a stale entry.
 #[derive(Clone, Debug, Default)]
 struct OnlineState {
-    heap: BinaryHeap<ReadyEntry>,
+    /// The paper's ready list (§3.2): parent keys in the order they
+    /// last became non-empty.
+    ready: VecDeque<[u64; MAX_DIMS]>,
     /// Parent key → its drain unit.
     members: HashMap<[u64; MAX_DIMS], DrainUnit>,
-    next_seq: u64,
     /// Dispatch counter across all incremental drains (numbers the
     /// [`SchedMark::Dispatch`] marks globally, so a full incremental
     /// drain numbers threads exactly as one batch run would).
@@ -246,10 +243,11 @@ impl OnlineState {
     }
 
     /// Records `created` (a bin just allocated under `parent`, if any)
-    /// and queues `parent` if it is not already ready. A fork into an
-    /// existing bin is one plain probe: `entry` is kept to the creating
-    /// fork, where it measured 17 ns a call dearer than `get_mut`.
-    fn note_fork(&mut self, tour: &Tour, parent: [u64; MAX_DIMS], created: Option<BinId>) {
+    /// and links `parent` at the back of the ready list if it is not
+    /// already on it. A fork into an existing bin is one plain probe:
+    /// `entry` is kept to the creating fork, where it measured 17 ns a
+    /// call dearer than `get_mut`.
+    fn note_fork(&mut self, parent: [u64; MAX_DIMS], created: Option<BinId>) {
         if let Some(id) = created {
             self.members.entry(parent).or_default().bins.push(id);
         }
@@ -261,20 +259,21 @@ impl OnlineState {
             return;
         }
         unit.queued = true;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((tour.rank(parent), seq, parent)));
+        self.ready.push_back(parent);
     }
 }
 
-/// The bin engine: bin table, tour, bin records, meta tracing, and
-/// the drain loop, parameterized by the scheduled item type `T` and
-/// the binning policy `P`.
+/// The bin engine: bin table, bin records, meta tracing, and the
+/// drain loop, parameterized by the scheduled item type `T` and the
+/// binning policy `P`.
 #[derive(Clone, Debug)]
 pub(crate) struct BinEngine<T, P> {
     policy: P,
     hash_size: usize,
-    tour: Tour,
+    /// Seed that shuffles the batch bin order; set only by
+    /// [`RandomScheduler`](crate::RandomScheduler). `None` visits bins
+    /// in allocation order, the paper's ready list.
+    shuffle: Option<u64>,
     table: BinTable,
     bins: Vec<Bin<T>>,
     threads: u64,
@@ -290,15 +289,16 @@ pub(crate) struct BinEngine<T, P> {
 }
 
 impl<T, P: BinPolicy> BinEngine<T, P> {
-    /// Creates an empty engine.
-    pub(crate) fn new(hash_size: usize, tour: Tour, policy: P) -> Self {
+    /// Creates an empty engine whose batch order is shuffled by
+    /// `shuffle`, if set.
+    pub(crate) fn new(hash_size: usize, policy: P, shuffle: Option<u64>) -> Self {
         BinEngine {
             table: BinTable::new(),
             bins: Vec::new(),
             threads: 0,
             policy,
             hash_size,
-            tour,
+            shuffle,
             meta: None,
             obs: SchedObs::default(),
             online: None,
@@ -434,8 +434,8 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             let state = self.online.as_mut().expect("checked above");
             // Either the parent is already ready (no-op) or this insert
             // made it non-empty — re-link it at the back of the ready
-            // order, as the paper's package re-links a refilled bin.
-            state.note_fork(&self.tour, parent, created.then_some(id));
+            // list, as the paper's package re-links a refilled bin.
+            state.note_fork(parent, created.then_some(id));
             // Reap retired records *after* the fork completes: only
             // inserts trigger eviction, so a run whose arrivals all
             // precede its drains (the t=0 equivalence case) never
@@ -507,9 +507,9 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// landing in their bins. Any threads already scheduled become
     /// ready in bin-creation order — so enabling after a batch of
     /// inserts, then draining to exhaustion, reproduces the batch
-    /// [`run_with`](Self::run_with) order exactly (for every tour
-    /// except [`Tour::Random`], whose batch shuffle has no incremental
-    /// equivalent; see [`Tour::rank`]).
+    /// [`run_with`](Self::run_with) order exactly. The `shuffle` seed
+    /// does not reach the ready list: a shuffled engine drains online
+    /// in ready order too.
     ///
     /// Idempotent (a second call leaves the first call's eviction
     /// policy in force). The batch `run_with` path is unaffected by
@@ -526,7 +526,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             let unit = state.members.entry(parent).or_default();
             unit.bins.push(id as BinId);
             if !bin.items.is_empty() {
-                state.note_fork(&self.tour, parent, None);
+                state.note_fork(parent, None);
             }
         }
         self.online = Some(state);
@@ -537,8 +537,8 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         self.online.is_some()
     }
 
-    /// Drains the single next ready unit — the minimal
-    /// `(tour rank, ready seq)` parent group — with the same callback
+    /// Drains the single next ready unit — the parent group at the
+    /// front of the ready list — with the same callback
     /// shape as [`run_with`](Self::run_with), consuming the drained
     /// threads. Returns `None` when nothing is ready.
     ///
@@ -557,7 +557,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                 .online
                 .as_mut()
                 .expect("drain_next_with requires enable_online");
-            let Reverse((_rank, _seq, parent)) = state.heap.pop()?;
+            let parent = state.ready.pop_front()?;
             state.drain_epoch += 1;
             let unit = state
                 .members
@@ -582,7 +582,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             threads_run += drained;
             // Consume the unit. The bin record (and its table key) stay
             // allocated so ids remain stable; a later insert refills it
-            // and re-queues its parent with a fresh ready sequence —
+            // and re-links its parent at the back of the ready list —
             // unless the eviction policy reaps the idle record first,
             // in which case the key re-arrives as a fresh fork. The
             // record vector keeps its allocation for the refill.
@@ -620,35 +620,44 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         })
     }
 
+    /// `0..len` in allocation order, or shuffled by the `shuffle`
+    /// seed: one `SmallRng::seed_from_u64` shuffle of the whole range.
+    fn visit_order(&self, len: usize) -> Vec<BinId> {
+        let mut ids: Vec<BinId> = (0..len as BinId).collect();
+        if let Some(seed) = self.shuffle {
+            ids.shuffle(&mut SmallRng::seed_from_u64(seed));
+        }
+        ids
+    }
+
     /// The order in which bins will be drained.
     ///
-    /// Flat policies tour the bin keys directly (the paper's path,
-    /// bit-identical to the pre-refactor schedulers). Multi-level
-    /// policies tour the *coarsest-level* group keys — so inter-group
-    /// order matches the flat policy at that granularity — and drain
-    /// each group's bins sorted by their full ancestor ladder,
+    /// Flat policies visit the bins in allocation order (the paper's
+    /// ready list). Multi-level policies visit the *coarsest-level*
+    /// groups in the order of their first bin — so inter-group order
+    /// matches the flat policy at that granularity — and drain each
+    /// group's bins sorted by their full ancestor ladder,
     /// back-to-back, so every intermediate level's bins also come out
-    /// contiguous.
+    /// contiguous. The `shuffle` seed permutes the bins (flat) or the
+    /// groups (multi-level).
     pub(crate) fn tour_order(&self) -> Vec<BinId> {
         let keys = self.table.keys();
         if self.policy.depth() <= 1 {
-            return self.tour.order(keys);
+            return self.visit_order(keys.len());
         }
-        let mut parent_keys: Vec<[u64; MAX_DIMS]> = Vec::new();
         let mut parent_index: HashMap<[u64; MAX_DIMS], usize> = HashMap::new();
         let mut members: Vec<Vec<BinId>> = Vec::new();
         // Groups in first-appearance (allocation) order, matching the
         // ready-list semantics a flat coarsest-level policy would have.
         for (id, &key) in keys.iter().enumerate() {
             let idx = *parent_index.entry(self.group_key(key)).or_insert_with(|| {
-                parent_keys.push(self.group_key(key));
                 members.push(Vec::new());
-                parent_keys.len() - 1
+                members.len() - 1
             });
             members[idx].push(id as BinId);
         }
         let mut order = Vec::with_capacity(keys.len());
-        for parent in self.tour.order(&parent_keys) {
+        for parent in self.visit_order(members.len()) {
             let subs = &mut members[parent as usize];
             subs.sort_unstable_by(|&a, &b| self.nested_cmp(keys[a as usize], keys[b as usize]));
             order.append(subs);
@@ -870,7 +879,7 @@ mod tests {
             .build()
             .unwrap();
         let policy = PaperBlockHash::from_config(&config);
-        BinEngine::new(config.hash_size(), config.tour(), policy)
+        BinEngine::new(config.hash_size(), policy, None)
     }
 
     fn hints_of(coords: &[u64]) -> Hints {

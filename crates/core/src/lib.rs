@@ -68,7 +68,6 @@
 //! ```
 
 mod baseline;
-mod closure;
 mod config;
 mod engine;
 mod hint;
@@ -77,10 +76,8 @@ mod policy;
 mod scheduler;
 mod stats;
 mod table;
-mod tour;
 
 pub use baseline::{FifoScheduler, RandomScheduler};
-pub use closure::ClosureScheduler;
 pub use config::{
     prev_power_of_two, ConfigError, EvictionPolicy, SchedulerConfig, SchedulerConfigBuilder,
     StealPolicy,
@@ -94,7 +91,6 @@ pub use policy::{
 };
 pub use scheduler::{RunMode, Scheduler, ThreadFn, ThreadScheduler};
 pub use stats::{RunStats, SchedulerStats, WorkerStats};
-pub use tour::Tour;
 
 /// Hint addresses are virtual addresses, shared with the tracing crate.
 pub use memtrace::Addr;

@@ -252,11 +252,11 @@ impl<C: Sync> ParScheduler<C> {
 
 impl<C: Sync, P: BinPolicy> ParScheduler<C, P> {
     /// Creates an empty parallel scheduler binning with an explicit
-    /// `policy`; `config` still supplies the hash-table size, tour,
-    /// and steal policy.
+    /// `policy`; `config` still supplies the hash-table size and the
+    /// steal policy. Bins are partitioned in allocation order.
     pub fn with_policy(config: SchedulerConfig, policy: P) -> Self {
         ParScheduler {
-            engine: BinEngine::new(config.hash_size(), config.tour(), policy),
+            engine: BinEngine::new(config.hash_size(), policy, None),
             config,
         }
     }

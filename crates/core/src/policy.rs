@@ -32,7 +32,8 @@
 //!
 //! * [`SingleBin`] — every thread in one bin (FIFO order).
 //! * [`UniqueBin`] — every thread in its own bin (combined with
-//!   [`Tour::Random`](crate::Tour::Random), a seeded shuffle).
+//!   [`RandomScheduler`](crate::RandomScheduler)'s shuffled bin order,
+//!   a seeded shuffle).
 //!
 //! [`AnyPolicy`] is the closed sum of the three — what a caller that
 //! picks its policy from a name at run time passes to the engine.
@@ -381,10 +382,10 @@ impl BinPolicy for SingleBin {
 }
 
 /// Degenerate policy: every thread gets its own bin (keys are a fork
-/// counter). Combined with [`Tour::Random`](crate::Tour::Random) this
-/// shuffles individual threads — [`RandomScheduler`](crate::RandomScheduler)
-/// is the locality scheduler under it, bit-identical to the
-/// pre-refactor per-thread shuffle.
+/// counter). Under a shuffled bin order this shuffles individual
+/// threads — [`RandomScheduler`](crate::RandomScheduler) is the
+/// locality scheduler under it, bit-identical to the pre-refactor
+/// per-thread shuffle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UniqueBin {
     next: u64,

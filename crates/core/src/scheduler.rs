@@ -14,9 +14,8 @@ use memtrace::TraceSink;
 /// Keeping bodies as `fn` pointers (not closures) keeps a thread record
 /// at three words, so forking cannot allocate per thread or touch
 /// unbounded memory — a precondition of the paper's claim that "thread
-/// creation doesn't cause cache misses". For an ergonomic closure-based
-/// front end accepting captures, see
-/// [`ClosureScheduler`](crate::ClosureScheduler).
+/// creation doesn't cause cache misses". State a body needs beyond its
+/// two words lives in the context, as in the crate example.
 pub type ThreadFn<C> = fn(&mut C, usize, usize);
 
 /// What `run` does with the thread specifications afterwards, mirroring
@@ -61,10 +60,10 @@ pub trait ThreadScheduler<C> {
 /// Threads are placed into bins by the configured [`BinPolicy`]
 /// (default [`PaperBlockHash`]: hint address ÷ block size per
 /// dimension, the paper's mapping); [`run`](Scheduler::run) visits
-/// bins along the configured [`Tour`](crate::Tour) — allocation order
-/// by default, as in the paper — draining each bin completely. Threads
-/// within a bin run in fork order ("the scheduling order of threads in
-/// the same bin can be arbitrary", §2.3). A two-level policy
+/// bins in allocation order — the paper's ready list — draining each
+/// bin completely. Threads within a bin run in fork order ("the
+/// scheduling order of threads in the same bin can be arbitrary",
+/// §2.3). A two-level policy
 /// ([`Hierarchical`](crate::Hierarchical)) additionally orders each
 /// parent bin's L1-sized sub-bins so threads sharing an L1 working set
 /// run back-to-back.
@@ -89,10 +88,17 @@ impl<C> Scheduler<C> {
 
 impl<C, P: BinPolicy> Scheduler<C, P> {
     /// Creates an empty scheduler binning with an explicit `policy`;
-    /// `config` still supplies the hash-table size and the tour.
+    /// `config` still supplies the hash-table size.
     pub fn with_policy(config: SchedulerConfig, policy: P) -> Self {
+        Scheduler::shuffled(config, policy, None)
+    }
+
+    /// Like [`with_policy`](Self::with_policy), with the batch bin order
+    /// shuffled by `shuffle` if set (the
+    /// [`RandomScheduler`](crate::RandomScheduler) baseline).
+    pub(crate) fn shuffled(config: SchedulerConfig, policy: P, shuffle: Option<u64>) -> Self {
         Scheduler {
-            engine: BinEngine::new(config.hash_size(), config.tour(), policy),
+            engine: BinEngine::new(config.hash_size(), policy, shuffle),
             config,
         }
     }
@@ -148,8 +154,8 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
             .insert_traced(ThreadSpec { func, arg1, arg2 }, hints, sink);
     }
 
-    /// Runs every scheduled thread, visiting bins in tour order and
-    /// draining each bin before moving on (the paper's `th_run`).
+    /// Runs every scheduled thread, visiting bins in allocation order
+    /// and draining each bin before moving on (the paper's `th_run`).
     ///
     /// With [`RunMode::Retain`] the schedule survives and can be re-run
     /// (or extended with further forks); with [`RunMode::Consume`] the
@@ -201,20 +207,20 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
     /// Switches the scheduler into *online* (incremental) drain mode
     /// for serving-style workloads: forks keep arriving while
     /// [`drain_next`](Self::drain_next) hands out one ready drain unit
-    /// at a time, still in tour/policy order. A drain unit is one bin
-    /// for flat policies, or one parent bin's sub-bins (drained
+    /// at a time from the front of the ready list. A drain unit is one
+    /// bin for flat policies, or one parent bin's sub-bins (drained
     /// back-to-back in sorted fine-key order) for hierarchical
     /// policies.
     ///
     /// Threads already scheduled become ready in bin-creation order, so
     /// enabling after a batch of forks and draining to exhaustion
     /// executes exactly what one [`run`](Self::run) would have — same
-    /// order, same dispatch numbering — for every tour except
-    /// [`Tour::Random`](crate::Tour::Random), whose batch shuffle has
-    /// no incremental equivalent (it degrades to a stationary seeded
-    /// hash order). A bin refilled after its drain is re-linked at the
-    /// *back* of the ready order, as the paper's package re-links a
-    /// refilled bin onto its ready list.
+    /// order, same dispatch numbering. A bin refilled after its drain
+    /// is re-linked at the *back* of the ready list, as the paper's
+    /// package re-links a refilled bin. A
+    /// [`RandomScheduler`](crate::RandomScheduler)'s seed shuffles only
+    /// the batch run: online, it drains in ready (fork) order like
+    /// every other scheduler.
     ///
     /// The configured [`EvictionPolicy`](crate::EvictionPolicy) (see
     /// [`SchedulerConfigBuilder::eviction`](crate::SchedulerConfigBuilder::eviction))
@@ -756,57 +762,46 @@ mod tests {
         assert_eq!(order, vec![0, 2, 4, 6, 1, 3, 5, 7]);
     }
 
-    /// Every tour but Random: batch-fork + online drain-to-exhaustion
-    /// must equal the batch run exactly.
+    /// Batch-fork + online drain-to-exhaustion must equal the batch run
+    /// exactly.
     #[test]
-    fn online_drain_matches_batch_run_per_tour() {
-        use crate::Tour;
-        for tour in [
-            Tour::AllocationOrder,
-            Tour::SortedKey,
-            Tour::Hilbert,
-            Tour::Morton,
-        ] {
-            let cfg = SchedulerConfig::builder()
-                .block_size(1 << 12)
-                .tour(tour)
-                .build()
-                .unwrap();
-            let fork_all = |sched: &mut Scheduler<Log>| {
-                let mut x = 0xD1B5_4A32_D192_ED03u64;
-                for i in 0..400usize {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    sched.fork(record, i, 0, Hints::one(Addr::new(x % (1 << 22))));
-                }
-                // Eight bins equal in dimensions 0-2, forked in
-                // descending dimension 3: a tie on Morton's 3-D code.
-                for i in 0..8usize {
-                    let tied = Addr::new(1 << 30);
-                    let last = Addr::new((7 - i as u64) << 12);
-                    sched.fork(record, 400 + i, 0, Hints::four(tied, tied, tied, last));
-                }
-            };
-            let mut batch = Scheduler::<Log>::new(cfg);
-            fork_all(&mut batch);
-            let mut batch_log = Log::new();
-            batch.run(&mut batch_log, RunMode::Consume);
-
-            let mut online = Scheduler::<Log>::new(cfg);
-            fork_all(&mut online);
-            online.enable_online();
-            assert!(online.online());
-            let mut online_log = Log::new();
-            let mut units = 0;
-            while let Some(stats) = online.drain_next(&mut online_log) {
-                assert!(stats.threads_run > 0);
-                units += 1;
+    fn online_drain_matches_batch_run() {
+        let cfg = config(1 << 12);
+        let fork_all = |sched: &mut Scheduler<Log>| {
+            let mut x = 0xD1B5_4A32_D192_ED03u64;
+            for i in 0..400usize {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                sched.fork(record, i, 0, Hints::one(Addr::new(x % (1 << 22))));
             }
-            assert_eq!(online.pending(), 0);
-            assert!(units > 1, "{tour:?} drained in more than one unit");
-            assert_eq!(online_log, batch_log, "{tour:?}");
+            // Eight bins equal in dimensions 0-2, forked in descending
+            // dimension 3: a key sort would reverse them, the ready list
+            // keeps bin-creation order.
+            for i in 0..8usize {
+                let tied = Addr::new(1 << 30);
+                let last = Addr::new((7 - i as u64) << 12);
+                sched.fork(record, 400 + i, 0, Hints::four(tied, tied, tied, last));
+            }
+        };
+        let mut batch = Scheduler::<Log>::new(cfg);
+        fork_all(&mut batch);
+        let mut batch_log = Log::new();
+        batch.run(&mut batch_log, RunMode::Consume);
+
+        let mut online = Scheduler::<Log>::new(cfg);
+        fork_all(&mut online);
+        online.enable_online();
+        assert!(online.online());
+        let mut online_log = Log::new();
+        let mut units = 0;
+        while let Some(stats) = online.drain_next(&mut online_log) {
+            assert!(stats.threads_run > 0);
+            units += 1;
         }
+        assert_eq!(online.pending(), 0);
+        assert!(units > 1, "drained in more than one unit");
+        assert_eq!(online_log, batch_log);
     }
 
     #[test]

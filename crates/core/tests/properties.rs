@@ -3,7 +3,7 @@
 use locality_sched::{
     Addr, AnyPolicy, BinPolicy, FifoScheduler, Hierarchical, Hints, PaperBlockHash,
     RandomScheduler, RunMode, Scheduler, SchedulerConfig, SingleBin, ThreadScheduler,
-    TopologyPolicy, Tour,
+    TopologyPolicy,
 };
 use proptest::prelude::*;
 
@@ -40,28 +40,15 @@ fn arb_policy() -> impl Strategy<Value = locality_sched::StealPolicy> {
     ]
 }
 
-fn arb_tour() -> impl Strategy<Value = Tour> {
-    prop_oneof![
-        Just(Tour::AllocationOrder),
-        Just(Tour::SortedKey),
-        Just(Tour::Hilbert),
-        Just(Tour::Morton),
-        any::<u64>().prop_map(Tour::Random),
-    ]
-}
-
 fn arb_config() -> impl Strategy<Value = SchedulerConfig> {
-    (6u32..24, 1usize..6, any::<bool>(), arb_tour()).prop_map(
-        |(block_log2, hash_log2, symmetric, tour)| {
-            SchedulerConfig::builder()
-                .block_size(1 << block_log2)
-                .hash_size(1 << hash_log2)
-                .symmetric(symmetric)
-                .tour(tour)
-                .build()
-                .expect("generated configs are valid")
-        },
-    )
+    (6u32..24, 1usize..6, any::<bool>()).prop_map(|(block_log2, hash_log2, symmetric)| {
+        SchedulerConfig::builder()
+            .block_size(1 << block_log2)
+            .hash_size(1 << hash_log2)
+            .symmetric(symmetric)
+            .build()
+            .expect("generated configs are valid")
+    })
 }
 
 /// FNV-1a digest of `block_coords` over a deterministic pseudo-random
@@ -101,8 +88,8 @@ fn block_coords_digest_matches_pre_refactor_golden() {
 }
 
 proptest! {
-    /// Every forked thread runs exactly once, under any configuration,
-    /// tour, and hint mixture.
+    /// Every forked thread runs exactly once, under any configuration
+    /// and hint mixture.
     #[test]
     fn every_thread_runs_exactly_once(
         config in arb_config(),
@@ -387,8 +374,8 @@ proptest! {
 
     /// A two-rung [`TopologyPolicy`] ladder IS the two-level
     /// [`Hierarchical`] policy: identical bin keys, identical ancestor
-    /// ladder, and an identical drain order under any configuration,
-    /// tour, and hint mixture. This is what licenses `Hierarchical` to
+    /// ladder, and an identical drain order under any configuration and
+    /// hint mixture. This is what licenses `Hierarchical` to
     /// remain a thin alias for the depth-2 case — and the ladder carried
     /// as an [`AnyPolicy`] value drains identically at depth 1 (against
     /// [`PaperBlockHash`]), 2 and 3.

@@ -361,7 +361,7 @@ fn serve_blocks(machine: &MachineModel) -> Result<(u64, u64), ServeError> {
     Ok((ladder[0], ladder[ladder.len().min(2) - 1]))
 }
 
-/// The scheduler configuration (hash table and tour, with `eviction`)
+/// The scheduler configuration (hash table, with `eviction`)
 /// and the bin policy `policy` names on `machine`: a prefix of the
 /// machine's serving ladder — one rung (the L2 block) for flat, two for
 /// hierarchical, all of them for topology — or a degenerate baseline.
@@ -488,8 +488,8 @@ pub fn run_serve<I: Iterator<Item = Request>>(
         }
 
         // Grant drain units to idle lanes. Grants are sequential in
-        // (tour rank, ready order); a lane is busy for the modeled
-        // service time of its whole unit.
+        // ready-list order; a lane is busy for the modeled service time
+        // of its whole unit.
         while sched.pending() > 0 {
             let Some(lane) = lane_free.iter().position(|&idle| idle) else {
                 break;

@@ -14,7 +14,7 @@
 //! examples and downstream users can depend on one crate.
 //!
 //! * [`sched`] — the thread package ([`sched::Scheduler`],
-//!   [`sched::Hints`], [`sched::SchedulerConfig`], bin tours,
+//!   [`sched::Hints`], [`sched::SchedulerConfig`], bin policies,
 //!   baselines).
 //! * [`trace`] — traced containers and trace sinks.
 //! * [`sim`] — the cache simulator and machine models.

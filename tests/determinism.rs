@@ -3,7 +3,7 @@
 //! property that makes the harness's tables stable.
 
 use thread_locality::apps::{matmul, sor};
-use thread_locality::sched::{Hints, RunMode, Scheduler, SchedulerConfig, Tour};
+use thread_locality::sched::{Hints, RandomScheduler, RunMode, SchedulerConfig};
 use thread_locality::sim::{MachineModel, SimReport, SimSink};
 use thread_locality::trace::AddressSpace;
 
@@ -45,18 +45,13 @@ fn memtrace_null() -> thread_locality::trace::NullSink {
 }
 
 #[test]
-fn random_tour_is_seeded() {
+fn random_scheduler_is_seeded() {
     type Log = Vec<usize>;
     fn body(log: &mut Log, i: usize, _j: usize) {
         log.push(i);
     }
     let order_for = |seed: u64| {
-        let config = SchedulerConfig::builder()
-            .block_size(1024)
-            .tour(Tour::Random(seed))
-            .build()
-            .unwrap();
-        let mut sched = Scheduler::<Log>::new(config);
+        let mut sched = RandomScheduler::<Log>::new(seed);
         for i in 0..64 {
             sched.fork(body, i, 0, Hints::one((i as u64 * 100_000).into()));
         }

@@ -383,7 +383,7 @@ fn nbody_parallel_matches_sequential_bitwise() {
 
 // ---------------------------------------------------------------------
 // Baseline schedulers: FIFO and seeded-random are engine configurations
-// too (SingleBin + allocation order; UniqueBin + random tour), so on
+// too (SingleBin + allocation order; UniqueBin + a seeded shuffle), so on
 // these order-independent kernels their results must be bit-identical
 // to the locality schedule — any drain order computes the same bits.
 // ---------------------------------------------------------------------
