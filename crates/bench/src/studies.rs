@@ -1,9 +1,8 @@
 //! Studies beyond the paper's tables, each one registry name:
 //!
 //! * `ablation` — the scheduler's design choices measured in simulated
-//!   cache misses: symmetric-hint folding (§2.3's 50% bin saving),
-//!   page-mapping policy under a physically-indexed L2 (§6), and N-body
-//!   hint dimensionality (§6: "limited to 3 address hints"). The SMP
+//!   cache misses: symmetric-hint folding (§2.3's 50% bin saving) and
+//!   N-body hint dimensionality (§6: "limited to 3 address hints"). The SMP
 //!   steal policy (§7's future work) is the `steal` experiment.
 //! * `modern` — does 1996's locality scheduling still matter on a
 //!   modern memory hierarchy? The paper closes predicting "latency
@@ -16,15 +15,14 @@
 use crate::experiments::{scaled, simulate};
 use crate::fmt::TextTable;
 use crate::ExpScale;
-use cachesim::{MachineModel, PagePolicy, SimReport, SimSink};
+use cachesim::{MachineModel, SimReport, SimSink};
 use locality_sched::{Hints, RunMode, Scheduler, SchedulerConfig};
 use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
 use workloads::{matmul, nbody, sor};
 
-/// The `ablation` study (sections 1–3).
+/// The `ablation` study (sections 1–2).
 pub fn ablation(scale: &ExpScale) {
     symmetric_ablation();
-    paging_ablation(scale);
     hint_dims_ablation(scale);
 }
 
@@ -98,45 +96,8 @@ fn symmetric_ablation() {
     println!("\nFolding halves the bin count (same data both orders) and keeps\nthe per-bin working set identical, so misses stay flat or improve.\n");
 }
 
-fn paging_ablation(scale: &ExpScale) {
-    println!("Ablation 2: page mapping under a physically-indexed L2 (threaded SOR)\n");
-    let machine = scaled(MachineModel::r8000(), scale.sor_factor);
-    let mut table = TextTable::new(vec![
-        "mapping",
-        "L2 misses",
-        "L2 conflict",
-        "TLB misses",
-        "modeled s",
-    ]);
-    for (name, policy) in [
-        ("virtual (paper's methodology)", None),
-        ("identity frames", Some(PagePolicy::Identity)),
-        ("random frames", Some(PagePolicy::RandomSeeded(7))),
-        ("bin-hopping frames", Some(PagePolicy::BinHopping)),
-    ] {
-        let hierarchy = match policy {
-            None => machine.hierarchy(),
-            Some(p) => machine.hierarchy_with_paging(p),
-        };
-        let config = block_config(machine.l2_config().size() / 4);
-        let (_, r) = simulate(hierarchy, |space, sim| {
-            let mut data = sor::SorData::new(space, scale.sor_n, 99);
-            sor::threaded(&mut data, scale.sor_t, config, sim)
-        });
-        table.row(vec![
-            name.into(),
-            r.l2.misses().to_string(),
-            r.classes.conflict.to_string(),
-            r.tlb.misses.to_string(),
-            format!("{:.3}", r.time_on(&machine).total()),
-        ]);
-    }
-    print!("{}", table.render());
-    println!("\nThe paper simulated virtual addresses and flagged physical indexing\nas a limitation; random frames perturb conflicts, and the TLB cost\nthe crude model omits becomes visible.\n");
-}
-
 fn hint_dims_ablation(scale: &ExpScale) {
-    println!("Ablation 3: N-body hint dimensionality (one timestep, scaled R8000)\n");
+    println!("Ablation 2: N-body hint dimensionality (one timestep, scaled R8000)\n");
     let machine = scaled(MachineModel::r8000(), scale.nbody_factor);
     let mut table = TextTable::new(vec!["hints", "bins", "L2 misses", "L2 capacity"]);
     for dims in [1usize, 2, 3] {

@@ -1,20 +1,17 @@
 //! `dinero` — replay a binary trace file (see
 //! [`memtrace::TraceFileWriter`]) through a configurable two-level
-//! hierarchy and print the paper-style report. The standalone-tool
-//! equivalent of the modified DineroIII the paper used.
+//! copy-back, write-allocate, virtually indexed hierarchy and print the
+//! paper-style report. The standalone-tool equivalent of the modified
+//! DineroIII the paper used.
 //!
 //! ```text
 //! dinero [--l1 SIZE:LINE:ASSOC] [--l2 SIZE:LINE:ASSOC]
-//!        [--machine r8000|r10000] [--mmu identity|random|binhop]
-//!        [--write-through-l1] TRACE_FILE
+//!        [--machine r8000|r10000] TRACE_FILE
 //! ```
 //!
 //! Sizes accept `K`/`M` suffixes, e.g. `--l2 2M:128:4`.
 
-use cachesim::{
-    CacheConfig, Hierarchy, HierarchyConfig, MachineModel, Mmu, PageMapper, PagePolicy, SimSink,
-    WritePolicy,
-};
+use cachesim::{CacheConfig, Hierarchy, HierarchyConfig, MachineModel, SimSink};
 use memtrace::TraceFileReader;
 use std::fs::File;
 use std::process::ExitCode;
@@ -48,8 +45,6 @@ fn parse_cache(spec: &str) -> Result<CacheConfig, String> {
 struct Options {
     l1: CacheConfig,
     l2: CacheConfig,
-    mmu: Option<PagePolicy>,
-    write_through_l1: bool,
     trace: String,
     machine: MachineModel,
 }
@@ -59,8 +54,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         l1: machine.l1_config(),
         l2: machine.l2_config(),
-        mmu: None,
-        write_through_l1: false,
         trace: String::new(),
         machine,
     };
@@ -82,15 +75,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 options.l1 = options.machine.l1_config();
                 options.l2 = options.machine.l2_config();
             }
-            "--mmu" => {
-                options.mmu = Some(match it.next().ok_or("--mmu needs a value")?.as_str() {
-                    "identity" => PagePolicy::Identity,
-                    "random" => PagePolicy::RandomSeeded(0x5eed),
-                    "binhop" => PagePolicy::BinHopping,
-                    other => return Err(format!("unknown mmu policy {other:?}")),
-                });
-            }
-            "--write-through-l1" => options.write_through_l1 = true,
             other if !other.starts_with("--") => options.trace = other.to_owned(),
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -105,10 +89,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// exit status 2.
 fn usage_error(message: &str) -> ExitCode {
     eprintln!("dinero: {message}");
-    eprintln!(
-        "usage: dinero [--l1 S:L:A] [--l2 S:L:A] [--machine r8000|r10000] \
-         [--mmu identity|random|binhop] [--write-through-l1] TRACE"
-    );
+    eprintln!("usage: dinero [--l1 S:L:A] [--l2 S:L:A] [--machine r8000|r10000] TRACE");
     ExitCode::from(2)
 }
 
@@ -118,23 +99,9 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(message) => return usage_error(&message),
     };
-    let l1 = if options.write_through_l1 {
-        options
-            .l1
-            .with_write_policy(WritePolicy::WriteThroughNoAllocate)
-    } else {
-        options.l1
-    };
-    let config = match HierarchyConfig::try_new(l1, options.l2) {
+    let config = match HierarchyConfig::try_new(options.l1, options.l2) {
         Ok(config) => config,
         Err(e) => return usage_error(&e.to_string()),
-    };
-    let hierarchy = match options.mmu {
-        Some(policy) => Hierarchy::with_mmu(
-            config,
-            Mmu::new(PageMapper::new(policy, options.machine.page_size()), 64),
-        ),
-        None => Hierarchy::new(config),
     };
 
     let file = match File::open(&options.trace) {
@@ -144,12 +111,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut sim = SimSink::new(hierarchy);
+    let mut sim = SimSink::new(Hierarchy::new(config));
     match TraceFileReader::new(file).replay(&mut sim) {
         Ok(events) => {
             let report = sim.finish();
             println!("# {} events from {}", events, options.trace);
-            println!("# L1 {} | L2 {}", l1, options.l2);
+            println!("# L1 {} | L2 {}", options.l1, options.l2);
             println!("{report}");
             println!(
                 "modeled on {}: {}",

@@ -1,6 +1,6 @@
 //! A single set-associative cache level.
 
-use crate::{CacheConfig, WritePolicy};
+use crate::CacheConfig;
 use memtrace::Addr;
 
 /// Hit/miss counters for one cache level.
@@ -124,8 +124,6 @@ pub struct Cache {
     /// line; `INVALID` otherwise. Enables the same-line short-circuit
     /// ([`try_rehit`](Cache::try_rehit)).
     last_line: u64,
-    /// Cached `config.write_policy() == WriteThroughNoAllocate`.
-    write_through: bool,
     /// When false, [`try_rehit`](Cache::try_rehit) declines, so every
     /// reference takes [`access_line`](Cache::access_line); the differential
     /// suites and the repository benchmark's checks (`benchmark/`) use
@@ -148,7 +146,6 @@ impl Cache {
             assoc,
             stats: CacheStats::default(),
             last_line: INVALID,
-            write_through: config.write_policy() == WritePolicy::WriteThroughNoAllocate,
             fast_path: true,
             obs: CacheObs::default(),
         }
@@ -234,26 +231,9 @@ impl Cache {
             } else {
                 self.stats.read_misses += 1;
             }
-            if is_write && self.write_through {
-                // No write-allocate: the line is not brought in, so the
-                // set goes back as it was — every line one slot up, the
-                // carried one last — and the line must not be
-                // remembered as resident.
-                tags.rotate_left(1);
-                dirty.rotate_left(1);
-                tags[tags.len() - 1] = carried;
-                dirty[dirty.len() - 1] = carried_dirty;
-                self.last_line = INVALID;
-                return LineOutcome {
-                    hit: false,
-                    writeback: None,
-                };
-            }
         }
-        // On a hit the carried flag is the line's own. Write-through
-        // lines are never dirty: the write goes down immediately (the
-        // caller propagates it).
-        dirty[0] = (hit && carried_dirty) || (is_write && !self.write_through);
+        // On a hit the carried flag is the line's own.
+        dirty[0] = (hit && carried_dirty) || is_write;
         self.last_line = line;
         let writeback = (!hit && carried_dirty).then_some(carried);
         self.stats.writebacks += u64::from(writeback.is_some());
@@ -270,11 +250,9 @@ impl Cache {
     /// call, no other reference entered this cache, so the line cannot
     /// have been evicted — and it is still in slot 0 of its set, where
     /// that access put it, so a looked-up hit would move nothing.
-    /// Write-through writes are excluded even on a rehit because the
-    /// caller must still propagate them downstream.
     #[inline]
     pub(crate) fn try_rehit(&mut self, line: u64, is_write: bool) -> bool {
-        if line != self.last_line || !self.fast_path || (is_write && self.write_through) {
+        if line != self.last_line || !self.fast_path {
             return false;
         }
         if is_write {
@@ -303,8 +281,8 @@ impl Cache {
 
     /// Whether `line` is resident: a read-only probe that moves no
     /// line within its set, no last line and no statistic. `written`
-    /// says the caller's last reference to the line was a write-back
-    /// write, which must have left it dirty.
+    /// says the caller's last reference to the line was a write, which
+    /// must have left it dirty.
     #[inline]
     pub(crate) fn holds(&self, line: u64, written: bool) -> bool {
         let base = (line & self.set_mask) as usize * self.assoc;
@@ -456,27 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn write_through_no_allocate_semantics() {
-        use crate::WritePolicy;
-        let config = CacheConfig::new(64, 32, 2)
-            .unwrap()
-            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
-        let mut c = Cache::new(config);
-        // Write miss: counted, but not allocated.
-        let out = c.access_line(0, true);
-        assert!(!out.hit);
-        assert!(!c.access_line(0, false).hit, "write did not allocate");
-        // Now line 0 is resident (read-allocated); a write hit must not
-        // dirty it.
-        c.access_line(0, true);
-        let evict = c.access_line(2, false); // same set as 0
-        let evict2 = c.access_line(4, false); // evicts one of them
-        assert_eq!(evict.writeback, None);
-        assert_eq!(evict2.writeback, None, "write-through lines are clean");
-        assert_eq!(c.stats().writebacks, 0);
-    }
-
-    #[test]
     fn empty_stats_miss_rate_is_zero() {
         assert_eq!(CacheStats::default().miss_rate_percent(), 0.0);
     }
@@ -501,23 +458,6 @@ mod tests {
         assert!(!c.try_rehit(0, false));
         c.set_fast_path(true);
         assert!(c.try_rehit(0, false));
-    }
-
-    #[test]
-    fn try_rehit_refuses_write_through_writes() {
-        let config = CacheConfig::new(64, 32, 2)
-            .unwrap()
-            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
-        let mut c = Cache::new(config);
-        c.access_line(0, false); // read-allocate line 0
-        assert!(
-            !c.try_rehit(0, true),
-            "WT writes must reach the next level even on a hit"
-        );
-        assert!(c.try_rehit(0, false), "reads may short-circuit");
-        // A WT write miss leaves nothing resident to rehit.
-        c.access_line(5, true);
-        assert!(!c.try_rehit(5, false));
     }
 
     #[test]
@@ -649,44 +589,37 @@ mod tests {
         // Drive two identical caches with the same pseudo-random stream:
         // the fast one through the rehit-then-lookup path the hierarchy
         // uses, the slow one through the set lookup only. Every
-        // counter must agree, for both write policies.
-        for policy in [
-            WritePolicy::WriteBackAllocate,
-            WritePolicy::WriteThroughNoAllocate,
-        ] {
-            let config = CacheConfig::new(1024, 32, 2)
-                .unwrap()
-                .with_write_policy(policy);
-            let mut fast = Cache::new(config);
-            let mut slow = Cache::new(config);
-            slow.set_fast_path(false);
-            let mut x = 0x2545f4914f6cdd1du64;
-            let mut outcomes_checked = 0u64;
-            for i in 0..20_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // Bias toward reuse (and exact repeats) so hits at the
-                // front of a set and same-line rehits actually occur.
-                let line = match i % 4 {
-                    0 => (x % 8) * 4,
-                    1 => x % 4, // tiny range: frequent exact repeats
-                    _ => x % 256,
-                };
-                let is_write = x.is_multiple_of(5);
-                if !fast.try_rehit(line, is_write) {
-                    let f = fast.access_line(line, is_write);
-                    let s = slow.access_line(line, is_write);
-                    assert_eq!(f, s, "outcome diverged at reference {i}");
-                    outcomes_checked += 1;
-                    continue;
-                }
+        // counter must agree.
+        let config = CacheConfig::new(1024, 32, 2).unwrap();
+        let mut fast = Cache::new(config);
+        let mut slow = Cache::new(config);
+        slow.set_fast_path(false);
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut outcomes_checked = 0u64;
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Bias toward reuse (and exact repeats) so hits at the
+            // front of a set and same-line rehits actually occur.
+            let line = match i % 4 {
+                0 => (x % 8) * 4,
+                1 => x % 4, // tiny range: frequent exact repeats
+                _ => x % 256,
+            };
+            let is_write = x.is_multiple_of(5);
+            if !fast.try_rehit(line, is_write) {
+                let f = fast.access_line(line, is_write);
                 let s = slow.access_line(line, is_write);
-                assert!(s.hit, "rehit accepted a line the slow path missed");
+                assert_eq!(f, s, "outcome diverged at reference {i}");
+                outcomes_checked += 1;
+                continue;
             }
-            assert_eq!(fast.stats(), slow.stats(), "policy {policy:?}");
-            assert!(outcomes_checked > 0);
+            let s = slow.access_line(line, is_write);
+            assert!(s.hit, "rehit accepted a line the slow path missed");
         }
+        assert_eq!(fast.stats(), slow.stats());
+        assert!(outcomes_checked > 0);
     }
 
     /// The textbook set: `(line, dirty)` pairs, most recently used
@@ -694,28 +627,24 @@ mod tests {
     fn model_access(
         set: &mut Vec<(u64, bool)>,
         assoc: usize,
-        write_through: bool,
         line: u64,
         is_write: bool,
     ) -> LineOutcome {
-        let dirties = is_write && !write_through;
         if let Some(at) = set.iter().position(|&(resident, _)| resident == line) {
             let (_, dirty) = set.remove(at);
-            set.insert(0, (line, dirty || dirties));
+            set.insert(0, (line, dirty || is_write));
             return LineOutcome {
                 hit: true,
                 writeback: None,
             };
         }
         let mut writeback = None;
-        if !(is_write && write_through) {
-            if set.len() == assoc {
-                writeback = set
-                    .pop()
-                    .and_then(|(victim, dirty)| dirty.then_some(victim));
-            }
-            set.insert(0, (line, dirties));
+        if set.len() == assoc {
+            writeback = set
+                .pop()
+                .and_then(|(victim, dirty)| dirty.then_some(victim));
         }
+        set.insert(0, (line, is_write));
         LineOutcome {
             hit: false,
             writeback,
@@ -725,45 +654,36 @@ mod tests {
     #[test]
     fn outcomes_match_a_list_per_set_model_at_every_associativity() {
         for (assoc, sets) in [(1, 16), (2, 8), (4, 4), (8, 2), (16, 2), (64, 1)] {
-            for policy in [
-                WritePolicy::WriteBackAllocate,
-                WritePolicy::WriteThroughNoAllocate,
-            ] {
-                let config = CacheConfig::new(32 * u64::from(assoc) * sets, 32, assoc)
-                    .unwrap()
-                    .with_write_policy(policy);
-                let write_through = policy == WritePolicy::WriteThroughNoAllocate;
-                let mut c = Cache::new(config);
-                let mut model = vec![Vec::new(); sets as usize];
-                let mut x = 0x9e3779b97f4a7c15u64 ^ u64::from(assoc);
-                let (mut line, mut writebacks) = (0, 0);
-                for i in 0..20_000u64 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    // Three lines a way, so sets fill and evict; every
-                    // fifth reference repeats the one before it.
-                    if i % 5 != 4 {
-                        line = (x >> 8) % (3 * u64::from(assoc) * sets);
-                    }
-                    let is_write = x.is_multiple_of(3);
-                    let expected = model_access(
-                        &mut model[(line % sets) as usize],
-                        assoc as usize,
-                        write_through,
-                        line,
-                        is_write,
-                    );
-                    assert_eq!(
-                        c.access_line(line, is_write),
-                        expected,
-                        "{assoc}-way {policy:?}, reference {i}: line {line}"
-                    );
-                    writebacks += u64::from(expected.writeback.is_some());
+            let config = CacheConfig::new(32 * u64::from(assoc) * sets, 32, assoc).unwrap();
+            let mut c = Cache::new(config);
+            let mut model = vec![Vec::new(); sets as usize];
+            let mut x = 0x9e3779b97f4a7c15u64 ^ u64::from(assoc);
+            let (mut line, mut writebacks) = (0, 0);
+            for i in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Three lines a way, so sets fill and evict; every
+                // fifth reference repeats the one before it.
+                if i % 5 != 4 {
+                    line = (x >> 8) % (3 * u64::from(assoc) * sets);
                 }
-                assert_eq!(c.stats().writebacks, writebacks);
-                assert!(write_through || writebacks > 1_000, "{assoc}-way");
+                let is_write = x.is_multiple_of(3);
+                let expected = model_access(
+                    &mut model[(line % sets) as usize],
+                    assoc as usize,
+                    line,
+                    is_write,
+                );
+                assert_eq!(
+                    c.access_line(line, is_write),
+                    expected,
+                    "{assoc}-way, reference {i}: line {line}"
+                );
+                writebacks += u64::from(expected.writeback.is_some());
             }
+            assert_eq!(c.stats().writebacks, writebacks);
+            assert!(writebacks > 1_000, "{assoc}-way");
         }
     }
 

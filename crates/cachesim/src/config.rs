@@ -3,19 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-/// What a cache does with writes (DineroIII's `-W` flag space).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum WritePolicy {
-    /// Copy-back with write-allocate: the Dinero default, what both
-    /// paper machines implement, and this crate's default.
-    #[default]
-    WriteBackAllocate,
-    /// Write-through without write-allocate: writes update the line on
-    /// a hit but never allocate, and every write propagates to the
-    /// next level.
-    WriteThroughNoAllocate,
-}
-
 /// Geometry of one cache level.
 ///
 /// # Examples
@@ -34,7 +21,6 @@ pub struct CacheConfig {
     size: u64,
     line: u64,
     assoc: u32,
-    write_policy: WritePolicy,
 }
 
 /// Error returned when a [`CacheConfig`] is geometrically impossible.
@@ -123,12 +109,7 @@ impl CacheConfig {
                 "size {size} / line {line} is {lines} lines, more than the {MAX_LINES} a level may have"
             )));
         }
-        Ok(CacheConfig {
-            size,
-            line,
-            assoc,
-            write_policy: WritePolicy::default(),
-        })
+        Ok(CacheConfig { size, line, assoc })
     }
 
     /// A fully-associative geometry of the same capacity and line size.
@@ -139,17 +120,6 @@ impl CacheConfig {
             assoc: (self.size / self.line) as u32,
             ..self
         }
-    }
-
-    /// Returns this geometry with a different write policy.
-    pub fn with_write_policy(mut self, policy: WritePolicy) -> CacheConfig {
-        self.write_policy = policy;
-        self
-    }
-
-    /// The write policy.
-    pub fn write_policy(&self) -> WritePolicy {
-        self.write_policy
     }
 
     /// Total capacity in bytes.

@@ -1,38 +1,11 @@
 //! The two-level cache hierarchy of the paper's machines.
 
 use crate::cache::LineOutcome;
-use crate::paging::{PageMapper, Tlb, TlbStats};
 use crate::{
     Cache, CacheConfig, CacheConfigError, CacheStats, MissClassCounts, MissClassifier, SimReport,
 };
-use memtrace::{Access, AccessKind, Addr, Stream, StreamRun};
+use memtrace::{Access, AccessKind, Stream, StreamRun};
 use std::ops::Range;
-
-/// Virtual-memory simulation attached to a hierarchy: a page mapper
-/// (virtual→physical) and a TLB.
-///
-/// When present, the L1 stays virtually indexed (as on the paper's
-/// machines, where the small L1s are indexed below the page boundary)
-/// while every L2 reference is made with the *physical* line address —
-/// the effect the paper flags as a limitation of its own simulations:
-/// "it works with virtual addresses whereas the L2 cache uses physical
-/// addresses".
-#[derive(Clone, Debug)]
-pub struct Mmu {
-    mapper: PageMapper,
-    tlb: Tlb,
-}
-
-impl Mmu {
-    /// Creates an MMU with the given mapping policy and TLB shape.
-    pub fn new(mapper: PageMapper, tlb_entries: usize) -> Self {
-        let page = mapper.page_size();
-        Mmu {
-            mapper,
-            tlb: Tlb::new(tlb_entries, page),
-        }
-    }
-}
 
 /// Geometry of a two-level hierarchy: a (split) L1 data cache backed by
 /// a unified L2.
@@ -144,10 +117,8 @@ pub struct Hierarchy {
     classifier: MissClassifier,
     l1_line: u64,
     l1_shift: u32,
-    l1_write_through: bool,
     l2_line_shift: u32,
     l3_line_shift: u32,
-    mmu: Option<Mmu>,
     memory_reads: u64,
     memory_writebacks: u64,
     /// Modelled ns to service an L1 miss that hits below (0 = unset).
@@ -168,11 +139,8 @@ impl Hierarchy {
             classifier: MissClassifier::new(&last_level),
             l1_line: config.l1d.line(),
             l1_shift: config.l1d.line().trailing_zeros(),
-            l1_write_through: config.l1d.write_policy()
-                == crate::WritePolicy::WriteThroughNoAllocate,
             l2_line_shift: config.l2.line().trailing_zeros(),
             l3_line_shift: last_level.line().trailing_zeros(),
-            mmu: None,
             memory_reads: 0,
             memory_writebacks: 0,
             probe_l1_miss_ns: 0,
@@ -220,15 +188,6 @@ impl Hierarchy {
         histogram
     }
 
-    /// Creates a hierarchy with virtual memory simulated: the TLB is
-    /// consulted per access and the L2 is physically indexed through
-    /// the MMU's page mapping.
-    pub fn with_mmu(config: HierarchyConfig, mmu: Mmu) -> Self {
-        let mut h = Hierarchy::new(config);
-        h.mmu = Some(mmu);
-        h
-    }
-
     /// The levels present, top down. For the cold paths only: the
     /// access path names its levels.
     fn levels(&self) -> impl Iterator<Item = &Cache> {
@@ -254,10 +213,10 @@ impl Hierarchy {
 
     /// Enables or disables the fast lookup paths: each level's
     /// same-line short-circuit, the run records' L1-line epochs, and
-    /// the flat recency table under the classifier and the TLB. Off,
-    /// every reference is looked up in its set — the lookup itself is
-    /// the same either way — and the classifier and the TLB run their
-    /// hash-set-and-list reference model. The hierarchy owns the knob
+    /// the flat recency table under the classifier. Off, every
+    /// reference is looked up in its set — the lookup itself is the
+    /// same either way — and the classifier runs its hash-set-and-list
+    /// reference model. The hierarchy owns the knob
     /// and tells its parts. Statistics are bit-identical either way and
     /// across a switch mid-stream; the slow path is kept as the
     /// exhaustive reference the differential suites and the repository
@@ -267,9 +226,6 @@ impl Hierarchy {
             level.set_fast_path(enabled);
         }
         self.classifier.set_fast_path(enabled);
-        if let Some(mmu) = &mut self.mmu {
-            mmu.tlb.set_fast_path(enabled);
-        }
     }
 
     /// Whether the fast lookup paths are enabled.
@@ -287,22 +243,6 @@ impl Hierarchy {
         // address space clamps its line span rather than spanning from
         // line 0.
         let last_byte = addr.saturating_add(u64::from(access.size.max(1)) - 1);
-        if let Some(mmu) = &mut self.mmu {
-            // One translation per page touched, not one per byte-access:
-            // an access straddling a page boundary walks every page it
-            // covers, and one contained in a single page walks just that
-            // page.
-            let shift = mmu.tlb.page_shift();
-            let mut page = addr >> shift;
-            let last_page = last_byte >> shift;
-            loop {
-                mmu.tlb.access(Addr::new(page << shift));
-                if page == last_page {
-                    break;
-                }
-                page += 1;
-            }
-        }
         let first_line = addr >> self.l1_shift;
         let last_line = last_byte >> self.l1_shift;
         // Same-line short-circuit: consecutive references to one L1
@@ -341,18 +281,15 @@ impl Hierarchy {
     /// one's rehits are counted and the epoch's other rounds are
     /// expanded.
     ///
-    /// The whole record is expanded, reference by reference, when the
-    /// argument has no footing: fast paths off (the slow path *is* the
-    /// expansion), an MMU attached (the TLB hears every reference), a
-    /// write stream into a write-through L1 (every write goes down).
-    /// So is a round in which an element or a group straddles a line.
+    /// With the fast paths off the whole record is expanded, reference
+    /// by reference: the slow path *is* the expansion. So is a round in
+    /// which an element or a group straddles a line.
     pub(crate) fn run(&mut self, run: &StreamRun<'_>) {
         let streams = run.streams();
-        let writes = |stream: &Stream| stream.kind == AccessKind::Write;
-        let writers = streams.iter().filter(|stream| writes(stream)).count() as u64;
-        if !self.fast_path() || self.mmu.is_some() || (self.l1_write_through && writers > 0) {
+        if !self.fast_path() {
             return self.expand(run, 0..run.rounds());
         }
+        let writes = |stream: &Stream| stream.kind == AccessKind::Write;
         let group = u64::from(run.group());
         // References per stream proved to be L1 hits: counters only,
         // so they are summed over the run and added once.
@@ -383,6 +320,7 @@ impl Hierarchy {
             }
             round += epoch;
         }
+        let writers = streams.iter().filter(|stream| writes(stream)).count() as u64;
         let readers = streams.len() as u64 - writers;
         self.l1d.credit_hits(readers * hits, writers * hits);
     }
@@ -414,38 +352,25 @@ impl Hierarchy {
     /// Replays one reference contained in a single L1 line. Statistics
     /// are identical to [`access`](Self::access) with any access whose
     /// bytes all fall in `l1_line`, minus the address arithmetic the
-    /// caller has already done to know the line. Only valid without an
-    /// MMU (no TLB traffic is recorded).
+    /// caller has already done to know the line.
     #[inline]
     fn access_l1_line(&mut self, l1_line: u64, is_write: bool) {
-        debug_assert!(self.mmu.is_none(), "single-line entry skips the TLB");
         if self.l1d.try_rehit(l1_line, is_write) {
             return;
         }
         self.touch_l1_line(l1_line, is_write);
     }
 
-    /// Maps a virtual L1 line index to the L2 line index that backs it
-    /// — through the page mapping when an MMU is attached.
+    /// The L2 line index that backs an L1 line index.
     #[inline]
     fn l2_line_of(&self, l1_line: u64) -> u64 {
-        let vaddr = l1_line * self.l1_line;
-        match &self.mmu {
-            Some(mmu) => mmu.mapper.translate(Addr::new(vaddr)).raw() >> self.l2_line_shift,
-            None => vaddr >> self.l2_line_shift,
-        }
+        l1_line >> (self.l2_line_shift - self.l1_shift)
     }
 
     #[inline]
     fn touch_l1_line(&mut self, l1_line: u64, is_write: bool) {
-        let write_through = self.l1_write_through;
         let outcome = self.l1d.access_line(l1_line, is_write);
-        if is_write && write_through {
-            // Every write propagates immediately; a write miss does
-            // not fetch (no write-allocate).
-            let l2_line = self.l2_line_of(l1_line);
-            self.reference_l2(l2_line, true);
-        } else if !outcome.hit {
+        if !outcome.hit {
             // Demand fetch from L2 (write-allocate: fetch even on a
             // write miss; the L2 reference itself is a read).
             let l2_line = self.l2_line_of(l1_line);
@@ -538,11 +463,6 @@ impl Hierarchy {
         }
     }
 
-    /// TLB statistics (zero if no MMU is attached).
-    pub fn tlb_stats(&self) -> TlbStats {
-        self.mmu.as_ref().map(|m| m.tlb.stats()).unwrap_or_default()
-    }
-
     /// Demand fetches that reached main memory.
     pub fn memory_reads(&self) -> u64 {
         self.memory_reads
@@ -579,12 +499,10 @@ impl Hierarchy {
         if let Some(l3) = &self.l3 {
             report.l3.get_or_insert_default().merge(l3.stats());
         }
-        let (classes, tlb) = (self.classifier.counts(), self.tlb_stats());
+        let classes = self.classifier.counts();
         report.classes.compulsory += classes.compulsory;
         report.classes.capacity += classes.capacity;
         report.classes.conflict += classes.conflict;
-        report.tlb.accesses += tlb.accesses;
-        report.tlb.misses += tlb.misses;
         report.memory_reads += self.memory_reads;
         report.memory_writebacks += self.memory_writebacks;
     }
@@ -598,9 +516,6 @@ impl Hierarchy {
             level.reset_stats();
         }
         self.classifier.reset_counts();
-        if let Some(mmu) = &mut self.mmu {
-            mmu.tlb.reset_stats();
-        }
         self.memory_reads = 0;
         self.memory_writebacks = 0;
     }
@@ -727,121 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn mmu_identity_matches_no_mmu_on_l2() {
-        use crate::paging::{PageMapper, PagePolicy};
-        let config = HierarchyConfig::new(
-            CacheConfig::new(256, 32, 1).unwrap(),
-            CacheConfig::new(2048, 64, 2).unwrap(),
-        );
-        let mut plain = Hierarchy::new(config);
-        let mut mapped = Hierarchy::with_mmu(
-            config,
-            Mmu::new(PageMapper::new(PagePolicy::Identity, 4096), 8),
-        );
-        let mut state = 7u64;
-        let mut translations = 0u64;
-        for _ in 0..3000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let addr = (state >> 33) % 32768;
-            let access = Access::read(Addr::new(addr), 8);
-            plain.access(access);
-            mapped.access(access);
-            // One translation per 4 KiB page the 8-byte access touches.
-            translations += ((addr + 7) >> 12) - (addr >> 12) + 1;
-        }
-        assert_eq!(plain.l2_stats(), mapped.l2_stats());
-        assert_eq!(plain.tlb_stats().accesses, 0, "no MMU, no TLB traffic");
-        assert_eq!(mapped.tlb_stats().accesses, translations);
-        assert!(translations > 3000, "some accesses straddle pages");
-    }
-
-    #[test]
-    fn random_page_mapping_changes_l2_conflicts() {
-        use crate::paging::{PageMapper, PagePolicy};
-        // A pathological virtual stride: cache-sized strides all alias
-        // one set of a 512 KiB direct-mapped L2 (128 page colors at
-        // 4 KiB pages).
-        let config = HierarchyConfig::new(
-            CacheConfig::new(256, 32, 1).unwrap(),
-            CacheConfig::new(512 << 10, 64, 1).unwrap(),
-        );
-        let run = |mmu: Option<Mmu>| {
-            let mut h = match mmu {
-                Some(m) => Hierarchy::with_mmu(config, m),
-                None => Hierarchy::new(config),
-            };
-            for _round in 0..20 {
-                for i in 0..16u64 {
-                    h.access(Access::read(Addr::new(i * (512 << 10)), 8));
-                }
-            }
-            h.classes().conflict
-        };
-        let aliased = run(None);
-        let randomized = run(Some(Mmu::new(
-            PageMapper::new(PagePolicy::RandomSeeded(3), 4096),
-            64,
-        )));
-        // 16 lines cycling one set: heavy conflicts; random frames
-        // scatter them (Bershad et al.'s dynamic page recoloring
-        // argument, reference [8] of the paper).
-        assert!(aliased > 200, "expected alias storm, got {aliased}");
-        assert!(
-            randomized < aliased / 2,
-            "random mapping should break the alias storm: {randomized} vs {aliased}"
-        );
-    }
-
-    #[test]
-    fn tlb_counts_page_walks() {
-        use crate::paging::{PageMapper, PagePolicy};
-        let config = HierarchyConfig::new(
-            CacheConfig::new(256, 32, 1).unwrap(),
-            CacheConfig::new(2048, 64, 2).unwrap(),
-        );
-        let mut h = Hierarchy::with_mmu(
-            config,
-            Mmu::new(PageMapper::new(PagePolicy::Identity, 4096), 2),
-        );
-        // Walk 4 pages cyclically with a 2-entry TLB: all misses.
-        for _round in 0..5 {
-            for page in 0..4u64 {
-                h.access(Access::read(Addr::new(page * 4096), 8));
-            }
-        }
-        assert_eq!(h.tlb_stats().misses, 20);
-    }
-
-    #[test]
-    fn write_through_l1_propagates_every_write() {
-        use crate::WritePolicy;
-        let config = HierarchyConfig::new(
-            CacheConfig::new(256, 32, 1)
-                .unwrap()
-                .with_write_policy(WritePolicy::WriteThroughNoAllocate),
-            CacheConfig::new(2048, 64, 2).unwrap(),
-        );
-        let mut h = Hierarchy::new(config);
-        // Ten writes to the same address: each one reaches the L2.
-        for _ in 0..10 {
-            h.access(Access::write(Addr::new(0), 8));
-        }
-        assert_eq!(h.l2_stats().writes, 10);
-        // And none of them allocated in L1 (no read yet): all misses.
-        assert_eq!(h.l1_stats().misses(), 10);
-        // A write-back L1 sends only the eventual writeback.
-        let mut wb = Hierarchy::new(HierarchyConfig::new(
-            CacheConfig::new(256, 32, 1).unwrap(),
-            CacheConfig::new(2048, 64, 2).unwrap(),
-        ));
-        for _ in 0..10 {
-            wb.access(Access::write(Addr::new(0), 8));
-        }
-        assert_eq!(wb.l2_stats().writes, 0, "dirty line still resident");
-        assert_eq!(wb.l1_stats().misses(), 1);
-    }
-
-    #[test]
     fn three_level_hierarchy_classifies_the_last_level() {
         let config = HierarchyConfig::new3(
             CacheConfig::new(256, 32, 1).unwrap(),
@@ -918,30 +718,6 @@ mod tests {
             assert_eq!(h.l2_stats().misses(), 1, "fast {fast}");
             assert_eq!(h.classes().compulsory, 1);
         }
-    }
-
-    #[test]
-    fn page_straddling_access_walks_both_pages() {
-        use crate::paging::{PageMapper, PagePolicy};
-        let config = HierarchyConfig::new(
-            CacheConfig::new(256, 32, 1).unwrap(),
-            CacheConfig::new(2048, 64, 2).unwrap(),
-        );
-        let mut h = Hierarchy::with_mmu(
-            config,
-            Mmu::new(PageMapper::new(PagePolicy::Identity, 4096), 8),
-        );
-        // 16 bytes ending 8 into the second page: two translations.
-        h.access(Access::read(Addr::new(4096 - 8), 16));
-        assert_eq!(h.tlb_stats().accesses, 2);
-        assert_eq!(h.tlb_stats().misses, 2);
-        // Contained in one page: one translation.
-        h.access(Access::read(Addr::new(100), 8));
-        assert_eq!(h.tlb_stats().accesses, 3);
-        // Spanning three pages: three translations (two already mapped).
-        h.access(Access::read(Addr::new(4000), 2 * 4096));
-        assert_eq!(h.tlb_stats().accesses, 6);
-        assert_eq!(h.tlb_stats().misses, 3);
     }
 
     #[test]

@@ -50,7 +50,6 @@ mod config;
 mod hierarchy;
 mod lru;
 mod machine;
-mod paging;
 mod recency;
 mod report;
 mod shard;
@@ -60,10 +59,9 @@ mod topology;
 
 pub use cache::{Cache, CacheStats};
 pub use classify::{MissClass, MissClassCounts, MissClassifier};
-pub use config::{CacheConfig, CacheConfigError, WritePolicy};
-pub use hierarchy::{Hierarchy, HierarchyConfig, Mmu};
+pub use config::{CacheConfig, CacheConfigError};
+pub use hierarchy::{Hierarchy, HierarchyConfig};
 pub use machine::MachineModel;
-pub use paging::{PageMapper, PagePolicy, Tlb, TlbStats};
 pub use report::SimReport;
 pub use shard::{ShardPlan, ShardedSimSink};
 pub use sink::SimSink;

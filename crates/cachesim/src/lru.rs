@@ -1,13 +1,13 @@
 //! The fully-associative LRU model — the 3C classifier's capacity model
-//! and the TLB's entry set — and the reference it is tested against.
+//! — and the reference it is tested against.
 //!
 //! [`LruModel`] is the model: with the fast paths on (the default) it is
 //! the flat [`Recency`] table, one probe a touch; with them off it is
 //! the reference — a SipHash `HashSet` of keys seen and [`LruSet`], a
 //! hash index into a linked recency list, every touch updating both.
 //! The two share no lookup code, answer every touch identically, and
-//! convert into each other mid-stream. `MissClassifier` is this model
-//! plus its counts, `Tlb` this model plus its statistics.
+//! convert into each other mid-stream. `MissClassifier`, its one client,
+//! is this model plus its counts.
 
 use crate::recency::{Recency, Touch};
 use std::collections::{HashMap, HashSet};

@@ -1,8 +1,7 @@
 //! Models of the paper's two evaluation machines.
 
-use crate::paging::{PageMapper, PagePolicy};
 use crate::topology::{MachineTopology, TopologyLevel};
-use crate::{CacheConfig, CacheConfigError, Hierarchy, HierarchyConfig, Mmu, TimingModel};
+use crate::{CacheConfig, CacheConfigError, Hierarchy, HierarchyConfig, TimingModel};
 use std::fmt;
 
 /// A machine model: cache geometry plus the paper's crude timing
@@ -38,12 +37,6 @@ pub struct MachineModel {
     topology: Option<MachineTopology>,
     /// Per-thread fork+run overhead (paper Table 1), in nanoseconds.
     thread_overhead_ns: f64,
-    /// Fully-associative TLB entries (both MIPS parts: 64 dual entries).
-    tlb_entries: usize,
-    /// Cycles per TLB miss (software-refilled on MIPS).
-    tlb_miss_penalty_cycles: f64,
-    /// Virtual memory page size.
-    page_size: u64,
 }
 
 impl MachineModel {
@@ -66,9 +59,6 @@ impl MachineModel {
             ),
             topology: None,
             thread_overhead_ns: 1600.0,
-            tlb_entries: 64,
-            tlb_miss_penalty_cycles: 40.0,
-            page_size: 4096,
         }
     }
 
@@ -93,9 +83,6 @@ impl MachineModel {
             ),
             topology: None,
             thread_overhead_ns: 1090.0,
-            tlb_entries: 64,
-            tlb_miss_penalty_cycles: 40.0,
-            page_size: 4096,
         }
     }
 
@@ -119,9 +106,6 @@ impl MachineModel {
             ),
             topology: None,
             thread_overhead_ns: 30.0,
-            tlb_entries: 1536,
-            tlb_miss_penalty_cycles: 20.0,
-            page_size: 4096,
         }
     }
 
@@ -144,9 +128,6 @@ impl MachineModel {
             hierarchy,
             topology: None,
             thread_overhead_ns,
-            tlb_entries: 64,
-            tlb_miss_penalty_cycles: 40.0,
-            page_size: 4096,
         }
     }
 
@@ -178,9 +159,6 @@ impl MachineModel {
             ),
             topology: Some(topology),
             thread_overhead_ns: 30.0,
-            tlb_entries: 1536,
-            tlb_miss_penalty_cycles: 20.0,
-            page_size: 4096,
         }
     }
 
@@ -333,41 +311,14 @@ impl MachineModel {
 
     /// Creates a fresh, empty simulated hierarchy for this machine,
     /// with virtual indexing throughout (the paper's own methodology).
+    /// Its probe miss-latency histogram is armed with this machine's
+    /// Table 1 penalties (L1-miss cycles at this clock, plus the
+    /// L2-miss nanoseconds on a DRAM-reaching miss).
     pub fn hierarchy(&self) -> Hierarchy {
         let mut h = Hierarchy::new(self.hierarchy);
-        self.apply_probe_penalties(&mut h);
-        h
-    }
-
-    /// Arms the hierarchy's probe miss-latency histogram with this
-    /// machine's Table 1 penalties (L1-miss cycles at this clock, plus
-    /// the L2-miss nanoseconds on a DRAM-reaching miss).
-    fn apply_probe_penalties(&self, h: &mut Hierarchy) {
         let l1_ns = (self.l1_miss_penalty_cycles / self.clock_hz * 1e9).round() as u64;
         h.set_probe_penalties(l1_ns, self.l2_miss_penalty_ns.round() as u64);
-    }
-
-    /// Creates a hierarchy with virtual memory simulated: the machine's
-    /// TLB in front, and a physically-indexed L2 through the given page
-    /// mapping policy — the effect the paper flags as missing from its
-    /// own simulations (§6).
-    pub fn hierarchy_with_paging(&self, policy: PagePolicy) -> Hierarchy {
-        let mut h = Hierarchy::with_mmu(
-            self.hierarchy,
-            Mmu::new(PageMapper::new(policy, self.page_size), self.tlb_entries),
-        );
-        self.apply_probe_penalties(&mut h);
         h
-    }
-
-    /// Cycles charged per TLB miss by the timing model.
-    pub fn tlb_miss_penalty_cycles(&self) -> f64 {
-        self.tlb_miss_penalty_cycles
-    }
-
-    /// Virtual memory page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
     }
 
     /// The crude timing model for this machine.

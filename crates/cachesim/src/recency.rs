@@ -1,8 +1,7 @@
 //! The fully-associative LRU model with the fast paths on: the 3C
 //! classifier's two questions — *was this line ever referenced?* and
 //! *would a fully-associative LRU cache of the level's line count still
-//! hold it?* — and the TLB's one (*is this page's entry resident?*),
-//! answered by one probe of one flat table. [`LruModel`] holds either
+//! hold it?* — answered by one probe of one flat table. [`LruModel`] holds either
 //! this table or the reference it is tested against.
 //!
 //! [`LruModel`]: crate::lru::LruModel

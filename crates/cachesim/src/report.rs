@@ -1,6 +1,6 @@
 //! Aggregated simulation results in the paper's table format.
 
-use crate::{CacheStats, MachineModel, MissClassCounts, TimeBreakdown, TlbStats};
+use crate::{CacheStats, MachineModel, MissClassCounts, TimeBreakdown};
 use std::fmt;
 
 /// Everything the paper's cache-simulation tables (3, 5, 7, 9) report
@@ -21,8 +21,6 @@ pub struct SimReport {
     pub l3: Option<CacheStats>,
     /// 3C classification of L2 misses.
     pub classes: MissClassCounts,
-    /// TLB statistics (zero when no MMU is simulated).
-    pub tlb: TlbStats,
     /// Demand fetches that reached memory.
     pub memory_reads: u64,
     /// Dirty L2 lines written back to memory.
@@ -66,17 +64,13 @@ impl SimReport {
     /// Models execution time on `machine` using the paper's crude model,
     /// charging per-thread overhead at the machine's Table 1 value.
     pub fn time_on(&self, machine: &MachineModel) -> TimeBreakdown {
-        let timing = machine.timing();
-        let mut breakdown = timing.estimate_with_threads(
+        machine.timing().estimate_with_threads(
             self.instructions,
             self.l1.misses(),
             self.llc_misses(),
             self.threads,
             machine.thread_overhead_ns(),
-        );
-        breakdown.tlb_seconds =
-            timing.tlb_seconds(self.tlb.misses, machine.tlb_miss_penalty_cycles());
-        breakdown
+        )
     }
 }
 
@@ -126,7 +120,6 @@ mod tests {
                 conflict: 200,
             },
             l3: None,
-            tlb: TlbStats::default(),
             memory_reads: 4_500,
             memory_writebacks: 100,
             threads: 0,

@@ -152,23 +152,6 @@ mod tests {
         assert_eq!(sink.report().reads, 1);
     }
 
-    #[test]
-    fn mmu_forces_inline_mode_and_stays_identical() {
-        use crate::{Mmu, PageMapper, PagePolicy};
-        let config = HierarchyConfig::new(
-            CacheConfig::new(1 << 12, 32, 1).unwrap(),
-            CacheConfig::new(1 << 16, 128, 4).unwrap(),
-        );
-        let make = || {
-            Hierarchy::with_mmu(
-                config,
-                Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(5), 4096), 8),
-            )
-        };
-        assert_eq!(ShardedSimSink::new(make(), 8).plan().shards(), 1);
-        reports_match(make, 8, 11);
-    }
-
     /// More shards than a byte can index: still one shard, still equal.
     #[test]
     fn sharded_equals_unsharded_at_512_requested_shards() {

@@ -196,27 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn the_thread_package_region_goes_through_a_paged_hierarchy() {
-        use crate::PagePolicy;
-        // `PACKAGE_TRACE_BASE`, where the traced scheduler keeps its
-        // bins: page number 0x7_f000_0000, past the 28 bits the page
-        // policies mix and equal to page 0 within them.
-        let package = Addr::new(0x7f00_0000_0000);
-        for policy in [
-            PagePolicy::Identity,
-            PagePolicy::RandomSeeded(7),
-            PagePolicy::BinHopping,
-        ] {
-            let mut sim = SimSink::new(MachineModel::r8000().hierarchy_with_paging(policy));
-            sim.read(package, 8);
-            sim.read(Addr::new(0), 8);
-            let r = sim.finish();
-            assert_eq!(r.tlb.misses, 2, "{policy:?}");
-            assert_eq!(r.l2.misses(), 2, "{policy:?}: two pages, two frames");
-        }
-    }
-
-    #[test]
     fn batch_delivery_equals_element_wise() {
         let mut one = SimSink::new(MachineModel::r8000().hierarchy());
         let mut many = SimSink::new(MachineModel::r8000().hierarchy());

@@ -37,18 +37,12 @@ pub struct TimeBreakdown {
     pub l2_seconds: f64,
     /// Thread fork/run overhead.
     pub thread_seconds: f64,
-    /// Time stalled on TLB misses (zero unless an MMU was simulated).
-    pub tlb_seconds: f64,
 }
 
 impl TimeBreakdown {
     /// Total modeled seconds.
     pub fn total(&self) -> f64 {
-        self.instruction_seconds
-            + self.l1_seconds
-            + self.l2_seconds
-            + self.thread_seconds
-            + self.tlb_seconds
+        self.instruction_seconds + self.l1_seconds + self.l2_seconds + self.thread_seconds
     }
 }
 
@@ -56,13 +50,12 @@ impl fmt::Display for TimeBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:.2}s (instr {:.2}s + L1 {:.2}s + L2 {:.2}s + threads {:.2}s + TLB {:.2}s)",
+            "{:.2}s (instr {:.2}s + L1 {:.2}s + L2 {:.2}s + threads {:.2}s)",
             self.total(),
             self.instruction_seconds,
             self.l1_seconds,
             self.l2_seconds,
-            self.thread_seconds,
-            self.tlb_seconds
+            self.thread_seconds
         )
     }
 }
@@ -110,14 +103,7 @@ impl TimingModel {
             l1_seconds: l1_misses as f64 * self.l1_miss_penalty_cycles / self.clock_hz,
             l2_seconds: l2_misses as f64 * self.l2_miss_penalty_ns * 1e-9,
             thread_seconds: threads as f64 * thread_overhead_ns * 1e-9,
-            tlb_seconds: 0.0,
         }
-    }
-
-    /// Seconds stalled walking the page table for `tlb_misses` misses
-    /// at `penalty_cycles` each.
-    pub fn tlb_seconds(&self, tlb_misses: u64, penalty_cycles: f64) -> f64 {
-        tlb_misses as f64 * penalty_cycles / self.clock_hz
     }
 
     /// Seconds saved by eliminating the given miss counts — the paper's

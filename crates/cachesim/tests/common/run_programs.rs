@@ -1,6 +1,5 @@
 //! Generated reference programs with run records spliced between
-//! ordinary accesses, shared by `hierarchy_oracle.rs` and the workspace's
-//! `tests/fastpath_equivalence.rs` (which includes this file by path).
+//! ordinary accesses, for `hierarchy_oracle.rs`.
 
 use memtrace::{Access, AccessKind, Addr, Stream, StreamRun, TraceSink};
 use proptest::prelude::*;

@@ -3,9 +3,8 @@
 //! `tests/fastpath_equivalence.rs` compares the fast and slow paths
 //! with *each other*: a bug they share passes it. This file
 //! states the simulator's semantics a second time, as dumbly as
-//! possible — a `Vec`-LRU set-associative cache per level (write-back /
-//! write-allocate, or write-through / no-write-allocate at the L1),
-//! Hill & Smith's 3C classification over the last level's stream (a
+//! possible — a `Vec`-LRU set-associative cache per level (write-back,
+//! write-allocate), Hill & Smith's 3C classification over the last level's stream (a
 //! set of lines ever seen for *compulsory*, a fully-associative LRU of
 //! the same line count for *capacity*), memory reads and write-backs —
 //! and requires `SimSink` fast and slow to equal it field for field,
@@ -18,12 +17,9 @@
 //! and, expanded reference by reference, through `SimSink::access` and
 //! the oracle, which knows nothing of runs, epochs or lines that stay
 //! resident.
-//!
-//! With an MMU attached the TLB gets its own: a `Vec` of page numbers.
 
 use cachesim::{
-    CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, Mmu, PageMapper,
-    PagePolicy, SimReport, SimSink, TlbStats, WritePolicy,
+    CacheConfig, CacheStats, Hierarchy, HierarchyConfig, MissClassCounts, SimReport, SimSink,
 };
 use memtrace::{Access, AccessKind, Addr, TraceSink};
 use proptest::prelude::*;
@@ -31,7 +27,7 @@ use std::collections::HashSet;
 
 #[path = "common/run_programs.rs"]
 mod run_programs;
-use run_programs::{arb_program, feed, Delivery, Step};
+use run_programs::{arb_program, feed, Delivery};
 
 /// One set-associative level: each set is a list of `(line, dirty)` in
 /// recency order, least recently used first.
@@ -39,7 +35,6 @@ struct OracleCache {
     sets: Vec<Vec<(u64, bool)>>,
     assoc: usize,
     line_bytes: u64,
-    write_through: bool,
     stats: CacheStats,
 }
 
@@ -56,7 +51,6 @@ impl OracleCache {
             sets: vec![Vec::new(); config.sets() as usize],
             assoc: config.assoc() as usize,
             line_bytes: config.line(),
-            write_through: config.write_policy() == WritePolicy::WriteThroughNoAllocate,
             stats: CacheStats::default(),
         }
     }
@@ -67,12 +61,11 @@ impl OracleCache {
         } else {
             self.stats.reads += 1;
         }
-        let dirties = is_write && !self.write_through;
         let index = (line % self.sets.len() as u64) as usize;
         let set = &mut self.sets[index];
         if let Some(pos) = set.iter().position(|&(resident, _)| resident == line) {
             let (_, dirty) = set.remove(pos);
-            set.push((line, dirty || dirties));
+            set.push((line, dirty || is_write));
             return Outcome {
                 hit: true,
                 writeback: None,
@@ -83,13 +76,6 @@ impl OracleCache {
         } else {
             self.stats.read_misses += 1;
         }
-        if is_write && self.write_through {
-            // No write-allocate.
-            return Outcome {
-                hit: false,
-                writeback: None,
-            };
-        }
         let mut writeback = None;
         if set.len() == self.assoc {
             let (victim, dirty) = set.remove(0);
@@ -98,7 +84,7 @@ impl OracleCache {
                 writeback = Some(victim);
             }
         }
-        set.push((line, dirties));
+        set.push((line, is_write));
         Outcome {
             hit: false,
             writeback,
@@ -182,7 +168,7 @@ impl OracleHierarchy {
     /// causes below.
     fn reference(&mut self, depth: usize, line: u64, is_write: bool) {
         let level = &mut self.levels[depth];
-        let (line_bytes, propagate_write) = (level.line_bytes, is_write && level.write_through);
+        let line_bytes = level.line_bytes;
         let outcome = level.reference(line, is_write);
         if depth + 1 == self.levels.len() {
             self.classifier.reference(line, outcome.hit);
@@ -196,11 +182,7 @@ impl OracleHierarchy {
         }
         // Lines only grow going down: this many of ours make one below.
         let per_line_below = self.levels[depth + 1].line_bytes / line_bytes;
-        if propagate_write {
-            // Write-through: every write goes down; a write miss does
-            // not fetch.
-            self.reference(depth + 1, line / per_line_below, true);
-        } else if !outcome.hit {
+        if !outcome.hit {
             // Demand fetch (a read below, even for a write miss).
             self.reference(depth + 1, line / per_line_below, false);
         }
@@ -235,23 +217,20 @@ impl OracleHierarchy {
 
 /// Two- and three-level machines small enough that a few thousand
 /// references evict at every level, with lines that grow (or stay)
-/// going down and an L1 of either write policy.
+/// going down.
 fn arb_machine() -> impl Strategy<Value = HierarchyConfig> {
     (
-        (8u32..11, 4u32..6, 0u32..3, any::<bool>()),
+        (8u32..11, 4u32..6, 0u32..3),
         (10u32..13, 0u32..2, 0u32..4),
         prop_oneof![Just(None), (12u32..14, 0u32..2, 0u32..4).prop_map(Some)],
     )
         .prop_map(|(l1, l2, l3)| {
-            let (l1_size, l1_line, l1_assoc, write_through) = l1;
+            let (l1_size, l1_line, l1_assoc) = l1;
             let (l2_size, l2_line_up, l2_assoc) = l2;
             let level = |size: u32, line: u32, assoc: u32| {
                 CacheConfig::new(1 << size, 1 << line, 1 << assoc)
             };
-            let mut l1d = level(l1_size, l1_line, l1_assoc).expect("valid L1");
-            if write_through {
-                l1d = l1d.with_write_policy(WritePolicy::WriteThroughNoAllocate);
-            }
+            let l1d = level(l1_size, l1_line, l1_assoc).expect("valid L1");
             let l2_line = l1_line + l2_line_up;
             let l2 = level(l2_size, l2_line, l2_assoc).expect("valid L2");
             match l3 {
@@ -314,48 +293,6 @@ fn hit_heavy_phase(config: &HierarchyConfig, quarters: u64) -> Vec<Access> {
         .collect()
 }
 
-const PAGE: u64 = 4096;
-
-/// A fully-associative LRU TLB: the resident page numbers, least
-/// recently used first, and one translation per page an access touches.
-struct OracleTlb {
-    pages: Vec<u64>,
-    entries: usize,
-    stats: TlbStats,
-}
-
-impl TraceSink for OracleTlb {
-    fn access(&mut self, access: Access) {
-        let first = access.addr.raw() / PAGE;
-        let last = (access.addr.raw() + u64::from(access.size.max(1)) - 1) / PAGE;
-        for page in first..=last {
-            self.stats.accesses += 1;
-            if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-                self.pages.remove(pos);
-            } else {
-                self.stats.misses += 1;
-                if self.pages.len() == self.entries {
-                    self.pages.remove(0);
-                }
-            }
-            self.pages.push(page);
-        }
-    }
-
-    fn instructions(&mut self, _count: u64) {}
-}
-
-/// A read a page, cycling twice over one page fewer than the TLB holds,
-/// then over exactly as many, then over one more: every revisit at a
-/// reuse distance just under, at and past the capacity (all hits, all
-/// hits, all misses).
-fn page_revisits(entries: u64) -> impl Iterator<Item = Step> {
-    [entries - 1, entries, entries + 1]
-        .into_iter()
-        .flat_map(|pages| (0..2 * pages).map(move |i| i % pages * PAGE + 8 * (i % 7)))
-        .map(|addr| Step::Access(Access::read(Addr::new(addr), 8)))
-}
-
 proptest! {
     #[test]
     fn every_engine_path_equals_the_oracle(
@@ -404,41 +341,6 @@ proptest! {
             sim.set_fast_path(fast);
             feed(&program, delivery, &mut sim);
             prop_assert_eq!(sim.finish(), expected, "{:?}, fast paths {}", delivery, fast);
-        }
-    }
-
-    #[test]
-    fn with_an_mmu_the_tlb_equals_a_vec_of_pages(
-        config in arb_machine(),
-        program in arb_program(),
-        entries in prop_oneof![Just(8usize), Just(64), Just(1536)],
-        revisit_at in any::<usize>(),
-        toggle_at in any::<usize>(),
-    ) {
-        let mut program = program;
-        let revisit_at = revisit_at % (program.len() + 1);
-        program.splice(revisit_at..revisit_at, page_revisits(entries as u64));
-        let mut oracle = OracleHierarchy::new(config);
-        let mut tlb = OracleTlb { pages: Vec::new(), entries, stats: TlbStats::default() };
-        feed(&program, Delivery::Elements, &mut oracle);
-        feed(&program, Delivery::Elements, &mut tlb);
-        // Physical = virtual: the levels see what they see without an MMU.
-        let mut expected = oracle.finish();
-        expected.tlb = tlb.stats;
-        prop_assert!(expected.tlb.misses > entries as u64);
-
-        let (before, after) = program.split_at(toggle_at % (program.len() + 1));
-        for (fast_before, fast_after) in [(true, true), (false, false), (true, false), (false, true)] {
-            let mmu = Mmu::new(PageMapper::new(PagePolicy::Identity, PAGE), entries);
-            let mut sim = SimSink::new(Hierarchy::with_mmu(config, mmu));
-            sim.set_fast_path(fast_before);
-            feed(before, Delivery::Runs, &mut sim);
-            sim.set_fast_path(fast_after);
-            feed(after, Delivery::Runs, &mut sim);
-            prop_assert_eq!(
-                sim.finish(), expected,
-                "{} entries, fast paths {} then {}", entries, fast_before, fast_after
-            );
         }
     }
 }

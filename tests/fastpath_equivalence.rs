@@ -1,33 +1,23 @@
 //! Differential testing of the fast simulation paths: with the fast
 //! lookups enabled (same-line rehits, run records' L1-line epochs, the
-//! flat recency table under the classifier and the TLB) every
-//! [`SimReport`] field must be
-//! *bit-identical* to the exhaustive reference path, on every workload,
-//! with and without an MMU attached, and regardless of how accesses are
-//! batched on their way into the sink. The reports are a pure function
-//! of the reference stream; the fast paths may only change how quickly
-//! they are computed.
+//! flat recency table under the classifier) every [`SimReport`] field
+//! must be *bit-identical* to the exhaustive reference path, on every
+//! workload, and regardless of how accesses are batched on their way
+//! into the sink. The reports are a pure function of the reference
+//! stream; the fast paths may only change how quickly they are
+//! computed.
 //!
 //! And to *run records*: `SimSink::run` replays a record per L1-line
 //! epoch, and must leave the report its element-by-element expansion
-//! leaves — on generated records under an MMU (the leg the cache oracle,
-//! which has no TLB, cannot check) and on the matmul kernels that emit
-//! them.
+//! leaves on the matmul kernels that emit them. Generated records are
+//! checked against the cache oracle (`crates/cachesim/tests/hierarchy_oracle.rs`).
 
-use proptest::prelude::*;
 use thread_locality::apps::{matmul, nbody, pde, sor};
 use thread_locality::sched::SchedulerConfig;
 use thread_locality::sim::{
-    CacheConfig, Hierarchy, HierarchyConfig, MachineModel, Mmu, PageMapper, PagePolicy,
-    ShardedSimSink, SimReport, SimSink, WritePolicy,
+    CacheConfig, Hierarchy, HierarchyConfig, MachineModel, ShardedSimSink, SimReport, SimSink,
 };
 use thread_locality::trace::{Access, AccessKind, AddressSpace, SchedMark, TraceSink, VecSink};
-
-// The generator `cachesim/tests/hierarchy_oracle.rs` checks against its
-// oracle.
-#[path = "../crates/cachesim/tests/common/run_programs.rs"]
-mod run_programs;
-use run_programs::{arb_program, feed, Delivery};
 
 /// A machine small enough that the toy working sets below still
 /// overflow the caches (otherwise the fast paths would never face an
@@ -98,29 +88,6 @@ fn nbody_fast_equals_slow() {
     assert!(fast.classes.total() > 0, "classifier must have been hit");
 }
 
-#[test]
-fn fast_equals_slow_with_mmu_attached() {
-    // A scrambling page mapping plus a tiny TLB exercises the per-page
-    // translation walk and the TLB's LRU set in both modes.
-    let config = HierarchyConfig::new(
-        CacheConfig::new(1 << 12, 32, 1).unwrap(),
-        CacheConfig::new(1 << 16, 128, 4).unwrap(),
-    );
-    let run = |fast: bool| {
-        let mmu = Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(5), 4096), 8);
-        let mut sim = SimSink::new(Hierarchy::with_mmu(config, mmu));
-        sim.set_fast_path(fast);
-        let mut space = AddressSpace::new();
-        let mut data = matmul::MatMulData::new(&mut space, 40, 9);
-        matmul::interchanged(&mut data, &mut sim);
-        sim.finish()
-    };
-    let (fast, slow) = (run(true), run(false));
-    assert_eq!(fast, slow);
-    assert!(fast.tlb.accesses > 0, "the MMU must have been consulted");
-    assert!(fast.tlb.misses > 0, "an 8-entry TLB must thrash here");
-}
-
 /// `ShardedSimSink` is a `SimSink` under a one-shard plan: on a kernel
 /// that emits run records and schedule marks (threaded matmul) and on
 /// one that emits elements (threaded PDE), its report and its probe
@@ -186,32 +153,6 @@ fn batched_delivery_equals_element_wise_on_a_real_trace() {
 // Run records ≡ their expansion.
 // ---------------------------------------------------------------------
 
-proptest! {
-    /// Under a scrambling page mapping and an 8-entry TLB every
-    /// reference of a record must reach the TLB, so `run` has to expand:
-    /// the report — `tlb` counters included — is the element-wise one,
-    /// fast paths on or off.
-    #[test]
-    fn run_records_under_an_mmu_equal_their_expansion(program in arb_program()) {
-        let config = HierarchyConfig::new(
-            CacheConfig::new(1 << 12, 32, 1).unwrap(),
-            CacheConfig::new(1 << 16, 128, 4).unwrap(),
-        );
-        let report = |delivery: Delivery, fast: bool| {
-            let mmu = Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(5), 4096), 8);
-            let mut sim = SimSink::new(Hierarchy::with_mmu(config, mmu));
-            sim.set_fast_path(fast);
-            feed(&program, delivery, &mut sim);
-            sim.finish()
-        };
-        let expected = report(Delivery::Elements, false);
-        prop_assert!(expected.tlb.misses > 0, "the TLB must have been exercised");
-        prop_assert_eq!(report(Delivery::Elements, true), expected);
-        prop_assert_eq!(report(Delivery::Runs, true), expected);
-        prop_assert_eq!(report(Delivery::Runs, false), expected);
-    }
-}
-
 /// A sink that forwards everything but `run`, which it leaves to the
 /// trait's default: the inner sink sees a kernel's records expanded.
 struct Expanded<S>(S);
@@ -266,39 +207,17 @@ fn run_equals_expansion(hierarchy: &dyn Fn() -> Hierarchy, n: usize, kernel: usi
 
 #[test]
 fn matmul_run_records_equal_their_expansion_on_every_kind_of_machine() {
-    let write_through = || {
-        let l1 = CacheConfig::new(1 << 10, 32, 1)
-            .unwrap()
-            .with_write_policy(WritePolicy::WriteThroughNoAllocate);
-        Hierarchy::new(HierarchyConfig::new(
-            l1,
-            CacheConfig::new(1 << 15, 128, 4).unwrap(),
-        ))
-    };
-    let with_mmu = || {
-        let config = HierarchyConfig::new(
-            CacheConfig::new(1 << 12, 32, 1).unwrap(),
-            CacheConfig::new(1 << 16, 128, 4).unwrap(),
-        );
-        let mmu = Mmu::new(PageMapper::new(PagePolicy::RandomSeeded(5), 4096), 8);
-        Hierarchy::with_mmu(config, mmu)
-    };
     let r10000 = MachineModel::r10000()
         .scaled_split(1.0 / 16.0, 1.0 / 64.0)
         .expect("valid scaled machine");
-    // The scheduler's package memory sits at 0x7f00_0000_0000, outside
-    // the page mapper's 28-bit frame space: under an MMU, the two
-    // unthreaded kernels only.
-    let machines: [(&str, &dyn Fn() -> Hierarchy, usize); 4] = [
-        ("scaled r8000", &|| machine().hierarchy(), 3),
-        ("scaled r10000, 2-way L1", &|| r10000.hierarchy(), 3),
-        ("write-through L1", &write_through, 3),
-        ("mmu attached", &with_mmu, 2),
+    let machines: [(&str, &dyn Fn() -> Hierarchy); 2] = [
+        ("scaled r8000", &|| machine().hierarchy()),
+        ("scaled r10000, 2-way L1", &|| r10000.hierarchy()),
     ];
-    for (name, hierarchy, kernels) in machines {
+    for (name, hierarchy) in machines {
         // 33 is odd: the dot product's tail iteration runs.
         for n in [40, 33] {
-            for kernel in 0..kernels {
+            for kernel in 0..3 {
                 let report = run_equals_expansion(hierarchy, n, kernel);
                 assert!(report.l1.misses() > 0, "{name}: the L1 must overflow");
             }
