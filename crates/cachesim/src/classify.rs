@@ -3,9 +3,9 @@
 //! The classifier asks two things of every reference the classified
 //! level sees: has the line been referenced before, and would a
 //! fully-associative LRU cache of the level's line count still hold
-//! it. [`LruModel`] answers both in one touch — the flat table with the
-//! fast paths on, the reference model with them off, which is what the
-//! differential suites and the repository benchmark's checks
+//! it. [`LruModel`] answers both in one touch — the chunked table with
+//! the fast paths on, the reference model with them off, which is what
+//! the differential suites and the repository benchmark's checks
 //! (`benchmark/`) compare the table against. The classifier is that
 //! model plus its counts.
 
@@ -108,7 +108,7 @@ impl MissClassifier {
         }
     }
 
-    /// Switches between the flat recency table (fast paths on, the
+    /// Switches between the chunked recency table (fast paths on, the
     /// default) and the reference model (off). Classification is
     /// bit-identical in both, and across a switch mid-stream.
     pub(crate) fn set_fast_path(&mut self, fast: bool) {
@@ -135,8 +135,8 @@ impl MissClassifier {
         class
     }
 
-    /// Lengths of the recency table and its ring, in entries (`None`
-    /// with the fast paths off).
+    /// Lengths of the recency table's stamps and its ring, in entries
+    /// (`None` with the fast paths off).
     #[cfg(test)]
     pub(crate) fn table_lens(&self) -> Option<(usize, usize)> {
         self.model.table_lens()
@@ -273,7 +273,8 @@ mod tests {
     fn fast_and_slow_classifiers_agree_class_by_class() {
         // The table against the reference model: small enough that
         // every touch evicts, and large enough (with ten times the keys)
-        // that the table doubles and the ring compacts many times over.
+        // that chunks pile up, the directory doubles and the ring
+        // compacts many times over.
         check_agreement(8, 24, 20_000, 0);
         check_agreement(64, 640, 200_000, 0);
     }

@@ -213,7 +213,7 @@ impl Hierarchy {
 
     /// Enables or disables the fast lookup paths: each level's
     /// same-line short-circuit, the run records' L1-line epochs, and
-    /// the flat recency table under the classifier. Off, every
+    /// the chunked recency table under the classifier. Off, every
     /// reference is looked up in its set — the lookup itself is the
     /// same either way — and the classifier runs its hash-set-and-list
     /// reference model. The hierarchy owns the knob

@@ -2,9 +2,10 @@
 //! — and the reference it is tested against.
 //!
 //! [`LruModel`] is the model: with the fast paths on (the default) it is
-//! the flat [`Recency`] table, one probe a touch; with them off it is
-//! the reference — a SipHash `HashSet` of keys seen and [`LruSet`], a
-//! hash index into a linked recency list, every touch updating both.
+//! the chunked [`Recency`] table, one directory probe and one stamp
+//! load a touch; with them off it is the reference — a SipHash
+//! `HashSet` of keys seen and [`LruSet`], a hash index into a linked
+//! recency list, every touch updating both.
 //! The two share no lookup code, answer every touch identically, and
 //! convert into each other mid-stream. `MissClassifier`, its one client,
 //! is this model plus its counts.
@@ -96,8 +97,8 @@ impl LruModel {
         }
     }
 
-    /// Lengths of the table and its ring, in entries (`None` with the
-    /// fast paths off).
+    /// Lengths of the table's stamps and its ring, in entries (`None`
+    /// with the fast paths off).
     #[cfg(test)]
     pub(crate) fn table_lens(&self) -> Option<(usize, usize)> {
         match &self.state {

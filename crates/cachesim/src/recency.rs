@@ -1,20 +1,27 @@
 //! The fully-associative LRU model with the fast paths on: the 3C
 //! classifier's two questions — *was this line ever referenced?* and
 //! *would a fully-associative LRU cache of the level's line count still
-//! hold it?* — answered by one probe of one flat table. [`LruModel`] holds either
-//! this table or the reference it is tested against.
+//! hold it?* — answered by one directory probe and one stamp load.
+//! [`LruModel`] holds either this table or the reference it is tested
+//! against.
 //!
 //! [`LruModel`]: crate::lru::LruModel
 //!
 //! Two structures, two invariants:
 //!
-//! * **The table** (`lines`, `stamps`; open addressing, one Fibonacci
-//!   multiply, linear probing) is append-only: a slot, once occupied,
-//!   keeps its line for ever. A line has been *seen* iff it occupies a
-//!   slot, and it is *resident* in the LRU model iff its slot's stamp —
-//!   the position of its latest touch — is at or past `tail`. Nothing
-//!   is ever deleted, so there are no tombstones and no rehash except
-//!   the doubling.
+//! * **The table** is two-level, like a page table. Stamps live in
+//!   *chunks* of [`CHUNK`] consecutive lines — one chunk's `u32`s fill
+//!   one 64-byte host cache line — appended to `stamps` in creation
+//!   order, so the lines a scan touches together sit together. Line
+//!   `l`'s chunk has key `l >> 4`; a small open-addressed directory
+//!   (one Fibonacci multiply, linear probing) maps the key to the
+//!   chunk's index `c`, and `l`'s slot is `c * 16 + (l & 15)`. The
+//!   table is append-only: a chunk, once created, keeps its lines and
+//!   its place for ever, so a slot number never changes and a doubling
+//!   re-enters only the directory. A line has been *seen* iff its
+//!   slot's stamp is not `EMPTY`, and it is *resident* in the LRU model
+//!   iff that stamp — the position of its latest touch — is at or past
+//!   `tail`. Nothing is ever deleted, so there are no tombstones.
 //! * **The ring** holds the slot touched at each position from `tail`
 //!   to `head`, oldest first. A record is *live* iff its slot's stamp
 //!   still names that record's position; a later touch of the same line
@@ -26,6 +33,16 @@
 //! [`Recency::touch`] therefore reports, in one probe, what the
 //! reference model ([`LruSet`](crate::lru::LruSet) plus a `HashSet`)
 //! needs list surgery and up to four hash operations for.
+//!
+//! Memory: a dense run of lines costs about 6 B a line (its stamp,
+//! plus a sixteenth of a key and a directory entry). The worst case is
+//! one line per chunk: about 64 B of stamps per isolated line, 90–110 B
+//! with its key and directory entry, against 14–27 B in a table of one
+//! slot per line.
+//!
+//! There is deliberately no memo of the last chunk probed: on a stream
+//! that alternates between two chunks (matmul's two column streams)
+//! its branch would mispredict on every touch.
 
 /// Stamp of a slot no line occupies.
 const EMPTY: u32 = 0;
@@ -35,12 +52,17 @@ const EVICTED: u32 = 1;
 /// The first position ever handed out; `tail` never goes below it.
 const FIRST: u32 = 2;
 
+/// Lines per chunk: sixteen `u32` stamps are one 64-byte host line.
+const CHUNK: usize = 16;
+/// `log2(CHUNK)`: a line's chunk key is `line >> CHUNK_BITS`.
+const CHUNK_BITS: u32 = CHUNK.trailing_zeros();
+
 /// 2⁶⁴ / φ: the multiplier of Fibonacci hashing.
 const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Table length of a new set: what a set costs before any line
-/// arrives is 192 bytes.
-const MIN_SLOTS: usize = 16;
+/// Directory length of a new set: what a set costs before any line
+/// arrives is 128 bytes.
+const MIN_DIR: usize = 8;
 /// Ring length at a set's first touch.
 const MIN_RING: usize = 16;
 
@@ -72,13 +94,16 @@ pub(crate) enum Touch {
 /// ever held. See the module documentation.
 #[derive(Clone, Debug)]
 pub(crate) struct Recency {
-    /// The line in each slot (meaningful where `stamps` is not `EMPTY`).
-    lines: Vec<u64>,
-    /// Position of each slot's latest touch, `EMPTY` or `EVICTED`.
+    /// Position of each slot's latest touch, `EMPTY` or `EVICTED`;
+    /// chunk `c` owns `stamps[c * CHUNK..(c + 1) * CHUNK]`.
     stamps: Vec<u32>,
-    /// `64 - log2(lines.len())`: a hash's top bits are its home slot.
+    /// The key (`line >> CHUNK_BITS`) of each chunk, by chunk index.
+    keys: Vec<u64>,
+    /// Open-addressed `(key, chunk index + 1)` pairs; a second half of
+    /// 0 marks a vacant entry. Doubled at 7/8 full.
+    dir: Vec<(u64, u32)>,
+    /// `64 - log2(dir.len())`: a hash's top bits are its home entry.
     shift: u32,
-    occupied: usize,
     /// Slot touched at position `p`, at index `p % ring.len()` (a power
     /// of two), for `p` in `tail..head`.
     ring: Vec<u32>,
@@ -93,8 +118,9 @@ pub(crate) struct Recency {
 
 impl Recency {
     /// Creates an empty set holding at most `capacity` resident lines.
-    /// The table starts at its minimum size and the ring unallocated,
-    /// whatever the capacity: both grow with the lines that arrive.
+    /// The directory starts at its minimum size, the stamps and the
+    /// ring unallocated, whatever the capacity: all three grow with the
+    /// lines that arrive.
     ///
     /// # Panics
     ///
@@ -105,10 +131,10 @@ impl Recency {
             "LRU capacity {capacity} is not between 1 and {MAX_CAPACITY}"
         );
         Recency {
-            lines: vec![0; MIN_SLOTS],
-            stamps: vec![EMPTY; MIN_SLOTS],
-            shift: 64 - MIN_SLOTS.trailing_zeros(),
-            occupied: 0,
+            stamps: Vec::new(),
+            keys: Vec::new(),
+            dir: vec![(0, 0); MIN_DIR],
+            shift: 64 - MIN_DIR.trailing_zeros(),
             ring: Vec::new(),
             tail: FIRST,
             head: FIRST,
@@ -139,9 +165,9 @@ impl Recency {
         if line == self.last_line && self.live != 0 {
             return Touch::Hit;
         }
-        let (mut slot, stamp) = self.probe(line);
+        let slot = self.slot(line);
+        let stamp = self.stamps[slot];
         let touch = if stamp == EMPTY {
-            slot = self.claim(line, slot);
             Touch::First
         } else if stamp >= self.tail {
             Touch::Hit
@@ -164,17 +190,18 @@ impl Recency {
     /// table it enters as an evicted line. For rebuilding a set from
     /// another model's state.
     pub(crate) fn note_seen(&mut self, line: u64) {
-        let (slot, stamp) = self.probe(line);
-        if stamp == EMPTY {
-            let slot = self.claim(line, slot);
+        let slot = self.slot(line);
+        if self.stamps[slot] == EMPTY {
             self.stamps[slot] = EVICTED;
         }
     }
 
     /// Every line ever touched, in no particular order.
     pub(crate) fn seen(&self) -> impl Iterator<Item = u64> + '_ {
-        let slots = self.lines.iter().zip(&self.stamps);
-        slots.filter_map(|(&line, &stamp)| (stamp != EMPTY).then_some(line))
+        let slots = self.stamps.iter().enumerate();
+        slots
+            .filter(|&(_, &stamp)| stamp != EMPTY)
+            .map(|(slot, _)| self.line_of(slot))
     }
 
     /// The resident lines, least recently used first.
@@ -182,74 +209,82 @@ impl Recency {
         let mask = self.ring.len().wrapping_sub(1);
         (self.tail..self.head).filter_map(move |position| {
             let slot = self.ring[position as usize & mask] as usize;
-            (self.stamps[slot] == position).then(|| self.lines[slot])
+            (self.stamps[slot] == position).then(|| self.line_of(slot))
         })
     }
 
-    /// Length of the table and of the ring, in entries.
+    /// Length of the stamps and of the ring, in entries.
     #[cfg(test)]
     pub(crate) fn lens(&self) -> (usize, usize) {
-        (self.lines.len(), self.ring.len())
+        (self.stamps.len(), self.ring.len())
     }
 
-    /// The slot holding `line` and its stamp, or the vacant slot where
-    /// `line` would go and `EMPTY`.
+    /// The slot of `line`, creating its chunk if it has none.
     #[inline]
-    fn probe(&self, line: u64) -> (usize, u32) {
-        let mask = self.lines.len() - 1;
-        let mut slot = (line.wrapping_mul(FIBONACCI) >> self.shift) as usize;
+    fn slot(&mut self, line: u64) -> usize {
+        let key = line >> CHUNK_BITS;
+        let chunk = match self.chunk(key) {
+            Ok(chunk) => chunk,
+            Err(entry) => self.add_chunk(key, entry),
+        };
+        chunk * CHUNK + (line as usize & (CHUNK - 1))
+    }
+
+    /// The line in `slot`: its chunk's key, then its offset in the
+    /// chunk.
+    fn line_of(&self, slot: usize) -> u64 {
+        (self.keys[slot / CHUNK] << CHUNK_BITS) | (slot % CHUNK) as u64
+    }
+
+    /// The index of the chunk with `key`, or the vacant directory entry
+    /// where it would go.
+    #[inline]
+    fn chunk(&self, key: u64) -> Result<usize, usize> {
+        let mask = self.dir.len() - 1;
+        let mut entry = (key.wrapping_mul(FIBONACCI) >> self.shift) as usize;
         loop {
-            let stamp = self.stamps[slot];
-            if stamp == EMPTY || self.lines[slot] == line {
-                return (slot, stamp);
+            match self.dir[entry] {
+                (_, 0) => return Err(entry),
+                (found, index) if found == key => return Ok(index as usize - 1),
+                _ => entry = (entry + 1) & mask,
             }
-            slot = (slot + 1) & mask;
         }
     }
 
-    /// Occupies the vacant `slot` [`probe`](Self::probe) found for
-    /// `line` — or, if that would fill the table past 7/8, doubles the
-    /// table first and occupies the slot `line` probes to there. The
-    /// caller stamps the slot it gets back.
-    fn claim(&mut self, line: u64, mut slot: usize) -> usize {
-        if (self.occupied + 1) * 8 > self.lines.len() * 7 {
-            self.grow();
-            slot = self.probe(line).0;
-        }
-        self.lines[slot] = line;
-        self.occupied += 1;
-        slot
-    }
-
-    /// Doubles the table and re-points the live ring records at their
-    /// lines' new slots. Dead records keep a stale slot number: it is in
-    /// bounds, and no slot's stamp names a dead record's position, so
-    /// they stay dead.
+    /// Gives `key` the next chunk — `CHUNK` slots appended, all
+    /// `EMPTY` — and enters it at the vacant directory `entry`
+    /// [`chunk`](Self::chunk) found, or, if that would fill the
+    /// directory past 7/8, doubles the directory instead, which enters
+    /// every chunk anew.
     ///
     /// # Panics
     ///
-    /// Panics if the table would have more than 2³² slots. Memory runs
-    /// out first: the table doubles at 7/8 full, so asking for the
-    /// 2³³-slot one takes 3.7 billion distinct lines in a 2³²-slot
-    /// table — 48 GiB, built while its 24 GiB predecessor was still
-    /// allocated.
+    /// Panics if the table would have more than 2³² slots (see
+    /// [`chunk_end`]).
     #[cold]
-    fn grow(&mut self) {
-        let slots = grown_slots(self.lines.len()).unwrap_or_else(|limit| panic!("{limit}"));
-        let lines = std::mem::replace(&mut self.lines, vec![0; slots]);
-        let stamps = std::mem::replace(&mut self.stamps, vec![EMPTY; slots]);
+    fn add_chunk(&mut self, key: u64, entry: usize) -> usize {
+        let chunk = self.keys.len();
+        let end = chunk_end(chunk).unwrap_or_else(|why| panic!("{why}"));
+        self.stamps.resize(end, EMPTY);
+        self.keys.push(key);
+        if self.keys.len() * 8 > self.dir.len() * 7 {
+            self.grow_dir();
+        } else {
+            self.dir[entry] = (key, chunk as u32 + 1);
+        }
+        chunk
+    }
+
+    /// Doubles the directory and enters every chunk in it again. The
+    /// chunks stay where they are, so no slot number changes and no
+    /// ring record needs re-pointing.
+    #[cold]
+    fn grow_dir(&mut self) {
+        self.dir = vec![(0, 0); self.dir.len() * 2];
         self.shift -= 1;
-        let ring_mask = self.ring.len().wrapping_sub(1);
-        for (line, stamp) in lines.into_iter().zip(stamps) {
-            if stamp == EMPTY {
-                continue;
-            }
-            let slot = self.probe(line).0;
-            self.lines[slot] = line;
-            self.stamps[slot] = stamp;
-            if stamp >= self.tail {
-                self.ring[stamp as usize & ring_mask] = slot as u32;
-            }
+        for (chunk, &key) in self.keys.iter().enumerate() {
+            let entry = self.chunk(key).expect_err("chunk keys are distinct");
+            self.dir[entry] = (key, chunk as u32 + 1);
         }
     }
 
@@ -347,14 +382,18 @@ impl Recency {
     }
 }
 
-/// The table length after one doubling of `slots`, or the sentence that
-/// says why there is none.
-fn grown_slots(slots: usize) -> Result<usize, String> {
-    match slots.checked_mul(2) {
-        Some(doubled) if doubled as u64 <= MAX_SLOTS => Ok(doubled),
+/// The end of chunk `chunk`'s slots in `stamps`, or the sentence that
+/// says why there is no such chunk. Memory runs out first: the last
+/// chunk allowed is the 2²⁸th, whose stamps alone take 16 GiB.
+fn chunk_end(chunk: usize) -> Result<usize, String> {
+    match chunk
+        .checked_add(1)
+        .and_then(|chunks| chunks.checked_mul(CHUNK))
+    {
+        Some(end) if end as u64 <= MAX_SLOTS => Ok(end),
         _ => Err(format!(
-            "the 3C classifier's line table has {slots} slots and cannot double: \
-             a slot number must fit in 32 bits ({MAX_SLOTS} slots at most)"
+            "the 3C classifier's line table has {chunk} chunks of {CHUNK} lines and \
+             cannot add one: a slot number must fit in 32 bits ({MAX_SLOTS} slots at most)"
         )),
     }
 }
@@ -426,7 +465,7 @@ pub(crate) mod tests {
             "resident lines, least recently used first"
         );
         assert_eq!(recency.seen().collect::<HashSet<_>>(), oracle.seen);
-        assert_eq!(recency.occupied, oracle.seen.len());
+        assert_eq!(recency.seen().count(), oracle.seen.len());
         assert_eq!(recency.live as usize, oracle.recency.len());
     }
 
@@ -510,26 +549,85 @@ pub(crate) mod tests {
         let mut oracle = Oracle::new(capacity);
         let mut state = 0x9E37_79B9u64;
         let mut fresh = 0u64;
-        let slots_at_start = recency.lens().0;
         // Each step touches a new line or re-touches one of the last 40,
-        // so the ring holds live and dead records whenever the table
+        // so the ring holds live and dead records whenever the directory
         // doubles, and the lines evicted before a doubling are asked
-        // about after it.
+        // about after it. Every third line is new, so the chunks — and
+        // the directory — grow with them.
         drive(&mut recency, &mut oracle, 6000, |_| {
             let r = xorshift(&mut state);
             if r.is_multiple_of(8) {
                 fresh += 1;
-                fresh
+                3 * fresh
             } else {
-                fresh.saturating_sub(r % 40)
+                3 * fresh.saturating_sub(r % 40)
             }
         });
-        let doublings = (recency.lens().0 / slots_at_start).trailing_zeros();
-        assert!(doublings >= 3, "only {doublings} doublings");
+        let doublings = (recency.dir.len() / MIN_DIR).trailing_zeros();
+        assert!(doublings >= 3, "only {doublings} directory doublings");
         // Every line ever touched is still known, across every doubling.
         for line in 0..=fresh {
-            assert_ne!(recency.touch(line), Touch::First, "line {line}");
+            assert_ne!(recency.touch(3 * line), Touch::First, "line {}", 3 * line);
         }
+    }
+
+    #[test]
+    fn lines_on_both_sides_of_chunk_boundaries_and_at_the_ends_of_the_range() {
+        let mut lines = vec![0, u64::MAX, u64::MAX - 15];
+        for k in [1, 2, 3, 1000, 1 << 40, u64::MAX >> CHUNK_BITS] {
+            lines.extend([16 * k - 1, 16 * k]);
+        }
+        // u64::MAX - 15 is 16 * (u64::MAX >> 4): already in.
+        lines.sort_unstable();
+        lines.dedup();
+        let capacity = 5;
+        let mut recency = Recency::new(capacity);
+        let mut oracle = Oracle::new(capacity);
+        let mut state = 0xC0FF_EE00u64;
+        drive(&mut recency, &mut oracle, 4000, |_| {
+            lines[(xorshift(&mut state) % lines.len() as u64) as usize]
+        });
+        assert_eq!(recency.seen().count(), lines.len());
+    }
+
+    #[test]
+    fn dense_runs_mixed_with_isolated_lines_one_per_chunk() {
+        let capacity = 64;
+        let mut recency = Recency::new(capacity);
+        let mut oracle = Oracle::new(capacity);
+        let mut state = 0xABCD_EF01u64;
+        // A third of the touches go to 300 isolated lines, each alone
+        // in its chunk; the rest to a window sliding over 4000
+        // consecutive lines.
+        drive(&mut recency, &mut oracle, 20_000, |step| {
+            let r = xorshift(&mut state);
+            if r.is_multiple_of(3) {
+                let i = (r >> 8) % 300;
+                (((1 << 40) + i) << CHUNK_BITS) | (i % CHUNK as u64)
+            } else {
+                (step as u64 / 4 + (r >> 8) % 48) % 4000
+            }
+        });
+        assert_eq!(recency.keys.len(), 300 + 4000 / CHUNK);
+    }
+
+    #[test]
+    fn consecutive_lines_share_chunks_and_isolated_lines_pay_one_each() {
+        // 2^16 consecutive lines: 2^12 full chunks, whose 2^12 keys
+        // leave a 2^13-entry directory half full.
+        let mut dense = Recency::new(1024);
+        for line in 0..1 << 16 {
+            dense.touch(line);
+        }
+        assert_eq!(dense.stamps.len(), 1 << 16);
+        assert!(dense.dir.len() <= 1 << 13, "{} entries", dense.dir.len());
+        // 2^12 lines one per chunk: the same stamps for 1/16 the lines.
+        let mut sparse = Recency::new(1024);
+        for chunk in 0..1u64 << 12 {
+            sparse.touch((chunk << CHUNK_BITS) | (chunk % CHUNK as u64));
+        }
+        assert_eq!(sparse.stamps.len(), 1 << 16);
+        assert_eq!(sparse.seen().count(), 1 << 12);
     }
 
     #[test]
@@ -558,13 +656,14 @@ pub(crate) mod tests {
         for step in 0..100_000u64 {
             r.touch(step % 10);
         }
-        assert_eq!(r.lens(), (MIN_SLOTS, 64));
+        assert_eq!(r.lens(), (CHUNK, 64));
     }
 
     #[test]
     fn nothing_is_sized_by_the_capacity() {
         let r = Recency::new(MAX_CAPACITY);
-        assert_eq!(r.lens(), (MIN_SLOTS, 0));
+        assert_eq!(r.lens(), (0, 0));
+        assert_eq!(r.dir.len(), MIN_DIR);
     }
 
     #[test]
@@ -597,14 +696,16 @@ pub(crate) mod tests {
 
     #[test]
     fn the_slot_limit_is_a_sentence_not_a_wrap() {
-        assert_eq!(grown_slots(16), Ok(32));
+        assert_eq!(chunk_end(0), Ok(CHUNK));
+        assert_eq!(chunk_end(1), Ok(2 * CHUNK));
         #[cfg(target_pointer_width = "64")]
         {
-            assert_eq!(grown_slots(1 << 31), Ok(1 << 32));
-            let why = grown_slots(1 << 32).unwrap_err();
+            assert_eq!(chunk_end((1 << 28) - 1), Ok(1 << 32));
+            let why = chunk_end(1 << 28).unwrap_err();
             assert!(why.contains("4294967296 slots at most"), "{why}");
         }
-        assert!(grown_slots(usize::MAX / 2 + 1).is_err());
+        assert!(chunk_end(usize::MAX / CHUNK).is_err());
+        assert!(chunk_end(usize::MAX).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential testing of the fast simulation paths: with the fast
 //! lookups enabled (same-line rehits, run records' L1-line epochs, the
-//! flat recency table under the classifier) every [`SimReport`] field
+//! chunked recency table under the classifier) every [`SimReport`] field
 //! must be *bit-identical* to the exhaustive reference path, on every
 //! workload, and regardless of how accesses are batched on their way
 //! into the sink. The reports are a pure function of the reference
