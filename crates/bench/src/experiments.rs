@@ -675,7 +675,7 @@ pub enum Binning {
     Flat,
     /// L1-sized sub-bins nested in L2-sized bins.
     Hierarchical,
-    /// One nesting level per level of the machine's topology tree.
+    /// One nesting level per locality level of the machine.
     Topology,
 }
 

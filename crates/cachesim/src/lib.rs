@@ -55,7 +55,6 @@ mod report;
 mod shard;
 mod sink;
 mod timing;
-mod topology;
 
 pub use cache::{Cache, CacheStats};
 pub use classify::{MissClass, MissClassCounts, MissClassifier};
@@ -66,4 +65,59 @@ pub use report::SimReport;
 pub use shard::{ShardPlan, ShardedSimSink};
 pub use sink::SimSink;
 pub use timing::{TimeBreakdown, TimingModel};
-pub use topology::{MachineTopology, TopologyLevel, MAX_TOPOLOGY_LEVELS};
+
+/// The machine's locality topology is its capacity ladder,
+/// [`MachineModel::capacities`]: these tests pin how that ladder is
+/// read off a hierarchy, clamped into strict order and scaled.
+#[cfg(test)]
+mod topology {
+    mod tests {
+        use crate::{CacheConfig, HierarchyConfig, MachineModel};
+
+        #[test]
+        fn valid_tree_round_trips() {
+            let numa2 = MachineModel::numa2();
+            let caps = numa2.capacities();
+            assert_eq!(caps, vec![32 << 10, 256 << 10, 8 << 20, 64 << 20]);
+            // An identity scaling keeps every level where it was.
+            assert_eq!(numa2.scaled(1.0).unwrap().capacities(), caps);
+            let modern = MachineModel::modern();
+            assert_eq!(
+                modern.scaled(1.0).unwrap().capacities(),
+                modern.capacities()
+            );
+        }
+
+        #[test]
+        fn clamping_restores_strict_order() {
+            // L1 as large as L2: the clamp halves it under L2.
+            let m = MachineModel::custom(
+                "flat",
+                1e9,
+                1.0,
+                1.0,
+                1.0,
+                HierarchyConfig::new(
+                    CacheConfig::new(1 << 20, 64, 1).unwrap(),
+                    CacheConfig::new(1 << 20, 64, 1).unwrap(),
+                ),
+                1.0,
+            );
+            assert_eq!(m.capacities(), vec![1 << 19, 1 << 20]);
+        }
+
+        #[test]
+        fn scaling_scales_and_clamps() {
+            // The L2 and L3 shrink 32x; the unscaled L1 is clamped under
+            // the shrunken L2.
+            let m = MachineModel::modern()
+                .scaled_split(1.0, 1.0 / 32.0)
+                .unwrap();
+            assert_eq!(m.capacities(), vec![8 << 10, 16 << 10, 1 << 20]);
+            assert!(
+                MachineModel::numa2().scaled_split(1e-6, 1e-6).is_err(),
+                "degenerate scale"
+            );
+        }
+    }
+}

@@ -1,6 +1,6 @@
 //! Models of the paper's two evaluation machines.
 
-use crate::topology::{MachineTopology, TopologyLevel};
+use crate::config::round_to_power_of_two;
 use crate::{CacheConfig, CacheConfigError, Hierarchy, HierarchyConfig, TimingModel};
 use std::fmt;
 
@@ -33,8 +33,9 @@ pub struct MachineModel {
     l1_miss_penalty_cycles: f64,
     l2_miss_penalty_ns: f64,
     hierarchy: HierarchyConfig,
-    /// Explicit locality topology; `None` derives one from `hierarchy`.
-    topology: Option<MachineTopology>,
+    /// Socket-local memory, a locality level above the simulated
+    /// caches; only [`numa2`](Self::numa2) has one.
+    domain_bytes: Option<u64>,
     /// Per-thread fork+run overhead (paper Table 1), in nanoseconds.
     thread_overhead_ns: f64,
 }
@@ -57,7 +58,7 @@ impl MachineModel {
                 CacheConfig::new(16 << 10, 32, 1).expect("static config"),
                 CacheConfig::new(2 << 20, 128, 4).expect("static config"),
             ),
-            topology: None,
+            domain_bytes: None,
             thread_overhead_ns: 1600.0,
         }
     }
@@ -81,7 +82,7 @@ impl MachineModel {
                 CacheConfig::new(32 << 10, 32, 2).expect("static config"),
                 CacheConfig::new(1 << 20, 128, 2).expect("static config"),
             ),
-            topology: None,
+            domain_bytes: None,
             thread_overhead_ns: 1090.0,
         }
     }
@@ -104,7 +105,7 @@ impl MachineModel {
                 CacheConfig::new(512 << 10, 64, 8).expect("static config"),
                 CacheConfig::new(32 << 20, 64, 16).expect("static config"),
             ),
-            topology: None,
+            domain_bytes: None,
             thread_overhead_ns: 30.0,
         }
     }
@@ -126,26 +127,18 @@ impl MachineModel {
             l1_miss_penalty_cycles,
             l2_miss_penalty_ns,
             hierarchy,
-            topology: None,
+            domain_bytes: None,
             thread_overhead_ns,
         }
     }
 
-    /// A synthetic 2-socket NUMA machine for topology-depth studies:
+    /// A synthetic 2-socket NUMA machine for locality-depth studies:
     /// per-core 32 KB L1D and 256 KB L2, an 8 MB L3 shared by four
-    /// cores, and a 64 MB socket-local memory domain, two sockets —
-    /// a four-level locality tree (L1 ⊂ L2 ⊂ L3 ⊂ socket). The
-    /// simulated cache hierarchy models the three cache levels; the
-    /// socket level exists only in the topology, where schedulers and
-    /// lints see it.
+    /// cores, and a 64 MB socket-local memory domain — four locality
+    /// levels (L1 ⊂ L2 ⊂ L3 ⊂ socket). The simulated cache hierarchy
+    /// models the three cache levels; the socket level exists only in
+    /// [`capacities`](Self::capacities), where schedulers see it.
     pub fn numa2() -> Self {
-        let topology = MachineTopology::new(vec![
-            TopologyLevel::new(32 << 10, 64, 1),
-            TopologyLevel::new(256 << 10, 64, 1),
-            TopologyLevel::new(8 << 20, 64, 4),
-            TopologyLevel::new(64 << 20, 64, 2),
-        ])
-        .expect("static topology");
         MachineModel {
             name: "NUMA2".to_owned(),
             clock_hz: 2.5e9,
@@ -157,51 +150,59 @@ impl MachineModel {
                 CacheConfig::new(256 << 10, 64, 8).expect("static config"),
                 CacheConfig::new(8 << 20, 64, 16).expect("static config"),
             ),
-            topology: Some(topology),
+            domain_bytes: Some(64 << 20),
             thread_overhead_ns: 30.0,
         }
     }
 
-    /// Attaches an explicit locality topology (already validated by
-    /// [`MachineTopology::new`]), overriding the tree derived from the
-    /// cache hierarchy.
-    pub fn with_topology(mut self, topology: MachineTopology) -> Self {
-        self.topology = Some(topology);
-        self
+    /// The machine's locality levels as byte capacities, finest first:
+    /// the L1, L2 and any L3 cache sizes, then the socket-local memory
+    /// domain if the machine has one. Bin geometry and the serving
+    /// ladder size one block per level from these.
+    ///
+    /// Capacities are clamped coarsest → finest to at most half the
+    /// next level, so they come out strictly increasing even on scaled
+    /// models whose L2 shrinks under the L1. A ladder that clamping
+    /// degenerates (a level below its line size) collapses to its
+    /// coarsest level.
+    pub fn capacities(&self) -> Vec<u64> {
+        self.ladder()
+            .unwrap_or_else(|_| vec![self.levels().last().expect("an L1 and an L2").0])
     }
 
-    /// The machine's locality topology — the single source of
-    /// hierarchy truth for schedulers, bin geometry, and lints.
-    ///
-    /// Machines without an explicit topology derive one from their
-    /// simulated cache hierarchy (two levels for the paper machines,
-    /// three for [`modern`](Self::modern)), clamped so capacities come
-    /// out strictly ordered even on scaled models whose L2 shrinks
-    /// under the L1. A hierarchy too degenerate to clamp (capacity
-    /// under line size) collapses to its coarsest level.
-    pub fn topology(&self) -> MachineTopology {
-        if let Some(topology) = &self.topology {
-            return topology.clone();
-        }
-        let mut levels = vec![
-            TopologyLevel::new(self.hierarchy.l1d.size(), self.hierarchy.l1d.line(), 1),
-            TopologyLevel::new(self.hierarchy.l2.size(), self.hierarchy.l2.line(), 1),
-        ];
-        if let Some(l3) = self.hierarchy.l3 {
-            levels.push(TopologyLevel::new(l3.size(), l3.line(), 1));
-        }
-        // Lines may shrink as scaled capacities cross; widen each
-        // level's line to the running maximum so the derived tree
-        // always validates on that axis.
+    /// Each locality level's unclamped `(capacity, line)`, finest
+    /// first. A level's line is the widest of any level at or below it;
+    /// the memory domain takes the coarsest cache's.
+    fn levels(&self) -> Vec<(u64, u64)> {
+        let h = &self.hierarchy;
+        let caches = [Some(h.l1d), Some(h.l2), h.l3];
+        let mut levels = Vec::with_capacity(4);
         let mut widest = 0;
-        for level in &mut levels {
-            widest = widest.max(level.line());
-            *level = TopologyLevel::new(level.capacity(), widest, level.fanout());
+        for cache in caches.into_iter().flatten() {
+            widest = widest.max(cache.line());
+            levels.push((cache.size(), widest));
         }
-        let coarsest = *levels.last().expect("at least one level");
-        MachineTopology::clamped(levels).unwrap_or_else(|_| {
-            MachineTopology::new(vec![coarsest]).expect("single cache level is a valid topology")
-        })
+        if let Some(domain) = self.domain_bytes {
+            levels.push((domain, widest));
+        }
+        levels
+    }
+
+    /// The clamped capacities, or why clamping degenerates them.
+    fn ladder(&self) -> Result<Vec<u64>, String> {
+        let mut levels = self.levels();
+        for i in (0..levels.len()).rev() {
+            if let Some(&(next, _)) = levels.get(i + 1) {
+                levels[i].0 = levels[i].0.min(next / 2);
+            }
+            let (capacity, line) = levels[i];
+            if capacity < line {
+                return Err(format!(
+                    "locality level {i} degenerates: capacity {capacity} below its {line}-byte line"
+                ));
+            }
+        }
+        Ok(levels.into_iter().map(|(capacity, _)| capacity).collect())
     }
 
     /// Returns this machine with both cache capacities multiplied by
@@ -213,9 +214,10 @@ impl MachineModel {
     ///
     /// # Errors
     ///
-    /// Returns an error if scaling degenerates the locality topology —
+    /// Returns an error if scaling leaves fewer locality levels in
+    /// [`capacities`](Self::capacities) than the unscaled machine has —
     /// a level's capacity would fall below its line size even after
-    /// clamping — rather than silently flattening the tree.
+    /// clamping — rather than silently flattening the ladder.
     pub fn scaled(&self, factor: f64) -> Result<MachineModel, CacheConfigError> {
         self.scaled_split(factor, factor)
     }
@@ -230,14 +232,14 @@ impl MachineModel {
     /// the ratio-preserving choice is `l1_factor = √l2_factor`; see
     /// EXPERIMENTS.md.
     ///
-    /// An explicit topology is scaled with the machine: the finest
-    /// level by `l1_factor`, every coarser level by `l2_factor`,
-    /// clamped so capacities stay strictly ordered.
+    /// Every level above the L1 — the L3 and the memory domain
+    /// included — scales by `l2_factor`.
     ///
     /// # Errors
     ///
-    /// Returns an error if the scaled topology degenerates (a level's
-    /// capacity falls below its line size after clamping).
+    /// Returns an error if the scaled locality ladder is shallower than
+    /// the unscaled one (a level's capacity falls below its line size
+    /// after clamping).
     pub fn scaled_split(
         &self,
         l1_factor: f64,
@@ -250,20 +252,16 @@ impl MachineModel {
             self.hierarchy.l2.scaled(l2_factor),
         );
         scaled.hierarchy.l3 = self.hierarchy.l3.map(|l3| l3.scaled(l2_factor));
-        scaled.topology = match &self.topology {
-            Some(topology) => Some(topology.scaled_split(l1_factor, l2_factor)?),
-            None => None,
-        };
-        // A derived topology must also survive the scaling; reject the
-        // machine if it cannot, instead of handing out a model whose
-        // topology() silently flattened.
-        if scaled.topology.is_none() && scaled.topology().depth() < self.topology().depth() {
-            return Err(CacheConfigError::new(format!(
-                "scaling {} by ({l1_factor}, {l2_factor}) degenerates its locality topology",
+        scaled.domain_bytes = self
+            .domain_bytes
+            .map(|bytes| round_to_power_of_two(bytes as f64 * l2_factor));
+        match scaled.ladder() {
+            Err(why) if self.capacities().len() > 1 => Err(CacheConfigError::new(format!(
+                "scaling {} by ({l1_factor}, {l2_factor}): {why}",
                 self.name
-            )));
+            ))),
+            _ => Ok(scaled),
         }
-        Ok(scaled)
     }
 
     /// Machine name.
@@ -404,35 +402,28 @@ mod tests {
 
     #[test]
     fn derived_topology_matches_hierarchy() {
-        let t = MachineModel::r8000().topology();
-        assert_eq!(t.capacities(), vec![16 << 10, 2 << 20]);
-        assert_eq!(t.level(0).line(), 32);
-        assert_eq!(t.level(1).line(), 128);
-        let t3 = MachineModel::modern().topology();
-        assert_eq!(t3.capacities(), vec![32 << 10, 512 << 10, 32 << 20]);
+        assert_eq!(MachineModel::r8000().capacities(), vec![16 << 10, 2 << 20]);
+        // L1, L2 and L3.
+        let modern = MachineModel::modern().capacities();
+        assert_eq!(modern, vec![32 << 10, 512 << 10, 32 << 20]);
     }
 
     #[test]
     fn derived_topology_clamps_crossed_scaled_levels() {
         // Bench machines scale L2 only; at 1/256 the L2 (8 KB) drops
-        // under the full-size L1 (16 KB). The derived tree must clamp
-        // the L1 level back under the L2, not flatten or invert.
+        // under the full-size L1 (16 KB). The ladder must clamp the L1
+        // level back under the L2, not flatten or invert.
         let m = MachineModel::r8000()
             .scaled_split(1.0, 1.0 / 256.0)
             .unwrap();
-        let t = m.topology();
-        assert_eq!(t.capacities(), vec![4 << 10, 8 << 10]);
-        assert_eq!(t.level(0).line(), 32);
-        assert_eq!(t.level(1).line(), 128);
+        assert_eq!(m.capacities(), vec![4 << 10, 8 << 10]);
     }
 
     #[test]
     fn numa2_has_a_four_level_tree() {
         let m = MachineModel::numa2();
-        let t = m.topology();
-        assert_eq!(t.depth(), 4);
-        assert_eq!(t.capacities(), vec![32 << 10, 256 << 10, 8 << 20, 64 << 20]);
-        assert_eq!(t.level(3).fanout(), 2, "two sockets");
+        // L1, L2, L3 and the socket-local memory.
+        assert_eq!(m.capacities(), vec![32 << 10, 256 << 10, 8 << 20, 64 << 20]);
         // The simulated hierarchy covers the three cache levels.
         assert_eq!(m.hierarchy_config().l3.unwrap().size(), 8 << 20);
     }
@@ -440,33 +431,127 @@ mod tests {
     #[test]
     fn scaling_scales_the_whole_topology_coherently() {
         let m = MachineModel::numa2().scaled_split(1.0, 1.0 / 8.0).unwrap();
-        let t = m.topology();
-        assert_eq!(t.depth(), 4, "no level silently dropped");
+        let caps = m.capacities();
+        assert_eq!(caps.len(), 4, "no level silently dropped");
         // Coarse levels shrink 8x; the unscaled L1 clamps under the L2.
-        assert_eq!(t.capacities(), vec![16 << 10, 32 << 10, 1 << 20, 8 << 20]);
-        let caps = t.capacities();
+        assert_eq!(caps, vec![16 << 10, 32 << 10, 1 << 20, 8 << 20]);
         assert!(caps.windows(2).all(|w| w[0] < w[1]), "strictly ordered");
     }
 
     #[test]
     fn degenerate_scaling_is_an_error() {
-        // Scaling the explicit tree to below its line sizes must be
-        // rejected, not silently flattened (mirrors the serve crate's
-        // degenerate-L2 config error).
+        // Scaling numa2 below its line sizes must be rejected, not
+        // silently flattened (mirrors the serve crate's degenerate-L2
+        // config error).
         let err = MachineModel::numa2().scaled(1e-6).unwrap_err();
         assert!(err.to_string().contains("line"), "{err}");
-        // with_topology attaches an explicit (validated) tree.
-        let custom = MachineModel::r8000().with_topology(
-            MachineTopology::new(vec![
-                TopologyLevel::new(16 << 10, 32, 1),
-                TopologyLevel::new(2 << 20, 128, 1),
-                TopologyLevel::new(32 << 20, 128, 2),
-            ])
-            .unwrap(),
+        // The paper machines keep both levels down to one set each.
+        let tiny = MachineModel::r8000().scaled(1e-6).unwrap();
+        assert_eq!(tiny.capacities(), vec![32, 512]);
+    }
+
+    #[test]
+    fn a_degenerate_ladder_collapses_to_its_coarsest_level() {
+        // A 64 B L2 leaves a 32 B rung for the L1's 64 B lines.
+        let m = MachineModel::custom(
+            "tiny",
+            1e9,
+            1.0,
+            1.0,
+            1.0,
+            HierarchyConfig::new(
+                CacheConfig::new(1 << 10, 64, 1).unwrap(),
+                CacheConfig::new(64, 64, 1).unwrap(),
+            ),
+            1.0,
         );
-        assert_eq!(custom.topology().depth(), 3);
-        assert!(custom.scaled(1.0 / 4.0).is_ok());
-        assert!(custom.scaled(1e-7).is_err());
+        assert_eq!(m.capacities(), vec![64]);
+        // Already one level deep, it scales without losing any.
+        assert!(m.scaled(0.5).is_ok());
+    }
+
+    #[test]
+    fn the_ladder_never_claims_less_than_its_cache() {
+        // One set is the smallest a scaled cache gets: 512 B for
+        // numa2's 8-way, 64 B-line L1, not the 256 B a scaled
+        // capacity would round to.
+        let m = MachineModel::numa2()
+            .scaled_split(1.0 / 128.0, 1.0)
+            .unwrap();
+        assert_eq!(m.capacities()[0], m.l1_config().size());
+        assert_eq!(m.capacities(), vec![512, 256 << 10, 8 << 20, 64 << 20]);
+    }
+
+    /// `capacities()` at every `(l1, l2)` split the repository scales
+    /// a machine by — the call sites, and `ExpScale`'s per-kernel
+    /// factors at its smoke, default and full presets — pinned to the
+    /// values the locality ladder has always had.
+    #[test]
+    fn the_ladder_table_is_pinned() {
+        const K: u64 = 1 << 10;
+        const M: u64 = 1 << 20;
+        // The modern study's LLC-ratio factors (matmul n = 96, and SOR
+        // n = 251, 1001, 2005; matmul n = 256 and 1024 give 1/256 and
+        // 1/16).
+        const LLC: f64 = (32u64 << 20) as f64;
+        let mm96 = 18_432.0 / LLC;
+        let sor251 = 31_500.5 / LLC;
+        let sor1001 = 501_000.5 / LLC;
+        let sor2005 = 2_010_012.5 / LLC;
+        type Case = (fn() -> MachineModel, f64, f64, Vec<u64>);
+        let r8000: fn() -> MachineModel = MachineModel::r8000;
+        let r10000: fn() -> MachineModel = MachineModel::r10000;
+        let modern: fn() -> MachineModel = MachineModel::modern;
+        let numa2: fn() -> MachineModel = MachineModel::numa2;
+        let cases: Vec<Case> = vec![
+            (r8000, 1.0, 1.0, vec![16 * K, 2 * M]),
+            (r8000, 1.0, 1.0 / 4.0, vec![16 * K, 512 * K]),
+            (r8000, 1.0, 1.0 / 8.0, vec![16 * K, 256 * K]),
+            (r8000, 1.0, 1.0 / 16.0, vec![16 * K, 128 * K]),
+            (r8000, 1.0, 1.0 / 32.0, vec![16 * K, 64 * K]),
+            (r8000, 1.0, 1.0 / 64.0, vec![16 * K, 32 * K]),
+            (r8000, 1.0, 1.0 / 128.0, vec![8 * K, 16 * K]),
+            (r8000, 1.0, 1.0 / 256.0, vec![4 * K, 8 * K]),
+            (r8000, 1.0 / 4.0, 1.0 / 4.0, vec![4 * K, 512 * K]),
+            (r8000, 1.0 / 16.0, 1.0 / 16.0, vec![K, 128 * K]),
+            (r8000, 1.0 / 16.0, 1.0 / 64.0, vec![K, 32 * K]),
+            (r8000, 1.0 / 16.0, 1.0 / 256.0, vec![K, 8 * K]),
+            (r8000, 1.0 / 16.0, 1.0 / 1024.0, vec![K, 2 * K]),
+            (r8000, 1.0 / 64.0, 1.0 / 64.0, vec![256, 32 * K]),
+            (r8000, 1.0 / 256.0, 1.0 / 1024.0, vec![64, 2 * K]),
+            (r10000, 1.0, 1.0, vec![32 * K, M]),
+            (r10000, 1.0, 1.0 / 4.0, vec![32 * K, 256 * K]),
+            (r10000, 1.0, 1.0 / 16.0, vec![32 * K, 64 * K]),
+            (r10000, 1.0, 1.0 / 32.0, vec![16 * K, 32 * K]),
+            (r10000, 1.0, 1.0 / 64.0, vec![8 * K, 16 * K]),
+            (r10000, 1.0, 1.0 / 128.0, vec![4 * K, 8 * K]),
+            (r10000, 0.5, 1.0 / 8.0, vec![16 * K, 128 * K]),
+            (modern, 1.0, 1.0, vec![32 * K, 512 * K, 32 * M]),
+            (modern, 1.0, 1.0 / 16.0, vec![16 * K, 32 * K, 2 * M]),
+            (modern, 1.0, 1.0 / 256.0, vec![K, 2 * K, 128 * K]),
+            (modern, 1.0, mm96, vec![256, 512, 16 * K]),
+            (modern, 1.0, sor251, vec![256, 512, 32 * K]),
+            (modern, 1.0, sor1001, vec![4 * K, 8 * K, 512 * K]),
+            (modern, 1.0, sor2005, vec![16 * K, 32 * K, 2 * M]),
+            (numa2, 1.0, 1.0, vec![32 * K, 256 * K, 8 * M, 64 * M]),
+            (numa2, 1.0, 1.0 / 4.0, vec![32 * K, 64 * K, 2 * M, 16 * M]),
+            (numa2, 1.0, 1.0 / 8.0, vec![16 * K, 32 * K, M, 8 * M]),
+            (numa2, 1.0, 1.0 / 16.0, vec![8 * K, 16 * K, 512 * K, 4 * M]),
+            (numa2, 1.0, 1.0 / 32.0, vec![4 * K, 8 * K, 256 * K, 2 * M]),
+            (numa2, 1.0, 1.0 / 64.0, vec![2 * K, 4 * K, 128 * K, M]),
+            (numa2, 1.0, 1.0 / 128.0, vec![K, 2 * K, 64 * K, 512 * K]),
+            (numa2, 1.0 / 64.0, 1.0 / 64.0, vec![512, 4 * K, 128 * K, M]),
+            (
+                numa2,
+                1.0 / 64.0,
+                1.0 / 512.0,
+                vec![256, 512, 16 * K, 128 * K],
+            ),
+        ];
+        for (machine, l1, l2, want) in cases {
+            let m = machine().scaled_split(l1, l2).unwrap();
+            assert_eq!(m.capacities(), want, "{} at ({l1}, {l2})", m.name());
+        }
     }
 
     #[test]

@@ -42,8 +42,8 @@ use crate::config::ConfigError;
 use crate::hint::MAX_DIMS;
 use crate::{Hints, SchedulerConfig};
 
-/// Maximum depth of a [`TopologyPolicy`] ancestor ladder (matches
-/// `cachesim::MAX_TOPOLOGY_LEVELS`).
+/// Maximum depth of a [`TopologyPolicy`] ancestor ladder, and so of the
+/// machine capacity ladders bin geometry reads.
 pub const MAX_LEVELS: usize = 8;
 
 /// A policy mapping fork-time [`Hints`] to a bin key in the scheduling
@@ -166,8 +166,7 @@ impl BinPolicy for PaperBlockHash {
 ///
 /// Build one from a machine with
 /// `BinGeometry::topology_policy` (workloads crate), which derives the
-/// per-level block sizes from a
-/// `cachesim::MachineTopology`.
+/// per-level block sizes from `cachesim::MachineModel::capacities`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TopologyPolicy {
     base_shifts: [u32; MAX_DIMS],

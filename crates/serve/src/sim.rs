@@ -115,7 +115,7 @@ pub enum ServePolicy {
     Flat,
     /// Two-level L1-in-L2 binning.
     Hierarchical,
-    /// Binning at every level of the machine's topology tree (equal to
+    /// Binning at every locality level of the machine (equal to
     /// `Hierarchical` on two-level machines, deeper on NUMA models).
     Topology,
     /// Everything in one bin: FIFO service, no locality.
@@ -317,10 +317,10 @@ fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
     ctx.free_slots.push(slot);
 }
 
-/// Serving bin geometry for `machine`: one block per level of its
-/// topology tree, coarsest at half that level's capacity and every
-/// finer block capped at its own level's capacity, 1/8 of the next
-/// coarser capacity, *and* half the next coarser block (the same
+/// Serving bin geometry for `machine`: one block per locality level in
+/// [`MachineModel::capacities`], coarsest at half that level's capacity
+/// and every finer block capped at its own level's capacity, 1/8 of the
+/// next coarser capacity, *and* half the next coarser block (the same
 /// separation rule `BinGeometry` applies to the paper kernels — the
 /// levels must stay apart or nesting silently degenerates to flat).
 /// On a plain L1/L2 machine this reduces exactly to the original
@@ -333,7 +333,7 @@ fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
 /// below 2 bytes cannot keep the levels separated; that is a
 /// configuration error, not a silently-flat hierarchy.
 fn serve_ladder(machine: &MachineModel) -> Result<Vec<u64>, ServeError> {
-    let caps = machine.topology().capacities();
+    let caps = machine.capacities();
     let depth = caps.len();
     let mut blocks = vec![0u64; depth];
     blocks[depth - 1] = prev_power_of_two((caps[depth - 1] / 2).max(1));

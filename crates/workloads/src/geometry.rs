@@ -16,16 +16,16 @@
 //! | [`Sor`](Kernel::Sor) | L2 / 4 | 63 bins over a 32 MB array ≈ L2/4 blocks |
 //! | [`NBody`](Kernel::NBody) | L2 / 3 | three hint dimensions summing to L2 (§3.2) |
 //!
-//! The same rules applied to every other level of the machine's
-//! [`MachineTopology`](cachesim::MachineTopology) give the block sizes
-//! for hierarchical binning at arbitrary depth: level-0 sub-bins whose
-//! working sets fit the first-level cache, nested in L2-sized bins,
-//! nested in L3- or NUMA-node-sized groups, drained back-to-back
-//! inside their parents at every depth.
+//! The same rules applied to every other locality level of the machine
+//! ([`MachineModel::capacities`]) give the block sizes for hierarchical
+//! binning at arbitrary depth: level-0 sub-bins whose working sets fit
+//! the first-level cache, nested in L2-sized bins, nested in L3- or
+//! NUMA-node-sized groups, drained back-to-back inside their parents at
+//! every depth.
 
-use cachesim::{MachineModel, MAX_TOPOLOGY_LEVELS};
+use cachesim::MachineModel;
 use locality_sched::{
-    prev_power_of_two, ConfigError, Hierarchical, SchedulerConfig, TopologyPolicy,
+    prev_power_of_two, ConfigError, Hierarchical, SchedulerConfig, TopologyPolicy, MAX_LEVELS,
 };
 
 /// The four threaded kernels whose bin sizes derive from the machine.
@@ -128,21 +128,21 @@ impl Kernel {
 }
 
 /// The per-level cache capacities a machine offers each bin level,
-/// extracted once from a [`MachineModel`]'s topology tree so every
+/// extracted once from a [`MachineModel`]'s capacity ladder so every
 /// workload and bench derives its block sizes from the same ladder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BinGeometry {
     /// Per-level capacities in bytes, finest first; entries past
     /// `depth` are unused.
-    capacities: [u64; MAX_TOPOLOGY_LEVELS],
+    capacities: [u64; MAX_LEVELS],
     depth: usize,
 }
 
 impl BinGeometry {
-    /// Reads the bin-level budgets off a machine model's topology.
+    /// Reads the bin-level budgets off a machine model's capacities.
     pub fn for_machine(machine: &MachineModel) -> Self {
-        let caps = machine.topology().capacities();
-        let mut capacities = [0u64; MAX_TOPOLOGY_LEVELS];
+        let caps = machine.capacities();
+        let mut capacities = [0u64; MAX_LEVELS];
         capacities[..caps.len()].copy_from_slice(&caps);
         BinGeometry {
             capacities,
@@ -150,11 +150,10 @@ impl BinGeometry {
         }
     }
 
-    /// A two-level (L1-in-L2) geometry from explicit capacities — the
-    /// pre-topology constructor, kept for tests and callers that do
-    /// not have a machine model at hand.
+    /// A two-level (L1-in-L2) geometry from explicit capacities, for
+    /// tests and callers that do not have a machine model at hand.
     pub fn two_level(l1_capacity: u64, l2_capacity: u64) -> Self {
-        let mut capacities = [0u64; MAX_TOPOLOGY_LEVELS];
+        let mut capacities = [0u64; MAX_LEVELS];
         capacities[0] = l1_capacity;
         capacities[1] = l2_capacity;
         BinGeometry {
@@ -177,8 +176,8 @@ impl BinGeometry {
     /// collapse the sub-bin block onto the parent block and made
     /// [`hierarchical`](Self::hierarchical) byte-identical to
     /// [`flat_config`](Self::flat_config) at bench scale.
-    fn budgets(&self) -> [u64; MAX_TOPOLOGY_LEVELS] {
-        let mut budgets = [0u64; MAX_TOPOLOGY_LEVELS];
+    fn budgets(&self) -> [u64; MAX_LEVELS] {
+        let mut budgets = [0u64; MAX_LEVELS];
         budgets[self.depth - 1] = self.capacities[self.depth - 1];
         for level in (0..self.depth - 1).rev() {
             budgets[level] = self.capacities[level].min((budgets[level + 1] / 8).max(1));
