@@ -146,13 +146,13 @@ impl MetaTrace {
 /// in; flushed on demand by [`BinEngine::run_profile`].
 #[derive(Clone, Debug, Default)]
 struct SchedObs {
-    /// Threads forked.
-    forks: probe::LocalCounter,
-    /// Forks that allocated a new bin.
+    /// Forks that allocated a new bin. The forks that found their bin
+    /// — the hint-to-bin reuse the locality win depends on — are the
+    /// rest of the forks, folded in at flush.
     bins_created: probe::LocalCounter,
-    /// Forks whose hint mapped to an already-existing bin — the
-    /// hint-to-bin reuse the locality win depends on.
-    rebin_hits: probe::LocalCounter,
+    /// Threads drained by a consuming drain or dropped by a clear: with
+    /// the pending ones, every thread forked, so a fork bumps no probe.
+    retired: probe::LocalCounter,
     /// Thread count of each bin drained by `run_with`.
     bin_occupancy: probe::LocalHistogram,
     /// Wall time to drain one bin.
@@ -363,26 +363,43 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// hint addresses with a [`SchedMark::Fork`] (a no-op for ordinary
     /// sinks) so schedule-analysis sinks see the thread/hint graph in
     /// fork order.
+    ///
+    /// The common fork — a batch engine, tracing off, a key whose bin
+    /// exists — is inline: one probe, one push, one count. Everything
+    /// else takes `insert_slow`.
     #[inline]
     pub(crate) fn insert_traced<S: TraceSink>(&mut self, item: T, hints: Hints, sink: &mut S) {
         sink.mark(SchedMark::Fork(&hints.as_array()[..hints.dims()]));
         let key = self.policy.bin_key(hints);
+        if self.meta.is_none() && self.online.is_none() && !self.policy.always_unique() {
+            if let Some(id) = self.table.find(key) {
+                // A batch bin's `idle_stamp` is always 0 and the live
+                // bin count did not change: nothing else to update.
+                self.bins[id as usize].items.push(item);
+                self.threads += 1;
+                return;
+            }
+        }
+        self.insert_slow(item, key, sink);
+    }
+
+    /// The rest of a fork: bin creation, package-memory tracing, and
+    /// the online ready-list and eviction step. Cold, so that the
+    /// inline fork falls through to its push.
+    #[cold]
+    #[inline(never)]
+    fn insert_slow<S: TraceSink>(&mut self, item: T, key: [u64; MAX_DIMS], sink: &mut S) {
         let (id, created) = if self.policy.always_unique() {
             (self.table.append_unique(key), true)
         } else {
             self.table.lookup_or_insert(key)
         };
-        self.obs.forks.incr();
-        if created {
-            self.obs.bins_created.incr();
-        } else {
-            self.obs.rebin_hits.incr();
-        }
         if let Some(meta) = &self.meta {
             // Hash probe.
             sink.read(meta.bucket_addr(key), BUCKET_BYTES as u32);
         }
         if created {
+            self.obs.bins_created.incr();
             let header = match &mut self.meta {
                 Some(meta) => {
                     let header = meta.alloc(BIN_HEADER_BYTES);
@@ -593,6 +610,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                 bin.idle_stamp = epoch;
             }
             self.threads -= drained;
+            self.obs.retired.add(drained);
         }
         if self.policy.depth() > 1 {
             self.obs.parent_occupancy.record(threads_run);
@@ -817,11 +835,16 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// `"sched"` profile section. Hierarchical policies additionally
     /// report per-parent occupancy and the sub-bin drain count.
     pub(crate) fn run_profile(&self) -> probe::Section {
+        // Every thread forked is pending or retired. Folded into a
+        // counter so that it reads 0 with the probes compiled out.
+        let forks = probe::LocalCounter::new();
+        forks.add(self.threads + self.obs.retired.get());
+        let created = self.obs.bins_created.get();
         let mut section = probe::Section::new("sched");
         section
-            .counter("forks", self.obs.forks.get())
-            .counter("bins_created", self.obs.bins_created.get())
-            .counter("rebin_hits", self.obs.rebin_hits.get())
+            .counter("forks", forks.get())
+            .counter("bins_created", created)
+            .counter("rebin_hits", forks.get() - created)
             .histogram("bin_occupancy", &self.obs.bin_occupancy)
             .histogram("bin_drain_ns", &self.obs.bin_drain_ns)
             .histogram("run_ns", &self.obs.run_ns);
@@ -850,6 +873,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             bin.groups.clear();
             (bin.items, bin.groups)
         }));
+        self.obs.retired.add(self.threads);
         self.threads = 0;
         if let Some(meta) = &mut self.meta {
             meta.bump = meta.arena_base;
@@ -866,7 +890,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PaperBlockHash;
+    use crate::policy::{PaperBlockHash, UniqueBin};
     use crate::SchedulerConfig;
     use memtrace::{AccessKind, NullSink, VecSink};
 
@@ -1018,5 +1042,111 @@ mod tests {
         assert_eq!((engine.evictions(), engine.bins()), (1, 1));
         assert_eq!(engine.bins[0].items.capacity(), 0);
         assert!(engine.spare.is_empty());
+    }
+
+    /// The `sched` section's `[forks, bins_created, rebin_hits]`.
+    fn fork_counters<P: BinPolicy>(engine: &BinEngine<u32, P>) -> [u64; 3] {
+        let section = engine.run_profile();
+        ["forks", "bins_created", "rebin_hits"].map(|name| {
+            let counter = |(key, metric): &(String, probe::Metric)| match metric {
+                probe::Metric::Counter(value) if key == name => Some(*value),
+                _ => None,
+            };
+            section.metrics().iter().find_map(counter).expect(name)
+        })
+    }
+
+    /// What `fork_counters` reads: the counts with the probes in, zeros
+    /// with them compiled out.
+    fn counted(counts: [u64; 3]) -> [u64; 3] {
+        counts.map(|count| count * u64::from(probe::enabled()))
+    }
+
+    fn fork_into<P: BinPolicy>(engine: &mut BinEngine<u32, P>, blocks: &[u64]) {
+        for &block in blocks {
+            engine.insert_traced(0, hints_of(&[block]), &mut NullSink);
+        }
+    }
+
+    #[test]
+    fn the_sched_section_counts_forks_bins_created_and_rebin_hits() {
+        // Two batch rounds. A retained run keeps its bins, so the forks
+        // after it find two of them; a consuming run clears them, so
+        // the next round creates its bins afresh.
+        let mut batch = engine(16);
+        fork_into(&mut batch, &[1, 2, 1, 3, 1]);
+        assert_eq!(fork_counters(&batch), counted([5, 3, 2]));
+        batch.run_with(
+            &mut (),
+            RunMode::Retain,
+            |(), _, _| {},
+            |(), _| {},
+            |(), _| {},
+        );
+        fork_into(&mut batch, &[2, 4, 3]);
+        assert_eq!(fork_counters(&batch), counted([8, 4, 4]));
+        assert_eq!(consume(&mut batch), 8);
+        fork_into(&mut batch, &[1, 1]);
+        assert_eq!(fork_counters(&batch), counted([10, 5, 5]));
+        assert_eq!(batch.pending(), 2);
+
+        // Online, one record allowed: block 1 drains idle and is
+        // evicted when block 2 is created, so its next fork creates it
+        // again.
+        let mut online = engine(16);
+        online.enable_online(EvictionPolicy::LruCap { max_records: 1 });
+        fork_into(&mut online, &[1]);
+        online.drain_next_with(&mut (), |(), _, _| {}, |(), _| {}, |(), _| {});
+        fork_into(&mut online, &[2, 2, 1]);
+        assert_eq!(online.evictions(), 1);
+        assert_eq!(fork_counters(&online), counted([4, 3, 1]));
+
+        // Traced.
+        let mut traced = engine(16);
+        traced.trace_package_memory();
+        for block in [1, 1, 2] {
+            traced.insert_traced(0, hints_of(&[block]), &mut VecSink::new());
+        }
+        assert_eq!(fork_counters(&traced), counted([3, 2, 1]));
+
+        // Every key fresh: every fork creates its bin.
+        let mut unique = BinEngine::<u32, _>::new(1, UniqueBin::default(), None);
+        fork_into(&mut unique, &[1, 1, 1]);
+        assert_eq!(fork_counters(&unique), counted([3, 3, 0]));
+    }
+
+    /// A bin created before `trace_package_memory` has no synthetic
+    /// record: a traced fork into it is the bucket probe alone, while a
+    /// bin created after it writes its record, its first group and the
+    /// thread record.
+    #[test]
+    fn a_bin_created_before_tracing_is_probed_but_stays_silent() {
+        let mut engine = engine(16);
+        engine.insert_traced(0, hints_of(&[1]), &mut NullSink);
+        engine.trace_package_memory();
+        let events = |block: u64, engine: &mut BinEngine<u32, PaperBlockHash>| {
+            let mut sink = VecSink::new();
+            engine.insert_traced(0, hints_of(&[block]), &mut sink);
+            let event = |access: &memtrace::Access| (access.kind, access.addr.raw(), access.size);
+            sink.accesses().iter().map(event).collect::<Vec<_>>()
+        };
+        // Block b probes bucket `b · 16³` of the 16⁴-pointer table; the
+        // arena starts right after it.
+        let bucket = |block: u64| PACKAGE_TRACE_BASE + 8 * block * 16u64.pow(3);
+        let arena = PACKAGE_TRACE_BASE + 8 * 16u64.pow(4);
+        let group = arena + BIN_HEADER_BYTES;
+        let (read, write) = (AccessKind::Read, AccessKind::Write);
+        assert_eq!(events(1, &mut engine), [(read, bucket(1), 8)]);
+        assert_eq!(
+            events(2, &mut engine),
+            [
+                (read, bucket(2), 8),
+                (write, arena, 48),
+                (write, group, 16),
+                (write, group + 16, 24),
+                (write, group, 8),
+            ]
+        );
+        assert_eq!(engine.pending(), 3);
     }
 }

@@ -74,6 +74,7 @@ impl Hints {
     }
 
     /// Number of meaningful (non-null trailing) dimensions.
+    #[inline]
     pub fn dims(&self) -> usize {
         (0..MAX_DIMS)
             .rev()

@@ -306,6 +306,7 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
 }
 
 impl<C, P: BinPolicy> ThreadScheduler<C> for Scheduler<C, P> {
+    #[inline]
     fn fork(&mut self, func: ThreadFn<C>, arg1: usize, arg2: usize, hints: Hints) {
         Scheduler::fork(self, func, arg1, arg2, hints);
     }

@@ -17,6 +17,13 @@
 //! multiplicative mix of the whole key into a bucket array that doubles
 //! with the live bins, so a chain holds about one bin whether the
 //! caller hints in one dimension or four.
+//!
+//! A probe compares keys one coordinate at a time. The fork computing
+//! the key has just written it as four 8-byte words; a whole-key
+//! compare reads it back as two 16-byte loads, and a load wider than
+//! the stores it overlaps cannot be forwarded from them, so it stalls
+//! until they reach the L1. Word by word, each load is served by the
+//! store that wrote it, or the key never leaves registers.
 
 use crate::hint::MAX_DIMS;
 
@@ -42,6 +49,13 @@ const MIX: [u64; MAX_DIMS] = [
     0x94d0_49bb_1331_11eb,
     0xd6e8_feb8_6659_fd93,
 ];
+
+/// Whether two keys are equal, compared one coordinate at a time (see
+/// the module doc: a whole-key compare stalls on the key just stored).
+#[inline]
+fn same_key(a: &[u64; MAX_DIMS], b: &[u64; MAX_DIMS]) -> bool {
+    a.iter().zip(b).fold(0, |diff, (x, y)| diff | (x ^ y)) == 0
+}
 
 /// Hash table mapping block coordinates to bin ids, with chained
 /// collision resolution over a power-of-two bucket array that doubles
@@ -94,18 +108,33 @@ impl BinTable {
         (mixed >> self.shift) as usize
     }
 
+    /// The bin on `bucket`'s chain whose key is `key`, if any.
+    #[inline]
+    fn find_in(&self, bucket: usize, key: [u64; MAX_DIMS]) -> Option<BinId> {
+        let mut id = self.buckets[bucket];
+        while id != NIL {
+            if same_key(&self.keys[id as usize], &key) {
+                return Some(id);
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    /// The bin for `key`, if one is allocated and findable.
+    #[inline]
+    pub(crate) fn find(&self, key: [u64; MAX_DIMS]) -> Option<BinId> {
+        self.find_in(self.bucket_of(key), key)
+    }
+
     /// Finds the bin for `key`, allocating a new id if absent.
     ///
     /// Returns `(id, created)`.
     #[inline]
     pub(crate) fn lookup_or_insert(&mut self, key: [u64; MAX_DIMS]) -> (BinId, bool) {
         let mut bucket = self.bucket_of(key);
-        let mut id = self.buckets[bucket];
-        while id != NIL {
-            if self.keys[id as usize] == key {
-                return (id, false);
-            }
-            id = self.next[id as usize];
+        if let Some(id) = self.find_in(bucket, key) {
+            return (id, false);
         }
         if self.live_count >= self.buckets.len() {
             self.grow();
@@ -371,18 +400,41 @@ mod tests {
         }
     }
 
-    /// Three keys of one bucket of a fresh table, found by search: the
-    /// mix leaves no arithmetic pattern to write them down from.
-    fn colliding_triple(t: &BinTable) -> [[u64; MAX_DIMS]; 3] {
-        let mut same = (0..).map(|x| [x, 0, 0, 0]).filter(|&k| t.bucket_of(k) == 3);
-        [(); 3].map(|()| same.next().unwrap())
+    /// `N` keys of one bucket of a fresh table, `key(x)` for the first
+    /// fitting `x`s, found by search: the mix leaves no arithmetic
+    /// pattern to write them down from.
+    fn colliding<const N: usize>(
+        t: &BinTable,
+        key: impl Fn(u64) -> [u64; MAX_DIMS],
+    ) -> [[u64; MAX_DIMS]; N] {
+        let mut same = (0..).map(key).filter(|&k| t.bucket_of(k) == 3);
+        [(); N].map(|()| same.next().unwrap())
+    }
+
+    /// Two keys on one chain that differ in one coordinate, and there
+    /// only above bit 32, are two bins — in every coordinate.
+    #[test]
+    fn keys_apart_in_one_coordinate_above_bit_32_get_two_bins() {
+        for dim in 0..MAX_DIMS {
+            let mut t = BinTable::new();
+            let keys: [_; 2] = colliding(&t, |x| {
+                let mut key = [7, 9, 11, 13];
+                key[dim] |= x << 33;
+                key
+            });
+            let ids = keys.map(|k| t.lookup_or_insert(k));
+            assert_eq!(ids, [(0, true), (1, true)], "dim {dim}");
+            for (id, key) in keys.into_iter().enumerate() {
+                assert_eq!(t.find(key), Some(id as BinId), "dim {dim}");
+            }
+        }
     }
 
     #[test]
     fn remove_from_a_real_chain_keeps_the_rest_findable() {
         for victim in 0..3 {
             let mut t = BinTable::new();
-            let keys = colliding_triple(&t);
+            let keys: [_; 3] = colliding(&t, |x| [x, 0, 0, 0]);
             let ids = keys.map(|k| t.lookup_or_insert(k).0);
             assert_eq!(t.longest_chain(), 3);
             t.remove(ids[victim]);
@@ -443,9 +495,11 @@ mod tests {
     /// Seeded op sequences over keys whose coordinates all agree in
     /// their low four bits — one bucket, chains as long as the table,
     /// under the paper's mask at `hash_size` 16 — against the model.
-    /// The live set swells past 16 → 32 → 64 → 128 → 256 buckets and is
-    /// cleared twice on the way, so doublings happen with freed slots,
-    /// unchained slots and recycled ids all present.
+    /// Each of the four coordinates takes one of four values that
+    /// differ in bit 4, bit 33 or both, so keys differ in every
+    /// coordinate and in both halves of each. The live set swells past 16 → 32 → 64 → 128 → 256
+    /// buckets and is cleared twice on the way, so doublings happen
+    /// with freed slots, unchained slots and recycled ids all present.
     #[test]
     #[cfg_attr(
         miri,
@@ -464,7 +518,10 @@ mod tests {
             let mut model = Model::default();
             let mut most_live = 0;
             for step in 0..6_000 {
-                let key = [(next() % 24) << 4 | 5, (next() % 24) << 4 | 5, 0, 0];
+                let key = [(); MAX_DIMS].map(|()| {
+                    let pick = next();
+                    (pick & 2) << 32 | (pick & 1) << 4 | 5
+                });
                 match next() % 16 {
                     0..=9 => assert_eq!(
                         table.lookup_or_insert(key),
