@@ -5,7 +5,7 @@ use crate::conflict::{conflict_pairs, ConflictPair};
 use crate::hb::phase_verdict;
 use crate::policies::{assign_bins, BinAssignment, PolicyKind};
 use crate::{Finding, Severity};
-use locality_sched::{AnyPolicy, BinPolicy, PaperBlockHash};
+use locality_sched::{AnyPolicy, BinPolicy, TopologyPolicy};
 use memtrace::{ThreadFootprint, WORD_BYTES};
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::{HintKind, OrderSemantics};
@@ -221,7 +221,7 @@ pub fn analyze(capture: &Capture, opts: &AnalyzeOptions) -> KernelSummary {
 
     for (phase_ix, (phase, conflicts)) in capture.phases.iter().zip(&conflicts).enumerate() {
         threads += phase.threads() as u64;
-        let paper_bins = assign_bins(PaperBlockHash::from_config(&capture.config), &phase.hints);
+        let paper_bins = assign_bins(TopologyPolicy::from_config(&capture.config), &phase.hints);
         bins += paper_bins.fine_bins as u64;
         if capture.hint_kind == HintKind::Address {
             coverage.accumulate(capture, phase_ix, phase, opts);

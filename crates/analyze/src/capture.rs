@@ -12,10 +12,7 @@
 
 use crate::policies::dispatch_trace;
 use cachesim::MachineModel;
-use locality_sched::{
-    Hierarchical, Hints, PaperBlockHash, SchedulerConfig, TopologyPolicy, MAX_DIMS,
-    PACKAGE_TRACE_BASE,
-};
+use locality_sched::{Hints, SchedulerConfig, TopologyPolicy, MAX_DIMS, PACKAGE_TRACE_BASE};
 use memtrace::{Addr, AddressSpace, FootprintSink, PhaseTrace, ThreadFootprint};
 use workloads::{matmul, nbody, pde, sor, BinGeometry, HintKind, Kernel, OrderSemantics};
 
@@ -96,7 +93,7 @@ impl PhaseModel {
             trace.dispatches.len(),
         );
         let hints: Vec<Hints> = trace.hints.iter().map(|h| rebuild_hints(h)).collect();
-        let order = dispatch_trace(*config, PaperBlockHash::from_config(config), &hints).order;
+        let order = dispatch_trace(*config, TopologyPolicy::from_config(config), &hints).order;
         let mut footprints = vec![ThreadFootprint::new(); hints.len()];
         for (k, fp) in trace.dispatches.into_iter().enumerate() {
             footprints[order[k]] = fp;
@@ -150,9 +147,9 @@ pub struct Capture {
     /// The scheduler config the capture ran under (block sizes define
     /// the hint regions; also the mirror-replay config).
     pub config: SchedulerConfig,
-    /// Hierarchical (L1-in-L2) policy to check, when the geometry
-    /// supports one.
-    pub hierarchical: Option<Hierarchical>,
+    /// Depth-2 (L1-in-L2) policy to check, when the geometry supports
+    /// one.
+    pub hierarchical: Option<TopologyPolicy>,
     /// Full-depth topology policy, when the geometry supports one.
     /// Drives the cross-node sharing lint (which only engages at
     /// depth ≥ 3, where the coarsest level is a node, not a cache).
@@ -177,7 +174,7 @@ pub struct Capture {
 pub fn capture_kernel(kernel: Kernel, machine: &MachineModel, scale: &AnalyzeScale) -> Capture {
     let geometry = BinGeometry::for_machine(machine);
     let config = geometry.flat_config(kernel);
-    let policy = PaperBlockHash::from_config(&config);
+    let policy = TopologyPolicy::from_config(&config);
     let mut sink = FootprintSink::ignoring_at_or_above(Addr::new(PACKAGE_TRACE_BASE));
     let mut space = AddressSpace::new();
     match kernel {
@@ -271,7 +268,7 @@ mod tests {
         let phase = &capture.phases[0];
         assert_eq!(phase.threads(), 32 * 32);
         let bins = crate::policies::assign_bins(
-            PaperBlockHash::from_config(&capture.config),
+            TopologyPolicy::from_config(&capture.config),
             &phase.hints,
         );
         assert!(bins.fine_bins > 1, "expected multiple bins");

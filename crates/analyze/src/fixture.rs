@@ -9,9 +9,7 @@
 
 use crate::capture::{Capture, DrainConcurrency, PhaseModel};
 use cachesim::MachineModel;
-use locality_sched::{
-    Hierarchical, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, TopologyPolicy,
-};
+use locality_sched::{Hints, RunMode, Scheduler, SchedulerConfig, TopologyPolicy};
 use memtrace::{Addr, FootprintSink, TraceSink};
 use workloads::{HintKind, OrderSemantics};
 
@@ -221,8 +219,7 @@ fn capture_plan(name: &str, plan: Vec<Vec<Op>>, hints: Vec<Hints>) -> Capture {
         .expect("power-of-two block");
     let mut sink = FootprintSink::new();
     {
-        let mut sched: Scheduler<FixtureCtx<'_>, PaperBlockHash> =
-            Scheduler::with_policy(config, PaperBlockHash::from_config(&config));
+        let mut sched = Scheduler::<FixtureCtx<'_>>::new(config);
         for (index, &h) in hints.iter().enumerate() {
             sched.fork_traced(fixture_thread, index, 0, h, &mut sink);
         }
@@ -242,7 +239,7 @@ fn capture_plan(name: &str, plan: Vec<Vec<Op>>, hints: Vec<Hints>) -> Capture {
         semantics: OrderSemantics::Exact,
         hint_kind: HintKind::Address,
         config,
-        hierarchical: Hierarchical::uniform(SUB_BLOCK, BLOCK, false).ok(),
+        hierarchical: TopologyPolicy::uniform(&[SUB_BLOCK, BLOCK], false).ok(),
         topology: None,
         machine: MachineModel::r8000(),
         concurrency: DrainConcurrency::Serial,
@@ -276,7 +273,7 @@ mod tests {
         let capture = Fixture::FalseSharing.capture();
         let phase = &capture.phases[0];
         let bins = crate::policies::assign_bins(
-            locality_sched::PaperBlockHash::from_config(&capture.config),
+            TopologyPolicy::from_config(&capture.config),
             &phase.hints,
         );
         assert_eq!(bins.fine_bins, 2);

@@ -176,7 +176,7 @@ impl HbReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use locality_sched::PaperBlockHash;
+    use locality_sched::TopologyPolicy;
     use memtrace::Addr;
 
     fn pair(a: usize, b: usize) -> ConflictPair {
@@ -193,7 +193,7 @@ mod tests {
     /// judged against `conflicts`.
     fn paper_verdict(addrs: &[u64], conflicts: &[ConflictPair]) -> PhaseVerdict {
         let config = SchedulerConfig::builder().block_size(1024).build().unwrap();
-        let policy = AnyPolicy::Ladder(PaperBlockHash::from_config(&config).into());
+        let policy = AnyPolicy::Ladder(TopologyPolicy::from_config(&config));
         let hints: Vec<Hints> = addrs.iter().map(|&a| Hints::one(Addr::new(a))).collect();
         phase_verdict(config, policy, &hints, conflicts)
     }

@@ -11,7 +11,7 @@
 
 use crate::capture::Capture;
 use locality_sched::{
-    AnyPolicy, BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SingleBin,
+    AnyPolicy, BinPolicy, Hints, RunMode, Scheduler, SchedulerConfig, SingleBin, TopologyPolicy,
     UniqueBin, MAX_DIMS,
 };
 use memtrace::{Access, SchedMark, TraceSink};
@@ -20,11 +20,11 @@ use std::collections::HashMap;
 /// The shipped bin-policy families `schedlint` proves safe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PolicyKind {
-    /// [`PaperBlockHash`] derived from the capture's config (the
-    /// paper's flat L2 policy, the default everywhere).
+    /// The depth-1 [`TopologyPolicy::from_config`] of the capture's
+    /// config (the paper's flat L2 policy, the default everywhere).
     Paper,
-    /// [`Hierarchical`](locality_sched::Hierarchical) L1-in-L2 nesting
-    /// (skipped when the capture provides no hierarchical geometry).
+    /// The depth-2 [`TopologyPolicy`], L1-in-L2 nesting (skipped when
+    /// the capture provides no hierarchical geometry).
     Hierarchical,
     /// [`SingleBin`] — FIFO order, the paper's "touch" baseline.
     Single,
@@ -58,10 +58,8 @@ impl PolicyKind {
     /// carries no geometry for it.
     pub fn policy(self, capture: &Capture) -> Option<AnyPolicy> {
         Some(match self {
-            PolicyKind::Paper => {
-                AnyPolicy::Ladder(PaperBlockHash::from_config(&capture.config).into())
-            }
-            PolicyKind::Hierarchical => AnyPolicy::Ladder(capture.hierarchical?.into()),
+            PolicyKind::Paper => AnyPolicy::Ladder(TopologyPolicy::from_config(&capture.config)),
+            PolicyKind::Hierarchical => AnyPolicy::Ladder(capture.hierarchical?),
             PolicyKind::Single => AnyPolicy::Single(SingleBin),
             PolicyKind::Unique => AnyPolicy::Unique(UniqueBin::default()),
         })
@@ -239,9 +237,9 @@ mod tests {
             Hints::one(Addr::new(0x20)),
         ];
         let cfg = config(1024);
-        let order = dispatch_trace(cfg, PaperBlockHash::from_config(&cfg), &hints).order;
+        let order = dispatch_trace(cfg, TopologyPolicy::from_config(&cfg), &hints).order;
         assert_eq!(order, vec![0, 2, 1]);
-        let bins = assign_bins(PaperBlockHash::from_config(&cfg), &hints);
+        let bins = assign_bins(TopologyPolicy::from_config(&cfg), &hints);
         assert_eq!(bins.fine, vec![0, 1, 0]);
         assert_eq!(bins.fine_bins, 2);
         assert_eq!(bins.parent, bins.fine);
@@ -255,10 +253,10 @@ mod tests {
             Hints::one(Addr::new(0x20)),
         ];
         let cfg = config(1024);
-        let trace = dispatch_trace(cfg, PaperBlockHash::from_config(&cfg), &hints);
+        let trace = dispatch_trace(cfg, TopologyPolicy::from_config(&cfg), &hints);
         assert_eq!(trace.order, vec![0, 2, 1]);
         assert_eq!(trace.units, 2, "two bins, two drain units");
-        let nested = locality_sched::Hierarchical::uniform(1024, 4096, false).unwrap();
+        let nested = TopologyPolicy::uniform(&[1024, 4096], false).unwrap();
         let sub_bins = [0x0, 0x400, 0x1000].map(|a| Hints::one(Addr::new(a)));
         let trace = dispatch_trace(cfg, nested, &sub_bins);
         assert_eq!(trace.order, vec![0, 1, 2]);
@@ -267,8 +265,7 @@ mod tests {
 
     #[test]
     fn hierarchical_assignment_has_two_levels() {
-        use locality_sched::Hierarchical;
-        let policy = Hierarchical::uniform(1024, 4096, false).unwrap();
+        let policy = TopologyPolicy::uniform(&[1024, 4096], false).unwrap();
         let hints = vec![
             Hints::one(Addr::new(0x0)),
             Hints::one(Addr::new(0x400)), // same parent, different sub-bin

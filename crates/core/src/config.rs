@@ -354,11 +354,11 @@ impl SchedulerConfig {
     /// hint address divided by its dimension's block size, with
     /// symmetric folding applied if configured.
     ///
-    /// Delegates to [`PaperBlockHash`](crate::PaperBlockHash), the
-    /// single owner of the paper's hints → bin-key mapping.
+    /// Delegates to [`TopologyPolicy::from_config`](crate::TopologyPolicy::from_config),
+    /// the single owner of the paper's hints → bin-key mapping.
     #[inline]
     pub fn block_coords(&self, hints: Hints) -> [u64; MAX_DIMS] {
-        crate::policy::PaperBlockHash::from_config(self).bin_key(hints)
+        crate::policy::TopologyPolicy::from_config(self).bin_key(hints)
     }
 }
 

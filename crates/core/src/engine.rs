@@ -832,7 +832,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     }
 
     /// Flushes the probe observations accumulated so far into a
-    /// `"sched"` profile section. Hierarchical policies additionally
+    /// `"sched"` profile section. Nested (depth > 1) policies additionally
     /// report per-parent occupancy and the sub-bin drain count.
     pub(crate) fn run_profile(&self) -> probe::Section {
         // Every thread forked is pending or retired. Folded into a
@@ -890,19 +890,19 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{PaperBlockHash, UniqueBin};
+    use crate::policy::{TopologyPolicy, UniqueBin};
     use crate::SchedulerConfig;
     use memtrace::{AccessKind, NullSink, VecSink};
 
     const BLOCK: u64 = 1 << 10;
 
-    fn engine(hash_size: usize) -> BinEngine<u32, PaperBlockHash> {
+    fn engine(hash_size: usize) -> BinEngine<u32, TopologyPolicy> {
         let config = SchedulerConfig::builder()
             .block_size(BLOCK)
             .hash_size(hash_size)
             .build()
             .unwrap();
-        let policy = PaperBlockHash::from_config(&config);
+        let policy = TopologyPolicy::from_config(&config);
         BinEngine::new(config.hash_size(), policy, None)
     }
 
@@ -915,7 +915,7 @@ mod tests {
         }
     }
 
-    fn consume(engine: &mut BinEngine<u32, PaperBlockHash>) -> u64 {
+    fn consume(engine: &mut BinEngine<u32, TopologyPolicy>) -> u64 {
         let stats = engine.run_with(
             &mut (),
             RunMode::Consume,
@@ -956,7 +956,7 @@ mod tests {
 
     /// Bin `i` of the round gets `1 + 37 i mod 300` threads, forked
     /// round-robin so the bins' vectors grow interleaved.
-    fn fork_round(engine: &mut BinEngine<u32, PaperBlockHash>, bins: u64, sink: &mut VecSink) {
+    fn fork_round(engine: &mut BinEngine<u32, TopologyPolicy>, bins: u64, sink: &mut VecSink) {
         for turn in 0..300 {
             for bin in (0..bins).filter(|bin| turn < 1 + 37 * bin % 300) {
                 engine.insert_traced(turn as u32, hints_of(&[bin, 2 * bin]), sink);
@@ -975,7 +975,7 @@ mod tests {
             }
             let mut sink = VecSink::new();
             fork_round(&mut engine, 40, &mut sink);
-            let storage = |engine: &BinEngine<u32, PaperBlockHash>| -> Vec<_> {
+            let storage = |engine: &BinEngine<u32, TopologyPolicy>| -> Vec<_> {
                 let of = |bin: &Bin<u32>| (bin.items.as_ptr(), bin.groups.as_ptr());
                 engine.bins.iter().map(of).collect()
             };
@@ -1124,7 +1124,7 @@ mod tests {
         let mut engine = engine(16);
         engine.insert_traced(0, hints_of(&[1]), &mut NullSink);
         engine.trace_package_memory();
-        let events = |block: u64, engine: &mut BinEngine<u32, PaperBlockHash>| {
+        let events = |block: u64, engine: &mut BinEngine<u32, TopologyPolicy>| {
             let mut sink = VecSink::new();
             engine.insert_traced(0, hints_of(&[block]), &mut sink);
             let event = |access: &memtrace::Access| (access.kind, access.addr.raw(), access.size);

@@ -86,8 +86,7 @@ pub use engine::PACKAGE_TRACE_BASE;
 pub use hint::{Hints, MAX_DIMS};
 pub use parallel::{ParRunReport, ParScheduler, ParThreadFn};
 pub use policy::{
-    AnyPolicy, BinPolicy, Hierarchical, PaperBlockHash, SingleBin, TopologyPolicy, UniqueBin,
-    MAX_LEVELS,
+    AnyPolicy, BinPolicy, Hierarchical, SingleBin, TopologyPolicy, UniqueBin, MAX_LEVELS,
 };
 pub use scheduler::{RunMode, Scheduler, ThreadFn, ThreadScheduler};
 pub use stats::{RunStats, SchedulerStats, WorkerStats};

@@ -51,7 +51,7 @@
 use crate::config::StealPolicy;
 use crate::engine::{Bin, BinEngine};
 use crate::hint::MAX_DIMS;
-use crate::policy::{BinPolicy, PaperBlockHash};
+use crate::policy::{BinPolicy, TopologyPolicy};
 use crate::stats::{RunStats, SchedulerStats, WorkerStats};
 use crate::table::BinId;
 use crate::{Hints, SchedulerConfig};
@@ -237,7 +237,7 @@ impl ParRunReport {
 /// assert_eq!(total, (0..100).sum::<usize>() as u64);
 /// ```
 #[derive(Debug)]
-pub struct ParScheduler<C, P = PaperBlockHash> {
+pub struct ParScheduler<C, P = TopologyPolicy> {
     config: SchedulerConfig,
     engine: BinEngine<ParSpec<C>, P>,
 }
@@ -246,7 +246,7 @@ impl<C: Sync> ParScheduler<C> {
     /// Creates an empty parallel scheduler using the paper's binning
     /// policy derived from `config`.
     pub fn new(config: SchedulerConfig) -> Self {
-        ParScheduler::with_policy(config, PaperBlockHash::from_config(&config))
+        ParScheduler::with_policy(config, TopologyPolicy::from_config(&config))
     }
 }
 

@@ -10,23 +10,16 @@
 //! baselines are type aliases of the locality scheduler under a
 //! degenerate policy.
 //!
-//! One family reproduces and extends the paper — a ladder of block
-//! sizes, one per machine level:
-//!
-//! * [`TopologyPolicy`] — an arbitrary machine hierarchy (L1 ⊂ L2 ⊂ L3
-//!   ⊂ NUMA node ⊂ …): one block size per level, finest to coarsest.
-//!   Threads are binned at the finest granularity; the engine tours
-//!   the coarsest-level groups and drains nested sub-bins back-to-back
-//!   in sorted-key order at every depth.
-//! * [`PaperBlockHash`] — the paper's mapping, a thin depth-1 wrapper
-//!   of [`TopologyPolicy`], bit-identical to the pre-refactor
-//!   `SchedulerConfig::block_coords`: shift each hint by
-//!   `log2(block size)`, optionally fold symmetric hints by sorting
-//!   coordinates descending.
-//! * [`Hierarchical`] — the two-level (L1-in-L2) ladder, a thin depth-2
-//!   wrapper of [`TopologyPolicy`]; its drain order is pinned
-//!   bit-identical to the pre-topology implementation by the golden
-//!   digests.
+//! One type reproduces and extends the paper — [`TopologyPolicy`], a
+//! ladder of block sizes, one per machine level, finest to coarsest
+//! (L1 ⊂ L2 ⊂ L3 ⊂ NUMA node ⊂ …). Threads are binned at the finest
+//! granularity; the engine tours the coarsest-level groups and drains
+//! nested sub-bins back-to-back in sorted-key order at every depth. At
+//! depth 1 ([`TopologyPolicy::from_config`]) it is the paper's mapping,
+//! bit-identical to `SchedulerConfig::block_coords`: shift each hint by
+//! `log2(block size)`, optionally fold symmetric hints by sorting
+//! coordinates descending. At depth 2 it nests L1-sized sub-bins in
+//! L2-sized parents.
 //!
 //! Two degenerate policies express the baselines:
 //!
@@ -70,9 +63,9 @@ pub trait BinPolicy: Clone + std::fmt::Debug {
     }
 
     /// Number of ladder levels (1 = flat, 2 = sub-bins within parents,
-    /// 3+ = deeper machine hierarchies). The engine only performs
-    /// ancestor grouping when this exceeds 1, keeping flat policies on
-    /// the paper's exact path.
+    /// 3+ = deeper machine hierarchies). The engine groups bins by
+    /// ancestor only when this exceeds 1; at depth 1 it drains bins in
+    /// allocation order, the paper's ready list.
     fn depth(&self) -> u32 {
         1
     }
@@ -91,61 +84,6 @@ pub trait BinPolicy: Clone + std::fmt::Debug {
     }
 }
 
-/// The paper's policy (§2.3/§3.2): each hint address shifted right by
-/// `log2(block size)` for its dimension, with optional symmetric
-/// folding (coordinates sorted descending so mirrored hints share a
-/// bin) — the depth-1 special case of [`TopologyPolicy`], kept as a
-/// named type whose [`depth`](BinPolicy::depth) is the constant 1, so
-/// the engine's flat path compiles without ancestor grouping.
-/// Bit-identical to the pre-refactor `Scheduler` binning — the
-/// differential and golden suites pin this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PaperBlockHash {
-    inner: TopologyPolicy,
-}
-
-impl PaperBlockHash {
-    /// Derives the policy from a [`SchedulerConfig`]'s block sizes and
-    /// symmetric flag — the mapping every config-built scheduler uses.
-    pub fn from_config(config: &SchedulerConfig) -> Self {
-        let inner = TopologyPolicy {
-            base_shifts: config.shifts(),
-            rel_shifts: [[0; MAX_DIMS]; MAX_LEVELS],
-            depth: 1,
-            symmetric: config.symmetric(),
-        };
-        PaperBlockHash { inner }
-    }
-
-    /// Builds the policy from per-dimension block sizes (each a nonzero
-    /// power of two).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any block size is zero or not a power of
-    /// two.
-    pub fn new(block_sizes: [u64; MAX_DIMS], symmetric: bool) -> Result<Self, ConfigError> {
-        // Validated unfolded: the paper folds whatever per-dimension
-        // sizes `th_init` was given; the ladder's uniform-blocks rule
-        // exists for nested levels.
-        let inner = TopologyPolicy::new(&[block_sizes], false)?;
-        Ok(PaperBlockHash {
-            inner: TopologyPolicy { symmetric, ..inner },
-        })
-    }
-}
-
-impl BinPolicy for PaperBlockHash {
-    #[inline]
-    fn bin_key(&mut self, hints: Hints) -> [u64; MAX_DIMS] {
-        self.inner.bin_key(hints)
-    }
-
-    fn symmetric(&self) -> bool {
-        self.inner.symmetric
-    }
-}
-
 /// Multi-level policy: one bin block size per machine-hierarchy level,
 /// finest to coarsest (L1 ⊂ L2 ⊂ L3 ⊂ NUMA node ⊂ …).
 ///
@@ -153,7 +91,7 @@ impl BinPolicy for PaperBlockHash {
 /// (`addr >> log2(level-0 block)`); the ancestor key at level `l`
 /// truncates the fine key to that level's block granularity. The engine
 /// tours the coarsest-level groups — so inter-group order matches what
-/// [`PaperBlockHash`] with coarsest blocks would produce — and drains
+/// the depth-1 ladder of the coarsest blocks would produce — and drains
 /// each group's bins sorted by their full ancestor ladder, running
 /// threads that share any level's working set back-to-back. This is the
 /// "hierarchy level as a scheduling parameter" extension (compare
@@ -178,6 +116,24 @@ pub struct TopologyPolicy {
 }
 
 impl TopologyPolicy {
+    /// The paper's policy (§2.3/§3.2), the depth-1 ladder of a
+    /// [`SchedulerConfig`]'s block sizes and symmetric flag: each hint
+    /// address shifted right by `log2(block size)` for its dimension,
+    /// with optional symmetric folding (coordinates sorted descending so
+    /// mirrored hints share a bin). The mapping every config-built
+    /// scheduler uses. Built directly rather than through
+    /// [`new`](Self::new): the paper folds whatever per-dimension sizes
+    /// `th_init` was given; the uniform-blocks rule exists for nested
+    /// levels.
+    pub fn from_config(config: &SchedulerConfig) -> Self {
+        TopologyPolicy {
+            base_shifts: config.shifts(),
+            rel_shifts: [[0; MAX_DIMS]; MAX_LEVELS],
+            depth: 1,
+            symmetric: config.symmetric(),
+        }
+    }
+
     /// Builds a policy from per-level, per-dimension block sizes,
     /// finest level first.
     ///
@@ -293,72 +249,24 @@ impl BinPolicy for TopologyPolicy {
     }
 }
 
-impl From<PaperBlockHash> for TopologyPolicy {
-    fn from(flat: PaperBlockHash) -> Self {
-        flat.inner
-    }
-}
-
-/// Two-level policy: L1-cache-sized sub-bins nested inside L2-sized
-/// parent bins — the depth-2 special case of [`TopologyPolicy`], kept
-/// as a named type because it is the configuration the experiment suite
-/// ablates and the golden digests pin bit-identically to the
-/// pre-topology implementation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Hierarchical {
-    inner: TopologyPolicy,
-}
+/// The two-level ladder's former constructor, kept only because the
+/// repo benchmark's `sched_null` workload names it; no value of this
+/// type exists. The next benchmark change (ROADMAP item 1) deletes it.
+pub enum Hierarchical {}
 
 impl Hierarchical {
-    /// Builds a two-level policy from per-dimension L1 (sub-bin) and
-    /// L2 (parent bin) block sizes.
+    /// `TopologyPolicy::uniform(&[l1_block, l2_block], symmetric)`: L1
+    /// sub-bins nested in L2 parent bins.
     ///
     /// # Errors
     ///
-    /// Returns an error if any block size is zero or not a power of
-    /// two, if an L1 block exceeds its dimension's L2 block, or if
-    /// `symmetric` is requested with non-uniform block sizes (folding
-    /// permutes coordinates across dimensions, which is only meaningful
-    /// when every dimension uses the same geometry).
-    pub fn new(
-        l1_blocks: [u64; MAX_DIMS],
-        l2_blocks: [u64; MAX_DIMS],
+    /// As [`TopologyPolicy::uniform`].
+    pub fn uniform(
+        l1_block: u64,
+        l2_block: u64,
         symmetric: bool,
-    ) -> Result<Self, ConfigError> {
-        let inner = TopologyPolicy::new(&[l1_blocks, l2_blocks], symmetric)?;
-        Ok(Hierarchical { inner })
-    }
-
-    /// Convenience constructor: the same L1 and L2 block size in every
-    /// dimension.
-    pub fn uniform(l1_block: u64, l2_block: u64, symmetric: bool) -> Result<Self, ConfigError> {
-        Hierarchical::new([l1_block; MAX_DIMS], [l2_block; MAX_DIMS], symmetric)
-    }
-}
-
-impl BinPolicy for Hierarchical {
-    #[inline]
-    fn bin_key(&mut self, hints: Hints) -> [u64; MAX_DIMS] {
-        self.inner.bin_key(hints)
-    }
-
-    #[inline]
-    fn ancestor_key(&self, key: [u64; MAX_DIMS], level: u32) -> [u64; MAX_DIMS] {
-        self.inner.ancestor_key(key, level)
-    }
-
-    fn depth(&self) -> u32 {
-        2
-    }
-
-    fn symmetric(&self) -> bool {
-        self.inner.symmetric()
-    }
-}
-
-impl From<Hierarchical> for TopologyPolicy {
-    fn from(two_level: Hierarchical) -> Self {
-        two_level.inner
+    ) -> Result<TopologyPolicy, ConfigError> {
+        TopologyPolicy::uniform(&[l1_block, l2_block], symmetric)
     }
 }
 
@@ -463,36 +371,38 @@ mod tests {
 
     #[test]
     fn paper_block_hash_matches_config_block_coords() {
+        // Non-uniform blocks fold too: the paper folds whatever
+        // per-dimension sizes `th_init` was given.
         for symmetric in [false, true] {
             let cfg = SchedulerConfig::builder()
                 .block_sizes([1024, 2048, 4096, 8192])
                 .symmetric(symmetric)
                 .build()
                 .unwrap();
-            let mut policy = PaperBlockHash::from_config(&cfg);
-            let hints = Hints::three(Addr::new(10_000), Addr::new(70_000), Addr::new(5_000));
-            assert_eq!(policy.bin_key(hints), cfg.block_coords(hints));
-            assert_eq!(
-                PaperBlockHash::new([1024, 2048, 4096, 8192], symmetric),
-                Ok(policy)
-            );
-            // The depth-1 ladder is the same policy.
-            let mut ladder = TopologyPolicy::from(policy);
-            assert_eq!(ladder.bin_key(hints), cfg.block_coords(hints));
-            assert_eq!((ladder.depth(), ladder.symmetric()), (1, symmetric));
+            let mut policy = TopologyPolicy::from_config(&cfg);
+            for hints in [
+                Hints::three(Addr::new(10_000), Addr::new(70_000), Addr::new(5_000)),
+                Hints::two(Addr::new(0x9000), Addr::new(0x1000)),
+            ] {
+                let key = policy.bin_key(hints);
+                assert_eq!(key, cfg.block_coords(hints));
+                assert_eq!(policy.ancestor_key(key, 1), key, "one level");
+            }
+            assert_eq!((policy.depth(), policy.symmetric()), (1, symmetric));
         }
-    }
-
-    #[test]
-    fn paper_block_hash_rejects_bad_blocks() {
-        assert!(PaperBlockHash::new([0, 1, 1, 1], false).is_err());
-        assert!(PaperBlockHash::new([3, 1, 1, 1], false).is_err());
-        assert!(PaperBlockHash::new([1024; MAX_DIMS], true).is_ok());
+        let cfg = SchedulerConfig::builder()
+            .block_sizes([1024, 2048, 4096, 8192])
+            .build()
+            .unwrap();
+        assert_eq!(
+            TopologyPolicy::new(&[[1024, 2048, 4096, 8192]], false),
+            Ok(TopologyPolicy::from_config(&cfg))
+        );
     }
 
     #[test]
     fn hierarchical_nests_l1_in_l2() {
-        let mut policy = Hierarchical::uniform(1 << 10, 1 << 12, false).unwrap();
+        let mut policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], false).unwrap();
         assert_eq!(policy.depth(), 2);
         // Two addresses in the same 4 KiB parent but different 1 KiB
         // sub-blocks.
@@ -527,30 +437,17 @@ mod tests {
     }
 
     #[test]
-    fn topology_policy_matches_hierarchical_at_depth_2() {
-        let mut hier = Hierarchical::uniform(1 << 10, 1 << 13, true).unwrap();
-        let mut topo = TopologyPolicy::uniform(&[1 << 10, 1 << 13], true).unwrap();
-        for addrs in [(0x1000, 0x9000), (0x9000, 0x1000), (0x123456, 0xffff)] {
-            let hints = Hints::two(Addr::new(addrs.0), Addr::new(addrs.1));
-            let (hk, tk) = (hier.bin_key(hints), topo.bin_key(hints));
-            assert_eq!(hk, tk);
-            for level in 0..2 {
-                assert_eq!(hier.ancestor_key(hk, level), topo.ancestor_key(tk, level));
-            }
-        }
-        assert_eq!(hier.depth(), topo.depth());
-        assert_eq!(hier.symmetric(), topo.symmetric());
-    }
-
-    #[test]
     fn topology_policy_validates_geometry() {
         assert!(TopologyPolicy::uniform(&[], false).is_err(), "no levels");
         assert!(
             TopologyPolicy::uniform(&[1 << 12, 1 << 10], false).is_err(),
-            "blocks shrink up the levels"
+            "L1 > L2: blocks shrink up the levels"
         );
         assert!(TopologyPolicy::uniform(&[0, 1 << 10], false).is_err());
         assert!(TopologyPolicy::uniform(&[3000], false).is_err());
+        assert!(TopologyPolicy::uniform(&[3000, 1 << 12], false).is_err());
+        assert!(TopologyPolicy::new(&[[0, 1, 1, 1]], false).is_err());
+        assert!(TopologyPolicy::new(&[[3, 1, 1, 1]], false).is_err());
         assert!(
             TopologyPolicy::new(&[[512, 1024, 512, 512], [4096; 4]], true).is_err(),
             "symmetric folding needs uniform blocks"
@@ -558,33 +455,24 @@ mod tests {
         let nine: Vec<u64> = (0..9).map(|i| 1u64 << (10 + i)).collect();
         assert!(TopologyPolicy::uniform(&nine, false).is_err(), "too deep");
         assert!(TopologyPolicy::uniform(&[1 << 10], false).is_ok(), "flat");
+        assert!(TopologyPolicy::uniform(&[1 << 10], true).is_ok());
+        assert!(TopologyPolicy::uniform(&[1 << 10, 1 << 12], true).is_ok());
         // Equal block sizes at adjacent levels are allowed (a level can
         // be a no-op for one dimension).
         assert!(TopologyPolicy::uniform(&[1 << 10, 1 << 10, 1 << 12], false).is_ok());
     }
 
     #[test]
-    fn hierarchical_validates_geometry() {
-        assert!(
-            Hierarchical::uniform(1 << 12, 1 << 10, false).is_err(),
-            "L1 > L2"
-        );
-        assert!(Hierarchical::uniform(0, 1 << 10, false).is_err());
-        assert!(Hierarchical::uniform(3000, 1 << 12, false).is_err());
-        assert!(
-            Hierarchical::new([512, 1024, 512, 512], [4096; 4], true).is_err(),
-            "symmetric folding needs uniform blocks"
-        );
-        assert!(Hierarchical::uniform(1 << 10, 1 << 12, true).is_ok());
-    }
-
-    #[test]
     fn hierarchical_symmetric_folds_at_both_levels() {
-        let mut policy = Hierarchical::uniform(1 << 10, 1 << 12, true).unwrap();
-        let ab = policy.bin_key(Hints::two(Addr::new(0x1000), Addr::new(0x9000)));
-        let ba = policy.bin_key(Hints::two(Addr::new(0x9000), Addr::new(0x1000)));
-        assert_eq!(ab, ba);
-        assert_eq!(policy.ancestor_key(ab, 1), policy.ancestor_key(ba, 1));
+        for levels in [&[1 << 10, 1 << 12][..], &[1 << 10, 1 << 13]] {
+            let mut policy = TopologyPolicy::uniform(levels, true).unwrap();
+            for (x, y) in [(0x1000, 0x9000), (0x123456, 0xffff)] {
+                let ab = policy.bin_key(Hints::two(Addr::new(x), Addr::new(y)));
+                let ba = policy.bin_key(Hints::two(Addr::new(y), Addr::new(x)));
+                assert_eq!(ab, ba);
+                assert_eq!(policy.ancestor_key(ab, 1), policy.ancestor_key(ba, 1));
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! [`BinEngine`](crate::engine::BinEngine).
 
 use crate::engine::BinEngine;
-use crate::policy::{BinPolicy, PaperBlockHash};
+use crate::policy::{BinPolicy, TopologyPolicy};
 use crate::stats::{RunStats, SchedulerStats};
 use crate::{Hints, SchedulerConfig};
 use memtrace::TraceSink;
@@ -58,19 +58,19 @@ pub trait ThreadScheduler<C> {
 /// The hint-based locality scheduler.
 ///
 /// Threads are placed into bins by the configured [`BinPolicy`]
-/// (default [`PaperBlockHash`]: hint address ÷ block size per
-/// dimension, the paper's mapping); [`run`](Scheduler::run) visits
-/// bins in allocation order — the paper's ready list — draining each
-/// bin completely. Threads within a bin run in fork order ("the
+/// (default: the depth-1 [`TopologyPolicy`] of
+/// [`from_config`](TopologyPolicy::from_config), hint address ÷ block
+/// size per dimension, the paper's mapping); [`run`](Scheduler::run)
+/// visits bins in allocation order — the paper's ready list — draining
+/// each bin completely. Threads within a bin run in fork order ("the
 /// scheduling order of threads in the same bin can be arbitrary",
-/// §2.3). A two-level policy
-/// ([`Hierarchical`](crate::Hierarchical)) additionally orders each
-/// parent bin's L1-sized sub-bins so threads sharing an L1 working set
-/// run back-to-back.
+/// §2.3). A deeper ladder additionally groups bins by their coarsest
+/// ancestor and orders each group's L1-sized sub-bins so threads
+/// sharing an L1 working set run back-to-back.
 ///
 /// See the [crate docs](crate) for a complete example.
 #[derive(Clone, Debug)]
-pub struct Scheduler<C, P = PaperBlockHash> {
+pub struct Scheduler<C, P = TopologyPolicy> {
     config: SchedulerConfig,
     engine: BinEngine<ThreadSpec<C>, P>,
 }
@@ -82,7 +82,7 @@ impl<C> Scheduler<C> {
     /// here that is a new scheduler, which reuses the traced package
     /// region (see [`trace_package_memory`](Self::trace_package_memory)).
     pub fn new(config: SchedulerConfig) -> Self {
-        Scheduler::with_policy(config, PaperBlockHash::from_config(&config))
+        Scheduler::with_policy(config, TopologyPolicy::from_config(&config))
     }
 }
 
@@ -324,7 +324,6 @@ impl<C, P: BinPolicy> ThreadScheduler<C> for Scheduler<C, P> {
 mod tests {
     use super::*;
     use crate::engine::GROUP_CAPACITY;
-    use crate::policy::Hierarchical;
     use memtrace::Addr;
 
     type Log = Vec<(usize, usize)>;
@@ -685,38 +684,41 @@ mod tests {
         assert_eq!(drive(&mut sched), 1);
     }
 
-    /// The pre-refactor `Scheduler` run order on a dense pseudo-random
-    /// 2-D workload, captured before the engine extraction as an FNV-1a
-    /// digest of the executed `arg1` sequence. Any deviation in the
-    /// hints → bin → tour → drain pipeline changes this digest.
-    #[test]
-    fn run_order_matches_pre_refactor_golden() {
+    /// FNV-1a digest of the executed `arg1` sequence when 300 threads
+    /// with dense pseudo-random 2-D hints are forked under `policy` and
+    /// run. Any deviation in the hints → bin → tour → drain pipeline
+    /// changes it.
+    fn digest_of<P: BinPolicy>(cfg: SchedulerConfig, policy: P) -> u64 {
         fn body(log: &mut Vec<usize>, i: usize, _j: usize) {
             log.push(i);
         }
-        fn digest_of<P: BinPolicy>(cfg: SchedulerConfig, policy: P) -> u64 {
-            let mut sched: Scheduler<Vec<usize>, P> = Scheduler::with_policy(cfg, policy);
-            let mut x = 0x9E37_79B9_7F4A_7C15u64;
-            for i in 0..300usize {
-                let mut next = || {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    x
-                };
-                let a = next() % (1 << 21);
-                let b = next() % (1 << 21);
-                sched.fork(body, i, 0, Hints::two(Addr::new(a), Addr::new(b)));
-            }
-            let mut log = Vec::new();
-            sched.run(&mut log, RunMode::Consume);
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            for v in &log {
-                digest ^= *v as u64;
-                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            digest
+        let mut sched: Scheduler<Vec<usize>, P> = Scheduler::with_policy(cfg, policy);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..300usize {
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let a = next() % (1 << 21);
+            let b = next() % (1 << 21);
+            sched.fork(body, i, 0, Hints::two(Addr::new(a), Addr::new(b)));
         }
+        let mut log = Vec::new();
+        sched.run(&mut log, RunMode::Consume);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for v in &log {
+            digest ^= *v as u64;
+            digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        digest
+    }
+
+    /// The pre-refactor `Scheduler` run order, captured before the
+    /// engine extraction.
+    #[test]
+    fn run_order_matches_pre_refactor_golden() {
         for (symmetric, golden) in [
             (false, 0x602b_6d0e_814b_6447u64),
             (true, 0x75cd_8bb5_5def_c1e9),
@@ -727,9 +729,9 @@ mod tests {
                 .build()
                 .unwrap();
             // The same digest through the paper policy and through the
-            // depth-1 ladder carried as an `AnyPolicy` value.
-            let paper = PaperBlockHash::from_config(&cfg);
-            let ladder = crate::AnyPolicy::Ladder(paper.into());
+            // same ladder carried as an `AnyPolicy` value.
+            let paper = TopologyPolicy::from_config(&cfg);
+            let ladder = crate::AnyPolicy::Ladder(paper);
             assert_eq!(digest_of(cfg, paper), golden, "symmetric={symmetric}");
             assert_eq!(
                 digest_of(cfg, ladder),
@@ -739,12 +741,34 @@ mod tests {
         }
     }
 
+    /// The nested drain orders of the same 300 forks, captured before
+    /// the depth-2 wrapper type was removed: 4 KiB sub-bins in 64 KiB
+    /// parents, folded and not, and a third 256 KiB level.
+    #[test]
+    fn nested_run_order_matches_pre_refactor_golden() {
+        let cfg = SchedulerConfig::default();
+        for (symmetric, golden) in [
+            (false, 0x6449_e202_04d9_ff13u64),
+            (true, 0xb029_f9a1_898c_c7e1),
+        ] {
+            let two = TopologyPolicy::uniform(&[1 << 12, 1 << 16], symmetric).unwrap();
+            assert_eq!(digest_of(cfg, two), golden, "symmetric={symmetric}");
+            assert_eq!(
+                digest_of(cfg, crate::AnyPolicy::Ladder(two)),
+                golden,
+                "ladder symmetric={symmetric}"
+            );
+        }
+        let three = TopologyPolicy::uniform(&[1 << 12, 1 << 16, 1 << 18], false).unwrap();
+        assert_eq!(digest_of(cfg, three), 0xa9a3_6254_2597_f2e1);
+    }
+
     #[test]
     fn hierarchical_policy_drains_subbins_within_parents() {
         // 1 KiB sub-bins inside 4 KiB parents. Forks touch two parents
         // (0x0000.. and 0x8000..), each with interleaved sub-blocks.
-        let policy = Hierarchical::uniform(1 << 10, 1 << 12, false).unwrap();
-        let mut sched: Scheduler<Log, Hierarchical> =
+        let policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], false).unwrap();
+        let mut sched: Scheduler<Log, TopologyPolicy> =
             Scheduler::with_policy(SchedulerConfig::default(), policy);
         let addrs: [u64; 8] = [
             0x0000, 0x8000, 0x0400, 0x8400, 0x0800, 0x8800, 0x0c00, 0x8c00,
@@ -807,8 +831,8 @@ mod tests {
 
     #[test]
     fn online_drain_matches_batch_run_hierarchical() {
-        let policy = Hierarchical::uniform(1 << 10, 1 << 12, false).unwrap();
-        let fork_all = |sched: &mut Scheduler<Log, Hierarchical>| {
+        let policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], false).unwrap();
+        let fork_all = |sched: &mut Scheduler<Log, TopologyPolicy>| {
             for i in 0..120usize {
                 let addr = (i as u64 * 0x2f1) % (1 << 16);
                 sched.fork(record, i, 0, Hints::one(Addr::new(addr)));
@@ -974,8 +998,8 @@ mod tests {
 
     #[test]
     fn hierarchical_retain_re_runs_identically() {
-        let policy = Hierarchical::uniform(512, 4096, false).unwrap();
-        let mut sched: Scheduler<Log, Hierarchical> =
+        let policy = TopologyPolicy::uniform(&[512, 4096], false).unwrap();
+        let mut sched: Scheduler<Log, TopologyPolicy> =
             Scheduler::with_policy(SchedulerConfig::default(), policy);
         for i in 0..50 {
             sched.fork(

@@ -1,10 +1,10 @@
 //! Property-based tests of the locality scheduler's invariants.
 
 use locality_sched::{
-    Addr, AnyPolicy, BinPolicy, FifoScheduler, Hierarchical, Hints, PaperBlockHash,
-    RandomScheduler, RunMode, Scheduler, SchedulerConfig, SingleBin, ThreadScheduler,
-    TopologyPolicy,
+    Addr, AnyPolicy, BinPolicy, FifoScheduler, Hints, RandomScheduler, RunMode, Scheduler,
+    SchedulerConfig, SingleBin, ThreadScheduler, TopologyPolicy,
 };
+use memtrace::{Access, SchedMark, TraceSink};
 use proptest::prelude::*;
 
 type Log = Vec<(usize, usize)>;
@@ -15,19 +15,19 @@ fn record(log: &mut Log, a: usize, b: usize) {
 
 /// Arbitrary hint tuples over a bounded address space.
 fn arb_hints() -> impl Strategy<Value = Hints> {
-    let addr = 0u64..(1 << 26);
+    arb_hints_below(1 << 26)
+}
+
+/// Arbitrary hint tuples of zero to four dimensions, every address
+/// below `limit`.
+fn arb_hints_below(limit: u64) -> impl Strategy<Value = Hints> {
+    let addr = move || (0..limit).prop_map(Addr::new);
     prop_oneof![
         Just(Hints::none()),
-        addr.clone().prop_map(|a| Hints::one(Addr::new(a))),
-        (addr.clone(), addr.clone()).prop_map(|(a, b)| Hints::two(Addr::new(a), Addr::new(b))),
-        (addr.clone(), addr.clone(), addr.clone()).prop_map(|(a, b, c)| Hints::three(
-            Addr::new(a),
-            Addr::new(b),
-            Addr::new(c)
-        )),
-        (addr.clone(), addr.clone(), addr.clone(), addr).prop_map(|(a, b, c, d)| {
-            Hints::four(Addr::new(a), Addr::new(b), Addr::new(c), Addr::new(d))
-        }),
+        addr().prop_map(Hints::one),
+        (addr(), addr()).prop_map(|(a, b)| Hints::two(a, b)),
+        (addr(), addr(), addr()).prop_map(|(a, b, c)| Hints::three(a, b, c)),
+        (addr(), addr(), addr(), addr()).prop_map(|(a, b, c, d)| Hints::four(a, b, c, d)),
     ]
 }
 
@@ -49,6 +49,78 @@ fn arb_config() -> impl Strategy<Value = SchedulerConfig> {
             .build()
             .expect("generated configs are valid")
     })
+}
+
+/// The paper's loop over a ladder of uniform block sizes (`levels`,
+/// finest first), as plain code: `th_fork` keys each thread by its
+/// hints shifted by the finest block (§2.3, §3.2), folded by a
+/// descending sort when `symmetric`, into bins kept in allocation
+/// order; `th_run` visits the bins grouped by their coarsest ancestor,
+/// groups in order of first appearance, each group's bins sorted by
+/// their ancestor ladder coarse to fine, and runs each bin's threads in
+/// fork order. Returns the fork indices in run order and the number of
+/// groups (drain units).
+fn paper_loop(levels: &[u64], symmetric: bool, hints: &[Hints]) -> (Vec<usize>, usize) {
+    /// A bin: its key at every level, finest first, and its threads.
+    type Bin = (Vec<[u64; 4]>, Vec<usize>);
+
+    // The key at every level, finest first.
+    let ladder = |h: &Hints| -> Vec<[u64; 4]> {
+        levels
+            .iter()
+            .map(|block| {
+                let mut key = h.as_array().map(|a| a.raw() >> block.trailing_zeros());
+                if symmetric {
+                    key.sort_unstable_by(|a, b| b.cmp(a));
+                }
+                key
+            })
+            .collect()
+    };
+    let mut bins: Vec<Bin> = Vec::new();
+    for (fork, h) in hints.iter().enumerate() {
+        let keys = ladder(h);
+        match bins.iter_mut().find(|(k, _)| k[0] == keys[0]) {
+            Some((_, threads)) => threads.push(fork),
+            None => bins.push((keys, vec![fork])),
+        }
+    }
+    let mut groups: Vec<([u64; 4], Vec<&Bin>)> = Vec::new();
+    for bin in &bins {
+        let coarsest = *bin.0.last().unwrap();
+        match groups.iter_mut().find(|(k, _)| *k == coarsest) {
+            Some((_, members)) => members.push(bin),
+            None => groups.push((coarsest, vec![bin])),
+        }
+    }
+    let mut order = Vec::new();
+    for (_, members) in &mut groups {
+        members.sort_by_key(|(keys, _)| keys.iter().rev().copied().collect::<Vec<_>>());
+        for (_, threads) in members.iter() {
+            order.extend(threads);
+        }
+    }
+    (order, groups.len())
+}
+
+/// A run's thread log and its drain-unit count, the context and sink
+/// of the paper-loop test.
+#[derive(Default)]
+struct Marked {
+    log: Vec<usize>,
+    units: usize,
+}
+
+impl TraceSink for Marked {
+    fn access(&mut self, _access: Access) {}
+
+    fn instructions(&mut self, _count: u64) {}
+
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        if let SchedMark::DrainBegin(_) = mark {
+            self.units += 1;
+        }
+    }
 }
 
 /// FNV-1a digest of `block_coords` over a deterministic pseudo-random
@@ -354,16 +426,7 @@ proptest! {
         let addrs = [addr_tuple.0, addr_tuple.1, addr_tuple.2, addr_tuple.3];
         let other = permuted(addrs, seed);
         let block = 1u64 << block_log2;
-        check(
-            PaperBlockHash::new([block; 4], true).unwrap(),
-            addrs,
-            other,
-        );
-        check(
-            Hierarchical::uniform(block >> sub_log2, block, true).unwrap(),
-            addrs,
-            other,
-        );
+        check(TopologyPolicy::uniform(&[block], true).unwrap(), addrs, other);
         check(
             TopologyPolicy::uniform(&[block >> sub_log2, block], true).unwrap(),
             addrs,
@@ -372,63 +435,80 @@ proptest! {
         check(SingleBin, addrs, other);
     }
 
-    /// A two-rung [`TopologyPolicy`] ladder IS the two-level
-    /// [`Hierarchical`] policy: identical bin keys, identical ancestor
-    /// ladder, and an identical drain order under any configuration and
-    /// hint mixture. This is what licenses `Hierarchical` to
-    /// remain a thin alias for the depth-2 case — and the ladder carried
-    /// as an [`AnyPolicy`] value drains identically at depth 1 (against
-    /// [`PaperBlockHash`]), 2 and 3.
+    /// `Scheduler` runs the paper's loop ([`paper_loop`]) at ladder
+    /// depths 1 to 3, folded and not, whatever the hash-table size:
+    /// through a batch `run`, an online `drain_next` to exhaustion,
+    /// `run_traced`, a retained re-run, and the ladder carried as an
+    /// [`AnyPolicy`]. Depth 1 is the default policy of
+    /// `Scheduler::new`.
     #[test]
-    fn topology_depth2_matches_hierarchical(
-        config in arb_config(),
-        hints in prop::collection::vec(arb_hints(), 0..150),
-        sub_log2 in 3u32..10,
-        block_log2 in 10u32..24,
+    fn scheduler_runs_the_paper_loop(
+        // 64 KiB of hint space, so that forks share bins and
+        // ancestors at every level of a small ladder.
+        hints in prop::collection::vec(arb_hints_below(1 << 16), 0..160),
+        depth in 1usize..=3,
+        fine_log2 in 6u32..12,
+        steps in prop::collection::vec(0u32..4, 2),
         symmetric in any::<bool>(),
+        hash_log2 in 0usize..6,
     ) {
-        let (sub, block) = (1u64 << sub_log2, 1u64 << block_log2);
-        let mut hier = Hierarchical::uniform(sub, block, symmetric).unwrap();
-        let mut tree = TopologyPolicy::uniform(&[sub, block], symmetric).unwrap();
-        prop_assert_eq!(BinPolicy::depth(&hier), 2);
-        prop_assert_eq!(BinPolicy::depth(&tree), 2);
-        for h in &hints {
-            let key = hier.bin_key(*h);
-            prop_assert_eq!(key, tree.bin_key(*h));
-            for level in 0..2 {
-                prop_assert_eq!(
-                    hier.ancestor_key(key, level),
-                    tree.ancestor_key(key, level),
-                    "level {}", level
-                );
-            }
+        let mut levels = vec![1u64 << fine_log2];
+        for &step in &steps[..depth - 1] {
+            levels.push(levels.last().unwrap() << step);
         }
-        fn drain<P: BinPolicy>(config: SchedulerConfig, policy: P, hints: &[Hints]) -> Log {
-            let mut sched: Scheduler<Log, P> = Scheduler::with_policy(config, policy);
+        let config = SchedulerConfig::builder()
+            .block_size(levels[0])
+            .hash_size(1 << hash_log2)
+            .symmetric(symmetric)
+            .build()
+            .unwrap();
+        let ladder = TopologyPolicy::uniform(&levels, symmetric).unwrap();
+        let (order, units) = paper_loop(&levels, symmetric, &hints);
+        let fork_all = |sched: &mut Scheduler<Marked>| {
             for (i, h) in hints.iter().enumerate() {
-                sched.fork(record, i, 0, *h);
+                sched.fork(|ctx: &mut Marked, i, _| ctx.log.push(i), i, 0, *h);
             }
-            let mut log = Log::new();
-            sched.run(&mut log, RunMode::Consume);
-            log
+        };
+        let new = || if depth == 1 {
+            Scheduler::<Marked>::new(config)
+        } else {
+            Scheduler::with_policy(config, ladder)
+        };
+
+        let mut batch = new();
+        prop_assert_eq!(batch.policy(), &ladder);
+        fork_all(&mut batch);
+        let mut ctx = Marked::default();
+        batch.run(&mut ctx, RunMode::Retain);
+        prop_assert_eq!(&ctx.log, &order, "batch run");
+        let mut ctx = Marked::default();
+        batch.run_traced(&mut ctx, RunMode::Consume, |c| c);
+        prop_assert_eq!(&ctx.log, &order, "traced re-run");
+        prop_assert_eq!(ctx.units, units, "drain units");
+
+        let mut online = new();
+        fork_all(&mut online);
+        online.enable_online();
+        let mut ctx = Marked::default();
+        let mut drains = 0;
+        while online.drain_next(&mut ctx).is_some() {
+            drains += 1;
         }
-        let two_level = drain(config, hier, &hints);
-        prop_assert_eq!(&two_level, &drain(config, tree, &hints), "drain order diverged");
-        prop_assert_eq!(&two_level, &drain(config, AnyPolicy::Ladder(tree), &hints));
-        prop_assert_eq!(&two_level, &drain(config, AnyPolicy::Ladder(hier.into()), &hints));
-        let flat = PaperBlockHash::new([block; 4], symmetric).unwrap();
-        prop_assert_eq!(
-            drain(config, flat, &hints),
-            drain(config, AnyPolicy::Ladder(flat.into()), &hints)
-        );
-        let deep = TopologyPolicy::uniform(&[sub, block, block << 3], symmetric).unwrap();
-        prop_assert_eq!(
-            drain(config, deep, &hints),
-            drain(config, AnyPolicy::Ladder(deep), &hints)
-        );
+        prop_assert_eq!(&ctx.log, &order, "online drain");
+        prop_assert_eq!(drains, units, "online drain units");
+
+        let mut any: Scheduler<Log, AnyPolicy> =
+            Scheduler::with_policy(config, AnyPolicy::Ladder(ladder));
+        for (i, h) in hints.iter().enumerate() {
+            any.fork(record, i, 0, *h);
+        }
+        let mut log = Log::new();
+        any.run(&mut log, RunMode::Consume);
+        prop_assert!(log.iter().map(|&(i, _)| i).eq(order.iter().copied()), "AnyPolicy");
     }
 
-    /// [`PaperBlockHash`] computes exactly the pre-refactor hints→bin
+    /// The paper's block hash, the depth-1 [`TopologyPolicy`], computes
+    /// exactly the pre-refactor hints→bin
     /// arithmetic — per-dimension address shift, then (symmetric only)
     /// a descending coordinate sort — and agrees with the public
     /// [`SchedulerConfig::block_coords`] on every hint shape.
@@ -445,14 +525,14 @@ proptest! {
         if symmetric {
             expect.sort_unstable_by(|a, b| b.cmp(a));
         }
-        let mut policy =
-            PaperBlockHash::new([1u64 << block_log2; 4], symmetric).unwrap();
+        let mut policy = TopologyPolicy::uniform(&[1 << block_log2], symmetric).unwrap();
         prop_assert_eq!(policy.bin_key(hints), expect);
         let config = SchedulerConfig::builder()
             .block_size(1 << block_log2)
             .symmetric(symmetric)
             .build()
             .unwrap();
+        prop_assert_eq!(TopologyPolicy::from_config(&config).bin_key(hints), expect);
         prop_assert_eq!(config.block_coords(hints), expect);
     }
 

@@ -24,9 +24,7 @@
 //! every depth.
 
 use cachesim::MachineModel;
-use locality_sched::{
-    prev_power_of_two, ConfigError, Hierarchical, SchedulerConfig, TopologyPolicy, MAX_LEVELS,
-};
+use locality_sched::{prev_power_of_two, ConfigError, SchedulerConfig, TopologyPolicy, MAX_LEVELS};
 
 /// The four threaded kernels whose bin sizes derive from the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,8 +225,8 @@ impl BinGeometry {
     /// The hierarchical (L1-in-L2) policy for `kernel`: L1-sized
     /// sub-bins nested in L2-sized bins — the first two rungs of the
     /// ladder, whatever the machine's full depth.
-    pub fn hierarchical(&self, kernel: Kernel) -> Result<Hierarchical, ConfigError> {
-        Hierarchical::uniform(self.l1_block(kernel), self.l2_block(kernel), false)
+    pub fn hierarchical(&self, kernel: Kernel) -> Result<TopologyPolicy, ConfigError> {
+        TopologyPolicy::uniform(&[self.l1_block(kernel), self.l2_block(kernel)], false)
     }
 
     /// The full-depth topology policy for `kernel`: one nesting level
@@ -331,7 +329,7 @@ mod tests {
         let g = r8000_like();
         for k in [Kernel::MatMul, Kernel::Pde, Kernel::Sor, Kernel::NBody] {
             let policy = g.hierarchical(k).expect("valid geometry");
-            assert!(!format!("{policy:?}").is_empty());
+            assert_eq!(locality_sched::BinPolicy::depth(&policy), 2);
         }
     }
 
@@ -366,7 +364,7 @@ mod tests {
                 vec![g.l1_block(k), g.l2_block(k)],
                 "{k:?}"
             );
-            g.topology_policy(k).expect("valid depth-2 ladder");
+            assert_eq!(g.topology_policy(k), g.hierarchical(k), "{k:?}");
         }
     }
 

@@ -16,7 +16,7 @@
 
 use crate::overhead::{FORK_INSTRUCTIONS, RUN_INSTRUCTIONS};
 use crate::WorkloadReport;
-use locality_sched::{BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig};
+use locality_sched::{BinPolicy, Hints, RunMode, Scheduler, SchedulerConfig, TopologyPolicy};
 use memtrace::{AccessKind, AddressSpace, MatrixLayout, StreamRun, TraceSink, TracedMatrix};
 
 /// Instructions per multiply-add in the untiled interchanged loop.
@@ -403,7 +403,7 @@ pub fn threaded<S: TraceSink>(
     config: SchedulerConfig,
     sink: &mut S,
 ) -> WorkloadReport {
-    let policy = PaperBlockHash::from_config(&config);
+    let policy = TopologyPolicy::from_config(&config);
     threaded_with(data, config, policy, sink)
 }
 

@@ -29,7 +29,7 @@ pub use tree::{BhTree, LEAF_CAPACITY};
 use crate::overhead::{FORK_INSTRUCTIONS, RUN_INSTRUCTIONS};
 use crate::WorkloadReport;
 use locality_sched::{
-    Addr, BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SchedulerStats,
+    Addr, BinPolicy, Hints, RunMode, Scheduler, SchedulerConfig, SchedulerStats, TopologyPolicy,
 };
 use memtrace::{AddressSpace, TraceSink, TracedBuf};
 use rand::rngs::SmallRng;
@@ -327,7 +327,7 @@ pub fn threaded<S: TraceSink>(
     config: SchedulerConfig,
     sink: &mut S,
 ) -> WorkloadReport {
-    let policy = PaperBlockHash::from_config(&config);
+    let policy = TopologyPolicy::from_config(&config);
     threaded_with(data, iterations, params, config, policy, sink)
 }
 

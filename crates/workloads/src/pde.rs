@@ -23,7 +23,7 @@
 use crate::overhead::{FORK_INSTRUCTIONS, RUN_INSTRUCTIONS};
 use crate::WorkloadReport;
 use locality_sched::{
-    BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig, SchedulerStats,
+    BinPolicy, Hints, RunMode, Scheduler, SchedulerConfig, SchedulerStats, TopologyPolicy,
 };
 use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
 
@@ -243,16 +243,15 @@ pub fn threaded<S: TraceSink>(
     config: SchedulerConfig,
     sink: &mut S,
 ) -> WorkloadReport {
-    let policy = PaperBlockHash::from_config(&config);
+    let policy = TopologyPolicy::from_config(&config);
     threaded_with(data, iters, config, policy, sink)
 }
 
 /// [`threaded`] under an arbitrary [`BinPolicy`]. The red-black
 /// ordering constraint carries over: a policy is only correct here if,
 /// combined with the allocation-order tour, it drains threads in
-/// ascending line order (true for the flat paper policy and for
-/// [`Hierarchical`](locality_sched::Hierarchical) nesting, both of
-/// which are monotone in the single line-address hint).
+/// ascending line order (true for the block ladder at any depth, whose
+/// keys are monotone in the single line-address hint).
 pub fn threaded_with<S: TraceSink, P: BinPolicy>(
     data: &mut PdeData,
     iters: usize,

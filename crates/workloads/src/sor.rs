@@ -35,7 +35,7 @@
 
 use crate::overhead::{FORK_INSTRUCTIONS, RUN_INSTRUCTIONS};
 use crate::WorkloadReport;
-use locality_sched::{BinPolicy, Hints, PaperBlockHash, RunMode, Scheduler, SchedulerConfig};
+use locality_sched::{BinPolicy, Hints, RunMode, Scheduler, SchedulerConfig, TopologyPolicy};
 use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
 
 /// Instructions per update in the untiled (register-chained) loop.
@@ -242,7 +242,7 @@ pub fn threaded<S: TraceSink>(
     config: SchedulerConfig,
     sink: &mut S,
 ) -> WorkloadReport {
-    let policy = PaperBlockHash::from_config(&config);
+    let policy = TopologyPolicy::from_config(&config);
     threaded_with(data, t, config, policy, sink)
 }
 

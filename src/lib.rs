@@ -49,6 +49,11 @@
 //! # Ok::<(), thread_locality::sched::ConfigError>(())
 //! ```
 
+/// The README's `rust` blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// The locality thread package (re-export of [`locality_sched`]).
 pub mod sched {
     pub use locality_sched::*;

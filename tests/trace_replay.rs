@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use thread_locality::apps::matmul;
-use thread_locality::sched::{Hierarchical, Hints, RunMode, Scheduler, SchedulerConfig};
+use thread_locality::sched::{Hints, RunMode, Scheduler, SchedulerConfig, TopologyPolicy};
 use thread_locality::sim::{MachineModel, SimSink};
 use thread_locality::trace::{
     Access, AccessKind, Addr, AddressSpace, CompactBuf, CompactIter, FootprintSink, SchedEvent,
@@ -71,8 +71,8 @@ fn recorded_schedule_replays_to_the_live_log_and_footprints() {
         // 1 KiB sub-bins in 4 KiB parents; hints stride 256 B over
         // 16 KiB, visited out of order: 4 drain units of 4 sub-bins of
         // 4 threads.
-        let policy = Hierarchical::uniform(1 << 10, 1 << 12, false).expect("valid nesting");
-        let mut sched: Scheduler<Ctx<'_>, Hierarchical> =
+        let policy = TopologyPolicy::uniform(&[1 << 10, 1 << 12], false).expect("valid nesting");
+        let mut sched: Scheduler<Ctx<'_>, TopologyPolicy> =
             Scheduler::with_policy(SchedulerConfig::default(), policy);
         for phase in 0..2 {
             for i in 0..64usize {
