@@ -65,9 +65,9 @@ impl<C> Default for FifoScheduler<C> {
 /// order — the adversarial locality baseline (any reference locality in
 /// fork order is destroyed).
 ///
-/// The seed shuffles the batch [`run`](Scheduler::run) only. After
-/// [`enable_online`](Scheduler::enable_online) every thread is its own
-/// drain unit on the ready list, so
+/// The seed shuffles a copy of the ready list for each batch
+/// [`run`](Scheduler::run), and nothing else. Every thread is its own
+/// drain unit on that list, so
 /// [`drain_next`](Scheduler::drain_next) hands them out in fork order.
 pub type RandomScheduler<C> = Scheduler<C, UniqueBin>;
 
@@ -173,7 +173,6 @@ mod tests {
     #[test]
     fn random_online_drains_in_fork_order() {
         let mut sched: RandomScheduler<Log> = RandomScheduler::new(7);
-        sched.enable_online();
         for i in 0..16 {
             sched.fork(body, i, 0, Hints::none());
         }

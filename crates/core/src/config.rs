@@ -75,9 +75,12 @@ impl fmt::Display for StealPolicy {
     }
 }
 
-/// When the *online* engine ([`Scheduler::enable_online`](crate::Scheduler::enable_online))
-/// frees drained-and-empty bin records, bounding the bin table for
-/// long-running serving workloads.
+/// When a scheduler frees bin records that
+/// [`Scheduler::drain_next`](crate::Scheduler::drain_next) drained
+/// empty, bounding the bin table for long-running serving workloads.
+/// The policy is armed when the scheduler is built; a batch
+/// [`run`](crate::Scheduler::run) drains nothing into idleness, so only
+/// online drains make candidates.
 ///
 /// The paper's package never frees a bin record: for a batch run the
 /// table is recycled wholesale between phases, so leaking records is
@@ -89,8 +92,9 @@ impl fmt::Display for StealPolicy {
 /// Eviction is **order-neutral and insert-driven**:
 ///
 /// * Only bins that have been drained and are currently empty are ever
-///   freed. A live (non-empty) bin is never touched, so the tour order
-///   of live bins is exactly what it would have been without eviction.
+///   freed. A live (non-empty) bin is never touched, and the ready list
+///   is not reordered, so the drain order of live bins is exactly what
+///   it would have been without eviction.
 /// * Candidates are only reaped during a fork (insert). A run whose
 ///   arrivals all precede its drains — the t=0 batch-equivalence case —
 ///   therefore never evicts at all.

@@ -4,14 +4,21 @@
 //! [`Scheduler`](crate::Scheduler) and
 //! [`ParScheduler`](crate::ParScheduler) are thin configurations of
 //! this one engine — hash table + ready list, one record vector per
-//! bin, optional package-memory tracing, the drain loop over bins in
-//! allocation order, and the probe observations.
+//! bin, optional package-memory tracing, one drain step, and the probe
+//! observations.
 //! [`FifoScheduler`](crate::FifoScheduler) and
 //! [`RandomScheduler`](crate::RandomScheduler) are type aliases of
 //! `Scheduler` under a degenerate policy, not configurations of their
-//! own; the random baseline's seed shuffles the batch bin order and
+//! own; the random baseline's seed shuffles the batch unit order and
 //! nothing else. The policy owns *where* a thread goes (hints → bin
 //! key, optional parent grouping); the engine owns everything else.
+//!
+//! The ready list holds *drain units*: coarsest-level groups of bins,
+//! in the order they last became non-empty — at depth 1 each bin is
+//! its own unit, so the list is the paper's list of bins. It is kept
+//! from the first fork. A batch run walks it, an online drain pops its
+//! front, and a parallel run partitions it flattened into bins, so the
+//! three see one order.
 //!
 //! The paper's package chunks a bin's threads into 256-record *thread
 //! groups*. Here that layout exists only where it is observable: in
@@ -23,13 +30,13 @@ use crate::hint::MAX_DIMS;
 use crate::policy::BinPolicy;
 use crate::stats::{RunStats, SchedulerStats};
 use crate::table::{BinId, BinTable};
-use crate::{Hints, RunMode};
+use crate::{Hints, RunMode, SchedulerConfig};
 use memtrace::{Addr, SchedMark, TraceSink};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cmp::Ordering;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Fixed base of the package's synthetic memory: every reference the
 /// scheduler emits on its own behalf (hash buckets, bin records, thread
@@ -55,6 +62,10 @@ const GROUP_HEADER_BYTES: u64 = 16;
 /// Bytes of one hash bucket (a pointer).
 const BUCKET_BYTES: u64 = 8;
 
+/// Identifier of a drain unit: at depth 1 the id of its one bin, at
+/// depth ≥ 2 an id of the engine's group table.
+type UnitId = BinId;
+
 /// A bin: the thread records of one block of the scheduling space, in
 /// fork order.
 #[derive(Clone, Debug)]
@@ -71,6 +82,8 @@ pub(crate) struct Bin<T> {
     /// (never drained, refilled since, or freshly (re)created); a
     /// queued `(stamp, id)` entry is valid iff `stamp == idle_stamp`.
     idle_stamp: u64,
+    /// The drain unit the bin belongs to.
+    unit: UnitId,
 }
 
 /// The emptied `items` and `groups` vectors of a cleared bin, kept for
@@ -78,13 +91,14 @@ pub(crate) struct Bin<T> {
 type Storage<T> = (Vec<T>, Vec<Addr>);
 
 impl<T> Bin<T> {
-    fn new(header: Addr, (items, groups): Storage<T>) -> Self {
+    fn new(header: Addr, unit: UnitId, (items, groups): Storage<T>) -> Self {
         debug_assert!(items.is_empty() && groups.is_empty());
         Bin {
             items,
             header,
             groups,
             idle_stamp: 0,
+            unit,
         }
     }
 
@@ -97,6 +111,20 @@ impl<T> Bin<T> {
     pub(crate) fn items(&self) -> &[T] {
         &self.items
     }
+}
+
+/// A drain unit of a nested (depth ≥ 2) policy: one coarsest-level
+/// group of bins, drained back-to-back. At depth 1 each bin is its own
+/// unit and has no record: it is on the ready list iff it holds
+/// threads.
+#[derive(Clone, Debug, Default)]
+struct Unit {
+    /// Member bins in ladder ([`nested_cmp`](BinEngine::nested_cmp))
+    /// order, each inserted at its place when created, so no drain
+    /// sorts.
+    members: Vec<BinId>,
+    /// Whether the unit is on the ready list.
+    queued: bool,
 }
 
 /// Synthetic addresses for the package's own data structures, so their
@@ -153,7 +181,7 @@ struct SchedObs {
     /// Threads drained by a consuming drain or dropped by a clear: with
     /// the pending ones, every thread forked, so a fork bumps no probe.
     retired: probe::LocalCounter,
-    /// Thread count of each bin drained by `run_with`.
+    /// Thread count of each bin drained.
     bin_occupancy: probe::LocalHistogram,
     /// Wall time to drain one bin.
     bin_drain_ns: probe::LocalHistogram,
@@ -165,7 +193,7 @@ struct SchedObs {
     /// Sub-bins drained under parent grouping (hierarchical policies
     /// only; zero for flat policies).
     subbins_run: probe::LocalCounter,
-    /// Bin records freed by the online eviction policy.
+    /// Bin records freed by the eviction policy.
     evictions: probe::LocalCounter,
 }
 
@@ -187,99 +215,53 @@ impl DrainCursor {
     }
 }
 
-/// One parent group of the online engine.
-#[derive(Clone, Debug, Default)]
-struct DrainUnit {
-    /// Member bin ids, in bin-creation order.
-    bins: Vec<BinId>,
-    /// Whether the parent is on the ready list.
-    queued: bool,
-}
-
-/// Incremental-drain bookkeeping, present only after
-/// [`BinEngine::enable_online`]. The drain *unit* is a parent group:
-/// for flat policies the parent key is the bin key itself (one bin per
-/// unit); hierarchical policies drain all of a parent's ready sub-bins
-/// back-to-back in sorted fine-key order, exactly as the batch tour
-/// does.
+/// The bin engine: bin table, bin records, drain units and their ready
+/// list, meta tracing, and the drain step, parameterized by the
+/// scheduled item type `T` and the binning policy `P`.
 ///
-/// Invariant: a parent key is on `ready` (and its unit flagged
-/// `queued`) iff at least one of its member bins holds threads. Inserts
-/// link the parent at the back on its empty → non-empty transition; a
-/// drain pops the front and empties every member bin, so the list
+/// Invariant: a unit is on `ready` (and, if nested, flagged `queued`)
+/// iff at least one of its member bins holds threads. A fork links the
+/// unit at the back on its bin's empty → non-empty transition; an
+/// online drain pops the front and empties every member, so the list
 /// never holds a stale entry.
-#[derive(Clone, Debug, Default)]
-struct OnlineState {
-    /// The paper's ready list (§3.2): parent keys in the order they
-    /// last became non-empty.
-    ready: VecDeque<[u64; MAX_DIMS]>,
-    /// Parent key → its drain unit.
-    members: HashMap<[u64; MAX_DIMS], DrainUnit>,
-    /// Dispatch counter across all incremental drains (numbers the
-    /// [`SchedMark::Dispatch`] marks globally, so a full incremental
-    /// drain numbers threads exactly as one batch run would).
-    dispatched: u64,
-    /// Bin-record retirement policy (see [`EvictionPolicy`]).
-    eviction: EvictionPolicy,
-    /// Count of drain grants so far; the epoch stamped onto bins as
-    /// they drain empty. Starts at zero, so valid stamps are ≥ 1 and
-    /// `idle_stamp == 0` is unambiguous.
-    drain_epoch: u64,
-    /// Eviction candidates in stamp (least-recently-drained) order.
-    /// Entries are lazily invalidated — a refill zeroes the bin's
-    /// `idle_stamp`, a re-drain restamps it — and the queue is
-    /// compacted when stale entries pile up, so it stays O(live bins).
-    idle: VecDeque<(u64, BinId)>,
-    /// Bin records freed so far (always-on twin of the probe counter).
-    evictions: u64,
-}
-
-impl OnlineState {
-    fn with_eviction(eviction: EvictionPolicy) -> Self {
-        OnlineState {
-            eviction,
-            ..OnlineState::default()
-        }
-    }
-
-    /// Records `created` (a bin just allocated under `parent`, if any)
-    /// and links `parent` at the back of the ready list if it is not
-    /// already on it. A fork into an existing bin is one plain probe:
-    /// `entry` is kept to the creating fork, where it measured 17 ns a
-    /// call dearer than `get_mut`.
-    fn note_fork(&mut self, parent: [u64; MAX_DIMS], created: Option<BinId>) {
-        if let Some(id) = created {
-            self.members.entry(parent).or_default().bins.push(id);
-        }
-        let unit = self
-            .members
-            .get_mut(&parent)
-            .expect("every live bin is in its parent's unit");
-        if unit.queued {
-            return;
-        }
-        unit.queued = true;
-        self.ready.push_back(parent);
-    }
-}
-
-/// The bin engine: bin table, bin records, meta tracing, and the
-/// drain loop, parameterized by the scheduled item type `T` and the
-/// binning policy `P`.
 #[derive(Clone, Debug)]
 pub(crate) struct BinEngine<T, P> {
     policy: P,
     hash_size: usize,
-    /// Seed that shuffles the batch bin order; set only by
-    /// [`RandomScheduler`](crate::RandomScheduler). `None` visits bins
-    /// in allocation order, the paper's ready list.
+    /// Seed that shuffles the batch unit order; set only by
+    /// [`RandomScheduler`](crate::RandomScheduler). `None` walks the
+    /// ready list as it stands.
     shuffle: Option<u64>,
     table: BinTable,
     bins: Vec<Bin<T>>,
     threads: u64,
     meta: Option<MetaTrace>,
     obs: SchedObs,
-    online: Option<OnlineState>,
+    /// Coarsest ancestor key → unit id, at depth ≥ 2 (empty at depth 1).
+    groups: BinTable,
+    /// The nested policies' drain units, indexed by unit id.
+    units: Vec<Unit>,
+    /// The paper's ready list (§3.2): units in the order they last
+    /// became non-empty.
+    ready: VecDeque<UnitId>,
+    /// Bin-record retirement policy (see [`EvictionPolicy`]).
+    eviction: EvictionPolicy,
+    /// Online drains since the last clear: the epoch stamped onto bins
+    /// as they drain empty, and one past the last drain's
+    /// [`SchedMark::DrainBegin`] number. Valid stamps are therefore
+    /// ≥ 1, and `idle_stamp == 0` is unambiguous.
+    drain_epoch: u64,
+    /// Number of the next online [`SchedMark::Dispatch`], counted
+    /// across drains until the next clear.
+    dispatched: u64,
+    /// Eviction candidates in stamp (least-recently-drained) order.
+    /// Entries are lazily invalidated — a refill zeroes the bin's
+    /// `idle_stamp`, a re-drain restamps it — and the queue is
+    /// compacted when stale entries pile up, so it stays O(live bins).
+    idle: VecDeque<(u64, BinId)>,
+    /// Bin records freed over the engine's life (the always-on twin of
+    /// the probe counter).
+    evictions: u64,
     /// High-water mark of live bin records, across the engine's life.
     peak_bins: usize,
     /// Storage of the bins the last [`clear`](Self::clear) emptied,
@@ -289,19 +271,26 @@ pub(crate) struct BinEngine<T, P> {
 }
 
 impl<T, P: BinPolicy> BinEngine<T, P> {
-    /// Creates an empty engine whose batch order is shuffled by
-    /// `shuffle`, if set.
-    pub(crate) fn new(hash_size: usize, policy: P, shuffle: Option<u64>) -> Self {
+    /// Creates an empty engine with `config`'s hash size and eviction
+    /// policy, whose batch order is shuffled by `shuffle`, if set.
+    pub(crate) fn new(config: &SchedulerConfig, policy: P, shuffle: Option<u64>) -> Self {
         BinEngine {
             table: BinTable::new(),
             bins: Vec::new(),
             threads: 0,
             policy,
-            hash_size,
+            hash_size: config.hash_size(),
             shuffle,
             meta: None,
             obs: SchedObs::default(),
-            online: None,
+            groups: BinTable::new(),
+            units: Vec::new(),
+            ready: VecDeque::new(),
+            eviction: config.eviction(),
+            drain_epoch: 0,
+            dispatched: 0,
+            idle: VecDeque::new(),
+            evictions: 0,
             peak_bins: 0,
             spare: Vec::new(),
         }
@@ -324,9 +313,9 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// → fine, tie-breaking on the fine key itself. Shifting is not
     /// monotone under plain lexicographic key order (e.g. keys `(1, 9)`
     /// < `(2, 0)` but their `>> 2` ancestors `(0, 2)` > `(0, 0)`), so
-    /// sorting by the ladder — not the fine key — is what keeps each
+    /// ordering by the ladder — not the fine key — is what keeps each
     /// intermediate level's bins contiguous. At depth 2 the ladder is
-    /// just the fine key, bit-identical to the pre-topology sort.
+    /// just the fine key.
     #[inline]
     fn nested_cmp(&self, a: [u64; MAX_DIMS], b: [u64; MAX_DIMS]) -> Ordering {
         for level in (1..self.policy.depth().saturating_sub(1)).rev() {
@@ -364,28 +353,35 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     /// sinks) so schedule-analysis sinks see the thread/hint graph in
     /// fork order.
     ///
-    /// The common fork — a batch engine, tracing off, a key whose bin
-    /// exists — is inline: one probe, one push, one count. Everything
-    /// else takes `insert_slow`.
+    /// The common fork — tracing off, no eviction armed, a key whose
+    /// bin exists and holds threads — is inline: one probe, one push,
+    /// one count. Everything else takes `insert_slow`.
     #[inline]
     pub(crate) fn insert_traced<S: TraceSink>(&mut self, item: T, hints: Hints, sink: &mut S) {
         sink.mark(SchedMark::Fork(&hints.as_array()[..hints.dims()]));
         let key = self.policy.bin_key(hints);
-        if self.meta.is_none() && self.online.is_none() && !self.policy.always_unique() {
+        if self.meta.is_none()
+            && matches!(self.eviction, EvictionPolicy::Off)
+            && !self.policy.always_unique()
+        {
             if let Some(id) = self.table.find(key) {
-                // A batch bin's `idle_stamp` is always 0 and the live
-                // bin count did not change: nothing else to update.
-                self.bins[id as usize].items.push(item);
-                self.threads += 1;
-                return;
+                // A bin holding threads has its unit on the ready list
+                // and an `idle_stamp` of 0, and the live bin count did
+                // not change: nothing else to update.
+                let bin = &mut self.bins[id as usize];
+                if !bin.items.is_empty() {
+                    bin.items.push(item);
+                    self.threads += 1;
+                    return;
+                }
             }
         }
         self.insert_slow(item, key, sink);
     }
 
-    /// The rest of a fork: bin creation, package-memory tracing, and
-    /// the online ready-list and eviction step. Cold, so that the
-    /// inline fork falls through to its push.
+    /// The rest of a fork: bin creation, package-memory tracing, the
+    /// ready-list step and eviction. Cold, so that the inline fork
+    /// falls through to its push.
     #[cold]
     #[inline(never)]
     fn insert_slow<S: TraceSink>(&mut self, item: T, key: [u64; MAX_DIMS], sink: &mut S) {
@@ -410,7 +406,8 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                 }
                 None => Addr::NULL,
             };
-            let bin = Bin::new(header, self.spare.pop().unwrap_or_default());
+            let unit = self.join_unit(id, key);
+            let bin = Bin::new(header, unit, self.spare.pop().unwrap_or_default());
             // The table recycles evicted slots, so the id may name an
             // existing (dead) slot rather than the end of the array.
             if (id as usize) < self.bins.len() {
@@ -420,6 +417,7 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             }
         }
         let bin = &mut self.bins[id as usize];
+        let (refilled, unit) = (bin.items.is_empty(), bin.unit);
         // A refill (or fresh creation) disqualifies any queued eviction
         // candidacy for this slot.
         bin.idle_stamp = 0;
@@ -446,21 +444,66 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
             sink.write(base, 8);
         }
         self.threads += 1;
-        if self.online.is_some() {
-            let parent = self.group_key(key);
-            let state = self.online.as_mut().expect("checked above");
-            // Either the parent is already ready (no-op) or this insert
-            // made it non-empty — re-link it at the back of the ready
-            // list, as the paper's package re-links a refilled bin.
-            state.note_fork(parent, created.then_some(id));
-            // Reap retired records *after* the fork completes: only
-            // inserts trigger eviction, so a run whose arrivals all
-            // precede its drains (the t=0 equivalence case) never
-            // evicts, and the bin just forked into is non-empty and
-            // therefore never a victim.
-            self.apply_eviction();
+        if refilled {
+            // Either another member keeps the unit ready (no-op) or
+            // this fork made it non-empty: link it at the back of the
+            // ready list, as the paper's package re-links a refilled
+            // bin.
+            self.link(unit);
         }
+        // Reap retired records *after* the fork completes: only forks
+        // trigger eviction, so a run whose arrivals all precede its
+        // drains (the t=0 equivalence case) never evicts, and the bin
+        // just forked into is non-empty and therefore never a victim.
+        self.apply_eviction();
         self.peak_bins = self.peak_bins.max(self.table.len());
+    }
+
+    /// Enters bin `id`, just created for `key`, into its drain unit,
+    /// creating the unit with the group's first bin, and returns the
+    /// unit's id. At depth 1 the unit is the bin itself; deeper, the
+    /// group table finds it by the coarsest ancestor key and the bin
+    /// takes its place among the members in ladder order.
+    fn join_unit(&mut self, id: BinId, key: [u64; MAX_DIMS]) -> UnitId {
+        if self.policy.depth() <= 1 {
+            return id;
+        }
+        let (unit, created) = self.groups.lookup_or_insert(self.group_key(key));
+        if created {
+            // Unit ids are dense (or recycled), like bin ids.
+            match self.units.get_mut(unit as usize) {
+                Some(slot) => *slot = Unit::default(),
+                None => self.units.push(Unit::default()),
+            }
+        }
+        let members = &self.units[unit as usize].members;
+        let at = members.partition_point(|&m| self.nested_cmp(self.table.key(m), key).is_lt());
+        self.units[unit as usize].members.insert(at, id);
+        unit
+    }
+
+    /// Links `unit`, one of whose bins just went from empty to
+    /// non-empty, at the back of the ready list unless it is on it (a
+    /// depth-1 unit, that one bin, is not).
+    fn link(&mut self, unit: UnitId) {
+        if self.policy.depth() > 1 {
+            let entry = &mut self.units[unit as usize];
+            if entry.queued {
+                return;
+            }
+            entry.queued = true;
+        }
+        self.ready.push_back(unit);
+    }
+
+    /// The member bins of `unit`, in ladder order: at depth 1, the
+    /// unit's one bin.
+    fn members<'a>(&'a self, unit: &'a UnitId) -> &'a [BinId] {
+        if self.policy.depth() > 1 {
+            &self.units[*unit as usize].members
+        } else {
+            std::slice::from_ref(unit)
+        }
     }
 
     /// Whether `(stamp, id)` is still a valid eviction candidate: the
@@ -474,40 +517,38 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
     }
 
     /// Frees one drained-and-empty bin record: unlinks it from the
-    /// table (bucket chain + slot free list) and from its parent's
-    /// member list. Live-bin tour order is untouched — the record has
-    /// no threads, is not queued, and ids of other bins don't shift.
+    /// table (bucket chain + slot free list) and from its unit, freeing
+    /// a unit left without members. The ready list is untouched — the
+    /// record has no threads, so its unit is queued only if another
+    /// member holds threads — and ids of other bins don't shift.
     fn evict(&mut self, id: BinId) {
-        debug_assert!(self.bins[id as usize].items.is_empty());
-        let parent = self.group_key(self.table.key(id));
-        self.table.remove(id);
+        let bin = &mut self.bins[id as usize];
+        debug_assert!(bin.items.is_empty());
         // Drop the record storage; the slot is reused by a later insert.
-        self.bins[id as usize] = Bin::new(Addr::NULL, Storage::default());
-        let state = self.online.as_mut().expect("eviction is online-only");
-        if let Some(unit) = state.members.get_mut(&parent) {
-            unit.bins.retain(|&m| m != id);
-            // A queued parent holds a non-empty bin, which is never a
-            // victim, so only idle units empty out.
-            if unit.bins.is_empty() {
-                state.members.remove(&parent);
+        bin.items = Vec::new();
+        bin.groups = Vec::new();
+        let unit = bin.unit;
+        self.table.remove(id);
+        if self.policy.depth() > 1 {
+            let members = &mut self.units[unit as usize].members;
+            members.retain(|&m| m != id);
+            if members.is_empty() {
+                self.groups.remove(unit);
             }
         }
-        state.evictions += 1;
+        self.evictions += 1;
         self.obs.evictions.incr();
     }
 
-    /// Applies the configured eviction policy, called once per insert:
-    /// while the table is over the cap, frees the least-recently-drained
-    /// empty records.
+    /// Applies the configured eviction policy, called once per slow
+    /// fork (every fork while it is armed): while the table is over the
+    /// cap, frees the least-recently-drained empty records.
     fn apply_eviction(&mut self) {
-        let Some(EvictionPolicy::LruCap { max_records }) =
-            self.online.as_ref().map(|state| state.eviction)
-        else {
+        let EvictionPolicy::LruCap { max_records } = self.eviction else {
             return;
         };
         while self.table.len() as u64 > max_records {
-            let state = self.online.as_mut().expect("checked above");
-            let Some((stamp, id)) = state.idle.pop_front() else {
+            let Some((stamp, id)) = self.idle.pop_front() else {
                 // No empty candidate left; every live record holds
                 // threads and must stay.
                 break;
@@ -518,50 +559,15 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         }
     }
 
-    /// Switches the engine into *incremental* (online) drain mode:
-    /// after this, [`drain_next_with`](Self::drain_next_with) hands out
-    /// one ready drain unit at a time while further inserts keep
-    /// landing in their bins. Any threads already scheduled become
-    /// ready in bin-creation order — so enabling after a batch of
-    /// inserts, then draining to exhaustion, reproduces the batch
-    /// [`run_with`](Self::run_with) order exactly. The `shuffle` seed
-    /// does not reach the ready list: a shuffled engine drains online
-    /// in ready order too.
-    ///
-    /// Idempotent (a second call leaves the first call's eviction
-    /// policy in force). The batch `run_with` path is unaffected by
-    /// this flag (its golden drain order stays pinned); mixing batch
-    /// [`RunMode::Retain`](crate::RunMode::Retain) runs with
-    /// incremental drains is unsupported.
-    pub(crate) fn enable_online(&mut self, eviction: EvictionPolicy) {
-        if self.online.is_some() {
-            return;
-        }
-        let mut state = OnlineState::with_eviction(eviction);
-        for (id, bin) in self.bins.iter().enumerate() {
-            let parent = self.group_key(self.table.key(id as BinId));
-            let unit = state.members.entry(parent).or_default();
-            unit.bins.push(id as BinId);
-            if !bin.items.is_empty() {
-                state.note_fork(parent, None);
-            }
-        }
-        self.online = Some(state);
-    }
-
-    /// Whether incremental drain mode is enabled.
-    pub(crate) fn online(&self) -> bool {
-        self.online.is_some()
-    }
-
-    /// Drains the single next ready unit — the parent group at the
-    /// front of the ready list — with the same callback
-    /// shape as [`run_with`](Self::run_with), consuming the drained
-    /// threads. Returns `None` when nothing is ready.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`enable_online`](Self::enable_online) was not called.
+    /// Drains the unit at the front of the ready list with the same
+    /// callbacks as [`run_with`](Self::run_with), consuming its
+    /// threads. The bin records (and their table keys) stay allocated
+    /// so ids remain stable, and each keeps its record vector for the
+    /// refill; a later fork into one re-links its unit at the back of
+    /// the ready list — unless the eviction policy reaps the idle
+    /// record first, in which case the key re-arrives as a fresh fork.
+    /// Its marks are numbered across drains until the next clear.
+    /// Returns `None` when nothing is ready.
     pub(crate) fn drain_next_with<X>(
         &mut self,
         ctx: &mut X,
@@ -569,118 +575,58 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         mut on_mark: impl FnMut(&mut X, SchedMark<'_>),
         mut exec: impl FnMut(&mut X, &T),
     ) -> Option<RunStats> {
-        let (epoch, reap, dispatched, mut subs) = {
-            let state = self
-                .online
-                .as_mut()
-                .expect("drain_next_with requires enable_online");
-            let parent = state.ready.pop_front()?;
-            state.drain_epoch += 1;
-            let unit = state
-                .members
-                .get_mut(&parent)
-                .expect("a queued parent has a unit");
-            unit.queued = false;
-            let bins = &self.bins;
-            let ready = |&id: &BinId| !bins[id as usize].items.is_empty();
-            let subs: Vec<BinId> = unit.bins.iter().copied().filter(ready).collect();
-            let reap = state.eviction != EvictionPolicy::Off;
-            (state.drain_epoch, reap, state.dispatched, subs)
-        };
-        // The whole incremental drain is one unit; its ordinal is the
-        // 0-based drain epoch.
-        on_mark(ctx, SchedMark::DrainBegin(epoch - 1));
-        subs.sort_unstable_by(|&a, &b| self.nested_cmp(self.table.key(a), self.table.key(b)));
-        let mut threads_run = 0u64;
-        let mut cursor = DrainCursor::starting_at(dispatched);
-        for &id in &subs {
-            let drained =
-                self.drain_bin(id, ctx, &mut cursor, &mut on_read, &mut on_mark, &mut exec);
-            threads_run += drained;
-            // Consume the unit. The bin record (and its table key) stay
-            // allocated so ids remain stable; a later insert refills it
-            // and re-links its parent at the back of the ready list —
-            // unless the eviction policy reaps the idle record first,
-            // in which case the key re-arrives as a fresh fork. The
-            // record vector keeps its allocation for the refill.
+        let unit = self.ready.pop_front()?;
+        if self.policy.depth() > 1 {
+            self.units[unit as usize].queued = false;
+        }
+        self.drain_epoch += 1;
+        let epoch = self.drain_epoch;
+        let mut cursor = DrainCursor::starting_at(self.dispatched);
+        let stats = self.drain_unit(
+            unit,
+            epoch - 1,
+            ctx,
+            &mut cursor,
+            &mut on_read,
+            &mut on_mark,
+            &mut exec,
+        );
+        self.dispatched = cursor.dispatched;
+        let reap = !matches!(self.eviction, EvictionPolicy::Off);
+        for at in 0..self.members(&unit).len() {
+            let id = self.members(&unit)[at];
             let bin = &mut self.bins[id as usize];
+            let drained = bin.threads();
+            if drained == 0 {
+                // Empty before this drain: it keeps its older stamp.
+                continue;
+            }
             bin.items.clear();
             bin.groups.clear();
-            if reap {
-                bin.idle_stamp = epoch;
-            }
             self.threads -= drained;
             self.obs.retired.add(drained);
-        }
-        if self.policy.depth() > 1 {
-            self.obs.parent_occupancy.record(threads_run);
-        }
-        on_mark(ctx, SchedMark::DrainEnd(epoch - 1));
-        let bins = &self.bins;
-        let state = self.online.as_mut().expect("checked above");
-        state.dispatched = cursor.dispatched;
-        if reap {
-            for &id in &subs {
-                state.idle.push_back((epoch, id));
-            }
-            // Compact lazily-invalidated entries once they dominate; a
-            // bin has at most one valid ticket (the one matching its
-            // stamp), so the queue shrinks to ≤ live bins.
-            if state.idle.len() > 2 * bins.len() + 16 {
-                state
-                    .idle
-                    .retain(|&(stamp, id)| bins[id as usize].idle_stamp == stamp);
+            if reap {
+                bin.idle_stamp = epoch;
+                self.idle.push_back((epoch, id));
             }
         }
-        Some(RunStats {
-            threads_run,
-            bins_visited: subs.len(),
-        })
+        // Compact lazily-invalidated entries once they dominate; a bin
+        // has at most one valid ticket (the one matching its stamp), so
+        // the queue shrinks to ≤ live bins.
+        if reap && self.idle.len() > 2 * self.bins.len() + 16 {
+            let bins = &self.bins;
+            self.idle
+                .retain(|&(stamp, id)| bins[id as usize].idle_stamp == stamp);
+        }
+        Some(stats)
     }
 
-    /// `0..len` in allocation order, or shuffled by the `shuffle`
-    /// seed: one `SmallRng::seed_from_u64` shuffle of the whole range.
-    fn visit_order(&self, len: usize) -> Vec<BinId> {
-        let mut ids: Vec<BinId> = (0..len as BinId).collect();
-        if let Some(seed) = self.shuffle {
-            ids.shuffle(&mut SmallRng::seed_from_u64(seed));
-        }
-        ids
-    }
-
-    /// The order in which bins will be drained.
-    ///
-    /// Flat policies visit the bins in allocation order (the paper's
-    /// ready list). Multi-level policies visit the *coarsest-level*
-    /// groups in the order of their first bin — so inter-group order
-    /// matches the flat policy at that granularity — and drain each
-    /// group's bins sorted by their full ancestor ladder,
-    /// back-to-back, so every intermediate level's bins also come out
-    /// contiguous. The `shuffle` seed permutes the bins (flat) or the
-    /// groups (multi-level).
-    pub(crate) fn tour_order(&self) -> Vec<BinId> {
-        let keys = self.table.keys();
-        if self.policy.depth() <= 1 {
-            return self.visit_order(keys.len());
-        }
-        let mut parent_index: HashMap<[u64; MAX_DIMS], usize> = HashMap::new();
-        let mut members: Vec<Vec<BinId>> = Vec::new();
-        // Groups in first-appearance (allocation) order, matching the
-        // ready-list semantics a flat coarsest-level policy would have.
-        for (id, &key) in keys.iter().enumerate() {
-            let idx = *parent_index.entry(self.group_key(key)).or_insert_with(|| {
-                members.push(Vec::new());
-                members.len() - 1
-            });
-            members[idx].push(id as BinId);
-        }
-        let mut order = Vec::with_capacity(keys.len());
-        for parent in self.visit_order(members.len()) {
-            let subs = &mut members[parent as usize];
-            subs.sort_unstable_by(|&a, &b| self.nested_cmp(keys[a as usize], keys[b as usize]));
-            order.append(subs);
-        }
-        order
+    /// The bins of the ready list's units, flattened in drain order:
+    /// what a parallel run partitions.
+    pub(crate) fn ready_bins(&self) -> Vec<BinId> {
+        let holds_threads = |&id: &BinId| !self.bins[id as usize].items.is_empty();
+        let bins = self.ready.iter().flat_map(|unit| self.members(unit));
+        bins.copied().filter(holds_threads).collect()
     }
 
     /// Block-coordinate key of one bin at the coarsest (group)
@@ -696,13 +642,44 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         &self.bins
     }
 
-    /// Runs every thread of bin `id` in fork order — the walk both drain
-    /// loops share: the package's own reads (bin record, group headers,
-    /// thread records; only for a traced bin), a [`SchedMark::Dispatch`]
-    /// numbered from the cursor immediately before each `exec`, and the
-    /// per-bin occupancy, sub-bin and drain-time probes (the time since
-    /// the cursor's previous bin ended). Returns the bin's thread count;
-    /// the bin itself is left as it was.
+    /// The drain step both drains share: runs every non-empty member
+    /// bin of `unit` in ladder order between a
+    /// [`SchedMark::DrainBegin`] / [`SchedMark::DrainEnd`] pair
+    /// numbered `ordinal`, and records the unit's occupancy for nested
+    /// policies. The bins are left as they were.
+    #[allow(clippy::too_many_arguments)]
+    fn drain_unit<X>(
+        &self,
+        unit: UnitId,
+        ordinal: u64,
+        ctx: &mut X,
+        cursor: &mut DrainCursor,
+        on_read: &mut impl FnMut(&mut X, Addr, u32),
+        on_mark: &mut impl FnMut(&mut X, SchedMark<'_>),
+        exec: &mut impl FnMut(&mut X, &T),
+    ) -> RunStats {
+        on_mark(ctx, SchedMark::DrainBegin(ordinal));
+        let mut stats = RunStats::default();
+        for &id in self.members(&unit) {
+            if !self.bins[id as usize].items.is_empty() {
+                stats.threads_run += self.drain_bin(id, ctx, cursor, on_read, on_mark, exec);
+                stats.bins_visited += 1;
+            }
+        }
+        if self.policy.depth() > 1 {
+            self.obs.parent_occupancy.record(stats.threads_run);
+        }
+        on_mark(ctx, SchedMark::DrainEnd(ordinal));
+        stats
+    }
+
+    /// Runs every thread of bin `id` in fork order: the package's own
+    /// reads (bin record, group headers, thread records; only for a
+    /// traced bin), a [`SchedMark::Dispatch`] numbered from the cursor
+    /// immediately before each `exec`, and the per-bin occupancy,
+    /// sub-bin and drain-time probes (the time since the cursor's
+    /// previous bin ended). Returns the bin's thread count; the bin
+    /// itself is left as it was.
     #[inline]
     fn drain_bin<X>(
         &self,
@@ -745,17 +722,22 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         bin.threads()
     }
 
-    /// Drains every bin in tour order: `on_read(ctx, addr, size)` is
-    /// called for each package memory reference (only when tracing is
-    /// enabled), `on_mark(ctx, mark)` with a [`SchedMark::Dispatch`]
-    /// immediately before each thread of this run executes and a
-    /// [`SchedMark::DrainBegin`] / [`SchedMark::DrainEnd`] pair around
-    /// each drain unit (one bin for flat policies, one parent group's
-    /// contiguous sub-bins for nested ones) — unconditionally: callers
-    /// wanting the schedule pass a forwarder, others a no-op — and
+    /// Drains every unit on the ready list, in list order (or in the
+    /// `shuffle` seed's permutation of it), with the drain step
+    /// [`drain_next_with`](Self::drain_next_with) uses:
+    /// `on_read(ctx, addr, size)` is called for each package memory
+    /// reference (only when tracing is enabled), `on_mark(ctx, mark)`
+    /// with a [`SchedMark::Dispatch`] immediately before each thread of
+    /// this run executes and a [`SchedMark::DrainBegin`] /
+    /// [`SchedMark::DrainEnd`] pair around each drain unit, both
+    /// numbered from 0 on each run — unconditionally: callers wanting
+    /// the schedule pass a forwarder, others a no-op — and
     /// `exec(ctx, item)` for each thread record. Splitting the sink
     /// access (`on_read`/`on_mark`) from thread execution (`exec`)
     /// lets one `&mut ctx` serve both without aliasing.
+    ///
+    /// [`RunMode::Retain`] leaves every bin and the ready list as they
+    /// were; [`RunMode::Consume`] clears the engine.
     pub(crate) fn run_with<X>(
         &mut self,
         ctx: &mut X,
@@ -764,37 +746,41 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         mut on_mark: impl FnMut(&mut X, SchedMark<'_>),
         mut exec: impl FnMut(&mut X, &T),
     ) -> RunStats {
-        let mut order = self.tour_order();
-        order.retain(|&id| !self.bins[id as usize].items.is_empty());
-        let mut threads_run = 0u64;
+        let shuffled: Vec<UnitId>;
+        let order: &[UnitId] = match self.shuffle {
+            Some(seed) => {
+                let mut units: Vec<UnitId> = self.ready.iter().copied().collect();
+                units.shuffle(&mut SmallRng::seed_from_u64(seed));
+                shuffled = units;
+                &shuffled
+            }
+            None => {
+                self.ready.make_contiguous();
+                self.ready.as_slices().0
+            }
+        };
+        let mut stats = RunStats::default();
         {
             let _run_span = self.obs.run_ns.span();
-            // A drain unit is one coarsest-level group, whose sub-bins
-            // the tour keeps contiguous; for flat policies the group
-            // key is the bin key itself — each bin its own unit.
-            let units = order.chunk_by(|&a, &b| self.steal_key(a) == self.steal_key(b));
             let mut cursor = DrainCursor::starting_at(0);
-            for (unit, bins) in units.enumerate() {
-                on_mark(ctx, SchedMark::DrainBegin(unit as u64));
-                let mut threads = 0u64;
-                for &id in bins {
-                    threads +=
-                        self.drain_bin(id, ctx, &mut cursor, &mut on_read, &mut on_mark, &mut exec);
-                }
-                if self.policy.depth() > 1 {
-                    self.obs.parent_occupancy.record(threads);
-                }
-                on_mark(ctx, SchedMark::DrainEnd(unit as u64));
-                threads_run += threads;
+            for (ordinal, &unit) in order.iter().enumerate() {
+                let ran = self.drain_unit(
+                    unit,
+                    ordinal as u64,
+                    ctx,
+                    &mut cursor,
+                    &mut on_read,
+                    &mut on_mark,
+                    &mut exec,
+                );
+                stats.threads_run += ran.threads_run;
+                stats.bins_visited += ran.bins_visited;
             }
         }
         if mode == RunMode::Consume {
             self.clear();
         }
-        RunStats {
-            threads_run,
-            bins_visited: order.len(),
-        }
+        stats
     }
 
     /// Number of threads currently scheduled.
@@ -813,9 +799,9 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         self.peak_bins
     }
 
-    /// Bin records freed by the online eviction policy so far.
+    /// Bin records freed by the eviction policy over the engine's life.
     pub(crate) fn evictions(&self) -> u64 {
-        self.online.as_ref().map_or(0, |state| state.evictions)
+        self.evictions
     }
 
     /// Distribution statistics over the current schedule (live bins
@@ -853,20 +839,28 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
                 .counter("subbins_run", self.obs.subbins_run.get())
                 .histogram("parent_occupancy", &self.obs.parent_occupancy);
         }
-        // Only online engines can evict; keeping the key out of batch
-        // profiles leaves the committed batch-bench baselines untouched.
-        if self.online.is_some() {
+        // Only an engine with eviction armed can evict; the key stays
+        // out of every other profile.
+        if !matches!(self.eviction, EvictionPolicy::Off) {
             section.counter("evictions", self.obs.evictions.get());
         }
         section
     }
 
-    /// Removes all scheduled threads and bins (the arena of a traced
-    /// package is recycled, as a real allocator would). The bins'
-    /// emptied vectors *replace* the spare list, so the engine never
-    /// holds more storage than the last round used.
+    /// Removes all scheduled threads, bins and units (the arena of a
+    /// traced package is recycled, as a real allocator would). The
+    /// bins' emptied vectors *replace* the spare list, so the engine
+    /// never holds more storage than the last round used. Online
+    /// numbering restarts from zero; the eviction policy, the eviction
+    /// count and the peak stay.
     pub(crate) fn clear(&mut self) {
         self.table.clear();
+        self.groups.clear();
+        self.units.clear();
+        self.ready.clear();
+        self.idle.clear();
+        self.drain_epoch = 0;
+        self.dispatched = 0;
         self.spare.clear();
         self.spare.extend(self.bins.drain(..).rev().map(|mut bin| {
             bin.items.clear();
@@ -877,12 +871,6 @@ impl<T, P: BinPolicy> BinEngine<T, P> {
         self.threads = 0;
         if let Some(meta) = &mut self.meta {
             meta.bump = meta.arena_base;
-        }
-        // Incremental mode survives a clear (keeping its eviction
-        // policy), restarting from an empty ready list (and dispatch
-        // numbering from zero).
-        if let Some(state) = &self.online {
-            self.online = Some(OnlineState::with_eviction(state.eviction));
         }
     }
 }
@@ -896,14 +884,23 @@ mod tests {
 
     const BLOCK: u64 = 1 << 10;
 
-    fn engine(hash_size: usize) -> BinEngine<u32, TopologyPolicy> {
-        let config = SchedulerConfig::builder()
+    fn config(hash_size: usize, eviction: EvictionPolicy) -> SchedulerConfig {
+        SchedulerConfig::builder()
             .block_size(BLOCK)
             .hash_size(hash_size)
+            .eviction(eviction)
             .build()
-            .unwrap();
-        let policy = TopologyPolicy::from_config(&config);
-        BinEngine::new(config.hash_size(), policy, None)
+            .unwrap()
+    }
+
+    fn evicting(max_records: u64) -> BinEngine<u32, TopologyPolicy> {
+        let config = config(16, EvictionPolicy::LruCap { max_records });
+        BinEngine::new(&config, TopologyPolicy::from_config(&config), None)
+    }
+
+    fn engine(hash_size: usize) -> BinEngine<u32, TopologyPolicy> {
+        let config = config(hash_size, EvictionPolicy::Off);
+        BinEngine::new(&config, TopologyPolicy::from_config(&config), None)
     }
 
     fn hints_of(coords: &[u64]) -> Hints {
@@ -1032,8 +1029,7 @@ mod tests {
 
     #[test]
     fn eviction_drops_the_records_storage() {
-        let mut engine = engine(16);
-        engine.enable_online(EvictionPolicy::LruCap { max_records: 1 });
+        let mut engine = evicting(1);
         engine.insert_traced(0, hints_of(&[1]), &mut NullSink);
         let drained = engine.drain_next_with(&mut (), |(), _, _| {}, |(), _| {}, |(), _| {});
         assert_eq!(drained.map(|stats| stats.threads_run), Some(1));
@@ -1042,6 +1038,65 @@ mod tests {
         assert_eq!((engine.evictions(), engine.bins()), (1, 1));
         assert_eq!(engine.bins[0].items.capacity(), 0);
         assert!(engine.spare.is_empty());
+    }
+
+    /// An idle member of a unit keeps the stamp of the drain that
+    /// emptied it when a later drain of its unit finds it empty, so it
+    /// stays the least recently drained record.
+    #[test]
+    fn an_empty_member_keeps_its_drain_stamp() {
+        let config = config(16, EvictionPolicy::LruCap { max_records: 3 });
+        // 1 KiB bins in 4 KiB groups: blocks 0 and 1 share a unit.
+        let policy = TopologyPolicy::uniform(&[BLOCK, 4 * BLOCK], false).unwrap();
+        let mut engine = BinEngine::<u32, _>::new(&config, policy, None);
+        let drain = |engine: &mut BinEngine<u32, TopologyPolicy>| {
+            engine.drain_next_with(&mut (), |(), _, _| {}, |(), _| {}, |(), _| {})
+        };
+        fork_into(&mut engine, &[0, 8]);
+        drain(&mut engine);
+        drain(&mut engine);
+        fork_into(&mut engine, &[1]);
+        // Block 1 drains; block 0, emptied by the first drain, does not.
+        assert_eq!(drain(&mut engine).map(|stats| stats.bins_visited), Some(1));
+        fork_into(&mut engine, &[16]);
+        assert_eq!(engine.evictions(), 1);
+        let live = |block: u64| engine.table.find([block, 0, 0, 0]).is_some();
+        assert_eq!([0, 1, 8, 16].map(live), [false, true, true, true]);
+    }
+
+    /// A batch run numbers its marks from 0; online drains number
+    /// theirs across drains until a clear, whatever runs in between.
+    #[test]
+    fn online_drains_number_their_marks_until_a_clear() {
+        fn marks(engine: &mut BinEngine<u32, TopologyPolicy>, online: bool) -> Vec<String> {
+            let mut log = Vec::new();
+            let record = |log: &mut Vec<String>, mark: SchedMark<'_>| log.push(format!("{mark:?}"));
+            if online {
+                engine.drain_next_with(&mut log, |_, _, _| {}, record, |_, _| {});
+            } else {
+                engine.run_with(&mut log, RunMode::Retain, |_, _, _| {}, record, |_, _| {});
+            }
+            log
+        }
+        let mut engine = engine(16);
+        fork_into(&mut engine, &[1, 1, 2, 3]);
+        let unit = |n: u64, threads: std::ops::Range<u64>| {
+            let dispatches = threads.map(|t| format!("Dispatch({t})"));
+            let begin = std::iter::once(format!("DrainBegin({n})"));
+            begin
+                .chain(dispatches)
+                .chain([format!("DrainEnd({n})")])
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(marks(&mut engine, true), unit(0, 0..2));
+        assert_eq!(
+            marks(&mut engine, false),
+            [unit(0, 0..1), unit(1, 1..2)].concat()
+        );
+        assert_eq!(marks(&mut engine, true), unit(1, 2..3));
+        engine.clear();
+        fork_into(&mut engine, &[4]);
+        assert_eq!(marks(&mut engine, true), unit(0, 0..1));
     }
 
     /// The `sched` section's `[forks, bins_created, rebin_hits]`.
@@ -1093,8 +1148,7 @@ mod tests {
         // Online, one record allowed: block 1 drains idle and is
         // evicted when block 2 is created, so its next fork creates it
         // again.
-        let mut online = engine(16);
-        online.enable_online(EvictionPolicy::LruCap { max_records: 1 });
+        let mut online = evicting(1);
         fork_into(&mut online, &[1]);
         online.drain_next_with(&mut (), |(), _, _| {}, |(), _| {}, |(), _| {});
         fork_into(&mut online, &[2, 2, 1]);
@@ -1110,7 +1164,8 @@ mod tests {
         assert_eq!(fork_counters(&traced), counted([3, 2, 1]));
 
         // Every key fresh: every fork creates its bin.
-        let mut unique = BinEngine::<u32, _>::new(1, UniqueBin::default(), None);
+        let mut unique =
+            BinEngine::<u32, _>::new(&config(1, EvictionPolicy::Off), UniqueBin::default(), None);
         fork_into(&mut unique, &[1, 1, 1]);
         assert_eq!(fork_counters(&unique), counted([3, 3, 0]));
     }

@@ -17,12 +17,14 @@
 //!
 //! # Work distribution and stealing
 //!
-//! The bin tour is split into one *contiguous* segment per worker,
-//! balanced by thread count, so each core starts with a contiguous
-//! stretch of scheduling space — adjacent bins share block boundaries,
-//! and a core walking its segment front-to-back replays the sequential
-//! scheduler's locality within its slice. Each segment lives in a
-//! per-worker deque of tour positions. An owner pops from the *front*
+//! The bin tour is the engine's ready list flattened into its bins, the
+//! order a sequential run drains them in. It is split into one
+//! *contiguous* segment per worker, balanced by thread count, so each
+//! core starts with a contiguous stretch of scheduling space — adjacent
+//! bins share block boundaries, and a core walking its segment
+//! front-to-back replays the sequential scheduler's locality within its
+//! slice. Each segment lives in a per-worker deque of tour positions.
+//! An owner pops from the *front*
 //! (the hot end, nearest its current bin); a worker whose deque drains
 //! steals *half* a victim's deque from the *back* (the cold end, the
 //! work the victim would reach last) according to the configured
@@ -253,10 +255,10 @@ impl<C: Sync> ParScheduler<C> {
 impl<C: Sync, P: BinPolicy> ParScheduler<C, P> {
     /// Creates an empty parallel scheduler binning with an explicit
     /// `policy`; `config` still supplies the hash-table size and the
-    /// steal policy. Bins are partitioned in allocation order.
+    /// steal policy. Bins are partitioned in ready-list order.
     pub fn with_policy(config: SchedulerConfig, policy: P) -> Self {
         ParScheduler {
-            engine: BinEngine::new(config.hash_size(), policy, None),
+            engine: BinEngine::new(&config, policy, None),
             config,
         }
     }
@@ -314,7 +316,7 @@ impl<C: Sync, P: BinPolicy> ParScheduler<C, P> {
         assert!(workers > 0, "need at least one worker");
         let policy = self.config.steal_policy();
         let mut stats = self.stats();
-        let order = self.engine.tour_order();
+        let order = self.engine.ready_bins();
         // Block coordinates per *tour position* at the coarsest (steal)
         // granularity, for victim scoring. A multi-level policy's bins
         // score as their coarsest-level group — working-set distance is

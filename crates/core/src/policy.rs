@@ -13,8 +13,9 @@
 //! One type reproduces and extends the paper — [`TopologyPolicy`], a
 //! ladder of block sizes, one per machine level, finest to coarsest
 //! (L1 ⊂ L2 ⊂ L3 ⊂ NUMA node ⊂ …). Threads are binned at the finest
-//! granularity; the engine tours the coarsest-level groups and drains
-//! nested sub-bins back-to-back in sorted-key order at every depth. At
+//! granularity; the engine's ready list holds the coarsest-level
+//! groups, and a drain runs a group's nested sub-bins back-to-back in
+//! ladder order at every depth. At
 //! depth 1 ([`TopologyPolicy::from_config`]) it is the paper's mapping,
 //! bit-identical to `SchedulerConfig::block_coords`: shift each hint by
 //! `log2(block size)`, optionally fold symmetric hints by sorting
@@ -52,11 +53,11 @@ pub trait BinPolicy: Clone + std::fmt::Debug {
     /// Maps a fine bin key to its enclosing ancestor key at `level` of
     /// the policy's ladder: level 0 is the key itself, level
     /// `depth() - 1` the coarsest grouping. Levels at or beyond the
-    /// depth saturate at the coarsest key. The engine tours
-    /// coarsest-level groups and drains each group's bins contiguously,
-    /// sorted by their full ancestor ladder; for single-level policies
-    /// every level is the identity, so the tour sees the bin keys
-    /// themselves.
+    /// depth saturate at the coarsest key. The engine's ready list
+    /// holds coarsest-level groups and drains each group's bins
+    /// contiguously, in the order of their full ancestor ladder; for
+    /// single-level policies every level is the identity, so the list
+    /// holds the bins themselves.
     fn ancestor_key(&self, key: [u64; MAX_DIMS], level: u32) -> [u64; MAX_DIMS] {
         let _ = level;
         key
@@ -64,8 +65,8 @@ pub trait BinPolicy: Clone + std::fmt::Debug {
 
     /// Number of ladder levels (1 = flat, 2 = sub-bins within parents,
     /// 3+ = deeper machine hierarchies). The engine groups bins by
-    /// ancestor only when this exceeds 1; at depth 1 it drains bins in
-    /// allocation order, the paper's ready list.
+    /// ancestor only when this exceeds 1; at depth 1 its ready list is
+    /// the paper's, one entry per bin.
     fn depth(&self) -> u32 {
         1
     }
@@ -89,10 +90,11 @@ pub trait BinPolicy: Clone + std::fmt::Debug {
 ///
 /// Threads are keyed at the finest granularity
 /// (`addr >> log2(level-0 block)`); the ancestor key at level `l`
-/// truncates the fine key to that level's block granularity. The engine
-/// tours the coarsest-level groups — so inter-group order matches what
-/// the depth-1 ladder of the coarsest blocks would produce — and drains
-/// each group's bins sorted by their full ancestor ladder, running
+/// truncates the fine key to that level's block granularity. The
+/// engine's ready list holds the coarsest-level groups — so inter-group
+/// order matches what the depth-1 ladder of the coarsest blocks would
+/// produce — and drains each group's bins in the order of their full
+/// ancestor ladder, running
 /// threads that share any level's working set back-to-back. This is the
 /// "hierarchy level as a scheduling parameter" extension (compare
 /// bubble scheduling over the cache hierarchy): coarsest-level capacity

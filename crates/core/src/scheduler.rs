@@ -61,12 +61,12 @@ pub trait ThreadScheduler<C> {
 /// (default: the depth-1 [`TopologyPolicy`] of
 /// [`from_config`](TopologyPolicy::from_config), hint address ÷ block
 /// size per dimension, the paper's mapping); [`run`](Scheduler::run)
-/// visits bins in allocation order — the paper's ready list — draining
+/// walks the paper's ready list — bins in allocation order — draining
 /// each bin completely. Threads within a bin run in fork order ("the
 /// scheduling order of threads in the same bin can be arbitrary",
-/// §2.3). A deeper ladder additionally groups bins by their coarsest
-/// ancestor and orders each group's L1-sized sub-bins so threads
-/// sharing an L1 working set run back-to-back.
+/// §2.3). A deeper ladder puts a bin's coarsest ancestor group on the
+/// list instead, and drains each group's sub-bins in ladder order, so
+/// threads sharing an L1 working set run back-to-back.
 ///
 /// See the [crate docs](crate) for a complete example.
 #[derive(Clone, Debug)]
@@ -98,7 +98,7 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
     /// [`RandomScheduler`](crate::RandomScheduler) baseline).
     pub(crate) fn shuffled(config: SchedulerConfig, policy: P, shuffle: Option<u64>) -> Self {
         Scheduler {
-            engine: BinEngine::new(config.hash_size(), policy, shuffle),
+            engine: BinEngine::new(&config, policy, shuffle),
             config,
         }
     }
@@ -154,8 +154,9 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
             .insert_traced(ThreadSpec { func, arg1, arg2 }, hints, sink);
     }
 
-    /// Runs every scheduled thread, visiting bins in allocation order
-    /// and draining each bin before moving on (the paper's `th_run`).
+    /// Runs every scheduled thread, walking the ready list and
+    /// draining each unit before moving on (the paper's `th_run`): the
+    /// same step as [`drain_next`](Self::drain_next), over every unit.
     ///
     /// With [`RunMode::Retain`] the schedule survives and can be re-run
     /// (or extended with further forks); with [`RunMode::Consume`] the
@@ -204,52 +205,36 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
         stats
     }
 
-    /// Switches the scheduler into *online* (incremental) drain mode
-    /// for serving-style workloads: forks keep arriving while
-    /// [`drain_next`](Self::drain_next) hands out one ready drain unit
-    /// at a time from the front of the ready list. A drain unit is one
-    /// bin for flat policies, or one parent bin's sub-bins (drained
-    /// back-to-back in sorted fine-key order) for hierarchical
-    /// policies.
+    /// Does nothing: every scheduler keeps its ready list from the
+    /// first fork, so [`drain_next`](Self::drain_next) works without
+    /// it, and the eviction policy is armed at construction. Kept so
+    /// that existing callers still build.
+    pub fn enable_online(&mut self) {}
+
+    /// Drains the unit at the front of the ready list, consuming its
+    /// threads; returns `None` when no thread is ready. This is the
+    /// online half of the paper's `th_run`, for serving-style
+    /// workloads whose forks keep arriving between drains.
     ///
-    /// Threads already scheduled become ready in bin-creation order, so
-    /// enabling after a batch of forks and draining to exhaustion
-    /// executes exactly what one [`run`](Self::run) would have — same
-    /// order, same dispatch numbering. A bin refilled after its drain
-    /// is re-linked at the *back* of the ready list, as the paper's
-    /// package re-links a refilled bin. A
+    /// The ready list holds drain units — one bin for flat policies,
+    /// one coarsest-level group for deeper ladders, whose non-empty
+    /// bins drain back-to-back in ladder order — in the order they last
+    /// became non-empty. A unit refilled after its drain is re-linked
+    /// at the *back* of the list, as the paper's package re-links a
+    /// refilled bin. [`run`](Self::run) walks the same list with the
+    /// same drain step, so draining to exhaustion executes exactly
+    /// what one `run` would have at that point, and a
+    /// [`RunMode::Retain`] run in between changes nothing. A
     /// [`RandomScheduler`](crate::RandomScheduler)'s seed shuffles only
-    /// the batch run: online, it drains in ready (fork) order like
-    /// every other scheduler.
+    /// the batch run: here it drains in ready (fork) order.
     ///
-    /// The configured [`EvictionPolicy`](crate::EvictionPolicy) (see
-    /// [`SchedulerConfigBuilder::eviction`](crate::SchedulerConfigBuilder::eviction))
-    /// takes effect here: with it on, drained-and-empty bin records are
-    /// retired so a long-running server's bin table stays bounded. An
-    /// evicted key that re-arrives behaves exactly like a fresh fork,
-    /// and records are only reaped during forks — so a run whose forks
-    /// all precede its drains never evicts, and live-bin drain order is
-    /// identical with eviction on or off.
-    ///
-    /// Idempotent; batch [`run`](Self::run) calls remain available and
-    /// unchanged, but mixing [`RunMode::Retain`] runs with incremental
-    /// drains is unsupported.
-    pub fn enable_online(&mut self) {
-        let eviction = self.config.eviction();
-        self.engine.enable_online(eviction);
-    }
-
-    /// Whether [`enable_online`](Self::enable_online) was called.
-    pub fn online(&self) -> bool {
-        self.engine.online()
-    }
-
-    /// Drains the single next ready unit (online mode), consuming its
-    /// threads. Returns `None` when no thread is ready.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`enable_online`](Self::enable_online) was not called.
+    /// With an [`EvictionPolicy`](crate::EvictionPolicy) configured
+    /// (see [`SchedulerConfigBuilder::eviction`](crate::SchedulerConfigBuilder::eviction)),
+    /// drained-and-empty bin records are retired so a long-running
+    /// server's bin table stays bounded. An evicted key that re-arrives
+    /// behaves exactly like a fresh fork, and records are only reaped
+    /// during forks — so a run whose forks all precede its drains never
+    /// evicts, and the drain order is identical with eviction on or off.
     pub fn drain_next(&mut self, ctx: &mut C) -> Option<RunStats> {
         self.engine.drain_next_with(
             ctx,
@@ -276,8 +261,9 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
         self.engine.peak_bins()
     }
 
-    /// Bin records freed by the online eviction policy so far (zero
-    /// for batch mode or [`EvictionPolicy::Off`](crate::EvictionPolicy::Off)).
+    /// Bin records freed by the eviction policy over the scheduler's
+    /// life, [`clear`](Self::clear)s included (zero under
+    /// [`EvictionPolicy::Off`](crate::EvictionPolicy::Off)).
     pub fn evictions(&self) -> u64 {
         self.engine.evictions()
     }
@@ -816,8 +802,6 @@ mod tests {
 
         let mut online = Scheduler::<Log>::new(cfg);
         fork_all(&mut online);
-        online.enable_online();
-        assert!(online.online());
         let mut online_log = Log::new();
         let mut units = 0;
         while let Some(stats) = online.drain_next(&mut online_log) {
@@ -845,7 +829,6 @@ mod tests {
 
         let mut online = Scheduler::with_policy(SchedulerConfig::default(), policy);
         fork_all(&mut online);
-        online.enable_online();
         let mut online_log = Log::new();
         let mut max_unit = 0;
         while let Some(stats) = online.drain_next(&mut online_log) {
@@ -858,7 +841,6 @@ mod tests {
     #[test]
     fn online_refilled_bin_relinks_at_the_back() {
         let mut sched = Scheduler::<Log>::new(config(1024));
-        sched.enable_online();
         // Bin X gets work, drains.
         sched.fork(record, 0, 0, Hints::one(Addr::new(0)));
         let mut log = Log::new();
@@ -887,7 +869,6 @@ mod tests {
         use crate::EvictionPolicy;
         let mut sched =
             Scheduler::<Log>::new(eviction_config(EvictionPolicy::LruCap { max_records: 4 }));
-        sched.enable_online();
         let mut log = Log::new();
         for i in 0..64usize {
             sched.fork(record, i, 0, Hints::one(Addr::new(i as u64 * 2048)));
@@ -910,7 +891,6 @@ mod tests {
         use crate::EvictionPolicy;
         let mut sched =
             Scheduler::<Log>::new(eviction_config(EvictionPolicy::LruCap { max_records: 1 }));
-        sched.enable_online();
         let mut log = Log::new();
         // Bin X fills and drains, leaving an idle record.
         sched.fork(record, 0, 0, Hints::one(Addr::new(0)));
@@ -925,6 +905,24 @@ mod tests {
         assert_eq!(log, vec![(0, 0), (1, 0), (2, 0)]);
     }
 
+    /// `evictions()` counts over the scheduler's life, as `peak_bins()`
+    /// does: a clear keeps both.
+    #[test]
+    fn evictions_are_counted_across_clears() {
+        use crate::EvictionPolicy;
+        let mut sched =
+            Scheduler::<Log>::new(eviction_config(EvictionPolicy::LruCap { max_records: 1 }));
+        let mut log = Log::new();
+        for round in 1..=2 {
+            sched.fork(record, 0, 0, Hints::one(Addr::new(0)));
+            assert!(sched.drain_next(&mut log).is_some());
+            sched.fork(record, 1, 0, Hints::one(Addr::new(1 << 20)));
+            assert_eq!(sched.evictions(), round);
+            sched.clear();
+            assert_eq!((sched.evictions(), sched.peak_bins()), (round, 1));
+        }
+    }
+
     /// UniqueBin (every fork a fresh record) is the worst-case leak;
     /// the cap must bound it too.
     #[test]
@@ -935,7 +933,6 @@ mod tests {
             eviction_config(EvictionPolicy::LruCap { max_records: 4 }),
             UniqueBin::default(),
         );
-        sched.enable_online();
         let mut log = Log::new();
         for i in 0..40usize {
             sched.fork(record, i, 0, Hints::none());
@@ -968,7 +965,6 @@ mod tests {
         let mut online =
             Scheduler::<Log>::new(eviction_config(EvictionPolicy::LruCap { max_records: 2 }));
         fork_all(&mut online);
-        online.enable_online();
         let mut online_log = Log::new();
         while online.drain_next(&mut online_log).is_some() {}
         assert_eq!(online.evictions(), 0, "no insert follows a drain");
@@ -980,7 +976,6 @@ mod tests {
         use crate::policy::SingleBin;
         let mut sched: Scheduler<Log, SingleBin> =
             Scheduler::with_policy(SchedulerConfig::default(), SingleBin);
-        sched.enable_online();
         let mut log = Log::new();
         assert!(sched.drain_next(&mut log).is_none());
         for i in 0..5 {

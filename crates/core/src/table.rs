@@ -1,4 +1,4 @@
-//! The bin table and ready list (paper §3.2).
+//! The bin table (paper §3.2).
 //!
 //! "The hash table organizes the bins. Hash collisions are resolved by
 //! chaining … The ready list is a simple linked list containing all
@@ -6,14 +6,16 @@
 //! end of this list."
 //!
 //! Two halves. The *paper's* half is what a schedule can observe: bins
-//! get dense `u32` ids in allocation order, so the ready list is simply
-//! `0..len` — the id space *is* the list — and collisions chain. The
+//! get dense `u32` ids in allocation order, recycled only after an
+//! eviction, and collisions chain. The ready list lives in the
+//! [`engine`](crate::engine), which keys its drain units with a second
+//! table of this type. The
 //! paper's table geometry ("a three-dimensional array of pointers to
 //! bins", indexed by "a shift and a mask operation on each hint") is
 //! observable only as the address of the traced package's bucket probe,
 //! and lives with the rest of the synthetic addresses in
 //! [`engine`](crate::engine). The *host's* half is how a key finds its
-//! chain, which no id, `created` flag or tour order depends on: one
+//! chain, which no id, `created` flag or drain order depends on: one
 //! multiplicative mix of the whole key into a bucket array that doubles
 //! with the live bins, so a chain holds about one bin whether the
 //! caller hints in one dimension or four.
@@ -27,7 +29,7 @@
 
 use crate::hint::MAX_DIMS;
 
-/// Identifier of a bin, dense in allocation (= ready-list) order.
+/// Identifier of a bin, dense in allocation order.
 pub(crate) type BinId = u32;
 
 /// End of a bucket chain (and an empty bucket).
@@ -237,14 +239,6 @@ impl BinTable {
         self.live_count
     }
 
-    /// Block coordinates of every allocated slot, indexed by bin id
-    /// (i.e. in ready-list order). Freed slots keep a stale key; this
-    /// is only meaningful for batch schedulers, which never free (the
-    /// online drain path does not use it).
-    pub(crate) fn keys(&self) -> &[[u64; MAX_DIMS]] {
-        &self.keys
-    }
-
     /// Block coordinates of one bin.
     ///
     /// # Panics
@@ -300,7 +294,7 @@ mod tests {
         let (b, _) = t.lookup_or_insert([1, 0, 0, 0]);
         let (c, _) = t.lookup_or_insert([2, 0, 0, 0]);
         assert_eq!((a, b, c), (0, 1, 2));
-        assert_eq!(t.keys()[1], [1, 0, 0, 0]);
+        assert_eq!(t.key(1), [1, 0, 0, 0]);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Property-based tests of the locality scheduler's invariants.
 
 use locality_sched::{
-    Addr, AnyPolicy, BinPolicy, FifoScheduler, Hints, RandomScheduler, RunMode, Scheduler,
-    SchedulerConfig, SingleBin, ThreadScheduler, TopologyPolicy,
+    Addr, AnyPolicy, BinPolicy, EvictionPolicy, FifoScheduler, Hints, ParScheduler,
+    RandomScheduler, RunMode, Scheduler, SchedulerConfig, SingleBin, ThreadScheduler,
+    TopologyPolicy,
 };
 use memtrace::{Access, SchedMark, TraceSink};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 type Log = Vec<(usize, usize)>;
 
@@ -51,41 +55,59 @@ fn arb_config() -> impl Strategy<Value = SchedulerConfig> {
     })
 }
 
+/// A ladder of `depth` uniform block sizes, finest first: `2^fine_log2`,
+/// each next level `steps[l]` doublings coarser.
+fn ladder_levels(depth: usize, fine_log2: u32, steps: &[u32]) -> Vec<u64> {
+    let mut levels = vec![1u64 << fine_log2];
+    for &step in &steps[..depth - 1] {
+        levels.push(levels.last().unwrap() << step);
+    }
+    levels
+}
+
+/// A thread's bin key at every level of `levels`, finest first: its
+/// hints shifted by the level's block (§2.3, §3.2), folded by a
+/// descending sort when `symmetric`.
+fn ladder_keys(levels: &[u64], symmetric: bool, hints: &Hints) -> Vec<[u64; 4]> {
+    levels
+        .iter()
+        .map(|block| {
+            let mut key = hints.as_array().map(|a| a.raw() >> block.trailing_zeros());
+            if symmetric {
+                key.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            key
+        })
+        .collect()
+}
+
+/// A bin of the plain-code models: its key at every level, finest
+/// first, and its threads.
+type ModelBin = (Vec<[u64; 4]>, Vec<usize>);
+
+/// Orders a group's bins by their ancestor ladder, coarse to fine.
+fn ladder_order(bin: &ModelBin) -> Vec<[u64; 4]> {
+    bin.0.iter().rev().copied().collect()
+}
+
 /// The paper's loop over a ladder of uniform block sizes (`levels`,
-/// finest first), as plain code: `th_fork` keys each thread by its
-/// hints shifted by the finest block (§2.3, §3.2), folded by a
-/// descending sort when `symmetric`, into bins kept in allocation
-/// order; `th_run` visits the bins grouped by their coarsest ancestor,
-/// groups in order of first appearance, each group's bins sorted by
-/// their ancestor ladder coarse to fine, and runs each bin's threads in
-/// fork order. Returns the fork indices in run order and the number of
+/// finest first), as plain code: `th_fork` keys each thread by
+/// [`ladder_keys`]' finest key into bins kept in allocation order;
+/// `th_run` visits the bins grouped by their coarsest ancestor, groups
+/// in order of first appearance, each group's bins sorted by their
+/// ancestor ladder coarse to fine, and runs each bin's threads in fork
+/// order. Returns the fork indices in run order and the number of
 /// groups (drain units).
 fn paper_loop(levels: &[u64], symmetric: bool, hints: &[Hints]) -> (Vec<usize>, usize) {
-    /// A bin: its key at every level, finest first, and its threads.
-    type Bin = (Vec<[u64; 4]>, Vec<usize>);
-
-    // The key at every level, finest first.
-    let ladder = |h: &Hints| -> Vec<[u64; 4]> {
-        levels
-            .iter()
-            .map(|block| {
-                let mut key = h.as_array().map(|a| a.raw() >> block.trailing_zeros());
-                if symmetric {
-                    key.sort_unstable_by(|a, b| b.cmp(a));
-                }
-                key
-            })
-            .collect()
-    };
-    let mut bins: Vec<Bin> = Vec::new();
+    let mut bins: Vec<ModelBin> = Vec::new();
     for (fork, h) in hints.iter().enumerate() {
-        let keys = ladder(h);
+        let keys = ladder_keys(levels, symmetric, h);
         match bins.iter_mut().find(|(k, _)| k[0] == keys[0]) {
             Some((_, threads)) => threads.push(fork),
             None => bins.push((keys, vec![fork])),
         }
     }
-    let mut groups: Vec<([u64; 4], Vec<&Bin>)> = Vec::new();
+    let mut groups: Vec<([u64; 4], Vec<&ModelBin>)> = Vec::new();
     for bin in &bins {
         let coarsest = *bin.0.last().unwrap();
         match groups.iter_mut().find(|(k, _)| *k == coarsest) {
@@ -95,12 +117,115 @@ fn paper_loop(levels: &[u64], symmetric: bool, hints: &[Hints]) -> (Vec<usize>, 
     }
     let mut order = Vec::new();
     for (_, members) in &mut groups {
-        members.sort_by_key(|(keys, _)| keys.iter().rev().copied().collect::<Vec<_>>());
+        members.sort_by_key(|bin| ladder_order(bin));
         for (_, threads) in members.iter() {
             order.extend(threads);
         }
     }
     (order, groups.len())
+}
+
+/// The paper's ready list kept between runs, as plain code: the
+/// coarsest groups in the order they last became non-empty. A fork
+/// links its group at the back when the group had no threads; a drain
+/// takes the front group's non-empty bins in ladder order and empties
+/// them; a run does so for every group on the list, leaving them or
+/// consuming everything. Eviction reorders nothing, so the model has
+/// none.
+struct ReadyModel {
+    levels: Vec<u64>,
+    symmetric: bool,
+    bins: Vec<ModelBin>,
+    ready: VecDeque<[u64; 4]>,
+}
+
+impl ReadyModel {
+    fn new(levels: &[u64], symmetric: bool) -> Self {
+        ReadyModel {
+            levels: levels.to_vec(),
+            symmetric,
+            bins: Vec::new(),
+            ready: VecDeque::new(),
+        }
+    }
+
+    fn fork(&mut self, thread: usize, hints: &Hints) {
+        let keys = ladder_keys(&self.levels, self.symmetric, hints);
+        let group = *keys.last().unwrap();
+        let in_group = |(k, _): &&ModelBin| *k.last().unwrap() == group;
+        if self.bins.iter().filter(in_group).all(|(_, t)| t.is_empty()) {
+            self.ready.push_back(group);
+        }
+        match self.bins.iter_mut().find(|(k, _)| k[0] == keys[0]) {
+            Some((_, threads)) => threads.push(thread),
+            None => self.bins.push((keys, vec![thread])),
+        }
+    }
+
+    /// The threads of `group`'s bins in ladder order, emptied if
+    /// `consume`.
+    fn take(&mut self, group: [u64; 4], consume: bool) -> Vec<usize> {
+        let in_group = |(k, _): &&mut ModelBin| *k.last().unwrap() == group;
+        let mut members: Vec<&mut ModelBin> = self.bins.iter_mut().filter(in_group).collect();
+        members.sort_by_key(|bin| ladder_order(bin));
+        let mut ran = Vec::new();
+        for (_, threads) in members {
+            ran.extend_from_slice(threads);
+            if consume {
+                threads.clear();
+            }
+        }
+        ran
+    }
+
+    fn drain_next(&mut self) -> Option<Vec<usize>> {
+        let group = self.ready.pop_front()?;
+        Some(self.take(group, true))
+    }
+
+    /// What a batch run executes, and its number of drain units.
+    fn run(&mut self, mode: RunMode) -> (Vec<usize>, usize) {
+        let groups: Vec<[u64; 4]> = self.ready.iter().copied().collect();
+        let ran = groups.iter().flat_map(|&g| self.take(g, false)).collect();
+        if mode == RunMode::Consume {
+            self.bins.clear();
+            self.ready.clear();
+        }
+        (ran, groups.len())
+    }
+
+    fn holding(&self) -> usize {
+        self.bins.iter().filter(|(_, t)| !t.is_empty()).count()
+    }
+
+    fn pending(&self) -> u64 {
+        self.bins.iter().map(|(_, t)| t.len() as u64).sum()
+    }
+}
+
+/// One step of an interleaved schedule: forks (each an index into a
+/// shared hint pool, or its own hints when the index is past the pool),
+/// an online drain, or a batch run.
+#[derive(Clone, Debug)]
+enum Step {
+    Fork(Vec<(usize, Hints)>),
+    Drain,
+    Run(RunMode),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let forks = || {
+        let fork = (0usize..16, arb_hints_below(1 << 16));
+        prop::collection::vec(fork, 1..12).prop_map(Step::Fork)
+    };
+    prop_oneof![
+        forks(),
+        forks(),
+        Just(Step::Drain),
+        Just(Step::Drain),
+        Just(Step::Run(RunMode::Retain)),
+        Just(Step::Run(RunMode::Consume)),
+    ]
 }
 
 /// A run's thread log and its drain-unit count, the context and sink
@@ -157,6 +282,40 @@ fn block_coords_digest_matches_pre_refactor_golden() {
         }
         assert_eq!(digest, golden, "symmetric={symmetric}");
     }
+}
+
+/// Eviction recycles a drained bin's id, and the drain order does not
+/// follow the id. Fork A and B, drain A, fork C (which evicts A), then
+/// fork D (which takes A's id): a consuming run and the online drains
+/// both run B, C, D, the ready list's order.
+#[test]
+fn a_recycled_bin_id_does_not_move_its_bin_up_the_ready_list() {
+    let config = SchedulerConfig::builder()
+        .block_size(1 << 10)
+        .eviction(EvictionPolicy::LruCap { max_records: 2 })
+        .build()
+        .unwrap();
+    let block = |b: u64| Hints::one(Addr::new(b << 10));
+    let forked = || {
+        let mut sched = Scheduler::<Log>::new(config);
+        let mut log = Log::new();
+        sched.fork(record, 0, 0, block(0));
+        sched.fork(record, 1, 0, block(1));
+        assert_eq!(sched.drain_next(&mut log).map(|s| s.threads_run), Some(1));
+        sched.fork(record, 2, 0, block(2));
+        assert_eq!((sched.evictions(), sched.bins()), (1, 2));
+        sched.fork(record, 3, 0, block(3));
+        assert_eq!((sched.evictions(), sched.bins()), (1, 3));
+        sched
+    };
+    let expect: Log = vec![(1, 0), (2, 0), (3, 0)];
+    let mut log = Log::new();
+    forked().run(&mut log, RunMode::Consume);
+    assert_eq!(log, expect, "batch run");
+    let mut online = forked();
+    let mut log = Log::new();
+    while online.drain_next(&mut log).is_some() {}
+    assert_eq!(log, expect, "online drains");
 }
 
 proptest! {
@@ -440,7 +599,10 @@ proptest! {
     /// through a batch `run`, an online `drain_next` to exhaustion,
     /// `run_traced`, a retained re-run, and the ladder carried as an
     /// [`AnyPolicy`]. Depth 1 is the default policy of
-    /// `Scheduler::new`.
+    /// `Scheduler::new`. `ParScheduler` partitions the same order: one
+    /// worker runs it as is, and at 2 and 4 workers every thread runs
+    /// once, each bin's threads back-to-back in fork order on one
+    /// worker.
     #[test]
     fn scheduler_runs_the_paper_loop(
         // 64 KiB of hint space, so that forks share bins and
@@ -452,10 +614,7 @@ proptest! {
         symmetric in any::<bool>(),
         hash_log2 in 0usize..6,
     ) {
-        let mut levels = vec![1u64 << fine_log2];
-        for &step in &steps[..depth - 1] {
-            levels.push(levels.last().unwrap() << step);
-        }
+        let levels = ladder_levels(depth, fine_log2, &steps);
         let config = SchedulerConfig::builder()
             .block_size(levels[0])
             .hash_size(1 << hash_log2)
@@ -488,7 +647,6 @@ proptest! {
 
         let mut online = new();
         fork_all(&mut online);
-        online.enable_online();
         let mut ctx = Marked::default();
         let mut drains = 0;
         while online.drain_next(&mut ctx).is_some() {
@@ -505,6 +663,107 @@ proptest! {
         let mut log = Log::new();
         any.run(&mut log, RunMode::Consume);
         prop_assert!(log.iter().map(|&(i, _)| i).eq(order.iter().copied()), "AnyPolicy");
+
+        type WorkerLog = Mutex<Vec<(ThreadId, usize)>>;
+        fn by_worker(log: &WorkerLog, i: usize, _: usize) {
+            log.lock().unwrap().push((std::thread::current().id(), i));
+        }
+        let mut policy = ladder;
+        let bin_of: Vec<[u64; 4]> = hints.iter().map(|h| policy.bin_key(*h)).collect();
+        for workers in [1, 2, 4] {
+            let mut par = ParScheduler::with_policy(config, ladder);
+            for (i, h) in hints.iter().enumerate() {
+                par.fork(by_worker, i, 0, *h);
+            }
+            let log = WorkerLog::default();
+            par.run(&log, workers);
+            let log = log.into_inner().unwrap();
+            if workers == 1 {
+                prop_assert!(log.iter().map(|&(_, i)| i).eq(order.iter().copied()), "1 worker");
+            }
+            let mut per_worker: Vec<(ThreadId, Vec<usize>)> = Vec::new();
+            for (worker, i) in log {
+                match per_worker.iter_mut().find(|(w, _)| *w == worker) {
+                    Some((_, ran)) => ran.push(i),
+                    None => per_worker.push((worker, vec![i])),
+                }
+            }
+            let mut bins_seen = Vec::new();
+            let mut ran_once: Vec<usize> = Vec::new();
+            for (_, ran) in &per_worker {
+                for bin in ran.chunk_by(|&a, &b| bin_of[a] == bin_of[b]) {
+                    prop_assert!(!bins_seen.contains(&bin_of[bin[0]]), "{} workers split a bin", workers);
+                    bins_seen.push(bin_of[bin[0]]);
+                    prop_assert!(bin.windows(2).all(|w| w[0] < w[1]), "fork order");
+                }
+                ran_once.extend(ran);
+            }
+            ran_once.sort_unstable();
+            prop_assert_eq!(ran_once, (0..hints.len()).collect::<Vec<_>>());
+        }
+    }
+
+    /// Batch runs, retained or consumed, and online drains walk one
+    /// ready list: interleaved in any order, at ladder depths 1 to 3,
+    /// folded or not, with eviction off or capped at 1 to 4 records,
+    /// each runs exactly what [`ReadyModel`] runs, unit by unit. After
+    /// every batch of forks the cap holds, unless more bins than it
+    /// allows hold threads.
+    #[test]
+    fn runs_and_drains_walk_one_ready_list(
+        pool in prop::collection::vec(arb_hints_below(1 << 16), 1..8),
+        steps in prop::collection::vec(arb_step(), 1..24),
+        depth in 1usize..=3,
+        fine_log2 in 6u32..12,
+        rungs in prop::collection::vec(0u32..4, 2),
+        symmetric in any::<bool>(),
+        cap in 0u64..5,
+    ) {
+        let levels = ladder_levels(depth, fine_log2, &rungs);
+        let eviction = match cap {
+            0 => EvictionPolicy::Off,
+            max_records => EvictionPolicy::LruCap { max_records },
+        };
+        let config = SchedulerConfig::builder()
+            .block_size(levels[0])
+            .symmetric(symmetric)
+            .eviction(eviction)
+            .build()
+            .unwrap();
+        let ladder = TopologyPolicy::uniform(&levels, symmetric).unwrap();
+        let mut sched = Scheduler::<Marked>::with_policy(config, ladder);
+        let mut model = ReadyModel::new(&levels, symmetric);
+        let mut forked = 0;
+        for (at, step) in steps.iter().enumerate() {
+            let mut ctx = Marked::default();
+            match step {
+                Step::Fork(forks) => {
+                    for (pick, fresh) in forks {
+                        let hints = pool.get(*pick).unwrap_or(fresh);
+                        sched.fork(|ctx: &mut Marked, i, _| ctx.log.push(i), forked, 0, *hints);
+                        model.fork(forked, hints);
+                        forked += 1;
+                    }
+                    if cap > 0 {
+                        let allowed = cap.max(model.holding() as u64);
+                        prop_assert!(sched.bins() as u64 <= allowed, "step {}: {} bins", at, sched.bins());
+                    }
+                }
+                Step::Drain => {
+                    let expect = model.drain_next();
+                    let ran = sched.drain_next(&mut ctx).map(|stats| stats.threads_run as usize);
+                    prop_assert_eq!(ran, expect.as_ref().map(Vec::len), "step {}", at);
+                    prop_assert_eq!(&ctx.log, &expect.unwrap_or_default(), "step {}", at);
+                }
+                Step::Run(mode) => {
+                    let (expect, units) = model.run(*mode);
+                    sched.run_traced(&mut ctx, *mode, |c| c);
+                    prop_assert_eq!(&ctx.log, &expect, "step {}: {:?}", at, mode);
+                    prop_assert_eq!(ctx.units, units, "step {}: units", at);
+                }
+            }
+            prop_assert_eq!(sched.pending(), model.pending(), "step {}", at);
+        }
     }
 
     /// The paper's block hash, the depth-1 [`TopologyPolicy`], computes

@@ -407,7 +407,6 @@ pub fn run_serve<I: Iterator<Item = Request>>(
 ) -> Result<ServeOutcome, ServeError> {
     let (sched_config, bin_policy) = serve_policy(machine, policy, config.eviction)?;
     let mut sched = Scheduler::with_policy(sched_config, bin_policy);
-    sched.enable_online();
     let timing = machine.timing();
     let overhead_ns = machine.thread_overhead_ns();
 
