@@ -81,6 +81,37 @@ pub(crate) struct LineOutcome {
     pub writeback: Option<u64>,
 }
 
+/// The LRU walk of one reference, written once for
+/// [`Cache::access_line`] and [`Cache::place_lines`]: the line in
+/// `$carried` goes to the front of its set, `$tags` in recency order
+/// with their `$dirty` flags. Evaluates to the slot it was found in, if
+/// it was resident, and leaves in `$carried` / `$carried_dirty` (false
+/// on entry) the tag and flag carried off the end: the line's own on a
+/// hit, the victim on a miss. Setting the line's dirty flag and
+/// counting are the caller's. A macro, so that `access_line` compiles
+/// exactly as it did with the loop written in place; an inlined
+/// function changed its branches.
+macro_rules! walk {
+    ($tags:expr, $dirty:expr, $carried:ident, $carried_dirty:ident) => {{
+        // Put the line in at the front and carry each displaced line
+        // one slot down, until the line itself comes out — a hit: the
+        // slots before its old one have rotated and it is at the front
+        // — or the carried line falls off the end: a miss, and that was
+        // the LRU line, or an empty way while the set has one.
+        let line = $carried;
+        let mut found = None;
+        for (slot, (tag, flag)) in $tags.iter_mut().zip($dirty.iter_mut()).enumerate() {
+            std::mem::swap(tag, &mut $carried);
+            std::mem::swap(flag, &mut $carried_dirty);
+            if $carried == line {
+                found = Some(slot);
+                break;
+            }
+        }
+        found
+    }};
+}
+
 /// One set-associative, write-allocate, write-back cache level with true
 /// LRU replacement — the configuration DineroIII's default ("copy-back,
 /// write-allocate, LRU") used and the paper's machines implement.
@@ -194,6 +225,9 @@ impl Cache {
     /// Misses allocate the line (write-allocate); the evicted victim is
     /// the LRU way, and if it is dirty its line index is reported so the
     /// caller can propagate the write-back to the next level.
+    ///
+    /// [`place_lines`](Self::place_lines) makes the same walk for a
+    /// whole line-stride run and counts it once.
     #[inline]
     pub(crate) fn access_line(&mut self, line: u64, is_write: bool) -> LineOutcome {
         debug_assert_ne!(line, INVALID);
@@ -205,22 +239,8 @@ impl Cache {
         let base = (line & self.set_mask) as usize * self.assoc;
         let tags = &mut self.lines[base..base + self.assoc];
         let dirty = &mut self.dirty[base..base + self.assoc];
-
-        // Put `line` in at the front and carry each displaced line one
-        // slot down, until the line itself comes out — a hit: the slots
-        // before its old one have rotated and it is at the front — or
-        // the carried line falls off the end: a miss, and that was the
-        // LRU line, or an empty way while the set has one.
         let (mut carried, mut carried_dirty) = (line, false);
-        let mut found = None;
-        for (slot, (tag, flag)) in tags.iter_mut().zip(dirty.iter_mut()).enumerate() {
-            std::mem::swap(tag, &mut carried);
-            std::mem::swap(flag, &mut carried_dirty);
-            if carried == line {
-                found = Some(slot);
-                break;
-            }
-        }
+        let found = walk!(tags, dirty, carried, carried_dirty);
         let hit = found.is_some();
         self.obs
             .mru_hits
@@ -238,6 +258,86 @@ impl Cache {
         let writeback = (!hit && carried_dirty).then_some(carried);
         self.stats.writebacks += u64::from(writeback.is_some());
         LineOutcome { hit, writeback }
+    }
+
+    /// References the `count` lines `first`, `first + step`, … in turn:
+    /// to the sets, the last line and the statistics, what `count`
+    /// calls of [`access_line`](Self::access_line) with the fast paths
+    /// on do, its counters summed in locals and added once. `below`
+    /// sees each reference's line and outcome, in order — a miss's
+    /// fetch and a dirty victim to send to the next level. It cannot
+    /// reach this cache, so the walk keeps the sets' slices and the
+    /// geometry in registers.
+    ///
+    /// A direct-mapped cache (the R8000's L1) takes a copy of the loop
+    /// whose sets are known to be one slot long.
+    #[inline]
+    pub(crate) fn place_lines(
+        &mut self,
+        first: u64,
+        step: u64,
+        count: u64,
+        is_write: bool,
+        below: impl FnMut(u64, LineOutcome),
+    ) {
+        if self.assoc == 1 {
+            self.place_lines_in(1, first, step, count, is_write, below);
+        } else {
+            self.place_lines_in(self.assoc, first, step, count, is_write, below);
+        }
+    }
+
+    /// [`place_lines`](Self::place_lines) in a cache of `assoc` ways.
+    #[inline(always)]
+    fn place_lines_in(
+        &mut self,
+        assoc: usize,
+        first: u64,
+        step: u64,
+        count: u64,
+        is_write: bool,
+        mut below: impl FnMut(u64, LineOutcome),
+    ) {
+        debug_assert!(self.fast_path && assoc == self.assoc);
+        let set_mask = self.set_mask;
+        let (lines, dirty) = (&mut self.lines[..], &mut self.dirty[..]);
+        let (mut misses, mut writebacks, mut mru_hits) = (0, 0, 0);
+        for index in 0..count {
+            let line = first + index * step;
+            debug_assert_ne!(line, INVALID);
+            let base = (line & set_mask) as usize * assoc;
+            let set = base..base + assoc;
+            let (tags, flags) = (&mut lines[set.clone()], &mut dirty[set]);
+            let (mut carried, mut carried_dirty) = (line, false);
+            let found = walk!(tags, flags, carried, carried_dirty);
+            let hit = found.is_some();
+            flags[0] = (hit && carried_dirty) || is_write;
+            let writeback = (!hit && carried_dirty).then_some(carried);
+            misses += u64::from(!hit);
+            writebacks += u64::from(writeback.is_some());
+            mru_hits += u64::from(found == Some(0));
+            below(line, LineOutcome { hit, writeback });
+        }
+        if let Some(last) = count.checked_sub(1) {
+            self.last_line = first + last * step;
+        }
+        let (references, missed) = if is_write {
+            (&mut self.stats.writes, &mut self.stats.write_misses)
+        } else {
+            (&mut self.stats.reads, &mut self.stats.read_misses)
+        };
+        *references += count;
+        *missed += misses;
+        self.stats.writebacks += writebacks;
+        self.obs.mru_hits.add(mru_hits);
+    }
+
+    /// The line the previous access left resident (and at the front of
+    /// its set), if [`try_rehit`](Self::try_rehit) may take it: `None`
+    /// with the fast paths off.
+    #[inline]
+    pub(crate) fn rehit_line(&self) -> Option<u64> {
+        (self.fast_path && self.last_line != INVALID).then_some(self.last_line)
     }
 
     /// Same-line short-circuit: if `line` is the line this cache touched
@@ -271,7 +371,9 @@ impl Cache {
     /// Counts `reads` + `writes` hits the caller has proved without a
     /// lookup — statistics and the probe's `rehits`, nothing else. What
     /// makes that all a hit would have changed is the caller's
-    /// argument: the run record's epoch rule (`Hierarchy::run`).
+    /// argument: the run record's epoch rule, or the line-stride scan's
+    /// count of fetches of the [`rehit_line`](Self::rehit_line)
+    /// (`Hierarchy::run`).
     #[inline]
     pub(crate) fn credit_hits(&mut self, reads: u64, writes: u64) {
         self.stats.reads += reads;

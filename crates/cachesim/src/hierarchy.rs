@@ -212,7 +212,8 @@ impl Hierarchy {
     }
 
     /// Enables or disables the fast lookup paths: each level's
-    /// same-line short-circuit, the run records' L1-line epochs, and
+    /// same-line short-circuit, the run records' L1-line epochs and
+    /// line-stride scans, and
     /// the chunked recency table under the classifier. Off, every
     /// reference is looked up in its set — the lookup itself is the
     /// same either way — and the classifier runs its hash-set-and-list
@@ -261,12 +262,15 @@ impl Hierarchy {
         }
     }
 
-    /// Feeds a run record, one L1-line epoch at a time: the maximal
-    /// whole rounds during which every stream's elements stay inside
-    /// the line of its first one. Each stream's first element of the
-    /// epoch is referenced for real; if every stream's line is then
-    /// resident in the L1, the epoch's other references are counted as
-    /// L1 hits and nothing else moves.
+    /// Feeds a run record. A *line-stride* record — one stream, one
+    /// element a round, a stride of a whole number of L1 lines, every
+    /// element inside one line — is [scanned](Self::scan); any other,
+    /// one L1-line epoch at a time: the maximal whole rounds during
+    /// which every stream's elements stay inside the line of its first
+    /// one. Each stream's first element of the epoch is referenced for
+    /// real; if every stream's line is then resident in the L1, the
+    /// epoch's other references are counted as L1 hits and nothing
+    /// else moves.
     ///
     /// That is exact (DESIGN.md §3.3.1). The `k` first references are
     /// round one with the same-line rehits that follow each of them
@@ -288,6 +292,11 @@ impl Hierarchy {
         let streams = run.streams();
         if !self.fast_path() {
             return self.expand(run, 0..run.rounds());
+        }
+        if let [stream] = streams {
+            if run.group() == 1 && self.strides_lines(stream, run.rounds()) {
+                return self.scan(stream, run.rounds());
+            }
         }
         let writes = |stream: &Stream| stream.kind == AccessKind::Write;
         let group = u64::from(run.group());
@@ -323,6 +332,85 @@ impl Hierarchy {
         let writers = streams.iter().filter(|stream| writes(stream)).count() as u64;
         let readers = streams.len() as u64 - writers;
         self.l1d.credit_hits(readers * hits, writers * hits);
+    }
+
+    /// Whether `rounds` elements of `stream` (one a round) each lie
+    /// inside one L1 line, a nonzero whole number of lines apart: at
+    /// least one element, a stride that is a multiple of the L1 line,
+    /// and an element that fits between its offset in the line and the
+    /// line's end, up to a last element whose address does not wrap.
+    #[inline]
+    fn strides_lines(&self, stream: &Stream, rounds: u64) -> bool {
+        let mask = self.l1_line - 1;
+        let base = stream.base.raw();
+        let fits = (base & mask) + u64::from(stream.size.max(1)) <= self.l1_line;
+        let ends = rounds
+            .checked_sub(1)
+            .and_then(|steps| stream.stride.checked_mul(steps))
+            .and_then(|span| base.checked_add(span));
+        stream.stride != 0 && stream.stride & mask == 0 && fits && ends.is_some()
+    }
+
+    /// Replays a line-stride stream (see
+    /// [`strides_lines`](Self::strides_lines)) as a scan, with the
+    /// statistics of its expansion.
+    ///
+    /// The lines are distinct, so only the first element can be a
+    /// same-line rehit: it goes through the ordinary path. The others
+    /// are [placed](Cache::place_lines) in the L1 a chunk at a time,
+    /// their counts summed and added once, and the L2 references the
+    /// chunk makes — each miss's fetch, then its dirty victim's
+    /// write-back — are sent down after it, in order: the L1 reads
+    /// nothing of the levels below, nor they of it, so the order in
+    /// which the two sides interleave changes nothing. A fetch of the
+    /// L2's last line — the line of the L2 reference before it — is an
+    /// L2 rehit: all `try_rehit` would do is count it, so it is counted
+    /// and credited at the end. Every other reference takes
+    /// [`reference_l2`](Self::reference_l2), so the L2's sets, the L3
+    /// and the classifier see the expansion's stream.
+    fn scan(&mut self, stream: &Stream, rounds: u64) {
+        /// Lines placed before their L2 references are sent down.
+        const CHUNK: u64 = 64;
+        let is_write = stream.kind == AccessKind::Write;
+        let step = stream.stride >> self.l1_shift;
+        let first = stream.base.raw() >> self.l1_shift;
+        self.access_l1_line(first, is_write);
+        let ratio = self.l2_line_shift - self.l1_shift;
+        // The line of the last L2 reference, or `u64::MAX` (no line).
+        let mut l2_last = self.l2.rehit_line().unwrap_or(u64::MAX);
+        let mut l2_rehits = 0;
+        // A chunk's L2 references, `line << 1 | is_write`: at most a
+        // fetch and a write-back a line.
+        let mut down = [0u64; 2 * CHUNK as usize];
+        let mut placed = 1;
+        while placed < rounds {
+            let count = (rounds - placed).min(CHUNK);
+            let mut len = 0;
+            let start = first + placed * step;
+            self.l1d
+                .place_lines(start, step, count, is_write, |line, outcome| {
+                    if !outcome.hit {
+                        let fetch = line >> ratio;
+                        if fetch == l2_last {
+                            l2_rehits += 1;
+                        } else {
+                            down[len] = fetch << 1;
+                            len += 1;
+                            l2_last = fetch;
+                        }
+                    }
+                    if let Some(victim) = outcome.writeback {
+                        l2_last = victim >> ratio;
+                        down[len] = l2_last << 1 | 1;
+                        len += 1;
+                    }
+                });
+            for &reference in &down[..len] {
+                self.reference_l2(reference >> 1, reference & 1 == 1);
+            }
+            placed += count;
+        }
+        self.l2.credit_hits(l2_rehits, 0);
     }
 
     /// The whole rounds of `group` elements, from element `first` on,

@@ -139,9 +139,9 @@ impl TraceSink for SimSink {
     }
 
     /// Counts the record's references and instructions in O(streams)
-    /// and hands it to the hierarchy, which replays it per L1-line
-    /// epoch (see DESIGN.md §3.3.1) — exactly equivalent to the default
-    /// expansion.
+    /// and hands it to the hierarchy, which replays a line-stride
+    /// stream as a scan and any other record per L1-line epoch (see
+    /// DESIGN.md §3.3.1) — exactly equivalent to the default expansion.
     #[inline]
     fn run(&mut self, run: &StreamRun<'_>) {
         for stream in run.streams() {
@@ -218,21 +218,35 @@ mod tests {
         assert_eq!(one.finish(), many.finish());
     }
 
-    /// `run` into a fresh sink, and the same references one by one.
+    /// `run` into a fresh sink, and the same references one by one into
+    /// another, with the accesses `around` it fed to both before and
+    /// after it (so a wrong last line or set order left by the record
+    /// shows). A one-stream record with the fast paths on must also
+    /// leave every level's probe section — which fast path served the
+    /// hits — as its expansion does.
     fn run_and_expansion(
         config: HierarchyConfig,
         fast: bool,
+        around: &[Access],
         run: &StreamRun<'_>,
     ) -> (SimReport, SimReport) {
         let mut whole = SimSink::new(Hierarchy::new(config));
         let mut expanded = SimSink::new(Hierarchy::new(config));
-        whole.set_fast_path(fast);
-        expanded.set_fast_path(fast);
+        for sink in [&mut whole, &mut expanded] {
+            sink.set_fast_path(fast);
+            sink.access_batch(around);
+        }
         whole.run(run);
         for access in run.accesses(0..run.rounds()) {
             expanded.access(access);
         }
         expanded.instructions(run.rounds() * run.instructions());
+        for sink in [&mut whole, &mut expanded] {
+            sink.access_batch(around);
+        }
+        if fast && run.streams().len() == 1 {
+            assert_eq!(whole.run_profile(), expanded.run_profile(), "{run:?}");
+        }
         (whole.finish(), expanded.finish())
     }
 
@@ -260,7 +274,7 @@ mod tests {
         ];
         let run = StreamRun::new(&streams, 1, 9, 5);
         for fast in [true, false] {
-            let (whole, expanded) = run_and_expansion(config, fast, &run);
+            let (whole, expanded) = run_and_expansion(config, fast, &[], &run);
             assert_eq!(whole, expanded, "fast {fast}");
             assert_eq!((whole.reads, whole.writes, whole.instructions), (18, 9, 45));
             // 72 bytes from 0x1008 touch lines 0x1000..0x1040: three;
@@ -285,15 +299,73 @@ mod tests {
             column(0x1100, AccessKind::Read),
         ];
         let run = StreamRun::new(&streams, 2, 16, 7);
-        let (whole, expanded) = run_and_expansion(config, true, &run);
+        let (whole, expanded) = run_and_expansion(config, true, &[], &run);
         assert_eq!(whole, expanded);
         assert_eq!(whole.l1.misses(), 2 * 16, "a miss a stream a round");
         assert_eq!(whole.l1.writebacks, 16, "the written line, every time");
         // In a 2-way L1 of the same size they live side by side.
         let two_way = HierarchyConfig::new(CacheConfig::new(256, 32, 2).unwrap(), config.l2);
-        let (whole, expanded) = run_and_expansion(two_way, true, &run);
+        let (whole, expanded) = run_and_expansion(two_way, true, &[], &run);
         assert_eq!(whole, expanded);
         assert_eq!(whole.l1.misses(), 2 * 8, "a miss a stream an epoch");
+    }
+
+    /// One stream stepping whole L1 lines is replayed as a scan; every
+    /// variant must equal its expansion, fast paths on and off, probe
+    /// sections included: strides of 1 to 4 lines, elements that fit
+    /// their line at any offset or straddle it (the epoch fallback),
+    /// reads and writes after accesses that leave dirty lines to
+    /// evict, a first element on the line the L1 touched last, runs
+    /// that end at the top of the address space, and direct-mapped,
+    /// 2-way and three-level machines.
+    #[test]
+    fn line_stride_runs_equal_their_expansion() {
+        let l1 = |assoc| CacheConfig::new(256, 32, assoc).unwrap();
+        let l2 = CacheConfig::new(1024, 64, 2).unwrap();
+        let machines = [
+            HierarchyConfig::new(l1(1), l2),
+            HierarchyConfig::new(l1(2), l2),
+            HierarchyConfig::new3(l1(1), l2, CacheConfig::new(4096, 128, 4).unwrap()),
+        ];
+        // Writes over 768 bytes, so the L1 is dirty, between two reads
+        // of 0x1040's line, where some runs start: before a run it is
+        // the L1's last line, and after it the first one referenced.
+        let read = Access::read(Addr::new(0x1040), 8);
+        let writes = (0..96).map(|i| Access::write(Addr::new(i * 8), 8));
+        let around: Vec<Access> = [read].into_iter().chain(writes).chain([read]).collect();
+        let (mut writebacks, mut l2_hits) = (0, 0);
+        for config in machines {
+            for lines in 1..=4u64 {
+                let stride = 32 * lines;
+                for (offset, size) in [(0, 8), (8, 8), (24, 8), (0, 32), (0, 0), (28, 8), (16, 24)]
+                {
+                    for kind in [AccessKind::Read, AccessKind::Write] {
+                        for (base, rounds) in [
+                            (0x1040, 1),
+                            (0x1040, 48),
+                            (0x1100, 100),
+                            (u64::MAX - 47 * stride - 31, 48),
+                        ] {
+                            let streams = [Stream {
+                                base: Addr::new((base & !31) + offset),
+                                stride,
+                                size,
+                                kind,
+                            }];
+                            let run = StreamRun::new(&streams, 1, rounds, 3);
+                            for fast in [true, false] {
+                                let (whole, expanded) =
+                                    run_and_expansion(config, fast, &around, &run);
+                                assert_eq!(whole, expanded, "{run:?}, fast paths {fast}");
+                                writebacks += whole.l1.writebacks;
+                                l2_hits += whole.l2.hits();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(writebacks > 0 && l2_hits > 0);
     }
 
     #[test]

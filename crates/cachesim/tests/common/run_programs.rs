@@ -109,12 +109,80 @@ fn arb_run() -> impl Strategy<Value = Step> {
         })
 }
 
+/// One-stream records of one element a round, the shape a scan over
+/// whole lines has: a stride of 1 to 4 lines of 16 or 32 bytes (a line
+/// stride of every L1 here, or of those with 16-byte lines only), up to
+/// 160 rounds, reads or writes, an element of 0 to 24 bytes at any
+/// offset in the line (so some straddle it), starting anywhere in
+/// 32 KiB, in a hot 2 KiB window, or so that the run ends just below
+/// the top of the address space.
+fn arb_scan() -> impl Strategy<Value = Step> {
+    const SIZES: [u32; 6] = [0, 1, 8, 8, 16, 24];
+    let shape = (1u64..5, 4u32..6, 0usize..SIZES.len(), 0u32..2);
+    (shape, 0u64..(32 << 10), 0u32..4, 1u64..161, 0u64..9).prop_map(
+        |((lines, line_bits, size, write), anywhere, place, rounds, instructions)| {
+            let stride = lines << line_bits;
+            let base = match place {
+                0 => u64::MAX - (rounds - 1) * stride - 63 + anywhere % 32,
+                1 => anywhere % 2048,
+                _ => anywhere,
+            };
+            Step::Run {
+                streams: vec![Stream {
+                    base: Addr::new(base),
+                    stride,
+                    size: SIZES[size],
+                    kind: kind(write == 0),
+                }],
+                group: 1,
+                rounds,
+                instructions,
+            }
+        },
+    )
+}
+
 /// Runs with short word-by-word walks of ordinary accesses (a third of
 /// them writes, some spanning lines) before each.
 pub fn arb_program() -> impl Strategy<Value = Vec<Step>> {
+    program_of(arb_run())
+}
+
+/// Programs of line-stride scans (see `arb_scan`) between walks. About
+/// a third of the scans that follow an access are moved to start at its
+/// address, so their first element is on the line the L1 touched last,
+/// and about a third of the walks that follow a scan start at its first
+/// element, whose line the scan may since have evicted.
+pub fn arb_scan_program() -> impl Strategy<Value = Vec<Step>> {
+    // Only addresses far from the top move: a scan or a walk moved up
+    // there could run past it.
+    const LOW: u64 = 1 << 32;
+    program_of(arb_scan()).prop_map(|mut program| {
+        for at in 1..program.len() {
+            let (before, after) = program.split_at_mut(at);
+            match (&mut before[at - 1], &mut after[0]) {
+                (Step::Access(last), Step::Run { streams, .. })
+                    if streams[0].base.raw() % 3 == 0 && last.addr.raw() < LOW =>
+                {
+                    streams[0].base = last.addr;
+                }
+                (Step::Run { streams, .. }, Step::Access(next))
+                    if next.addr.raw() % 3 == 0 && streams[0].base.raw() < LOW =>
+                {
+                    next.addr = streams[0].base;
+                }
+                _ => {}
+            }
+        }
+        program
+    })
+}
+
+/// Up to 59 segments: a walk of 0 to 3 ordinary accesses, then a run.
+fn program_of<R: Strategy<Value = Step>>(run: R) -> impl Strategy<Value = Vec<Step>> {
     const SIZES: [u32; 5] = [0, 4, 8, 24, 100];
     let walk = (0u64..(32 << 10), 0usize..SIZES.len(), 0u32..3, 0u64..4);
-    prop::collection::vec((walk, arb_run()), 1..60).prop_map(|segments| {
+    prop::collection::vec((walk, run), 1..60).prop_map(|segments| {
         let mut program = Vec::new();
         for ((start, size, write, steps), run) in segments {
             program.extend((0..steps).map(|step| {

@@ -27,7 +27,7 @@ use std::collections::HashSet;
 
 #[path = "common/run_programs.rs"]
 mod run_programs;
-use run_programs::{arb_program, feed, Delivery};
+use run_programs::{arb_program, arb_scan_program, feed, Delivery, Step};
 
 /// One set-associative level: each set is a list of `(line, dirty)` in
 /// recency order, least recently used first.
@@ -215,6 +215,18 @@ impl OracleHierarchy {
     }
 }
 
+/// The per-level probe sections of `sim`'s profile: hits, misses, and
+/// which fast path served the hits.
+fn level_sections(sim: &SimSink) -> Vec<probe::Section> {
+    let levels = ["l1", "l2", "l3"];
+    let profile = sim.run_profile();
+    let sections = profile.sections().iter();
+    sections
+        .filter(|section| levels.contains(&section.name()))
+        .cloned()
+        .collect()
+}
+
 /// Two- and three-level machines small enough that a few thousand
 /// references evict at every level, with lines that grow (or stay)
 /// going down.
@@ -322,16 +334,21 @@ proptest! {
         }
     }
 
+    /// Half the programs are line-stride scans. When every record has
+    /// one stream, the fast paths serve the same references whether the
+    /// record is delivered whole or expanded, so each level's probe
+    /// section (`rehits`, `mru_hits`) must agree as well.
     #[test]
     fn run_records_equal_their_expansion_and_the_oracle(
         config in arb_machine(),
-        program in arb_program(),
+        program in prop_oneof![arb_program(), arb_scan_program()],
     ) {
         let mut oracle = OracleHierarchy::new(config);
         feed(&program, Delivery::Elements, &mut oracle);
         let expected = oracle.finish();
         prop_assert_eq!(expected.classes.total(), expected.llc_misses());
 
+        let mut profiles = Vec::new();
         for (delivery, fast) in [
             (Delivery::Runs, true),
             (Delivery::Runs, false),
@@ -340,7 +357,17 @@ proptest! {
             let mut sim = SimSink::new(Hierarchy::new(config));
             sim.set_fast_path(fast);
             feed(&program, delivery, &mut sim);
+            if fast {
+                profiles.push(level_sections(&sim));
+            }
             prop_assert_eq!(sim.finish(), expected, "{:?}, fast paths {}", delivery, fast);
+        }
+        let one_stream = |step: &Step| match step {
+            Step::Run { streams, .. } => streams.len() == 1,
+            Step::Access(_) => true,
+        };
+        if program.iter().all(one_stream) {
+            prop_assert_eq!(&profiles[0], &profiles[1], "probe sections, runs vs. elements");
         }
     }
 }

@@ -244,6 +244,29 @@ impl<C, P: BinPolicy> Scheduler<C, P> {
         )
     }
 
+    /// Like [`drain_next`](Self::drain_next), additionally emitting
+    /// what [`run_traced`](Self::run_traced) emits for the drained
+    /// unit: the package's dispatch-time memory references if
+    /// [`trace_package_memory`](Self::trace_package_memory) was called,
+    /// a `DrainBegin` / `DrainEnd` pair around the unit and a
+    /// `Dispatch` before each thread body. Drains and dispatches are
+    /// numbered across drains until the next [`clear`](Self::clear),
+    /// and no `RunEnd` is emitted, so draining to exhaustion gives the
+    /// marks one `run_traced` would, but for its closing `RunEnd`.
+    pub fn drain_next_traced<S, F>(&mut self, ctx: &mut C, sink_of: F) -> Option<RunStats>
+    where
+        S: TraceSink,
+        F: FnMut(&mut C) -> &mut S,
+    {
+        let sink_of = std::cell::RefCell::new(sink_of);
+        self.engine.drain_next_with(
+            ctx,
+            |ctx, addr, size| (sink_of.borrow_mut())(ctx).read(addr, size),
+            |ctx, mark| (sink_of.borrow_mut())(ctx).mark(mark),
+            |ctx, spec| (spec.func)(ctx, spec.arg1, spec.arg2),
+        )
+    }
+
     /// Number of threads currently scheduled.
     pub fn pending(&self) -> u64 {
         self.engine.pending()

@@ -5,7 +5,7 @@ use locality_sched::{
     RandomScheduler, RunMode, Scheduler, SchedulerConfig, SingleBin, ThreadScheduler,
     TopologyPolicy,
 };
-use memtrace::{Access, SchedMark, TraceSink};
+use memtrace::{Access, SchedEvent, SchedLogSink, SchedMark, TraceSink};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -245,6 +245,27 @@ impl TraceSink for Marked {
         if let SchedMark::DrainBegin(_) = mark {
             self.units += 1;
         }
+    }
+}
+
+/// A traced drain's context and sink: the schedule plane, the package's
+/// reads, and the threads in the order they ran.
+#[derive(Default)]
+struct Traced {
+    log: SchedLogSink,
+    reads: Vec<Access>,
+    ran: Vec<usize>,
+}
+
+impl TraceSink for Traced {
+    fn access(&mut self, access: Access) {
+        self.reads.push(access);
+    }
+
+    fn instructions(&mut self, _count: u64) {}
+
+    fn mark(&mut self, mark: SchedMark<'_>) {
+        self.log.mark(mark);
     }
 }
 
@@ -709,6 +730,49 @@ proptest! {
     /// each runs exactly what [`ReadyModel`] runs, unit by unit. After
     /// every batch of forks the cap holds, unless more bins than it
     /// allows hold threads.
+    /// `drain_next_traced` to exhaustion emits what one `run_traced`
+    /// does but for the run's closing `RunEnd`: the same threads, the
+    /// same `DrainBegin`/`Dispatch`/`DrainEnd` marks — numbered on
+    /// across drains — and, with the package traced, the same package
+    /// reads. A `clear` starts the numbering again, as a consuming run
+    /// does.
+    #[test]
+    fn traced_drains_mark_what_a_traced_run_marks(
+        batches in prop::collection::vec(prop::collection::vec(arb_hints_below(1 << 16), 0..80), 1..4),
+        depth in 1usize..=3,
+        fine_log2 in 6u32..12,
+        steps in prop::collection::vec(0u32..4, 2),
+        package in any::<bool>(),
+    ) {
+        let levels = ladder_levels(depth, fine_log2, &steps);
+        let config = SchedulerConfig::builder().block_size(levels[0]).build().unwrap();
+        let new = || {
+            let ladder = TopologyPolicy::uniform(&levels, false).unwrap();
+            let mut sched = Scheduler::<Traced, _>::with_policy(config, ladder);
+            if package {
+                sched.trace_package_memory();
+            }
+            sched
+        };
+        let (mut batch, mut online) = (new(), new());
+        let body: fn(&mut Traced, usize, usize) = |ctx, i, _| ctx.ran.push(i);
+        for hints in &batches {
+            for (i, h) in hints.iter().enumerate() {
+                batch.fork(body, i, 0, *h);
+                online.fork(body, i, 0, *h);
+            }
+            let (mut expected, mut drained) = (Traced::default(), Traced::default());
+            batch.run_traced(&mut expected, RunMode::Consume, |c| c);
+            while online.drain_next_traced(&mut drained, |c| c).is_some() {}
+            let mut events = expected.log.into_log().events;
+            prop_assert_eq!(events.pop(), Some(SchedEvent::Barrier));
+            prop_assert_eq!(drained.log.into_log().events, events);
+            prop_assert_eq!(drained.ran, expected.ran);
+            prop_assert_eq!(drained.reads, expected.reads);
+            online.clear();
+        }
+    }
+
     #[test]
     fn runs_and_drains_walk_one_ready_list(
         pool in prop::collection::vec(arb_hints_below(1 << 16), 1..8),

@@ -18,6 +18,17 @@
 //! deterministic and makes execution order independent of the lane
 //! count, which the t=0 online-vs-offline equivalence suite relies on.
 //!
+//! # A request's body
+//!
+//! A served request scans its payload: an 8-byte read at the start of
+//! every L1 line its bytes fall in, plus instructions per line and a
+//! fixed per-request overhead. The body states the scan once, as one
+//! [`StreamRun`] of a single stream whose stride is the L1 line, and
+//! the [`SimSink`] replays such a record as a scan of the L1's sets
+//! with the statistics of the per-line references it denotes (DESIGN.md
+//! §3.3.1); the miss deltas the service time is computed from are the
+//! same.
+//!
 //! # Cold vs. warm
 //!
 //! A request is a *warm hit* when at most half of the cache lines it
@@ -33,7 +44,7 @@ use locality_sched::{
     prev_power_of_two, AnyPolicy, EvictionPolicy, RunMode, Scheduler, SchedulerConfig, SingleBin,
     TopologyPolicy, UniqueBin,
 };
-use memtrace::{Access, TraceSink};
+use memtrace::{AccessKind, Addr, Stream, StreamRun, TraceSink};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
@@ -267,10 +278,11 @@ impl ExecCtx {
     }
 }
 
-/// The scheduled thread body: scan the request's payload one L1 line
-/// at a time and account instructions, recording the miss delta. A
-/// slot shed while queued is a tombstone — no cache traffic, no
-/// record; the slot is simply retired.
+/// The scheduled thread body: scan the request's payload, an 8-byte
+/// read at the start of each L1 line it spans, and account
+/// instructions, recording the miss delta. A slot shed while queued is
+/// a tombstone — no cache traffic, no record; the slot is simply
+/// retired.
 fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
     let req = ctx.requests[slot];
     match req.state {
@@ -296,13 +308,15 @@ fn serve_thread(ctx: &mut ExecCtx, slot: usize, _arg2: usize) {
         }
     };
     let lines = span(ctx.l1_line);
-    let first = req.addr / ctx.l1_line;
-    for line in first..first + lines {
-        let addr = memtrace::Addr::new(line * ctx.l1_line);
-        ctx.sink.access(Access::read(addr, 8));
-    }
+    let scan = [Stream {
+        base: Addr::new(req.addr / ctx.l1_line * ctx.l1_line),
+        stride: ctx.l1_line,
+        size: 8,
+        kind: AccessKind::Read,
+    }];
     ctx.sink
-        .instructions(REQUEST_BASE_INSTRUCTIONS + INSTRUCTIONS_PER_LINE * lines);
+        .run(&StreamRun::new(&scan, 1, lines, INSTRUCTIONS_PER_LINE));
+    ctx.sink.instructions(REQUEST_BASE_INSTRUCTIONS);
     let l2_lines = span(ctx.l2_line);
     ctx.records.push(ExecRecord {
         id: req.id,
