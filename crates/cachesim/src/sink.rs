@@ -139,9 +139,11 @@ impl TraceSink for SimSink {
     }
 
     /// Counts the record's references and instructions in O(streams)
-    /// and hands it to the hierarchy, which replays a line-stride
-    /// stream as a scan and any other record per L1-line epoch (see
-    /// DESIGN.md §3.3.1) — exactly equivalent to the default expansion.
+    /// and hands it to the hierarchy, which replays a record whose
+    /// streams tile the L1 line as a k-stream scan, one real L1
+    /// reference a stream a line, and any other record per L1-line
+    /// epoch (see DESIGN.md §3.3.1) — exactly equivalent to the default
+    /// expansion.
     #[inline]
     fn run(&mut self, run: &StreamRun<'_>) {
         for stream in run.streams() {
@@ -366,6 +368,89 @@ mod tests {
             }
         }
         assert!(writebacks > 0 && l2_hits > 0);
+    }
+
+    /// Records that tile the L1 line are scanned; every variant must
+    /// equal its expansion, fast paths on and off, probe sections
+    /// included for one stream: 1 to 8 streams of one stride of 8, 16
+    /// or 32 bytes with a group whose round divides the 32-byte line,
+    /// streams 0 to 40 bytes apart (on one line at different phases, on
+    /// adjacent lines, reading and writing one element), write streams,
+    /// records ending exactly at the top of the address space, and
+    /// direct-mapped, 2-way and three-level machines. A pair of streams
+    /// one set span apart, or a line either side of that, must fall
+    /// back to the epochs.
+    #[test]
+    fn tiling_runs_equal_their_expansion() {
+        let l1 = |assoc| CacheConfig::new(256, 32, assoc).unwrap();
+        let l2 = CacheConfig::new(1024, 64, 2).unwrap();
+        let machines = [
+            HierarchyConfig::new(l1(1), l2),
+            HierarchyConfig::new(l1(2), l2),
+            HierarchyConfig::new3(l1(1), l2, CacheConfig::new(4096, 128, 4).unwrap()),
+        ];
+        // As in `line_stride_runs_equal_their_expansion`: a dirty L1,
+        // its last line the one some records start on.
+        let read = Access::read(Addr::new(0x1040), 8);
+        let writes = (0..96).map(|i| Access::write(Addr::new(i * 8), 8));
+        let around: Vec<Access> = [read].into_iter().chain(writes).chain([read]).collect();
+        let (mut tiled, mut fell_back) = (0, 0);
+        for config in machines {
+            let tiles = |run: &StreamRun<'_>| Hierarchy::new(config).tiles_line(run).is_some();
+            for (stride, group) in [(8, 1), (8, 2), (8, 4), (16, 1), (16, 2), (32, 1)] {
+                let q = stride * u64::from(group);
+                for count in 1..=8u64 {
+                    for spacing in [0, 8, 16, 24, 32, 40] {
+                        for rounds in [1, 7, 48] {
+                            let top = 0u64.wrapping_sub(rounds * q + (count - 1) * spacing);
+                            for anchor in [0x1040, 0x1ff8, top] {
+                                let streams: Vec<Stream> = (0..count)
+                                    .map(|i| Stream {
+                                        base: Addr::new(anchor + i * spacing),
+                                        stride,
+                                        size: 8,
+                                        kind: if (i + count) % 3 == 0 {
+                                            AccessKind::Write
+                                        } else {
+                                            AccessKind::Read
+                                        },
+                                    })
+                                    .collect();
+                                let run = StreamRun::new(&streams, group, rounds, 2);
+                                if tiles(&run) {
+                                    tiled += 1;
+                                } else {
+                                    fell_back += 1;
+                                }
+                                for fast in [true, false] {
+                                    let (whole, expanded) =
+                                        run_and_expansion(config, fast, &around, &run);
+                                    assert_eq!(whole, expanded, "{run:?}, fast paths {fast}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            // Two streams one set span apart share every set; a line
+            // either side, they do every other round.
+            let span = config.l1d.size() / u64::from(config.l1d.assoc());
+            for apart in [span - 32, span, span + 32, span + 64] {
+                let streams = [
+                    column(0x1000, AccessKind::Write),
+                    column(0x1000 + apart, AccessKind::Read),
+                ];
+                let run = StreamRun::new(&streams, 1, 40, 1);
+                assert_eq!(tiles(&run), apart == span + 64, "{apart} bytes apart");
+                let (whole, expanded) = run_and_expansion(config, true, &around, &run);
+                assert_eq!(whole, expanded, "{apart} bytes apart");
+            }
+        }
+        // Most of them tile; the wider spreads of many streams do not.
+        assert!(
+            tiled > 1000 && fell_back > 100,
+            "{tiled} tiled, {fell_back} not"
+        );
     }
 
     #[test]

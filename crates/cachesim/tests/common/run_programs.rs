@@ -114,8 +114,9 @@ fn arb_run() -> impl Strategy<Value = Step> {
 /// stride of every L1 here, or of those with 16-byte lines only), up to
 /// 160 rounds, reads or writes, an element of 0 to 24 bytes at any
 /// offset in the line (so some straddle it), starting anywhere in
-/// 32 KiB, in a hot 2 KiB window, or so that the run ends just below
-/// the top of the address space.
+/// 32 KiB, in a hot 2 KiB window, or so that the run ends in the last
+/// 64 bytes of the address space (its last element's bytes running
+/// past the top at times).
 fn arb_scan() -> impl Strategy<Value = Step> {
     const SIZES: [u32; 6] = [0, 1, 8, 8, 16, 24];
     let shape = (1u64..5, 4u32..6, 0usize..SIZES.len(), 0u32..2);
@@ -123,7 +124,7 @@ fn arb_scan() -> impl Strategy<Value = Step> {
         |((lines, line_bits, size, write), anywhere, place, rounds, instructions)| {
             let stride = lines << line_bits;
             let base = match place {
-                0 => u64::MAX - (rounds - 1) * stride - 63 + anywhere % 32,
+                0 => u64::MAX - (rounds - 1) * stride - 63 + anywhere % 64,
                 1 => anywhere % 2048,
                 _ => anywhere,
             };
@@ -152,23 +153,27 @@ pub fn arb_program() -> impl Strategy<Value = Vec<Step>> {
 /// a third of the scans that follow an access are moved to start at its
 /// address, so their first element is on the line the L1 touched last,
 /// and about a third of the walks that follow a scan start at its first
-/// element, whose line the scan may since have evicted.
+/// element, whose line the scan may since have evicted. A walk moved
+/// up to a scan at the top of the address space may run past it, which
+/// the simulator and the oracle clamp; a scan is moved only where its
+/// last element's address stays below the top.
 pub fn arb_scan_program() -> impl Strategy<Value = Vec<Step>> {
-    // Only addresses far from the top move: a scan or a walk moved up
-    // there could run past it.
-    const LOW: u64 = 1 << 32;
     program_of(arb_scan()).prop_map(|mut program| {
         for at in 1..program.len() {
             let (before, after) = program.split_at_mut(at);
             match (&mut before[at - 1], &mut after[0]) {
-                (Step::Access(last), Step::Run { streams, .. })
-                    if streams[0].base.raw() % 3 == 0 && last.addr.raw() < LOW =>
-                {
-                    streams[0].base = last.addr;
+                (
+                    Step::Access(last),
+                    Step::Run {
+                        streams, rounds, ..
+                    },
+                ) if streams[0].base.raw() % 3 == 0 => {
+                    let span = (*rounds - 1) * streams[0].stride;
+                    if last.addr.raw().checked_add(span).is_some() {
+                        streams[0].base = last.addr;
+                    }
                 }
-                (Step::Run { streams, .. }, Step::Access(next))
-                    if next.addr.raw() % 3 == 0 && streams[0].base.raw() < LOW =>
-                {
+                (Step::Run { streams, .. }, Step::Access(next)) if next.addr.raw() % 3 == 0 => {
                     next.addr = streams[0].base;
                 }
                 _ => {}
@@ -176,6 +181,65 @@ pub fn arb_scan_program() -> impl Strategy<Value = Vec<Step>> {
         }
         program
     })
+}
+
+/// Records that tile the L1 line of the machines here whose lines are
+/// 32 bytes, and of many with 16: one to eight streams of one stride
+/// of 8, 16 or 32 bytes, a group that makes a round of at most 32
+/// bytes, and elements of 0 to 8 bytes, each at an offset that keeps
+/// its group inside the round's window. Stream 0's window is anywhere
+/// in 32 KiB; each later stream's is anywhere, in a hot 2 KiB window,
+/// 0 to 7 windows after the stream before it (on its line, or on the
+/// next, at another phase), or 1 or 2 KiB from it give or take a line
+/// or two: in the same set of every L1 here, or a neighbouring one,
+/// where a record must fall back to the epochs. A third of the streams
+/// write.
+fn arb_tiling() -> impl Strategy<Value = Step> {
+    const SHAPES: [(u64, u32); 6] = [(8, 1), (8, 2), (8, 4), (16, 1), (16, 2), (32, 1)];
+    const SIZES: [u32; 4] = [0, 1, 4, 8];
+    let stream = (
+        (0u32..4, 0u64..(32 << 10), 0u64..8),
+        (0usize..SIZES.len(), 0u64..8, 0u32..3),
+    );
+    (
+        0usize..SHAPES.len(),
+        prop::collection::vec(stream, 1..9),
+        1u64..161,
+        0u64..9,
+    )
+        .prop_map(|(shape, shapes, rounds, instructions)| {
+            let (stride, group) = SHAPES[shape];
+            let q = stride * u64::from(group);
+            let mut streams: Vec<Stream> = Vec::new();
+            for ((place, anywhere, near), (size, offset, write)) in shapes {
+                let previous = streams.last().map_or(anywhere, |s| s.base.raw());
+                let window = match place {
+                    0 => anywhere,
+                    1 => anywhere % 2048,
+                    2 => previous + q * near,
+                    _ => previous + 1024 * (near % 2 + 1) + 16 * (near / 2) - 32,
+                } / q
+                    * q;
+                let size = SIZES[size];
+                streams.push(Stream {
+                    base: Addr::new(window + offset % (stride - u64::from(size.max(1)) + 1)),
+                    stride,
+                    size,
+                    kind: kind(write == 0),
+                });
+            }
+            Step::Run {
+                streams,
+                group,
+                rounds,
+                instructions,
+            }
+        })
+}
+
+/// Programs of line-tiling records (see `arb_tiling`) between walks.
+pub fn arb_tiling_program() -> impl Strategy<Value = Vec<Step>> {
+    program_of(arb_tiling())
 }
 
 /// Up to 59 segments: a walk of 0 to 3 ordinary accesses, then a run.

@@ -23,7 +23,9 @@ pub enum MatrixLayout {
 /// Untraced accessors ([`at`](TracedMatrix::at),
 /// [`set_untraced`](TracedMatrix::set_untraced)) exist for
 /// initialization and verification, mirroring the paper's exclusion of
-/// "program initialization costs" from its simulations.
+/// "program initialization costs" from its simulations, and for kernels
+/// whose references a [`StreamRun`](crate::StreamRun) states (see
+/// [`col_stream`](TracedMatrix::col_stream)).
 ///
 /// # Examples
 ///
@@ -186,43 +188,15 @@ impl TracedMatrix {
         self.data[idx] = value;
     }
 
-    /// Traced load of `K` elements, emitted to the sink as one
-    /// [`access_batch`](TraceSink::access_batch) in the given order.
-    ///
-    /// Exactly equivalent to `K` consecutive [`get`](TracedMatrix::get)
-    /// calls — same accesses, same order — but the sink sees one slice,
-    /// which lets an online cache simulation amortize its dispatch
-    /// overhead across the batch. Workload inner loops (a stencil's
-    /// neighbour reads, an unrolled dot-product step) use this on their
-    /// hot paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any index is out of bounds.
-    #[inline]
-    pub fn get_batch<const K: usize, S: TraceSink>(
-        &self,
-        at: [(usize, usize); K],
-        sink: &mut S,
-    ) -> [f64; K] {
-        let mut batch = [crate::Access::read(self.base, ELEM as u32); K];
-        let mut values = [0.0f64; K];
-        for (slot, &(i, j)) in at.iter().enumerate() {
-            let idx = self.index(i, j);
-            batch[slot] = crate::Access::read(self.base + (idx as u64) * ELEM, ELEM as u32);
-            values[slot] = self.data[idx];
-        }
-        sink.access_batch(&batch);
-        values
-    }
-
-    /// Untraced load, for initialization and verification only.
+    /// Untraced load, for initialization and verification, or for a
+    /// kernel whose run record has stated the reference.
     #[inline]
     pub fn at(&self, i: usize, j: usize) -> f64 {
         self.data[self.index(i, j)]
     }
 
-    /// Untraced store, for initialization and verification only.
+    /// Untraced store, for initialization and verification, or for a
+    /// kernel whose run record has stated the reference.
     #[inline]
     pub fn set_untraced(&mut self, i: usize, j: usize, value: f64) {
         let idx = self.index(i, j);
@@ -290,23 +264,6 @@ mod tests {
         assert_eq!(trace[1].kind, AccessKind::Read);
         assert_eq!(trace[0].addr, m.addr_of(1, 1));
         assert_eq!(trace[0].size, 8);
-    }
-
-    #[test]
-    fn get_batch_equals_consecutive_gets() {
-        let m = TracedMatrix::from_fn(&mut space(), 4, 4, MatrixLayout::ColMajor, |i, j| {
-            (i * 4 + j) as f64
-        });
-        let at = [(1, 2), (0, 0), (3, 3), (2, 1)];
-        let mut batched_sink = VecSink::new();
-        let batched = m.get_batch(at, &mut batched_sink);
-        let mut single_sink = VecSink::new();
-        let singles: Vec<f64> = at
-            .iter()
-            .map(|&(i, j)| m.get(i, j, &mut single_sink))
-            .collect();
-        assert_eq!(batched.to_vec(), singles);
-        assert_eq!(batched_sink.accesses(), single_sink.accesses());
     }
 
     #[test]

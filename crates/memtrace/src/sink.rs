@@ -31,8 +31,10 @@ pub trait TraceSink {
     /// with per-call overhead (an online cache simulation, a trace-file
     /// writer) can override it to amortize dispatch across the batch.
     /// Stored traces are replayed in batches of thousands; the traced
-    /// containers' own batches are an unrolled loop body's references
-    /// to one container, about two a call.
+    /// containers' own batches are short: a
+    /// [`TracedBuf`](crate::TracedBuf) field's words, and a run
+    /// record's group in the default expansion of
+    /// [`run`](TraceSink::run) (the unrolled dot product's pair).
     ///
     /// Overrides must preserve exact equivalence: a batched delivery
     /// and an element-wise delivery of the same stream must leave the

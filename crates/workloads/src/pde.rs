@@ -25,7 +25,9 @@ use crate::WorkloadReport;
 use locality_sched::{
     BinPolicy, Hints, RunMode, Scheduler, SchedulerConfig, SchedulerStats, TopologyPolicy,
 };
-use memtrace::{AddressSpace, MatrixLayout, TraceSink, TracedMatrix};
+use memtrace::{
+    AccessKind, AddressSpace, MatrixLayout, Stream, StreamRun, TraceSink, TracedMatrix,
+};
 
 /// Instructions per point relaxation in the regular version's sweeps.
 pub const RELAX_INSTRUCTIONS: u64 = 14;
@@ -112,55 +114,88 @@ fn is_red(i2: usize, i3: usize) -> bool {
     (i2 + i3).is_multiple_of(2)
 }
 
-/// Relaxes one point:
-/// `u[i2,i3] = ¼ (b[i2,i3] − u[i2−1,i3] − u[i2+1,i3] − u[i2,i3−1] − u[i2,i3+1])`.
+/// `m`'s column `i3` from row `i2` on, every `step`-th row, as a
+/// stream of `kind` references.
 #[inline]
-fn relax_point<S: TraceSink>(data: &mut PdeData, i2: usize, i3: usize, instr: u64, sink: &mut S) {
-    let b = data.b.get(i2, i3, sink);
-    // One batched emission for the four-point stencil (same trace, one
-    // sink call instead of four).
-    let [up, down, left, right] = data.u.get_batch(
-        [(i2 - 1, i3), (i2 + 1, i3), (i2, i3 - 1), (i2, i3 + 1)],
-        sink,
-    );
-    data.u
-        .set(i2, i3, 0.25 * (b - up - down - left - right), sink);
-    sink.instructions(instr);
+fn column_from(m: &TracedMatrix, i2: usize, i3: usize, step: u64, kind: AccessKind) -> Stream {
+    let column = m.col_stream(i3, kind);
+    Stream {
+        base: m.addr_of(i2, i3),
+        stride: step * column.stride,
+        ..column
+    }
 }
 
-/// Relaxes all points of the given colour on line (column) `i3`.
+/// Relaxes all points of the given colour on line (column) `i3`, each
+/// `u[i2,i3] = ¼ (b[i2,i3] − u[i2−1,i3] − u[i2+1,i3] − u[i2,i3−1] − u[i2,i3+1])`.
+///
+/// The line's references are one run record: per point, the five reads
+/// in that order and the write of `u[i2,i3]`, then `instr`
+/// instructions. The values move through the untraced accessors, in
+/// the same order and with the same floating-point operations.
 #[inline]
 fn relax_line<S: TraceSink>(data: &mut PdeData, i3: usize, red: bool, instr: u64, sink: &mut S) {
     let n = data.n;
     let start = 1 + usize::from(is_red(1, i3) != red);
-    let mut i2 = start;
-    while i2 < n - 1 {
-        relax_point(data, i2, i3, instr, sink);
-        i2 += 2;
+    let points = (n - 1 - start).div_ceil(2);
+    if points == 0 {
+        return;
+    }
+    let (u, b) = (&mut data.u, &data.b);
+    let read = |m: &TracedMatrix, i2, i3| column_from(m, i2, i3, 2, AccessKind::Read);
+    let streams = [
+        read(b, start, i3),
+        read(u, start - 1, i3),
+        read(u, start + 1, i3),
+        read(u, start, i3 - 1),
+        read(u, start, i3 + 1),
+        column_from(u, start, i3, 2, AccessKind::Write),
+    ];
+    sink.run(&StreamRun::new(&streams, 1, points as u64, instr));
+    for i2 in (start..n - 1).step_by(2) {
+        let value = 0.25
+            * (b.at(i2, i3)
+                - u.at(i2 - 1, i3)
+                - u.at(i2 + 1, i3)
+                - u.at(i2, i3 - 1)
+                - u.at(i2, i3 + 1));
+        u.set_untraced(i2, i3, value);
     }
 }
 
 /// Computes the residual
 /// `r = b − 4u − u[↑] − u[↓] − u[←] − u[→]` for every interior point of
-/// line `i3`.
+/// line `i3`: one run record of seven streams (`b`, the centre and its
+/// four neighbours read, `r` written), [`RESIDUAL_INSTRUCTIONS`] a
+/// point, with the values computed through the untraced accessors.
 #[inline]
 fn residual_line<S: TraceSink>(data: &mut PdeData, i3: usize, sink: &mut S) {
     let n = data.n;
+    let (u, b, r) = (&data.u, &data.b, &mut data.r);
+    let read = |m: &TracedMatrix, i2, i3| column_from(m, i2, i3, 1, AccessKind::Read);
+    let streams = [
+        read(b, 1, i3),
+        read(u, 1, i3),
+        read(u, 0, i3),
+        read(u, 2, i3),
+        read(u, 1, i3 - 1),
+        read(u, 1, i3 + 1),
+        column_from(r, 1, i3, 1, AccessKind::Write),
+    ];
+    sink.run(&StreamRun::new(
+        &streams,
+        1,
+        (n - 2) as u64,
+        RESIDUAL_INSTRUCTIONS,
+    ));
     for i2 in 1..n - 1 {
-        let b = data.b.get(i2, i3, sink);
-        let [c, up, down, left, right] = data.u.get_batch(
-            [
-                (i2, i3),
-                (i2 - 1, i3),
-                (i2 + 1, i3),
-                (i2, i3 - 1),
-                (i2, i3 + 1),
-            ],
-            sink,
-        );
-        data.r
-            .set(i2, i3, b - 4.0 * c - up - down - left - right, sink);
-        sink.instructions(RESIDUAL_INSTRUCTIONS);
+        let value = b.at(i2, i3)
+            - 4.0 * u.at(i2, i3)
+            - u.at(i2 - 1, i3)
+            - u.at(i2 + 1, i3)
+            - u.at(i2, i3 - 1)
+            - u.at(i2, i3 + 1);
+        r.set_untraced(i2, i3, value);
     }
 }
 

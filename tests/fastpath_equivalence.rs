@@ -88,9 +88,10 @@ fn nbody_fast_equals_slow() {
     assert!(fast.classes.total() > 0, "classifier must have been hit");
 }
 
-/// `ShardedSimSink` is a `SimSink` under a one-shard plan: on a kernel
-/// that emits run records and schedule marks (threaded matmul) and on
-/// one that emits elements (threaded PDE), its report and its probe
+/// `ShardedSimSink` is a `SimSink` under a one-shard plan: on two
+/// kernels that emit run records and schedule marks (threaded matmul's
+/// dot products, threaded PDE's stencil lines) between the package
+/// references the scheduler emits one by one, its report and its probe
 /// profile are `SimSink`'s. A shell that left `run` to the trait's
 /// default expansion would differ, with probes on, in the L1's `rehits`.
 #[test]
