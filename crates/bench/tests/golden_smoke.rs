@@ -114,6 +114,36 @@ fn figure4_smoke_output_has_the_papers_shape() {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The paper's simulated tables and figure are pinned byte for byte:
+/// every number they print is a modeled count or time, so one `repro`
+/// process running all of them at `--smoke` must print exactly the
+/// committed output (digested with FNV-1a). A change that moves any
+/// simulated value, or the order or format of any row, fails here.
+#[test]
+fn simulated_tables_and_figure4_are_pinned_at_smoke() {
+    let output = repro()
+        .args([
+            "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
+            "figure4", "--smoke",
+        ])
+        .output()
+        .expect("spawning repro");
+    assert!(output.status.success(), "{output:?}");
+    assert_eq!(
+        fnv1a(&output.stdout),
+        0xccde_08bd_b4c8_11f8,
+        "stdout changed:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+}
+
 /// A study run through `repro` prints exactly what its former binary
 /// printed, framed like every other experiment: `repro`'s two-line
 /// scale header before it and one blank line after it.
