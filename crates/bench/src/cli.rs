@@ -1,6 +1,7 @@
 //! The `repro` command line: argument parsing, the usage text, and the
 //! loop that runs registry entries and writes their artifacts.
 
+use crate::experiments::Runner;
 use crate::registry::{self, Experiment, Run, REGISTRY};
 use crate::ExpScale;
 use std::process::ExitCode;
@@ -62,10 +63,11 @@ where
         "thread-locality reproduction harness (scale: matmul n={}, pde n={}, sor n={}, nbody n={})\n",
         scale.matmul_n, scale.pde_n, scale.sor_n, scale.nbody_n
     );
+    let mut runner = Runner::default();
     for experiment in wanted {
         let ran = match experiment.run {
-            Run::Print(run) => run(&scale),
-            Run::Artifact(path, run) => run(&scale).and_then(|json| {
+            Run::Print(run) => run(&scale, &mut runner),
+            Run::Artifact(path, run) => run(&scale, &mut runner).and_then(|json| {
                 std::fs::write(path, json)
                     .map_err(|err| format!("could not write {path}: {err}"))?;
                 println!("\nwrote {path}");

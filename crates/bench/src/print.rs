@@ -61,7 +61,7 @@ pub fn time_table(title: &str, rows: &[TimeRow], paper_rows: &[(&str, f64, f64)]
     for (i, row) in rows.iter().enumerate() {
         let paper_row = paper_rows.get(i);
         t.row(vec![
-            row.version.clone(),
+            row.version.to_owned(),
             secs(row.r8000.total()),
             ratio(base8 / row.r8000.total()),
             paper_row.map(|p| secs(p.1)).unwrap_or_default(),
@@ -86,7 +86,7 @@ pub fn miss_table(title: &str, rows: &[MissRow], paper_rows: &[(&str, &[u64])]) 
     println!("{title}\n");
     let mut header = vec!["metric".to_owned()];
     for row in rows {
-        let short = row.version.split('/').nth(1).unwrap_or(&row.version);
+        let short = row.version.split('/').nth(1).unwrap_or(row.version);
         header.push(format!("{short} (ours)"));
         header.push(format!("{short} (paper)"));
     }
@@ -222,7 +222,7 @@ pub fn policy_ablation(result: &PolicyAblationResult) {
             row.machine.to_owned(),
             row.policy.name().to_owned(),
             ladder,
-            thousands(row.threads),
+            thousands(row.report.threads),
             thousands(row.report.l1.misses()),
             thousands(row.report.l2.misses()),
             format!("{:.1}%", row.report.l1_miss_rate_percent()),

@@ -1,15 +1,13 @@
 //! The experiment registry: every name `repro` accepts is one row of
 //! [`REGISTRY`] — name, whether `all` runs it, and how it runs (which
-//! names the artifact file, if it writes one). The paper's eight result
-//! tables are rows over two shapes (`time_table`, `miss_table`):
-//! kernel, title, the paper's published rows, and for Table 3 a version
-//! filter.
-//!
-//! Every run takes the problem scale; batches of simulation cells run
-//! under [`Driver::default()`] (`Driver::Sequential` is the tests'
-//! reference).
+//! names the artifact file, if it writes one). Every run takes the
+//! problem scale and the invocation's [`Runner`]. The paper's eight
+//! result tables (through `experiments::time_rows` or `miss_rows`),
+//! Figure 4 and the policy ablations list the simulation keys they
+//! project and read the records from it, so a cell several experiments
+//! share is simulated once per invocation.
 
-use crate::experiments::{self, Driver};
+use crate::experiments::{self, Runner};
 use crate::{paper, print, servebench, studies, ExpScale};
 use workloads::Kernel;
 
@@ -18,10 +16,13 @@ use workloads::Kernel;
 #[derive(Debug)]
 pub enum Run {
     /// Prints only.
-    Print(fn(&ExpScale) -> Result<(), String>),
+    Print(fn(&ExpScale, &mut Runner) -> Result<(), String>),
     /// Also returns the JSON payload `repro` writes to the named file
     /// in the working directory.
-    Artifact(&'static str, fn(&ExpScale) -> Result<String, String>),
+    Artifact(
+        &'static str,
+        fn(&ExpScale, &mut Runner) -> Result<String, String>,
+    ),
 }
 
 /// One runnable experiment.
@@ -45,7 +46,7 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "table1",
         in_all: true,
-        run: Run::Print(|_| {
+        run: Run::Print(|_, _| {
             print::table1(&experiments::table1(paper::table1::THREADS));
             Ok(())
         }),
@@ -53,91 +54,107 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "table2",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = format!("Table 2: matrix multiply (n = {})", scale.matmul_n);
             let note = "Modeled seconds on ratio-preserved scaled machines; \
                         compare ratios, not absolutes.";
-            time_table(scale, Kernel::MatMul, &title, &paper::table2::ROWS, note)
+            let rows = experiments::time_rows(Kernel::MatMul, scale, runner);
+            print::time_table(&title, &rows, &paper::table2::ROWS, note);
+            Ok(())
         }),
     },
     Experiment {
         name: "table3",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = "Table 3: matmul memory references and cache misses (scaled R8000)";
             let versions = &paper::table3::VERSIONS;
-            miss_table(scale, Kernel::MatMul, title, &paper::table3::ROWS, versions)
+            let rows = experiments::miss_rows(Kernel::MatMul, scale, versions, runner);
+            print::miss_table(title, &rows, &paper::table3::ROWS);
+            Ok(())
         }),
     },
     Experiment {
         name: "table4",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = format!(
                 "Table 4: PDE (n = {}, {} iterations + residual)",
                 scale.pde_n, scale.pde_iters
             );
-            time_table(scale, Kernel::Pde, &title, &paper::table4::ROWS, "")
+            let rows = experiments::time_rows(Kernel::Pde, scale, runner);
+            print::time_table(&title, &rows, &paper::table4::ROWS, "");
+            Ok(())
         }),
     },
     Experiment {
         name: "table5",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = "Table 5: PDE cache misses (scaled R8000)";
-            miss_table(scale, Kernel::Pde, title, &paper::table5::ROWS, &[])
+            let rows = experiments::miss_rows(Kernel::Pde, scale, &[], runner);
+            print::miss_table(title, &rows, &paper::table5::ROWS);
+            Ok(())
         }),
     },
     Experiment {
         name: "table6",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = format!(
                 "Table 6: SOR (n = {}, t = {}, tile {})",
                 scale.sor_n, scale.sor_t, scale.sor_tile
             );
-            time_table(scale, Kernel::Sor, &title, &paper::table6::ROWS, "")
+            let rows = experiments::time_rows(Kernel::Sor, scale, runner);
+            print::time_table(&title, &rows, &paper::table6::ROWS, "");
+            Ok(())
         }),
     },
     Experiment {
         name: "table7",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = "Table 7: SOR memory references and cache misses (scaled R8000)";
-            miss_table(scale, Kernel::Sor, title, &paper::table7::ROWS, &[])
+            let rows = experiments::miss_rows(Kernel::Sor, scale, &[], runner);
+            print::miss_table(title, &rows, &paper::table7::ROWS);
+            Ok(())
         }),
     },
     Experiment {
         name: "table8",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = format!(
                 "Table 8: N-body ({} bodies, {} iterations)",
                 scale.nbody_n, scale.nbody_iters
             );
-            time_table(scale, Kernel::NBody, &title, &paper::table8::ROWS, "")
+            let rows = experiments::time_rows(Kernel::NBody, scale, runner);
+            print::time_table(&title, &rows, &paper::table8::ROWS, "");
+            Ok(())
         }),
     },
     Experiment {
         name: "table9",
         in_all: true,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, runner| {
             let title = "Table 9: N-body cache misses, one iteration (scaled R8000)";
-            miss_table(scale, Kernel::NBody, title, &paper::table9::ROWS, &[])
+            let rows = experiments::miss_rows(Kernel::NBody, scale, &[], runner);
+            print::miss_table(title, &rows, &paper::table9::ROWS);
+            Ok(())
         }),
     },
     Experiment {
         name: "figure4",
         in_all: true,
-        run: Run::Print(|scale| {
-            print::figure4(&experiments::figure4(scale, Driver::default()));
+        run: Run::Print(|scale, runner| {
+            print::figure4(&experiments::figure4(scale, runner));
             Ok(())
         }),
     },
     Experiment {
         name: "steal",
         in_all: true,
-        run: Run::Artifact("BENCH_steal.json", |scale| {
+        run: Run::Artifact("BENCH_steal.json", |scale, _| {
             let result = experiments::steal(scale);
             print::steal(&result);
             Ok(result.to_json())
@@ -146,21 +163,25 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "binpolicy",
         in_all: true,
-        run: Run::Artifact("BENCH_binpolicy.json", |scale| {
-            policy_ablation(&experiments::BINPOLICY, scale)
+        run: Run::Artifact("BENCH_binpolicy.json", |scale, runner| {
+            let result = experiments::policy_ablation(&experiments::BINPOLICY, scale, runner);
+            print::policy_ablation(&result);
+            Ok(result.to_json())
         }),
     },
     Experiment {
         name: "topology",
         in_all: true,
-        run: Run::Artifact("BENCH_topology.json", |scale| {
-            policy_ablation(&experiments::TOPOLOGY, scale)
+        run: Run::Artifact("BENCH_topology.json", |scale, runner| {
+            let result = experiments::policy_ablation(&experiments::TOPOLOGY, scale, runner);
+            print::policy_ablation(&result);
+            Ok(result.to_json())
         }),
     },
     Experiment {
         name: "servebench",
         in_all: true,
-        run: Run::Artifact("BENCH_serve.json", |scale| {
+        run: Run::Artifact("BENCH_serve.json", |scale, _| {
             let result = servebench::servebench(scale);
             print::servebench(&result);
             Ok(result.to_json())
@@ -179,7 +200,7 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "ablation",
         in_all: false,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, _| {
             studies::ablation(scale);
             Ok(())
         }),
@@ -187,55 +208,16 @@ pub static REGISTRY: &[Experiment] = &[
     Experiment {
         name: "modern",
         in_all: false,
-        run: Run::Print(|scale| {
+        run: Run::Print(|scale, _| {
             studies::modern(scale);
             Ok(())
         }),
     },
 ];
 
-/// A timing table (Tables 2/4/6/8): every version of `kernel` on both
-/// scaled machines next to the paper's `(version, R8000 s, R10000 s)`
-/// rows, with `note` printed underneath.
-fn time_table(
-    scale: &ExpScale,
-    kernel: Kernel,
-    title: &str,
-    paper_rows: &[(&str, f64, f64)],
-    note: &str,
-) -> Result<(), String> {
-    let rows = experiments::time_rows(kernel, scale, Driver::default());
-    print::time_table(title, &rows, paper_rows, note);
-    Ok(())
-}
-
-/// A reference/miss table (Tables 3/5/7/9): the named `versions` of
-/// `kernel` (every version when empty) simulated on the scaled R8000,
-/// next to the paper's `(metric, [thousands per version])` rows.
-fn miss_table(
-    scale: &ExpScale,
-    kernel: Kernel,
-    title: &str,
-    paper_rows: &[(&str, &[u64])],
-    versions: &[&str],
-) -> Result<(), String> {
-    let rows = experiments::miss_rows(kernel, scale, versions, Driver::default());
-    print::miss_table(title, &rows, paper_rows);
-    Ok(())
-}
-
-fn policy_ablation(
-    spec: &'static experiments::PolicyAblation,
-    scale: &ExpScale,
-) -> Result<String, String> {
-    let result = experiments::policy_ablation(spec, scale, Driver::default());
-    print::policy_ablation(&result);
-    Ok(result.to_json())
-}
-
 /// The long-run bounded-memory gate: fails if the bin table ever
 /// exceeded its cap or the request accounting does not balance.
-fn servelong(scale: &ExpScale) -> Result<(), String> {
+fn servelong(scale: &ExpScale, _: &mut Runner) -> Result<(), String> {
     let (result, violations) = servebench::servelong(scale);
     print::servebench(&result);
     if !violations.is_empty() {
@@ -257,7 +239,7 @@ fn servelong(scale: &ExpScale) -> Result<(), String> {
 /// analysis scale, independent of `--smoke`/`--full`: the committed
 /// `ANALYZE_smoke.json` baseline must be byte-reproducible on every
 /// host.
-fn analyze(_: &ExpScale) -> Result<String, String> {
+fn analyze(_: &ExpScale, _: &mut Runner) -> Result<String, String> {
     let machine = analyze::default_machine();
     let opts = analyze::AnalyzeOptions::default();
     let mut report = analyze::AnalyzeReport::new(machine.name(), opts.hint_threshold_pct);

@@ -12,7 +12,7 @@
 //!   2020s machine model (32 KB L1 / 512 KB L2 / 32 MB L3, 80 ns DRAM)
 //!   scaled against the same data : LLC ratios.
 
-use crate::experiments::{scaled, simulate};
+use crate::experiments::{run_on, scaled};
 use crate::fmt::TextTable;
 use crate::ExpScale;
 use cachesim::{MachineModel, SimReport, SimSink};
@@ -106,7 +106,7 @@ fn hint_dims_ablation(scale: &ExpScale) {
             ..nbody::NBodyParams::for_l2(machine.l2_capacity())
         };
         let config = block_config(machine.l2_config().size() / 4);
-        let (report, r) = simulate(machine.hierarchy(), |space, sim| {
+        let (report, r) = run_on(machine.hierarchy(), |space, sim| {
             let mut data = nbody::NBodyData::new(space, scale.nbody_n, 2024);
             data.shuffle_storage_order(1);
             nbody::threaded(&mut data, 1, params, config, sim)
@@ -133,7 +133,7 @@ fn llc(machine: &MachineModel) -> u64 {
 /// Untiled (interchanged) or threaded matmul on `machine`, the threaded
 /// version binned by the package default for the last-level cache.
 fn run_matmul(machine: &MachineModel, n: usize, threaded: bool) -> SimReport {
-    simulate(machine.hierarchy(), |space, sim| {
+    run_on(machine.hierarchy(), |space, sim| {
         let mut data = matmul::MatMulData::new(space, n, 42);
         if threaded {
             let config = SchedulerConfig::for_cache(llc(machine), 2).expect("valid config");
@@ -146,7 +146,7 @@ fn run_matmul(machine: &MachineModel, n: usize, threaded: bool) -> SimReport {
 }
 
 fn run_sor(machine: &MachineModel, scale: &ExpScale, threaded: bool) -> SimReport {
-    simulate(machine.hierarchy(), |space, sim| {
+    run_on(machine.hierarchy(), |space, sim| {
         let mut data = sor::SorData::new(space, scale.sor_n, 99);
         if threaded {
             let config = block_config((llc(machine) / 4).next_power_of_two());
