@@ -12,8 +12,8 @@
 //!
 //! Not every metric can gate CI. Absolute wall times and throughputs
 //! (`*_ns`, `*per_sec`) depend on the host machine, and the probe
-//! layer's `run_profile` counters track nondeterministic runtime
-//! behaviour (steal interleavings); those compare *informationally* —
+//! layer's `run_profile` counters track runtime behaviour; those
+//! compare *informationally* —
 //! shown when they move, never failing the run. What gates is what a
 //! checked-in baseline from another machine can promise: `speedup*`
 //! ratios (higher is better) and deterministic counts like `accesses`
@@ -131,6 +131,8 @@ const STABLE_LEAVES: &[&str] = &[
     "mean_latency_ns",
     "mean_slowdown_x1000",
     "makespan_ns",
+    // The steal ablation replays its schedule in virtual time.
+    "makespan_units",
     // Bounded-memory serving: eviction counts, the peak live bin-record
     // bound, and shed memory-time are all virtual-clock-derived.
     "evictions",
@@ -160,18 +162,12 @@ pub fn classify(path: &str) -> Direction {
         // interleavings, wall times).
         return Direction::Info;
     }
-    if leaf == "makespan_ns" && path.contains(".report.") {
-        // A `ParRunReport`'s makespan is the max *wall-clock* busy
-        // time across workers — machine-dependent, unlike the serving
-        // rows' virtual-clock leaf of the same name.
-        return Direction::Info;
-    }
     if STABLE_LEAVES.contains(&leaf) {
         return Direction::Stable;
     }
-    // What is left depends on the host or the run: wall times (`*_ns`),
-    // throughputs (`*per_sec`), steal counts, per-worker executed
-    // totals, makespan units.
+    // What is left is host-dependent (wall times `*_ns`, throughputs
+    // `*per_sec`) or a detail behind a gated summary (steal counts,
+    // per-worker totals).
     Direction::Info
 }
 
@@ -341,18 +337,23 @@ mod tests {
     }
 
     /// Shaped like `BENCH_steal.json`: rows labelled `policy.wN`, each
-    /// carrying a wall-clock `ParRunReport` with per-worker rows and a
-    /// probe profile.
-    fn steal_json(wall_ns: u64, speedup_vs_none: f64) -> String {
+    /// a replay report with per-worker rows.
+    fn steal_json(speedup_vs_none: f64) -> String {
         format!(
             "{{\"experiment\":\"steal_ablation\",\"workload\":\"windowed-sum\",\
              \"bins\":48,\"threads\":384,\"rows\":[\
-             {{\"policy\":\"locality-aware\",\"workers\":4,\"wall_ns\":{wall_ns},\
-             \"makespan_units\":56448,\"modeled_ns\":20853630,\
-             \"threads_per_sec\":{:.1},\"speedup_vs_none\":{speedup_vs_none:.3},\
-             \"report\":{{\"policy\":\"locality-aware\",\"workers\":4,\"threads_run\":384,\
-             \"makespan_ns\":{wall_ns},\"per_worker\":[{{\"worker\":0,\"busy_ns\":{wall_ns}}}],\
-             \"run_profile\":{{\"par\":{{\"half_steals\":3}}}}}}}}]}}",
+             {{\"policy\":\"locality-aware\",\"workers\":4,\"threads_run\":384,\
+             \"steals_attempted\":5,\"makespan_units\":56448,\
+             \"per_worker\":[{{\"worker\":0,\"units\":56448}}],\
+             \"speedup_vs_none\":{speedup_vs_none:.3}}}]}}"
+        )
+    }
+
+    /// A host-timed report: a wall time, a throughput and a speedup.
+    fn timed_json(wall_ns: u64, speedup: f64) -> String {
+        format!(
+            "{{\"rows\":[{{\"workload\":\"w\",\"wall_ns\":{wall_ns},\
+             \"threads_per_sec\":{:.1},\"speedup\":{speedup:.3}}}]}}",
             384.0 / (wall_ns as f64 / 1e9),
         )
     }
@@ -361,7 +362,7 @@ mod tests {
     fn parser_round_trips_report_shapes() {
         for (doc, experiment) in [
             (binpolicy_json(24352), "binpolicy"),
-            (steal_json(80_000_000, 2.5), "steal_ablation"),
+            (steal_json(2.5), "steal_ablation"),
         ] {
             let doc = Json::parse(&doc).expect("valid JSON");
             match doc.get("rows").expect("rows") {
@@ -378,7 +379,7 @@ mod tests {
     #[test]
     fn flatten_labels_rows_by_identity() {
         let mut paths = Vec::new();
-        for doc in [binpolicy_json(24352), steal_json(80_000_000, 2.5)] {
+        for doc in [binpolicy_json(24352), steal_json(2.5)] {
             let doc = Json::parse(&doc).expect("valid JSON");
             paths.extend(flatten(&doc).into_iter().map(|(path, _)| path));
         }
@@ -386,8 +387,8 @@ mod tests {
             "rows[matmul.r8000.flat].l2_misses",
             "deltas[matmul.r8000.hierarchical].l2_miss_delta_pct",
             "rows[locality-aware.w4].speedup_vs_none",
-            "rows[locality-aware.w4].report.per_worker[w0].busy_ns",
-            "rows[locality-aware.w4].report.run_profile.par.half_steals",
+            "rows[locality-aware.w4].makespan_units",
+            "rows[locality-aware.w4].per_worker[w0].units",
         ] {
             assert!(paths.iter().any(|p| p == expected), "{expected}: {paths:?}");
         }
@@ -397,19 +398,8 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_report_makespan_is_informational() {
-        // The serving rows' virtual-clock makespan stays gated…
-        assert_eq!(classify("rows[flat].makespan_ns"), Direction::Stable);
-        // …but a ParRunReport's wall-clock makespan never gates.
-        assert_eq!(
-            classify("rows[locality-aware.w4].report.makespan_ns"),
-            Direction::Info
-        );
-    }
-
-    #[test]
     fn identical_reports_pass() {
-        for a in [binpolicy_json(24352), steal_json(80_000_000, 2.5)] {
+        for a in [binpolicy_json(24352), steal_json(2.5)] {
             let report = diff(&a, &a, 0.15).expect("diff");
             assert!(report.passed(), "{}", report.to_markdown());
             assert!(report.to_markdown().contains("**PASS**"));
@@ -419,34 +409,24 @@ mod tests {
     #[test]
     fn small_throughput_drop_is_accepted() {
         // 5% lower stealing speedup: under the 15% gate.
-        let report = diff(
-            &steal_json(80_000_000, 2.5),
-            &steal_json(80_000_000, 2.375),
-            0.15,
-        )
-        .expect("diff");
+        let report = diff(&steal_json(2.5), &steal_json(2.375), 0.15).expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
     }
 
     #[test]
     fn machine_dependent_metrics_do_not_gate_by_default() {
-        // A 25% wall-clock swing with a 25% lower speedup: wall times,
-        // the report's makespan and threads/sec are informational
-        // (another machine is simply slower), but the speedup *ratio*
-        // gates — and it moved beyond 15%, so the diff fails on exactly
-        // that.
+        // A 25% wall-clock swing with a 25% lower speedup: the wall
+        // time and threads/sec are informational (another machine is
+        // simply slower), but the speedup *ratio* gates — and it moved
+        // beyond 15%, so the diff fails on exactly that.
         let report = diff(
-            &steal_json(80_000_000, 2.5),
-            &steal_json(100_000_000, 1.875),
+            &timed_json(80_000_000, 2.5),
+            &timed_json(100_000_000, 1.875),
             0.15,
         )
         .expect("diff");
         let failing: Vec<&str> = report.regressions().map(|r| r.path.as_str()).collect();
-        assert_eq!(
-            failing,
-            vec!["rows[locality-aware.w4].speedup_vs_none"],
-            "{failing:?}"
-        );
+        assert_eq!(failing, vec!["rows[w].speedup"], "{failing:?}");
     }
 
     #[test]
@@ -493,14 +473,21 @@ mod tests {
 
     #[test]
     fn run_profile_never_gates() {
-        let base = steal_json(80_000_000, 2.5);
-        let drifted = base.replace("\"half_steals\":3", "\"half_steals\":30");
-        let report = diff(&base, &drifted, 0.15).expect("diff");
+        // Even a leaf the stable set names (`bins`) is informational
+        // inside a probe profile.
+        let profiled = |bins: u64| {
+            binpolicy_json(24352).replacen(
+                "\"modeled_ns\"",
+                &format!("\"run_profile\":{{\"sched\":{{\"bins\":{bins}}}}},\"modeled_ns\""),
+                1,
+            )
+        };
+        let report = diff(&profiled(3), &profiled(30), 0.15).expect("diff");
         assert!(report.passed(), "{}", report.to_markdown());
         // ... but the movement is surfaced in the table.
         let md = report.to_markdown();
         assert!(
-            md.contains("rows[locality-aware.w4].report.run_profile.par.half_steals"),
+            md.contains("rows[matmul.r8000.flat].run_profile.sched.bins"),
             "{md}"
         );
     }

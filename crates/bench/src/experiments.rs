@@ -16,9 +16,6 @@ use locality_sched::{
 };
 use memtrace::AddressSpace;
 use probe::json;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use workloads::{matmul, nbody, pde, sor, BinGeometry, Kernel};
 
@@ -397,157 +394,39 @@ pub fn miss_rows(
 }
 
 // ---------------------------------------------------------------------
-// Steal-policy ablation (host wall-clock)
+// Steal-policy ablation (virtual time)
 // ---------------------------------------------------------------------
 
 /// Scheduling-space block size used by the steal ablation's hints: one
 /// bin per 4 KB block.
 const STEAL_BLOCK: u64 = 4096;
 
-/// Doubles per bin window (4 KB — cache-resident, so the workload is
-/// compute-bound and worker *balance*, not memory bandwidth, decides
-/// the critical path).
-const STEAL_WINDOW: usize = 512;
-
-/// Context for the steal ablation's workload: every thread of bin b
-/// makes `passes[b]` summing passes over the bin's window of `data`
-/// (the bin's working set); results land in per-thread `out` cells,
-/// and each bin records which OS thread executed it in `owner` so the
-/// run's critical path can be recomputed from known per-bin costs.
-pub struct StealCtx {
-    data: Vec<f64>,
-    passes: Vec<usize>,
-    out: Vec<AtomicU64>,
-    owner: Vec<AtomicU64>,
-}
-
-fn windowed_sum(ctx: &StealCtx, thread: usize, bin: usize) {
-    let window = &ctx.data[bin * STEAL_WINDOW..(bin + 1) * STEAL_WINDOW];
-    let mut acc = 0.0f64;
-    for _ in 0..ctx.passes[bin] {
-        for &x in window {
-            acc += x;
-        }
-    }
-    ctx.out[thread].store(acc.to_bits(), Ordering::Relaxed);
-    // A bin never splits across workers, so one store per thread of the
-    // bin is enough — they all write the same worker's id.
-    let mut h = DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    ctx.owner[bin].store(h.finish() | 1, Ordering::Relaxed);
-}
-
-fn steal_ctx(bins: usize, threads_per_bin: usize, passes_scale: usize) -> StealCtx {
-    StealCtx {
-        data: (0..bins * STEAL_WINDOW)
-            .map(|i| (i % 97) as f64 * 0.5)
-            .collect(),
-        // Triangular cost profile: every thread of bin b costs
-        // (b + 1) × a thread of bin 0. A partition balanced by
-        // *thread count* — the ParScheduler's static handout —
-        // therefore misjudges *work* by up to 2×, which is exactly
-        // the imbalance stealing exists to absorb.
-        passes: (0..bins).map(|b| (b + 1) * passes_scale).collect(),
-        out: (0..bins * threads_per_bin)
-            .map(|_| AtomicU64::new(0))
-            .collect(),
-        owner: (0..bins).map(|_| AtomicU64::new(0)).collect(),
-    }
-}
-
-/// Critical path of the run just recorded in `ctx.owner`, in *work
-/// units* (window-passes): groups bins by the OS thread that executed
-/// them and returns (max per-thread unit sum, total units). Work units
-/// are exact — each thread of bin b costs `passes[b]` passes by
-/// construction — so unlike wall-clock busy time the result is
-/// unaffected by how the host time-slices workers onto cores.
-fn critical_path_units(ctx: &StealCtx, threads_per_bin: usize) -> (u64, u64) {
-    let mut per_owner: Vec<(u64, u64)> = Vec::new();
-    let mut total = 0u64;
-    for (bin, owner) in ctx.owner.iter().enumerate() {
-        let owner = owner.load(Ordering::Relaxed);
-        assert_ne!(owner, 0, "bin {bin} never executed");
-        let units = (ctx.passes[bin] * threads_per_bin) as u64;
-        total += units;
-        match per_owner.iter_mut().find(|(id, _)| *id == owner) {
-            Some((_, sum)) => *sum += units,
-            None => per_owner.push((owner, units)),
-        }
-    }
-    let max = per_owner.iter().map(|&(_, sum)| sum).max().unwrap_or(0);
-    (max, total)
-}
-
-fn fork_windowed(sched: &mut ParScheduler<StealCtx>, bins: usize, threads_per_bin: usize) {
-    let mut thread = 0usize;
-    for bin in 0..bins {
-        for _ in 0..threads_per_bin {
-            sched.fork(
-                windowed_sum,
-                thread,
-                bin,
-                Hints::one((bin as u64 * STEAL_BLOCK).into()),
-            );
-            thread += 1;
-        }
-    }
-}
-
-/// One measured cell of the steal ablation: one (policy, workers)
-/// combination, best of three runs.
-///
-/// The headline metric is the *makespan* in deterministic work units —
-/// the maximum per-worker sum of known per-bin costs, i.e. the run's
-/// critical path under ideal parallel execution. Wall-clock (and the
-/// `Instant`-based per-worker busy times inside `report`) conflate
-/// scheduling quality with how many physical cores the host happens to
-/// have: on a 1-core host every multi-worker wall-clock is just the
-/// serialized total, and a worker's busy window absorbs time-slice
-/// preemption from its peers. Work units do not.
-#[derive(Clone, Debug)]
-pub struct StealRow {
-    /// Steal policy under test.
-    pub policy: StealPolicy,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock nanoseconds of the best repetition.
-    pub wall_ns: u64,
-    /// Critical path of the best repetition, in work units
-    /// (window-passes): max per-worker sum of executed bins' costs.
-    pub makespan_units: u64,
-    /// Critical path converted to nanoseconds via the single-worker
-    /// calibration rate (units per ns with no scheduling overlap).
-    pub modeled_ns: u64,
-    /// Threads per second along the modeled critical path.
-    pub threads_per_sec: f64,
-    /// Full per-worker report of the best repetition.
-    pub report: ParRunReport,
-}
-
 /// The steal-policy ablation: every [`StealPolicy`] at each worker
 /// count, on a workload whose per-thread cost the static partition
-/// cannot predict.
+/// cannot predict. Each row is the exact [`ParRunReport`] of one
+/// (policy, workers) replay; its headline is the makespan in work
+/// units (window passes).
 #[derive(Clone, Debug)]
 pub struct StealAblationResult {
     /// Bins in the schedule.
     pub bins: usize,
     /// Threads per run.
     pub threads: u64,
-    /// Worker counts measured.
+    /// Worker counts replayed.
     pub worker_counts: Vec<usize>,
-    /// One row per (workers, policy), grouped by worker count.
-    pub rows: Vec<StealRow>,
+    /// One replay per (workers, policy), grouped by worker count.
+    pub rows: Vec<ParRunReport>,
 }
 
 impl StealAblationResult {
-    /// The measured cell for one (policy, workers) combination.
-    pub fn row(&self, policy: StealPolicy, workers: usize) -> Option<&StealRow> {
+    /// The replay of one (policy, workers) combination.
+    pub fn row(&self, policy: StealPolicy, workers: usize) -> Option<&ParRunReport> {
         self.rows
             .iter()
             .find(|r| r.policy == policy && r.workers == workers)
     }
 
-    /// Critical-path speedup of `policy` over [`StealPolicy::None`] at
+    /// Makespan speedup of `policy` over [`StealPolicy::None`] at
     /// `workers` (1.0 when either cell is missing).
     pub fn speedup_vs_none(&self, policy: StealPolicy, workers: usize) -> f64 {
         match (
@@ -561,8 +440,8 @@ impl StealAblationResult {
         }
     }
 
-    /// Serializes the ablation — including each cell's full
-    /// [`ParRunReport`] with per-worker steal counters — as one JSON
+    /// Serializes the ablation — each row a full [`ParRunReport`] with
+    /// per-worker counters, plus its speedup over `none` — as one JSON
     /// object (the `BENCH_steal.json` payload).
     pub fn to_json(&self) -> String {
         json::write(|w| {
@@ -574,15 +453,9 @@ impl StealAblationResult {
                 w.key("rows").array(|w| {
                     for row in &self.rows {
                         w.object(|w| {
-                            w.key("policy").string(&row.policy.to_string());
-                            w.key("workers").uint(row.workers as u64);
-                            w.key("wall_ns").uint(row.wall_ns);
-                            w.key("makespan_units").uint(row.makespan_units);
-                            w.key("modeled_ns").uint(row.modeled_ns);
-                            w.key("threads_per_sec").float(row.threads_per_sec, 1);
+                            row.write_fields(w);
                             w.key("speedup_vs_none")
                                 .float(self.speedup_vs_none(row.policy, row.workers), 3);
-                            row.report.write_json(w.key("report"));
                         });
                     }
                 });
@@ -591,96 +464,47 @@ impl StealAblationResult {
     }
 }
 
-/// Measures every steal policy at each worker count on the windowed-sum
-/// workload (`bins` bins × `threads_per_bin` threads, triangular pass
-/// counts scaled by `passes_scale`), best of three repetitions per
-/// cell (best by critical-path work units).
-///
-/// A dedicated single-worker calibration run (best-of-three wall-clock)
-/// establishes the units→nanoseconds rate used for `modeled_ns`: with
-/// one worker there is no overlap to mismeasure, so `wall / total
-/// units` is the true per-unit cost on this host.
+/// Replays every steal policy at each worker count on the windowed-sum
+/// schedule: `bins` bins of `threads_per_bin` threads, where every
+/// thread of bin b makes `(b + 1) × passes_scale` passes over its
+/// bin's window. A partition balanced by *thread count* — the static
+/// handout — therefore misjudges *work* by up to 2×, which is exactly
+/// the imbalance stealing exists to absorb. The replay charges each
+/// thread its pass count, so no body runs and every row is exact.
 pub fn steal_ablation(
     bins: usize,
     threads_per_bin: usize,
     passes_scale: usize,
     worker_counts: &[usize],
 ) -> StealAblationResult {
-    let ctx = steal_ctx(bins, threads_per_bin, passes_scale);
-    let threads = (bins * threads_per_bin) as u64;
-    let calib_config = SchedulerConfig::builder()
+    let config = SchedulerConfig::builder()
         .block_size(STEAL_BLOCK)
-        .steal_policy(StealPolicy::None)
         .build()
         .expect("power-of-two block");
-    let mut calib_wall_ns = u64::MAX;
-    let mut total_units = 0u64;
-    for _rep in 0..3 {
-        let mut sched: ParScheduler<StealCtx> = ParScheduler::new(calib_config);
-        fork_windowed(&mut sched, bins, threads_per_bin);
-        let start = Instant::now();
-        let report = sched.run_report(&ctx, 1);
-        calib_wall_ns = calib_wall_ns.min((start.elapsed().as_nanos() as u64).max(1));
-        assert_eq!(report.run.threads_run, threads);
-        total_units = critical_path_units(&ctx, threads_per_bin).1;
-    }
-    let ns_per_unit = calib_wall_ns as f64 / total_units as f64;
     let mut rows = Vec::new();
     for &workers in worker_counts {
-        for policy in [
-            StealPolicy::None,
-            StealPolicy::Random,
-            StealPolicy::LocalityAware,
-        ] {
-            let config = SchedulerConfig::builder()
-                .block_size(STEAL_BLOCK)
-                .steal_policy(policy)
-                .build()
-                .expect("power-of-two block");
-            let mut best: Option<StealRow> = None;
-            for _rep in 0..3 {
-                let mut sched: ParScheduler<StealCtx> = ParScheduler::new(config);
-                fork_windowed(&mut sched, bins, threads_per_bin);
-                let start = Instant::now();
-                let report = sched.run_report(&ctx, workers);
-                let wall_ns = (start.elapsed().as_nanos() as u64).max(1);
-                assert_eq!(report.run.threads_run, threads);
-                let (makespan_units, total) = critical_path_units(&ctx, threads_per_bin);
-                assert_eq!(total, total_units);
-                if best
-                    .as_ref()
-                    .is_none_or(|b| makespan_units < b.makespan_units)
-                {
-                    let modeled_ns = ((makespan_units as f64 * ns_per_unit) as u64).max(1);
-                    best = Some(StealRow {
-                        policy,
-                        workers,
-                        wall_ns,
-                        makespan_units,
-                        modeled_ns,
-                        threads_per_sec: threads as f64 / (modeled_ns as f64 / 1e9),
-                        report,
-                    });
+        for policy in StealPolicy::ALL {
+            let mut sched: ParScheduler<()> = ParScheduler::new(config);
+            for bin in 0..bins {
+                let hints = Hints::one((bin as u64 * STEAL_BLOCK).into());
+                for thread in 0..threads_per_bin {
+                    sched.fork(|_, _, _| {}, thread, bin, hints);
                 }
             }
-            rows.push(best.expect("three repetitions measured"));
+            rows.push(sched.replay(workers, policy, |_, bin| ((bin + 1) * passes_scale) as u64));
         }
     }
     StealAblationResult {
         bins,
-        threads,
+        threads: (bins * threads_per_bin) as u64,
         worker_counts: worker_counts.to_vec(),
         rows,
     }
 }
 
 /// The steal ablation at a table scale: the pass scale tracks
-/// `matmul_n` so `--smoke`/`--full` shrink/grow the work as for the
-/// tables. Each run must span many OS timeslices (tens of milliseconds
-/// and up): the kernel's fair scheduler then advances oversubscribed
-/// workers at near-equal rates, which is what makes the recorded
-/// bin-to-worker assignment representative of truly parallel execution
-/// even on hosts with fewer cores than workers.
+/// `matmul_n`, so `--smoke`/`--full` shrink/grow the work as for the
+/// tables.
 pub fn steal(scale: &ExpScale) -> StealAblationResult {
     steal_ablation(48, 8, (scale.matmul_n / 4).max(2), &[1, 2, 4, 8])
 }
@@ -1270,47 +1094,64 @@ mod tests {
         let result = steal_ablation(8, 4, 16, &[1, 2]);
         assert_eq!(result.threads, 32);
         assert_eq!(result.rows.len(), 6, "3 policies × 2 worker counts");
-        for policy in [
-            StealPolicy::None,
-            StealPolicy::Random,
-            StealPolicy::LocalityAware,
-        ] {
+        for policy in StealPolicy::ALL {
             for workers in [1usize, 2] {
-                let row = result.row(policy, workers).expect("cell measured");
-                assert_eq!(row.report.run.threads_run, 32);
-                assert_eq!(row.report.stats.workers().len(), workers);
-                assert!(row.makespan_units > 0);
-                assert!(row.modeled_ns > 0);
-                assert!(row.threads_per_sec > 0.0);
+                let row = result.row(policy, workers).expect("cell replayed");
+                assert_eq!(row.run.threads_run, 32);
+                assert_eq!(row.per_worker.len(), workers);
             }
         }
-        // Single-worker runs execute everything on one thread, so the
-        // critical path is the whole workload regardless of policy.
+        // Bin b costs 64 (b + 1) units: 16 passes × 4 threads each.
+        // A single worker runs the whole workload under every policy.
         let total: u64 = (1..=8u64).map(|b| b * 16 * 4).sum();
-        for policy in [
-            StealPolicy::None,
-            StealPolicy::Random,
-            StealPolicy::LocalityAware,
-        ] {
+        for policy in StealPolicy::ALL {
             assert_eq!(result.row(policy, 1).unwrap().makespan_units, total);
         }
         // With 2 workers and no stealing the assignment is the static
-        // thread-count split, whose critical path is exactly the heavy
-        // half of the triangular profile: bins 4..8 at 16 passes × 4
-        // threads each. (Stealing policies' unit counts depend on OS
-        // interleaving at this tiny scale, so only None is exact.)
+        // thread-count split, whose makespan is the heavy half of the
+        // triangular profile: bins 4..8.
         let none = result.row(StealPolicy::None, 2).unwrap();
-        assert_eq!(none.report.stats.steals_attempted(), 0);
+        assert_eq!(none.total().steals_attempted, 0);
         assert_eq!(none.makespan_units, (5 + 6 + 7 + 8) * 16 * 4);
+        // Stealing, worker 0 finishes bins 0..4 at t = 640 while worker
+        // 1 runs bin 5, and takes the back half of its backlog (bin 7);
+        // both then finish at t = 1152, half the total. Each policy
+        // takes the same step: worker 1 is the only victim.
         for policy in [StealPolicy::Random, StealPolicy::LocalityAware] {
             let row = result.row(policy, 2).unwrap();
-            assert!(row.makespan_units <= total, "critical path within total");
-            assert!(row.makespan_units >= total / 2, "max is at least the mean");
+            let units: Vec<u64> = row.per_worker.iter().map(|w| w.units).collect();
+            assert_eq!(units, [total / 2, total / 2], "{policy}");
+            assert_eq!(row.makespan_units, total / 2, "{policy}");
+            assert_eq!(row.per_worker[0].steals_succeeded, 1, "{policy}");
+            assert_eq!(row.per_worker[1].steals_succeeded, 0, "{policy}");
         }
         let json = result.to_json();
         assert!(json.contains("\"experiment\":\"steal_ablation\""), "{json}");
         assert!(json.contains("\"per_worker\":["), "{json}");
         assert!(json.contains("\"makespan_units\":"), "{json}");
         assert!(json.contains("\"speedup_vs_none\":"), "{json}");
+    }
+
+    #[test]
+    fn stealing_beats_the_static_partition_at_smoke_scale() {
+        let result = steal(&ExpScale::smoke());
+        // The static partition's makespans, which never depended on
+        // how steals race.
+        for (workers, makespan) in [(1, 225_792), (2, 168_192), (4, 97_920), (8, 52_416)] {
+            let none = result.row(StealPolicy::None, workers).unwrap();
+            assert_eq!(none.makespan_units, makespan, "workers = {workers}");
+        }
+        for workers in [2, 4, 8] {
+            let none = result.row(StealPolicy::None, workers).unwrap();
+            for policy in [StealPolicy::Random, StealPolicy::LocalityAware] {
+                let row = result.row(policy, workers).unwrap();
+                assert!(
+                    row.makespan_units < none.makespan_units,
+                    "{policy} at {workers} workers: {} vs none {}",
+                    row.makespan_units,
+                    none.makespan_units
+                );
+            }
+        }
     }
 }

@@ -127,61 +127,38 @@ pub fn miss_table(title: &str, rows: &[MissRow], paper_rows: &[(&str, &[u64])]) 
 }
 
 /// Prints the steal-policy ablation: per (workers, policy) the
-/// critical path in deterministic work units, its modeled time,
-/// speedups over `StealPolicy::None`, and aggregate steal counters.
+/// replayed makespan in work units, its speedup over
+/// `StealPolicy::None`, and aggregate steal counters.
 pub fn steal(result: &StealAblationResult) {
     println!(
-        "Steal-policy ablation: windowed-sum, {} bins, {} threads, triangular per-thread cost (best of 3 by critical path)\n",
+        "Steal-policy ablation: windowed-sum, {} bins, {} threads, triangular per-thread cost, replayed in virtual time\n",
         result.bins, result.threads
     );
     let mut t = TextTable::new(vec![
         "workers",
         "policy",
-        "crit path (units)",
-        "modeled (ms)",
-        "wall (ms)",
-        "Kthreads/s",
+        "makespan (units)",
         "vs none",
         "steals succ/att",
-        "parked (us)",
     ]);
     for &workers in &result.worker_counts {
-        for policy in [
-            StealPolicy::None,
-            StealPolicy::Random,
-            StealPolicy::LocalityAware,
-        ] {
+        for policy in StealPolicy::ALL {
             let Some(row) = result.row(policy, workers) else {
                 continue;
             };
-            let parked_us: u64 = row
-                .report
-                .stats
-                .workers()
-                .iter()
-                .map(|w| w.parked_ns)
-                .sum::<u64>()
-                / 1000;
+            let total = row.total();
             t.row(vec![
                 workers.to_string(),
                 policy.to_string(),
                 row.makespan_units.to_string(),
-                format!("{:.3}", row.modeled_ns as f64 / 1e6),
-                format!("{:.3}", row.wall_ns as f64 / 1e6),
-                format!("{:.1}", row.threads_per_sec / 1e3),
                 ratio(result.speedup_vs_none(policy, workers)),
-                format!(
-                    "{}/{}",
-                    row.report.stats.steals_succeeded(),
-                    row.report.stats.steals_attempted()
-                ),
-                parked_us.to_string(),
+                format!("{}/{}", total.steals_succeeded, total.steals_attempted),
             ]);
         }
     }
     print!("{}", t.render());
     println!(
-        "\nCritical path = max per-worker sum of known per-bin costs (work\nunits), i.e. the makespan under ideal parallel execution; modeled\ntime converts it at the single-worker calibration rate. Wall-clock\nadditionally depends on how many physical cores the host has. The\nstatic partition balances thread *counts*, not thread *cost*; stealing\nabsorbs the resulting tail, and locality-aware victim selection does\nso while keeping each worker's tour segment contiguous."
+        "\nMakespan = the virtual time at which the last worker finishes, each\nthread charged its known pass count (work units). The static\npartition balances thread *counts*, not thread *cost*; stealing\nabsorbs the resulting tail, and locality-aware victim selection does\nso while keeping each worker's tour segment contiguous."
     );
 }
 

@@ -28,53 +28,6 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// How idle [`ParScheduler`](crate::ParScheduler) workers acquire more
-/// bins once their own deque drains.
-///
-/// The initial schedule partitions the bin tour contiguously across
-/// workers, so each worker starts with a contiguous stretch of
-/// scheduling space. Stealing trades that contiguity for load balance;
-/// the policy controls *how much* locality each steal gives up:
-///
-/// - [`None`](StealPolicy::None): never steal. Workers exit when their
-///   own deque drains; load imbalance translates directly into idle
-///   cores, but every bin runs on the worker whose tour segment it was
-///   assigned to.
-/// - [`Random`](StealPolicy::Random): steal from a uniformly random
-///   victim, the classic Cilk/ABP discipline. Balances load but is
-///   oblivious to scheduling-space distance.
-/// - [`LocalityAware`](StealPolicy::LocalityAware): prefer the victim
-///   whose *cold end* (the back of its deque — the work it will reach
-///   last) is farthest in scheduling space from the bin that victim is
-///   currently executing. Stolen bins are the ones least likely to
-///   share cache-sized working set with the victim's near-term work,
-///   so the steal costs the victim the least locality.
-///
-/// All stealing policies take half the victim's deque from the back
-/// (cold end), preserving tour order within each fragment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum StealPolicy {
-    /// Never steal; static contiguous partition only.
-    None,
-    /// Steal from a uniformly random victim (seeded deterministically
-    /// per worker).
-    Random,
-    /// Steal from the victim whose cold end is farthest (Manhattan
-    /// distance over block coordinates) from its current bin.
-    #[default]
-    LocalityAware,
-}
-
-impl fmt::Display for StealPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            StealPolicy::None => "none",
-            StealPolicy::Random => "random",
-            StealPolicy::LocalityAware => "locality-aware",
-        })
-    }
-}
-
 /// When a scheduler frees bin records that
 /// [`Scheduler::drain_next`](crate::Scheduler::drain_next) drained
 /// empty, bounding the bin table for long-running serving workloads.
@@ -128,8 +81,8 @@ impl fmt::Display for EvictionPolicy {
 }
 
 /// Configuration of a locality [`Scheduler`](crate::Scheduler):
-/// block sizes, hash-table size, symmetric-hint folding, work stealing
-/// and online eviction.
+/// block sizes, hash-table size, symmetric-hint folding and online
+/// eviction.
 ///
 /// The paper's `th_init(blocksize, hashsize)` sets a single block size
 /// used in every dimension; [`SchedulerConfigBuilder::block_size`] does
@@ -156,7 +109,6 @@ pub struct SchedulerConfig {
     shifts: [u32; MAX_DIMS],
     hash_size: usize,
     symmetric: bool,
-    steal: StealPolicy,
     eviction: EvictionPolicy,
 }
 
@@ -166,7 +118,6 @@ pub struct SchedulerConfigBuilder {
     block_sizes: [u64; MAX_DIMS],
     hash_size: usize,
     symmetric: bool,
-    steal: StealPolicy,
     eviction: EvictionPolicy,
 }
 
@@ -185,7 +136,6 @@ impl Default for SchedulerConfigBuilder {
             block_sizes: [DEFAULT_BLOCK; MAX_DIMS],
             hash_size: DEFAULT_HASH_SIZE,
             symmetric: false,
-            steal: StealPolicy::default(),
             eviction: EvictionPolicy::default(),
         }
     }
@@ -221,15 +171,6 @@ impl SchedulerConfigBuilder {
     /// data", halving the bin count (§2.3).
     pub fn symmetric(mut self, symmetric: bool) -> Self {
         self.symmetric = symmetric;
-        self
-    }
-
-    /// Sets the work-stealing policy for
-    /// [`ParScheduler`](crate::ParScheduler) (default:
-    /// [`StealPolicy::LocalityAware`]). The sequential
-    /// [`Scheduler`](crate::Scheduler) ignores this knob.
-    pub fn steal_policy(mut self, steal: StealPolicy) -> Self {
-        self.steal = steal;
         self
     }
 
@@ -280,7 +221,6 @@ impl SchedulerConfigBuilder {
             shifts,
             hash_size: self.hash_size,
             symmetric: self.symmetric,
-            steal: self.steal,
             eviction: self.eviction,
         })
     }
@@ -336,11 +276,6 @@ impl SchedulerConfig {
     /// Whether symmetric-hint folding is enabled.
     pub fn symmetric(&self) -> bool {
         self.symmetric
-    }
-
-    /// The configured work-stealing policy.
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.steal
     }
 
     /// The configured online bin-record eviction policy.
@@ -485,28 +420,6 @@ mod tests {
         let ab = c.block_coords(Hints::two(Addr::new(1024), Addr::new(2048)));
         let ba = c.block_coords(Hints::two(Addr::new(2048), Addr::new(1024)));
         assert_ne!(ab, ba);
-    }
-
-    #[test]
-    fn steal_policy_knob_round_trips() {
-        assert_eq!(
-            SchedulerConfig::default().steal_policy(),
-            StealPolicy::LocalityAware
-        );
-        for policy in [
-            StealPolicy::None,
-            StealPolicy::Random,
-            StealPolicy::LocalityAware,
-        ] {
-            let c = SchedulerConfig::builder()
-                .steal_policy(policy)
-                .build()
-                .unwrap();
-            assert_eq!(c.steal_policy(), policy);
-        }
-        assert_eq!(StealPolicy::None.to_string(), "none");
-        assert_eq!(StealPolicy::Random.to_string(), "random");
-        assert_eq!(StealPolicy::LocalityAware.to_string(), "locality-aware");
     }
 
     #[test]

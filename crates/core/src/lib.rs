@@ -80,11 +80,10 @@ mod table;
 pub use baseline::{FifoScheduler, RandomScheduler};
 pub use config::{
     prev_power_of_two, ConfigError, EvictionPolicy, SchedulerConfig, SchedulerConfigBuilder,
-    StealPolicy,
 };
 pub use engine::PACKAGE_TRACE_BASE;
 pub use hint::{Hints, MAX_DIMS};
-pub use parallel::{ParRunReport, ParScheduler, ParThreadFn};
+pub use parallel::{ParRunReport, ParScheduler, ParThreadFn, StealPolicy};
 pub use policy::{
     AnyPolicy, BinPolicy, Hierarchical, SingleBin, TopologyPolicy, UniqueBin, MAX_LEVELS,
 };

@@ -22,39 +22,43 @@ impl fmt::Display for RunStats {
 }
 
 /// What one [`ParScheduler`](crate::ParScheduler) worker did during a
-/// parallel run.
+/// [`replay`](crate::ParScheduler::replay).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Bins this worker drained to completion.
     pub bins_executed: u64,
     /// Threads this worker executed.
     pub threads_executed: u64,
-    /// Steal attempts (one per victim inspected with intent to steal).
+    /// Cost units charged to this worker: its busy virtual time.
+    pub units: u64,
+    /// Steal attempts (one per victim tried).
     pub steals_attempted: u64,
     /// Steal attempts that transferred at least one bin.
     pub steals_succeeded: u64,
-    /// Wall-clock nanoseconds spent executing thread bodies. On a host
-    /// with at least as many idle cores as workers, the maximum across
-    /// workers approximates the run's critical path (makespan); on an
-    /// oversubscribed host it also counts time the worker spent
-    /// descheduled mid-bin, so treat it as an upper bound there.
-    pub busy_ns: u64,
-    /// Wall-clock nanoseconds spent out of work (searching for victims
-    /// or giving up), as opposed to executing thread bodies.
-    pub parked_ns: u64,
+}
+
+impl std::iter::Sum for WorkerStats {
+    fn sum<I: Iterator<Item = WorkerStats>>(iter: I) -> Self {
+        iter.fold(WorkerStats::default(), |sum, w| WorkerStats {
+            bins_executed: sum.bins_executed + w.bins_executed,
+            threads_executed: sum.threads_executed + w.threads_executed,
+            units: sum.units + w.units,
+            steals_attempted: sum.steals_attempted + w.steals_attempted,
+            steals_succeeded: sum.steals_succeeded + w.steals_succeeded,
+        })
+    }
 }
 
 impl fmt::Display for WorkerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} threads in {} bins, {}/{} steals, busy {} ns, parked {} ns",
+            "{} threads in {} bins, {} units, {}/{} steals",
             self.threads_executed,
             self.bins_executed,
+            self.units,
             self.steals_succeeded,
-            self.steals_attempted,
-            self.busy_ns,
-            self.parked_ns
+            self.steals_attempted
         )
     }
 }
@@ -65,50 +69,14 @@ impl fmt::Display for WorkerStats {
 /// version creates 1,048,576 threads distributed in 81 bins for an
 /// average of 12,945 threads per bin. The distribution of the threads
 /// in the bins was quite uniform." (§4.2)
-///
-/// After a parallel run
-/// ([`ParScheduler::run_report`](crate::ParScheduler::run_report)), the
-/// stats additionally carry one [`WorkerStats`] entry per worker.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     per_bin: Vec<u64>,
-    per_worker: Vec<WorkerStats>,
 }
 
 impl SchedulerStats {
     pub(crate) fn from_bin_counts(per_bin: Vec<u64>) -> Self {
-        SchedulerStats {
-            per_bin,
-            per_worker: Vec::new(),
-        }
-    }
-
-    pub(crate) fn set_workers(&mut self, per_worker: Vec<WorkerStats>) {
-        self.per_worker = per_worker;
-    }
-
-    /// Per-worker execution counters, one entry per worker of the run
-    /// that produced these stats (empty for a sequential schedule or
-    /// before any run).
-    pub fn workers(&self) -> &[WorkerStats] {
-        &self.per_worker
-    }
-
-    /// Total steal attempts across workers.
-    pub fn steals_attempted(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.steals_attempted).sum()
-    }
-
-    /// Total successful steals across workers.
-    pub fn steals_succeeded(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.steals_succeeded).sum()
-    }
-
-    /// The run's critical path under ideal parallel execution: the
-    /// maximum [`busy_ns`](WorkerStats::busy_ns) across workers (0
-    /// with no workers recorded).
-    pub fn makespan_ns(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.busy_ns).max().unwrap_or(0)
+        SchedulerStats { per_bin }
     }
 
     /// Total scheduled threads.
@@ -227,32 +195,29 @@ mod tests {
 
     #[test]
     fn worker_stats_aggregate_and_display() {
-        let mut s = SchedulerStats::from_bin_counts(vec![4, 4]);
-        assert!(s.workers().is_empty());
-        s.set_workers(vec![
+        let workers = [
             WorkerStats {
                 bins_executed: 1,
                 threads_executed: 4,
+                units: 900,
                 steals_attempted: 3,
                 steals_succeeded: 1,
-                busy_ns: 900,
-                parked_ns: 50,
             },
             WorkerStats {
                 bins_executed: 1,
                 threads_executed: 4,
+                units: 700,
                 steals_attempted: 2,
                 steals_succeeded: 0,
-                busy_ns: 700,
-                parked_ns: 10,
             },
-        ]);
-        assert_eq!(s.workers().len(), 2);
-        assert_eq!(s.steals_attempted(), 5);
-        assert_eq!(s.steals_succeeded(), 1);
-        assert_eq!(s.makespan_ns(), 900);
-        let text = s.workers()[0].to_string();
-        assert!(text.contains("1/3 steals"), "{text}");
+        ];
+        let total: WorkerStats = workers.iter().copied().sum();
+        assert_eq!(total.threads_executed, 8);
+        assert_eq!(total.units, 1600);
+        assert_eq!(total.steals_attempted, 5);
+        assert_eq!(total.steals_succeeded, 1);
+        let text = workers[0].to_string();
+        assert!(text.contains("900 units, 1/3 steals"), "{text}");
     }
 
     #[test]

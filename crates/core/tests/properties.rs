@@ -502,49 +502,88 @@ proptest! {
             ctx.counts[i].fetch_add(1, Ordering::Relaxed);
         }
 
-        let config = SchedulerConfig::builder().steal_policy(policy).build().unwrap();
-        let mut sched: ParScheduler<Ctx> = ParScheduler::new(config);
+        let mut sched: ParScheduler<Ctx> = ParScheduler::new(SchedulerConfig::default());
         for (i, h) in hints.iter().enumerate() {
             sched.fork(bump, i, 0, *h);
         }
         let ctx = Ctx {
             counts: (0..hints.len()).map(|_| AtomicU64::new(0)).collect(),
         };
-        let stats = sched.run(&ctx, workers);
+        let stats = sched.run(&ctx, workers, policy);
         prop_assert_eq!(stats.threads_run, hints.len() as u64);
         for (i, c) in ctx.counts.iter().enumerate() {
             prop_assert_eq!(c.load(Ordering::Relaxed), 1, "thread {} ran wrong count", i);
         }
     }
 
-    /// Per-worker steal counters stay coherent for any run: the
-    /// per-worker execution counts sum to the run totals, a worker
-    /// never succeeds more often than it attempts, and under
-    /// `StealPolicy::None` nobody attempts (or is parked) at all.
+    /// A virtual-time replay is exact for any schedule, per-thread
+    /// costs, worker count and policy: the per-worker counters sum to
+    /// the run totals and the total cost, the makespan is at least the
+    /// mean load and the largest bin, a lone worker's makespan is the
+    /// total, `StealPolicy::None` never steals and its makespan is the
+    /// heaviest segment of the static thread-count partition (computed
+    /// here from `stats()` and the threads' block coordinates), and a
+    /// second replay of the same schedule gives an equal report.
     #[test]
     fn steal_counters_are_consistent(
         hints in prop::collection::vec(arb_hints(), 1..200),
+        costs in prop::collection::vec(0u64..1000, 200),
         workers in 1usize..9,
         policy in arb_policy(),
     ) {
-        use locality_sched::{ParScheduler, StealPolicy};
+        use locality_sched::{ParScheduler, StealPolicy, MAX_DIMS};
 
         fn nop(_ctx: &(), _i: usize, _j: usize) {}
 
-        let config = SchedulerConfig::builder().steal_policy(policy).build().unwrap();
-        let mut sched: ParScheduler<()> = ParScheduler::new(config);
+        let config = SchedulerConfig::default();
+        let schedule = || {
+            let mut sched: ParScheduler<()> = ParScheduler::new(config);
+            for (i, h) in hints.iter().enumerate() {
+                sched.fork(nop, i, 0, *h);
+            }
+            sched
+        };
+        // Bins in first-fork order: (block coordinates, threads, cost).
+        let mut bins: Vec<([u64; MAX_DIMS], u64, u64)> = Vec::new();
         for (i, h) in hints.iter().enumerate() {
-            sched.fork(nop, i, 0, *h);
+            let key = config.block_coords(*h);
+            match bins.iter_mut().find(|bin| bin.0 == key) {
+                Some(bin) => {
+                    bin.1 += 1;
+                    bin.2 += costs[i];
+                }
+                None => bins.push((key, 1, costs[i])),
+            }
         }
-        let report = sched.run_report(&(), workers);
+        let mut sched = schedule();
+        let stats = sched.stats();
+        let threads: Vec<u64> = bins.iter().map(|bin| bin.1).collect();
+        prop_assert_eq!(stats.threads_per_bin(), threads.as_slice());
+        let mut segments = vec![0u64; workers];
+        let (mut cum, mut w) = (0u64, 0usize);
+        for bin in &bins {
+            while w + 1 < workers && cum * workers as u64 >= (w as u64 + 1) * stats.threads() {
+                w += 1;
+            }
+            segments[w] += bin.2;
+            cum += bin.1;
+        }
+
+        let report = sched.replay(workers, policy, |i, _| costs[i]);
         prop_assert_eq!(report.policy, policy);
         prop_assert_eq!(report.workers, workers);
-        prop_assert_eq!(report.stats.workers().len(), workers);
-        let threads: u64 = report.stats.workers().iter().map(|w| w.threads_executed).sum();
-        let bins: u64 = report.stats.workers().iter().map(|w| w.bins_executed).sum();
-        prop_assert_eq!(threads, report.run.threads_run);
-        prop_assert_eq!(bins, report.run.bins_visited as u64);
-        for w in report.stats.workers() {
+        prop_assert_eq!(report.per_worker.len(), workers);
+        let total = report.total();
+        let cost: u64 = costs[..hints.len()].iter().sum();
+        prop_assert_eq!(total.units, cost);
+        prop_assert_eq!(total.threads_executed, report.run.threads_run);
+        prop_assert_eq!(total.threads_executed, stats.threads());
+        prop_assert_eq!(total.bins_executed, report.run.bins_visited as u64);
+        prop_assert_eq!(total.bins_executed, stats.bins() as u64);
+        let largest = bins.iter().map(|bin| bin.2).max().unwrap_or(0);
+        prop_assert!(report.makespan_units >= cost.div_ceil(workers as u64));
+        prop_assert!(report.makespan_units >= largest);
+        for w in &report.per_worker {
             prop_assert!(
                 w.steals_succeeded <= w.steals_attempted,
                 "worker succeeded {} of {} attempts",
@@ -553,16 +592,15 @@ proptest! {
             );
         }
         if policy == StealPolicy::None {
-            prop_assert_eq!(report.stats.steals_attempted(), 0);
-            prop_assert_eq!(report.stats.steals_succeeded(), 0);
-            for w in report.stats.workers() {
-                prop_assert_eq!(w.parked_ns, 0);
-            }
+            prop_assert_eq!(total.steals_attempted, 0);
+            prop_assert_eq!(total.steals_succeeded, 0);
+            prop_assert_eq!(report.makespan_units, segments.iter().copied().max().unwrap());
         }
         if workers == 1 {
-            // A lone worker has no victims: it owns every bin.
-            prop_assert_eq!(report.stats.steals_succeeded(), 0);
+            prop_assert_eq!(report.makespan_units, cost);
+            prop_assert_eq!(total.steals_succeeded, 0);
         }
+        prop_assert_eq!(&schedule().replay(workers, policy, |i, _| costs[i]), &report);
     }
 
     /// Any policy reporting `symmetric() == true` is invariant under
@@ -697,7 +735,7 @@ proptest! {
                 par.fork(by_worker, i, 0, *h);
             }
             let log = WorkerLog::default();
-            par.run(&log, workers);
+            par.run(&log, workers, locality_sched::StealPolicy::default());
             let log = log.into_inner().unwrap();
             if workers == 1 {
                 prop_assert!(log.iter().map(|&(_, i)| i).eq(order.iter().copied()), "1 worker");

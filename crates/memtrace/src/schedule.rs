@@ -2,14 +2,15 @@
 //!
 //! A [`ScheduleLog`] is the scheduling-plane counterpart of a memory
 //! trace: an ordered list of [`SchedEvent`]s naming which *actor* (a
-//! sequential execution lane — the serial drain loop, one `ParScheduler`
-//! worker, one serving lane) did what, and where work moved between
-//! actors. Emitters:
+//! sequential execution lane — the serial drain loop, one replayed
+//! `ParScheduler` worker, one serving lane) did what, and where work
+//! moved between actors. Emitters:
 //!
 //! * the serial `BinEngine` drain (fork / drain-unit begin-end /
 //!   dispatch, all on actor 0), recorded by [`SchedLogSink`];
-//! * `ParScheduler` workers (drain-unit begin/end per worker, plus
-//!   [`Steal`](SchedEvent::Steal) provenance when half a deque moves);
+//! * `ParScheduler::replay`'s virtual-time workers (drain-unit
+//!   begin/end per worker, plus [`Steal`](SchedEvent::Steal) provenance
+//!   when half a deque moves);
 //! * the serving simulation (grant [`Handoff`](SchedEvent::Handoff)s to
 //!   lanes).
 //!

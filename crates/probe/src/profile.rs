@@ -22,7 +22,7 @@ pub enum Metric {
 }
 
 /// An ordered collection of named metrics for one layer of the system
-/// (`"sched"`, `"l2"`, `"par"`, …).
+/// (`"sched"`, `"l2"`, `"latency"`, …).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Section {
     name: String,

@@ -1,13 +1,14 @@
 //! The paper's SMP future work, demonstrated: locality bins double as
 //! cache-affinity work units for multiple cores. Each worker claims
 //! whole bins, so a bin's cache-sized working set is loaded into one
-//! core's cache exactly once.
+//! core's cache exactly once, and an idle worker steals the cold half
+//! of the backlog farthest from its owner's current bin.
 //!
 //! Run with: `cargo run --release --example smp_parallel`
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use thread_locality::sched::{Hints, ParScheduler, SchedulerConfig};
+use thread_locality::sched::{Hints, ParScheduler, SchedulerConfig, StealPolicy};
 use thread_locality::trace::{AddressSpace, MatrixLayout, TracedMatrix};
 
 /// Shared context: read-only operand matrices plus an atomic output
@@ -68,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         let start = Instant::now();
-        let stats = sched.run(&ctx, workers);
+        let stats = sched.run(&ctx, workers, StealPolicy::LocalityAware);
         let elapsed = start.elapsed();
         assert_eq!(stats.threads_run, (n * n) as u64);
         let base = *baseline.get_or_insert(elapsed.as_secs_f64());

@@ -19,11 +19,6 @@ use thread_locality::sched::{
 };
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const POLICIES: [StealPolicy; 3] = [
-    StealPolicy::None,
-    StealPolicy::Random,
-    StealPolicy::LocalityAware,
-];
 
 /// One output cell that parallel workers may write without holding a
 /// lock.
@@ -54,10 +49,9 @@ fn cells(n: usize) -> Vec<SyncCell> {
     (0..n).map(|_| SyncCell(UnsafeCell::new(0.0))).collect()
 }
 
-fn config(policy: StealPolicy) -> SchedulerConfig {
+fn config() -> SchedulerConfig {
     SchedulerConfig::builder()
         .block_size(4096)
-        .steal_policy(policy)
         .build()
         .expect("power-of-two block")
 }
@@ -131,7 +125,7 @@ fn mm_par_body(ctx: &ParMat, i: usize, j: usize) {
 }
 
 fn mm_sequential() -> (Vec<f64>, u64) {
-    let mut sched = Scheduler::<SeqMat>::new(config(StealPolicy::default()));
+    let mut sched = Scheduler::<SeqMat>::new(config());
     for i in 0..MM_N {
         for j in 0..MM_N {
             sched.fork(mm_seq_body, i, j, mm_hints(i, j));
@@ -147,7 +141,7 @@ fn mm_sequential() -> (Vec<f64>, u64) {
 }
 
 fn mm_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
-    let mut sched: ParScheduler<ParMat> = ParScheduler::new(config(policy));
+    let mut sched: ParScheduler<ParMat> = ParScheduler::new(config());
     for i in 0..MM_N {
         for j in 0..MM_N {
             sched.fork(mm_par_body, i, j, mm_hints(i, j));
@@ -158,7 +152,7 @@ fn mm_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
         b: noise(2, MM_N * MM_N),
         c: cells(MM_N * MM_N),
     };
-    let stats = sched.run(&ctx, workers);
+    let stats = sched.run(&ctx, workers, policy);
     (ctx.c.iter().map(SyncCell::get).collect(), stats.threads_run)
 }
 
@@ -166,7 +160,7 @@ fn mm_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
 fn matmul_parallel_matches_sequential_bitwise() {
     let (seq, seq_threads) = mm_sequential();
     assert_eq!(seq_threads, (MM_N * MM_N) as u64);
-    for policy in POLICIES {
+    for policy in StealPolicy::ALL {
         for workers in WORKER_COUNTS {
             let (par, par_threads) = mm_parallel(policy, workers);
             assert_eq!(par_threads, seq_threads, "{policy}, {workers} workers");
@@ -224,7 +218,7 @@ fn sor_sequential() -> (Vec<f64>, u64) {
     let mut grid = noise(3, SOR_N * SOR_N);
     let mut threads = 0;
     for _ in 0..SOR_SWEEPS {
-        let mut sched = Scheduler::<SeqSor>::new(config(StealPolicy::default()));
+        let mut sched = Scheduler::<SeqSor>::new(config());
         for row in 1..SOR_N - 1 {
             sched.fork(sor_seq_body, row, 0, sor_hints(row));
         }
@@ -242,7 +236,7 @@ fn sor_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
     let mut grid = noise(3, SOR_N * SOR_N);
     let mut threads = 0;
     for _ in 0..SOR_SWEEPS {
-        let mut sched: ParScheduler<ParSor> = ParScheduler::new(config(policy));
+        let mut sched: ParScheduler<ParSor> = ParScheduler::new(config());
         for row in 1..SOR_N - 1 {
             sched.fork(sor_par_body, row, 0, sor_hints(row));
         }
@@ -251,7 +245,7 @@ fn sor_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
             cell.set(v); // boundary rows/columns carry over
         }
         let ctx = ParSor { src: grid, dst };
-        threads += sched.run(&ctx, workers).threads_run;
+        threads += sched.run(&ctx, workers, policy).threads_run;
         grid = ctx.dst.iter().map(SyncCell::get).collect();
     }
     (grid, threads)
@@ -261,7 +255,7 @@ fn sor_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
 fn jacobi_sor_parallel_matches_sequential_bitwise() {
     let (seq, seq_threads) = sor_sequential();
     assert_eq!(seq_threads, ((SOR_N - 2) * SOR_SWEEPS) as u64);
-    for policy in POLICIES {
+    for policy in StealPolicy::ALL {
         for workers in WORKER_COUNTS {
             let (par, par_threads) = sor_parallel(policy, workers);
             assert_eq!(par_threads, seq_threads, "{policy}, {workers} workers");
@@ -340,7 +334,7 @@ fn nb_par_body(ctx: &ParNb, i: usize, _unused: usize) {
 }
 
 fn nb_sequential() -> (Vec<f64>, u64) {
-    let mut sched = Scheduler::<SeqNb>::new(config(StealPolicy::default()));
+    let mut sched = Scheduler::<SeqNb>::new(config());
     for i in 0..NB_N {
         sched.fork(nb_seq_body, i, 0, nb_hints(i));
     }
@@ -353,7 +347,7 @@ fn nb_sequential() -> (Vec<f64>, u64) {
 }
 
 fn nb_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
-    let mut sched: ParScheduler<ParNb> = ParScheduler::new(config(policy));
+    let mut sched: ParScheduler<ParNb> = ParScheduler::new(config());
     for i in 0..NB_N {
         sched.fork(nb_par_body, i, 0, nb_hints(i));
     }
@@ -361,7 +355,7 @@ fn nb_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
         bodies: bodies(),
         acc: cells(NB_N * 3),
     };
-    let stats = sched.run(&ctx, workers);
+    let stats = sched.run(&ctx, workers, policy);
     (
         ctx.acc.iter().map(SyncCell::get).collect(),
         stats.threads_run,
@@ -372,7 +366,7 @@ fn nb_parallel(policy: StealPolicy, workers: usize) -> (Vec<f64>, u64) {
 fn nbody_parallel_matches_sequential_bitwise() {
     let (seq, seq_threads) = nb_sequential();
     assert_eq!(seq_threads, NB_N as u64);
-    for policy in POLICIES {
+    for policy in StealPolicy::ALL {
         for workers in WORKER_COUNTS {
             let (par, par_threads) = nb_parallel(policy, workers);
             assert_eq!(par_threads, seq_threads, "{policy}, {workers} workers");
